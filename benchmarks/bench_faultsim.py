@@ -32,7 +32,11 @@ backend's serial point through the per-step reference scan
 (``scan_mode="stepped"``), so the whole-sequence ``run_scan`` kernels'
 win is tracked and their detection times asserted bit-identical; every
 measurement also records its kernel-dispatch counts (``dispatches``:
-FFI crossings, scan calls and steps) across the repeats.  The full
+FFI crossings, scan calls and steps) across the repeats.  A
+``good-trace`` row per backend measures the fault-free trace
+(:class:`~repro.sim.logicsim.LogicSimulator` on that engine) in
+``vectors_per_second`` and asserts its PO values and final state
+bit-identical across backends.  The full
 profile includes the largest catalog circuit, where the ``numpy``
 backend must clear a 3x speedup over ``python`` and the ``native`` C
 kernel (when a toolchain is present) a 2x speedup over ``numpy``;
@@ -64,6 +68,7 @@ from repro.sim.backend import (
 )
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
+from repro.sim.logicsim import LogicSimulator
 from repro.sim.native_build import native_threads_available, toolchain_info
 from repro.sim.sharding import make_fault_simulator
 from repro.util.rng import SplitMix64
@@ -87,6 +92,10 @@ DEFAULT_WORKER_AXIS = (1, 4)
 
 #: Kernel thread-lane counts measured by default on the native backend.
 DEFAULT_THREAD_AXIS = (4,)
+
+#: The good-trace row simulates this many times each workload's vectors
+#: (a trace is one slot, far cheaper per vector than a fault batch).
+GOOD_TRACE_LENGTH_FACTOR = 4
 
 
 def _stimulus(circuit, length):
@@ -186,6 +195,31 @@ def _measure(
     }
 
 
+def _measure_good_trace(compiled, sequence, backend, repeats=3):
+    """Best-of-N fault-free trace throughput on one backend."""
+    simulator = LogicSimulator(compiled, backend=backend)
+    before = dispatch_counters()
+    trace = None
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        trace = simulator.run(sequence)
+        best = min(best, time.perf_counter() - start)
+    after = dispatch_counters()
+    return {
+        "backend": backend,
+        "vectors": len(sequence),
+        "seconds": best,
+        "vectors_per_second": len(sequence) / best if best else 0.0,
+        "dispatches": {
+            kind: after[kind] - before.get(kind, 0)
+            for kind in sorted(after)
+            if after[kind] - before.get(kind, 0)
+        },
+        "trace": (trace.po_values, trace.final_state),
+    }
+
+
 def run_profile(
     smoke: bool,
     workers_axis: tuple[int, ...] = DEFAULT_WORKER_AXIS,
@@ -222,6 +256,10 @@ def run_profile(
             "results": {},
         }
         reference_times = None
+        trace_sequence = _stimulus(
+            compiled.circuit, vectors * GOOD_TRACE_LENGTH_FACTOR
+        )
+        reference_trace = None
         for backend in backends:
             # Word-based engines (numpy, native) take the wide batches
             # they exist for; the big-int kernel its historical spot.
@@ -311,6 +349,23 @@ def run_profile(
                     f"[{name}] {backend} fused-vs-stepped scan speedup: "
                     f"{speedup:.2f}x"
                 )
+            # The fault-free trace on this engine: one repro_trace call
+            # per sequence on native, the per-step reference loop on the
+            # others; PO values and final state must agree bit for bit.
+            good = _measure_good_trace(compiled, trace_sequence, backend)
+            trace = good.pop("trace")
+            if reference_trace is None:
+                reference_trace = trace
+            elif trace != reference_trace:
+                raise AssertionError(
+                    f"{name}: {backend} good-machine trace diverges from "
+                    f"{backends[0]} — trace parity violated"
+                )
+            entry["results"][backend]["good-trace"] = good
+            progress(
+                f"[{name}] {backend:>6}/good-trace "
+                f"{good['vectors_per_second']:.0f} vectors/s"
+            )
         if "numpy" in entry["results"] and "python" in entry["results"]:
             first = str(workers_axis[0])
             entry["numpy_speedup"] = (

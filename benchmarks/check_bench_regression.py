@@ -10,8 +10,9 @@ Usage::
 Works on any report following the shared benchmark JSON shape
 (``workloads[] -> results[backend][axis] -> measurement``): both
 ``bench_faultsim.py`` (throughput key ``gate_evals_per_second``, axis =
-worker count) and ``bench_seqsim.py`` (throughput key
-``candidates_per_second``, axis = pipeline/batch-width label).  Compares
+worker count; its ``good-trace`` axis carries ``vectors_per_second``)
+and ``bench_seqsim.py`` (throughput key ``candidates_per_second``, axis
+= pipeline/batch-width label).  Compares
 only the **workloads (circuits) present in both reports**: within a
 shared workload it walks every ``(backend, axis)`` measurement present
 on both sides and fails (exit 1) when the candidate's throughput drops
@@ -38,9 +39,13 @@ import sys
 #: Fail when candidate throughput is below baseline * (1 - TOLERANCE).
 DEFAULT_TOLERANCE = 0.30
 
-#: Throughput keys, by report flavor (fault-sim, seqsim).  A measurement
-#: carries exactly one of these.
-_RATE_KEYS = ("gate_evals_per_second", "candidates_per_second")
+#: Throughput keys, by report flavor (fault-sim, seqsim, fault-free
+#: trace).  A measurement carries exactly one of these.
+_RATE_KEYS = (
+    "gate_evals_per_second",
+    "candidates_per_second",
+    "vectors_per_second",
+)
 
 
 def _load(path: str) -> dict:

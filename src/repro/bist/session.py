@@ -33,6 +33,7 @@ from repro.core.sequence import TestSequence
 from repro.errors import HardwareModelError
 from repro.faults.model import Fault
 from repro.logic.values import X
+from repro.sim.backend import AUTO_BACKEND
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.logicsim import LogicSimulator
 from repro.sim.sharding import make_fault_simulator
@@ -103,7 +104,10 @@ class BistSession:
         self._word_bits = self._circuit.num_inputs
         self._capacity = max(len(s) for s in sequences)
         self._misr_length = misr_length
-        self._logic = LogicSimulator(self._compiled, backend=backend)
+        # The golden trace is one slot whatever the fault-axis engine:
+        # "auto" traces each expanded sequence in one native kernel call
+        # at the native crossover, else on the big-int kernel.
+        self._logic = LogicSimulator(self._compiled, backend=AUTO_BACKEND)
         self._fault_simulator = make_fault_simulator(
             self._compiled, backend=backend, workers=workers
         )

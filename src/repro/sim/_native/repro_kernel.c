@@ -51,10 +51,11 @@
 
 /* Bumped whenever any exported signature or semantic changes; checked by
  * the loader so a stale cached .so can never be driven with the wrong
- * marshaling.  v2 added repro_scan (whole-sequence fused scans); v3 adds
+ * marshaling.  v2 added repro_scan (whole-sequence fused scans); v3 added
  * the thread pool and the trailing n_threads argument on repro_eval,
- * repro_detect_step and repro_scan. */
-#define REPRO_NATIVE_ABI 3
+ * repro_detect_step and repro_scan; v4 adds repro_trace (the fault-free
+ * good-machine trace in one call). */
+#define REPRO_NATIVE_ABI 4
 
 #if defined(_WIN32)
 #define EXPORT __declspec(dllexport)
@@ -876,6 +877,11 @@ typedef struct {
     int64_t *times;
     uint64_t *det;
     int64_t collect_finals;
+    /* Internal (set only by repro_trace): when non-NULL, every step      */
+    /* writes slot 0's Ternary code per PO (0 = ZERO, 1 = ONE, 2 = X, as  */
+    /* repro.logic.values.Ternary) to row s of this (num_steps, num_pos)  */
+    /* array, right after that step's eval.                               */
+    uint8_t *po_trace;
 } ScanArgs;
 
 static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
@@ -955,14 +961,23 @@ static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
                  a->pin_sa0, a->n_pin, a->stem_ops, a->stem_sa1,
                  a->stem_sa0, a->n_stem, a->scratch);
 
-        /* Detect. */
+        if (a->po_trace) {
+            uint8_t *row = a->po_trace + s * a->num_pos;
+            for (p = 0; p < a->num_pos; p++) {
+                const uint64_t *rail =
+                    a->FV + (uint64_t)(2 * a->po_sig[p]) * words;
+                row[p] = (rail[0] & 1) ? 1 : (rail[words] & 1) ? 0 : 2;
+            }
+        }
+
+        /* Detect (a fault-free trace has no observation rows). */
         for (w = w0; w < w1; w++)
             a->det[w] = 0;
         if (a->GV)
             detect_step_span(a->GV, a->FV, words, w0, w1, a->po_sig,
                              a->num_pos, a->g_po_sa1, a->g_po_sa0,
                              a->f_po_sa1, a->f_po_sa0, a->det);
-        else
+        else if (a->obs_off)
             detect_mask_span(a->FV, words, w0, w1,
                              a->obs_pos + a->obs_off[t],
                              a->obs_vals + a->obs_off[t],
@@ -1136,4 +1151,66 @@ EXPORT int64_t repro_scan(
     (void)n_threads;
 #endif
     return scan_span(&args, 0, words);
+}
+
+/* ------------------------------------------------------------------ */
+/* Fault-free good-machine trace: one machine (slot 0 of a one-word     */
+/* batch) over broadcast stimulus bits for num_steps steps, in a single */
+/* GIL-released call.  This is scan_span over a fault-free ScanArgs     */
+/* (no paired good machine, no patches, no observation rows,            */
+/* collect_finals = 1) with po_trace set, run serially on the calling   */
+/* thread: the same op walk as every scan, so the trace is bit-         */
+/* identical to the per-step reference loop by construction.            */
+/*                                                                      */
+/*   V           (2 * num_signals, 1) rails, overwritten                */
+/*   s_h/s_l     (num_flops, 1) flop state, in/out (all-X == zeros)     */
+/*   stim_bits   (num_steps, num_pis) input bits                        */
+/*   po_trace    (num_steps, num_pos) Ternary codes per PO, out         */
+/* ------------------------------------------------------------------ */
+EXPORT void repro_trace(
+    uint64_t *V,
+    const int32_t *codes,
+    const int32_t *outs,
+    const int64_t *in_off,
+    const int32_t *ins,
+    int64_t num_ops,
+    const int32_t *pi_sig,
+    int64_t num_pis,
+    const int32_t *q_sig,
+    const int32_t *d_sig,
+    int64_t num_flops,
+    uint64_t *s_h,
+    uint64_t *s_l,
+    const uint8_t *stim_bits,
+    int64_t num_steps,
+    const int32_t *po_sig,
+    int64_t num_pos,
+    uint8_t *po_trace)
+{
+    uint64_t pending = 0, det = 0;
+    const ScanArgs args = {
+        .FV = V,
+        .words = 1,
+        .codes = codes,
+        .outs = outs,
+        .in_off = in_off,
+        .ins = ins,
+        .num_ops = num_ops,
+        .pi_sig = pi_sig,
+        .num_pis = num_pis,
+        .q_sig = q_sig,
+        .d_sig = d_sig,
+        .num_flops = num_flops,
+        .f_sh = s_h,
+        .f_sl = s_l,
+        .stim_bits = stim_bits,
+        .num_steps = num_steps,
+        .po_sig = po_sig,
+        .num_pos = num_pos,
+        .pending = &pending,
+        .det = &det,
+        .collect_finals = 1,
+        .po_trace = po_trace,
+    };
+    scan_span(&args, 0, 1);
 }

@@ -17,7 +17,10 @@
  *   5. fault-axis repro_scan with per-slot alive windows that drain at
  *      different steps per span, serial vs threaded — detect times,
  *      pending mask and the early-exit return combined through the
- *      finished_spans atomic must match bit-for-bit.
+ *      finished_spans atomic must match bit-for-bit;
+ *   6. repro_trace (the fault-free good-machine trace) from 4 concurrent
+ *      caller threads, as serving lanes call it, each PO trace and final
+ *      flop state compared against a serial reference run.
  *
  * Build and run (the CI TSan lane):
  *
@@ -346,6 +349,92 @@ static int check_scan_parity(void)
     return failures;
 }
 
+/* --- concurrent fault-free traces ---------------------------------- */
+
+/* Signals 0..1 are the trace's PIs; 2..3 are flop outputs latched from
+ * the last two gate outputs, so the state feeds back across steps. */
+#define TRACE_PIS 2
+#define TRACE_FLOPS 2
+#define TRACE_POS 8
+
+static const int32_t g_trace_pi[TRACE_PIS] = {0, 1};
+static const int32_t g_trace_q[TRACE_FLOPS] = {2, 3};
+static const int32_t g_trace_d[TRACE_FLOPS] = {SIGNALS - 1, SIGNALS - 2};
+static int32_t g_trace_po[TRACE_POS];
+static uint8_t g_trace_bits[STEPS * TRACE_PIS];
+
+typedef struct {
+    uint8_t po[STEPS * TRACE_POS];
+    uint64_t s_h[TRACE_FLOPS];
+    uint64_t s_l[TRACE_FLOPS];
+} TraceResult;
+
+static void run_trace(TraceResult *out)
+{
+    uint64_t V[2 * SIGNALS];
+    memset(V, 0, sizeof(V));
+    memset(out, 0, sizeof(*out)); /* all-X initial state */
+    repro_trace(V, g_codes, g_outs, g_in_off, g_ins, GATES, g_trace_pi,
+                TRACE_PIS, g_trace_q, g_trace_d, TRACE_FLOPS, out->s_h,
+                out->s_l, g_trace_bits, STEPS, g_trace_po, TRACE_POS,
+                out->po);
+}
+
+typedef struct {
+    const TraceResult *reference;
+    int failures;
+} TraceLaneArg;
+
+static void *trace_lane_main(void *ptr)
+{
+    TraceLaneArg *arg = ptr;
+    TraceResult result;
+    int round;
+    for (round = 0; round < 25; round++) {
+        run_trace(&result);
+        if (memcmp(&result, arg->reference, sizeof(result)) != 0) {
+            arg->failures++;
+            break;
+        }
+    }
+    return 0;
+}
+
+static int check_concurrent_traces(void)
+{
+    TraceResult reference;
+    pthread_t lanes[LANES];
+    TraceLaneArg args[LANES];
+    uint64_t rng = 0x8000;
+    int64_t i, known = 0;
+    int failures = 0;
+    for (i = 0; i < TRACE_POS; i++)
+        g_trace_po[i] = (int32_t)(SIGNALS - TRACE_POS + i);
+    for (i = 0; i < STEPS * TRACE_PIS; i++)
+        g_trace_bits[i] = (uint8_t)(splitmix(&rng) & 1);
+    run_trace(&reference);
+    for (i = 0; i < STEPS * TRACE_POS; i++)
+        known += reference.po[i] != 2;
+    if (!known) {
+        fprintf(stderr, "FAIL trace reference is all X (vacuous)\n");
+        failures++;
+    }
+    for (i = 0; i < LANES; i++) {
+        args[i].reference = &reference;
+        args[i].failures = 0;
+        pthread_create(&lanes[i], 0, trace_lane_main, &args[i]);
+    }
+    for (i = 0; i < LANES; i++) {
+        pthread_join(lanes[i], 0);
+        if (args[i].failures) {
+            fprintf(stderr, "FAIL concurrent trace lane %lld parity\n",
+                    (long long)i);
+            failures += args[i].failures;
+        }
+    }
+    return failures;
+}
+
 int main(void)
 {
     uint64_t rng = 0x7000;
@@ -371,6 +460,7 @@ int main(void)
     failures += check_detect_parity();
     failures += check_concurrent_callers();
     failures += check_scan_parity();
+    failures += check_concurrent_traces();
     repro_thread_pool_shutdown();
     if (failures) {
         fprintf(stderr, "%d parity failure(s)\n", failures);

@@ -201,8 +201,10 @@ def resolve_simulator_threads(backend: "SimBackend", threads: int) -> int:
 #: Process-wide backend-boundary dispatch counters.  ``native_ffi_calls``
 #: counts actual ctypes crossings into the C kernel; ``scan_calls`` /
 #: ``scan_steps`` count whole-sequence scans and the time steps they
-#: simulated.  Sharded workers count in their own processes; the parent's
-#: counters cover work it ran locally.  Concurrent serving lanes all
+#: simulated; ``trace_calls`` / ``trace_steps`` count fault-free traces
+#: (:meth:`SimBackend.run_good_trace`) and their vectors.  Sharded
+#: workers count in their own processes; the parent's counters cover
+#: work it ran locally.  Concurrent serving lanes all
 #: record into this one table, so updates take the lock below — a plain
 #: dict read-modify-write would silently drop counts under contention.
 _DISPATCH_COUNTERS: dict[str, int] = {}
@@ -599,6 +601,60 @@ class SimBackend(ABC):
         record_dispatch("scan_calls")
         record_dispatch("scan_steps", executed)
         return times
+
+    def run_good_trace(
+        self,
+        batch: SimBatch,
+        stimulus: BroadcastStimulus,
+        *,
+        record_signals: bool = False,
+    ) -> "tuple[list[list[Ternary]], list[list[Ternary]] | None]":
+        """Simulate the fault-free machine in slot 0 of ``batch``.
+
+        Runs every step of ``stimulus`` from the batch's current flop
+        state (load inputs, load state, eval, observe, latch) and returns
+        ``(po_values, signal_values)``: per-step scalar PO values and,
+        with ``record_signals``, every signal's value per step (else
+        ``None``).  The batch's state advances through the last step, so
+        :meth:`SimBatch.export_state_scalar` afterwards is the final
+        state.  ``batch`` must be a 1-slot batch of the fault-free
+        program.
+
+        This default is the per-step reference loop, and the only path
+        that records signals; the native backend overrides the
+        PO-only trace with one kernel call per sequence.
+        """
+        compiled = self._compiled
+        num_outputs = len(compiled.po_indices)
+        po_values: list[list[Ternary]] = []
+        signal_values: list[list[Ternary]] | None = [] if record_signals else None
+        for t in range(stimulus.num_steps):
+            stimulus.load_step(t, None, batch)
+            batch.load_state()
+            batch.eval()
+            po_values.append(
+                [_scalar(*batch.observe_po(p)) for p in range(num_outputs)]
+            )
+            if signal_values is not None:
+                signal_values.append(
+                    [
+                        _scalar(*batch.read_signal(i))
+                        for i in range(compiled.num_signals)
+                    ]
+                )
+            batch.capture_state()
+        record_dispatch("trace_calls")
+        record_dispatch("trace_steps", stimulus.num_steps)
+        return po_values, signal_values
+
+
+def _scalar(h: int, l: int) -> Ternary:
+    """Slot 0 of an ``(H, L)`` mask pair as a scalar ternary value."""
+    if h & 1:
+        return ONE
+    if l & 1:
+        return ZERO
+    return X
 
 
 # ----------------------------------------------------------------------

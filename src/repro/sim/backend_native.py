@@ -17,6 +17,9 @@ calls into a compiled shared object (see ``_native/repro_kernel.c`` and
   pass over the observed POs (the numpy engine loops them in Python).
 * :meth:`NativeBackend.detect_step` — the fused paired-batch
   candidate-axis reduction, likewise one C pass over all POs.
+* :meth:`NativeBackend.run_scan` / :meth:`NativeBackend.run_good_trace`
+  — whole-sequence fault/candidate scans and the fault-free trace, each
+  one GIL-released C call per sequence (chunk).
 
 Everything else — input loading, state capture/interchange, source-stem
 mask passes, program compilation and the per-fault-batch LRU — is
@@ -38,6 +41,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.faults.model import Fault
+from repro.logic.values import Ternary
 from repro.sim.backend import SimBatch, SimProgram, record_dispatch
 from repro.sim.backend_numpy import (
     WORD_BITS,
@@ -50,6 +54,10 @@ from repro.sim.backend_numpy import (
 )
 from repro.sim.kernel import merge_stem_patches
 from repro.sim.native_build import load_native_library
+
+
+#: ``repro_trace`` PO code -> scalar value (codes are Ternary's values).
+_TERNARY = tuple(Ternary(code) for code in range(3))
 
 
 def _addr(array: np.ndarray) -> int:
@@ -577,3 +585,46 @@ class NativeBackend(NumpyBackend):
         record_dispatch("scan_calls")
         record_dispatch("scan_steps", executed)
         return times_out
+
+    # ------------------------------------------------------------------
+    # Fault-free trace
+    # ------------------------------------------------------------------
+    def run_good_trace(self, batch, stimulus, *, record_signals=False):
+        """The whole PO trace in one GIL-released ``repro_trace`` call.
+
+        The kernel walks the same per-step op sequence as the reference
+        loop and writes slot 0's Ternary code per PO per step; the flop
+        state arrays are updated in place, so the batch ends in the final
+        state.  Signal recording stays on the reference loop.
+        """
+        if record_signals:
+            return super().run_good_trace(batch, stimulus, record_signals=True)
+        assert isinstance(batch, NativeBatch) and batch._words == 1
+        num_steps = stimulus.num_steps
+        codes = np.empty((num_steps, len(self.po_sig)), dtype=np.uint8)
+        if num_steps:
+            bits = np.ascontiguousarray(stimulus.bits(), dtype=np.uint8)
+            record_dispatch("native_ffi_calls")
+            self.lib.repro_trace(
+                _addr(batch._V),
+                _addr(self.c_codes),
+                _addr(self.c_outs),
+                _addr(self.c_in_off),
+                _addr(self.c_ins),
+                len(self.compiled.ops),
+                _addr(self.c_pi),
+                len(self.c_pi),
+                _addr(self.c_q),
+                _addr(self.c_d),
+                len(self.c_q),
+                _addr(batch._SH),
+                _addr(batch._SL),
+                _addr(bits),
+                num_steps,
+                _addr(self.po_sig),
+                len(self.po_sig),
+                _addr(codes),
+            )
+        record_dispatch("trace_calls")
+        record_dispatch("trace_steps", num_steps)
+        return [[_TERNARY[code] for code in row] for row in codes.tolist()], None

@@ -2,7 +2,7 @@
 
 One input sequence, many faults: each bit slot of the ``(H, L)`` words is
 an independent faulty machine.  The fault-free machine is simulated once
-(scalar) and its primary output values drive the detection comparison:
+(one slot) and its primary output values drive the detection comparison:
 fault ``f`` is detected at time ``t`` if some PO is binary in the
 fault-free machine and takes the complementary binary value in ``f``'s
 machine — the paper's detection criterion with both machines starting from
@@ -34,6 +34,7 @@ from repro.core.sequence import TestSequence
 from repro.faults.model import Fault
 from repro.logic.values import X, Ternary
 from repro.sim.backend import (
+    AUTO_BACKEND,
     BroadcastStimulus,
     SimBackend,
     get_backend,
@@ -81,16 +82,16 @@ class FaultSimulator:
         # here and clamp to what it actually granted; other engines run
         # serial regardless (detection times are identical either way).
         self._threads = resolve_simulator_threads(self._backend, threads)
-        # The fault-free machine is a single scalar slot; the big-int
-        # kernel is the fastest engine for that shape regardless of the
-        # batch backend, and sharing it keeps observation plans trivially
-        # identical across backends.  One-shot (all-X) traces come from
-        # the session-wide cache — simulated once per (circuit, sequence)
-        # no matter how many simulators or dispatches ask; the private
-        # LogicSimulator serves sessions, whose good machine starts from
-        # an evolving state.
+        # The fault-free machine is a single slot, traced independently
+        # of the batch backend ("auto": one native kernel call per
+        # sequence at the fault axis's native crossover, else the big-int
+        # kernel).  One-shot (all-X) traces come from the session-wide
+        # cache — simulated once per (circuit, sequence) no matter how
+        # many simulators or dispatches ask; the private LogicSimulator
+        # serves sessions, whose good machine starts from an evolving
+        # state.
         self._trace_cache = get_trace_cache(self._compiled)
-        self._logic = LogicSimulator(self._compiled)
+        self._logic = LogicSimulator(self._compiled, backend=AUTO_BACKEND)
         self._scan_mode = resolve_scan_mode(scan_mode, paired=False)
 
     @property

@@ -1,10 +1,13 @@
 """Fault-free 3-valued sequential logic simulation.
 
 Runs a single-slot batch of the selected simulation backend with no
-injection plan.  The resulting :class:`GoodTrace` (per-cycle primary
-output values, and optionally all signal values) is consumed by the fault
-simulators for detection comparison, by the ATPG for guidance, and by the
-BIST session model for computing the fault-free signature.
+injection plan, through :meth:`~repro.sim.backend.SimBackend.run_good_trace`
+(one ``repro_trace`` kernel call per sequence on the native backend, the
+per-step reference loop elsewhere).  The resulting :class:`GoodTrace`
+(per-cycle primary output values, and optionally all signal values) is
+consumed by the fault simulators for detection comparison, by the ATPG
+for guidance, and by the BIST session model for computing the fault-free
+signature.
 """
 
 from __future__ import annotations
@@ -14,8 +17,14 @@ from dataclasses import dataclass
 from repro.circuit.netlist import Circuit
 from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
-from repro.logic.values import ONE, X, ZERO, Ternary
-from repro.sim.backend import AUTO_BACKEND, SimBackend, get_backend
+from repro.logic.values import X, Ternary
+from repro.sim.backend import (
+    AUTO_BACKEND,
+    BroadcastStimulus,
+    SimBackend,
+    get_backend,
+    resolve_backend_name,
+)
 from repro.sim.compiled import CompiledCircuit
 
 
@@ -58,10 +67,12 @@ class LogicSimulator:
             self._compiled = circuit
         else:
             self._compiled = CompiledCircuit(circuit)
-        if backend == AUTO_BACKEND:
-            # Fault-free simulation runs a single slot; the big-int
-            # kernel is the fastest engine for that shape on any circuit
-            # (1-slot vectorized passes are pure dispatch overhead).
+        if backend == AUTO_BACKEND and (
+            resolve_backend_name(self._compiled, AUTO_BACKEND) != "native"
+        ):
+            # The native kernel runs a whole trace in one call; any other
+            # engine steps in Python, where the big-int kernel is fastest
+            # for one slot (1-slot vectorized passes are pure overhead).
             backend = "python"
         self._backend = get_backend(self._compiled, backend)
         self._program = self._backend.program(None)
@@ -95,35 +106,13 @@ class LogicSimulator:
                     f"circuit has {len(compiled.flop_pairs)} flops"
                 )
             machine.set_state_scalar(initial_state)
-        num_outputs = len(compiled.po_indices)
-        po_trace: list[list[Ternary]] = []
-        signal_trace: list[list[Ternary]] | None = [] if record_signals else None
-
-        for vector in sequence:
-            machine.load_inputs_broadcast(vector)
-            machine.load_state()
-            machine.eval()
-            po_trace.append(
-                [_scalar(*machine.observe_po(p)) for p in range(num_outputs)]
-            )
-            if signal_trace is not None:
-                signal_trace.append(
-                    [
-                        _scalar(*machine.read_signal(i))
-                        for i in range(compiled.num_signals)
-                    ]
-                )
-            machine.capture_state()
-
-        final_state = machine.export_state_scalar()
-        return GoodTrace(
-            po_values=po_trace, final_state=final_state, signal_values=signal_trace
+        po_trace, signal_trace = self._backend.run_good_trace(
+            machine,
+            BroadcastStimulus(sequence, 1),
+            record_signals=record_signals,
         )
-
-
-def _scalar(h: int, l: int) -> Ternary:
-    if h:
-        return ONE
-    if l:
-        return ZERO
-    return X
+        return GoodTrace(
+            po_values=po_trace,
+            final_state=machine.export_state_scalar(),
+            signal_values=signal_trace,
+        )

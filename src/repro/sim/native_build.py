@@ -47,8 +47,8 @@ CACHE_DIR_ENV = "REPRO_NATIVE_CACHE_DIR"
 #: source (checked after every load, so a stale .so cannot be driven
 #: with the wrong marshaling).  v2 added repro_scan; v3 added the
 #: persistent thread pool and the trailing n_threads argument on
-#: repro_eval/repro_detect_step/repro_scan.
-NATIVE_ABI_VERSION = 3
+#: repro_eval/repro_detect_step/repro_scan; v4 added repro_trace.
+NATIVE_ABI_VERSION = 4
 
 #: Compilers tried in order when $CC is unset.
 _COMPILER_CANDIDATES = ("cc", "gcc", "clang")
@@ -182,6 +182,12 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
         scan_sig[index] = i64
     library.repro_scan.argtypes = scan_sig
     library.repro_scan.restype = i64
+    # repro_trace: 18 arguments (the fault-free trace, one serial call).
+    trace_sig: list = [p] * 18
+    for index in (5, 7, 10, 14, 16):
+        trace_sig[index] = i64
+    library.repro_trace.argtypes = trace_sig
+    library.repro_trace.restype = None
     return library
 
 

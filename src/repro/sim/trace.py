@@ -9,8 +9,10 @@ columns — over and over.  This module computes each piece **once per
 copy:
 
 * the :class:`~repro.sim.logicsim.GoodTrace` itself (per-step binary PO
-  observations and the final flop state), simulated by the scalar
-  big-int engine exactly once;
+  observations and the final flop state), simulated exactly once — by
+  one native ``repro_trace`` kernel call when ``"auto"`` resolves the
+  circuit's fault axis to the native engine, else by the big-int
+  kernel's per-step loop;
 * the **observation plan** derived from it — the per-step binary PO
   values the parallel-fault detection comparison needs
   (:func:`build_observation_plan` moved here from ``faultsim`` so the
@@ -61,6 +63,7 @@ except ImportError:  # pragma: no cover - platform without shm
 from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
 from repro.logic.values import ONE, ZERO
+from repro.sim.backend import AUTO_BACKEND
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.logicsim import GoodTrace, LogicSimulator
 
@@ -182,12 +185,13 @@ class GoodTraceCache:
         # registry (and the cache objects in it); evicting one there
         # must not destroy segment names the parent still publishes.
         self._owner_pid = os.getpid()
-        # The scalar big-int engine is the fastest single-slot simulator
-        # on any circuit; sharing it keeps observation plans trivially
-        # identical across batch backends.
-        self._logic = LogicSimulator(compiled)
+        # "auto" traces on the native kernel (one call per sequence) at
+        # the fault axis's native crossover, else on the big-int kernel.
+        # Every engine runs the same op walk, so observation plans are
+        # identical whichever batch backend consumes them.
+        self._logic = LogicSimulator(compiled, backend=AUTO_BACKEND)
         # Concurrent serving lanes share one cache per circuit; the lock
-        # serializes the stateful scalar engine and the LRU bookkeeping.
+        # serializes the LRU bookkeeping and trace computation.
         # Computation happens under it too, so a cold (circuit, sequence)
         # pair is simulated once even when two lanes race on it.
         self._lock = threading.RLock()

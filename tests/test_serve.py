@@ -262,6 +262,16 @@ class TestSessionLifecycle:
             assert isinstance(forced, ShardedFaultSimulator)
 
 
+class TestRunDispatches:
+    def test_good_machine_traces_are_counted(self):
+        """Fault-free traces show up in the run's dispatch deltas."""
+        with Session() as session:
+            result = session.run(S27_REQUEST)
+        dispatches = result.execution["dispatches"]
+        assert dispatches["trace_calls"] >= 1
+        assert dispatches["trace_steps"] >= dispatches["trace_calls"]
+
+
 class TestJobService:
     def test_two_tenants_bit_identical_to_direct_session(self):
         async def main():

@@ -18,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits.catalog import load_circuit, paper_t0_s27
+from repro.circuits.generator import SyntheticSpec, generate_circuit
 from repro.core.ops import ExpansionConfig
 from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
@@ -26,6 +27,7 @@ from repro.faults.universe import FaultUniverse
 from repro.logic.values import ONE, X, ZERO
 from repro.sim.backend import (
     SCAN_MODE_ENV,
+    BroadcastStimulus,
     SimBackend,
     available_backends,
     backend_unavailable_reason,
@@ -214,6 +216,94 @@ class TestLogicSimParity:
             )
             assert python.po_values == other.po_values
             assert python.final_state == other.final_state
+
+
+#: Generated circuits for the good-trace rows: flop-heavy, multi-output,
+#: and one without flops (a purely combinational trace).
+TRACE_SPECS = [
+    SyntheticSpec("trace-a", 4, 3, 6, 40, seed=11),
+    SyntheticSpec("trace-b", 7, 5, 12, 90, seed=12),
+    SyntheticSpec("trace-c", 3, 2, 0, 20, seed=13),
+]
+
+
+def _good_trace(backend: SimBackend, sequence, initial_state=None):
+    """``(po_values, final_state)`` of one run_good_trace call."""
+    batch = backend.batch(backend.program(None), 1)
+    if initial_state is not None:
+        batch.set_state_scalar(initial_state)
+    po_values, signals = backend.run_good_trace(
+        batch, BroadcastStimulus(sequence, 1)
+    )
+    assert signals is None
+    return po_values, batch.export_state_scalar()
+
+
+def _reference_trace(compiled, sequence, initial_state=None):
+    """The python backend's per-step reference loop."""
+    return _good_trace(get_backend(compiled, "python"), sequence, initial_state)
+
+
+class TestGoodTraceParity:
+    """run_good_trace on each engine == the python reference loop."""
+
+    @pytest.fixture(
+        scope="class",
+        params=PARITY_CIRCUITS + [spec.name for spec in TRACE_SPECS],
+    )
+    def trace_circuit(self, request) -> CompiledCircuit:
+        for spec in TRACE_SPECS:
+            if spec.name == request.param:
+                return CompiledCircuit(generate_circuit(spec))
+        return CompiledCircuit(load_circuit(request.param))
+
+    def _assert_parity(self, compiled, backend_name, sequence, initial=None):
+        expected = _reference_trace(compiled, sequence, initial)
+        actual = _good_trace(
+            get_backend(compiled, backend_name), sequence, initial
+        )
+        assert actual == expected
+        return expected
+
+    def test_from_all_x(self, trace_circuit, backend_name):
+        po_values, _ = self._assert_parity(
+            trace_circuit,
+            backend_name,
+            _random_sequence(trace_circuit.circuit, 60, seed=31),
+        )
+        assert any(v is not X for row in po_values for v in row)
+
+    def test_given_initial_state(self, trace_circuit, backend_name):
+        num_flops = len(trace_circuit.flop_pairs)
+        initial = [(ONE, ZERO, X)[i % 3] for i in range(num_flops)]
+        self._assert_parity(
+            trace_circuit,
+            backend_name,
+            _random_sequence(trace_circuit.circuit, 20, seed=32),
+            initial,
+        )
+
+    def test_empty_sequence(self, trace_circuit, backend_name):
+        num_flops = len(trace_circuit.flop_pairs)
+        initial = [ONE] * num_flops
+        po_values, final = self._assert_parity(
+            trace_circuit, backend_name, TestSequence([]), initial
+        )
+        assert po_values == [] and final == initial
+
+    def test_one_vector(self, trace_circuit, backend_name):
+        po_values, _ = self._assert_parity(
+            trace_circuit,
+            backend_name,
+            _random_sequence(trace_circuit.circuit, 1, seed=33),
+        )
+        assert len(po_values) == 1
+
+    def test_width_mismatch_rejected(self, trace_circuit, backend_name):
+        wide = TestSequence([[0] * (trace_circuit.num_inputs + 1)])
+        for name in ("python", backend_name):
+            with pytest.raises(SimulationError, match="sequence width"):
+                LogicSimulator(trace_circuit, backend=name).run(wide)
 
 
 class TestSeqSimParity:
@@ -612,8 +702,20 @@ class TestAutoBackend:
         assert fault_sim.backend.name == "native"
         assert fault_sim.batch_width == 1024
 
-    def test_scalar_logic_simulation_stays_on_big_int_kernel(self):
-        huge = CompiledCircuit(load_circuit("syn5378"))
+    def test_scalar_logic_simulation_resolves_native_or_big_int(
+        self, monkeypatch
+    ):
+        """Auto traces on native at the fault axis's native crossover and
+        on the big-int kernel otherwise, never on a 1-slot numpy batch."""
+        small = CompiledCircuit(load_circuit("s27"))
+        huge = CompiledCircuit(load_circuit("syn5378"))  # 2779 gates
+        native = backend_unavailable_reason("native") is None
+        assert LogicSimulator(small, backend="auto").backend.name == "python"
+        assert LogicSimulator(huge, backend="auto").backend.name == (
+            "native" if native else "python"
+        )
+        monkeypatch.setenv(NO_NATIVE_ENV, "1")
+        assert resolve_backend_name(huge, "auto") == "numpy"
         assert LogicSimulator(huge, backend="auto").backend.name == "python"
 
     def test_get_backend_resolves_auto_to_registry_instance(self, compiled):

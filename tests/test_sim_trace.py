@@ -14,6 +14,7 @@ import pytest
 from repro.circuits.catalog import load_circuit, paper_t0_s27
 from repro.core.sequence import TestSequence
 from repro.faults.universe import FaultUniverse
+from repro.sim.backend import dispatch_counters
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.logicsim import LogicSimulator
@@ -108,6 +109,33 @@ class TestGoodTraceCache:
         cache.close()
         cache.close()
         assert cache.trace(t0).length == len(t0)
+
+    @pytest.mark.parametrize("circuit_name", ["s27", "syn298"])
+    def test_miss_costs_exactly_one_trace_call(self, circuit_name):
+        """One miss is one good-machine trace dispatch (one native kernel
+        call at or above the crossover, one reference loop below it);
+        hits dispatch nothing."""
+        circuit = CompiledCircuit(load_circuit(circuit_name))
+        cache = GoodTraceCache(circuit)
+        sequence = _stimulus(circuit.circuit, 25)
+
+        def delta(action):
+            before = dispatch_counters()
+            action()
+            after = dispatch_counters()
+            return {
+                kind: after.get(kind, 0) - before.get(kind, 0)
+                for kind in ("trace_calls", "trace_steps")
+            }
+
+        assert delta(lambda: cache.trace(sequence)) == {
+            "trace_calls": 1,
+            "trace_steps": 25,
+        }
+        assert delta(lambda: cache.observation_plan(sequence)) == {
+            "trace_calls": 0,
+            "trace_steps": 0,
+        }
 
     def test_registry_shares_one_cache_per_compiled(self, compiled):
         assert get_trace_cache(compiled) is get_trace_cache(compiled)
