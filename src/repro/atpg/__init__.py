@@ -16,8 +16,9 @@ Phases of :func:`generate_t0`:
 3. **genetic phase** — a per-fault genetic algorithm over whole sequences
    for the remaining hard faults, with a state-divergence fitness in the
    spirit of STRATEGATE's dynamic state traversal;
-4. **truncation + static compaction** — drop useless tail vectors, then
-   omission-based compaction (the role of [12]).
+4. **static compaction** — vector restoration by default (the role of
+   [12]), or omission-based compaction
+   (``compaction_method="omission"``).
 """
 
 from repro.atpg.config import AtpgConfig

@@ -38,7 +38,9 @@ class AtpgConfig:
         compaction_rounds: max full scan rounds of the omission compactor.
         backend: simulation backend name (see
             :func:`repro.sim.backend.available_backends`), or ``"auto"``
-            to pick python vs numpy per circuit size and batch width.
+            to pick per circuit size and axis (native when its kernel
+            builds, else numpy or the big-int python kernel; see
+            :func:`repro.sim.backend.resolve_backend_name`).
         workers: worker processes (or thread lanes, under
             ``parallel="threads"``) for distributed fault simulation
             (:mod:`repro.sim.sharding`), borrowing the session's

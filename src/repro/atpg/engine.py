@@ -141,8 +141,15 @@ def generate_t0(
         # Phase 3: genetic attack on the hardest remaining faults.
         # Candidates are evaluated stand-alone (all-X start) by the GA, so a
         # successful candidate is appended and the session advanced over it.
+        # One candidate-scan simulator scores every population.
         # ------------------------------------------------------------------
         if session.num_remaining and config.genetic_targets > 0:
+            ga_simulator = sess.sequence_simulator(
+                compiled,
+                backend=config.backend,
+                workers=config.workers,
+                parallel=config.parallel,
+            )
             targets = sorted(session.remaining_faults)[: config.genetic_targets]
             still_remaining = set(session.remaining_faults)
             for salt, fault in enumerate(targets):
@@ -150,7 +157,9 @@ def generate_t0(
                     continue  # covered as a side effect of an earlier attack
                 if len(sequence) + 2 * config.genetic_sequence_length > config.max_length:
                     break
-                outcome = attack_fault(compiled, fault, config, salt=salt)
+                outcome = attack_fault(
+                    compiled, fault, config, salt=salt, simulator=ga_simulator
+                )
                 result.genetic_attempts += 1
                 if outcome.succeeded and outcome.sequence is not None:
                     result.detected_genetic += commit(outcome.sequence)

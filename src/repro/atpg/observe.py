@@ -1,36 +1,26 @@
-"""Single-fault observation simulator for ATPG guidance.
+"""Scalar single-fault observation simulator: the genetic phase's oracle.
 
 The genetic phase needs a *gradient*: how close does a candidate sequence
 come to detecting a target fault?  Plain detected/not-detected gives no
-signal, so this simulator runs the good and faulty machines together (one
-slot each) and reports, per time unit, how many flip-flops hold
-definitely-different values in the two machines — the classic
-state-divergence measure STRATEGATE-style generators steer by — plus the
-detection time if the fault propagates to a primary output.
+signal, so the good and faulty machines run together and report, per
+time unit, how many flip-flops hold definitely-different values in the
+two machines — the classic state-divergence measure STRATEGATE-style
+generators steer by — plus the detection time if the fault propagates to
+a primary output.
+
+Production scoring runs a whole population as one paired scan
+(:meth:`repro.sim.seqsim.SequenceBatchSimulator.observe`).  This module
+keeps the one-slot big-int loop as the independent reference the tests
+compare that scan against.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.core.sequence import TestSequence
 from repro.faults.model import Fault
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.kernel import build_run_ops, eval_combinational, source_stem_patches
-
-
-@dataclass(frozen=True)
-class FaultObservation:
-    """Guidance data for one (fault, sequence) pair."""
-
-    detected_at: int | None
-    max_state_divergence: int
-    final_state_divergence: int
-    divergence_area: int  # sum of per-cycle divergences
-
-    @property
-    def detected(self) -> bool:
-        return self.detected_at is not None
+from repro.sim.seqsim import FaultObservation
 
 
 class FaultObserver:

@@ -21,7 +21,8 @@
  * spans, one per thread.  Every slot's value and detection depend only
  * on its own bit column, so span workers never exchange data: each walks
  * the same read-only op/patch arrays over its own words and writes only
- * its own columns of V, scratch, det, pending and times.  A scan span
+ * its own columns of V, scratch, det, pending and times (and its own
+ * slots of the divergence outputs).  A scan span
  * early-exits exactly when its own live slots drain; the single-thread
  * return contract is reproduced by combining span results (executed =
  * max over spans, finished = every span finished, counted through an
@@ -53,9 +54,10 @@
  * the loader so a stale cached .so can never be driven with the wrong
  * marshaling.  v2 added repro_scan (whole-sequence fused scans); v3 added
  * the thread pool and the trailing n_threads argument on repro_eval,
- * repro_detect_step and repro_scan; v4 adds repro_trace (the fault-free
- * good-machine trace in one call). */
-#define REPRO_NATIVE_ABI 4
+ * repro_detect_step and repro_scan; v4 added repro_trace (the fault-free
+ * good-machine trace in one call); v5 adds repro_scan's per-slot flop-
+ * divergence outputs (div_max, div_final, div_area). */
+#define REPRO_NATIVE_ABI 5
 
 #if defined(_WIN32)
 #define EXPORT __declspec(dllexport)
@@ -807,6 +809,15 @@ EXPORT void repro_detect_step(
 /* -(executed + 1), when the scan finished (no later chunk can          */
 /* detect).                                                             */
 /*                                                                      */
+/* Flop divergence (paired mode, ABI 5): div_max / div_final / div_area */
+/* ((words * 64) each, in/out; all three set, or all NULL = off)        */
+/* accumulate, after each step's flop latch (faulty flop patches        */
+/* applied), the number of flops where (Hg & Lf) | (Lg & Hf) holds, for */
+/* every slot live at that step (alive and not detected before it):     */
+/* the running max, the last live step's count and the sum.  With them  */
+/* on, the all-detected exit moves after the latch so the detecting     */
+/* step is counted too.                                                 */
+/*                                                                      */
 /* Threaded scans run this same walk per word span.  A span's early     */
 /* exit depends only on its own live slots, so each span stops at       */
 /* exactly the step the serial scan would have stopped servicing those  */
@@ -882,12 +893,52 @@ typedef struct {
     /* repro.logic.values.Ternary) to row s of this (num_steps, num_pos)  */
     /* array, right after that step's eval.                               */
     uint8_t *po_trace;
+    /* Per-slot flop-divergence outputs (see above); all or none. */
+    int64_t *div_max;
+    int64_t *div_final;
+    int64_t *div_area;
 } ScanArgs;
+
+/* Add one step's flop divergence to every live slot of [w0, w1); live  */
+/* is the step's per-word live mask.                                    */
+static void accumulate_divergence(const ScanArgs *a, const uint64_t *live,
+                                  int64_t w0, int64_t w1)
+{
+    const int64_t words = a->words;
+    int64_t w, f;
+    for (w = w0; w < w1; w++) {
+        int64_t counts[64];
+        uint64_t rest;
+        if (!live[w])
+            continue;
+        memset(counts, 0, sizeof(counts));
+        for (f = 0; f < a->num_flops; f++) {
+            const int64_t i = f * words + w;
+            uint64_t x =
+                ((a->g_sh[i] & a->f_sl[i]) | (a->g_sl[i] & a->f_sh[i])) &
+                live[w];
+            while (x) {
+                counts[ctz64(x)]++;
+                x &= x - 1;
+            }
+        }
+        for (rest = live[w]; rest; rest &= rest - 1) {
+            const int b = ctz64(rest);
+            const int64_t slot = w * 64 + b;
+            const int64_t count = counts[b];
+            if (count > a->div_max[slot])
+                a->div_max[slot] = count;
+            a->div_final[slot] = count;
+            a->div_area[slot] += count;
+        }
+    }
+}
 
 static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
 {
     const int64_t words = a->words;
     const size_t span_bytes = (size_t)(w1 - w0) * sizeof(uint64_t);
+    const int divergence = a->GV && a->div_area;
     int64_t s, w, p, f, i;
     int64_t executed = 0;
     for (s = 0; s < a->num_steps; s++) {
@@ -986,9 +1037,9 @@ static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
 
         uint64_t pend_any = 0;
         for (w = w0; w < w1; w++) {
-            uint64_t d = a->det[w] & a->pending[w];
-            if (alive_row)
-                d &= alive_row[w];
+            const uint64_t live =
+                (alive_row ? alive_row[w] : ~(uint64_t)0) & a->pending[w];
+            uint64_t d = a->det[w] & live;
             while (d) {
                 const int b = ctz64(d);
                 a->times[w * 64 + b] = t;
@@ -997,8 +1048,10 @@ static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
             a->pending[w] &=
                 ~(a->det[w] & (alive_row ? alive_row[w] : ~(uint64_t)0));
             pend_any |= a->pending[w];
+            a->det[w] = live; /* det is spent: park the step's live mask */
         }
-        if (!pend_any && !a->collect_finals)
+        const int stop = !pend_any && !a->collect_finals;
+        if (stop && !divergence)
             return -(executed + 1); /* all detected; skip the state latch */
 
         /* Latch the flop D values as next state (faulty flop patches). */
@@ -1028,6 +1081,11 @@ static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
                 h[w] = (h[w] | fh[w]) & kh[w];
                 l[w] = (l[w] | fl[w]) & kl[w];
             }
+        }
+        if (divergence) {
+            accumulate_divergence(a, a->det, w0, w1);
+            if (stop)
+                return -(executed + 1); /* all detected, now counted */
         }
     }
     return executed;
@@ -1112,6 +1170,9 @@ EXPORT int64_t repro_scan(
     uint64_t *pending,        /* (words), in/out                        */
     int64_t *times,           /* (words * 64), -1 = undetected, in/out  */
     uint64_t *det,            /* (words) detection scratch              */
+    int64_t *div_max,         /* paired: (words * 64) per-slot flop     */
+    int64_t *div_final,       /* ... divergence max / last / sum,       */
+    int64_t *div_area,        /* ... in/out; all three NULL = off       */
     int64_t collect_finals,
     int64_t n_threads)
 {
@@ -1125,7 +1186,8 @@ EXPORT int64_t repro_scan(
                      stim_zeros, stim_bits, t0, num_steps, po_sig,
                      num_pos, g_po_sa1, g_po_sa0, f_po_sa1, f_po_sa0,
                      obs_off, obs_pos, obs_vals, alive, pending, times,
-                     det, collect_finals};
+                     det, collect_finals, 0, div_max, div_final,
+                     div_area};
 #if REPRO_HAVE_THREADS
     const int64_t spans = clamp_spans(n_threads, words);
     if (spans > 1) {

@@ -20,7 +20,12 @@
  *      finished_spans atomic must match bit-for-bit;
  *   6. repro_trace (the fault-free good-machine trace) from 4 concurrent
  *      caller threads, as serving lanes call it, each PO trace and final
- *      flop state compared against a serial reference run.
+ *      flop state compared against a serial reference run;
+ *   7. paired (candidate-axis) repro_scan with the per-slot flop-
+ *      divergence outputs on, serial vs threaded — 4 spans write their
+ *      own slots of div_max / div_final / div_area concurrently, and
+ *      detect times, pending mask, return value and all three outputs
+ *      must match bit-for-bit.
  *
  * Build and run (the CI TSan lane):
  *
@@ -317,7 +322,8 @@ static int check_scan_parity(void)
                        0, 0, 0, 0, pi_sig, PIS, 0, 0, 0, 0, 0, 0, 0, 0, 0,
                        0, 0, 0, 0, 0, 0, stim_bits, 0, STEPS, po_sig,
                        num_pos, 0, 0, sa_zero, sa_zero, obs_off, obs_pos,
-                       obs_vals, alive, pending_s, times_s, det, 0, 1);
+                       obs_vals, alive, pending_s, times_s, det, 0, 0, 0, 0,
+                       1);
     fill_rails(FV, 0x6000);
     ret_t = repro_scan(0, FV, WORDS, g_codes, g_outs, g_in_off, g_ins,
                        GATES, g_pin_ops, g_pin_pins, g_pin_sa1, g_pin_sa0,
@@ -325,7 +331,8 @@ static int check_scan_parity(void)
                        0, 0, 0, 0, pi_sig, PIS, 0, 0, 0, 0, 0, 0, 0, 0, 0,
                        0, 0, 0, 0, 0, 0, stim_bits, 0, STEPS, po_sig,
                        num_pos, 0, 0, sa_zero, sa_zero, obs_off, obs_pos,
-                       obs_vals, alive, pending_t, times_t, det, 0, LANES);
+                       obs_vals, alive, pending_t, times_t, det, 0, 0, 0, 0,
+                       LANES);
 
     if (ret_s != ret_t) {
         fprintf(stderr, "FAIL scan return: serial %lld threaded %lld\n",
@@ -435,6 +442,111 @@ static int check_concurrent_traces(void)
     return failures;
 }
 
+/* --- paired scan with flop-divergence outputs ---------------------- */
+
+typedef struct {
+    int64_t ret;
+    uint64_t pending[WORDS];
+    int64_t times[WORDS * 64];
+    int64_t div[3][WORDS * 64]; /* max, final, area */
+} PairedResult;
+
+static void run_paired(PairedResult *out, const uint64_t *ones,
+                       const uint64_t *zeros, const uint64_t *alive,
+                       const int32_t *po_sig, const uint64_t *dff_keep_h,
+                       const uint64_t *dff_force_l, int64_t n_threads)
+{
+    static uint64_t sa_zero[TRACE_POS * WORDS];
+    static uint64_t keep_all[WORDS];
+    static const int32_t dff_pos[1] = {0};
+    const size_t rails = (size_t)(2 * SIGNALS) * WORDS;
+    uint64_t *GV = malloc(rails * sizeof(uint64_t));
+    uint64_t *FV = malloc(rails * sizeof(uint64_t));
+    uint64_t *scratch = malloc((size_t)(2 * MAX_ARITY) * WORDS * 8);
+    uint64_t *state = calloc((size_t)4 * TRACE_FLOPS * WORDS, 8);
+    uint64_t det[WORDS];
+    int64_t w, i;
+    for (w = 0; w < WORDS; w++) {
+        keep_all[w] = ~(uint64_t)0;
+        out->pending[w] = ~(uint64_t)0;
+    }
+    for (i = 0; i < WORDS * 64; i++)
+        out->times[i] = -1;
+    memset(out->div, 0, sizeof(out->div));
+    fill_rails(GV, 0x9100);
+    fill_rails(FV, 0x9200);
+    /* Faulty flop 0's D pin stuck at 0 in the dff_force_l slots. */
+    out->ret = repro_scan(
+        GV, FV, WORDS, g_codes, g_outs, g_in_off, g_ins, GATES, g_pin_ops,
+        g_pin_pins, g_pin_sa1, g_pin_sa0, 1, g_stem_ops, g_stem_sa1,
+        g_stem_sa0, 1, scratch, 0, 0, 0, 0, g_trace_pi, TRACE_PIS,
+        g_trace_q, g_trace_d, TRACE_FLOPS, dff_pos, sa_zero, dff_keep_h,
+        dff_force_l, keep_all, 1, state, state + TRACE_FLOPS * WORDS,
+        state + 2 * TRACE_FLOPS * WORDS, state + 3 * TRACE_FLOPS * WORDS,
+        ones, zeros, 0, 0, STEPS, po_sig, TRACE_POS, sa_zero, sa_zero,
+        sa_zero, sa_zero, 0, 0, 0, alive, out->pending, out->times, det,
+        out->div[0], out->div[1], out->div[2], 0, n_threads);
+    free(GV);
+    free(FV);
+    free(scratch);
+    free(state);
+}
+
+static int check_paired_divergence(void)
+{
+    static uint64_t ones[STEPS * TRACE_PIS * WORDS];
+    static uint64_t zeros[STEPS * TRACE_PIS * WORDS];
+    static uint64_t alive[STEPS * WORDS];
+    static PairedResult serial, threaded;
+    int32_t po_sig[TRACE_POS];
+    uint64_t keep_h[WORDS], force_l[WORDS];
+    uint64_t rng = 0xa000;
+    int64_t s, w, b, i, diverged = 0;
+    int failures = 0;
+    for (i = 0; i < TRACE_POS; i++)
+        po_sig[i] = (int32_t)(SIGNALS - TRACE_POS + i);
+    for (i = 0; i < STEPS * TRACE_PIS * WORDS; i++) {
+        ones[i] = splitmix(&rng);
+        zeros[i] = ~ones[i];
+    }
+    for (w = 0; w < WORDS; w++) {
+        force_l[w] = splitmix(&rng);
+        keep_h[w] = ~force_l[w];
+    }
+    /* The same monotone per-slot alive windows as the fault-axis case. */
+    for (s = 0; s < STEPS; s++)
+        for (w = 0; w < WORDS; w++) {
+            uint64_t row = 0;
+            for (b = 0; b < 64; b++)
+                if (s < 4 + ((w * 64 + b) % (STEPS - 4)))
+                    row |= (uint64_t)1 << b;
+            alive[s * WORDS + w] = row;
+        }
+    run_paired(&serial, ones, zeros, alive, po_sig, keep_h, force_l, 1);
+    run_paired(&threaded, ones, zeros, alive, po_sig, keep_h, force_l, LANES);
+    for (i = 0; i < WORDS * 64; i++)
+        diverged += serial.div[2][i] > 0;
+    if (!diverged) {
+        fprintf(stderr, "FAIL paired divergence is all zero (vacuous)\n");
+        failures++;
+    }
+    if (serial.ret != threaded.ret) {
+        fprintf(stderr, "FAIL paired scan return: serial %lld threaded %lld\n",
+                (long long)serial.ret, (long long)threaded.ret);
+        failures++;
+    }
+    if (memcmp(serial.pending, threaded.pending, sizeof(serial.pending)) ||
+        memcmp(serial.times, threaded.times, sizeof(serial.times))) {
+        fprintf(stderr, "FAIL paired scan detect parity\n");
+        failures++;
+    }
+    if (memcmp(serial.div, threaded.div, sizeof(serial.div))) {
+        fprintf(stderr, "FAIL paired scan divergence parity\n");
+        failures++;
+    }
+    return failures;
+}
+
 int main(void)
 {
     uint64_t rng = 0x7000;
@@ -461,6 +573,7 @@ int main(void)
     failures += check_concurrent_callers();
     failures += check_scan_parity();
     failures += check_concurrent_traces();
+    failures += check_paired_divergence();
     repro_thread_pool_shutdown();
     if (failures) {
         fprintf(stderr, "%d parity failure(s)\n", failures);

@@ -258,6 +258,50 @@ class BroadcastStimulus:
         return self._bits
 
 
+class ScanDivergence:
+    """Per-slot flop-divergence outputs of a paired :meth:`SimBackend.run_scan`.
+
+    After each step's flop latch, every slot live at that step (alive and
+    not detected before it) counts the flops where its good and faulty
+    machines hold opposite binary values, ``(Hg & Lf) | (Lg & Hf)``.
+    ``maximum`` keeps the largest count, ``final`` the last live step's
+    count and ``area`` their sum — the state-divergence guidance the
+    genetic phase steers by.  Lists start at zero and are filled in place.
+    """
+
+    __slots__ = ("maximum", "final", "area")
+
+    def __init__(self, num_slots: int) -> None:
+        self.maximum = [0] * num_slots
+        self.final = [0] * num_slots
+        self.area = [0] * num_slots
+
+    def accumulate(
+        self,
+        good_state: Sequence[tuple[int, int]],
+        faulty_state: Sequence[tuple[int, int]],
+        live: int,
+    ) -> None:
+        """Add one latched step (per-flop ``(H, L)`` words) to ``live`` slots."""
+        counts: dict[int, int] = {}
+        for (gh, gl), (fh, fl) in zip(good_state, faulty_state):
+            diverged = ((gh & fl) | (gl & fh)) & live
+            while diverged:
+                low = diverged & -diverged
+                slot = low.bit_length() - 1
+                counts[slot] = counts.get(slot, 0) + 1
+                diverged ^= low
+        while live:
+            low = live & -live
+            slot = low.bit_length() - 1
+            live ^= low
+            count = counts.get(slot, 0)
+            if count > self.maximum[slot]:
+                self.maximum[slot] = count
+            self.final[slot] = count
+            self.area[slot] += count
+
+
 def unpack_states(packed: Sequence[int], num_flops: int) -> list[tuple[int, int]]:
     """Per-slot packed states -> per-flop ``(H, L)`` Python-int word pairs."""
     state: list[tuple[int, int]] = []
@@ -525,6 +569,7 @@ class SimBackend(ABC):
         alive_mask,
         *,
         collect_final_states: bool = False,
+        divergence: ScanDivergence | None = None,
     ) -> "list[int | None]":
         """Execute a whole-sequence scan in one backend call.
 
@@ -558,7 +603,16 @@ class SimBackend(ABC):
         early and latches every step, so
         :meth:`SimBatch.export_state_packed` afterwards matches the
         stepped path bit for bit.
+
+        ``divergence`` (paired axis only; ``None`` = off) receives the
+        per-slot flop-divergence outputs described by
+        :class:`ScanDivergence`, computed here from
+        :meth:`SimBatch.export_state_words` after each latch.  With it
+        on, the step on which the last pending slot detects still
+        latches, so that step is counted too.
         """
+        if divergence is not None and good is None:
+            raise SimulationError("flop divergence needs the paired candidate axis")
         num_steps = packed_stimulus.num_steps
         num_slots = packed_stimulus.num_slots
         steady = isinstance(alive_mask, int)
@@ -593,11 +647,17 @@ class SimBackend(ABC):
                     remaining >>= 1
                     slot += 1
                 pending &= ~detected_now
-                if pending == 0 and not collect_final_states:
+                if pending == 0 and not collect_final_states and divergence is None:
                     break
             if good is not None:
                 good.capture_state()
             faulty.capture_state()
+            if divergence is not None:
+                divergence.accumulate(
+                    good.export_state_words(), faulty.export_state_words(), live
+                )
+                if pending == 0 and not collect_final_states:
+                    break
         record_dispatch("scan_calls")
         record_dispatch("scan_steps", executed)
         return times

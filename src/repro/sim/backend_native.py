@@ -42,7 +42,12 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.faults.model import Fault
 from repro.logic.values import Ternary
-from repro.sim.backend import SimBatch, SimProgram, record_dispatch
+from repro.sim.backend import (
+    ScanDivergence,
+    SimBatch,
+    SimProgram,
+    record_dispatch,
+)
 from repro.sim.backend_numpy import (
     WORD_BITS,
     NumpyBackend,
@@ -372,6 +377,7 @@ class NativeBackend(NumpyBackend):
         alive_mask,
         *,
         collect_final_states: bool = False,
+        divergence: ScanDivergence | None = None,
     ) -> list[int | None]:
         """All ``num_steps`` time steps in GIL-released C calls.
 
@@ -379,7 +385,8 @@ class NativeBackend(NumpyBackend):
         packed stimulus chunk; fault mode issues a single call for the
         whole sequence.  The C side owns the per-step loop — input load,
         good/faulty eval, detection, first-hit bookkeeping and the flop
-        latch — so the Python cost is O(chunks), not O(steps).  Stimuli
+        latch — so the Python cost is O(chunks), not O(steps).  Flop
+        divergence outputs accumulate in the same calls.  Stimuli
         without a packed-array form fall back to the stepped base scan.
         """
         paired = observation_plan is None
@@ -393,10 +400,12 @@ class NativeBackend(NumpyBackend):
                     observation_plan,
                     alive_mask,
                     collect_final_states=collect_final_states,
+                    divergence=divergence,
                 )
         else:
             bits_of = getattr(packed_stimulus, "bits", None)
-            if bits_of is None:
+            # The base loop owns the fault-axis divergence rejection.
+            if bits_of is None or divergence is not None:
                 return super().run_scan(
                     good,
                     faulty,
@@ -404,6 +413,7 @@ class NativeBackend(NumpyBackend):
                     observation_plan,
                     alive_mask,
                     collect_final_states=collect_final_states,
+                    divergence=divergence,
                 )
         num_steps = packed_stimulus.num_steps
         num_slots = packed_stimulus.num_slots
@@ -430,6 +440,14 @@ class NativeBackend(NumpyBackend):
                 alive_rows = _masks_to_matrix(list(alive_mask), words)
         times = np.full(words * WORD_BITS, -1, dtype=np.int64)
         det = np.zeros(words, dtype=np.uint64)
+        # Per-slot divergence max / final / area rows (in/out across
+        # chunk calls); NULL pointers switch the outputs off.
+        div = (
+            None
+            if divergence is None
+            else np.zeros((3, words * WORD_BITS), dtype=np.int64)
+        )
+        div_ptrs = (None,) * 3 if div is None else tuple(_addr(row) for row in div)
         (
             src_rows,
             src_force,
@@ -529,6 +547,7 @@ class NativeBackend(NumpyBackend):
             _addr(pending),
             _addr(times),
             _addr(det),
+            *div_ptrs,
             int(collect_final_states),
             faulty.threads,
         )
@@ -582,6 +601,10 @@ class NativeBackend(NumpyBackend):
             t_hit = int(times[slot])
             if t_hit >= 0:
                 times_out[slot] = t_hit
+        if divergence is not None:
+            divergence.maximum[:] = div[0, :num_slots].tolist()
+            divergence.final[:] = div[1, :num_slots].tolist()
+            divergence.area[:] = div[2, :num_slots].tolist()
         record_dispatch("scan_calls")
         record_dispatch("scan_steps", executed)
         return times_out

@@ -57,6 +57,7 @@ from repro.errors import SimulationError
 from repro.faults.model import Fault
 from repro.logic.values import ONE, ZERO, Ternary
 from repro.sim.backend import (
+    ScanDivergence,
     SimBackend,
     SimBatch,
     SimProgram,
@@ -820,6 +821,7 @@ class NumpyBackend(SimBackend):
         alive_mask,
         *,
         collect_final_states: bool = False,
+        divergence: ScanDivergence | None = None,
     ) -> "list[int | None]":
         """Blocked multi-step scan over resident word arrays.
 
@@ -828,8 +830,20 @@ class NumpyBackend(SimBackend):
         per-step liveness/pending bookkeeping stays in ``uint64`` word
         rows — no Python-int mask round trips until the final times —
         and the packed stimulus chunks stay resident in the packer's
-        ``(T, num_pis, words)`` arrays, scattered in per step.
+        ``(T, num_pis, words)`` arrays, scattered in per step.  Flop
+        divergence outputs run on the reference loop.
         """
+        if divergence is not None:
+            return SimBackend.run_scan(
+                self,
+                good,
+                faulty,
+                packed_stimulus,
+                observation_plan,
+                alive_mask,
+                collect_final_states=collect_final_states,
+                divergence=divergence,
+            )
         num_steps = packed_stimulus.num_steps
         num_slots = packed_stimulus.num_slots
         times: list[int | None] = [None] * num_slots

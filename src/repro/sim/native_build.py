@@ -47,8 +47,9 @@ CACHE_DIR_ENV = "REPRO_NATIVE_CACHE_DIR"
 #: source (checked after every load, so a stale .so cannot be driven
 #: with the wrong marshaling).  v2 added repro_scan; v3 added the
 #: persistent thread pool and the trailing n_threads argument on
-#: repro_eval/repro_detect_step/repro_scan; v4 added repro_trace.
-NATIVE_ABI_VERSION = 4
+#: repro_eval/repro_detect_step/repro_scan; v4 added repro_trace; v5
+#: added repro_scan's per-slot flop-divergence outputs.
+NATIVE_ABI_VERSION = 5
 
 #: Compilers tried in order when $CC is unset.
 _COMPILER_CANDIDATES = ("cc", "gcc", "clang")
@@ -174,11 +175,11 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
         p, p, i64, p, i64, p, p, p, p, p, i64
     ]
     library.repro_detect_step.restype = None
-    # repro_scan: 57 arguments, pointers except the size/flag integers
+    # repro_scan: 60 arguments, pointers except the size/flag integers
     # (see the C signature; ctypes releases the GIL for the whole call,
     # which is what lets concurrent serving lanes scan in parallel).
-    scan_sig: list = [p] * 57
-    for index in (2, 7, 12, 16, 21, 23, 26, 32, 40, 41, 43, 55, 56):
+    scan_sig: list = [p] * 60
+    for index in (2, 7, 12, 16, 21, 23, 26, 32, 40, 41, 43, 58, 59):
         scan_sig[index] = i64
     library.repro_scan.argtypes = scan_sig
     library.repro_scan.restype = i64

@@ -49,12 +49,16 @@ pipeline's speedup over it.
 This turns Procedure 2's ``ustart`` search and its vector-omission trials
 from per-candidate simulations into one batched pass per
 ``batch_width`` candidates — the optimization that makes the pure-Python
-reproduction tractable (and the vectorized backends fast).
+reproduction tractable (and the vectorized backends fast).  The genetic
+phase's fitness rides the same scan: :meth:`SequenceBatchSimulator.observe`
+returns each candidate's detection time plus its flop-divergence
+guidance.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 try:  # The packed pipeline vectorizes with numpy; a pure-Python
     import numpy as np  # fallback keeps the engine dependency-free.
@@ -67,6 +71,7 @@ from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
 from repro.faults.model import Fault
 from repro.sim.backend import (
+    ScanDivergence,
     SimBackend,
     get_backend,
     resolve_auto,
@@ -88,6 +93,25 @@ DEFAULT_SEQ_BATCH_WIDTH = 128
 #: (``chunk x num_inputs x batch_width`` bits) and keeps early exits from
 #: packing columns that are never simulated.
 PACK_CHUNK_STEPS = 128
+
+
+@dataclass(frozen=True)
+class FaultObservation:
+    """Detection time and state-divergence guidance for one candidate.
+
+    The divergence fields count flops whose good and faulty values are
+    opposite binaries after each simulated step, up to and including
+    the detecting step (see :class:`~repro.sim.backend.ScanDivergence`).
+    """
+
+    detected_at: int | None
+    max_state_divergence: int
+    final_state_divergence: int
+    divergence_area: int  # sum of per-cycle divergences
+
+    @property
+    def detected(self) -> bool:
+        return self.detected_at is not None
 
 
 # ----------------------------------------------------------------------
@@ -481,6 +505,33 @@ class SequenceBatchSimulator:
         """For each candidate sequence, does it detect ``fault``?"""
         return self.scan(fault, ExplicitPlan(sequences))
 
+    def observe(
+        self, fault: Fault, sequences: list[TestSequence]
+    ) -> list[FaultObservation]:
+        """Detection time and flop divergence of each candidate sequence.
+
+        One paired scan per ``batch_width`` candidates, each slot starting
+        from the all-X state — a genetic population's whole fitness pass.
+        Always the serial packed pipeline, on any subclass or pipeline
+        setting; ``scan_mode="stepped"`` pins the reference loop.
+        """
+        self._check_widths(sequences)
+        observations: list[FaultObservation] = []
+        for start in range(0, len(sequences), self._batch_width):
+            batch = sequences[start : start + self._batch_width]
+            divergence = ScanDivergence(len(batch))
+            times = self._scan_times(fault, self._pack_explicit(batch), divergence)
+            observations.extend(
+                FaultObservation(
+                    times[slot],
+                    divergence.maximum[slot],
+                    divergence.final[slot],
+                    divergence.area[slot],
+                )
+                for slot in range(len(batch))
+            )
+        return observations
+
     def detects_windows(
         self,
         fault: Fault,
@@ -550,15 +601,18 @@ class SequenceBatchSimulator:
             raise SimulationError(f"first-hit chunk must be >= 1, got {chunk}")
         return chunk
 
-    def _scan_explicit(
-        self, fault: Fault, sequences: list[TestSequence]
-    ) -> list[bool]:
+    def _check_widths(self, sequences: list[TestSequence]) -> None:
         width = self._compiled.num_inputs
         for sequence in sequences:
             if len(sequence) and sequence.width != width:
                 raise SimulationError(
                     f"candidate width {sequence.width} != circuit inputs {width}"
                 )
+
+    def _scan_explicit(
+        self, fault: Fault, sequences: list[TestSequence]
+    ) -> list[bool]:
+        self._check_widths(sequences)
         outcomes: list[bool] = []
         for start in range(0, len(sequences), self._batch_width):
             batch = sequences[start : start + self._batch_width]
@@ -646,16 +700,22 @@ class SequenceBatchSimulator:
         return width
 
     def _run_packed(self, fault: Fault, packer) -> list[bool]:
-        """Drive one packed candidate batch; return per-slot outcomes.
+        """Drive one packed candidate batch; return per-slot outcomes."""
+        return [time is not None for time in self._scan_times(fault, packer)]
+
+    def _scan_times(
+        self, fault: Fault, packer, divergence: ScanDivergence | None = None
+    ) -> list[int | None]:
+        """Drive one packed candidate batch; return per-slot detection times.
 
         The batch is opened at the packer's padded width (see
         :meth:`_pad_width`) — dead slots beyond the real candidates are
         driven with constant 0 and masked out of ``alive`` — so the
         backend LRU serves a small set of cached programs per fault for
-        the whole search.
+        the whole search.  ``divergence`` collects the scan's per-slot
+        flop-divergence outputs.
         """
-        count = len(packer.lengths)
-        if count == 0:
+        if not packer.lengths:
             return []
         backend = self._backend
         batch_width = packer.batch_width
@@ -671,14 +731,18 @@ class SequenceBatchSimulator:
         # parity oracle and escape hatch); "fused" dispatches to the
         # backend's whole-sequence kernel.
         if self._scan_mode == "stepped":
-            times = SimBackend.run_scan(
-                backend, good, faulty, packer, None, packer.alive_masks
+            return SimBackend.run_scan(
+                backend,
+                good,
+                faulty,
+                packer,
+                None,
+                packer.alive_masks,
+                divergence=divergence,
             )
-        else:
-            times = backend.run_scan(
-                good, faulty, packer, None, packer.alive_masks
-            )
-        return [times[slot] is not None for slot in range(count)]
+        return backend.run_scan(
+            good, faulty, packer, None, packer.alive_masks, divergence=divergence
+        )
 
     def _run_batch_legacy(
         self, fault: Fault, batch: list[TestSequence]

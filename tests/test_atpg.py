@@ -17,10 +17,13 @@ from repro.atpg.random_gen import (
     weighted_sequence,
 )
 from repro.atpg.restoration import restoration_compact
+from repro.circuits.catalog import load_circuit
 from repro.core.sequence import TestSequence
+from repro.faults.universe import FaultUniverse
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
-from repro.util.rng import SplitMix64
+from repro.sim.seqsim import SequenceBatchSimulator
+from repro.util.rng import SplitMix64, derive_seed
 
 
 class TestRandomGen:
@@ -73,12 +76,21 @@ class TestObserver:
         assert observation.detected
         assert observation.detected_at == result.detection_time[fault]
 
-    def test_divergence_fields_nonnegative(self, s27, s27_universe, s27_t0):
-        observer = FaultObserver(CompiledCircuit(s27))
-        for fault in list(s27_universe.faults())[:5]:
+    def test_divergence_field_invariants(self, s27, s27_universe, s27_t0):
+        compiled = CompiledCircuit(s27)
+        observer = FaultObserver(compiled)
+        peaks = []
+        for fault in s27_universe.faults():
             observation = observer.observe(fault, s27_t0)
-            assert observation.max_state_divergence >= 0
-            assert observation.divergence_area >= observation.final_state_divergence * 0
+            assert (
+                0
+                <= observation.final_state_divergence
+                <= observation.max_state_divergence
+                <= observation.divergence_area
+            )
+            assert observation.max_state_divergence <= len(compiled.flop_pairs)
+            peaks.append(observation.max_state_divergence)
+        assert any(peaks), "no fault ever diverged a flop: vacuous"
 
     def test_empty_sequence(self, s27, s27_universe):
         observer = FaultObserver(CompiledCircuit(s27))
@@ -102,6 +114,106 @@ class TestGenetic:
         b = attack_fault(CompiledCircuit(s27), s27_universe.fault(3), config, salt=1)
         assert a.sequence == b.sequence
         assert a.evaluations == b.evaluations
+
+
+def _reference_attack(compiled, fault, config, salt):
+    """The GA with one scalar ``FaultObserver`` run per candidate.
+
+    The population evolution is copied from ``attack_fault``; only the
+    scoring differs, so equal outcomes prove the batched scan reproduces
+    the one-at-a-time fitness and evaluation count.
+    """
+    rng = SplitMix64(derive_seed(config.seed, 0x6E6, salt))
+    observer = FaultObserver(compiled)
+    width = compiled.num_inputs
+
+    def score(candidate):
+        observation = observer.observe(fault, candidate)
+        if observation.detected:
+            return None
+        return (
+            observation.max_state_divergence * 1000
+            + observation.final_state_divergence * 100
+            + observation.divergence_area
+        )
+
+    population = [
+        random_sequence(rng, width, config.genetic_sequence_length)
+        for _ in range(config.genetic_population)
+    ]
+    evaluations = 0
+    for generation in range(config.genetic_generations + 1):
+        if generation:
+            ranked = sorted(
+                range(len(population)), key=lambda i: scores[i], reverse=True
+            )
+            elite = [population[i] for i in ranked[: max(2, len(ranked) // 3)]]
+            next_population = list(elite)
+            while len(next_population) < config.genetic_population:
+                parent_a = elite[rng.randint(0, len(elite) - 1)]
+                parent_b = population[rng.randint(0, len(population) - 1)]
+                child = crossover(rng, parent_a, parent_b)
+                if len(child) > 2 * config.genetic_sequence_length:
+                    child = child.subsequence(
+                        0, 2 * config.genetic_sequence_length - 1
+                    )
+                child = mutate_sequence(
+                    rng, child, bit_flip_probability=2.0 / max(1, width)
+                )
+                next_population.append(child)
+            population = next_population
+        scores = []
+        for candidate in population:
+            evaluations += 1
+            fitness = score(candidate)
+            if fitness is None:
+                return candidate, generation, evaluations
+            scores.append(fitness)
+    return None, config.genetic_generations, evaluations
+
+
+class TestGeneticBitIdentity:
+    """The one-scan-per-generation GA equals the scalar reference GA."""
+
+    @pytest.mark.parametrize(
+        "circuit_name, backend, config",
+        [
+            (
+                "s27",
+                "python",
+                AtpgConfig(
+                    genetic_population=6,
+                    genetic_generations=4,
+                    genetic_sequence_length=3,
+                ),
+            ),
+            (
+                # "auto" resolves syn298 to the native kernel when it
+                # builds (and to the big-int kernel otherwise).
+                "syn298",
+                "auto",
+                AtpgConfig(
+                    genetic_population=8,
+                    genetic_generations=5,
+                    genetic_sequence_length=8,
+                    backend="auto",
+                ),
+            ),
+        ],
+    )
+    def test_outcomes_match_scalar_reference(self, circuit_name, backend, config):
+        compiled = CompiledCircuit(load_circuit(circuit_name))
+        faults = list(FaultUniverse(compiled.circuit).faults())
+        simulator = SequenceBatchSimulator(compiled, backend=backend)
+        outcomes = []
+        for salt, fault in enumerate(faults[:: max(1, len(faults) // 12)][:12]):
+            outcome = attack_fault(compiled, fault, config, salt, simulator=simulator)
+            got = (outcome.sequence, outcome.generations_used, outcome.evaluations)
+            assert got == _reference_attack(compiled, fault, config, salt), str(fault)
+            outcomes.append(outcome)
+        assert len(outcomes) >= 10
+        assert any(o.succeeded and o.generations_used for o in outcomes)
+        assert any(not o.succeeded for o in outcomes)
 
 
 class TestCompaction:

@@ -22,12 +22,14 @@ from repro.circuits.generator import SyntheticSpec, generate_circuit
 from repro.core.ops import ExpansionConfig
 from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
-from repro.faults.model import STEM, Fault, FaultSite
+from repro.atpg.observe import FaultObserver
+from repro.faults.model import BRANCH, STEM, Fault, FaultSite
 from repro.faults.universe import FaultUniverse
 from repro.logic.values import ONE, X, ZERO
 from repro.sim.backend import (
     SCAN_MODE_ENV,
     BroadcastStimulus,
+    ScanDivergence,
     SimBackend,
     available_backends,
     backend_unavailable_reason,
@@ -789,3 +791,121 @@ class TestProgramCache:
             assert backend.program(faults) is backend.program(faults)
             assert backend.program(None) is backend.program(None)
             assert backend.program(faults) is not backend.program(faults[:4])
+
+
+# ----------------------------------------------------------------------
+# Candidate-axis observation: detection times + flop divergence
+# ----------------------------------------------------------------------
+#: (backend, scan mode, kernel threads) engines checked against the
+#: scalar FaultObserver oracle; unavailable backends skip.  The python
+#: engine and the "stepped" pin both run the per-step base loop.
+OBSERVE_ENGINES = [
+    ("python", "fused", 1),
+    ("native", "fused", 1),
+    ("native", "fused", 2),
+    ("native", "stepped", 1),
+]
+
+#: Generated circuits beside the catalog ones: flop-heavy and PI-heavy.
+OBSERVE_SPECS = {
+    "gen-flops": SyntheticSpec("gen-flops", 3, 2, 9, 70, seed=31),
+    "gen-inputs": SyntheticSpec("gen-inputs", 7, 4, 4, 60, seed=32),
+}
+
+#: Candidate lengths cycled through a ragged set: empty and one-vector
+#: candidates sit beside ones long enough to detect.
+OBSERVE_LENGTHS = (0, 1, 7, 2, 19, 0, 12, 1, 30, 5)
+
+
+def _pin_faults(circuit) -> list[Fault]:
+    """Stuck-at faults on flop D pins and PO pins, two sites of each."""
+    sites = [
+        FaultSite(d, BRANCH, sink=q, load_kind="dff") for q, d in circuit.flops[:2]
+    ] + [
+        FaultSite(po, BRANCH, sink=po, load_kind="po") for po in circuit.outputs[:2]
+    ]
+    return [Fault(site, value) for site in sites for value in (0, 1)]
+
+
+@pytest.fixture(scope="module", params=["s27", "syn298", "syn382", *OBSERVE_SPECS])
+def observe_case(request):
+    """A circuit, 129 ragged candidates and the oracle's observations."""
+    name = request.param
+    if name in OBSERVE_SPECS:
+        circuit = generate_circuit(OBSERVE_SPECS[name])
+    else:
+        circuit = load_circuit(name)
+    compiled = CompiledCircuit(circuit)
+    universe = list(FaultUniverse(circuit).faults())
+    faults = _pin_faults(circuit) + universe[:: max(1, len(universe) // 4)][:4]
+    candidates = [
+        _random_sequence(
+            circuit, OBSERVE_LENGTHS[j % len(OBSERVE_LENGTHS)], seed=700 + j
+        )
+        if OBSERVE_LENGTHS[j % len(OBSERVE_LENGTHS)]
+        else TestSequence.empty(circuit.num_inputs)
+        for j in range(129)
+    ]
+    oracle = FaultObserver(compiled)
+    expected = {
+        fault: [oracle.observe(fault, candidate) for candidate in candidates]
+        for fault in faults
+    }
+    return compiled, candidates, expected
+
+
+def _assert_matches_oracle(got, want, fault) -> None:
+    """Detection times for every slot; divergence for undetected slots."""
+    assert [o.detected_at for o in got] == [o.detected_at for o in want], str(fault)
+    for slot, (g, w) in enumerate(zip(got, want)):
+        if not w.detected:
+            assert g == w, (str(fault), slot)
+
+
+class TestObserveParity:
+    """``SequenceBatchSimulator.observe`` vs the scalar ``FaultObserver``."""
+
+    @pytest.mark.parametrize("slots", [63, 64, 65, 129])
+    @pytest.mark.parametrize(
+        "engine", OBSERVE_ENGINES, ids=lambda e: f"{e[0]}-{e[1]}-t{e[2]}"
+    )
+    def test_matches_scalar_oracle(self, observe_case, engine, slots):
+        name, scan_mode, threads = engine
+        _require_backend(name)
+        compiled, candidates, expected = observe_case
+        simulator = SequenceBatchSimulator(
+            compiled,
+            batch_width=slots,
+            backend=name,
+            scan_mode=scan_mode,
+            threads=threads,
+        )
+        for fault, want in expected.items():
+            _assert_matches_oracle(simulator.observe(fault, candidates), want, fault)
+
+    def test_numpy_runs_divergence_on_the_base_loop(self, observe_case):
+        _require_backend("numpy")
+        compiled, candidates, expected = observe_case
+        simulator = SequenceBatchSimulator(compiled, batch_width=65, backend="numpy")
+        fault, want = next(iter(expected.items()))
+        _assert_matches_oracle(simulator.observe(fault, candidates), want, fault)
+
+    def test_oracle_workload_is_not_vacuous(self, observe_case):
+        _, candidates, expected = observe_case
+        observations = [o for want in expected.values() for o in want]
+        assert any(o.detected for o in observations)
+        assert any(not o.detected and o.max_state_divergence for o in observations)
+        assert {0, 1} <= {len(candidate) for candidate in candidates}
+
+    def test_empty_candidate_list(self, observe_case):
+        compiled, _, expected = observe_case
+        fault = next(iter(expected))
+        assert SequenceBatchSimulator(compiled).observe(fault, []) == []
+
+    def test_divergence_needs_the_paired_axis(self, observe_case):
+        compiled, _, _ = observe_case
+        backend = get_backend(compiled, "python")
+        batch = backend.batch(backend.program(None), 1)
+        stimulus = BroadcastStimulus(TestSequence.empty(compiled.num_inputs), 1)
+        with pytest.raises(SimulationError, match="paired"):
+            backend.run_scan(None, batch, stimulus, [], 1, divergence=ScanDivergence(1))
