@@ -28,8 +28,9 @@ asserted bit-identical to serial like every other point, and
 ``--min-thread-speedup`` gates on the largest workload's best thread
 speedup (opt-in, hardware-dependent — meaningless on a runner with
 fewer cores than lanes).  A ``1-stepped`` axis re-measures each
-backend's serial point through the per-step reference scan
-(``scan_mode="stepped"``), so the whole-sequence ``run_scan`` kernels'
+backend's serial point through the per-step base
+:meth:`~repro.sim.backend.SimBackend.run_scan` loop (a bench-local
+subclass of the engine), so the whole-sequence ``run_scan`` kernels'
 win is tracked and their detection times asserted bit-identical; every
 measurement also records its kernel-dispatch counts (``dispatches``:
 FFI crossings, scan calls and steps) across the repeats.  A
@@ -61,9 +62,11 @@ from repro.circuits.catalog import load_circuit
 from repro.core.sequence import TestSequence
 from repro.faults.universe import FaultUniverse
 from repro.sim.backend import (
+    SimBackend,
     available_backends,
     backend_unavailable_reason,
     dispatch_counters,
+    get_backend,
     registry_backends,
 )
 from repro.sim.compiled import CompiledCircuit
@@ -137,13 +140,15 @@ def _measure(
     backend,
     batch_width,
     workers,
-    scan_mode="fused",
+    base_loop=False,
     parallel=None,
     repeats=3,
 ):
     """Best-of-N wall time and throughput for one backend/workers point.
 
-    The sharded simulator's worker pool spins up lazily inside the first
+    ``base_loop=True`` runs the engine's per-step base scan loop (see
+    :func:`_base_loop_backend`) instead of its own ``run_scan``.  The
+    sharded simulator's worker pool spins up lazily inside the first
     repeat; best-of-N therefore reports warm-pool throughput, which is
     what sustained workloads see.  ``parallel="threads"`` measures the
     in-kernel pthread tier instead of process sharding — same ``workers``
@@ -152,9 +157,8 @@ def _measure(
     simulator = make_fault_simulator(
         compiled,
         batch_width=batch_width,
-        backend=backend,
+        backend=_base_loop_backend(compiled, backend) if base_loop else backend,
         workers=workers,
-        scan_mode=scan_mode,
         parallel=parallel,
         # The bench exists to measure the distribution tiers, so never
         # fall back for being "too small" — the smoke circuits are the
@@ -179,7 +183,7 @@ def _measure(
         "batch_width": batch_width,
         "workers": workers,
         "parallel": parallel or "auto",
-        "scan_mode": scan_mode,
+        "base_loop": base_loop,
         "seconds": best,
         "gate_evals_per_second": gate_evals / best if best else 0.0,
         "detected": result.num_detected,
@@ -193,6 +197,15 @@ def _measure(
         },
         "detection_times": result.detection_time,
     }
+
+
+def _base_loop_backend(compiled, name):
+    """A fresh ``name`` engine whose ``run_scan`` is the base per-step loop."""
+
+    class BaseLoop(type(get_backend(compiled, name))):
+        run_scan = SimBackend.run_scan
+
+    return BaseLoop(compiled)
 
 
 def _measure_good_trace(compiled, sequence, backend, repeats=3):
@@ -328,18 +341,17 @@ def run_profile(
                             f"{threads} lanes: {speedup:.2f}x"
                         )
             # The fused-vs-stepped axis: the same serial workload driven
-            # through the per-step reference scan, so the whole-sequence
+            # through the per-step base scan loop, so the whole-sequence
             # kernel's win is tracked — and its bit-identical detection
             # times asserted — per backend.
             stepped = _measure(
-                compiled, faults, sequence, backend, width, 1,
-                scan_mode="stepped",
+                compiled, faults, sequence, backend, width, 1, base_loop=True
             )
             stepped_times = stepped.pop("detection_times")
             if stepped_times != reference_times:
                 raise AssertionError(
                     f"{name}: {backend}/stepped detection times diverge "
-                    "— scan-mode parity violated"
+                    "— base-loop parity violated"
                 )
             entry["results"][backend]["1-stepped"] = stepped
             if serial is not None:

@@ -9,15 +9,13 @@ shapes Procedure 2 produces:
 * **vector omission** — ``expand(T'.omit(i))`` for every position of a
   selected window (phase 2's trials).
 
-Each workload runs on every backend, for the **packed** pipeline
+Each workload runs on every backend through the **packed** pipeline
 (NumPy-packed candidate columns derived from the shared base, fused
-``detect_step``, full-width padded batches) and — where the workload
-enables it — the preserved **legacy** pipeline (per-candidate Python
-repacking, per-PO observation, per-batch program compiles), across a
-small batch-width axis.  The ``--workers`` axis additionally measures
-**candidate-axis process sharding**
-(:mod:`repro.sim.seqshard`): the same workload fanned across a
-persistent worker pool with shared-memory base/result buffers.  The
+``detect_step``, full-width padded batches; rows keep their historical
+``packed-w*`` labels) across a small batch-width axis.  The
+``--workers`` axis additionally measures **candidate-axis process
+sharding** (:mod:`repro.sim.seqshard`): the same workload fanned across
+a persistent worker pool with shared-memory base/result buffers.  The
 ``--threads`` axis measures the third distribution tier — the native
 kernel's in-process pthread lanes — as ``packed-w*-t*`` rows on the
 ``native`` backend only (the other engines execute thread requests
@@ -30,17 +28,17 @@ IR — cost-balanced (``packed-w*-p*``, the default) and count-based
 chunk statistics (``chunk_plans``: chunk count, cost imbalance) so the
 boundary shapes are visible next to the throughput they produced.
 On the small (32-vector omission) workloads every backend is
-additionally re-measured through the per-step reference scan
-(``scan_mode="stepped"``, axis suffix ``-stepped``), serial and at the
-widest worker count, tracking the whole-sequence ``run_scan`` kernels'
-win per backend; when the native kernel was measured, the standalone
-runner fails unless at least one workload shows the fused native scan
-at >= 1.5x the stepped throughput.  Detection outcomes are asserted
-identical across every measured combination — backends, pipelines,
-widths, worker counts, chunking modes *and* scan modes — so the bench
-doubles as a parity check.  Every measurement records its
-kernel-dispatch counts (``dispatches``: FFI crossings, scan calls and
-steps) across the repeats.
+additionally re-measured serially through the per-step base
+:meth:`~repro.sim.backend.SimBackend.run_scan` loop (a bench-local
+subclass of the engine, axis suffix ``-stepped``), tracking the
+whole-sequence ``run_scan`` kernels' win per backend; when the native
+kernel was measured, the standalone runner fails unless at least one
+workload shows the fused native scan at >= 1.5x the stepped
+throughput.  Detection outcomes are asserted identical across every
+measured combination — backends, widths, worker counts, chunking modes
+*and* the base loop — so the bench doubles as a parity check.  Every
+measurement records its kernel-dispatch counts (``dispatches``: FFI
+crossings, scan calls and steps) across the repeats.
 
 Each workload entry also records the session's good-machine trace-cache
 counters (``trace_cache``): across all measured points and repeats, the
@@ -58,9 +56,6 @@ Two entry points:
   4`` and gates on the committed baseline via
   ``benchmarks/check_bench_regression.py`` (same >30% rule as the
   fault-sim gate).
-* ``--min-packed-speedup X`` — fail unless the packed pipeline clears
-  ``X`` times the legacy pipeline's throughput on the numpy backend of
-  every measured legacy-enabled workload with at least 1000 gates.
 * ``--min-shard-speedup X`` — fail unless the largest workload's best
   sharding speedup reaches ``X`` (opt-in: hardware-dependent, like the
   fault bench's flag — meaningless on runners with fewer cores than the
@@ -78,7 +73,12 @@ from repro.circuits.catalog import load_circuit
 from repro.core.ops import ExpansionConfig
 from repro.core.sequence import TestSequence
 from repro.faults.universe import FaultUniverse
-from repro.sim.backend import available_backends, dispatch_counters
+from repro.sim.backend import (
+    SimBackend,
+    available_backends,
+    dispatch_counters,
+    get_backend,
+)
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.native_build import native_threads_available
@@ -96,15 +96,12 @@ try:
 except ImportError:  # pragma: no cover - numpy ships in CI
     _HAVE_NUMPY = False
 
-#: (label, circuit, T0 length, expansion repetitions n, pipelines,
-#: omission window, shape, batch-width override).  T0 lengths grow with
-#: the circuit so window
-#: searches produce realistically full batches.  Workloads that track
-#: the packed-vs-legacy speedup measure both pipelines over the
-#: historical 32-vector omission base; the sharding-scale workloads
-#: (shape "mixed" with omission window None, or "ramp") measure packed
-#: only (the legacy pipeline is the historical reference, not a sharding
-#: target) and span candidate counts well past one batch width, the
+#: (label, circuit, T0 length, expansion repetitions n, omission window,
+#: shape, batch-width override).  T0 lengths grow with the circuit so
+#: window searches produce realistically full batches.  The small
+#: workloads use the historical 32-vector omission base; the
+#: sharding-scale workloads (shape "mixed" with omission window None, or
+#: "ramp") span candidate counts well past one batch width, the
 #: regime where the candidate axis actually fans out (a scan inside one
 #: bit-parallel pass costs ~one longest-candidate run regardless of slot
 #: count).  Shape "ramp" drops the omission rounds entirely: a pure
@@ -118,27 +115,27 @@ except ImportError:  # pragma: no cover - numpy ships in CI
 #: lets the boundary shapes (and their imbalance) actually differ at
 #: smoke scale.
 _SMOKE_WORKLOADS = [
-    ("syn298", "syn298", 48, 2, ("packed", "legacy"), 32, "mixed", None),
-    ("syn641", "syn641", 48, 2, ("packed", "legacy"), 32, "mixed", None),
+    ("syn298", "syn298", 48, 2, 32, "mixed", None),
+    ("syn641", "syn641", 48, 2, 32, "mixed", None),
     # The sharding smoke stage: ~380-candidate window scans and
     # full-prefix omission rounds — 4 full 96-slot passes per scan, the
     # multi-pass regime where candidate sharding reaches ~linear scaling
     # (total-CPU overhead vs serial is ~1.0x here).
-    ("syn1423", "syn1423", 384, 2, ("packed",), None, "mixed", None),
+    ("syn1423", "syn1423", 384, 2, None, "mixed", None),
     # Pure window ramps on the same circuit: the cost-vs-count chunking
     # comparison stage (count-equal chunks put ~2x the mean simulated
     # steps in the deep-end chunk; cost-balanced chunks stay near 1x).
-    ("syn1423-ramp", "syn1423", 320, 2, ("packed",), None, "ramp", 32),
+    ("syn1423-ramp", "syn1423", 320, 2, None, "ramp", 32),
 ]
 _FULL_WORKLOADS = _SMOKE_WORKLOADS + [
-    ("syn5378", "syn5378", 96, 2, ("packed", "legacy"), 32, "mixed", None),
+    ("syn5378", "syn5378", 96, 2, 32, "mixed", None),
     # s5378-scale candidate universe (the ROADMAP "larger workloads"
     # data point): the syn1423 sharding shape on a 2.8k-gate circuit.
-    ("syn5378-xl", "syn5378", 256, 2, ("packed",), None, "mixed", None),
+    ("syn5378-xl", "syn5378", 256, 2, None, "mixed", None),
     # 16k gates: past the paired-axis auto crossover, where the numpy
     # backend overtakes python on candidate throughput (the measurement
     # behind AUTO_PAIRED_GATE_THRESHOLD).
-    ("syn35932", "syn35932", 24, 2, ("packed", "legacy"), 32, "mixed", None),
+    ("syn35932", "syn35932", 24, 2, 32, "mixed", None),
 ]
 
 #: Batch widths measured per backend: the big-int kernel near its sweet
@@ -152,7 +149,7 @@ _WIDTH_AXIS = {
 }
 
 #: Worker counts measured by default: serial plus one sharded point.
-#: Sharded points run the packed pipeline at each backend's first width.
+#: Sharded points run at each backend's first width.
 DEFAULT_WORKER_AXIS = (1, 4)
 
 #: Kernel thread-lane counts measured by default on the native backend.
@@ -210,15 +207,17 @@ def _measure(
     t0,
     expansion,
     backend,
-    pipeline,
     width,
     workers,
     chunking="cost",
-    scan_mode="fused",
+    base_loop=False,
     parallel=None,
     repeats=3,
 ):
     """Best-of-N throughput for one measured point.
+
+    ``base_loop=True`` runs the engine's per-step base scan loop (see
+    :func:`_base_loop_backend`) instead of its own ``run_scan``.
 
     The shared worker pool spins up lazily inside the first repeat, so
     best-of-N reports warm-pool throughput — what sustained Procedure 2
@@ -230,12 +229,10 @@ def _measure(
     simulator = make_sequence_simulator(
         compiled,
         batch_width=width,
-        backend=backend,
-        pipeline=pipeline,
+        backend=_base_loop_backend(compiled, backend) if base_loop else backend,
         workers=workers,
         min_shard_candidates=1,
         chunking=chunking,
-        scan_mode=scan_mode,
         parallel=parallel,
         # The workers axis measures the sharding layer itself, so never
         # fall back to serial — not even on a single-core runner.
@@ -255,12 +252,11 @@ def _measure(
     after = dispatch_counters()
     return {
         "backend": backend,
-        "pipeline": pipeline,
         "batch_width": width,
         "workers": workers,
         "parallel": parallel or "auto",
         "chunking": chunking,
-        "scan_mode": scan_mode,
+        "base_loop": base_loop,
         "seconds": best,
         "candidates": candidates,
         "candidates_per_second": candidates / best if best else 0.0,
@@ -275,6 +271,15 @@ def _measure(
     }, outcomes
 
 
+def _base_loop_backend(compiled, name):
+    """A fresh ``name`` engine whose ``run_scan`` is the base per-step loop."""
+
+    class BaseLoop(type(get_backend(compiled, name))):
+        run_scan = SimBackend.run_scan
+
+    return BaseLoop(compiled)
+
+
 def run_profile(
     smoke: bool,
     targets_per_circuit: int = 2,
@@ -282,7 +287,7 @@ def run_profile(
     threads_axis: tuple[int, ...] = DEFAULT_THREAD_AXIS,
     progress=print,
 ) -> dict:
-    """Run every workload on every backend x pipeline x width x workers."""
+    """Run every workload on every backend x width x workers."""
     workloads = _SMOKE_WORKLOADS if smoke else _FULL_WORKLOADS
     backends = available_backends()
     workers_axis = tuple(dict.fromkeys(workers_axis)) or (1,)
@@ -304,7 +309,6 @@ def run_profile(
         name,
         t0_len,
         repetitions,
-        pipelines,
         omit_window,
         shape,
         width_override,
@@ -332,9 +336,9 @@ def run_profile(
             "repetitions": repetitions,
             "shape": shape,
             # Full-prefix workloads are the sharding-scale shape the
-            # --min-shard-speedup gate targets; the 32-vector ones exist
-            # for the packed-vs-legacy tracking and force-shard scans far
-            # below the serial floor (honest floors, not gate material).
+            # --min-shard-speedup gate targets; the 32-vector ones
+            # force-shard scans far below the serial floor (honest
+            # floors, not gate material).
             "sharding_scale": omit_window is None,
             "target_udets": [udet for _, udet in targets],
             "results": {},
@@ -359,8 +363,8 @@ def run_profile(
         reference_outcomes = None
 
         def measure_point(
-            backend, pipeline, width, workers, chunking="cost",
-            scan_mode="fused", parallel=None,
+            backend, width, workers, chunking="cost",
+            base_loop=False, parallel=None,
         ):
             nonlocal reference_outcomes
             measured, outcomes = _measure(
@@ -369,22 +373,22 @@ def run_profile(
                 t0,
                 expansion,
                 backend,
-                pipeline,
                 width,
                 workers,
                 chunking,
-                scan_mode,
+                base_loop,
                 parallel,
             )
+            scan = "stepped" if base_loop else "fused"
             if reference_outcomes is None:
                 reference_outcomes = outcomes
             elif outcomes != reference_outcomes:
                 raise AssertionError(
-                    f"{label}: {backend}/{pipeline}/w{width}/p{workers}"
-                    f"/{chunking}/{scan_mode}/{parallel or 'auto'} outcomes "
+                    f"{label}: {backend}/w{width}/p{workers}"
+                    f"/{chunking}/{scan}/{parallel or 'auto'} outcomes "
                     "diverge — parity violated"
                 )
-            axis = f"{pipeline}-w{width}"
+            axis = f"packed-w{width}"
             if parallel == "threads":
                 # Thread rows: same worker count, in-kernel lanes.
                 axis += f"-t{workers}"
@@ -392,13 +396,13 @@ def run_profile(
                 axis += f"-p{workers}"
             if chunking != "cost":
                 axis += f"-{chunking}"
-            if scan_mode != "fused":
-                axis += f"-{scan_mode}"
+            if base_loop:
+                axis += "-stepped"
             entry["results"][backend][axis] = measured
             lane_tag = "t" if parallel == "threads" else "p"
             progress(
-                f"[{label}] {backend:>6}/{pipeline:<6} width={width:<4}"
-                f"{lane_tag}{workers}/{chunking}/{scan_mode} "
+                f"[{label}] {backend:>6} width={width:<4}"
+                f"{lane_tag}{workers}/{chunking}/{scan} "
                 f"{measured['seconds']:.3f}s  "
                 f"{measured['candidates_per_second']:.0f} cand/s"
             )
@@ -411,10 +415,9 @@ def run_profile(
                 if width_override
                 else _WIDTH_AXIS.get(backend, (96,))
             )
-            for pipeline in pipelines:
-                for width in widths:
-                    measure_point(backend, pipeline, width, 1)
-            # The sharding axis: packed pipeline at the backend's first
+            for width in widths:
+                measure_point(backend, width, 1)
+            # The sharding axis: the backend's first
             # (tuned) width for each non-serial worker count — under
             # both chunking modes on the sharding-scale workloads, so
             # cost-balanced and count-based boundaries are reported side
@@ -422,7 +425,7 @@ def run_profile(
             for workers in workers_axis:
                 if workers == 1:
                     continue
-                measured = measure_point(backend, "packed", widths[0], workers)
+                measured = measure_point(backend, widths[0], workers)
                 serial = entry["results"][backend][f"packed-w{widths[0]}"]
                 speedup = serial["seconds"] / measured["seconds"]
                 measured["speedup_vs_serial"] = speedup
@@ -432,7 +435,7 @@ def run_profile(
                 )
                 if entry["sharding_scale"]:
                     counted = measure_point(
-                        backend, "packed", widths[0], workers, chunking="count"
+                        backend, widths[0], workers, chunking="count"
                     )
                     counted["speedup_vs_serial"] = (
                         serial["seconds"] / counted["seconds"]
@@ -451,8 +454,7 @@ def run_profile(
             if backend == "native" and measure_threads:
                 for threads in threads_axis:
                     measured = measure_point(
-                        backend, "packed", widths[0], threads,
-                        parallel="threads",
+                        backend, widths[0], threads, parallel="threads"
                     )
                     serial = entry["results"][backend][f"packed-w{widths[0]}"]
                     speedup = serial["seconds"] / measured["seconds"]
@@ -462,18 +464,15 @@ def run_profile(
                         f"{threads} lanes: {speedup:.2f}x"
                     )
             # The fused-vs-stepped scan axis, on the small (32-vector
-            # omission) workloads: the packed pipeline re-measured
-            # through the per-step reference scan, serial and at the
-            # widest measured pool, so the whole-sequence kernels' win —
-            # and their bit-identical outcomes, asserted above — are
-            # tracked per backend and across worker counts.  The
-            # sharding-scale workloads skip it: stepped scans there
-            # would multiply bench time for no extra signal.
+            # omission) workloads: the serial point re-measured through
+            # the per-step base scan loop, so the whole-sequence
+            # kernels' win — and their bit-identical outcomes, asserted
+            # above — are tracked per backend.  The sharding-scale
+            # workloads skip it: stepped scans there would multiply
+            # bench time for no extra signal.
             if omit_window is not None:
                 fused = entry["results"][backend][f"packed-w{widths[0]}"]
-                stepped = measure_point(
-                    backend, "packed", widths[0], 1, scan_mode="stepped"
-                )
+                stepped = measure_point(backend, widths[0], 1, base_loop=True)
                 if stepped["candidates_per_second"]:
                     speedup = (
                         fused["candidates_per_second"]
@@ -484,27 +483,6 @@ def run_profile(
                         f"[{label}] {backend} fused-vs-stepped scan "
                         f"speedup: {speedup:.2f}x"
                     )
-                widest = max(workers_axis)
-                if widest > 1:
-                    measure_point(
-                        backend, "packed", widths[0], widest,
-                        scan_mode="stepped",
-                    )
-            by_label = entry["results"][backend]
-            speedups = [
-                by_label[f"packed-w{width}"]["candidates_per_second"]
-                / by_label[f"legacy-w{width}"]["candidates_per_second"]
-                for width in widths
-                if by_label.get(f"legacy-w{width}", {}).get(
-                    "candidates_per_second"
-                )
-            ]
-            if speedups:
-                best = max(speedups)
-                entry[f"{backend}_packed_speedup"] = best
-                progress(
-                    f"[{label}] {backend} packed-vs-legacy speedup: {best:.2f}x"
-                )
         distinct_bases = {t0}
         for _fault, _spans, base, _omissions in plan:
             if base is not None:
@@ -519,18 +497,17 @@ def run_profile(
             "bits hits)"
         )
         # The once-per-(circuit, sequence) contract, enforced: across
-        # every backend/pipeline/width/workers/chunking point and every
+        # every backend/width/workers/chunking point and every
         # repeat, the stimulus trace was simulated exactly once...
         if stats["trace_misses"] != 1:
             raise AssertionError(
                 f"{label}: expected exactly 1 good-machine simulation, "
                 f"recorded {stats['trace_misses']}"
             )
-        # ...and (with the packed/numpy pipeline available, while the
-        # distinct bases fit the cache) every base was packed exactly once.
+        # ...and (with numpy available, while the distinct bases fit the
+        # cache) every base was packed exactly once.
         if (
             _HAVE_NUMPY
-            and "packed" in pipelines
             and len(distinct_bases) < SEQUENCE_CACHE_CAPACITY
             and stats["bits_misses"] != len(distinct_bases)
         ):
@@ -585,16 +562,6 @@ def main(argv: list[str] | None = None) -> int:
         help="where to write the JSON report",
     )
     parser.add_argument(
-        "--min-packed-speedup",
-        type=float,
-        default=None,
-        help=(
-            "fail unless the packed pipeline reaches this multiple of the "
-            "legacy pipeline's throughput on the numpy backend of every "
-            "measured legacy-enabled workload with >= 1000 gates"
-        ),
-    )
-    parser.add_argument(
         "--min-shard-speedup",
         type=float,
         default=None,
@@ -646,7 +613,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.min_shard_speedup is not None:
         # Gate on the largest sharding-scale workload (syn1423 in smoke,
-        # syn5378-xl in full) — the legacy-tracking workloads force-shard
+        # syn5378-xl in full) — the 32-vector workloads force-shard
         # sub-floor scans and would report IPC floors, not scaling.
         scaled = [w for w in report["workloads"] if w.get("sharding_scale")]
         largest = (scaled or report["workloads"])[-1]
@@ -685,27 +652,6 @@ def main(argv: list[str] | None = None) -> int:
             f"thread speedup {best:.2f}x (target >= "
             f"{args.min_thread_speedup}x) {'ok' if ok else 'FAIL'}"
         )
-    if args.min_packed_speedup is not None:
-        gated = [
-            workload
-            for workload in report["workloads"]
-            if workload["gates"] >= 1000 and "numpy_packed_speedup" in workload
-        ]
-        if not gated:
-            print(
-                "no legacy-enabled workload with >= 1000 gates measured; "
-                "--min-packed-speedup requires the full profile"
-            )
-            return 1
-        for workload in gated:
-            speedup = workload["numpy_packed_speedup"]
-            ok = speedup >= args.min_packed_speedup
-            failed = failed or not ok
-            print(
-                f"{workload['circuit']} ({workload['gates']} gates): packed "
-                f"speedup {speedup:.2f}x (target >= "
-                f"{args.min_packed_speedup}x) {'ok' if ok else 'FAIL'}"
-            )
     return 1 if failed else 0
 
 

@@ -29,21 +29,17 @@ importable::
         MachineProfile, calibrate,                       # autotuning
     )
 
-Every simulator accepts ``backend="python"`` (default, dependency-free)
-or ``backend="numpy"`` (vectorized); results are bit-identical.  Both hot
-axes additionally scale across processes with identical results, and a
+Every simulator accepts ``backend="python"`` (default, dependency-free
+big-int kernel), ``backend="numpy"`` (vectorized), ``backend="native"``
+(a lazily compiled C kernel) or ``backend="auto"`` (picks by circuit
+size); results are bit-identical.  Both hot axes additionally scale
+across kernel threads or processes with identical results, and a
 calibrated :class:`MachineProfile` (``repro-bist calibrate``) replaces
-the static serial-vs-sharded thresholds with measured crossovers.
-
-The old top-level factory entry points (``make_fault_simulator``,
-``make_sequence_simulator``, ``get_worker_pool``, ``get_trace_cache``)
-still work but emit :class:`DeprecationWarning` — sessions own those
-concerns now (:meth:`Session.fault_simulator`,
-:meth:`Session.sequence_simulator`, :meth:`Session.worker_pool`,
-:meth:`Session.trace_cache`).
+the static work-distribution thresholds with measured crossovers.
+Sessions own simulator lifecycles, worker pools and trace caches
+(:meth:`Session.fault_simulator`, :meth:`Session.sequence_simulator`,
+:meth:`Session.worker_pool`, :meth:`Session.trace_cache`).
 """
-
-import warnings as _warnings
 
 from repro.circuit import CircuitBuilder, Circuit, GateType, parse_bench, parse_bench_file
 from repro.circuits import load_circuit, paper_t0_s27, available_circuits
@@ -93,62 +89,6 @@ from repro.sim.autotune import (
 
 __version__ = "1.0.0"
 
-
-def _deprecated_entry_point(name: str, replacement: str, target):
-    """A module-level shim that warns once per call site and delegates."""
-
-    def shim(*args, **kwargs):
-        _warnings.warn(
-            f"repro.{name} is deprecated; use {replacement} instead "
-            "(sessions own simulator lifecycles, pools and caches)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return target(*args, **kwargs)
-
-    shim.__name__ = name
-    shim.__qualname__ = name
-    shim.__doc__ = f"Deprecated alias of ``{replacement}``."
-    return shim
-
-
-def _make_fault_simulator(*args, **kwargs):
-    from repro.sim.sharding import make_fault_simulator
-
-    return make_fault_simulator(*args, **kwargs)
-
-
-def _make_sequence_simulator(*args, **kwargs):
-    from repro.sim.seqshard import make_sequence_simulator
-
-    return make_sequence_simulator(*args, **kwargs)
-
-
-def _get_worker_pool(*args, **kwargs):
-    from repro.sim.workerpool import get_worker_pool
-
-    return get_worker_pool(*args, **kwargs)
-
-
-def _get_trace_cache(*args, **kwargs):
-    from repro.sim.trace import get_trace_cache
-
-    return get_trace_cache(*args, **kwargs)
-
-
-make_fault_simulator = _deprecated_entry_point(
-    "make_fault_simulator", "Session.fault_simulator", _make_fault_simulator
-)
-make_sequence_simulator = _deprecated_entry_point(
-    "make_sequence_simulator", "Session.sequence_simulator", _make_sequence_simulator
-)
-get_worker_pool = _deprecated_entry_point(
-    "get_worker_pool", "Session.worker_pool", _get_worker_pool
-)
-get_trace_cache = _deprecated_entry_point(
-    "get_trace_cache", "Session.trace_cache", _get_trace_cache
-)
-
 __all__ = [
     "Session",
     "use_session",
@@ -161,7 +101,6 @@ __all__ = [
     "load_profile",
     "profile_for_startup",
     "static_profile",
-    "get_worker_pool",
     "Circuit",
     "CircuitBuilder",
     "GateType",
@@ -198,10 +137,7 @@ __all__ = [
     "OmissionPlan",
     "ExplicitPlan",
     "GoodTraceCache",
-    "get_trace_cache",
     "close_trace_caches",
-    "make_fault_simulator",
-    "make_sequence_simulator",
     "close_worker_pools",
     "SimBackend",
     "available_backends",

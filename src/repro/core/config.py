@@ -39,7 +39,8 @@ class SelectionConfig:
             (ablation switch; the paper always runs it).
         backend: simulation backend name (see
             :func:`repro.sim.backend.available_backends`), or ``"auto"``
-            to pick python vs numpy per circuit size and batch width;
+            to pick python, numpy or native per circuit size and axis
+            (see :func:`repro.sim.backend.resolve_backend_name`);
             detection results are bit-identical across backends, only
             speed differs.
         workers: worker processes (or thread lanes, under
@@ -111,13 +112,13 @@ class SelectionConfig:
         """A config with batch widths tuned to ``backend``.
 
         Detection results are identical for any widths; this only picks
-        the throughput sweet spot of the selected engine.  For
-        ``backend="auto"`` the widths follow the best engine the adaptive
-        selector could resolve to (``numpy`` when importable) and act as
-        *caps*: each simulator resolves python vs numpy from its circuit
-        and axis, and clamps the width back to the big-int sweet spot
-        whenever python wins (see
-        :func:`repro.sim.backend.resolve_auto`).
+        the throughput sweet spot of the selected engine; an engine
+        without its own entry in the width table (``native``) gets the
+        python widths.  For ``backend="auto"`` the widths are the numpy
+        ones when numpy is importable and act as *caps*: each simulator
+        resolves python, numpy or native from its circuit and axis, and
+        clamps the width back to the big-int sweet spot whenever python
+        wins (see :func:`repro.sim.backend.resolve_auto`).
         """
         width_key = backend
         if backend == AUTO_BACKEND:

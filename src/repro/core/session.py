@@ -116,10 +116,6 @@ class Session:
         self._lock = threading.RLock()
         self._local = threading.local()
         self._closed = False
-        if profile is not None:
-            # A calibrated profile's fused-vs-stepped verdicts become the
-            # process default every simulator construction resolves.
-            profile.apply_scan_modes()
 
     # ------------------------------------------------------------------
     # Profile
@@ -140,7 +136,6 @@ class Session:
         if save:
             profile.save()
         self._profile = profile
-        profile.apply_scan_modes()
         return profile
 
     def _resolve_workers(self, workers: int | None) -> int | None:

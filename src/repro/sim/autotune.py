@@ -52,10 +52,11 @@ from repro.util.timing import Stopwatch
 
 #: Profile format version; bumped when fields change incompatibly.  v2
 #: added the work-distribution tier verdict (``parallel_mode``,
-#: ``threads`` and the per-axis thread speedups); v1 profiles are
-#: rejected on load, which makes :func:`profile_for_startup` recalibrate
-#: rather than run with a verdict that predates the thread tier.
-PROFILE_VERSION = 2
+#: ``threads`` and the per-axis thread speedups); v3 dropped the
+#: per-axis scan-mode fields.  Older profiles are rejected on load,
+#: which makes :func:`profile_for_startup` recalibrate rather than run
+#: with a stale verdict.
+PROFILE_VERSION = 3
 
 #: Environment override for the persisted profile location.
 PROFILE_ENV = "REPRO_PROFILE"
@@ -110,9 +111,6 @@ class MachineProfile:
         fault_thread_speedup: measured threaded/serial throughput ratio
             on the fault axis (``0.0`` = not measured).
         candidate_thread_speedup: same for the candidate axis.
-        fault_scan_mode: measured fused-vs-stepped winner for fault-axis
-            scans (``"fused"`` when unmeasured — the static default).
-        candidate_scan_mode: same for the paired candidate axis.
         source: ``"static"`` (defaults, nothing measured) or
             ``"calibrated"`` (a real measurement pass ran).
         notes: human-readable trail of what calibration decided and why.
@@ -130,8 +128,6 @@ class MachineProfile:
     candidate_shard_speedup: float = 0.0
     fault_thread_speedup: float = 0.0
     candidate_thread_speedup: float = 0.0
-    fault_scan_mode: str = "fused"
-    candidate_scan_mode: str = "fused"
     source: str = "static"
     notes: tuple[str, ...] = ()
 
@@ -194,22 +190,6 @@ class MachineProfile:
         if requested > 1 and self.calibrated and self.workers == 1:
             return 1
         return requested
-
-    def apply_scan_modes(self) -> None:
-        """Install the measured per-axis scan modes process-wide.
-
-        Only a *calibrated* profile installs anything: the static
-        profile's ``"fused"`` defaults match
-        :func:`repro.sim.backend.resolve_scan_mode`'s own fallback, so
-        installing them would add nothing but shadow a later profile.
-        """
-        if not self.calibrated:
-            return
-        from repro.sim.backend import set_measured_scan_modes
-
-        set_measured_scan_modes(
-            fault=self.fault_scan_mode, paired=self.candidate_scan_mode
-        )
 
     # ------------------------------------------------------------------
     # JSON round-trip and persistence
@@ -469,64 +449,6 @@ def _measure_candidate_axis(
     return best_width, speedup, thread_speedup, notes
 
 
-def _measure_scan_modes(
-    compiled,
-    faults,
-    probe_fault,
-    stimulus,
-    backend: str,
-    fault_width: int,
-    search_width: int,
-) -> tuple[str, str, list[str]]:
-    """Fused-vs-stepped crossover per axis at the measured best widths.
-
-    The fused whole-sequence kernels are bit-identical to the stepped
-    calling sequence by contract, so this is purely a throughput
-    measurement; a machine where the fused path loses (e.g. a pathological
-    allocator making the chunk buffers expensive) gets the stepped loop
-    back via the same profile that carries its batch widths.
-    """
-    from repro.core.ops import ExpansionConfig
-    from repro.sim.faultsim import FaultSimulator
-    from repro.sim.seqsim import SequenceBatchSimulator
-
-    notes: list[str] = []
-    fault_timings: dict[str, float] = {}
-    for mode in ("fused", "stepped"):
-        simulator = FaultSimulator(
-            compiled, batch_width=fault_width, backend=backend, scan_mode=mode
-        )
-        fault_timings[mode] = _time(lambda: simulator.run(stimulus, faults))
-    fault_mode = min(fault_timings, key=fault_timings.get)
-    notes.append(
-        "fault scan "
-        + ", ".join(f"{m}:{fault_timings[m] * 1e3:.0f}ms" for m in fault_timings)
-        + f" -> {fault_mode}"
-    )
-
-    expansion = ExpansionConfig(repetitions=1)
-    spans = [(0, end) for end in range(len(stimulus))]
-    candidate_timings: dict[str, float] = {}
-    for mode in ("fused", "stepped"):
-        simulator = SequenceBatchSimulator(
-            compiled, batch_width=search_width, backend=backend, scan_mode=mode
-        )
-        candidate_timings[mode] = _time(
-            lambda: simulator.detects_windows(
-                probe_fault, stimulus, spans, expansion
-            )
-        )
-    candidate_mode = min(candidate_timings, key=candidate_timings.get)
-    notes.append(
-        "candidate scan "
-        + ", ".join(
-            f"{m}:{candidate_timings[m] * 1e3:.0f}ms" for m in candidate_timings
-        )
-        + f" -> {candidate_mode}"
-    )
-    return fault_mode, candidate_mode, notes
-
-
 def calibrate(
     quick: bool = True,
     circuit_name: str | None = None,
@@ -614,17 +536,6 @@ def calibrate(
     )
     notes.extend(search_notes)
 
-    fault_scan_mode, candidate_scan_mode, scan_notes = _measure_scan_modes(
-        compiled,
-        faults,
-        probe_fault,
-        stimulus,
-        backend,
-        fault_width,
-        search_width,
-    )
-    notes.extend(scan_notes)
-
     # Tier verdict: the best measured speedup picks serial vs threads vs
     # processes, with the same noise threshold sharding always had.  On a
     # tie threads win — same throughput without the process pool's
@@ -673,8 +584,6 @@ def calibrate(
         candidate_shard_speedup=round(candidate_speedup, 3),
         fault_thread_speedup=round(fault_thread_speedup, 3),
         candidate_thread_speedup=round(candidate_thread_speedup, 3),
-        fault_scan_mode=fault_scan_mode,
-        candidate_scan_mode=candidate_scan_mode,
         source="calibrated",
         notes=tuple(notes),
     )

@@ -38,7 +38,6 @@ cost.
 
 from __future__ import annotations
 
-import os
 import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
@@ -51,18 +50,6 @@ from repro.sim.compiled import CompiledCircuit
 
 #: Default backend used when a consumer does not select one explicitly.
 DEFAULT_BACKEND = "python"
-
-#: Env escape hatch forcing every simulator's scan mode ("fused" or
-#: "stepped"); beats the measured default, loses to an explicit
-#: ``scan_mode=`` argument.  CI's fallback lane runs the whole suite
-#: under ``REPRO_SCAN_MODE=stepped``.
-SCAN_MODE_ENV = "REPRO_SCAN_MODE"
-
-#: Scan modes a simulator accepts: ``"fused"`` dispatches whole-sequence
-#: :meth:`SimBackend.run_scan` kernels, ``"stepped"`` forces the per-step
-#: reference loop (the default implementation below), ``"auto"``/``None``
-#: resolves via :func:`resolve_scan_mode`.
-SCAN_MODES = ("auto", "fused", "stepped")
 
 #: Selector name for adaptive per-circuit/per-batch backend resolution.
 AUTO_BACKEND = "auto"
@@ -112,65 +99,6 @@ PROGRAM_CACHE_SIGNAL_BUDGET = 4_000_000
 STATE_X = 0
 STATE_ONE = 1
 STATE_ZERO = 2
-
-
-# ----------------------------------------------------------------------
-# Scan-mode resolution
-# ----------------------------------------------------------------------
-#: Measured per-axis scan-mode overrides installed by an autotune
-#: machine profile (:mod:`repro.sim.autotune`): keys ``False`` (fault
-#: axis) / ``True`` (paired candidate axis) map to ``"fused"`` or
-#: ``"stepped"``.  Empty means the static default ("fused" wherever a
-#: backend provides a fused kernel; the per-step default is used by
-#: backends without one either way).
-_MEASURED_SCAN_MODES: dict[bool, str] = {}
-
-
-def set_measured_scan_modes(
-    fault: str | None = None, paired: str | None = None
-) -> None:
-    """Install (or clear, with ``None``) measured per-axis scan modes."""
-    for key, mode in ((False, fault), (True, paired)):
-        if mode is None:
-            _MEASURED_SCAN_MODES.pop(key, None)
-        elif mode not in ("fused", "stepped"):
-            raise SimulationError(
-                f"unknown scan mode {mode!r}; expected 'fused' or 'stepped'"
-            )
-        else:
-            _MEASURED_SCAN_MODES[key] = mode
-
-
-def resolve_scan_mode(scan_mode: str | None = None, paired: bool = False) -> str:
-    """Resolve a simulator's ``scan_mode`` selector to fused/stepped.
-
-    Precedence: an explicit ``"fused"``/``"stepped"`` argument wins;
-    then the :data:`SCAN_MODE_ENV` escape hatch (read at resolution
-    time, so the CI fallback lane covers every construction site); then
-    the per-axis measured crossover a machine profile installed via
-    :func:`set_measured_scan_modes`; then ``"fused"`` — the fused path
-    is bit-identical by contract and strictly fewer dispatches, so it
-    is the static default, and backends without a fused kernel run the
-    per-step reference loop under either name.
-    """
-    if scan_mode is not None and scan_mode != "auto":
-        if scan_mode not in SCAN_MODES:
-            raise SimulationError(
-                f"unknown scan mode {scan_mode!r}; expected one of {SCAN_MODES}"
-            )
-        return scan_mode
-    env = os.environ.get(SCAN_MODE_ENV)
-    if env:
-        if env not in ("fused", "stepped"):
-            raise SimulationError(
-                f"{SCAN_MODE_ENV}={env!r} is not a scan mode; "
-                "expected 'fused' or 'stepped'"
-            )
-        return env
-    measured = _MEASURED_SCAN_MODES.get(paired)
-    if measured is not None:
-        return measured
-    return "fused"
 
 
 def resolve_simulator_threads(backend: "SimBackend", threads: int) -> int:

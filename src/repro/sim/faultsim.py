@@ -39,7 +39,6 @@ from repro.sim.backend import (
     SimBackend,
     get_backend,
     resolve_auto,
-    resolve_scan_mode,
     resolve_simulator_threads,
 )
 from repro.sim.compiled import CompiledCircuit
@@ -65,7 +64,6 @@ class FaultSimulator:
         circuit: Circuit | CompiledCircuit,
         batch_width: int = DEFAULT_BATCH_WIDTH,
         backend: str | SimBackend | None = None,
-        scan_mode: str | None = None,
         threads: int = 1,
     ) -> None:
         if isinstance(circuit, CompiledCircuit):
@@ -92,7 +90,6 @@ class FaultSimulator:
         # state.
         self._trace_cache = get_trace_cache(self._compiled)
         self._logic = LogicSimulator(self._compiled, backend=AUTO_BACKEND)
-        self._scan_mode = resolve_scan_mode(scan_mode, paired=False)
 
     @property
     def compiled(self) -> CompiledCircuit:
@@ -105,10 +102,6 @@ class FaultSimulator:
     @property
     def batch_width(self) -> int:
         return self._batch_width
-
-    @property
-    def scan_mode(self) -> str:
-        return self._scan_mode
 
     @property
     def threads(self) -> int:
@@ -208,31 +201,15 @@ class FaultSimulator:
         if initial_states is not None:
             machines.set_state_packed(initial_states)
 
-        # The whole per-step loop runs inside run_scan now; "stepped"
-        # pins the base class's per-step reference loop (parity oracle
-        # and escape hatch), "fused" takes the backend's whole-sequence
-        # kernel.
-        stimulus = BroadcastStimulus(sequence, len(batch))
-        alive = (1 << len(batch)) - 1
-        if self._scan_mode == "stepped":
-            detect_time = SimBackend.run_scan(
-                backend,
-                None,
-                machines,
-                stimulus,
-                observation_plan,
-                alive,
-                collect_final_states=collect_final_states,
-            )
-        else:
-            detect_time = backend.run_scan(
-                None,
-                machines,
-                stimulus,
-                observation_plan,
-                alive,
-                collect_final_states=collect_final_states,
-            )
+        # The whole per-step loop runs inside the backend's run_scan.
+        detect_time = backend.run_scan(
+            None,
+            machines,
+            BroadcastStimulus(sequence, len(batch)),
+            observation_plan,
+            (1 << len(batch)) - 1,
+            collect_final_states=collect_final_states,
+        )
 
         final_states = (
             machines.export_state_packed() if collect_final_states else None

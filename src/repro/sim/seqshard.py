@@ -11,11 +11,11 @@ populations interleave on one warm set of processes.
 
 Three mechanisms keep the IPC off the hot path:
 
-* **Context publication.**  The circuit, resolved backend name, batch
-  width and pipeline are published once as a pool context; each worker
+* **Context publication.**  The circuit, resolved backend name and
+  batch width are published once as a pool context; each worker
   builds its own serial :class:`~repro.sim.seqsim.SequenceBatchSimulator`
   from them.  Tasks then carry a context id plus per-call data.
-* **Shared-memory buffers.**  On the packed/numpy pipeline the base
+* **Shared-memory buffers.**  When numpy is importable the base
   sequence crosses the boundary as its bit matrix
   (:func:`~repro.sim.trace.base_bits_of`), published by the session's
   :class:`~repro.sim.trace.GoodTraceCache` in a
@@ -149,15 +149,11 @@ def plan_candidate_chunks(
 # ----------------------------------------------------------------------
 def build_seq_context(spec: tuple) -> dict:
     """Build this worker's serial simulator for one published context."""
-    _, circuit, backend_name, batch_width, pipeline, scan_mode = spec
+    _, circuit, backend_name, batch_width = spec
     compiled = CompiledCircuit(circuit)
     return {
         "simulator": SequenceBatchSimulator(
-            compiled,
-            batch_width=batch_width,
-            backend=backend_name,
-            pipeline=pipeline,
-            scan_mode=scan_mode,
+            compiled, batch_width=batch_width, backend=backend_name
         )
     }
 
@@ -294,20 +290,12 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
         circuit: Circuit | CompiledCircuit,
         batch_width: int = DEFAULT_SEQ_BATCH_WIDTH,
         backend: str | SimBackend | None = None,
-        pipeline: str = "packed",
         workers: int | None = None,
         min_shard_candidates: int | None = None,
         oversplit: int = DEFAULT_OVERSPLIT,
         chunking: str = DEFAULT_CHUNKING,
-        scan_mode: str | None = None,
     ) -> None:
-        super().__init__(
-            circuit,
-            batch_width=batch_width,
-            backend=backend,
-            pipeline=pipeline,
-            scan_mode=scan_mode,
-        )
+        super().__init__(circuit, batch_width=batch_width, backend=backend)
         if workers is None:
             workers = default_workers()
         if workers < 1:
@@ -408,16 +396,11 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
             return context
         if context is not None:
             context.retire()
-        # The parent resolves the scan mode (env, measured profile) and
-        # ships the resolved string: spawned workers inherit the
-        # environment only at pool start, not at dispatch time.
         spec = (
             "seq",
             self._compiled.circuit,
             self._backend.name,
             self._batch_width,
-            self._pipeline,
-            self._scan_mode,
         )
         self._context = PoolContext(pool, pool.register_context(spec))
         return self._context
@@ -425,20 +408,20 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
     def _use_derived_bits(self) -> bool:
         """Whether bases cross the boundary as bit matrices.
 
-        Requires numpy and the packed pipeline on the parent; the workers
-        run the same resolved configuration, so the capability matches.
+        Requires numpy on the parent; the workers run the same
+        interpreter, so the capability matches.
         """
-        return np is not None and self._pipeline == "packed"
+        return np is not None
 
     def _base_ref(self, base: TestSequence) -> tuple:
         """The cross-process reference for ``base``.
 
-        Packed/numpy: the base's bit matrix from the session's
+        With numpy: the base's bit matrix from the session's
         :class:`~repro.sim.trace.GoodTraceCache` — one shared-memory
         segment per (circuit, sequence) per session, shared with the
         serial packers and every other sharded simulator of this
         circuit (raw bytes when shared memory is unavailable).
-        Legacy/no-numpy: the pickled sequence itself.
+        Without numpy: the pickled sequence itself.
         """
         if not self._use_derived_bits():
             return ("seq", base)
@@ -547,13 +530,11 @@ def make_sequence_simulator(
     circuit: Circuit | CompiledCircuit,
     batch_width: int = DEFAULT_SEQ_BATCH_WIDTH,
     backend: str | SimBackend | None = None,
-    pipeline: str = "packed",
     workers: int = 1,
     min_shard_candidates: int | None = None,
     oversplit: int = DEFAULT_OVERSPLIT,
     chunking: str = DEFAULT_CHUNKING,
     force_shard: bool = False,
-    scan_mode: str | None = None,
     parallel: str | None = None,
 ) -> SequenceBatchSimulator:
     """The work-distribution seam for every candidate-simulation consumer.
@@ -587,32 +568,21 @@ def make_sequence_simulator(
     if mode == "threads":
         validate_chunking(chunking)
         return SequenceBatchSimulator(
-            circuit,
-            batch_width=batch_width,
-            backend=backend,
-            pipeline=pipeline,
-            scan_mode=scan_mode,
-            threads=workers,
+            circuit, batch_width=batch_width, backend=backend, threads=workers
         )
     if workers > 1 and not force_shard and single_core_machine():
         workers = 1
     if workers <= 1 or mode == "serial":
         validate_chunking(chunking)
         return SequenceBatchSimulator(
-            circuit,
-            batch_width=batch_width,
-            backend=backend,
-            pipeline=pipeline,
-            scan_mode=scan_mode,
+            circuit, batch_width=batch_width, backend=backend
         )
     return ShardedSequenceBatchSimulator(
         circuit,
         batch_width=batch_width,
         backend=backend,
-        pipeline=pipeline,
         workers=workers,
         min_shard_candidates=min_shard_candidates,
         oversplit=oversplit,
         chunking=chunking,
-        scan_mode=scan_mode,
     )

@@ -40,11 +40,9 @@ The hot path is a **packed pipeline**:
   that chunk below ``batch_width`` (Procedure 2's search phase under an
   omission-sized simulator) are not padded up to double their width.
 
-Both machines run on the selected :class:`~repro.sim.backend.SimBackend`.
-``pipeline="legacy"`` preserves the historical per-candidate repacking
-loop (per-PO observation, per-``(fault, batch size)`` programs) as a
-measurable reference — `benchmarks/bench_seqsim.py` tracks the packed
-pipeline's speedup over it.
+Both machines run on the selected :class:`~repro.sim.backend.SimBackend`,
+through its :meth:`~repro.sim.backend.SimBackend.run_scan`; the base
+class's per-step loop is the specification every override matches.
 
 This turns Procedure 2's ``ustart`` search and its vector-omission trials
 from per-candidate simulations into one batched pass per
@@ -75,7 +73,6 @@ from repro.sim.backend import (
     SimBackend,
     get_backend,
     resolve_auto,
-    resolve_scan_mode,
     resolve_simulator_threads,
 )
 from repro.sim.compiled import CompiledCircuit
@@ -386,8 +383,6 @@ class SequenceBatchSimulator:
         circuit: Circuit | CompiledCircuit,
         batch_width: int = DEFAULT_SEQ_BATCH_WIDTH,
         backend: str | SimBackend | None = None,
-        pipeline: str = "packed",
-        scan_mode: str | None = None,
         threads: int = 1,
     ) -> None:
         if isinstance(circuit, CompiledCircuit):
@@ -404,13 +399,6 @@ class SequenceBatchSimulator:
         # In-kernel thread lanes (native backend only): warm the pool and
         # clamp to what it granted; outcomes are bit-identical either way.
         self._threads = resolve_simulator_threads(self._backend, threads)
-        if pipeline not in ("packed", "legacy"):
-            raise SimulationError(
-                f"unknown seqsim pipeline {pipeline!r}; "
-                "expected 'packed' or 'legacy'"
-            )
-        self._pipeline = pipeline
-        self._scan_mode = resolve_scan_mode(scan_mode, paired=True)
         # The session-wide good-machine cache: packed base columns for
         # the derived-candidate pipeline come from here, so a base
         # reused across scans is converted to bits once per session.
@@ -427,14 +415,6 @@ class SequenceBatchSimulator:
     @property
     def batch_width(self) -> int:
         return self._batch_width
-
-    @property
-    def pipeline(self) -> str:
-        return self._pipeline
-
-    @property
-    def scan_mode(self) -> str:
-        return self._scan_mode
 
     @property
     def threads(self) -> int:
@@ -512,8 +492,8 @@ class SequenceBatchSimulator:
 
         One paired scan per ``batch_width`` candidates, each slot starting
         from the all-X state — a genetic population's whole fitness pass.
-        Always the serial packed pipeline, on any subclass or pipeline
-        setting; ``scan_mode="stepped"`` pins the reference loop.
+        Always serial, on any subclass: the sharded simulator inherits
+        this method unchanged.
         """
         self._check_widths(sequences)
         observations: list[FaultObservation] = []
@@ -616,12 +596,7 @@ class SequenceBatchSimulator:
         outcomes: list[bool] = []
         for start in range(0, len(sequences), self._batch_width):
             batch = sequences[start : start + self._batch_width]
-            if self._pipeline == "legacy":
-                outcomes.extend(self._run_batch_legacy(fault, batch))
-            else:
-                outcomes.extend(
-                    self._run_packed(fault, self._pack_explicit(batch))
-                )
+            outcomes.extend(self._run_packed(fault, self._pack_explicit(batch)))
         return outcomes
 
     def _scan_derived(self, fault: Fault, plan: ScanPlan) -> list[bool]:
@@ -631,7 +606,7 @@ class SequenceBatchSimulator:
             raise SimulationError(
                 f"base width {base.width} != circuit inputs {width}"
             )
-        if np is None or self._pipeline == "legacy":
+        if np is None:
             # Fallback: materialize the expanded candidates.
             return self._scan_explicit(
                 fault,
@@ -658,8 +633,8 @@ class SequenceBatchSimulator:
 
         The entry point the candidate-axis shard workers use: they attach
         the published base-bits buffer and call this directly, skipping
-        any per-task base reconstruction.  Requires numpy and the packed
-        pipeline (the parent falls back to pickled bases otherwise).
+        any per-task base reconstruction.  Requires numpy (the parent
+        falls back to pickled bases otherwise).
         """
         width = self._compiled.num_inputs
         outcomes: list[bool] = []
@@ -726,92 +701,7 @@ class SequenceBatchSimulator:
         good.threads = self._threads
         faulty.threads = self._threads
         # The whole per-step loop — input load, paired eval, detection,
-        # first-hit bookkeeping, state latch — lives in run_scan now.
-        # "stepped" pins the base class's per-step reference loop (the
-        # parity oracle and escape hatch); "fused" dispatches to the
-        # backend's whole-sequence kernel.
-        if self._scan_mode == "stepped":
-            return SimBackend.run_scan(
-                backend,
-                good,
-                faulty,
-                packer,
-                None,
-                packer.alive_masks,
-                divergence=divergence,
-            )
+        # first-hit bookkeeping, state latch — lives in run_scan.
         return backend.run_scan(
             good, faulty, packer, None, packer.alive_masks, divergence=divergence
         )
-
-    def _run_batch_legacy(
-        self, fault: Fault, batch: list[TestSequence]
-    ) -> list[bool]:
-        """The pre-packed-pipeline loop, preserved as a benchmark reference.
-
-        Per-candidate Python repacking, per-PO ``observe_po`` comparisons
-        and per-``(fault, batch size)`` programs — the baseline
-        `benchmarks/bench_seqsim.py` measures the packed pipeline against.
-        """
-        compiled = self._compiled
-        width = compiled.num_inputs
-        batch_size = len(batch)
-        if batch_size == 0:
-            return []
-        full = (1 << batch_size) - 1
-        backend = self._backend
-        good = backend.batch(backend.program(None), batch_size)
-        faulty = backend.batch(backend.program((fault,) * batch_size), batch_size)
-
-        lengths = [len(sequence) for sequence in batch]
-        max_len = max(lengths)
-        # alive[t]: slots whose sequence still covers time t.
-        alive_masks: list[int] = []
-        for t in range(max_len):
-            mask = 0
-            for slot, length in enumerate(lengths):
-                if t < length:
-                    mask |= 1 << slot
-            alive_masks.append(mask)
-        # Per-time, per-PI packed input words (padding with 0 past the end).
-        pi_words: list[tuple[list[int], list[int]]] = []
-        for t in range(max_len):
-            ones_row: list[int] = []
-            zeros_row: list[int] = []
-            for position in range(width):
-                ones = 0
-                for slot, sequence in enumerate(batch):
-                    if t < lengths[slot] and sequence[t][position]:
-                        ones |= 1 << slot
-                ones_row.append(ones)
-                zeros_row.append(full & ~ones)
-            pi_words.append((ones_row, zeros_row))
-
-        num_outputs = len(compiled.po_indices)
-        pending = full
-
-        for t in range(max_len):
-            ones_row, zeros_row = pi_words[t]
-            good.load_inputs_packed(ones_row, zeros_row)
-            faulty.load_inputs_packed(ones_row, zeros_row)
-            good.load_state()
-            faulty.load_state()
-            faulty.apply_source_patches()
-
-            good.eval()
-            faulty.eval()
-
-            detected_now = 0
-            for position in range(num_outputs):
-                gh, gl = good.observe_po(position)
-                fh, fl = faulty.observe_po(position)
-                detected_now |= (gh & fl) | (gl & fh)
-            pending &= ~(detected_now & alive_masks[t])
-            if pending == 0:
-                break
-
-            good.capture_state()
-            faulty.capture_state()
-
-        detected = full & ~pending
-        return [bool(detected >> slot & 1) for slot in range(batch_size)]

@@ -125,14 +125,11 @@ def plan_chunks(
 # ----------------------------------------------------------------------
 def build_fault_context(spec: tuple) -> dict:
     """Build this worker's simulator for one published fault context."""
-    _, circuit, backend_name, batch_width, scan_mode, faults = spec
+    _, circuit, backend_name, batch_width, faults = spec
     compiled = CompiledCircuit(circuit)
     return {
         "simulator": FaultSimulator(
-            compiled,
-            batch_width=batch_width,
-            backend=backend_name,
-            scan_mode=scan_mode,
+            compiled, batch_width=batch_width, backend=backend_name
         ),
         "faults": faults,
     }
@@ -230,14 +227,8 @@ class ShardedFaultSimulator(FaultSimulator):
         workers: int | None = None,
         min_shard_faults: int = SERIAL_FALLBACK_FAULTS,
         oversplit: int = DEFAULT_OVERSPLIT,
-        scan_mode: str | None = None,
     ) -> None:
-        super().__init__(
-            circuit,
-            batch_width=batch_width,
-            backend=backend,
-            scan_mode=scan_mode,
-        )
+        super().__init__(circuit, batch_width=batch_width, backend=backend)
         if workers is None:
             workers = default_workers()
         if workers < 1:
@@ -323,14 +314,11 @@ class ShardedFaultSimulator(FaultSimulator):
             return context
         if context is not None:
             context.handle.retire()
-        # The resolved scan mode ships with the spec: spawned workers
-        # inherit the environment only at pool start, not dispatch time.
         spec = (
             "fault",
             self._compiled.circuit,
             self._backend.name,
             self._batch_width,
-            self._scan_mode,
             list(faults),
         )
         self._context = _FaultContext(pool, pool.register_context(spec), faults)
@@ -442,7 +430,6 @@ def make_fault_simulator(
     min_shard_faults: int = SERIAL_FALLBACK_FAULTS,
     oversplit: int = DEFAULT_OVERSPLIT,
     force_shard: bool = False,
-    scan_mode: str | None = None,
     parallel: str | None = None,
 ) -> FaultSimulator:
     """The work-distribution seam used by every fault-simulation consumer.
@@ -471,21 +458,12 @@ def make_fault_simulator(
     )
     if mode == "threads":
         return FaultSimulator(
-            circuit,
-            batch_width=batch_width,
-            backend=backend,
-            scan_mode=scan_mode,
-            threads=workers,
+            circuit, batch_width=batch_width, backend=backend, threads=workers
         )
     if workers > 1 and not force_shard and single_core_machine():
         workers = 1
     if workers <= 1 or mode == "serial":
-        return FaultSimulator(
-            circuit,
-            batch_width=batch_width,
-            backend=backend,
-            scan_mode=scan_mode,
-        )
+        return FaultSimulator(circuit, batch_width=batch_width, backend=backend)
     return ShardedFaultSimulator(
         circuit,
         batch_width=batch_width,
@@ -493,5 +471,4 @@ def make_fault_simulator(
         workers=workers,
         min_shard_faults=min_shard_faults,
         oversplit=oversplit,
-        scan_mode=scan_mode,
     )

@@ -10,7 +10,7 @@ from repro.circuits.catalog import load_circuit, paper_t0_s27
 from repro.circuits.generator import SyntheticSpec, generate_circuit
 from repro.core.sequence import TestSequence
 from repro.faults.universe import FaultUniverse
-from repro.sim.backend import backend_unavailable_reason
+from repro.sim.backend import SimBackend, backend_unavailable_reason, get_backend
 from repro.sim.compiled import CompiledCircuit
 
 
@@ -32,6 +32,26 @@ def require_backend():
         return name
 
     return _require
+
+
+@pytest.fixture
+def base_loop_backend():
+    """Factory for an engine that scans on the base per-step loop.
+
+    ``make(compiled, name)`` returns a fresh instance of ``name``'s
+    backend class whose ``run_scan`` is :meth:`SimBackend.run_scan` —
+    the specification every engine's own scan must match.  Pass it as a
+    simulator's ``backend=``; instances are never memoized, so the
+    circuit's shared backend keeps its own scan.
+    """
+
+    def _make(compiled: CompiledCircuit, name: str) -> SimBackend:
+        class BaseLoop(type(get_backend(compiled, name))):
+            run_scan = SimBackend.run_scan
+
+        return BaseLoop(compiled)
+
+    return _make
 
 
 @pytest.fixture(scope="session")

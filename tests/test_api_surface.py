@@ -74,25 +74,19 @@ class TestSessionFacadeSurface:
         ):
             assert name in repro.__all__, name
 
-    def test_deprecated_factories_warn_and_delegate(self, s27):
-        with pytest.warns(DeprecationWarning, match="Session.fault_simulator"):
-            simulator = repro.make_fault_simulator(s27)
-        simulator.close()
-        with pytest.warns(DeprecationWarning, match="Session.sequence_simulator"):
-            simulator = repro.make_sequence_simulator(s27)
-        simulator.close()
-        with repro.Session() as session:
-            compiled = session.compile(s27)
-        with pytest.warns(DeprecationWarning, match="Session.trace_cache"):
-            cache = repro.get_trace_cache(compiled)
-        assert cache is not None
-
-    def test_get_worker_pool_shim_warns(self):
-        # workers=1 is rejected by the pool itself; the warning must fire
-        # before that validation to prove the shim path is exercised.
-        with pytest.warns(DeprecationWarning, match="Session.worker_pool"):
-            with pytest.raises(Exception):
-                repro.get_worker_pool(1)
+    def test_retired_factory_shims_are_gone(self):
+        """Sessions own these concerns; ``repro.sim`` keeps the factories."""
+        for name in (
+            "make_fault_simulator",
+            "make_sequence_simulator",
+            "get_worker_pool",
+            "get_trace_cache",
+            "_deprecated_entry_point",
+        ):
+            assert not hasattr(repro, name), name
+            assert name not in repro.__all__, name
+        assert callable(repro.sim.make_fault_simulator)
+        assert callable(repro.sim.make_sequence_simulator)
 
 
 class TestConfigJsonRoundTrips:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -77,6 +78,17 @@ class TestProfilePersistence:
         payload["version"] = 1
         with pytest.raises(SimulationError, match="version"):
             MachineProfile.from_json(payload)
+
+    def test_v2_profiles_with_scan_modes_dropped(self, tmp_path):
+        """v2 profiles carry per-axis scan-mode verdicts that no longer
+        exist; loading one yields no profile, forcing a recalibration."""
+        payload = static_profile().to_json()
+        payload.update(
+            version=2, fault_scan_mode="stepped", candidate_scan_mode="fused"
+        )
+        target = tmp_path / "profile.json"
+        target.write_text(json.dumps(payload), encoding="utf-8")
+        assert load_profile(target) is None
 
     def test_save_load_via_env(self, tmp_path, monkeypatch):
         target = tmp_path / "profile.json"

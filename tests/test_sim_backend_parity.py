@@ -27,7 +27,6 @@ from repro.faults.model import BRANCH, STEM, Fault, FaultSite
 from repro.faults.universe import FaultUniverse
 from repro.logic.values import ONE, X, ZERO
 from repro.sim.backend import (
-    SCAN_MODE_ENV,
     BroadcastStimulus,
     ScanDivergence,
     SimBackend,
@@ -36,8 +35,6 @@ from repro.sim.backend import (
     get_backend,
     registry_backends,
     resolve_backend_name,
-    resolve_scan_mode,
-    set_measured_scan_modes,
 )
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
@@ -344,31 +341,34 @@ def scan_workload():
     return compiled, t0, fault, udet, undetected
 
 
-class TestScanModeParity:
-    """Fused whole-sequence scans equal the per-step reference loop.
+class TestBaseLoopParity:
+    """Every engine's own ``run_scan`` equals the base per-step loop.
 
-    ``scan_mode`` is a pure throughput knob: detection times, candidate
-    outcomes, first-hit winners *and* the evaluated-candidate statistic
-    must be bit-identical between the fused ``run_scan`` kernels and the
-    stepped reference on every engine.
+    :meth:`SimBackend.run_scan` is the specification: detection times,
+    candidate outcomes, first-hit winners *and* the evaluated-candidate
+    statistic must be bit-identical between each engine's scan and the
+    base loop run on the same engine.
     """
 
-    @pytest.mark.parametrize("scan_mode", ["fused", "stepped"])
-    def test_fault_axis_detection_times(self, compiled, backend_name, scan_mode):
+    @pytest.mark.parametrize("base_loop", [False, True], ids=["own", "base"])
+    def test_fault_axis_detection_times(
+        self, compiled, backend_name, base_loop, base_loop_backend
+    ):
         universe = FaultUniverse(compiled.circuit)
         faults = list(universe.faults())
         sequence = _random_sequence(compiled.circuit, 32, seed=900)
         reference = FaultSimulator(
-            compiled, backend="python", scan_mode="stepped"
+            compiled, backend=base_loop_backend(compiled, "python")
         ).run(sequence, faults)
-        result = FaultSimulator(
-            compiled, backend=backend_name, scan_mode=scan_mode
-        ).run(sequence, faults)
+        backend = (
+            base_loop_backend(compiled, backend_name) if base_loop else backend_name
+        )
+        result = FaultSimulator(compiled, backend=backend).run(sequence, faults)
         assert result.detection_time == reference.detection_time
         assert reference.num_detected > 0
 
     @pytest.mark.parametrize("backend", registry_backends())
-    def test_candidate_outcomes_identical(self, compiled, backend):
+    def test_candidate_outcomes_identical(self, compiled, backend, base_loop_backend):
         _require_backend(backend)
         universe = FaultUniverse(compiled.circuit)
         faults = list(universe.faults())
@@ -376,37 +376,43 @@ class TestScanModeParity:
             _random_sequence(compiled.circuit, 3 + (j % 11), seed=800 + j)
             for j in range(70)  # > 64: crosses a word boundary in one batch
         ]
+        own = SequenceBatchSimulator(compiled, batch_width=70, backend=backend)
+        base = SequenceBatchSimulator(
+            compiled,
+            batch_width=70,
+            backend=base_loop_backend(compiled, backend),
+        )
         for fault in faults[:: max(1, len(faults) // 5)]:
-            outcomes = {
-                mode: SequenceBatchSimulator(
-                    compiled, batch_width=70, backend=backend, scan_mode=mode
-                ).detects(fault, candidates)
-                for mode in ("fused", "stepped")
-            }
-            assert outcomes["fused"] == outcomes["stepped"], str(fault)
+            assert own.detects(fault, candidates) == base.detects(
+                fault, candidates
+            ), str(fault)
 
     @pytest.mark.parametrize("backend", registry_backends())
-    def test_first_hit_winner_and_evaluated_count(self, scan_workload, backend):
-        """Early exit must stop at the same chunk under either mode."""
+    def test_first_hit_winner_and_evaluated_count(
+        self, scan_workload, backend, base_loop_backend
+    ):
+        """Early exit must stop at the same chunk on either scan."""
         _require_backend(backend)
         compiled, t0, fault, udet, _ = scan_workload
         spans = [(u, udet) for u in range(udet, -1, -1)]
         plan = WindowRampPlan(t0, spans, ExpansionConfig(repetitions=2))
-        outcomes = {
-            mode: SequenceBatchSimulator(
-                compiled, batch_width=16, backend=backend, scan_mode=mode
+        outcomes = [
+            SequenceBatchSimulator(
+                compiled, batch_width=16, backend=engine
             ).first_hit(fault, plan, chunk=8)
-            for mode in ("fused", "stepped")
-        }
-        assert outcomes["fused"] == outcomes["stepped"]
-        position, evaluated = outcomes["fused"]
+            for engine in (backend, base_loop_backend(compiled, backend))
+        ]
+        assert outcomes[0] == outcomes[1]
+        position, evaluated = outcomes[0]
         assert position is not None
         # The documented serial-chunked-scan statistic: whole chunks up
         # to and including the winning one.
         assert evaluated == min(len(spans), ((position // 8) + 1) * 8)
 
     @pytest.mark.parametrize("backend", registry_backends())
-    def test_no_winner_evaluates_everything(self, scan_workload, backend):
+    def test_no_winner_evaluates_everything(
+        self, scan_workload, backend, base_loop_backend
+    ):
         _require_backend(backend)
         compiled, t0, _fault, udet, undetected = scan_workload
         assert undetected, "syn298 stimulus should leave some faults undetected"
@@ -427,54 +433,14 @@ class TestScanModeParity:
             None,
         )
         assert ghost is not None, "expected an expanded-window-proof fault"
-        for mode in ("fused", "stepped"):
+        for engine in (backend, base_loop_backend(compiled, backend)):
             simulator = SequenceBatchSimulator(
-                compiled, batch_width=16, backend=backend, scan_mode=mode
+                compiled, batch_width=16, backend=engine
             )
             assert simulator.first_hit(ghost, plan, chunk=8) == (
                 None,
                 len(spans),
-            ), mode
-
-
-class TestScanModeResolution:
-    def test_explicit_argument_wins(self, monkeypatch):
-        # This test pins the static default, so clear any ambient knob
-        # (the CI stepped-scan lane runs the whole suite under it).
-        monkeypatch.delenv(SCAN_MODE_ENV, raising=False)
-        assert resolve_scan_mode("fused") == "fused"
-        assert resolve_scan_mode("stepped", paired=True) == "stepped"
-        assert resolve_scan_mode(None) == "fused"
-        assert resolve_scan_mode("auto") == "fused"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(SimulationError, match="scan mode"):
-            resolve_scan_mode("vectorized")
-
-    def test_env_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv(SCAN_MODE_ENV, "stepped")
-        assert resolve_scan_mode(None) == "stepped"
-        compiled = CompiledCircuit(load_circuit("s27"))
-        assert SequenceBatchSimulator(compiled).scan_mode == "stepped"
-        assert FaultSimulator(compiled).scan_mode == "stepped"
-        # Explicit arguments still beat the environment.
-        assert resolve_scan_mode("fused") == "fused"
-        monkeypatch.setenv(SCAN_MODE_ENV, "nonsense")
-        with pytest.raises(SimulationError, match=SCAN_MODE_ENV):
-            resolve_scan_mode(None)
-
-    def test_measured_modes_install_and_clear(self, monkeypatch):
-        monkeypatch.delenv(SCAN_MODE_ENV, raising=False)
-        try:
-            set_measured_scan_modes(fault="stepped", paired="fused")
-            assert resolve_scan_mode(None) == "stepped"
-            assert resolve_scan_mode(None, paired=True) == "fused"
-            assert resolve_scan_mode("fused") == "fused"
-        finally:
-            set_measured_scan_modes(None, None)
-        assert resolve_scan_mode(None) == "fused"
-        with pytest.raises(SimulationError, match="scan mode"):
-            set_measured_scan_modes(fault="sideways")
+            ), engine
 
 
 def _detect_step_trace(compiled, backend, fault, sequences, batch_size):
@@ -796,14 +762,15 @@ class TestProgramCache:
 # ----------------------------------------------------------------------
 # Candidate-axis observation: detection times + flop divergence
 # ----------------------------------------------------------------------
-#: (backend, scan mode, kernel threads) engines checked against the
+#: (backend, base loop, kernel threads) engines checked against the
 #: scalar FaultObserver oracle; unavailable backends skip.  The python
-#: engine and the "stepped" pin both run the per-step base loop.
+#: engine and the base-loop native instance both run the per-step
+#: :meth:`SimBackend.run_scan`.
 OBSERVE_ENGINES = [
-    ("python", "fused", 1),
-    ("native", "fused", 1),
-    ("native", "fused", 2),
-    ("native", "stepped", 1),
+    ("python", False, 1),
+    ("native", False, 1),
+    ("native", False, 2),
+    ("native", True, 1),
 ]
 
 #: Generated circuits beside the catalog ones: flop-heavy and PI-heavy.
@@ -867,17 +834,20 @@ class TestObserveParity:
 
     @pytest.mark.parametrize("slots", [63, 64, 65, 129])
     @pytest.mark.parametrize(
-        "engine", OBSERVE_ENGINES, ids=lambda e: f"{e[0]}-{e[1]}-t{e[2]}"
+        "engine",
+        OBSERVE_ENGINES,
+        ids=lambda e: f"{e[0]}{'-base' if e[1] else ''}-t{e[2]}",
     )
-    def test_matches_scalar_oracle(self, observe_case, engine, slots):
-        name, scan_mode, threads = engine
+    def test_matches_scalar_oracle(
+        self, observe_case, engine, slots, base_loop_backend
+    ):
+        name, base_loop, threads = engine
         _require_backend(name)
         compiled, candidates, expected = observe_case
         simulator = SequenceBatchSimulator(
             compiled,
             batch_width=slots,
-            backend=name,
-            scan_mode=scan_mode,
+            backend=base_loop_backend(compiled, name) if base_loop else name,
             threads=threads,
         )
         for fault, want in expected.items():

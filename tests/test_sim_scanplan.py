@@ -178,16 +178,10 @@ class TestPlanIR:
 
 @pytest.mark.parametrize("backend", registry_backends())
 @pytest.mark.parametrize("workers", WORKER_AXIS)
-@pytest.mark.parametrize("scan_mode", ["fused", "stepped"])
 class TestChunkingParity:
-    """Cost and count plans are bit-identical for any worker count.
+    """Cost and count plans are bit-identical for any worker count."""
 
-    The scan-mode axis rides along: the reference outcomes are always
-    computed with the fused whole-sequence kernels, so a ``stepped``
-    point additionally proves scan fusion changes nothing either.
-    """
-
-    def _simulators(self, compiled, backend, workers, scan_mode):
+    def _simulators(self, compiled, backend, workers):
         return {
             chunking: make_sequence_simulator(
                 compiled,
@@ -196,7 +190,6 @@ class TestChunkingParity:
                 workers=workers,
                 min_shard_candidates=1,
                 chunking=chunking,
-                scan_mode=scan_mode,
                 # The multi-worker axis must exercise the sharded path
                 # even on a single-core runner.
                 force_shard=True,
@@ -205,7 +198,7 @@ class TestChunkingParity:
         }
 
     def test_first_hit_and_outcomes_identical(
-        self, workload, backend, workers, scan_mode, require_backend
+        self, workload, backend, workers, require_backend
     ):
         require_backend(backend)
         compiled, t0, fault, udet = workload
@@ -214,19 +207,17 @@ class TestChunkingParity:
         omission_plan = OmissionPlan(
             t0.subsequence(0, udet), range(udet + 1), EXPANSION
         )
-        reference = SequenceBatchSimulator(
-            compiled, batch_width=16, backend=backend, scan_mode="fused"
-        )
+        reference = SequenceBatchSimulator(compiled, batch_width=16, backend=backend)
         expected = {
             "windows": reference.scan(fault, window_plan),
             "omissions": reference.scan(fault, omission_plan),
             "first_window": reference.first_hit(fault, window_plan, chunk=8),
             "first_omission": reference.first_hit(fault, omission_plan, chunk=8),
         }
-        simulators = self._simulators(compiled, backend, workers, scan_mode)
+        simulators = self._simulators(compiled, backend, workers)
         try:
             for chunking, simulator in simulators.items():
-                label = f"{chunking}/w{workers}/{backend}/{scan_mode}"
+                label = f"{chunking}/w{workers}/{backend}"
                 assert (
                     simulator.scan(fault, window_plan) == expected["windows"]
                 ), label
@@ -246,20 +237,18 @@ class TestChunkingParity:
                 simulator.close()
 
     def test_empty_ramp_and_single_candidate_edges(
-        self, workload, backend, workers, scan_mode, require_backend
+        self, workload, backend, workers, require_backend
     ):
         require_backend(backend)
         compiled, t0, fault, udet = workload
         empty_plan = WindowRampPlan(t0, [], EXPANSION)
         single_plan = WindowRampPlan(t0, [(udet, udet)], EXPANSION)
-        reference = SequenceBatchSimulator(
-            compiled, batch_width=16, backend=backend, scan_mode="fused"
-        )
+        reference = SequenceBatchSimulator(compiled, batch_width=16, backend=backend)
         expected_single = reference.first_hit(fault, single_plan, chunk=8)
-        simulators = self._simulators(compiled, backend, workers, scan_mode)
+        simulators = self._simulators(compiled, backend, workers)
         try:
             for chunking, simulator in simulators.items():
-                label = f"{chunking}/w{workers}/{backend}/{scan_mode}"
+                label = f"{chunking}/w{workers}/{backend}"
                 assert simulator.scan(fault, empty_plan) == [], label
                 assert simulator.first_hit(fault, empty_plan, chunk=8) == (
                     None,

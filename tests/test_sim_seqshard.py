@@ -184,14 +184,8 @@ class TestFactory:
 
 @pytest.mark.parametrize("backend", registry_backends())
 @pytest.mark.parametrize("workers", [2, 4])
-@pytest.mark.parametrize("scan_mode", ["fused", "stepped"])
 class TestShardedParity:
-    """Worker count is a pure throughput knob — and so is scan mode.
-
-    The serial reference is computed with the default (fused) scans, so
-    the ``stepped`` points also prove the per-step reference loop and
-    the whole-sequence kernels agree across process boundaries.
-    """
+    """Worker count is a pure throughput knob."""
 
     def test_windows_omissions_and_first_hits(
         self,
@@ -199,7 +193,6 @@ class TestShardedParity:
         serial_reference,
         backend,
         workers,
-        scan_mode,
         require_backend,
     ):
         require_backend(backend)
@@ -210,7 +203,6 @@ class TestShardedParity:
             batch_width=16,
             backend=backend,
             workers=workers,
-            scan_mode=scan_mode,
             min_shard_candidates=1,
         ) as simulator:
             assert simulator.should_shard(len(spans))
@@ -241,7 +233,6 @@ class TestShardedParity:
         serial_reference,
         backend,
         workers,
-        scan_mode,
         require_backend,
     ):
         require_backend(backend)
@@ -255,7 +246,6 @@ class TestShardedParity:
             batch_width=16,
             backend=backend,
             workers=workers,
-            scan_mode=scan_mode,
             min_shard_candidates=1,
         ) as simulator:
             assert simulator.detects(fault, candidates) == serial
@@ -326,20 +316,26 @@ class TestTransports:
                 == shm_omissions
             )
 
-    def test_legacy_pipeline_ships_pickled_bases(self, workload):
-        """The legacy pipeline shards too — through the pickle path."""
-        compiled, t0, fault, _udet, spans, *_ = workload
-        serial = SequenceBatchSimulator(
-            compiled, batch_width=16, pipeline="legacy"
-        ).detects_windows(fault, t0, spans, EXPANSION)
+    def test_pickled_base_transport(self, workload, monkeypatch):
+        """Without base bits (no numpy), bases ship as ``("seq", base)``."""
+        compiled, t0, fault, _udet, spans, base, omissions, _ = workload
+        serial = SequenceBatchSimulator(compiled, batch_width=16)
+        monkeypatch.setattr(
+            ShardedSequenceBatchSimulator, "_use_derived_bits", lambda self: False
+        )
         with ShardedSequenceBatchSimulator(
-            compiled,
-            batch_width=16,
-            pipeline="legacy",
-            workers=2,
-            min_shard_candidates=1,
+            compiled, batch_width=16, workers=2, min_shard_candidates=1
         ) as simulator:
-            assert simulator.detects_windows(fault, t0, spans, EXPANSION) == serial
+            assert simulator._base_ref(t0) == ("seq", t0)
+            assert simulator.detects_windows(
+                fault, t0, spans, EXPANSION
+            ) == serial.detects_windows(fault, t0, spans, EXPANSION)
+            assert simulator.detects_omissions(
+                fault, base, omissions, EXPANSION
+            ) == serial.detects_omissions(fault, base, omissions, EXPANSION)
+            assert simulator.first_detecting_window(
+                fault, t0, spans, EXPANSION, chunk=8
+            ) == serial.first_detecting_window(fault, t0, spans, EXPANSION, chunk=8)
 
     def test_spawn_start_method_parity(self, workload, monkeypatch):
         """The design must survive spawn (nothing inherited)."""

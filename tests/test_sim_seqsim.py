@@ -9,6 +9,7 @@ from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
 from repro.faults.universe import FaultUniverse
 from repro.sim.faultsim import FaultSimulator
+from repro.sim.reference import ReferenceSimulator
 from repro.sim.seqsim import SequenceBatchSimulator
 from repro.util.rng import SplitMix64
 
@@ -88,10 +89,6 @@ class TestBatchMechanics:
         with pytest.raises(SimulationError):
             SequenceBatchSimulator(s27, batch_width=0)
 
-    def test_unknown_pipeline_rejected(self, s27):
-        with pytest.raises(SimulationError, match="pipeline"):
-            SequenceBatchSimulator(s27, pipeline="turbo")
-
 
 #: Expansion configurations covering every operator-toggle combination the
 #: derived packer has to map (the paper's default plus ablations and the
@@ -167,22 +164,21 @@ class TestDerivedCandidates:
             )
 
 
-class TestLegacyPipelineParity:
-    """The preserved legacy pipeline and the packed one must agree."""
+class TestAgainstReferenceSimulator:
+    """Packed candidate batches agree with the scalar reference, one by one."""
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_outcomes_identical(self, s27, s27_universe, backend):
         if backend == "numpy":
             pytest.importorskip("numpy")
+        reference = ReferenceSimulator(s27)
         candidates = _random_sequences(21, 4, 30, 11)
         for fault in list(s27_universe.faults())[::6]:
             packed = SequenceBatchSimulator(
                 s27, batch_width=8, backend=backend
             ).detects(fault, candidates)
-            legacy = SequenceBatchSimulator(
-                s27, batch_width=8, backend=backend, pipeline="legacy"
-            ).detects(fault, candidates)
-            assert packed == legacy, str(fault)
+            singly = [reference.detects(c, fault) for c in candidates]
+            assert packed == singly, str(fault)
 
 
 class TestPartialBatchProgramCache:
