@@ -34,7 +34,7 @@ def require_backend():
     return _require
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def base_loop_backend():
     """Factory for an engine that scans on the base per-step loop.
 

@@ -41,7 +41,9 @@ from repro.sim.faultsim import FaultSimulator
 from repro.sim.logicsim import LogicSimulator
 from repro.sim.native_build import NO_NATIVE_ENV
 from repro.sim.scanplan import WindowRampPlan
+from repro.sim.seqshard import ShardedSequenceBatchSimulator, make_sequence_simulator
 from repro.sim.seqsim import SequenceBatchSimulator
+from repro.sim.sharding import ShardedFaultSimulator, make_fault_simulator
 from repro.util.rng import SplitMix64
 
 pytest.importorskip("numpy")
@@ -441,6 +443,42 @@ class TestBaseLoopParity:
                 None,
                 len(spans),
             ), engine
+
+
+#: Constructors that once took ``scan_mode=`` (all six) or
+#: ``pipeline=`` (the candidate axis's three).  Each engine now has one
+#: scan path, so both keywords must be rejected rather than ignored.
+SCAN_MODE_SIGNATURES = [
+    FaultSimulator,
+    ShardedFaultSimulator,
+    make_fault_simulator,
+    SequenceBatchSimulator,
+    ShardedSequenceBatchSimulator,
+    make_sequence_simulator,
+]
+PIPELINE_SIGNATURES = [
+    SequenceBatchSimulator,
+    ShardedSequenceBatchSimulator,
+    make_sequence_simulator,
+]
+
+
+class TestRetiredScanOptions:
+    @pytest.mark.parametrize(
+        "factory", SCAN_MODE_SIGNATURES, ids=lambda factory: factory.__name__
+    )
+    def test_scan_mode_keyword_rejected(self, factory):
+        compiled = CompiledCircuit(load_circuit("s27"))
+        with pytest.raises(TypeError, match="scan_mode"):
+            factory(compiled, scan_mode="stepped")
+
+    @pytest.mark.parametrize(
+        "factory", PIPELINE_SIGNATURES, ids=lambda factory: factory.__name__
+    )
+    def test_pipeline_keyword_rejected(self, factory):
+        compiled = CompiledCircuit(load_circuit("s27"))
+        with pytest.raises(TypeError, match="pipeline"):
+            factory(compiled, pipeline="legacy")
 
 
 def _detect_step_trace(compiled, backend, fault, sequences, batch_size):

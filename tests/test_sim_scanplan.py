@@ -178,8 +178,22 @@ class TestPlanIR:
 
 @pytest.mark.parametrize("backend", registry_backends())
 @pytest.mark.parametrize("workers", WORKER_AXIS)
+@pytest.mark.parametrize("reference_scan", ["engine", "base-loop"])
 class TestChunkingParity:
-    """Cost and count plans are bit-identical for any worker count."""
+    """Cost and count plans are bit-identical for any worker count.
+
+    The serial reference is computed either with the engine's own scan
+    or with the base per-step loop that specifies it, so the
+    ``base-loop`` points also prove every chunked scan matches the spec.
+    """
+
+    def _reference(self, compiled, backend, reference_scan, base_loop_backend):
+        engine = (
+            base_loop_backend(compiled, backend)
+            if reference_scan == "base-loop"
+            else backend
+        )
+        return SequenceBatchSimulator(compiled, batch_width=16, backend=engine)
 
     def _simulators(self, compiled, backend, workers):
         return {
@@ -198,7 +212,13 @@ class TestChunkingParity:
         }
 
     def test_first_hit_and_outcomes_identical(
-        self, workload, backend, workers, require_backend
+        self,
+        workload,
+        backend,
+        workers,
+        reference_scan,
+        base_loop_backend,
+        require_backend,
     ):
         require_backend(backend)
         compiled, t0, fault, udet = workload
@@ -207,7 +227,9 @@ class TestChunkingParity:
         omission_plan = OmissionPlan(
             t0.subsequence(0, udet), range(udet + 1), EXPANSION
         )
-        reference = SequenceBatchSimulator(compiled, batch_width=16, backend=backend)
+        reference = self._reference(
+            compiled, backend, reference_scan, base_loop_backend
+        )
         expected = {
             "windows": reference.scan(fault, window_plan),
             "omissions": reference.scan(fault, omission_plan),
@@ -217,7 +239,7 @@ class TestChunkingParity:
         simulators = self._simulators(compiled, backend, workers)
         try:
             for chunking, simulator in simulators.items():
-                label = f"{chunking}/w{workers}/{backend}"
+                label = f"{chunking}/w{workers}/{backend}/{reference_scan}"
                 assert (
                     simulator.scan(fault, window_plan) == expected["windows"]
                 ), label
@@ -237,18 +259,26 @@ class TestChunkingParity:
                 simulator.close()
 
     def test_empty_ramp_and_single_candidate_edges(
-        self, workload, backend, workers, require_backend
+        self,
+        workload,
+        backend,
+        workers,
+        reference_scan,
+        base_loop_backend,
+        require_backend,
     ):
         require_backend(backend)
         compiled, t0, fault, udet = workload
         empty_plan = WindowRampPlan(t0, [], EXPANSION)
         single_plan = WindowRampPlan(t0, [(udet, udet)], EXPANSION)
-        reference = SequenceBatchSimulator(compiled, batch_width=16, backend=backend)
+        reference = self._reference(
+            compiled, backend, reference_scan, base_loop_backend
+        )
         expected_single = reference.first_hit(fault, single_plan, chunk=8)
         simulators = self._simulators(compiled, backend, workers)
         try:
             for chunking, simulator in simulators.items():
-                label = f"{chunking}/w{workers}/{backend}"
+                label = f"{chunking}/w{workers}/{backend}/{reference_scan}"
                 assert simulator.scan(fault, empty_plan) == [], label
                 assert simulator.first_hit(fault, empty_plan, chunk=8) == (
                     None,

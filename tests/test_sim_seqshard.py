@@ -69,23 +69,36 @@ def workload():
     return compiled, t0, fault, udet, spans, base, omissions, undetected
 
 
+#: Which scan computes the serial reference: the engine's own
+#: ``run_scan`` or the base per-step loop that specifies it.  Sharded
+#: workers always run the engine's own scan, so the ``base-loop`` points
+#: check that scan against the specification across process boundaries.
+REFERENCE_SCANS = ["engine", "base-loop"]
+
+
 @pytest.fixture(scope="module")
-def serial_reference(workload):
-    """Serial outcomes per backend, computed once."""
+def serial_reference(workload, base_loop_backend):
+    """Serial outcomes per backend and reference scan, computed once."""
     compiled, t0, fault, _udet, spans, base, omissions, _ = workload
     reference = {}
     for backend in available_backends():
-        serial = SequenceBatchSimulator(compiled, batch_width=16, backend=backend)
-        reference[backend] = {
-            "windows": serial.detects_windows(fault, t0, spans, EXPANSION),
-            "omissions": serial.detects_omissions(fault, base, omissions, EXPANSION),
-            "first_window": serial.first_detecting_window(
-                fault, t0, spans, EXPANSION, chunk=8
-            ),
-            "first_omission": serial.first_detecting_omission(
-                fault, base, omissions, EXPANSION, chunk=8
-            ),
-        }
+        for scan in REFERENCE_SCANS:
+            engine = (
+                base_loop_backend(compiled, backend) if scan == "base-loop" else backend
+            )
+            serial = SequenceBatchSimulator(compiled, batch_width=16, backend=engine)
+            reference[backend, scan] = {
+                "windows": serial.detects_windows(fault, t0, spans, EXPANSION),
+                "omissions": serial.detects_omissions(
+                    fault, base, omissions, EXPANSION
+                ),
+                "first_window": serial.first_detecting_window(
+                    fault, t0, spans, EXPANSION, chunk=8
+                ),
+                "first_omission": serial.first_detecting_omission(
+                    fault, base, omissions, EXPANSION, chunk=8
+                ),
+            }
     return reference
 
 
@@ -184,8 +197,13 @@ class TestFactory:
 
 @pytest.mark.parametrize("backend", registry_backends())
 @pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("reference_scan", REFERENCE_SCANS)
 class TestShardedParity:
-    """Worker count is a pure throughput knob."""
+    """Worker count is a pure throughput knob.
+
+    Each point is checked against a serial reference computed with the
+    engine's own scan and against one computed with the base loop.
+    """
 
     def test_windows_omissions_and_first_hits(
         self,
@@ -193,11 +211,12 @@ class TestShardedParity:
         serial_reference,
         backend,
         workers,
+        reference_scan,
         require_backend,
     ):
         require_backend(backend)
         compiled, t0, fault, _udet, spans, base, omissions, _ = workload
-        reference = serial_reference[backend]
+        reference = serial_reference[backend, reference_scan]
         with ShardedSequenceBatchSimulator(
             compiled,
             batch_width=16,
@@ -230,16 +249,22 @@ class TestShardedParity:
     def test_explicit_candidates(
         self,
         workload,
-        serial_reference,
+        base_loop_backend,
         backend,
         workers,
+        reference_scan,
         require_backend,
     ):
         require_backend(backend)
         compiled, t0, fault, udet, *_ = workload
         candidates = [t0.subsequence(u, udet) for u in range(udet, -1, -1)] + [t0]
+        engine = (
+            base_loop_backend(compiled, backend)
+            if reference_scan == "base-loop"
+            else backend
+        )
         serial = SequenceBatchSimulator(
-            compiled, batch_width=16, backend=backend
+            compiled, batch_width=16, backend=engine
         ).detects(fault, candidates)
         with ShardedSequenceBatchSimulator(
             compiled,
