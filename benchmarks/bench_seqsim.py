@@ -132,19 +132,16 @@ _FULL_WORKLOADS = _SMOKE_WORKLOADS + [
     # s5378-scale candidate universe (the ROADMAP "larger workloads"
     # data point): the syn1423 sharding shape on a 2.8k-gate circuit.
     ("syn5378-xl", "syn5378", 256, 2, None, "mixed", None),
-    # 16k gates: past the paired-axis auto crossover, where the numpy
-    # backend overtakes python on candidate throughput (the measurement
-    # behind AUTO_PAIRED_GATE_THRESHOLD).
+    # 16k gates: the largest catalog circuit, where the native kernel's
+    # lead over python on candidate throughput is widest.
     ("syn35932", "syn35932", 24, 2, 32, "mixed", None),
 ]
 
 #: Batch widths measured per backend: the big-int kernel near its sweet
-#: spot, the word-based engines (numpy and the native C kernel)
-#: additionally at the wide batches they are for (the tuned
-#: SelectionConfig widths are 128/256).
+#: spot, the word-based native C kernel additionally at the wide batches
+#: it is for (the ``auto`` SelectionConfig widths are 128/256).
 _WIDTH_AXIS = {
     "python": (96,),
-    "numpy": (128, 256),
     "native": (128, 256),
 }
 

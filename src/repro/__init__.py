@@ -30,9 +30,9 @@ importable::
     )
 
 Every simulator accepts ``backend="python"`` (default, dependency-free
-big-int kernel), ``backend="numpy"`` (vectorized), ``backend="native"``
-(a lazily compiled C kernel) or ``backend="auto"`` (picks by circuit
-size); results are bit-identical.  Both hot axes additionally scale
+big-int kernel), ``backend="native"`` (a lazily compiled C kernel over
+numpy word arrays) or ``backend="auto"`` (native by circuit size when it
+builds, else python); results are bit-identical.  Both hot axes additionally scale
 across kernel threads or processes with identical results, and a
 calibrated :class:`MachineProfile` (``repro-bist calibrate``) replaces
 the static work-distribution thresholds with measured crossovers.

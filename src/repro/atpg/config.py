@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.sim.backend import DEFAULT_BACKEND
+from repro.sim.backend import DEFAULT_BACKEND, check_backend_name
 from repro.sim.scanplan import CHUNKING_MODES, DEFAULT_CHUNKING
 from repro.sim.workerpool import PARALLEL_MODES
 
@@ -36,10 +36,10 @@ class AtpgConfig:
             reference [12] approach — default), or ``"omission"``
             (try-delete-resimulate; thorough but quadratic).
         compaction_rounds: max full scan rounds of the omission compactor.
-        backend: simulation backend name (see
-            :func:`repro.sim.backend.available_backends`), or ``"auto"``
-            to pick per circuit size and axis (native when its kernel
-            builds, else numpy or the big-int python kernel; see
+        backend: simulation backend name (``"python"`` or ``"native"``,
+            see :func:`repro.sim.backend.registry_backends`), or
+            ``"auto"`` to pick per circuit size and axis (native when its
+            kernel builds, else the big-int python kernel; see
             :func:`repro.sim.backend.resolve_backend_name`).
         workers: worker processes (or thread lanes, under
             ``parallel="threads"``) for distributed fault simulation
@@ -80,6 +80,7 @@ class AtpgConfig:
     parallel: str = "auto"
 
     def __post_init__(self) -> None:
+        check_backend_name(self.backend)
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = one per CPU)")
         if self.parallel not in PARALLEL_MODES:

@@ -251,10 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_BACKEND,
             help=(
                 "simulation backend (results are identical across "
-                "backends; 'numpy' is the vectorized engine, 'native' "
-                "the compiled C kernel — fastest everywhere but "
-                "toy-sized circuits when a C compiler is present; "
-                "'auto' picks the fastest available engine per circuit "
+                "backends; 'python' is the dependency-free big-int "
+                "kernel, 'native' the compiled C kernel — fastest "
+                "everywhere but toy-sized circuits when a C compiler is "
+                "present; 'auto' picks native or python per circuit "
                 "size and batch width)"
             ),
         )

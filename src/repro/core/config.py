@@ -6,18 +6,26 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.core.ops import ExpansionConfig
-from repro.sim.backend import AUTO_BACKEND, DEFAULT_BACKEND, available_backends
+from repro.sim.backend import AUTO_BACKEND, DEFAULT_BACKEND, check_backend_name
 from repro.sim.scanplan import CHUNKING_MODES, DEFAULT_CHUNKING
 from repro.sim.workerpool import PARALLEL_MODES
 
-#: Batch widths tuned per backend: (search, omission, fault).  The big-int
-#: kernel peaks near a couple hundred slots; the vectorized numpy engine
-#: amortizes per-pass dispatch only with wide batches.  Widths never
-#: change results (batching is order-preserving), only speed.
-_BACKEND_BATCH_WIDTHS: dict[str, tuple[int, int, int]] = {
-    "python": (32, 96, 192),
-    "numpy": (128, 256, 1024),
-}
+#: Batch widths (search, omission, fault).  The big-int kernel peaks near
+#: a couple hundred slots, and explicit backend names get its widths.
+#: ``"auto"`` gets the wide ones whenever numpy (the word engine's
+#: storage) is importable; they act as caps that each simulator clamps
+#: back down when it resolves python.  Widths never change results
+#: (batching is order-preserving), only speed.
+_PYTHON_BATCH_WIDTHS = (32, 96, 192)
+_AUTO_BATCH_WIDTHS = (128, 256, 1024)
+
+
+def _numpy_importable() -> bool:
+    try:
+        import numpy  # noqa: F401
+    except ImportError:  # pragma: no cover - numpy ships in CI
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -37,9 +45,9 @@ class SelectionConfig:
         fault_batch_width: slots per pass in parallel-fault simulations.
         skip_omission: disable the vector-omission phase of Procedure 2
             (ablation switch; the paper always runs it).
-        backend: simulation backend name (see
-            :func:`repro.sim.backend.available_backends`), or ``"auto"``
-            to pick python, numpy or native per circuit size and axis
+        backend: simulation backend name (``"python"`` or ``"native"``,
+            see :func:`repro.sim.backend.registry_backends`), or
+            ``"auto"`` to pick python or native per circuit size and axis
             (see :func:`repro.sim.backend.resolve_backend_name`);
             detection results are bit-identical across backends, only
             speed differs.
@@ -79,6 +87,7 @@ class SelectionConfig:
     parallel: str = "auto"
 
     def __post_init__(self) -> None:
+        check_backend_name(self.backend)
         if self.parallel not in PARALLEL_MODES:
             raise ValueError(
                 f"parallel must be one of {PARALLEL_MODES}, got "
@@ -112,19 +121,18 @@ class SelectionConfig:
         """A config with batch widths tuned to ``backend``.
 
         Detection results are identical for any widths; this only picks
-        the throughput sweet spot of the selected engine; an engine
-        without its own entry in the width table (``native``) gets the
-        python widths.  For ``backend="auto"`` the widths are the numpy
-        ones when numpy is importable and act as *caps*: each simulator
-        resolves python, numpy or native from its circuit and axis, and
-        clamps the width back to the big-int sweet spot whenever python
-        wins (see :func:`repro.sim.backend.resolve_auto`).
+        the throughput sweet spot.  Explicit backends (``python`` and
+        ``native``) get the big-int kernel's widths.  For
+        ``backend="auto"`` the widths are 128/256/1024 when numpy is
+        importable and act as *caps*: each simulator resolves python or
+        native from its circuit and axis, and clamps the width back to
+        the big-int sweet spot whenever python wins (see
+        :func:`repro.sim.backend.resolve_auto`).
         """
-        width_key = backend
-        if backend == AUTO_BACKEND:
-            width_key = "numpy" if "numpy" in available_backends() else "python"
-        search, omission, fault = _BACKEND_BATCH_WIDTHS.get(
-            width_key, _BACKEND_BATCH_WIDTHS[DEFAULT_BACKEND]
+        search, omission, fault = (
+            _AUTO_BATCH_WIDTHS
+            if backend == AUTO_BACKEND and _numpy_importable()
+            else _PYTHON_BATCH_WIDTHS
         )
         return cls(
             expansion=expansion or ExpansionConfig(),

@@ -5,7 +5,9 @@
   :class:`SimBackend` protocol, the registry (:func:`get_backend`,
   :func:`available_backends`) and the per-fault-batch program cache.
 * :mod:`repro.sim.backend_python` — reference big-int backend.
-* :mod:`repro.sim.backend_numpy` — vectorized ``uint64``-array backend.
+* :mod:`repro.sim.backend_numpy` — the ``uint64`` rail storage the
+  native backend builds on (not a registered engine).
+* :mod:`repro.sim.backend_native` — the compiled C-kernel backend.
 * :mod:`repro.sim.logicsim` — fault-free 3-valued sequential simulation.
 * :mod:`repro.sim.faultsim` — bit-parallel parallel-fault simulation
   (one input sequence, many faults) with fault dropping.

@@ -3,10 +3,10 @@
 The static execution heuristics are tuned for the *average* machine: the
 ``workers=`` factories fall back to serial only on single-core boxes
 (:func:`~repro.sim.workerpool.single_core_machine`) and the batch widths
-in :data:`repro.core.config._BACKEND_BATCH_WIDTHS` were measured on one
-development host.  The committed smoke baselines show how wrong a static
-threshold can be — ``workers=4`` runs at 0.32–0.87x *serial* throughput
-on the 1-core CI runner — and the serving layer (:mod:`repro.serve`)
+in :mod:`repro.core.config` were measured on one development host.
+The committed smoke baselines show how wrong a static threshold can
+be — ``workers=4`` runs at 0.32–0.87x *serial* throughput on the
+1-core CI runner — and the serving layer (:mod:`repro.serve`)
 amortizes whatever the thresholds decide across every request it ever
 handles, so it is worth a few hundred milliseconds at startup to measure
 the actual machine instead of trusting defaults.
@@ -65,26 +65,20 @@ PROFILE_ENV = "REPRO_PROFILE"
 #: recommends it — a 1.02x "win" is measurement noise, not a policy.
 SHARD_SPEEDUP_THRESHOLD = 1.1
 
-#: Batch-width sweep candidates per engine family, per axis.  The middle
-#: entry of each triple is the static default from
-#: ``repro.core.config._BACKEND_BATCH_WIDTHS``.
+#: Batch-width sweep candidates per engine, per axis.  The python triples
+#: are centred on the static defaults in ``repro.core.config``.
 _WIDTH_CANDIDATES: dict[str, dict[str, tuple[int, ...]]] = {
     "python": {
         "fault": (96, 192, 384),
         "search": (16, 32, 64),
         "omission": (48, 96, 192),
     },
-    "numpy": {
+    "native": {
         "fault": (512, 1024, 2048),
         "search": (64, 128, 256),
         "omission": (128, 256, 512),
     },
 }
-
-
-def _width_family(backend: str) -> str:
-    """The width-candidate family of a backend (native shares numpy's)."""
-    return "python" if backend == "python" else "numpy"
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,8 @@ class MachineProfile:
     Attributes:
         cpu_count: usable cores at calibration time.
         workers: the recommended worker count (``1`` = serial execution).
-        backend: the fastest available engine family measured/assumed.
+        backend: the fastest available engine (``"native"`` or
+            ``"python"``).
         fault_batch_width: fastest measured parallel-fault batch width.
         search_batch_width: fastest measured window-search batch width.
         omission_batch_width: fastest measured omission batch width.
@@ -247,14 +242,10 @@ def load_profile(path: str | Path | None = None) -> MachineProfile | None:
 
 
 def _preferred_backend() -> str:
-    """The fastest engine family available in this process."""
-    from repro.sim.backend import available_backends
+    """The fastest engine available in this process: native, else python."""
+    from repro.sim.backend import backend_unavailable_reason
 
-    names = available_backends()
-    for candidate in ("native", "numpy"):
-        if candidate in names:
-            return candidate
-    return "python"
+    return "native" if backend_unavailable_reason("native") is None else "python"
 
 
 def static_profile() -> MachineProfile:
@@ -262,7 +253,7 @@ def static_profile() -> MachineProfile:
     from repro.sim.workerpool import cpu_count
 
     backend = _preferred_backend()
-    family = _WIDTH_CANDIDATES[_width_family(backend)]
+    family = _WIDTH_CANDIDATES[backend]
     return MachineProfile(
         cpu_count=cpu_count(),
         workers=1,
@@ -474,7 +465,7 @@ def calibrate(
 
     cpus = cpu_count()
     backend = _preferred_backend()
-    family = _WIDTH_CANDIDATES[_width_family(backend)]
+    family = _WIDTH_CANDIDATES[backend]
     notes: list[str] = [f"cpus={cpus} backend={backend}"]
 
     if circuit_name is None:
@@ -568,7 +559,7 @@ def calibrate(
 
     # The omission axis shares the candidate pipeline; scale its static
     # default by the same factor the search sweep preferred.
-    statics = _WIDTH_CANDIDATES[_width_family(backend)]
+    statics = _WIDTH_CANDIDATES[backend]
     omission_width = statics["omission"][1] * search_width // statics["search"][1]
 
     return MachineProfile(

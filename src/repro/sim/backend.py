@@ -17,10 +17,9 @@ abstract loop over a compiled circuit:
 :class:`SimBackend` is the seam between that loop and the data
 representation.  The ``python`` backend keeps the historical
 arbitrary-precision-integer kernel (one big int per signal per rail); the
-``numpy`` backend stores the rails as contiguous ``uint64`` arrays and
-evaluates a levelized, opcode-grouped schedule with vectorized passes; the
-``native`` backend keeps the numpy layout but drives the hot loops from a
-lazily compiled C kernel (:mod:`repro.sim.backend_native`).
+``native`` backend stores the rails as contiguous ``uint64`` arrays
+(:mod:`repro.sim.backend_numpy`) and drives the hot loops from a lazily
+compiled C kernel (:mod:`repro.sim.backend_native`).
 All observe the **(H, L) encoding contract** of
 :mod:`repro.logic.encoding`: per slot, ``H`` set means 1, ``L`` set means
 0, neither means X, and both set never occurs.
@@ -54,25 +53,13 @@ DEFAULT_BACKEND = "python"
 #: Selector name for adaptive per-circuit/per-batch backend resolution.
 AUTO_BACKEND = "auto"
 
-#: ``backend="auto"`` picks the vectorized engine at or above this gate
-#: count; below it the big-int kernel's lower per-pass overhead wins.
-AUTO_GATE_THRESHOLD = 1000
-
-#: Crossover for the *paired-batch* candidate axis
-#: (:class:`~repro.sim.seqsim.SequenceBatchSimulator`).  It runs two
-#: machines per slot at moderate widths and is dispatch-bound on the
-#: vectorized engine, so numpy only wins on much larger circuits than on
-#: the fault axis (`benchmarks/bench_seqsim.py`: python leads through
-#: syn5378's 2.8k gates, numpy leads at syn35932's 16k).
-AUTO_PAIRED_GATE_THRESHOLD = 8000
-
-#: Crossovers for the compiled C kernel (``native``), measured the same
-#: way (`benchmarks/bench_faultsim.py` / `bench_seqsim.py` on the
-#: catalog circuits).  The native engine removes all interpreter and
-#: numpy dispatch overhead, so it overtakes both pure-Python engines
+#: Crossovers for the compiled C kernel (``native``), fault axis and
+#: paired candidate axis, measured with `benchmarks/bench_faultsim.py` /
+#: `bench_seqsim.py` on the catalog circuits.  The native engine removes
+#: all interpreter dispatch overhead, so it overtakes the big-int kernel
 #: almost immediately: by syn298 (119 gates) it already leads both axes,
 #: and the gap widens monotonically with circuit size.  The thresholds
-#: below sit under the smallest catalog circuit; only toy circuits
+#: sit under the smallest catalog circuit; only toy circuits
 #: (pedagogical examples, unit-test fixtures) stay on the big-int
 #: kernel, where build/ctypes overhead is not worth amortizing.
 AUTO_NATIVE_GATE_THRESHOLD = 64
@@ -80,8 +67,8 @@ AUTO_NATIVE_PAIRED_GATE_THRESHOLD = 64
 
 #: Batch widths ``"auto"`` clamps to when it resolves the big-int kernel:
 #: python throughput peaks near these slot counts (fault axis / paired
-#: candidate axis), so an auto consumer handed numpy-tuned wide batches
-#: narrows them instead of dragging huge ints past the sweet spot.
+#: candidate axis), so an auto consumer handed word-engine-tuned wide
+#: batches narrows them instead of dragging huge ints past the sweet spot.
 AUTO_PYTHON_FAULT_WIDTH = 192
 AUTO_PYTHON_PAIRED_WIDTH = 96
 
@@ -388,11 +375,11 @@ class SimBatch(ABC):
 class SimBackend(ABC):
     """A simulation engine implementation bound to one compiled circuit."""
 
-    #: Registry name ("python", "numpy", ...).
+    #: Registry name ("python", "native").
     name: str = "abstract"
     #: Slot granularity of the backend's words: batches are stored in
     #: units of this many slots.  ``None`` means arbitrary precision (the
-    #: big-int backend); the numpy backend uses 64 and rounds storage up
+    #: big-int backend); the native backend uses 64 and rounds storage up
     #: to whole words.
     word_width: int | None = None
 
@@ -660,19 +647,6 @@ def _load_python_backend() -> type[SimBackend]:
     return PythonBackend
 
 
-def _load_numpy_backend() -> type[SimBackend]:
-    try:
-        import numpy  # noqa: F401
-    except ImportError as error:  # pragma: no cover - numpy ships in CI
-        raise SimulationError(
-            "the 'numpy' simulation backend requires numpy; install it or "
-            "select backend='python'"
-        ) from error
-    from repro.sim.backend_numpy import NumpyBackend
-
-    return NumpyBackend
-
-
 def _load_native_backend() -> type[SimBackend]:
     try:
         import numpy  # noqa: F401
@@ -693,7 +667,6 @@ def _load_native_backend() -> type[SimBackend]:
 
 _REGISTRY = {
     "python": _load_python_backend,
-    "numpy": _load_numpy_backend,
     "native": _load_native_backend,
 }
 
@@ -707,6 +680,18 @@ def registry_backends() -> list[str]:
     silent absence.
     """
     return list(_REGISTRY)
+
+
+def check_backend_name(name: str) -> None:
+    """Reject a ``backend=`` name that is neither registered nor ``"auto"``.
+
+    Raises :class:`ValueError`, like the other config-field checks.
+    Checks the name only: nothing is probed or compiled, so a registered
+    engine that cannot run here still fails later, with its reason.
+    """
+    names = registry_backends() + [AUTO_BACKEND]
+    if name not in names:
+        raise ValueError(f"backend must be one of {names}, got {name!r}")
 
 
 def backend_unavailable_reason(name: str) -> str | None:
@@ -754,16 +739,12 @@ def resolve_backend_name(
     """Resolve a backend *name* selector, expanding :data:`AUTO_BACKEND`.
 
     ``"auto"`` picks the engine the benchmarks show fastest for this
-    circuit, per axis, preferring ``native`` > ``numpy`` > ``python``
-    among the engines usable on this machine.  Each engine has a
-    measured per-axis gate-count crossover below which the next engine
-    down wins on overhead: ``native`` at or above
-    :data:`AUTO_NATIVE_GATE_THRESHOLD` /
-    :data:`AUTO_NATIVE_PAIRED_GATE_THRESHOLD` gates (fault / paired
-    candidate axis), else ``numpy`` at or above
-    :data:`AUTO_GATE_THRESHOLD` / :data:`AUTO_PAIRED_GATE_THRESHOLD`,
-    else ``python``.  An unavailable engine (numpy not importable, no C
-    compiler, ``REPRO_NO_NATIVE``) is silently skipped in that cascade.
+    circuit, per axis: ``native`` at or above its measured gate-count
+    crossover (:data:`AUTO_NATIVE_GATE_THRESHOLD` /
+    :data:`AUTO_NATIVE_PAIRED_GATE_THRESHOLD`, fault / paired candidate
+    axis) when it is usable here, else ``python``.  An unavailable
+    native engine (numpy not importable, no C compiler,
+    ``REPRO_NO_NATIVE``) is silently skipped.
     The choice is deterministic in ``(circuit, paired)`` on a given
     machine, so sharded workers resolving independently agree with
     their parent.  Results are bit-identical either way; only
@@ -772,17 +753,11 @@ def resolve_backend_name(
     name = backend or DEFAULT_BACKEND
     if name != AUTO_BACKEND:
         return name
-    gates = len(compiled.ops)
-    if paired:
-        native_threshold = AUTO_NATIVE_PAIRED_GATE_THRESHOLD
-        numpy_threshold = AUTO_PAIRED_GATE_THRESHOLD
-    else:
-        native_threshold = AUTO_NATIVE_GATE_THRESHOLD
-        numpy_threshold = AUTO_GATE_THRESHOLD
-    if gates >= native_threshold and _auto_usable("native"):
+    threshold = (
+        AUTO_NATIVE_PAIRED_GATE_THRESHOLD if paired else AUTO_NATIVE_GATE_THRESHOLD
+    )
+    if len(compiled.ops) >= threshold and _auto_usable("native"):
         return "native"
-    if gates >= numpy_threshold and _auto_usable("numpy"):
-        return "numpy"
     return "python"
 
 
@@ -800,7 +775,7 @@ def resolve_auto(
     kernel, clamps the batch width down to the kernel's measured sweet
     spot (:data:`AUTO_PYTHON_FAULT_WIDTH` /
     :data:`AUTO_PYTHON_PAIRED_WIDTH`) — batch widths never change
-    results, so an auto consumer configured with numpy-tuned wide
+    results, so an auto consumer configured with native-tuned wide
     batches gets the python-tuned shape instead of oversized ints.
     """
     if not isinstance(backend, str) or backend != AUTO_BACKEND:

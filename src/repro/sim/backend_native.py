@@ -1,36 +1,33 @@
-"""The ``native`` backend: the numpy data layout driven by a C kernel.
+"""The ``native`` backend: a C kernel over ``uint64`` rail storage.
 
-This engine reuses the ``numpy`` backend's storage wholesale — one
-C-contiguous ``(2 * num_signals, words)`` ``uint64`` rail array per
-batch, the same ``(H, L)`` encoding, the same source/dff/PO patch
-compilation — and replaces the three profile-dominating inner loops with
-calls into a compiled shared object (see ``_native/repro_kernel.c`` and
-:mod:`repro.sim.native_build`):
+Batches keep their signals in the rail layout of
+:mod:`repro.sim.backend_numpy` — one C-contiguous
+``(2 * num_signals, words)`` ``uint64`` array per batch in the ``(H, L)``
+encoding — and the hot loops run in a compiled shared object (see
+``_native/repro_kernel.c`` and :mod:`repro.sim.native_build`):
 
 * :meth:`NativeBatch.eval` — one C call walks the full compiled op list
   in topological order (the big-int reference kernel's exact schedule,
-  so results are bit-identical by construction), instead of the numpy
-  engine's per-level fused passes.  This removes all per-level Python
-  and numpy dispatch overhead, which is what bounds the numpy engine's
-  single-thread throughput on deep circuits.
+  so results are bit-identical by construction).
 * :meth:`NativeBatch.detect_mask` — the fault-axis PO comparison, one C
-  pass over the observed POs (the numpy engine loops them in Python).
+  pass over the observed POs.
 * :meth:`NativeBackend.detect_step` — the fused paired-batch
   candidate-axis reduction, likewise one C pass over all POs.
 * :meth:`NativeBackend.run_scan` / :meth:`NativeBackend.run_good_trace`
   — whole-sequence fault/candidate scans and the fault-free trace, each
   one GIL-released C call per sequence (chunk).
 
-Everything else — input loading, state capture/interchange, source-stem
-mask passes, program compilation and the per-fault-batch LRU — is
-inherited from :class:`~repro.sim.backend_numpy.NumpyBackend`
-unchanged; those paths are a handful of vectorized calls per time step
-and are not where the time goes.
+Input loading, state capture/interchange and the source-stem patches
+come from :class:`~repro.sim.backend_numpy.NumpyBatch`; the stepped
+calling sequence they serve is the base loop's, and the fused kernels
+do the same work in C.
 
-Fault injection crosses into C as three sorted, dense-by-entry arrays
-compiled per fault batch (gate-pin patches, gate-output stem patches,
-and dense per-PO pin masks); the eval walk merges them cursor-style so
-the unfaulted common case costs one integer compare per op.
+A fault batch compiles into one :class:`NativeProgram` in one pass over
+its injection plan: the source, flop and PO patch arrays
+(:meth:`~repro.sim.backend_numpy.NumpyBackend._compile_rail_patches`)
+plus two sorted, dense-by-entry arrays for the eval walk (gate-pin
+patches and gate-output stem patches), which merges them cursor-style
+so the unfaulted common case costs one integer compare per op.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ from repro.sim.backend_numpy import (
     WORD_BITS,
     NumpyBackend,
     NumpyBatch,
-    NumpyProgram,
     _mask_to_words,
     _masks_to_matrix,
     _words_to_mask,
@@ -70,10 +66,25 @@ def _addr(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
-class NativeProgram(NumpyProgram):
-    """A numpy program plus the C kernel's per-batch patch arrays."""
+class NativeProgram(SimProgram):
+    """Every patch array of one fault batch, C-ready.
+
+    A patch set with no entries holds zero-row arrays, which the kernel
+    never reads; the fault-free program (``batch_size is None``) is all
+    empty and serves every batch width.
+    """
 
     __slots__ = (
+        "batch_size",
+        "src_rows",
+        "src_force",
+        "src_keep",
+        "dff_pos",
+        "dff_force_h",
+        "dff_keep_h",
+        "dff_force_l",
+        "dff_keep_l",
+        "po_patches",
         "pin_ops",
         "pin_pins",
         "pin_sa1",
@@ -82,68 +93,29 @@ class NativeProgram(NumpyProgram):
         "stem_sa1",
         "stem_sa0",
         "_dense_po",
-        "_scan_patches",
     )
 
-    def __init__(self, numpy_program: NumpyProgram, native_fields: dict) -> None:
-        super().__init__(
-            numpy_program.key,
-            numpy_program.batch_size,
-            numpy_program.words,
-            numpy_program.fixups_by_level,
-            numpy_program.src_pass,
-            numpy_program.dff_pass,
-            numpy_program.po_patches,
-            numpy_program.max_group,
-        )
-        self.pin_ops = native_fields["pin_ops"]
-        self.pin_pins = native_fields["pin_pins"]
-        self.pin_sa1 = native_fields["pin_sa1"]
-        self.pin_sa0 = native_fields["pin_sa0"]
-        self.stem_ops = native_fields["stem_ops"]
-        self.stem_sa1 = native_fields["stem_sa1"]
-        self.stem_sa0 = native_fields["stem_sa0"]
+    def __init__(
+        self,
+        key: tuple[Fault, ...] | None,
+        batch_size: int | None,
+        words: int,
+    ) -> None:
+        super().__init__(key)
+        self.batch_size = batch_size
+        no_rows = np.zeros(0, dtype=np.int32)
+        no_masks = np.zeros((0, words), dtype=np.uint64)
+        self.src_rows = self.dff_pos = self.pin_ops = no_rows
+        self.pin_pins = self.stem_ops = no_rows
+        self.src_force = self.src_keep = no_masks
+        self.dff_force_h = self.dff_keep_h = no_masks
+        self.dff_force_l = self.dff_keep_l = no_masks
+        self.pin_sa1 = self.pin_sa0 = self.stem_sa1 = self.stem_sa0 = no_masks
+        self.po_patches: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: words -> dense (num_pos, words) (sa1, sa0) PO masks.  Faulted
         #: programs are bound to one batch width; the fault-free program
         #: serves every width, hence the per-words memo.
         self._dense_po: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        #: words -> the eight C-ready source/flop patch arrays for
-        #: repro_scan (same per-words memo rationale as _dense_po).
-        self._scan_patches: dict[int, tuple] = {}
-
-    def scan_patches(self, words: int) -> tuple:
-        """C-ready ``(src_rows, src_force, src_keep, dff_pos, force_h,
-        keep_h, force_l, keep_l)`` arrays for the fused scan kernel."""
-        cached = self._scan_patches.get(words)
-        if cached is None:
-            if self.src_pass is not None:
-                _, rows, force, keep = self.src_pass
-                src = (
-                    np.ascontiguousarray(rows, dtype=np.int32),
-                    np.ascontiguousarray(force),
-                    np.ascontiguousarray(keep),
-                )
-            else:
-                src = (
-                    np.zeros(0, dtype=np.int32),
-                    np.zeros((0, words), dtype=np.uint64),
-                    np.zeros((0, words), dtype=np.uint64),
-                )
-            if self.dff_pass is not None:
-                _, positions, force_h, keep_h, force_l, keep_l = self.dff_pass
-                dff = (
-                    np.ascontiguousarray(positions, dtype=np.int32),
-                    np.ascontiguousarray(force_h),
-                    np.ascontiguousarray(keep_h),
-                    np.ascontiguousarray(force_l),
-                    np.ascontiguousarray(keep_l),
-                )
-            else:
-                empty = np.zeros((0, words), dtype=np.uint64)
-                dff = (np.zeros(0, dtype=np.int32), empty, empty, empty, empty)
-            cached = src + dff
-            self._scan_patches[words] = cached
-        return cached
 
     def dense_po_masks(
         self, num_pos: int, words: int
@@ -166,7 +138,7 @@ class NativeProgram(NumpyProgram):
 
 
 class NativeBatch(NumpyBatch):
-    """A numpy batch whose hot loops run in the compiled kernel."""
+    """A rail-storage batch whose hot loops run in the compiled kernel."""
 
     def __init__(
         self, backend: "NativeBackend", program: NativeProgram, batch_size: int
@@ -237,13 +209,12 @@ class NativeBatch(NumpyBatch):
 
 
 class NativeBackend(NumpyBackend):
-    """C-kernel backend over the numpy rail layout."""
+    """C-kernel backend over the ``uint64`` rail layout."""
 
     name = "native"
-    word_width = WORD_BITS
 
-    def __init__(self, compiled, fuse_levels: bool = True) -> None:
-        super().__init__(compiled, fuse_levels=fuse_levels)
+    def __init__(self, compiled) -> None:
+        super().__init__(compiled)
         self.lib = load_native_library()
         ops = compiled.ops
         num_ops = len(ops)
@@ -278,57 +249,45 @@ class NativeBackend(NumpyBackend):
     # Program compilation
     # ------------------------------------------------------------------
     def _compile_program(self, faults: tuple[Fault, ...] | None) -> NativeProgram:
-        numpy_program = super()._compile_program(faults)
-        words = numpy_program.words or 1
-        empty_i32 = np.zeros(0, dtype=np.int32)
-        empty_masks = np.zeros((0, words), dtype=np.uint64)
-        fields = {
-            "pin_ops": empty_i32,
-            "pin_pins": empty_i32,
-            "pin_sa1": empty_masks,
-            "pin_sa0": empty_masks,
-            "stem_ops": empty_i32,
-            "stem_sa1": empty_masks,
-            "stem_sa0": empty_masks,
-        }
-        if faults is not None:
-            plan = self._compiled.compile_plan(list(faults))
-            pins = sorted(plan.gate_pin.items())
-            if pins:
-                fields["pin_ops"] = np.asarray(
-                    [position for (position, _), _ in pins], dtype=np.int32
-                )
-                fields["pin_pins"] = np.asarray(
-                    [pin for (_, pin), _ in pins], dtype=np.int32
-                )
-                fields["pin_sa1"] = np.stack(
-                    [_mask_to_words(sa1, words) for _, (sa1, _) in pins]
-                )
-                fields["pin_sa0"] = np.stack(
-                    [_mask_to_words(sa0, words) for _, (_, sa0) in pins]
-                )
-            num_sources = self._compiled.num_inputs + len(
-                self._compiled.flop_pairs
+        if faults is None:
+            return NativeProgram(None, None, 1)
+        batch_size = len(faults)
+        words = (batch_size + WORD_BITS - 1) // WORD_BITS
+        program = NativeProgram(faults, batch_size, words)
+        compiled = self._compiled
+        plan = compiled.compile_plan(list(faults))
+        self._compile_rail_patches(program, plan, words)
+        pins = sorted(plan.gate_pin.items())
+        if pins:
+            program.pin_ops = np.asarray(
+                [position for (position, _), _ in pins], dtype=np.int32
             )
-            stems = merge_stem_patches(
-                plan, lambda index: index >= num_sources
+            program.pin_pins = np.asarray(
+                [pin for (_, pin), _ in pins], dtype=np.int32
             )
-            if stems:
-                by_position = sorted(
-                    (self._pos_of_out[signal_index], sa1, sa0)
-                    for signal_index, (sa1, sa0) in stems.items()
-                )
-                fields["stem_ops"] = np.asarray(
-                    [position for position, _, _ in by_position],
-                    dtype=np.int32,
-                )
-                fields["stem_sa1"] = np.stack(
-                    [_mask_to_words(sa1, words) for _, sa1, _ in by_position]
-                )
-                fields["stem_sa0"] = np.stack(
-                    [_mask_to_words(sa0, words) for _, _, sa0 in by_position]
-                )
-        return NativeProgram(numpy_program, fields)
+            program.pin_sa1 = _masks_to_matrix(
+                [sa1 for _, (sa1, _) in pins], words
+            )
+            program.pin_sa0 = _masks_to_matrix(
+                [sa0 for _, (_, sa0) in pins], words
+            )
+        num_sources = compiled.num_inputs + len(compiled.flop_pairs)
+        stems = merge_stem_patches(plan, lambda index: index >= num_sources)
+        if stems:
+            by_position = sorted(
+                (self._pos_of_out[signal_index], sa1, sa0)
+                for signal_index, (sa1, sa0) in stems.items()
+            )
+            program.stem_ops = np.asarray(
+                [position for position, _, _ in by_position], dtype=np.int32
+            )
+            program.stem_sa1 = _masks_to_matrix(
+                [sa1 for _, sa1, _ in by_position], words
+            )
+            program.stem_sa0 = _masks_to_matrix(
+                [sa0 for _, _, sa0 in by_position], words
+            )
+        return program
 
     def batch(self, program: SimProgram, batch_size: int) -> NativeBatch:
         assert isinstance(program, NativeProgram)
@@ -448,16 +407,6 @@ class NativeBackend(NumpyBackend):
             else np.zeros((3, words * WORD_BITS), dtype=np.int64)
         )
         div_ptrs = (None,) * 3 if div is None else tuple(_addr(row) for row in div)
-        (
-            src_rows,
-            src_force,
-            src_keep,
-            dff_pos,
-            dff_force_h,
-            dff_keep_h,
-            dff_force_l,
-            dff_keep_l,
-        ) = program.scan_patches(words)
         if paired:
             assert isinstance(good, NativeBatch) and good._words == words
             gv = _addr(good._V)
@@ -510,21 +459,21 @@ class NativeBackend(NumpyBackend):
             _addr(program.stem_sa0),
             len(program.stem_ops),
             _addr(faulty._gather),
-            _addr(src_rows),
-            _addr(src_force),
-            _addr(src_keep),
-            len(src_rows),
+            _addr(program.src_rows),
+            _addr(program.src_force),
+            _addr(program.src_keep),
+            len(program.src_rows),
             _addr(self.c_pi),
             len(self.c_pi),
             _addr(self.c_q),
             _addr(self.c_d),
             len(self.c_q),
-            _addr(dff_pos),
-            _addr(dff_force_h),
-            _addr(dff_keep_h),
-            _addr(dff_force_l),
-            _addr(dff_keep_l),
-            len(dff_pos),
+            _addr(program.dff_pos),
+            _addr(program.dff_force_h),
+            _addr(program.dff_keep_h),
+            _addr(program.dff_force_l),
+            _addr(program.dff_keep_l),
+            len(program.dff_pos),
             g_sh,
             g_sl,
             _addr(faulty._SH),

@@ -14,7 +14,7 @@ so this early exit matters).
 
 All slot storage and gate evaluation is delegated to a pluggable
 :class:`~repro.sim.backend.SimBackend` (``backend="python"`` big-int
-kernel by default, ``backend="numpy"`` for the vectorized engine); the
+kernel by default, ``backend="native"`` for the compiled C kernel); the
 detection bookkeeping here is backend-independent, so detection times are
 bit-identical across backends.
 

@@ -18,13 +18,7 @@ from repro.circuit.netlist import Circuit
 from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
 from repro.logic.values import X, Ternary
-from repro.sim.backend import (
-    AUTO_BACKEND,
-    BroadcastStimulus,
-    SimBackend,
-    get_backend,
-    resolve_backend_name,
-)
+from repro.sim.backend import BroadcastStimulus, SimBackend, get_backend
 from repro.sim.compiled import CompiledCircuit
 
 
@@ -67,13 +61,6 @@ class LogicSimulator:
             self._compiled = circuit
         else:
             self._compiled = CompiledCircuit(circuit)
-        if backend == AUTO_BACKEND and (
-            resolve_backend_name(self._compiled, AUTO_BACKEND) != "native"
-        ):
-            # The native kernel runs a whole trace in one call; any other
-            # engine steps in Python, where the big-int kernel is fastest
-            # for one slot (1-slot vectorized passes are pure overhead).
-            backend = "python"
         self._backend = get_backend(self._compiled, backend)
         self._program = self._backend.program(None)
 

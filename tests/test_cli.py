@@ -25,6 +25,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tables", "--suite", "nope"])
 
+    def test_backend_choices_are_the_registry(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--circuit", "s27", "--backend", "numpy"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'numpy'" in err
+        assert "'python', 'native', 'auto'" in err
+
 
 class TestCommands:
     def test_info(self, capsys):

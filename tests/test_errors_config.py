@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.atpg.config import AtpgConfig
 from repro.core.config import SelectionConfig
 from repro.core.ops import ExpansionConfig
+from repro.core.request import RunRequest
 from repro.errors import (
     AtpgError,
     BenchFormatError,
@@ -77,6 +79,33 @@ class TestSelectionConfig:
     def test_frozen(self):
         with pytest.raises(Exception):
             SelectionConfig().seed = 1
+
+    @pytest.mark.parametrize("backend", ["numpy", "nope"])
+    def test_unregistered_backend_rejected(self, backend):
+        with pytest.raises(ValueError, match="backend must be one of"):
+            SelectionConfig(backend=backend)
+        with pytest.raises(ValueError, match="backend must be one of"):
+            AtpgConfig(backend=backend)
+        for field in ("selection", "atpg"):
+            with pytest.raises(ValueError, match="backend must be one of"):
+                RunRequest.from_json(
+                    {"kind": "scheme", "circuit": "s27", field: {"backend": backend}}
+                )
+
+    def test_for_backend_batch_widths(self):
+        """(search, omission, fault) widths each selector resolves to."""
+
+        def widths(backend):
+            config = SelectionConfig.for_backend(backend)
+            return (
+                config.search_batch_width,
+                config.omission_batch_width,
+                config.fault_batch_width,
+            )
+
+        assert widths("python") == (32, 96, 192)
+        assert widths("native") == (32, 96, 192)
+        assert widths("auto") == (128, 256, 1024)  # numpy ships in CI
 
 
 class TestExpansionConfig:

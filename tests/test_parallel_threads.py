@@ -110,9 +110,8 @@ class TestResolveSimulatorThreads:
         assert resolve_simulator_threads(backend, 0) == 1
 
     def test_non_native_backends_resolve_to_serial(self, syn298):
-        for name in ("python", "numpy"):
-            backend = get_backend(syn298[0], name)
-            assert resolve_simulator_threads(backend, 4) == 1
+        backend = get_backend(syn298[0], "python")
+        assert resolve_simulator_threads(backend, 4) == 1
 
     @needs_native_threads
     def test_native_grants_at_most_the_request(self, syn298):

@@ -512,3 +512,20 @@ class TestHttpFrontend:
                     assert "request" in body["error"]
 
         asyncio.run(main())
+
+    @pytest.mark.parametrize("backend", ["numpy", "nope"])
+    def test_unregistered_backend_is_a_400_before_any_lane(self, backend):
+        request = S27_REQUEST.to_json()
+        request["selection"] = {"backend": backend}
+
+        async def main():
+            async with JobService(profile=static_profile()) as service:
+                async with HttpFrontend(service) as http:
+                    status, body = await _http_request(
+                        http.port, "POST", "/jobs", {"tenant": "t", "request": request}
+                    )
+                    assert status == 400
+                    assert "['python', 'native', 'auto']" in body["error"]
+                    assert service.stats()["jobs_submitted"] == 0
+
+        asyncio.run(main())

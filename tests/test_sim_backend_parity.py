@@ -27,6 +27,8 @@ from repro.faults.model import BRANCH, STEM, Fault, FaultSite
 from repro.faults.universe import FaultUniverse
 from repro.logic.values import ONE, X, ZERO
 from repro.sim.backend import (
+    AUTO_NATIVE_GATE_THRESHOLD,
+    AUTO_NATIVE_PAIRED_GATE_THRESHOLD,
     BroadcastStimulus,
     ScanDivergence,
     SimBackend,
@@ -87,12 +89,11 @@ def compiled(request) -> CompiledCircuit:
 
 class TestBackendRegistry:
     def test_registry_names(self):
-        assert registry_backends() == ["python", "numpy", "native"]
+        assert registry_backends() == ["python", "native"]
 
     def test_available_is_registry_subset_with_python(self):
         available = available_backends()
         assert "python" in available
-        assert "numpy" in available  # numpy ships in CI
         assert set(available) <= set(registry_backends())
         # Availability and the per-name diagnostic must agree.
         for name in registry_backends():
@@ -101,8 +102,9 @@ class TestBackendRegistry:
             )
 
     def test_unknown_backend_rejected(self, compiled):
-        with pytest.raises(SimulationError, match="unknown simulation backend"):
-            get_backend(compiled, "cuda")
+        for name in ("cuda", "numpy"):
+            with pytest.raises(SimulationError, match="unknown simulation backend"):
+                get_backend(compiled, name)
         assert "unknown backend" in backend_unavailable_reason("cuda")
 
     def test_backend_instances_memoized_per_circuit(self, compiled, backend_name):
@@ -524,8 +526,8 @@ def _detect_step_trace(compiled, backend, fault, sequences, batch_size):
 class TestDetectStep:
     """Cross-backend parity of the fused paired-batch detection pass."""
 
-    #: Batch sizes straddling the numpy backend's word boundary: 3 drives
-    #: the single-word (1-D) machinery, 70 the multi-word path.
+    #: Batch sizes straddling the 64-slot word boundary: 3 fits one
+    #: word, 70 spans two.
     BATCH_SIZES = (3, 70)
 
     def test_masks_identical_across_backends(self, compiled, backend_name):
@@ -602,44 +604,6 @@ class TestDetectStep:
             assert any(python), f"{fault} never detected — vacuous comparison"
 
 
-class TestLevelFusion:
-    """The fused numpy schedule must be bit-identical to the unfused one."""
-
-    def test_fused_vs_unfused_detection_times(self, compiled):
-        from repro.sim.backend_numpy import NumpyBackend
-
-        fused = NumpyBackend(compiled)
-        unfused = NumpyBackend(compiled, fuse_levels=False)
-        assert sum(len(p) for p in fused.level_passes) <= sum(
-            len(p) for p in unfused.level_passes
-        )
-        universe = FaultUniverse(compiled.circuit)
-        faults = list(universe.faults())
-        sequence = _random_sequence(compiled.circuit, 40, seed=77)
-        times_fused = FaultSimulator(compiled, backend=fused).run(
-            sequence, faults
-        )
-        times_unfused = FaultSimulator(compiled, backend=unfused).run(
-            sequence, faults
-        )
-        assert times_fused.detection_time == times_unfused.detection_time
-
-    def test_fused_vs_unfused_traces(self, compiled):
-        from repro.sim.backend_numpy import NumpyBackend
-
-        fused = LogicSimulator(compiled, backend=NumpyBackend(compiled)).run(
-            _random_sequence(compiled.circuit, 24, seed=78), record_signals=True
-        )
-        unfused = LogicSimulator(
-            compiled, backend=NumpyBackend(compiled, fuse_levels=False)
-        ).run(
-            _random_sequence(compiled.circuit, 24, seed=78), record_signals=True
-        )
-        assert fused.po_values == unfused.po_values
-        assert fused.signal_values == unfused.signal_values
-        assert fused.final_state == unfused.final_state
-
-
 class TestAutoBackend:
     """backend="auto" resolves adaptively and never changes results."""
 
@@ -653,34 +617,36 @@ class TestAutoBackend:
         assert resolve_backend_name(large, "auto") == "native"
         assert resolve_backend_name(large, "auto", paired=True) == "native"
 
-    def test_resolution_heuristic_without_native(self, monkeypatch):
-        """The numpy/python cascade, with the native engine hidden."""
-        monkeypatch.setenv(NO_NATIVE_ENV, "1")
-        small = CompiledCircuit(load_circuit("s27"))
-        large = CompiledCircuit(load_circuit("syn1423"))
-        assert resolve_backend_name(small, "auto") == "python"
-        assert resolve_backend_name(large, "auto") == "python"  # 657 gates
-        huge = CompiledCircuit(load_circuit("syn5378"))  # 2779 gates
-        assert resolve_backend_name(huge, "auto") == "numpy"
-        assert resolve_backend_name(small, "python") == "python"
-        assert resolve_backend_name(small, None) == "python"
-
-    def test_paired_resolution_has_its_own_crossover(self, monkeypatch):
-        """The candidate axis crosses over far later than the fault axis
-        (numpy vs python; native, when present, leads both axes)."""
+    def test_resolution_without_native_is_python(self, monkeypatch):
+        """With the native engine hidden, auto is python at every size."""
         from types import SimpleNamespace
 
         monkeypatch.setenv(NO_NATIVE_ENV, "1")
+        small = CompiledCircuit(load_circuit("s27"))
         huge = CompiledCircuit(load_circuit("syn5378"))  # 2779 gates
-        # Fault axis: numpy; paired candidate axis: still python.
-        assert resolve_backend_name(huge, "auto") == "numpy"
-        assert resolve_backend_name(huge, "auto", paired=True) == "python"
-        # Above the paired threshold (syn35932-class) numpy wins.
         giant = SimpleNamespace(ops=[None] * 16_000)
-        assert resolve_backend_name(giant, "auto", paired=True) == "numpy"
+        for compiled in (small, huge, giant):
+            assert resolve_backend_name(compiled, "auto") == "python"
+            assert resolve_backend_name(compiled, "auto", paired=True) == "python"
+        assert resolve_backend_name(small, "python") == "python"
+        assert resolve_backend_name(small, None) == "python"
+
+    def test_native_crossover_on_each_axis(self):
+        """Auto switches to native exactly at each axis's gate threshold."""
+        from types import SimpleNamespace
+
+        _require_backend("native")
+        for paired, threshold in (
+            (False, AUTO_NATIVE_GATE_THRESHOLD),
+            (True, AUTO_NATIVE_PAIRED_GATE_THRESHOLD),
+        ):
+            below = SimpleNamespace(ops=[None] * (threshold - 1))
+            at = SimpleNamespace(ops=[None] * threshold)
+            assert resolve_backend_name(below, "auto", paired=paired) == "python"
+            assert resolve_backend_name(at, "auto", paired=paired) == "native"
 
     def test_auto_clamps_python_batch_widths_to_sweet_spot(self, monkeypatch):
-        """Auto on the big-int kernel narrows numpy-tuned wide batches."""
+        """Auto on the big-int kernel narrows native-tuned wide batches."""
         monkeypatch.setenv(NO_NATIVE_ENV, "1")
         small = CompiledCircuit(load_circuit("syn298"))
         fault_sim = FaultSimulator(small, batch_width=1024, backend="auto")
@@ -691,11 +657,6 @@ class TestAutoBackend:
         assert seq_sim.batch_width == 96
         # Narrower-than-sweet-spot requests pass through untouched.
         assert FaultSimulator(small, batch_width=8, backend="auto").batch_width == 8
-        # When numpy wins, the requested width is kept.
-        huge = CompiledCircuit(load_circuit("syn5378"))
-        wide = FaultSimulator(huge, batch_width=1024, backend="auto")
-        assert wide.backend.name == "numpy"
-        assert wide.batch_width == 1024
         # Explicit backends never clamp.
         explicit = FaultSimulator(small, batch_width=1024, backend="python")
         assert explicit.batch_width == 1024
@@ -712,7 +673,7 @@ class TestAutoBackend:
         self, monkeypatch
     ):
         """Auto traces on native at the fault axis's native crossover and
-        on the big-int kernel otherwise, never on a 1-slot numpy batch."""
+        on the big-int kernel otherwise."""
         small = CompiledCircuit(load_circuit("s27"))
         huge = CompiledCircuit(load_circuit("syn5378"))  # 2779 gates
         native = backend_unavailable_reason("native") is None
@@ -721,7 +682,7 @@ class TestAutoBackend:
             "native" if native else "python"
         )
         monkeypatch.setenv(NO_NATIVE_ENV, "1")
-        assert resolve_backend_name(huge, "auto") == "numpy"
+        assert resolve_backend_name(huge, "auto") == "python"
         assert LogicSimulator(huge, backend="auto").backend.name == "python"
 
     def test_get_backend_resolves_auto_to_registry_instance(self, compiled):
@@ -890,13 +851,6 @@ class TestObserveParity:
         )
         for fault, want in expected.items():
             _assert_matches_oracle(simulator.observe(fault, candidates), want, fault)
-
-    def test_numpy_runs_divergence_on_the_base_loop(self, observe_case):
-        _require_backend("numpy")
-        compiled, candidates, expected = observe_case
-        simulator = SequenceBatchSimulator(compiled, batch_width=65, backend="numpy")
-        fault, want = next(iter(expected.items()))
-        _assert_matches_oracle(simulator.observe(fault, candidates), want, fault)
 
     def test_oracle_workload_is_not_vacuous(self, observe_case):
         _, candidates, expected = observe_case

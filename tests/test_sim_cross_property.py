@@ -1,20 +1,29 @@
-"""Property-based cross-checks: the three simulation engines must agree.
+"""Property-based cross-checks: the simulators must agree with the reference.
 
 Hypothesis drives random (circuit, sequence, fault) triples through the
 reference simulator, the parallel-fault simulator and the parallel-
 sequence simulator and requires identical detection verdicts.  This is
 the strongest correctness evidence in the suite: the engines share no
 evaluation code path with the reference.
+
+The default python engine runs at a narrow width; the native engine —
+serial and on two kernel thread lanes — is checked at slot widths around
+the 64-slot word boundary, with multi-fault batches on the fault axis and
+ragged candidate lists on the candidate axis.  Without a usable native
+kernel those cases skip with its unavailability reason.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits.generator import SyntheticSpec, generate_circuit
 from repro.core.sequence import TestSequence
 from repro.faults.sites import enumerate_faults
 from repro.faults.universe import FaultUniverse
+from repro.sim.backend import backend_unavailable_reason
+from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.reference import ReferenceSimulator
 from repro.sim.seqsim import SequenceBatchSimulator
@@ -37,6 +46,37 @@ def circuit_and_stimulus(draw):
     )
     fault_pick = draw(st.integers(min_value=0, max_value=10_000))
     return circuit, sequence, fault_pick
+
+
+#: (backend, kernel thread lanes) of the engine users get.
+NATIVE_ENGINES = (("native", 1), ("native", 2))
+
+#: Slot widths straddling one and two 64-slot words.
+SLOT_WIDTHS = (63, 64, 65, 129)
+
+
+def _require_native() -> None:
+    reason = backend_unavailable_reason("native")
+    if reason is not None:
+        pytest.skip(f"backend 'native' unavailable: {reason}")
+
+
+@st.composite
+def circuit_and_candidates(draw):
+    """A generated circuit plus up to 150 candidates of 0-12 vectors."""
+    circuit, _, fault_pick = draw(circuit_and_stimulus())
+    count = draw(st.integers(min_value=1, max_value=150))
+    rng = SplitMix64(draw(st.integers(min_value=0, max_value=2**32)))
+    candidates = [
+        TestSequence(
+            [
+                [rng.next_u64() & 1 for _ in range(circuit.num_inputs)]
+                for _ in range(rng.next_u64() % 13)
+            ]
+        )
+        for _ in range(count)
+    ]
+    return circuit, candidates, fault_pick
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,3 +123,50 @@ def test_fault_dropping_invariance(data, width):
     wide = FaultSimulator(circuit, batch_width=256).run(sequence, faults)
     narrow = FaultSimulator(circuit, batch_width=width).run(sequence, faults)
     assert wide.detection_time == narrow.detection_time
+
+
+@settings(max_examples=25, deadline=None)
+@given(circuit_and_stimulus())
+def test_native_fault_batches_agree_with_reference(data):
+    """Every uncollapsed fault, batched at widths around a word boundary."""
+    _require_native()
+    circuit, sequence, _ = data
+    faults = enumerate_faults(circuit)
+    reference = ReferenceSimulator(circuit)
+    expected = {fault: reference.detection_time(sequence, fault) for fault in faults}
+    compiled = CompiledCircuit(circuit)
+    for backend, threads in NATIVE_ENGINES:
+        for width in SLOT_WIDTHS:
+            result = FaultSimulator(
+                compiled, batch_width=width, backend=backend, threads=threads
+            ).run(sequence, faults)
+            got = {fault: result.detection_time.get(fault) for fault in faults}
+            assert got == expected, (backend, threads, width)
+
+
+@settings(max_examples=25, deadline=None)
+@given(circuit_and_candidates())
+def test_native_ragged_candidates_agree_with_reference(data):
+    """Ragged candidate lists (0-12 vectors each) over several batches."""
+    _require_native()
+    circuit, candidates, fault_pick = data
+    faults = enumerate_faults(circuit)
+    picked = [faults[(fault_pick + k * 7) % len(faults)] for k in range(3)]
+    reference = ReferenceSimulator(circuit)
+    expected = {
+        fault: [reference.detects(candidate, fault) for candidate in candidates]
+        for fault in picked
+    }
+    compiled = CompiledCircuit(circuit)
+    for backend, threads in NATIVE_ENGINES:
+        for width in SLOT_WIDTHS:
+            simulator = SequenceBatchSimulator(
+                compiled, batch_width=width, backend=backend, threads=threads
+            )
+            for fault in picked:
+                assert simulator.detects(fault, candidates) == expected[fault], (
+                    backend,
+                    threads,
+                    width,
+                    str(fault),
+                )

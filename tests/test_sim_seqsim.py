@@ -105,12 +105,12 @@ EXPANSIONS = [
 class TestDerivedCandidates:
     """detects_windows / detects_omissions vs materialized expansion."""
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", ["python", "native"])
     @pytest.mark.parametrize("expansion", EXPANSIONS)
     def test_windows_match_materialized_expansion(
-        self, s27, s27_universe, s27_t0, backend, expansion
+        self, s27, s27_universe, s27_t0, backend, expansion, require_backend
     ):
-        pytest.importorskip("numpy")
+        require_backend(backend)
         simulator = SequenceBatchSimulator(s27, batch_width=9, backend=backend)
         udet = len(s27_t0) - 1
         spans = [(u, udet) for u in range(udet, -1, -1)]
@@ -125,12 +125,12 @@ class TestDerivedCandidates:
             )
             assert derived == materialized, str(fault)
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", ["python", "native"])
     @pytest.mark.parametrize("expansion", EXPANSIONS)
     def test_omissions_match_materialized_expansion(
-        self, s27, s27_universe, s27_t0, backend, expansion
+        self, s27, s27_universe, s27_t0, backend, expansion, require_backend
     ):
-        pytest.importorskip("numpy")
+        require_backend(backend)
         simulator = SequenceBatchSimulator(s27, batch_width=7, backend=backend)
         base = s27_t0.subsequence(1, len(s27_t0) - 2)
         omissions = list(range(len(base)))
@@ -167,10 +167,9 @@ class TestDerivedCandidates:
 class TestAgainstReferenceSimulator:
     """Packed candidate batches agree with the scalar reference, one by one."""
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_outcomes_identical(self, s27, s27_universe, backend):
-        if backend == "numpy":
-            pytest.importorskip("numpy")
+    @pytest.mark.parametrize("backend", ["python", "native"])
+    def test_outcomes_identical(self, s27, s27_universe, backend, require_backend):
+        require_backend(backend)
         reference = ReferenceSimulator(s27)
         candidates = _random_sequences(21, 4, 30, 11)
         for fault in list(s27_universe.faults())[::6]:
@@ -185,10 +184,11 @@ class TestPartialBatchProgramCache:
     """Partial batches pad up a stable ladder, so a handful of cached
     programs (not one per trailing size) serves a whole search."""
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", ["python", "native"])
     def test_one_program_per_fault_regardless_of_partial_batches(
-        self, s27_compiled, s27_universe, backend
+        self, s27_compiled, s27_universe, backend, require_backend
     ):
+        require_backend(backend)
         simulator = SequenceBatchSimulator(
             s27_compiled, batch_width=8, backend=backend
         )
