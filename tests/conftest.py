@@ -36,18 +36,20 @@ def require_backend():
 
 @pytest.fixture(scope="session")
 def base_loop_backend():
-    """Factory for an engine that scans on the base per-step loop.
+    """Factory for an engine that scans and traces on the base loops.
 
     ``make(compiled, name)`` returns a fresh instance of ``name``'s
-    backend class whose ``run_scan`` is :meth:`SimBackend.run_scan` —
-    the specification every engine's own scan must match.  Pass it as a
-    simulator's ``backend=``; instances are never memoized, so the
-    circuit's shared backend keeps its own scan.
+    backend class whose ``run_scan`` and ``run_good_trace`` are
+    :meth:`SimBackend.run_scan` and :meth:`SimBackend.run_good_trace` —
+    the per-step specifications every engine's own scan and trace must
+    match.  Pass it as a simulator's ``backend=``; instances are never
+    memoized, so the circuit's shared backend keeps its own paths.
     """
 
     def _make(compiled: CompiledCircuit, name: str) -> SimBackend:
         class BaseLoop(type(get_backend(compiled, name))):
             run_scan = SimBackend.run_scan
+            run_good_trace = SimBackend.run_good_trace
 
         return BaseLoop(compiled)
 

@@ -15,6 +15,8 @@ failing.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.circuits.catalog import load_circuit, paper_t0_s27
@@ -50,8 +52,15 @@ from repro.util.rng import SplitMix64
 
 pytest.importorskip("numpy")
 
-#: Catalog circuits small enough to sweep their full fault universe here.
-PARITY_CIRCUITS = ["s27", "syn298", "syn344", "syn382", "syn641"]
+#: Generated circuits beside the catalog ones: flop-heavy and PI-heavy.
+GENERATED_SPECS = {
+    "gen-flops": SyntheticSpec("gen-flops", 3, 2, 9, 70, seed=31),
+    "gen-inputs": SyntheticSpec("gen-inputs", 7, 4, 4, 60, seed=32),
+}
+
+#: Circuits small enough to sweep their full fault universe here:
+#: catalog ones and the generated ones.
+PARITY_CIRCUITS = ["s27", "syn298", "syn344", "syn382", "syn641", *GENERATED_SPECS]
 
 #: Engines checked against the big-int reference.
 NON_REFERENCE_BACKENDS = [
@@ -72,6 +81,82 @@ def backend_name(request) -> str:
     return _require_backend(request.param)
 
 
+@dataclass(frozen=True)
+class EngineConfig:
+    """One way of running a non-reference engine.
+
+    ``base_loop`` drives the engine's batches through the base per-step
+    loops (:meth:`SimBackend.run_scan`/:meth:`SimBackend.run_good_trace`)
+    instead of its own scan and trace; ``threads`` is the simulator's
+    kernel thread request.
+    """
+
+    name: str
+    base_loop: bool = False
+    threads: int = 1
+
+    def __str__(self) -> str:
+        suffix = "-base" if self.base_loop else ""
+        return self.name + suffix + (f"-t{self.threads}" if self.threads > 1 else "")
+
+
+#: Scan configurations of each engine: its own scan serially and on
+#: two kernel threads, and its per-step batch API under the base loop.
+SCAN_ENGINES = [
+    config
+    for name in NON_REFERENCE_BACKENDS
+    for config in (
+        EngineConfig(name),
+        EngineConfig(name, threads=2),
+        EngineConfig(name, base_loop=True),
+    )
+]
+
+#: Trace configurations: the engine's own trace and the base loop's.
+TRACE_ENGINES = [
+    config
+    for name in NON_REFERENCE_BACKENDS
+    for config in (EngineConfig(name), EngineConfig(name, base_loop=True))
+]
+
+
+def _engine_factory(config: EngineConfig, base_loop_backend):
+    _require_backend(config.name)
+
+    def backend(compiled: CompiledCircuit):
+        if config.base_loop:
+            return base_loop_backend(compiled, config.name)
+        return config.name
+
+    return backend
+
+
+@pytest.fixture(params=SCAN_ENGINES, ids=str)
+def scan_engine(request, base_loop_backend):
+    """``make(compiled)`` -> simulator keywords for one scan config."""
+    backend = _engine_factory(request.param, base_loop_backend)
+
+    def make(compiled: CompiledCircuit) -> dict:
+        return {"backend": backend(compiled), "threads": request.param.threads}
+
+    return make
+
+
+@pytest.fixture(params=TRACE_ENGINES, ids=str)
+def trace_engine(request, base_loop_backend):
+    """``make(compiled)`` -> the ``backend=`` of one trace config."""
+    return _engine_factory(request.param, base_loop_backend)
+
+
+def _load_compiled(name: str) -> CompiledCircuit:
+    spec = GENERATED_SPECS.get(name) or next(
+        (spec for spec in TRACE_SPECS if spec.name == name), None
+    )
+    if spec is not None:
+        return CompiledCircuit(generate_circuit(spec))
+    return CompiledCircuit(load_circuit(name))
+
+
 def _random_sequence(circuit, length, seed=2024) -> TestSequence:
     rng = SplitMix64(seed)
     return TestSequence(
@@ -84,7 +169,7 @@ def _random_sequence(circuit, length, seed=2024) -> TestSequence:
 
 @pytest.fixture(scope="module", params=PARITY_CIRCUITS)
 def compiled(request) -> CompiledCircuit:
-    return CompiledCircuit(load_circuit(request.param))
+    return _load_compiled(request.param)
 
 
 class TestBackendRegistry:
@@ -117,19 +202,19 @@ class TestBackendRegistry:
 
 
 class TestFaultSimParity:
-    def test_full_universe_detection_times_identical(self, compiled, backend_name):
-        """The acceptance property: same udet for every catalog fault."""
+    def test_full_universe_detection_times_identical(self, compiled, scan_engine):
+        """The acceptance property: same udet for every fault."""
         universe = FaultUniverse(compiled.circuit)
         faults = list(universe.faults())
         sequence = _random_sequence(compiled.circuit, 48)
         python = FaultSimulator(compiled, backend="python").run(sequence, faults)
-        other = FaultSimulator(compiled, backend=backend_name).run(
+        other = FaultSimulator(compiled, **scan_engine(compiled)).run(
             sequence, faults
         )
         assert python.detection_time == other.detection_time
         assert python.num_detected > 0  # the comparison is not vacuous
 
-    def test_batch_wider_than_64_slots(self, compiled, backend_name):
+    def test_batch_wider_than_64_slots(self, compiled, scan_engine):
         """Batches crossing uint64 word boundaries (and not word-aligned)."""
         universe = FaultUniverse(compiled.circuit)
         faults = list(universe.faults())
@@ -139,33 +224,33 @@ class TestFaultSimParity:
         )
         for width in (65, 96, 127, 200):
             result = FaultSimulator(
-                compiled, batch_width=width, backend=backend_name
+                compiled, batch_width=width, **scan_engine(compiled)
             ).run(sequence, faults)
             assert result.detection_time == reference.detection_time
 
-    def test_pi_stem_fault(self, compiled, backend_name):
+    def test_pi_stem_fault(self, compiled, scan_engine):
         """Faults on PI stems exercise the source-patch path."""
         circuit = compiled.circuit
         sequence = _random_sequence(circuit, 24)
+        engine = FaultSimulator(compiled, **scan_engine(compiled))
         for pi in circuit.inputs:
             for stuck in (0, 1):
                 fault = Fault(site=FaultSite(signal=pi, kind=STEM), stuck_value=stuck)
                 python = FaultSimulator(compiled, backend="python").detects(
                     sequence, fault
                 )
-                other = FaultSimulator(compiled, backend=backend_name).detects(
-                    sequence, fault
-                )
-                assert python == other
+                assert python == engine.detects(sequence, fault)
 
-    def test_session_parity_from_all_x_state(self, compiled, backend_name):
+    def test_session_parity_from_all_x_state(self, compiled, scan_engine):
         """Incremental sessions advance both backends' machines from all-X
         through several extensions with identical global detection times."""
         universe = FaultUniverse(compiled.circuit)
         faults = list(universe.faults())
         sessions = {
-            name: FaultSimulator(compiled, backend=name).session(faults)
-            for name in ("python", backend_name)
+            "python": FaultSimulator(compiled, backend="python").session(faults),
+            "engine": FaultSimulator(compiled, **scan_engine(compiled)).session(
+                faults
+            ),
         }
         for chunk_seed in (7, 8, 9):
             extension = _random_sequence(compiled.circuit, 12, seed=chunk_seed)
@@ -173,34 +258,34 @@ class TestFaultSimParity:
                 name: session.commit(extension)
                 for name, session in sessions.items()
             }
-            assert detected["python"] == detected[backend_name]
+            assert detected["python"] == detected["engine"]
             assert (
                 sessions["python"].peek(extension)
-                == sessions[backend_name].peek(extension)
+                == sessions["engine"].peek(extension)
             )
         assert (
             sessions["python"].detection_time
-            == sessions[backend_name].detection_time
+            == sessions["engine"].detection_time
         )
         assert set(sessions["python"].remaining_faults) == set(
-            sessions[backend_name].remaining_faults
+            sessions["engine"].remaining_faults
         )
 
 
 class TestLogicSimParity:
-    def test_traces_identical(self, compiled, backend_name):
+    def test_traces_identical(self, compiled, trace_engine):
         sequence = _random_sequence(compiled.circuit, 32)
         python = LogicSimulator(compiled, backend="python").run(
             sequence, record_signals=True
         )
-        other = LogicSimulator(compiled, backend=backend_name).run(
+        other = LogicSimulator(compiled, backend=trace_engine(compiled)).run(
             sequence, record_signals=True
         )
         assert python.po_values == other.po_values
         assert python.final_state == other.final_state
         assert python.signal_values == other.signal_values
 
-    def test_explicit_initial_states(self, compiled, backend_name):
+    def test_explicit_initial_states(self, compiled, trace_engine):
         """All-X, all-binary and mixed initial states round-trip the same."""
         num_flops = len(compiled.flop_pairs)
         sequence = _random_sequence(compiled.circuit, 16)
@@ -210,13 +295,12 @@ class TestLogicSimParity:
             [ZERO if i % 2 else ONE for i in range(num_flops)],
             [X if i % 3 == 0 else ZERO for i in range(num_flops)],
         ]
+        engine = LogicSimulator(compiled, backend=trace_engine(compiled))
         for initial in patterns:
             python = LogicSimulator(compiled, backend="python").run(
                 sequence, initial_state=initial
             )
-            other = LogicSimulator(compiled, backend=backend_name).run(
-                sequence, initial_state=initial
-            )
+            other = engine.run(sequence, initial_state=initial)
             assert python.po_values == other.po_values
             assert python.final_state == other.final_state
 
@@ -255,76 +339,73 @@ class TestGoodTraceParity:
         params=PARITY_CIRCUITS + [spec.name for spec in TRACE_SPECS],
     )
     def trace_circuit(self, request) -> CompiledCircuit:
-        for spec in TRACE_SPECS:
-            if spec.name == request.param:
-                return CompiledCircuit(generate_circuit(spec))
-        return CompiledCircuit(load_circuit(request.param))
+        return _load_compiled(request.param)
 
-    def _assert_parity(self, compiled, backend_name, sequence, initial=None):
+    def _assert_parity(self, compiled, trace_engine, sequence, initial=None):
         expected = _reference_trace(compiled, sequence, initial)
         actual = _good_trace(
-            get_backend(compiled, backend_name), sequence, initial
+            get_backend(compiled, trace_engine(compiled)), sequence, initial
         )
         assert actual == expected
         return expected
 
-    def test_from_all_x(self, trace_circuit, backend_name):
+    def test_from_all_x(self, trace_circuit, trace_engine):
         po_values, _ = self._assert_parity(
             trace_circuit,
-            backend_name,
+            trace_engine,
             _random_sequence(trace_circuit.circuit, 60, seed=31),
         )
         assert any(v is not X for row in po_values for v in row)
 
-    def test_given_initial_state(self, trace_circuit, backend_name):
+    def test_given_initial_state(self, trace_circuit, trace_engine):
         num_flops = len(trace_circuit.flop_pairs)
         initial = [(ONE, ZERO, X)[i % 3] for i in range(num_flops)]
         self._assert_parity(
             trace_circuit,
-            backend_name,
+            trace_engine,
             _random_sequence(trace_circuit.circuit, 20, seed=32),
             initial,
         )
 
-    def test_empty_sequence(self, trace_circuit, backend_name):
+    def test_empty_sequence(self, trace_circuit, trace_engine):
         num_flops = len(trace_circuit.flop_pairs)
         initial = [ONE] * num_flops
         po_values, final = self._assert_parity(
-            trace_circuit, backend_name, TestSequence([]), initial
+            trace_circuit, trace_engine, TestSequence([]), initial
         )
         assert po_values == [] and final == initial
 
-    def test_one_vector(self, trace_circuit, backend_name):
+    def test_one_vector(self, trace_circuit, trace_engine):
         po_values, _ = self._assert_parity(
             trace_circuit,
-            backend_name,
+            trace_engine,
             _random_sequence(trace_circuit.circuit, 1, seed=33),
         )
         assert len(po_values) == 1
 
-    def test_width_mismatch_rejected(self, trace_circuit, backend_name):
+    def test_width_mismatch_rejected(self, trace_circuit, trace_engine):
         wide = TestSequence([[0] * (trace_circuit.num_inputs + 1)])
-        for name in ("python", backend_name):
+        for backend in ("python", trace_engine(trace_circuit)):
             with pytest.raises(SimulationError, match="sequence width"):
-                LogicSimulator(trace_circuit, backend=name).run(wide)
+                LogicSimulator(trace_circuit, backend=backend).run(wide)
 
 
 class TestSeqSimParity:
-    def test_mixed_length_candidates(self, compiled, backend_name):
+    def test_mixed_length_candidates(self, compiled, scan_engine):
         universe = FaultUniverse(compiled.circuit)
         faults = list(universe.faults())
         candidates = [
             _random_sequence(compiled.circuit, 3 + (j % 11), seed=100 + j)
             for j in range(70)  # > 64: crosses a word boundary in one batch
         ]
+        python = SequenceBatchSimulator(compiled, batch_width=70, backend="python")
+        engine = SequenceBatchSimulator(
+            compiled, batch_width=70, **scan_engine(compiled)
+        )
         for fault in faults[:: max(1, len(faults) // 6)]:
-            python = SequenceBatchSimulator(
-                compiled, batch_width=70, backend="python"
-            ).detects(fault, candidates)
-            other = SequenceBatchSimulator(
-                compiled, batch_width=70, backend=backend_name
-            ).detects(fault, candidates)
-            assert python == other
+            assert python.detects(fault, candidates) == engine.detects(
+                fault, candidates
+            ), str(fault)
 
 
 @pytest.fixture(scope="module")
@@ -718,11 +799,11 @@ class TestAutoBackend:
 
 
 class TestPaperWalkthrough:
-    def test_s27_profile_is_backend_independent(self, backend_name):
+    def test_s27_profile_is_backend_independent(self, scan_engine):
         """The paper's own worked example, replayed on each engine."""
         compiled = CompiledCircuit(load_circuit("s27"))
         universe = FaultUniverse(compiled.circuit)
-        result = FaultSimulator(compiled, backend=backend_name).run(
+        result = FaultSimulator(compiled, **scan_engine(compiled)).run(
             paper_t0_s27(), list(universe.faults())
         )
         assert result.num_detected == 32
@@ -772,12 +853,6 @@ OBSERVE_ENGINES = [
     ("native", True, 1),
 ]
 
-#: Generated circuits beside the catalog ones: flop-heavy and PI-heavy.
-OBSERVE_SPECS = {
-    "gen-flops": SyntheticSpec("gen-flops", 3, 2, 9, 70, seed=31),
-    "gen-inputs": SyntheticSpec("gen-inputs", 7, 4, 4, 60, seed=32),
-}
-
 #: Candidate lengths cycled through a ragged set: empty and one-vector
 #: candidates sit beside ones long enough to detect.
 OBSERVE_LENGTHS = (0, 1, 7, 2, 19, 0, 12, 1, 30, 5)
@@ -793,15 +868,11 @@ def _pin_faults(circuit) -> list[Fault]:
     return [Fault(site, value) for site in sites for value in (0, 1)]
 
 
-@pytest.fixture(scope="module", params=["s27", "syn298", "syn382", *OBSERVE_SPECS])
+@pytest.fixture(scope="module", params=["s27", "syn298", "syn382", *GENERATED_SPECS])
 def observe_case(request):
     """A circuit, 129 ragged candidates and the oracle's observations."""
-    name = request.param
-    if name in OBSERVE_SPECS:
-        circuit = generate_circuit(OBSERVE_SPECS[name])
-    else:
-        circuit = load_circuit(name)
-    compiled = CompiledCircuit(circuit)
+    compiled = _load_compiled(request.param)
+    circuit = compiled.circuit
     universe = list(FaultUniverse(circuit).faults())
     faults = _pin_faults(circuit) + universe[:: max(1, len(universe) // 4)][:4]
     candidates = [
