@@ -24,10 +24,10 @@ All observe the **(H, L) encoding contract** of
 :mod:`repro.logic.encoding`: per slot, ``H`` set means 1, ``L`` set means
 0, neither means X, and both set never occurs.
 
-All slot masks crossing the backend boundary (detection masks, packed flop
-states, packed input columns) are plain Python integers, so the simulators'
-bookkeeping is backend-independent and results are bit-identical across
-backends by construction.
+All slot masks crossing the backend boundary (detection masks, per-flop
+state words, packed input columns) are plain Python integers, so the
+simulators' bookkeeping is backend-independent and results are
+bit-identical across backends by construction.
 
 Backends also memoize compiled programs per fault batch
 (:meth:`SimBackend.program` keeps a small LRU), which makes the thousands
@@ -81,13 +81,6 @@ PROGRAM_CACHE_SIZE = 256
 #: one-shot wide batches cannot pin hundreds of megabyte-scale op lists.
 PROGRAM_CACHE_SIGNAL_BUDGET = 4_000_000
 
-# Per-flop 2-bit state codes used by packed machine states (the
-# backend-independent interchange format of FaultSimSession).
-STATE_X = 0
-STATE_ONE = 1
-STATE_ZERO = 2
-
-
 def resolve_simulator_threads(backend: "SimBackend", threads: int) -> int:
     """Clamp a simulator's requested kernel thread lanes to reality.
 
@@ -117,7 +110,11 @@ def resolve_simulator_threads(backend: "SimBackend", threads: int) -> int:
 #: counts actual ctypes crossings into the C kernel; ``scan_calls`` /
 #: ``scan_steps`` count whole-sequence scans and the time steps they
 #: simulated; ``trace_calls`` / ``trace_steps`` count fault-free traces
-#: (:meth:`SimBackend.run_good_trace`) and their vectors.  Sharded
+#: (:meth:`SimBackend.run_good_trace`) and their vectors;
+#: ``program_compiles`` counts program-cache misses
+#: (:meth:`SimBackend.program`) and ``session_repacks`` the times a
+#: :class:`~repro.sim.faultsim.FaultSimSession` re-packed its live
+#: slots into dense batches.  Sharded
 #: workers count in their own processes; the parent's counters cover
 #: work it ran locally.  Concurrent serving lanes all
 #: record into this one table, so updates take the lock below — a plain
@@ -217,37 +214,6 @@ class ScanDivergence:
             self.area[slot] += count
 
 
-def unpack_states(packed: Sequence[int], num_flops: int) -> list[tuple[int, int]]:
-    """Per-slot packed states -> per-flop ``(H, L)`` Python-int word pairs."""
-    state: list[tuple[int, int]] = []
-    for flop in range(num_flops):
-        shift = 2 * flop
-        h = 0
-        l = 0
-        for slot, code_word in enumerate(packed):
-            code = (code_word >> shift) & 3
-            if code == STATE_ONE:
-                h |= 1 << slot
-            elif code == STATE_ZERO:
-                l |= 1 << slot
-        state.append((h, l))
-    return state
-
-
-def pack_states(state: Sequence[tuple[int, int]], batch_size: int) -> list[int]:
-    """Per-flop ``(H, L)`` word pairs -> per-slot packed states."""
-    packed = [0] * batch_size
-    for flop, (h, l) in enumerate(state):
-        shift = 2 * flop
-        for slot in range(batch_size):
-            bit = 1 << slot
-            if h & bit:
-                packed[slot] |= STATE_ONE << shift
-            elif l & bit:
-                packed[slot] |= STATE_ZERO << shift
-    return packed
-
-
 class SimProgram:
     """A backend-compiled combinational program for one fault batch.
 
@@ -275,8 +241,11 @@ class SimBatch(ABC):
         ... observe_po() / detect_mask() ...
         capture_state()
 
-    State starts all-X; :meth:`set_state_packed` /
-    :meth:`set_state_scalar` override it before the first step.
+    State starts all-X; :meth:`set_state_words` /
+    :meth:`set_state_scalar` override it before the first step, and
+    :meth:`export_state_words` reads it back.  Per-flop ``(H, L)`` words
+    are the only per-slot state interchange: a caller that keeps
+    machines between batches (a fault session) stores these words.
     """
 
     #: Thread lanes the backend may split this batch's ``words`` axis
@@ -340,12 +309,12 @@ class SimBatch(ABC):
         """Latch the flop ``D`` values (with flop patches) as next state."""
 
     @abstractmethod
-    def set_state_packed(self, packed: Sequence[int]) -> None:
-        """Set per-slot flop states from packed 2-bit-per-flop codes."""
+    def set_state_words(self, state: Sequence[tuple[int, int]]) -> None:
+        """Set every slot's flop state from per-flop ``(H, L)`` words.
 
-    @abstractmethod
-    def export_state_packed(self) -> list[int]:
-        """Current flop states as per-slot packed 2-bit-per-flop codes."""
+        The inverse of :meth:`export_state_words`: ``state[f]`` holds
+        flop ``f``'s rails, slot ``s`` in bit ``s``.
+        """
 
     @abstractmethod
     def set_state_scalar(self, values: Sequence[Ternary]) -> None:
@@ -433,6 +402,7 @@ class SimBackend(ABC):
         # Compile outside the lock: two lanes racing on the same new
         # batch may both compile, but the loser's program is simply
         # dropped — correctness never depends on cache identity.
+        record_dispatch("program_compiles")
         program = self._compile_program(faults)
         with self._program_lock:
             cached = cache.pop(faults, None)
@@ -516,7 +486,7 @@ class SimBackend(ABC):
         would — ``capture_state`` is skipped after the early-exiting
         step — and with ``collect_final_states`` the scan never exits
         early and latches every step, so
-        :meth:`SimBatch.export_state_packed` afterwards matches the
+        :meth:`SimBatch.export_state_words` afterwards matches the
         stepped path bit for bit.
 
         ``divergence`` (paired axis only; ``None`` = off) receives the

@@ -23,7 +23,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.logic.values import ONE, ZERO, Ternary
-from repro.sim.backend import SimBackend, SimBatch, pack_states, unpack_states
+from repro.sim.backend import SimBackend, SimBatch
 from repro.sim.compiled import InjectionPlan
 from repro.sim.kernel import source_stem_patches
 
@@ -61,7 +61,6 @@ class NumpyBatch(SimBatch):
         compiled = backend.compiled
         self._backend = backend
         self._program = program
-        self._batch_size = batch_size
         self._full_mask = (1 << batch_size) - 1
         words = (batch_size + WORD_BITS - 1) // WORD_BITS
         self._words = words
@@ -151,13 +150,11 @@ class NumpyBatch(SimBatch):
     # ------------------------------------------------------------------
     # State interchange
     # ------------------------------------------------------------------
-    def set_state_packed(self, packed: Sequence[int]) -> None:
-        pairs = unpack_states(packed, self._num_flops)
-        self._SH = _masks_to_matrix([h for h, _ in pairs], self._words).copy()
-        self._SL = _masks_to_matrix([l for _, l in pairs], self._words).copy()
-
-    def export_state_packed(self) -> list[int]:
-        return pack_states(self.export_state_words(), self._batch_size)
+    def set_state_words(self, state: Sequence[tuple[int, int]]) -> None:
+        # Copies: the frombuffer views are read-only, and the kernel
+        # latches into these arrays in place.
+        self._SH = _masks_to_matrix([h for h, _ in state], self._words).copy()
+        self._SL = _masks_to_matrix([l for _, l in state], self._words).copy()
 
     def set_state_scalar(self, values: Sequence[Ternary]) -> None:
         self._SH = np.zeros((self._num_flops, self._words), dtype=np.uint64)

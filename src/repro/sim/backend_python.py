@@ -13,13 +13,7 @@ from collections.abc import Sequence
 
 from repro.faults.model import Fault
 from repro.logic.values import ONE, ZERO, Ternary
-from repro.sim.backend import (
-    SimBackend,
-    SimBatch,
-    SimProgram,
-    pack_states,
-    unpack_states,
-)
+from repro.sim.backend import SimBackend, SimBatch, SimProgram
 from repro.sim.kernel import (
     RunOp,
     build_run_ops,
@@ -55,7 +49,6 @@ class PythonBatch(SimBatch):
     __slots__ = (
         "_compiled",
         "_program",
-        "_batch_size",
         "_full",
         "_H",
         "_L",
@@ -67,7 +60,6 @@ class PythonBatch(SimBatch):
     ) -> None:
         self._compiled = compiled
         self._program = program
-        self._batch_size = batch_size
         self._full = (1 << batch_size) - 1
         n = compiled.num_signals
         self._H: list[int] = [0] * n
@@ -141,11 +133,8 @@ class PythonBatch(SimBatch):
             next_state[position] = ((h | sa1) & ~sa0, (l | sa0) & ~sa1)
         self._state = next_state
 
-    def set_state_packed(self, packed: Sequence[int]) -> None:
-        self._state = unpack_states(packed, len(self._compiled.flop_pairs))
-
-    def export_state_packed(self) -> list[int]:
-        return pack_states(self._state, self._batch_size)
+    def set_state_words(self, state: Sequence[tuple[int, int]]) -> None:
+        self._state = list(state)
 
     def set_state_scalar(self, values: Sequence[Ternary]) -> None:
         full = self._full

@@ -24,7 +24,12 @@ Two usage modes:
   paper's procedures, whose detection semantics require a fresh start.
 * :class:`FaultSimSession` — incremental: machine states persist across
   appended extensions, so test *generation* (which grows a sequence chunk
-  by chunk) costs O(total length) instead of O(length²).
+  by chunk) costs O(total length) instead of O(length²).  Each fault
+  keeps one slot of one batch for the life of the session; the batch
+  holds its compiled program and its machines' flop state as per-flop
+  ``(H, L)`` words, and a detected fault only leaves the batch's alive
+  mask.  Batches are re-packed (and their programs re-fetched) only when
+  the live slots fill less than half of the occupied ones.
 """
 
 from __future__ import annotations
@@ -37,7 +42,9 @@ from repro.sim.backend import (
     AUTO_BACKEND,
     BroadcastStimulus,
     SimBackend,
+    SimProgram,
     get_backend,
+    record_dispatch,
     resolve_auto,
     resolve_simulator_threads,
 )
@@ -138,7 +145,7 @@ class FaultSimulator:
         width = self._batch_width
         for start in range(0, len(faults), width):
             batch = faults[start : start + width]
-            times, _ = self._run_batch(sequence, batch, observation_plan)
+            times = self._run_batch(sequence, batch, observation_plan)
             for fault, time in zip(batch, times):
                 if time is not None:
                     result.detection_time[fault] = time
@@ -153,7 +160,7 @@ class FaultSimulator:
         if len(sequence) == 0:
             return False
         observation_plan = self._observation_plan(sequence, None)
-        times, _ = self._run_batch(sequence, [fault], observation_plan)
+        times = self._run_batch(sequence, [fault], observation_plan)
         return times[0] is not None
 
     def session(self, faults: list[Fault]) -> "FaultSimSession":
@@ -184,46 +191,103 @@ class FaultSimulator:
         sequence: TestSequence,
         batch: list[Fault],
         observation_plan: list[ObservationRow],
-        initial_states: list[int] | None = None,
+    ) -> list[int | None]:
+        """Per-slot first detection times of one all-X batch of faults."""
+        program = self._backend.program(tuple(batch))
+        times, _ = self._scan(program, len(batch), sequence, observation_plan)
+        return times
+
+    def _scan(
+        self,
+        program: SimProgram,
+        size: int,
+        sequence: TestSequence,
+        observation_plan: list[ObservationRow],
+        state: list[tuple[int, int]] | None = None,
+        alive: int | None = None,
         collect_final_states: bool = False,
-    ) -> tuple[list[int | None], list[int] | None]:
-        """Simulate one batch.
+    ) -> tuple[list[int | None], list[tuple[int, int]] | None]:
+        """Scan ``sequence`` over one fresh batch of ``program``'s machines.
 
-        ``initial_states``: per-slot packed flop states (2 bits per flop,
-        see :mod:`repro.sim.backend`); None means all-X.  Returns per-slot
-        first detection times and, if requested, per-slot packed final
-        states.
+        ``state``: per-flop ``(H, L)`` start words (``None`` = all-X);
+        ``alive``: the slots that may detect (``None`` = all ``size``).
+        Returns per-slot first detection times (``None`` for slots never
+        detected or not alive) and, if requested, the final per-flop
+        words.  The batch itself is dropped on return.
         """
-        backend = self._backend
-        program = backend.program(tuple(batch))
-        machines = backend.batch(program, len(batch))
+        machines = self._backend.batch(program, size)
         machines.threads = self._threads
-        if initial_states is not None:
-            machines.set_state_packed(initial_states)
-
+        if state is not None:
+            machines.set_state_words(state)
         # The whole per-step loop runs inside the backend's run_scan.
-        detect_time = backend.run_scan(
+        times = self._backend.run_scan(
             None,
             machines,
-            BroadcastStimulus(sequence, len(batch)),
+            BroadcastStimulus(sequence, size),
             observation_plan,
-            (1 << len(batch)) - 1,
+            (1 << size) - 1 if alive is None else alive,
             collect_final_states=collect_final_states,
         )
+        final = machines.export_state_words() if collect_final_states else None
+        return times, final
 
-        final_states = (
-            machines.export_state_packed() if collect_final_states else None
-        )
-        return detect_time, final_states
+
+class _SessionBatch:
+    """One batch of a :class:`FaultSimSession`: its slots for its life.
+
+    Slot ``s`` runs ``faults[s]``; ``state`` holds every slot's flop
+    state as per-flop ``(H, L)`` words, and ``alive`` the slots whose
+    fault is still undetected.
+    """
+
+    __slots__ = ("faults", "program", "state", "alive")
+
+    def __init__(
+        self,
+        faults: tuple[Fault, ...],
+        program: SimProgram,
+        state: list[tuple[int, int]],
+    ) -> None:
+        self.faults = faults
+        self.program = program
+        self.state = state
+        self.alive = (1 << len(faults)) - 1
+
+
+def _live_runs(alive: int) -> list[tuple[int, int]]:
+    """The runs of set bits of ``alive`` as ``(start, length)``, low first."""
+    runs = []
+    slot = 0
+    while alive:
+        gap = (alive & -alive).bit_length() - 1
+        alive >>= gap
+        slot += gap
+        length = (alive ^ (alive + 1)).bit_length() - 1
+        runs.append((slot, length))
+        alive >>= length
+        slot += length
+    return runs
 
 
 class FaultSimSession:
     """Incremental fault simulation across appended sequence extensions.
 
-    Tracks, for every still-undetected fault, the packed state of its
-    faulty machine, plus the fault-free machine state; :meth:`commit`
-    advances everything by an extension, and :meth:`peek` evaluates an
-    extension without advancing (the ATPG's candidate trials).
+    Tracks the fault-free machine's state and, for every still-undetected
+    fault, its faulty machine's state; :meth:`commit` advances everything
+    by an extension, and :meth:`peek` evaluates an extension without
+    advancing (the ATPG's candidate trials).
+
+    The faults (de-duplicated, in order) are split once into
+    ``batch_width`` batches, each with its program fetched once and its
+    machines' flop state kept as per-flop ``(H, L)`` words.  Every call
+    opens a short-lived backend batch per batch with live slots, loads
+    the words and scans with the alive mask; :meth:`commit` stores the
+    final words back and clears the detected slots.  When the live slots
+    fill less than half of the occupied ones, they are gathered in order
+    into new dense batches — the only point where a session compiles
+    programs.  A fault's detection time does not depend on its slot, so
+    results equal a fresh re-batching of the remaining faults on every
+    call, and :attr:`remaining_faults` keeps the original order.
     """
 
     def __init__(self, simulator: FaultSimulator, faults: list[Fault]) -> None:
@@ -231,7 +295,12 @@ class FaultSimSession:
         self._compiled = simulator.compiled
         self._num_flops = len(self._compiled.flop_pairs)
         self._good_state: list[Ternary] = [X] * self._num_flops
-        self._fault_states: dict[Fault, int] = {fault: 0 for fault in faults}
+        unique = list(dict.fromkeys(faults))
+        width = simulator.batch_width
+        self._batches = [
+            self._new_batch(unique[start : start + width])
+            for start in range(0, len(unique), width)
+        ]
         self._detection_time: dict[Fault, int] = {}
         self._elapsed = 0
 
@@ -247,61 +316,113 @@ class FaultSimSession:
 
     @property
     def remaining_faults(self) -> list[Fault]:
-        return list(self._fault_states)
+        return [
+            batch.faults[slot]
+            for batch in self._batches
+            for start, length in _live_runs(batch.alive)
+            for slot in range(start, start + length)
+        ]
 
     @property
     def num_remaining(self) -> int:
-        return len(self._fault_states)
+        return sum(batch.alive.bit_count() for batch in self._batches)
 
     def peek(self, extension: TestSequence) -> int:
         """How many remaining faults ``extension`` would newly detect."""
-        detected, _, _ = self._advance(extension, commit=False)
-        return len(detected)
+        if len(extension) == 0:
+            return 0
+        good = self._simulator._logic.run(extension, initial_state=self._good_state)
+        return len(self._advance(extension, build_observation_plan(good), False))
 
     def commit(self, extension: TestSequence) -> dict[Fault, int]:
         """Advance all machines by ``extension``; return new detections."""
-        detected, final_states, good_final = self._advance(extension, commit=True)
-        for fault, time in detected.items():
-            self._detection_time[fault] = time
-            del self._fault_states[fault]
-        if final_states is not None:
-            self._fault_states.update(final_states)
-        if good_final is not None:
-            self._good_state = good_final
+        if len(extension) == 0:
+            return {}
+        good = self._simulator._logic.run(extension, initial_state=self._good_state)
+        detected = self._advance(extension, build_observation_plan(good), True)
+        self._detection_time.update(detected)
+        self._good_state = good.final_state
         self._elapsed += len(extension)
         return detected
 
     def _advance(
-        self, extension: TestSequence, commit: bool
-    ) -> tuple[
-        dict[Fault, int], dict[Fault, int] | None, list[Ternary] | None
-    ]:
-        if len(extension) == 0:
-            return {}, ({} if commit else None), (list(self._good_state) if commit else None)
+        self,
+        extension: TestSequence,
+        observation_plan: list[ObservationRow],
+        commit: bool,
+    ) -> dict[Fault, int]:
+        """Scan every live batch; with ``commit``, keep the results."""
         simulator = self._simulator
-        good = simulator._logic.run(
-            extension, initial_state=self._good_state
-        )
-        observation_plan = build_observation_plan(good)
-
         detected: dict[Fault, int] = {}
-        final_states: dict[Fault, int] | None = {} if commit else None
-        faults = list(self._fault_states)
-        width = simulator.batch_width
-        for start in range(0, len(faults), width):
-            batch = faults[start : start + width]
-            initial = [self._fault_states[fault] for fault in batch]
-            times, finals = simulator._run_batch(
+        for batch in self._batches:
+            if not batch.alive:
+                continue
+            times, final = simulator._scan(
+                batch.program,
+                len(batch.faults),
                 extension,
-                batch,
                 observation_plan,
-                initial_states=initial,
+                state=batch.state,
+                alive=batch.alive,
                 collect_final_states=commit,
             )
-            for slot, (fault, time) in enumerate(zip(batch, times)):
+            for slot, time in enumerate(times):
                 if time is not None:
-                    detected[fault] = self._elapsed + time
-                elif commit and finals is not None and final_states is not None:
-                    final_states[fault] = finals[slot]
-        good_final = good.final_state if commit else None
-        return detected, final_states, good_final
+                    detected[batch.faults[slot]] = self._elapsed + time
+                    if commit:
+                        batch.alive &= ~(1 << slot)
+            if final is not None:
+                batch.state = final
+        if commit:
+            self._repack_if_sparse()
+        return detected
+
+    def _new_batch(
+        self, faults: list[Fault], state: list[tuple[int, int]] | None = None
+    ) -> _SessionBatch:
+        """A batch of ``faults`` (all live) from its per-flop start words.
+
+        ``state=None`` is all-X.  Fetches the batch's program.
+        """
+        chunk = tuple(faults)
+        if state is None:
+            state = [(0, 0)] * self._num_flops
+        return _SessionBatch(chunk, self._simulator.backend.program(chunk), state)
+
+    def _repack_if_sparse(self) -> None:
+        """Gather the live slots, in order, into dense batches.
+
+        Runs only when they fill less than half of the occupied slots;
+        each run of live slots moves as one shift-and-mask per flop rail.
+        """
+        occupied = sum(len(batch.faults) for batch in self._batches)
+        if 2 * self.num_remaining >= occupied:
+            return
+        width = self._simulator.batch_width
+        batches: list[_SessionBatch] = []
+        faults: list[Fault] = []
+        state = [(0, 0)] * self._num_flops
+        for batch in self._batches:
+            for start, length in _live_runs(batch.alive):
+                while length:
+                    take = min(length, width - len(faults))
+                    mask = (1 << take) - 1
+                    offset = len(faults)
+                    faults.extend(batch.faults[start : start + take])
+                    state = [
+                        (
+                            h | ((bh >> start) & mask) << offset,
+                            l | ((bl >> start) & mask) << offset,
+                        )
+                        for (h, l), (bh, bl) in zip(state, batch.state)
+                    ]
+                    start += take
+                    length -= take
+                    if len(faults) == width:
+                        batches.append(self._new_batch(faults, state))
+                        faults = []
+                        state = [(0, 0)] * self._num_flops
+        if faults:
+            batches.append(self._new_batch(faults, state))
+        self._batches = batches
+        record_dispatch("session_repacks")

@@ -26,9 +26,11 @@ The design follows three rules:
   the per-task payload is the input sequence, a trace reference and a
   tuple of ints.  (Session advances, whose good machine starts from an
   evolving state, still ship their per-extension plan inline.)
-* **Merge plain ints.**  Workers return per-slot first-detection times and
-  (for sessions) packed flop states — the same backend-independent Python
-  integers the serial simulator uses — so merging is dictionary updates
+* **Merge plain ints.**  Workers return per-slot first-detection times
+  and, for sessions, per-fault packed flop states (:func:`pack_states`,
+  2 bits per flop: this tier's wire format, so a fault's state travels
+  with its index whatever chunk it lands in).  Both are
+  backend-independent Python integers, so merging is dictionary updates
   and results are bit-identical to a serial run by construction.
 * **Steal work.**  Chunks are oversplit (``oversplit`` chunks per worker,
   fed through ``imap_unordered`` one at a time), so a skewed chunk — e.g.
@@ -65,7 +67,6 @@ from repro.sim.faultsim import (
     FaultSimSession,
     FaultSimulator,
     ObservationRow,
-    build_observation_plan,
 )
 from repro.sim.scanplan import plan_count_chunks
 from repro.sim.trace import resolve_observation_plan
@@ -97,6 +98,43 @@ __all__ = [
     "ShardedFaultSimSession",
     "make_fault_simulator",
 ]
+
+
+# Per-flop 2-bit state codes of a packed machine state.
+STATE_X = 0
+STATE_ONE = 1
+STATE_ZERO = 2
+
+
+def unpack_states(packed: Sequence[int], num_flops: int) -> list[tuple[int, int]]:
+    """Per-slot packed states -> per-flop ``(H, L)`` Python-int word pairs."""
+    state: list[tuple[int, int]] = []
+    for flop in range(num_flops):
+        shift = 2 * flop
+        h = 0
+        l = 0
+        for slot, code_word in enumerate(packed):
+            code = (code_word >> shift) & 3
+            if code == STATE_ONE:
+                h |= 1 << slot
+            elif code == STATE_ZERO:
+                l |= 1 << slot
+        state.append((h, l))
+    return state
+
+
+def pack_states(state: Sequence[tuple[int, int]], batch_size: int) -> list[int]:
+    """Per-flop ``(H, L)`` word pairs -> per-slot packed states."""
+    packed = [0] * batch_size
+    for flop, (h, l) in enumerate(state):
+        shift = 2 * flop
+        for slot in range(batch_size):
+            bit = 1 << slot
+            if h & bit:
+                packed[slot] |= STATE_ONE << shift
+            elif l & bit:
+                packed[slot] |= STATE_ZERO << shift
+    return packed
 
 
 def plan_chunks(
@@ -162,25 +200,27 @@ def _run_fault_chunk(
     observation_plan = resolve_observation_plan(observation_plan)
     faults = [universe[index] for index in indices]
     width = simulator.batch_width
+    num_flops = len(simulator.compiled.flop_pairs)
     times: list[int | None] = []
     finals: list[int] | None = [] if collect else None
     for start in range(0, len(faults), width):
         batch = faults[start : start + width]
-        initial = (
-            initial_states[start : start + width]
+        state = (
+            unpack_states(initial_states[start : start + width], num_flops)
             if initial_states is not None
             else None
         )
-        batch_times, batch_finals = simulator._run_batch(
+        batch_times, final = simulator._scan(
+            simulator.backend.program(tuple(batch)),
+            len(batch),
             sequence,
-            batch,
             observation_plan,
-            initial_states=initial,
+            state=state,
             collect_final_states=collect,
         )
         times.extend(batch_times)
-        if collect and finals is not None and batch_finals is not None:
-            finals.extend(batch_finals)
+        if finals is not None and final is not None:
+            finals.extend(pack_states(final, len(batch)))
     return chunk_id, times, finals
 
 
@@ -376,50 +416,78 @@ class ShardedFaultSimulator(FaultSimulator):
 class ShardedFaultSimSession(FaultSimSession):
     """A :class:`FaultSimSession` whose advances run on the shard pool.
 
-    Bookkeeping (good-machine state, per-fault packed states, detection
-    times) lives in the parent process exactly as in the serial session;
-    only the faulty-machine batches travel.  Once fault dropping shrinks
-    the remaining set below the sharding threshold, advances fall back to
-    the inherited serial path automatically.
+    While the remaining faults are many enough to shard, their states
+    live in the parent as per-fault packed ints (the pool's wire format)
+    and only the faulty-machine batches travel.  The first advance after
+    fault dropping shrinks the remaining set below the sharding threshold
+    hands those states, once, to the inherited serial session's resident
+    batches; every later advance runs serially.
     """
 
     def __init__(
         self, simulator: ShardedFaultSimulator, faults: list[Fault]
     ) -> None:
-        super().__init__(simulator, faults)
+        super().__init__(simulator, [])
         self._sharded = simulator
+        #: fault -> packed state while sharding; ``None`` after hand-off.
+        self._packed: dict[Fault, int] | None = dict.fromkeys(faults, 0)
         # Bind the context to the full universe up front: every later peek
         # / commit works on a subset, so chunks stay on the index path.
         simulator._ensure_context(faults)
 
-    def _advance(self, extension, commit):
-        faults = list(self._fault_states)
-        if len(extension) == 0 or not self._sharded.should_shard(len(faults)):
-            return super()._advance(extension, commit)
-        simulator = self._sharded
-        good = simulator._logic.run(extension, initial_state=self._good_state)
-        observation_plan = build_observation_plan(good)
-        initial = [self._fault_states[fault] for fault in faults]
-        outcome = simulator._run_sharded(
+    @property
+    def remaining_faults(self) -> list[Fault]:
+        if self._packed is None:
+            return super().remaining_faults
+        return list(self._packed)
+
+    @property
+    def num_remaining(self) -> int:
+        if self._packed is None:
+            return super().num_remaining
+        return len(self._packed)
+
+    def _advance(self, extension, observation_plan, commit):
+        packed = self._packed
+        if packed is not None and not self._sharded.should_shard(len(packed)):
+            self._hand_off(packed)
+            packed = None
+        if packed is None:
+            return super()._advance(extension, observation_plan, commit)
+        faults = list(packed)
+        outcome = self._sharded._run_sharded(
             extension,
             faults,
             observation_plan,
-            initial_states=initial,
+            initial_states=list(packed.values()),
             collect_final_states=commit,
         )
-        if commit:
-            times, packed = outcome
-        else:
-            times, packed = outcome, None
+        times, finals = outcome if commit else (outcome, None)
         detected: dict[Fault, int] = {}
-        final_states: dict[Fault, int] | None = {} if commit else None
         for position, (fault, time) in enumerate(zip(faults, times)):
             if time is not None:
                 detected[fault] = self._elapsed + time
-            elif commit and packed is not None and final_states is not None:
-                final_states[fault] = packed[position]
-        good_final = good.final_state if commit else None
-        return detected, final_states, good_final
+                if commit:
+                    del packed[fault]
+            elif finals is not None:
+                packed[fault] = finals[position]
+        return detected
+
+    def _hand_off(self, packed: dict[Fault, int]) -> None:
+        """Move the packed states into resident serial batches, in order."""
+        faults = list(packed)
+        width = self._sharded.batch_width
+        self._batches = [
+            self._new_batch(
+                faults[start : start + width],
+                unpack_states(
+                    [packed[fault] for fault in faults[start : start + width]],
+                    self._num_flops,
+                ),
+            )
+            for start in range(0, len(faults), width)
+        ]
+        self._packed = None
 
 
 def make_fault_simulator(

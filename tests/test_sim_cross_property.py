@@ -11,6 +11,14 @@ serial and on two kernel thread lanes — is checked at slot widths around
 the 64-slot word boundary, with multi-fault batches on the fault axis and
 ragged candidate lists on the candidate axis.  Without a usable native
 kernel those cases skip with its unavailability reason.
+
+Fault sessions (:class:`~repro.sim.faultsim.FaultSimSession`) are checked
+differentially too: a sequence split into random commits, with peeks in
+between, must detect exactly what the reference detects on the whole
+sequence.  Their circuits carry a PO on some flop's D driver, so the
+universe holds flop-pin (``dff_pin``) faults, whose patches act on the
+state a session keeps between commits; the generator alone never draws
+them (a flop's D driver has no other load).
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.circuit.netlist import Circuit
 from repro.circuits.generator import SyntheticSpec, generate_circuit
 from repro.core.sequence import TestSequence
 from repro.faults.sites import enumerate_faults
@@ -31,10 +40,10 @@ from repro.util.rng import SplitMix64
 
 
 @st.composite
-def circuit_and_stimulus(draw):
+def circuit_and_stimulus(draw, min_flops=0):
     seed = draw(st.integers(min_value=0, max_value=2**32))
     inputs = draw(st.integers(min_value=1, max_value=5))
-    flops = draw(st.integers(min_value=0, max_value=4))
+    flops = draw(st.integers(min_value=min_flops, max_value=4))
     gates = draw(st.integers(min_value=flops + 3, max_value=24))
     outputs = draw(st.integers(min_value=1, max_value=3))
     spec = SyntheticSpec("prop", inputs, outputs, flops, gates, seed=seed)
@@ -170,3 +179,119 @@ def test_native_ragged_candidates_agree_with_reference(data):
                     width,
                     str(fault),
                 )
+
+
+def with_flop_pin_sites(circuit: Circuit, picks: list[int]) -> Circuit:
+    """``circuit`` with a PO added on the D driver of each picked flop.
+
+    The driver then has two loads, so the branch into the flop is a
+    fault site of its own: a flop-pin fault.
+    """
+    drivers = dict.fromkeys(circuit.flops[pick][1] for pick in picks)
+    outputs = list(circuit.outputs)
+    outputs += [driver for driver in drivers if driver not in outputs]
+    return Circuit(
+        circuit.name,
+        list(circuit.inputs),
+        outputs,
+        list(circuit.flops),
+        dict(circuit.gates),
+    )
+
+
+@st.composite
+def session_case(draw):
+    """A circuit with flop-pin faults, a sequence, its commit cuts and a
+    decoy extension to peek between commits."""
+    circuit, _, _ = draw(circuit_and_stimulus(min_flops=1))
+    picks = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=circuit.num_flops - 1),
+            min_size=1,
+            max_size=circuit.num_flops,
+        )
+    )
+    circuit = with_flop_pin_sites(circuit, picks)
+    length = draw(st.integers(min_value=1, max_value=16))
+    rng = SplitMix64(draw(st.integers(min_value=0, max_value=2**32)))
+
+    def vectors(count):
+        return TestSequence(
+            [
+                [rng.next_u64() & 1 for _ in range(circuit.num_inputs)]
+                for _ in range(count)
+            ]
+        )
+
+    sequence = vectors(length)
+    # Inner cut points only (a one-vector sequence has none).
+    positions = st.integers(min_value=1, max_value=max(1, length - 1))
+    cuts = sorted(draw(st.sets(positions, max_size=5)) - {length})
+    decoy = vectors(draw(st.integers(min_value=1, max_value=6)))
+    return circuit, sequence, cuts, decoy
+
+
+def _reference_times(circuit, sequence, faults) -> dict:
+    reference = ReferenceSimulator(circuit)
+    times = {}
+    for fault in faults:
+        time = reference.detection_time(sequence, fault)
+        if time is not None:
+            times[fault] = time
+    return times
+
+
+def _check_session(simulator, faults, sequence, cuts, decoy, expected) -> None:
+    """Commit ``sequence`` in pieces, peeking before each commit."""
+    unique = list(dict.fromkeys(faults))
+    session = simulator.session(faults)
+    assert session.num_remaining == len(unique)
+    bounds = [0, *cuts, len(sequence)]
+    detected: dict = {}
+    for start, end in zip(bounds, bounds[1:]):
+        chunk = sequence.subsequence(start, end - 1)
+        remaining, elapsed = session.num_remaining, session.elapsed
+        session.peek(decoy)
+        assert (session.num_remaining, session.elapsed) == (remaining, elapsed)
+        count = session.peek(chunk)
+        assert (session.num_remaining, session.elapsed) == (remaining, elapsed)
+        newly = session.commit(chunk)
+        assert count == len(newly)
+        detected.update(newly)
+        assert session.elapsed == end
+        assert session.remaining_faults == [
+            fault for fault in unique if fault not in detected
+        ]
+    assert detected == expected
+    assert session.detection_time == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(session_case(), st.integers(min_value=1, max_value=6))
+def test_session_commits_agree_with_reference(data, width):
+    """python sessions at widths 1-6 (sparse batches force re-packs),
+    over a fault list with duplicates."""
+    circuit, sequence, cuts, decoy = data
+    faults = enumerate_faults(circuit)
+    assert any(fault.site.load_kind == "dff" for fault in faults)
+    expected = _reference_times(circuit, sequence, faults)
+    simulator = FaultSimulator(circuit, batch_width=width, backend="python")
+    _check_session(simulator, faults + faults[::3], sequence, cuts, decoy, expected)
+
+
+@settings(max_examples=15, deadline=None)
+@given(session_case())
+def test_native_session_commits_agree_with_reference(data):
+    """native sessions, serial and threaded, around the word boundary."""
+    _require_native()
+    circuit, sequence, cuts, decoy = data
+    faults = enumerate_faults(circuit)
+    assert any(fault.site.load_kind == "dff" for fault in faults)
+    expected = _reference_times(circuit, sequence, faults)
+    compiled = CompiledCircuit(circuit)
+    for backend, threads in NATIVE_ENGINES:
+        for width in SLOT_WIDTHS:
+            simulator = FaultSimulator(
+                compiled, batch_width=width, backend=backend, threads=threads
+            )
+            _check_session(simulator, faults, sequence, cuts, decoy, expected)

@@ -9,6 +9,8 @@ from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
 from repro.faults.model import STEM, Fault, FaultSite
 from repro.faults.universe import FaultUniverse
+from repro.sim.backend import dispatch_counters
+from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.reference import ReferenceSimulator
 from repro.util.rng import SplitMix64
@@ -177,3 +179,67 @@ class TestSession:
         session = FaultSimulator(s27).session(list(s27_universe.faults()))
         assert session.commit(TestSequence([])) == {}
         assert session.peek(TestSequence([])) == 0
+
+    def test_duplicate_faults_count_once(self, s27, s27_universe, s27_t0):
+        faults = list(s27_universe.faults())
+        doubled = faults + faults[::-1] + faults[:5]
+        unique = FaultSimulator(s27, batch_width=5).session(faults)
+        session = FaultSimulator(s27, batch_width=5).session(doubled)
+        assert session.num_remaining == len(faults)
+        assert session.remaining_faults == faults
+        extension = s27_t0.subsequence(0, 3)
+        assert session.peek(extension) == unique.peek(extension)
+        assert session.commit(extension) == unique.commit(extension)
+        assert session.remaining_faults == unique.remaining_faults
+        assert session.commit(s27_t0.subsequence(4, 9)) == unique.commit(
+            s27_t0.subsequence(4, 9)
+        )
+        assert session.detection_time == unique.detection_time
+        assert session.num_remaining == 0
+
+
+def _counter_delta(before: dict, kind: str) -> int:
+    return dispatch_counters().get(kind, 0) - before.get(kind, 0)
+
+
+class TestSlotStableSession:
+    """Each fault keeps its slot; only a sparse session re-packs."""
+
+    def test_repacks_keep_order_and_results(self, small_synthetic):
+        faults = list(FaultUniverse(small_synthetic).faults())
+        sequence = _random_sequence(11, small_synthetic.num_inputs, 24)
+        one_shot = FaultSimulator(small_synthetic).run(sequence, faults)
+        session = FaultSimulator(small_synthetic, batch_width=3).session(faults)
+        before = dispatch_counters()
+        merged: dict = {}
+        for start in range(0, 24, 3):
+            merged.update(session.commit(sequence.subsequence(start, start + 2)))
+            assert session.remaining_faults == [
+                fault for fault in faults if fault not in merged
+            ]
+            assert session.num_remaining == len(faults) - len(merged)
+        assert merged == one_shot.detection_time
+        assert _counter_delta(before, "session_repacks") > 0
+
+    def test_programs_compile_only_at_construction_and_repack(
+        self, s27, s27_t0
+    ):
+        # A fresh compiled circuit has a fresh backend and program cache.
+        compiled = CompiledCircuit(s27)
+        faults = list(FaultUniverse(s27).faults())
+        width = 4
+        simulator = FaultSimulator(compiled, batch_width=width)
+        before = dispatch_counters()
+        session = simulator.session(faults)
+        assert _counter_delta(before, "program_compiles") == len(faults) // width
+        for start in range(0, len(s27_t0), 2):
+            extension = s27_t0.subsequence(start, start + 1)
+            before = dispatch_counters()
+            session.peek(extension)
+            assert _counter_delta(before, "program_compiles") == 0
+            session.commit(extension)
+            repacked = _counter_delta(before, "session_repacks")
+            assert repacked in (0, 1)
+            expected = -(-session.num_remaining // width) if repacked else 0
+            assert _counter_delta(before, "program_compiles") == expected
+        assert session.num_remaining == 0

@@ -214,7 +214,13 @@ class TestEdgeCases:
             assert sharded.detection_time == serial.detection_time
 
     def test_session_transitions_to_serial_as_faults_drop(self, syn298):
-        """Fault dropping below the threshold mid-session stays exact."""
+        """Fault dropping below the threshold mid-session stays exact.
+
+        The first advance below the threshold hands the packed states to
+        resident serial batches; advances after that hand-off (a peek
+        and a third commit) must still track the serial session, and the
+        remaining faults keep the serial session's order.
+        """
         compiled, faults, sequence = syn298
         serial_session = FaultSimulator(compiled).session(faults)
         # Threshold chosen so the first commit's detections push the
@@ -225,12 +231,21 @@ class TestEdgeCases:
             session = simulator.session(faults)
             assert isinstance(session, ShardedFaultSimSession)
             half = len(sequence) // 2
+            three_quarters = 3 * len(sequence) // 4
             first = sequence.subsequence(0, half - 1)
-            second = sequence.subsequence(half, len(sequence) - 1)
+            second = sequence.subsequence(half, three_quarters - 1)
+            third = sequence.subsequence(three_quarters, len(sequence) - 1)
             assert session.commit(first) == serial_session.commit(first)
+            assert session.remaining_faults == serial_session.remaining_faults
             assert not simulator.should_shard(session.num_remaining)
             assert session.commit(second) == serial_session.commit(second)
+            assert session.remaining_faults == serial_session.remaining_faults
+            assert session.peek(third) == serial_session.peek(third)
+            assert session.num_remaining == serial_session.num_remaining
+            assert session.commit(third) == serial_session.commit(third)
+            assert session.remaining_faults == serial_session.remaining_faults
             assert session.detection_time == serial_session.detection_time
+            assert session.elapsed == serial_session.elapsed == len(sequence)
 
     def test_empty_sequence_and_empty_faults(self, syn298):
         compiled, faults, _ = syn298
