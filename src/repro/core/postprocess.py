@@ -13,8 +13,16 @@ still-undetected fault *at its turn in that order* is dropped:
    ones — the common case);
 4. by decreasing number of faults detected during the *previous* pass.
 
+Every expanded sequence starts from the all-X state, so the faults it
+detects do not depend on the order or on which other faults are
+simulated with it.  Procedure 1 records that set once per sequence (its
+``detects`` row), and each pass here is set arithmetic over the rows:
+what a sequence detects at its turn is its row intersected with the
+faults still undetected.  That equals re-simulating the pass by
+construction, and nothing here simulates.
+
 The full-coverage invariant is preserved by construction: a sequence is
-only removed when the remaining ones, in the simulated order, already
+only removed when the remaining ones, in the pass's order, already
 detect everything it would have detected.
 """
 
@@ -22,17 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.ops import expand
 from repro.core.procedure1 import SelectedSequence, SelectionResult
-from repro.core.session import Session, use_session
 from repro.faults.model import Fault
-from repro.sim.compiled import CompiledCircuit
-from repro.sim.faultsim import FaultSimulator
 
 
 @dataclass
 class CompactionPassReport:
-    """What one reorder-and-resimulate pass did."""
+    """What one reorder-and-drop pass did."""
 
     order_name: str
     sequences_before: int
@@ -69,12 +73,11 @@ class CompactionResult:
 
 
 def _run_pass(
-    fault_simulator: FaultSimulator,
     selection: SelectionResult,
     ordered: list[SelectedSequence],
     order_name: str,
 ) -> CompactionPassReport:
-    """Simulate sequences in ``ordered``; drop zero-contribution ones."""
+    """Walk ``ordered`` over the rows; drop zero-contribution sequences."""
     target_faults: set[Fault] = set(selection.udet)
     report = CompactionPassReport(
         order_name=order_name,
@@ -88,9 +91,7 @@ def _run_pass(
             report.sequences_dropped += 1
             report.detection_counts[entry.index] = 0
             continue
-        expanded = expand(entry.sequence, selection.config.expansion)
-        sim = fault_simulator.run(expanded, sorted(target_faults))
-        detected = set(sim.detection_time)
+        detected = entry.detects & target_faults
         report.detection_counts[entry.index] = len(detected)
         if detected:
             survivors.append(entry)
@@ -103,56 +104,35 @@ def _run_pass(
     return report
 
 
-def statically_compact(
-    compiled: CompiledCircuit,
-    selection: SelectionResult,
-    session: Session | None = None,
-) -> CompactionResult:
+def statically_compact(selection: SelectionResult) -> CompactionResult:
     """Run the four compaction passes of Section 3.2 on ``selection``.
 
     ``selection`` is modified in place (its sequence list shrinks) and also
     returned wrapped in a :class:`CompactionResult`.
     """
-    with use_session(session) as sess:
-        fault_simulator = sess.fault_simulator(
-            compiled,
-            batch_width=selection.config.fault_batch_width,
-            backend=selection.config.backend,
-            workers=selection.config.workers,
-            parallel=selection.config.parallel,
-        )
-        passes: list[CompactionPassReport] = []
+    passes: list[CompactionPassReport] = []
 
-        by_increasing_length = sorted(
-            selection.sequences, key=lambda s: (s.length, s.index)
-        )
-        passes.append(
-            _run_pass(fault_simulator, selection, by_increasing_length, "increasing length")
-        )
+    by_increasing_length = sorted(
+        selection.sequences, key=lambda s: (s.length, s.index)
+    )
+    passes.append(_run_pass(selection, by_increasing_length, "increasing length"))
 
-        by_decreasing_length = sorted(
-            selection.sequences, key=lambda s: (-s.length, s.index)
-        )
-        passes.append(
-            _run_pass(fault_simulator, selection, by_decreasing_length, "decreasing length")
-        )
+    by_decreasing_length = sorted(
+        selection.sequences, key=lambda s: (-s.length, s.index)
+    )
+    passes.append(_run_pass(selection, by_decreasing_length, "decreasing length"))
 
-        reverse_generation = sorted(selection.sequences, key=lambda s: -s.index)
-        passes.append(
-            _run_pass(fault_simulator, selection, reverse_generation, "reverse generation")
-        )
+    reverse_generation = sorted(selection.sequences, key=lambda s: -s.index)
+    passes.append(_run_pass(selection, reverse_generation, "reverse generation"))
 
-        previous_counts = passes[-1].detection_counts
-        by_previous_detections = sorted(
-            selection.sequences,
-            key=lambda s: (-previous_counts.get(s.index, 0), s.index),
+    previous_counts = passes[-1].detection_counts
+    by_previous_detections = sorted(
+        selection.sequences,
+        key=lambda s: (-previous_counts.get(s.index, 0), s.index),
+    )
+    passes.append(
+        _run_pass(
+            selection, by_previous_detections, "decreasing previous detections"
         )
-        passes.append(
-            _run_pass(
-                fault_simulator,
-                selection,
-                by_previous_detections,
-                "decreasing previous detections",
-            )
-        )
-        return CompactionResult(selection=selection, passes=passes)
+    )
+    return CompactionResult(selection=selection, passes=passes)

@@ -4,8 +4,8 @@ Simulate ``T0`` to obtain the detected fault set ``F`` and first-detection
 times ``udet``; then repeatedly target the not-yet-covered fault with the
 highest ``udet`` (hard faults give long, productive subsequences), build a
 subsequence for it with Procedure 2, and fault-simulate its expanded
-version to drop every newly covered fault, until the expanded selections
-cover all of ``F``.
+version against all of ``F`` (its detection row) to drop every newly
+covered fault, until the expanded selections cover all of ``F``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,14 @@ from repro.sim.faultsim import FaultSimulator
 
 @dataclass
 class SelectedSequence:
-    """One member of the selected set ``S`` with its provenance."""
+    """One member of the selected set ``S`` with its provenance.
+
+    ``detects`` is the sequence's detection row: the faults of ``F`` its
+    expansion detects from the all-X state.  That set does not depend on
+    which other faults are simulated alongside, so Procedure 1 records it
+    once and static compaction (:mod:`repro.core.postprocess`) works on
+    the rows instead of simulating again.
+    """
 
     index: int
     sequence: TestSequence
@@ -37,6 +44,7 @@ class SelectedSequence:
     window_length: int
     omitted_vectors: int
     faults_detected_when_added: int
+    detects: frozenset[Fault]
 
     @property
     def length(self) -> int:
@@ -167,8 +175,10 @@ def select_subsequences(
                 continue
             result.candidates_simulated += sub.candidates_simulated
             expanded = expand(sub.subsequence, config.expansion)
-            sim = fault_simulator.run(expanded, [f for f in targets if f in remaining])
-            newly_detected = set(sim.detection_time)
+            # One simulation against all of F gives the sequence's row;
+            # the same fault list every time keeps batch programs cached.
+            row = frozenset(fault_simulator.run(expanded, targets).detection_time)
+            newly_detected = row & remaining
             if target not in newly_detected:
                 raise SelectionError(
                     f"{compiled.circuit.name}: expanded subsequence for {target} "
@@ -184,6 +194,7 @@ def select_subsequences(
                     window_length=sub.window_length,
                     omitted_vectors=sub.omitted_vectors,
                     faults_detected_when_added=len(newly_detected),
+                    detects=row,
                 )
             )
             remaining -= newly_detected

@@ -8,6 +8,8 @@ of the paper runs its experiments:
 3. static compaction of ``S`` (timed) — gives the final set;
 4. verify the full-coverage invariant: the union of faults detected by
    the expanded final sequences equals the faults detected by ``T0``.
+   This step re-simulates the final sequences independently of the
+   detection rows compaction worked on, and checks that the two agree.
 
 All steps share one :class:`~repro.sim.trace.GoodTraceCache` keyed on
 the scheme's compiled circuit, so the fault-free trace of ``T0`` (and of
@@ -172,16 +174,22 @@ class LoadAndExpandScheme:
             sequences_before = list(selection.sequences)
 
             comp_watch = Stopwatch().start()
-            compaction = statically_compact(
-                self._compiled, selection, session=sess
-            )
+            compaction = statically_compact(selection)
             comp_seconds = comp_watch.stop()
 
             detected = self._detected_by_sequences(fault_simulator, selection, udet)
+            recorded = frozenset().union(*(s.detects for s in selection.sequences))
+            if detected != recorded:
+                differing = sorted(detected ^ recorded, key=self._universe.id_of)
+                raise SelectionError(
+                    f"{self._compiled.circuit.name}: re-simulating the compacted "
+                    f"set disagrees with its recorded detection rows; "
+                    f"{len(differing)} faults differ, e.g. {differing[:5]}"
+                )
             coverage_preserved = detected == set(udet)
             unexplained = set(udet) - detected - set(selection.uncoverable)
             if unexplained:
-                missing = sorted(unexplained)[:5]
+                missing = sorted(unexplained, key=self._universe.id_of)[:5]
                 raise SelectionError(
                     f"{self._compiled.circuit.name}: scheme lost coverage of "
                     f"{len(unexplained)} faults, e.g. {missing}"
@@ -228,7 +236,9 @@ class LoadAndExpandScheme:
             if not remaining:
                 break
             expanded = expand(entry.sequence, selection.config.expansion)
-            sim = fault_simulator.run(expanded, sorted(remaining))
+            sim = fault_simulator.run(
+                expanded, sorted(remaining, key=self._universe.id_of)
+            )
             newly = set(sim.detection_time)
             detected |= newly
             remaining -= newly

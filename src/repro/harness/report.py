@@ -79,7 +79,11 @@ def build_experiments_markdown(suite: SuiteResult) -> str:
         "in the paper, which cancels the pure-Python constant factor. As in "
         "the paper, Procedure 1 costs one to three orders of magnitude more "
         "than a single T0 simulation; our values differ because our batched "
-        "window search changes the constant (fewer, wider simulations)."
+        "window search changes the constant (fewer, wider simulations). "
+        "The `comp.` column times set arithmetic only: Procedure 1 records "
+        "each sequence's detection row while it simulates the expansion, "
+        "so the simulations behind compaction are counted in `Proc.1`, and "
+        "`comp.` cannot be compared with the paper's 16–147."
     )
     lines.append("")
 

@@ -114,7 +114,9 @@ def resolve_simulator_threads(backend: "SimBackend", threads: int) -> int:
 #: ``program_compiles`` counts program-cache misses
 #: (:meth:`SimBackend.program`) and ``session_repacks`` the times a
 #: :class:`~repro.sim.faultsim.FaultSimSession` re-packed its live
-#: slots into dense batches.  Sharded
+#: slots into dense batches.  ``fault_sim_runs`` counts one-shot
+#: :meth:`~repro.sim.faultsim.FaultSimulator.run` calls, once per call
+#: however many batches or shards it spans.  Sharded
 #: workers count in their own processes; the parent's counters cover
 #: work it ran locally.  Concurrent serving lanes all
 #: record into this one table, so updates take the lock below — a plain

@@ -136,6 +136,7 @@ class FaultSimulator:
     # ------------------------------------------------------------------
     def run(self, sequence: TestSequence, faults: list[Fault]) -> FaultSimResult:
         """Simulate ``faults`` under ``sequence``; return detection times."""
+        record_dispatch("fault_sim_runs")
         result = FaultSimResult(
             sequence_length=len(sequence), total_faults=len(faults)
         )

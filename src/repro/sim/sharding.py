@@ -59,7 +59,7 @@ from repro.circuit.netlist import Circuit
 from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
 from repro.faults.model import Fault
-from repro.sim.backend import SimBackend
+from repro.sim.backend import SimBackend, record_dispatch
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.detection import FaultSimResult
 from repro.sim.faultsim import (
@@ -309,6 +309,7 @@ class ShardedFaultSimulator(FaultSimulator):
     def run(self, sequence: TestSequence, faults: list[Fault]) -> FaultSimResult:
         if not self.should_shard(len(faults)) or len(sequence) == 0:
             return super().run(sequence, faults)
+        record_dispatch("fault_sim_runs")
         result = FaultSimResult(
             sequence_length=len(sequence), total_faults=len(faults)
         )

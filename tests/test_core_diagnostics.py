@@ -59,6 +59,6 @@ class TestOverlap:
     def test_essential_sequences_survive_compaction(self, diagnostics, s27):
         selection, compiled, diag = diagnostics
         essential = essential_sequences(diag)
-        statically_compact(compiled, selection)
+        statically_compact(selection)
         surviving = {entry.index for entry in selection.sequences}
         assert set(essential) <= surviving

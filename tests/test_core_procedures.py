@@ -9,6 +9,7 @@ from repro.core.ops import ExpansionConfig, expand
 from repro.core.postprocess import statically_compact
 from repro.core.procedure1 import select_subsequences, simulate_t0
 from repro.core.procedure2 import build_subsequence_for_fault
+from repro.sim.backend import dispatch_counters
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.seqsim import SequenceBatchSimulator
@@ -155,9 +156,9 @@ class TestPostprocessing:
         config = SelectionConfig(expansion=ExpansionConfig(repetitions=n), seed=seed)
         return select_subsequences(s27, s27_t0, config)
 
-    def test_four_passes_reported(self, s27, s27_compiled, s27_t0):
+    def test_four_passes_reported(self, s27, s27_t0):
         selection = self._selection(s27, s27_t0)
-        result = statically_compact(s27_compiled, selection)
+        result = statically_compact(selection)
         assert [p.order_name for p in result.passes] == [
             "increasing length",
             "decreasing length",
@@ -170,7 +171,7 @@ class TestPostprocessing:
     ):
         selection = self._selection(s27, s27_t0, n=2, seed=19)
         target = set(selection.udet)
-        result = statically_compact(s27_compiled, selection)
+        result = statically_compact(selection)
         fault_sim = FaultSimulator(s27_compiled)
         covered = set()
         for entry in result.sequences:
@@ -180,16 +181,25 @@ class TestPostprocessing:
             )
         assert covered == target
 
-    def test_compaction_never_grows(self, s27, s27_compiled, s27_t0):
+    def test_compaction_never_grows(self, s27, s27_t0):
         selection = self._selection(s27, s27_t0, n=2, seed=23)
         before_count = selection.num_sequences
         before_total = selection.total_length
-        result = statically_compact(s27_compiled, selection)
+        result = statically_compact(selection)
         assert result.num_sequences <= before_count
         assert result.total_length <= before_total
 
-    def test_generation_order_preserved(self, s27, s27_compiled, s27_t0):
+    def test_compaction_simulates_nothing(self, s27, s27_t0):
+        """The passes work on Procedure 1's rows: no fault simulation."""
+        selection = self._selection(s27, s27_t0, n=2, seed=23)
+        before = dispatch_counters()
+        statically_compact(selection)
+        after = dispatch_counters()
+        for kind in ("fault_sim_runs", "scan_calls", "trace_calls"):
+            assert after.get(kind, 0) - before.get(kind, 0) == 0, kind
+
+    def test_generation_order_preserved(self, s27, s27_t0):
         selection = self._selection(s27, s27_t0, n=1, seed=7)
-        result = statically_compact(s27_compiled, selection)
+        result = statically_compact(selection)
         indices = [entry.index for entry in result.sequences]
         assert indices == sorted(indices)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+import repro.core.scheme as scheme_module
 from repro.core.config import SelectionConfig
 from repro.core.ops import ExpansionConfig
 from repro.core.scheme import LoadAndExpandScheme
+from repro.errors import SelectionError
+from repro.sim.backend import dispatch_counters
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +91,44 @@ class TestSweep:
         )
         assert run.result.coverage_preserved
         assert run.result.detected_by_scheme == atpg.detected
+
+
+class TestDetectionRows:
+    def test_fault_sim_runs_count(self, s27, s27_t0):
+        """T0 once, each Procedure 1 expansion once, then the coverage check.
+
+        Compaction adds nothing; the coverage check simulates at most the
+        survivors.
+        """
+        scheme = LoadAndExpandScheme(s27)
+        config = SelectionConfig(expansion=ExpansionConfig(repetitions=2), seed=7)
+        before = dispatch_counters().get("fault_sim_runs", 0)
+        result = scheme.run(s27_t0, config).result
+        runs = dispatch_counters().get("fault_sim_runs", 0) - before
+        floor = 1 + result.num_sequences_before
+        assert floor <= runs <= floor + result.num_sequences_after
+
+    def test_corrupt_row_is_a_structured_error(self, s27, s27_t0, monkeypatch):
+        """A survivor's row that disagrees with re-simulation is reported."""
+        real_compact = scheme_module.statically_compact
+
+        def compact_then_corrupt(selection):
+            compaction = real_compact(selection)
+            entries = selection.sequences
+            for position, entry in enumerate(entries):
+                others = frozenset().union(
+                    *(e.detects for e in entries if e is not entry)
+                )
+                unique = entry.detects - others
+                if unique:
+                    dropped = min(unique)
+                    entries[position] = dataclasses.replace(
+                        entry, detects=entry.detects - {dropped}
+                    )
+                    return compaction
+            raise AssertionError("no survivor covers a fault alone")
+
+        monkeypatch.setattr(scheme_module, "statically_compact", compact_then_corrupt)
+        config = SelectionConfig(expansion=ExpansionConfig(repetitions=1), seed=7)
+        with pytest.raises(SelectionError, match="recorded detection rows; 1 faults differ"):
+            LoadAndExpandScheme(s27).run(s27_t0, config)

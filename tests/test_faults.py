@@ -5,9 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.circuit.builder import CircuitBuilder
+from repro.circuits.catalog import load_circuit
+from repro.circuits.generator import SyntheticSpec, generate_circuit
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import BRANCH, STEM, Fault, FaultSite
 from repro.faults.sites import enumerate_faults, enumerate_sites
+from repro.faults.universe import FaultUniverse
 
 
 class TestModel:
@@ -211,3 +214,18 @@ class TestUniverse:
 
     def test_total_uncollapsed(self, s27_universe):
         assert s27_universe.total_uncollapsed == 52
+
+    @pytest.mark.parametrize("name", ["s27", "syn298", "generated"])
+    def test_ids_follow_fault_order(self, name):
+        """Universe ids ascend with ``Fault`` ordering.
+
+        Sorting faults by ``id_of`` therefore gives the same list as
+        ``sorted``, so callers may use either without changing the order
+        a simulator sees.
+        """
+        if name == "generated":
+            circuit = generate_circuit(SyntheticSpec("gen", 4, 3, 5, 40, seed=11))
+        else:
+            circuit = load_circuit(name)
+        faults = FaultUniverse(circuit).faults()
+        assert all(a < b for a, b in zip(faults, faults[1:]))
