@@ -73,7 +73,7 @@ from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.logicsim import LogicSimulator
 from repro.sim.native_build import native_threads_available, toolchain_info
-from repro.sim.sharding import make_fault_simulator
+from repro.sim.sharding import ShardedFaultSimulator
 from repro.util.rng import SplitMix64
 
 #: (circuit, max faults, vectors, python batch width, wide batch width).
@@ -154,18 +154,23 @@ def _measure(
     in-kernel pthread tier instead of process sharding — same ``workers``
     count, but the lanes live inside the C scan calls.
     """
-    simulator = make_fault_simulator(
-        compiled,
-        batch_width=batch_width,
-        backend=_base_loop_backend(compiled, backend) if base_loop else backend,
-        workers=workers,
-        parallel=parallel,
-        # The bench exists to measure the distribution tiers, so never
-        # fall back for being "too small" — the smoke circuits are the
-        # small case — nor for running on a single-core machine.
-        min_shard_faults=1,
-        force_shard=True,
-    )
+    engine = _base_loop_backend(compiled, backend) if base_loop else backend
+    # The bench exists to measure the distribution tiers, so each tier is
+    # built directly: no fallback for being "too small" — the smoke
+    # circuits are the small case — nor for running on a single-core
+    # machine.
+    if parallel == "threads" or workers <= 1:
+        simulator = FaultSimulator(
+            compiled, batch_width=batch_width, backend=engine, threads=workers
+        )
+    else:
+        simulator = ShardedFaultSimulator(
+            compiled,
+            batch_width=batch_width,
+            backend=engine,
+            workers=workers,
+            min_shard_faults=1,
+        )
     before = dispatch_counters()
     try:
         result = None

@@ -83,7 +83,8 @@ from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.native_build import native_threads_available
 from repro.sim.scanplan import CHUNKING_MODES, WindowRampPlan
-from repro.sim.seqshard import make_sequence_simulator
+from repro.sim.seqshard import ShardedSequenceBatchSimulator
+from repro.sim.seqsim import SequenceBatchSimulator
 from repro.sim.trace import SEQUENCE_CACHE_CAPACITY, get_trace_cache
 from repro.util.rng import SplitMix64
 
@@ -223,18 +224,23 @@ def _measure(
     ``parallel="threads"`` measures the in-kernel pthread tier instead —
     same ``workers`` count, but the lanes live inside the C scan calls.
     """
-    simulator = make_sequence_simulator(
-        compiled,
-        batch_width=width,
-        backend=_base_loop_backend(compiled, backend) if base_loop else backend,
-        workers=workers,
-        min_shard_candidates=1,
-        chunking=chunking,
-        parallel=parallel,
-        # The workers axis measures the sharding layer itself, so never
-        # fall back to serial — not even on a single-core runner.
-        force_shard=True,
-    )
+    engine = _base_loop_backend(compiled, backend) if base_loop else backend
+    # The workers axis measures the sharding layer itself, so each tier
+    # is built directly: never a fallback to serial, not even on a
+    # single-core runner.
+    if parallel == "threads" or workers <= 1:
+        simulator = SequenceBatchSimulator(
+            compiled, batch_width=width, backend=engine, threads=workers
+        )
+    else:
+        simulator = ShardedSequenceBatchSimulator(
+            compiled,
+            batch_width=width,
+            backend=engine,
+            workers=workers,
+            min_shard_candidates=1,
+            chunking=chunking,
+        )
     before = dispatch_counters()
     try:
         best = float("inf")

@@ -16,7 +16,10 @@ contract:
   aggregate hits, not a first-vs-second delta);
 * startup calibration on the pinned 1-core runner
   (``REPRO_ASSUME_CPUS=1``) selects serial execution — the measured
-  profile, not the static threshold, is what the scheduler consults.
+  profile, not the static threshold, is what the scheduler consults;
+* every job is planned ``serial`` with one worker there, and its
+  result's ``execution`` records that same tier and count (the plan is
+  what ran).  ``tenant-beta`` asks for ``workers=0`` to prove it.
 
 Run:  REPRO_ASSUME_CPUS=1 python benchmarks/serve_smoke.py
 """
@@ -29,11 +32,15 @@ import os
 import sys
 import tempfile
 
-from repro import RunRequest, Session
+from repro import RunRequest, SelectionConfig, Session
 from repro.serve import HttpFrontend, JobService
 
 CIRCUITS = ("s27", "syn298")
 TENANTS = ("tenant-alpha", "tenant-beta")
+
+#: Each tenant's selection config: the default, and "one per CPU", which
+#: the 1-core runner must still plan (and run) serially.
+SELECTIONS = {"tenant-alpha": None, "tenant-beta": SelectionConfig(workers=0)}
 
 
 async def http_json(port: int, method: str, path: str, payload=None):
@@ -80,8 +87,12 @@ async def smoke(profile_path: str) -> int:
             # anything, so the fair scheduler actually interleaves.
             jobs: dict[tuple[str, str], str] = {}
             for circuit in CIRCUITS:
-                request = RunRequest(kind="scheme", circuit=circuit)
                 for tenant in TENANTS:
+                    request = RunRequest(
+                        kind="scheme",
+                        circuit=circuit,
+                        selection=SELECTIONS[tenant],
+                    )
                     status, submitted = await http_json(
                         port,
                         "POST",
@@ -98,6 +109,14 @@ async def smoke(profile_path: str) -> int:
                 )
                 assert status == 200 and job["status"] == "done", job
                 results[key] = job["result"]
+                plan = job["plan"]
+                ran = job["result"]["execution"]
+                assert (plan["parallel"], plan["workers"]) == ("serial", 1), (
+                    f"{key}: the 1-core runner planned {plan}"
+                )
+                assert (ran["parallel"], ran["workers"]) == ("serial", 1), (
+                    f"{key}: planned serial x1 but ran {ran}"
+                )
 
             status, stats = await http_json(port, "GET", "/stats")
             assert stats["jobs_completed"] == len(jobs), stats

@@ -279,9 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "work-distribution tier for --workers > 1: 'threads' "
                 "splits each native-kernel batch across in-process "
                 "thread lanes, 'processes' uses the shard worker pool, "
-                "'serial' forces one lane, and 'auto' (default) lets "
-                "the machine profile / heuristics decide; results are "
-                "identical across tiers"
+                "'serial' forces one lane, and 'auto' (default) takes "
+                "the tier a calibrated machine profile measured, else "
+                "'processes'; one usable core runs serially; results "
+                "are identical across tiers"
             ),
         )
         command.add_argument(

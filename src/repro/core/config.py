@@ -62,7 +62,8 @@ class SelectionConfig:
             universes and candidate sets always run serially).
         parallel: work-distribution tier for multi-worker simulation
             (see :data:`repro.sim.workerpool.PARALLEL_MODES`) —
-            ``"auto"`` (default: measured profile / heuristics decide),
+            ``"auto"`` (default:
+            :func:`repro.sim.workerpool.resolve_execution` decides),
             ``"serial"``, ``"threads"`` (in-kernel word-span lanes
             inside one process, native backend), or ``"processes"``
             (the shard pool).  Results are bit-identical across tiers.

@@ -107,6 +107,8 @@ class RunRequest:
         atpg = self.atpg
         if atpg is not None and atpg.workers != workers:
             atpg = replace(atpg, workers=workers)
+        if selection is self.selection and atpg is self.atpg:
+            return self
         return replace(self, selection=selection, atpg=atpg)
 
     def with_parallel(self, parallel: str) -> "RunRequest":
@@ -117,6 +119,8 @@ class RunRequest:
         atpg = self.atpg
         if atpg is not None and atpg.parallel != parallel:
             atpg = replace(atpg, parallel=parallel)
+        if selection is self.selection and atpg is self.atpg:
+            return self
         return replace(self, selection=selection, atpg=atpg)
 
     # ------------------------------------------------------------------

@@ -27,14 +27,16 @@ single facade in front of all of it:
   own ``try/finally`` anymore — :func:`use_session` hands library code
   either the caller's session (scoped, so per-call simulators are still
   reclaimed promptly) or a private one that closes on exit.
-* **The machine profile overrides static thresholds.**  A session built
-  with a calibrated :class:`~repro.sim.autotune.MachineProfile` resolves
-  worker counts through the *measurement* instead of the static
-  heuristics: ``workers=0`` ("auto") becomes the measured
-  recommendation, a measured serial verdict overrides an explicit shard
-  request, and a measured shard win sets ``force_shard=True`` so the
-  static single-core fallback cannot undo it.  Sessions without a
-  profile behave exactly like the historical factories.
+* **The machine profile is input data.**  The session hands its
+  :class:`~repro.sim.autotune.MachineProfile` to the simulator
+  factories, and :func:`~repro.sim.workerpool.resolve_execution` — the
+  one place that picks a tier and worker count — reads it: ``workers=0``
+  ("auto") becomes the measured recommendation, a measured serial
+  verdict overrides an explicit shard request, and a measured parallel
+  win survives the one-core fallback.  Sessions without a profile
+  behave exactly like the bare factories, except that omitting
+  ``workers`` stays serial.  :meth:`run` records the resolved tier and
+  count in ``RunResult.execution``.
 * **Requests run to results.**  :meth:`Session.run` executes a
   :class:`~repro.core.request.RunRequest` (scheme or ATPG) and returns a
   :class:`~repro.core.request.RunResult` whose deterministic payload is
@@ -57,7 +59,7 @@ from repro.errors import ReproError
 from repro.sim.autotune import MachineProfile
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.trace import GoodTraceCache, get_trace_cache
-from repro.sim.workerpool import WorkerPool, get_worker_pool
+from repro.sim.workerpool import WorkerPool, get_worker_pool, resolve_execution
 from repro.util.timing import Stopwatch
 
 
@@ -138,37 +140,11 @@ class Session:
         self._profile = profile
         return profile
 
-    def _resolve_workers(self, workers: int | None) -> int | None:
-        """Profile-aware worker resolution (pass-through without one)."""
-        if self._profile is not None:
-            return self._profile.resolve_workers(workers)
+    def _workers(self, workers: int | None) -> int | None:
+        """An omitted count is serial unless a profile recommends one."""
+        if workers is None and self._profile is None:
+            return 1
         return workers
-
-    def _resolve_execution(
-        self, parallel: str | None, workers: int | None
-    ) -> tuple[str | None, int | None]:
-        """Profile-aware ``(parallel, workers)`` tier resolution.
-
-        An explicit tier request (``serial``/``threads``/``processes``)
-        passes through untouched — the caller knows best.  ``auto`` (or
-        ``None``) defers to the measured profile when one is attached:
-        the profile answers both *which tier* (its measured
-        serial/threads/processes crossover) and *how many lanes*.
-        Without a profile, the historical workers-only resolution
-        applies and the factories' static heuristics pick the tier.
-        """
-        if parallel is not None and parallel != "auto":
-            return parallel, self._resolve_workers(workers)
-        if self._profile is not None:
-            return self._profile.resolve_execution(workers)
-        return parallel, workers
-
-    def _force_shard(self, workers: int | None) -> bool:
-        return (
-            self._profile is not None
-            and self._profile.force_shard
-            and (workers is None or workers == 0 or workers > 1)
-        )
 
     # ------------------------------------------------------------------
     # Circuits (shared per content hash)
@@ -231,18 +207,16 @@ class Session:
     ):
         """A parallel-fault simulator, lifecycle owned by this session.
 
-        The profile (when present) resolves ``workers`` and the
-        ``parallel`` tier, and supplies the measured batch width when
-        the caller leaves ``batch_width`` unset; extra kwargs pass
-        through to :func:`repro.sim.sharding.make_fault_simulator`.
+        The factory resolves ``workers`` and the ``parallel`` tier
+        against the session's profile, which also supplies the measured
+        batch width when the caller leaves ``batch_width`` unset; extra
+        kwargs pass through to
+        :func:`repro.sim.sharding.make_fault_simulator`.
         """
         from repro.sim.faultsim import DEFAULT_BATCH_WIDTH
         from repro.sim.sharding import make_fault_simulator
 
         self._check_open()
-        parallel, workers = self._resolve_execution(parallel, workers)
-        if self._force_shard(workers):
-            kwargs.setdefault("force_shard", True)
         if batch_width is None:
             if self._profile is not None and self._profile.calibrated:
                 batch_width = self._profile.fault_batch_width
@@ -252,8 +226,9 @@ class Session:
             self.compile(circuit),
             batch_width=batch_width,
             backend=backend,
-            workers=1 if workers is None else workers,
+            workers=self._workers(workers),
             parallel=parallel,
+            profile=self._profile,
             **kwargs,
         )
         return self._register(simulator)
@@ -274,9 +249,6 @@ class Session:
         )
 
         self._check_open()
-        parallel, workers = self._resolve_execution(parallel, workers)
-        if self._force_shard(workers):
-            kwargs.setdefault("force_shard", True)
         if batch_width is None:
             if self._profile is not None and self._profile.calibrated:
                 batch_width = self._profile.search_batch_width
@@ -286,8 +258,9 @@ class Session:
             self.compile(circuit),
             batch_width=batch_width,
             backend=backend,
-            workers=1 if workers is None else workers,
+            workers=self._workers(workers),
             parallel=parallel,
+            profile=self._profile,
             **kwargs,
         )
         return self._register(simulator)
@@ -302,15 +275,17 @@ class Session:
         return simulator
 
     def worker_pool(self, workers: int | None = None) -> WorkerPool:
-        """The shared persistent worker pool for ``workers`` processes."""
+        """The shared worker pool a ``processes`` run of ``workers`` uses."""
         self._check_open()
-        resolved = self._resolve_workers(workers)
-        if resolved is None or resolved < 2:
+        tier, count, _ = resolve_execution(
+            "processes", self._workers(workers), profile=self._profile
+        )
+        if tier != "processes":
             raise ReproError(
-                f"a worker pool needs >= 2 workers (resolved {resolved!r}); "
-                "serial execution does not use a pool"
+                f"workers={workers!r} resolves to serial execution here, "
+                "which does not use a pool"
             )
-        return get_worker_pool(resolved)
+        return get_worker_pool(count)
 
     def trace_cache(self, circuit: str | Circuit | CompiledCircuit) -> GoodTraceCache:
         """The cross-request good-machine trace cache for ``circuit``."""
@@ -434,22 +409,20 @@ class Session:
         return scheme
 
     def _execution_record(self, config) -> dict:
-        effective = self._resolve_workers(config.workers)
+        """What ran: the tier and count the factories resolved ``config`` to."""
+        tier, count, notes = resolve_execution(
+            config.parallel, config.workers, profile=self._profile
+        )
         record = {
             "backend": config.backend,
-            "parallel": getattr(config, "parallel", "auto"),
+            "parallel_requested": config.parallel,
+            "parallel": tier,
             "workers_requested": config.workers,
-            "workers": config.workers if effective is None else effective,
+            "workers": count,
             "profile": None if self._profile is None else self._profile.source,
         }
-        if (
-            self._profile is not None
-            and record["workers"] != config.workers
-        ):
-            record["profile_override"] = (
-                f"profile resolved workers {config.workers} -> "
-                f"{record['workers']}"
-            )
+        if notes:
+            record["notes"] = list(notes)
         return record
 
     def _t0_for_scheme(self, request: RunRequest, compiled, selection):

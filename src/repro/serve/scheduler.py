@@ -9,18 +9,15 @@ trivially unit-testable:
   so a tenant submitting a hundred jobs cannot starve a tenant
   submitting one.
 * :func:`plan_execution` — rewrite a :class:`~repro.core.request.RunRequest`
-  so its worker counts come from the *measured*
-  :class:`~repro.sim.autotune.MachineProfile` instead of whatever static
-  default the client happened to ship.  This is where the calibration
-  pass earns its keep: a client asking for ``workers=4`` on a machine
+  to the tier and worker count
+  :func:`~repro.sim.workerpool.resolve_execution` picks for it from the
+  *measured* :class:`~repro.sim.autotune.MachineProfile` and the
+  service's lane count.  A client asking for ``workers=4`` on a machine
   whose profile measured sharding at 0.2x gets planned down to serial,
-  and a client leaving ``workers=0`` ("auto") gets the measured
-  recommendation.  With ``lanes > 1`` the planner also keeps jobs off
-  the *process* tier: the shared persistent
-  :class:`~repro.sim.workerpool.WorkerPool` serves one parent dispatch
-  at a time, so a concurrent service pins each job to the in-kernel
-  thread tier (lane-safe — every dispatch brings its own pthread-pool
-  generation) or to serial, whichever the measurement favours.
+  a client leaving ``workers=0`` ("auto") gets the measured
+  recommendation, and with ``lanes > 1`` jobs stay off the shared
+  process pool.  The :class:`~repro.core.session.Session` resolves the
+  rewritten request to the same plan, so the plan is what runs.
 """
 
 from __future__ import annotations
@@ -28,8 +25,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.atpg.config import AtpgConfig
+from repro.core.config import SelectionConfig
 from repro.core.request import RunRequest
-from repro.sim.autotune import SHARD_SPEEDUP_THRESHOLD, MachineProfile
+from repro.sim.autotune import MachineProfile
+from repro.sim.workerpool import resolve_execution
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class ExecutionPlan:
     workers: int
     source: str  # "static" | "calibrated" | "client"
     notes: tuple[str, ...] = ()
-    parallel: str = "auto"  # the pinned distribution tier ("auto" = unpinned)
+    parallel: str = "serial"  # the resolved distribution tier
 
     def to_json(self) -> dict:
         return {
@@ -51,98 +51,31 @@ class ExecutionPlan:
         }
 
 
-def _requested_workers(request: RunRequest) -> int | None:
-    """The worker count the client asked for (None = unspecified)."""
-    if request.kind == "atpg":
-        return None if request.atpg is None else request.atpg.workers
-    return None if request.selection is None else request.selection.workers
-
-
-def _requested_parallel(request: RunRequest) -> str:
-    """The distribution tier the client asked for ("auto" = unspecified)."""
-    if request.kind == "atpg":
-        config = request.atpg
-    else:
-        config = request.selection
-    return "auto" if config is None else config.parallel
-
-
-def _threads_viable(profile: MachineProfile | None) -> bool:
-    """Whether the thread tier is worth pinning jobs to on this machine.
-
-    Without a calibrated profile, optimistically yes — the static
-    resolution underneath (:func:`~repro.sim.workerpool.
-    resolve_work_distribution`) still collapses threads to serial on a
-    single-core box or a non-native backend, so the pin is safe either
-    way.  With a measurement, trust it.
-    """
-    if profile is None or not profile.calibrated:
-        return True
-    best = max(profile.fault_thread_speedup, profile.candidate_thread_speedup)
-    return best >= SHARD_SPEEDUP_THRESHOLD
-
-
 def plan_execution(
     request: RunRequest,
     profile: MachineProfile | None,
     lanes: int = 1,
 ) -> ExecutionPlan:
-    """Resolve ``request``'s execution through the machine profile.
+    """Resolve ``request``'s execution for a service with ``lanes`` lanes.
 
-    Without a profile the request runs exactly as the client wrote it.
-    With one, the profile's measurement wins: ``workers in (None, 0)``
-    becomes the measured recommendation, and an explicit shard request on
-    a machine where calibration measured sharding as a loss is planned
-    down to serial (the request is rewritten so the static thresholds
-    underneath never see the losing worker count).
-
-    ``lanes`` is the service's executor-lane count.  Beyond one lane,
-    jobs whose tier is ``processes`` — or ``auto``, which could resolve
-    to it — are pinned to ``threads`` (when viable, see
-    :func:`_threads_viable`) or ``serial``: concurrent jobs must not
-    contend for the shared worker pool, whose parent-side dispatch
-    protocol serves one dispatch at a time.
+    The request's own config (its defaults when it carries none) goes
+    through :func:`~repro.sim.workerpool.resolve_execution`, and the
+    returned request carries the resolved tier and count so nothing
+    downstream re-decides differently.
     """
-    requested = _requested_workers(request)
-    mode = _requested_parallel(request)
-    notes = []
-    if profile is None:
-        # No measurement to apply: the request passes through untouched
-        # (lane pinning below still rewrites it when it must).
-        planned = requested if requested not in (None, 0) else 1
-        requested = planned
-        source = "client"
+    if request.kind == "atpg":
+        config = request.atpg or AtpgConfig()
     else:
-        planned = profile.resolve_workers(requested)
-        source = profile.source
-        if requested in (None, 0):
-            notes.append(
-                f"auto workers -> {planned} ({profile.source} profile)"
-            )
-        elif planned != requested:
-            notes.append(
-                f"profile overrode workers {requested} -> {planned}: "
-                + "; ".join(profile.notes or ("measured serial wins",))
-            )
-    if lanes > 1 and planned > 1 and mode in ("auto", "processes"):
-        pinned = "threads" if _threads_viable(profile) else "serial"
-        notes.append(
-            f"lanes={lanes}: tier {mode!r} pinned to {pinned!r} "
-            "(concurrent jobs must stay off the shared worker pool)"
-        )
-        mode = pinned
-        if pinned == "serial":
-            planned = 1
-    if planned != requested:
-        request = request.with_workers(planned)
-    if mode != _requested_parallel(request):
-        request = request.with_parallel(mode)
+        config = request.selection or SelectionConfig()
+    tier, count, notes = resolve_execution(
+        config.parallel, config.workers, profile=profile, lanes=lanes
+    )
     return ExecutionPlan(
-        request=request,
-        workers=planned,
-        source=source,
-        notes=tuple(notes),
-        parallel=mode,
+        request=request.with_workers(count).with_parallel(tier),
+        workers=count,
+        source="client" if profile is None else profile.source,
+        notes=notes,
+        parallel=tier,
     )
 
 

@@ -26,8 +26,8 @@ FIFO.
 At :meth:`start`, the service resolves its machine profile via
 :func:`repro.sim.autotune.profile_for_startup` — load the persisted
 calibration if present, else measure (quick mode), else fall back to
-the static defaults — and every job's worker counts are planned through
-it (:func:`~repro.serve.scheduler.plan_execution`).
+the static defaults — and every job's tier and worker count are planned
+through it (:func:`~repro.serve.scheduler.plan_execution`).
 """
 
 from __future__ import annotations

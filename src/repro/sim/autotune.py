@@ -1,15 +1,13 @@
-"""Startup autotuning: measure this machine, persist a profile, consult it.
+"""Startup autotuning: measure this machine, persist a profile.
 
-The static execution heuristics are tuned for the *average* machine: the
-``workers=`` factories fall back to serial only on single-core boxes
-(:func:`~repro.sim.workerpool.single_core_machine`) and the batch widths
-in :mod:`repro.core.config` were measured on one development host.
-The committed smoke baselines show how wrong a static threshold can
-be — ``workers=4`` runs at 0.32–0.87x *serial* throughput on the
-1-core CI runner — and the serving layer (:mod:`repro.serve`)
-amortizes whatever the thresholds decide across every request it ever
-handles, so it is worth a few hundred milliseconds at startup to measure
-the actual machine instead of trusting defaults.
+The static execution defaults are tuned for the *average* machine: the
+batch widths in :mod:`repro.core.config` were measured on one
+development host, and the committed smoke baselines show how wrong a
+static guess can be — ``workers=4`` runs at 0.32–0.87x *serial*
+throughput on the 1-core CI runner.  The serving layer
+(:mod:`repro.serve`) amortizes whatever is decided across every request
+it ever handles, so it is worth a few hundred milliseconds at startup to
+measure the actual machine instead of trusting defaults.
 
 This module provides:
 
@@ -17,26 +15,26 @@ This module provides:
   recommended worker count, per-axis serial-vs-sharded speedups and the
   fastest batch widths, with a JSON round-trip and ``save``/``load``
   helpers (default location: ``~/.cache/repro/machine_profile.json``,
-  overridden by ``REPRO_PROFILE``).
+  overridden by ``REPRO_PROFILE``).  It is plain data; the policy that
+  reads it is :func:`~repro.sim.workerpool.resolve_execution`.
 * :func:`calibrate` — run the measurement pass: time parallel-fault
   simulation and Procedure 2-shaped candidate scans serially, under the
-  native kernel's in-process thread lanes, and process-sharded
-  (``force_shard=True``, so the static single-core fallback cannot mask
-  the measurement), and sweep a few batch widths per axis.  The best
-  measured speedup picks the work-distribution tier
-  (serial/threads/processes) recorded as ``parallel_mode``.  On a 1-core
-  machine (per :func:`~repro.sim.workerpool.cpu_count`, which honours
+  native kernel's in-process thread lanes, and process-sharded (built
+  directly, so no fallback can mask the measurement), and sweep a few
+  batch widths per axis.  The best measured speedup picks the
+  work-distribution tier (serial/threads/processes) recorded as
+  ``parallel_mode``.  On a 1-core machine (per
+  :func:`~repro.sim.workerpool.cpu_count`, which honours
   ``REPRO_ASSUME_CPUS``) the parallel measurements are skipped — neither
   tier can win without a second core — and the profile records serial
   execution directly.
 * :func:`static_profile` — the no-measurement fallback mirroring today's
   static defaults, so consumers can always hold *some* profile.
 
-Consumers: :class:`repro.core.session.Session` resolves ``workers=0``
-("auto") through its profile and lets a calibrated serial verdict
-override an explicit shard request, and the serve scheduler
-(:mod:`repro.serve.scheduler`) plans every job's execution from the
-profile instead of the static thresholds.
+Consumers: :class:`repro.core.session.Session` hands its profile to the
+simulator factories and the serve scheduler (:mod:`repro.serve.scheduler`)
+to :func:`~repro.sim.workerpool.resolve_execution`, which turns the
+measurement into each job's tier and worker count.
 """
 
 from __future__ import annotations
@@ -96,8 +94,8 @@ class MachineProfile:
         parallel_mode: the measured work-distribution verdict —
             ``"serial"``, ``"threads"`` (in-kernel word-span lanes) or
             ``"processes"`` (the shard pool); ``"auto"`` when nothing
-            was measured (static profiles), deferring to the factories'
-            heuristics.
+            was measured (static profiles), which
+            :func:`~repro.sim.workerpool.resolve_execution` ignores.
         threads: recommended in-kernel thread-lane count when
             ``parallel_mode == "threads"`` (``1`` otherwise).
         fault_shard_speedup: measured sharded/serial throughput ratio on
@@ -126,65 +124,9 @@ class MachineProfile:
     source: str = "static"
     notes: tuple[str, ...] = ()
 
-    # ------------------------------------------------------------------
-    # Policy
-    # ------------------------------------------------------------------
     @property
     def calibrated(self) -> bool:
         return self.source == "calibrated"
-
-    @property
-    def use_sharding(self) -> bool:
-        return self.workers > 1
-
-    @property
-    def force_shard(self) -> bool:
-        """Bypass the static single-core serial fallback.
-
-        True when a measurement proved a multi-worker tier wins here:
-        the factories' :func:`~repro.sim.workerpool.single_core_machine`
-        guess must not silently undo a measured verdict (the same flag
-        forces the thread tier past the single-core clamp in
-        :func:`~repro.sim.workerpool.resolve_work_distribution`).
-        """
-        return self.calibrated and self.workers > 1
-
-    def resolve_execution(self, requested: int | None) -> tuple[str, int]:
-        """The ``(parallel, workers)`` tier a consumer should run with.
-
-        This is how a calibrated profile answers "threads×4": the
-        measured serial/threads/processes crossover picks the tier, and
-        :meth:`resolve_workers` the lane count.  An uncalibrated
-        profile returns ``("auto", count)`` so the factories' static
-        heuristics stay in charge.  Results are tier-independent by
-        construction; this is purely a throughput decision.
-        """
-        count = self.resolve_workers(requested)
-        if count <= 1:
-            return ("serial", 1)
-        mode = self.parallel_mode if self.calibrated else "auto"
-        if mode == "serial":
-            return ("serial", 1)
-        if mode not in ("threads", "processes"):
-            mode = "auto"
-        return (mode, count)
-
-    def resolve_workers(self, requested: int | None) -> int:
-        """The worker count a consumer should actually use.
-
-        ``None``/``0`` ("auto") resolve to the profile's recommendation.
-        An explicit request is honoured, with one exception: a
-        *calibrated* serial verdict overrides an explicit shard request —
-        on this machine the measurement showed sharding losing to serial,
-        so honouring ``workers=4`` would only burn cycles.  (Results are
-        worker-count-independent by construction, so this is purely a
-        throughput decision.)
-        """
-        if requested is None or requested == 0:
-            return self.workers
-        if requested > 1 and self.calibrated and self.workers == 1:
-            return 1
-        return requested
 
     # ------------------------------------------------------------------
     # JSON round-trip and persistence
@@ -295,14 +237,13 @@ def _measure_fault_axis(
     threads: int = 0,
 ) -> tuple[int, float, float, list[str]]:
     """Best fault batch width and the sharded/threaded serial speedups."""
-    from repro.sim.sharding import make_fault_simulator
+    from repro.sim.faultsim import FaultSimulator
+    from repro.sim.sharding import ShardedFaultSimulator
 
     notes: list[str] = []
     timings: dict[int, float] = {}
     for width in widths:
-        simulator = make_fault_simulator(
-            compiled, batch_width=width, backend=backend, workers=1
-        )
+        simulator = FaultSimulator(compiled, batch_width=width, backend=backend)
         try:
             timings[width] = _time(lambda: simulator.run(stimulus, faults))
         finally:
@@ -316,13 +257,12 @@ def _measure_fault_axis(
 
     speedup = 0.0
     if workers > 1:
-        sharded = make_fault_simulator(
+        sharded = ShardedFaultSimulator(
             compiled,
             batch_width=best_width,
             backend=backend,
             workers=workers,
             min_shard_faults=1,
-            force_shard=True,
         )
         try:
             sharded_seconds = _time(lambda: sharded.run(stimulus, faults))
@@ -335,13 +275,8 @@ def _measure_fault_axis(
 
     thread_speedup = 0.0
     if threads > 1:
-        threaded = make_fault_simulator(
-            compiled,
-            batch_width=best_width,
-            backend=backend,
-            workers=threads,
-            parallel="threads",
-            force_shard=True,
+        threaded = FaultSimulator(
+            compiled, batch_width=best_width, backend=backend, threads=threads
         )
         try:
             if threaded.threads > 1:
@@ -368,15 +303,16 @@ def _measure_candidate_axis(
 ) -> tuple[int, float, float, list[str]]:
     """Best search batch width and the sharded/threaded serial speedups."""
     from repro.core.ops import ExpansionConfig
-    from repro.sim.seqshard import make_sequence_simulator
+    from repro.sim.seqshard import ShardedSequenceBatchSimulator
+    from repro.sim.seqsim import SequenceBatchSimulator
 
     expansion = ExpansionConfig(repetitions=1)
     spans = [(0, end) for end in range(len(stimulus))]
     notes: list[str] = []
     timings: dict[int, float] = {}
     for width in widths:
-        simulator = make_sequence_simulator(
-            compiled, batch_width=width, backend=backend, workers=1
+        simulator = SequenceBatchSimulator(
+            compiled, batch_width=width, backend=backend
         )
         try:
             timings[width] = _time(
@@ -393,14 +329,13 @@ def _measure_candidate_axis(
 
     speedup = 0.0
     if workers > 1:
-        sharded = make_sequence_simulator(
+        sharded = ShardedSequenceBatchSimulator(
             compiled,
             batch_width=best_width,
             backend=backend,
             workers=workers,
             min_shard_candidates=1,
             chunking=chunking,
-            force_shard=True,
         )
         try:
             sharded_seconds = _time(
@@ -415,13 +350,8 @@ def _measure_candidate_axis(
 
     thread_speedup = 0.0
     if threads > 1:
-        threaded = make_sequence_simulator(
-            compiled,
-            batch_width=best_width,
-            backend=backend,
-            workers=threads,
-            parallel="threads",
-            force_shard=True,
+        threaded = SequenceBatchSimulator(
+            compiled, batch_width=best_width, backend=backend, threads=threads
         )
         try:
             if threaded.threads > 1:

@@ -80,6 +80,7 @@ from repro.core.ops import ExpansionConfig
 from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
 from repro.faults.model import Fault
+from repro.sim.autotune import MachineProfile
 from repro.sim.backend import SimBackend
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.scanplan import (
@@ -104,10 +105,9 @@ from repro.sim.trace import (  # noqa: F401  (re-export)
 )
 from repro.sim.workerpool import (
     PoolContext,
-    default_workers,
+    cpu_count,
     get_worker_pool,
-    resolve_work_distribution,
-    single_core_machine,
+    resolve_execution,
     worker_attach_shm,
     worker_state,
 )
@@ -297,7 +297,7 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
     ) -> None:
         super().__init__(circuit, batch_width=batch_width, backend=backend)
         if workers is None:
-            workers = default_workers()
+            workers = cpu_count()
         if workers < 1:
             raise SimulationError(f"workers must be >= 1, got {workers}")
         self._workers = workers
@@ -530,52 +530,42 @@ def make_sequence_simulator(
     circuit: Circuit | CompiledCircuit,
     batch_width: int = DEFAULT_SEQ_BATCH_WIDTH,
     backend: str | SimBackend | None = None,
-    workers: int = 1,
+    workers: int | None = 1,
     min_shard_candidates: int | None = None,
     oversplit: int = DEFAULT_OVERSPLIT,
     chunking: str = DEFAULT_CHUNKING,
-    force_shard: bool = False,
     parallel: str | None = None,
+    profile: MachineProfile | None = None,
 ) -> SequenceBatchSimulator:
     """The work-distribution seam for every candidate-simulation consumer.
 
-    ``parallel`` picks the tier (see
-    :data:`~repro.sim.workerpool.PARALLEL_MODES`): ``"serial"`` one
-    simulator on one kernel thread, ``"threads"`` one simulator whose
-    native kernel splits each packed batch across ``workers``
-    in-process thread lanes, ``"processes"`` the shard pool, and
-    ``"auto"`` (the default, also ``None``) the historical behaviour —
-    ``workers <= 1`` serial, anything larger a
-    :class:`ShardedSequenceBatchSimulator` (which still runs candidate
-    sets that fit one bit-parallel pass serially — see
-    :data:`SERIAL_FALLBACK_CANDIDATES`).  ``workers=0`` /
-    ``workers=None`` mean "one per CPU".  ``chunking`` selects how a
+    :func:`~repro.sim.workerpool.resolve_execution` turns ``parallel``,
+    ``workers`` and the machine ``profile`` into a tier: ``serial`` one
+    simulator on one kernel thread, ``threads`` one simulator whose
+    native kernel splits each packed batch across that many in-process
+    thread lanes, ``processes`` a :class:`ShardedSequenceBatchSimulator`
+    (which still runs candidate sets that fit one bit-parallel pass
+    serially — see :data:`SERIAL_FALLBACK_CANDIDATES`).  ``workers=0``
+    / ``workers=None`` mean "one per CPU" without a profile and the
+    profile's recommendation with one.  ``chunking`` selects how a
     sharded simulator cuts a scan into worker chunks — ``"cost"``
     (equal simulated-step budgets, the default) or ``"count"`` (the
     historical equal-candidate plan); results are bit-identical either
     way, so like ``workers`` and ``parallel`` it is a pure throughput
     knob.
 
-    On a single-core machine a multi-worker request falls back to the
-    serial engine (see :func:`~repro.sim.workerpool.single_core_machine`)
-    unless ``force_shard=True``; constructing
-    :class:`ShardedSequenceBatchSimulator` directly also bypasses the
-    fallback.
+    One usable core resolves to serial unless a calibrated profile
+    measured a parallel win; constructing
+    :class:`ShardedSequenceBatchSimulator` or
+    ``SequenceBatchSimulator(threads=n)`` directly builds exactly that
+    tier on any machine.
     """
-    mode, workers = resolve_work_distribution(
-        parallel, workers, force=force_shard
-    )
-    if mode == "threads":
+    tier, workers, _ = resolve_execution(parallel, workers, profile=profile)
+    if tier != "processes":
+        # Serial resolves to one lane, so ``threads=workers`` covers both.
         validate_chunking(chunking)
         return SequenceBatchSimulator(
             circuit, batch_width=batch_width, backend=backend, threads=workers
-        )
-    if workers > 1 and not force_shard and single_core_machine():
-        workers = 1
-    if workers <= 1 or mode == "serial":
-        validate_chunking(chunking)
-        return SequenceBatchSimulator(
-            circuit, batch_width=batch_width, backend=backend
         )
     return ShardedSequenceBatchSimulator(
         circuit,

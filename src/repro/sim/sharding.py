@@ -59,6 +59,7 @@ from repro.circuit.netlist import Circuit
 from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
 from repro.faults.model import Fault
+from repro.sim.autotune import MachineProfile
 from repro.sim.backend import SimBackend, record_dispatch
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.detection import FaultSimResult
@@ -72,10 +73,9 @@ from repro.sim.scanplan import plan_count_chunks
 from repro.sim.trace import resolve_observation_plan
 from repro.sim.workerpool import (
     PoolContext,
-    default_workers,
+    cpu_count,
     get_worker_pool,
-    resolve_work_distribution,
-    single_core_machine,
+    resolve_execution,
     worker_state,
 )
 
@@ -92,7 +92,6 @@ DEFAULT_OVERSPLIT = 4
 __all__ = [
     "SERIAL_FALLBACK_FAULTS",
     "DEFAULT_OVERSPLIT",
-    "default_workers",
     "plan_chunks",
     "ShardedFaultSimulator",
     "ShardedFaultSimSession",
@@ -270,7 +269,7 @@ class ShardedFaultSimulator(FaultSimulator):
     ) -> None:
         super().__init__(circuit, batch_width=batch_width, backend=backend)
         if workers is None:
-            workers = default_workers()
+            workers = cpu_count()
         if workers < 1:
             raise SimulationError(f"workers must be >= 1, got {workers}")
         self._workers = workers
@@ -495,44 +494,34 @@ def make_fault_simulator(
     circuit: Circuit | CompiledCircuit,
     batch_width: int = DEFAULT_BATCH_WIDTH,
     backend: str | SimBackend | None = None,
-    workers: int = 1,
+    workers: int | None = 1,
     min_shard_faults: int = SERIAL_FALLBACK_FAULTS,
     oversplit: int = DEFAULT_OVERSPLIT,
-    force_shard: bool = False,
     parallel: str | None = None,
+    profile: MachineProfile | None = None,
 ) -> FaultSimulator:
     """The work-distribution seam used by every fault-simulation consumer.
 
-    ``parallel`` picks the tier (see
-    :data:`~repro.sim.workerpool.PARALLEL_MODES`): ``"serial"`` one
-    simulator on one kernel thread, ``"threads"`` one simulator whose
-    native kernel splits each batch across ``workers`` in-process thread
-    lanes, ``"processes"`` the shard pool, and ``"auto"`` (the default,
-    also ``None``) the historical behaviour — ``workers <= 1`` serial,
-    larger counts the :class:`ShardedFaultSimulator` (which still runs
-    small universes serially — see :data:`SERIAL_FALLBACK_FAULTS`).
-    ``workers=0`` / ``workers=None`` mean "one per CPU".
-
-    On a single-core machine a multi-worker request falls back to the
-    serial engine under every tier (sharding only adds process traffic
-    there — see :func:`~repro.sim.workerpool.single_core_machine`)
-    unless ``force_shard=True``, which honors the requested count
-    regardless; benchmarks measuring the distribution layers themselves
-    use the override.  Constructing :class:`ShardedFaultSimulator`
-    directly also bypasses the fallback.  Detection times are
-    bit-identical across every ``(parallel, workers)`` setting.
+    :func:`~repro.sim.workerpool.resolve_execution` turns ``parallel``,
+    ``workers`` and the machine ``profile`` into a tier: ``serial`` one
+    simulator on one kernel thread, ``threads`` one simulator whose
+    native kernel splits each batch across that many in-process thread
+    lanes, ``processes`` a :class:`ShardedFaultSimulator` (which still
+    runs small universes serially — see :data:`SERIAL_FALLBACK_FAULTS`).
+    ``workers=0`` / ``workers=None`` mean "one per CPU" without a
+    profile and the profile's recommendation with one.  One usable core
+    resolves to serial unless a calibrated profile measured a parallel
+    win; constructing :class:`ShardedFaultSimulator` or
+    ``FaultSimulator(threads=n)`` directly builds exactly that tier on
+    any machine.  Detection times are bit-identical across every
+    ``(parallel, workers)`` setting.
     """
-    mode, workers = resolve_work_distribution(
-        parallel, workers, force=force_shard
-    )
-    if mode == "threads":
+    tier, workers, _ = resolve_execution(parallel, workers, profile=profile)
+    if tier != "processes":
+        # Serial resolves to one lane, so ``threads=workers`` covers both.
         return FaultSimulator(
             circuit, batch_width=batch_width, backend=backend, threads=workers
         )
-    if workers > 1 and not force_shard and single_core_machine():
-        workers = 1
-    if workers <= 1 or mode == "serial":
-        return FaultSimulator(circuit, batch_width=batch_width, backend=backend)
     return ShardedFaultSimulator(
         circuit,
         batch_width=batch_width,

@@ -41,8 +41,13 @@ import atexit
 import multiprocessing
 import os
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
+from repro.sim.autotune import SHARD_SPEEDUP_THRESHOLD
+
+if TYPE_CHECKING:
+    from repro.sim.autotune import MachineProfile
 
 #: ``first_hit`` value meaning "no detecting candidate found yet".
 FIRST_HIT_SENTINEL = 1 << 62
@@ -56,10 +61,12 @@ BROADCAST_TIMEOUT_S = 300.0
 def cpu_count() -> int:
     """Usable CPU cores, honouring the ``REPRO_ASSUME_CPUS`` override.
 
-    The override exists so calibration and the serial-fallback heuristics
-    can be pinned to a known machine shape — CI's serve-smoke lane runs
-    with ``REPRO_ASSUME_CPUS=1`` to exercise the 1-core policy on
-    multi-core runners deterministically.
+    Usable means this process's affinity set where the platform reports
+    one (``taskset -c 0`` gives 1 on a many-core host), else
+    :func:`os.cpu_count`.  The override exists so calibration and
+    :func:`resolve_execution` can be pinned to a known machine shape —
+    CI's serve-smoke lane runs with ``REPRO_ASSUME_CPUS=1`` to exercise
+    the 1-core policy on multi-core runners deterministically.
     """
     assumed = os.environ.get("REPRO_ASSUME_CPUS")
     if assumed:
@@ -69,27 +76,9 @@ def cpu_count() -> int:
             raise SimulationError(
                 f"REPRO_ASSUME_CPUS={assumed!r} is not an integer"
             ) from exc
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
-
-
-def default_workers() -> int:
-    """A reasonable worker count for this machine (:func:`cpu_count`)."""
-    return cpu_count()
-
-
-def single_core_machine() -> bool:
-    """True when this machine has exactly one usable CPU core.
-
-    Process sharding cannot beat the serial engine here — the committed
-    smoke baselines show ``workers=4`` running at 0.32–0.87x serial on a
-    1-core box — so the simulator factories fall back to serial unless
-    the caller explicitly forces sharding.  Tests monkeypatch this to
-    exercise both sides regardless of the machine they run on.  A
-    measured :class:`~repro.sim.autotune.MachineProfile` supersedes this
-    static heuristic wherever a :class:`~repro.core.session.Session`
-    resolves worker counts.
-    """
-    return cpu_count() <= 1
 
 
 def resolve_start_method() -> str:
@@ -113,49 +102,99 @@ def resolve_start_method() -> str:
     return "spawn"
 
 
-#: The three work-distribution tiers plus the measured selector.
-#: ``serial`` — one simulator, one kernel thread; ``threads`` — one
-#: simulator whose native kernel splits each batch's words axis across
-#: the in-process pthread pool; ``processes`` — the shard pool (one
-#: simulator per worker process).  ``auto`` defers to the machine
-#: profile / single-core heuristics at the factory layer.
+#: The three work-distribution tiers plus ``auto``, which asks
+#: :func:`resolve_execution` to choose.  ``serial`` — one simulator, one
+#: kernel thread; ``threads`` — one simulator whose native kernel splits
+#: each batch's words axis across the in-process pthread pool;
+#: ``processes`` — the shard pool (one simulator per worker process).
 PARALLEL_MODES = ("auto", "serial", "threads", "processes")
 
 
-def resolve_work_distribution(
+def resolve_execution(
     parallel: str | None,
     workers: int | None,
     *,
-    force: bool = False,
-) -> tuple[str, int]:
-    """Resolve a ``(parallel, workers)`` request to a concrete tier.
+    profile: MachineProfile | None = None,
+    lanes: int = 1,
+) -> tuple[str, int, tuple[str, ...]]:
+    """The one place that picks a work-distribution tier and its count.
 
-    Returns ``(mode, count)`` where ``mode`` is one of ``serial`` /
-    ``threads`` / ``processes`` / ``auto`` and ``count`` is the lane or
-    worker count for that tier.  ``workers`` of ``None``/``0`` means
-    "size for this machine" via :func:`default_workers`, which routes
-    through :func:`cpu_count` and therefore honours the
-    ``REPRO_ASSUME_CPUS`` override.  A single usable core collapses
-    ``threads`` to ``serial`` (there is nothing to run lanes on) unless
-    ``force`` insists — the same policy the factories apply to process
-    sharding.  ``auto`` is returned as-is with the resolved count; the
-    caller owns the measured-profile / heuristic choice because only it
-    knows the axis and circuit size.
+    Returns ``(tier, count, notes)``: ``tier`` is ``"serial"``,
+    ``"threads"`` or ``"processes"`` (never ``"auto"``), ``count`` the
+    worker processes or thread lanes (``1`` exactly when serial), and
+    ``notes`` why a profile or the lane count changed the request.
+    ``C`` is :func:`cpu_count`; a *calibrated* profile is one whose
+    ``source`` is ``"calibrated"``.
+
+    1. Worker count: without a profile ``None``/``0`` mean ``C``; with
+       one they mean ``profile.workers``.  A calibrated profile with
+       ``workers == 1`` (it measured serial winning) turns an explicit
+       count above 1 into 1; a static profile never overrides.
+    2. A count of 1 or ``parallel="serial"`` is ``("serial", 1)``.
+    3. Explicit ``threads``/``processes`` keep their tier; ``auto``
+       takes a calibrated profile's ``parallel_mode``, else
+       ``processes``.
+    4. One usable core (``C <= 1``) is ``("serial", 1)`` unless a
+       calibrated profile measured ``workers > 1`` winning here.
+    5. ``lanes > 1`` (a concurrent service) pins an ``auto`` or
+       ``processes`` request away from the shared process pool, whose
+       parent serves one dispatch at a time: to ``threads`` unless a
+       calibrated profile measured threads below
+       ``SHARD_SPEEDUP_THRESHOLD``, else to ``("serial", 1)``.
+
+    Results are bit-identical across tiers, so this only moves
+    throughput.  Resolving an output again with the same profile
+    returns it unchanged, which is what lets the service plan a request
+    and the :class:`~repro.core.session.Session` re-resolve it.
     """
-    mode = parallel or "auto"
-    if mode not in PARALLEL_MODES:
+    requested = parallel or "auto"
+    if requested not in PARALLEL_MODES:
         raise SimulationError(
-            f"unknown parallel mode {mode!r}; expected one of {PARALLEL_MODES}"
+            f"unknown parallel mode {requested!r}; expected one of "
+            f"{PARALLEL_MODES}"
         )
-    count = workers if workers else default_workers()
-    if count < 0:
+    if workers is not None and workers < 0:
         raise SimulationError(f"workers must be >= 0, got {workers}")
-    count = max(1, int(count))
-    if mode == "serial" or count == 1:
-        return ("serial", 1)
-    if mode == "threads" and single_core_machine() and not force:
-        return ("serial", 1)
-    return (mode, count)
+    calibrated = profile is not None and profile.calibrated
+    notes: list[str] = []
+
+    if profile is None:
+        count = workers or cpu_count()
+    elif not workers:
+        count = profile.workers
+        notes.append(f"auto workers -> {count} ({profile.source} profile)")
+    elif workers > 1 and calibrated and profile.workers == 1:
+        count = 1
+        notes.append(
+            f"profile overrode workers {workers} -> 1: "
+            + "; ".join(profile.notes or ("measured serial wins",))
+        )
+    else:
+        count = workers
+
+    tier = requested
+    if tier == "auto" and calibrated:
+        tier = profile.parallel_mode
+    if tier == "auto":
+        tier = "processes"
+    if count <= 1 or tier == "serial":
+        return ("serial", 1, tuple(notes))
+    if cpu_count() <= 1 and not (calibrated and profile.workers > 1):
+        return ("serial", 1, tuple(notes))
+
+    if lanes > 1 and requested in ("auto", "processes"):
+        threads_win = not calibrated or SHARD_SPEEDUP_THRESHOLD <= max(
+            profile.fault_thread_speedup, profile.candidate_thread_speedup
+        )
+        pinned = "threads" if threads_win else "serial"
+        notes.append(
+            f"lanes={lanes}: tier {requested!r} pinned to {pinned!r} "
+            "(concurrent jobs must stay off the shared worker pool)"
+        )
+        if not threads_win:
+            return ("serial", 1, tuple(notes))
+        tier = "threads"
+    return (tier, int(count), tuple(notes))
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Machine profiling: persistence, worker resolution, calibration."""
+"""Machine profiling: persistence and calibration.
+
+What a profile does to a run is ``resolve_execution``'s business; its
+policy table lives in ``test_execution_policy.py``.
+"""
 
 from __future__ import annotations
 
@@ -107,65 +111,12 @@ class TestProfilePersistence:
         assert load_profile() is None  # unparseable
 
 
-class TestWorkerResolution:
-    def test_auto_becomes_recommendation(self):
-        assert profile_with(2, "calibrated").resolve_workers(None) == 2
-        assert profile_with(2, "calibrated").resolve_workers(0) == 2
-        assert profile_with(1, "static").resolve_workers(None) == 1
-
-    def test_calibrated_serial_overrides_shard_request(self):
-        assert profile_with(1, "calibrated").resolve_workers(4) == 1
-
-    def test_static_serial_does_not_override(self):
-        # Only a *measured* serial verdict may veto an explicit request.
-        assert profile_with(1, "static").resolve_workers(4) == 4
-
-    def test_force_shard_only_when_calibrated_multiworker(self):
-        assert profile_with(2, "calibrated").force_shard
-        assert not profile_with(1, "calibrated").force_shard
-        assert not profile_with(2, "static").force_shard
-
-
-class TestExecutionResolution:
-    """resolve_execution answers both *which tier* and *how many lanes*."""
-
-    def test_single_worker_is_always_serial(self):
-        profile = replace(
-            profile_with(1, "calibrated"), parallel_mode="threads", threads=4
-        )
-        assert profile.resolve_execution(None) == ("serial", 1)
-
-    def test_measured_threads_verdict_wins(self):
-        profile = replace(
-            profile_with(4, "calibrated"), parallel_mode="threads", threads=4
-        )
-        assert profile.resolve_execution(None) == ("threads", 4)
-        assert profile.resolve_execution(2) == ("threads", 2)
-
-    def test_measured_processes_verdict_wins(self):
-        profile = replace(
-            profile_with(4, "calibrated"), parallel_mode="processes"
-        )
-        assert profile.resolve_execution(0) == ("processes", 4)
-
-    def test_measured_serial_verdict_overrides_request(self):
-        profile = replace(profile_with(1, "calibrated"), parallel_mode="serial")
-        assert profile.resolve_execution(4) == ("serial", 1)
-
-    def test_uncalibrated_profile_stays_auto(self):
-        profile = replace(profile_with(4, "static"), parallel_mode="threads")
-        mode, count = profile.resolve_execution(4)
-        assert mode == "auto"
-        assert count == 4
-
-
 class TestCalibration:
     def test_quick_calibration_on_one_core_selects_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_ASSUME_CPUS", "1")
         profile = calibrate(quick=True)
         assert profile.source == "calibrated"
         assert profile.workers == 1
-        assert not profile.use_sharding
         assert any("1 core" in note for note in profile.notes)
         # Measured widths come from the candidate family, so the profile
         # carries concrete, positive batch widths.

@@ -32,7 +32,6 @@ from repro.sim.native_build import native_threads_available
 from repro.sim.seqshard import make_sequence_simulator
 from repro.sim.seqsim import SequenceBatchSimulator
 from repro.sim.sharding import make_fault_simulator
-from repro.sim.workerpool import PARALLEL_MODES, resolve_work_distribution
 from repro.util.rng import SplitMix64
 
 needs_native_threads = pytest.mark.skipif(
@@ -60,47 +59,6 @@ def syn298():
     faults = list(FaultUniverse(circuit).faults())
     sequence = _stimulus(circuit, 24)
     return compiled, faults, sequence
-
-
-class TestResolveWorkDistribution:
-    def test_modes_registry(self):
-        assert PARALLEL_MODES == ("auto", "serial", "threads", "processes")
-
-    def test_default_is_serial_on_one_core(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSUME_CPUS", "1")
-        assert resolve_work_distribution(None, None) == ("serial", 1)
-        assert resolve_work_distribution("auto", 0) == ("serial", 1)
-
-    def test_assume_cpus_feeds_thread_auto_count(self, monkeypatch):
-        """Satellite: REPRO_ASSUME_CPUS is honoured by thread resolution."""
-        monkeypatch.setenv("REPRO_ASSUME_CPUS", "8")
-        assert resolve_work_distribution("threads", 0) == ("threads", 8)
-        assert resolve_work_distribution("threads", None) == ("threads", 8)
-        assert resolve_work_distribution("threads", 3) == ("threads", 3)
-
-    def test_explicit_processes_pass_through(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSUME_CPUS", "8")
-        assert resolve_work_distribution("processes", 3) == ("processes", 3)
-
-    def test_single_core_collapses_threads_unless_forced(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSUME_CPUS", "1")
-        assert resolve_work_distribution("threads", 4) == ("serial", 1)
-        assert resolve_work_distribution("threads", 4, force=True) == (
-            "threads",
-            4,
-        )
-
-    def test_serial_wins_any_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSUME_CPUS", "8")
-        assert resolve_work_distribution("serial", 4) == ("serial", 1)
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(SimulationError, match="parallel"):
-            resolve_work_distribution("fibers", 2)
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(SimulationError):
-            resolve_work_distribution("threads", -2)
 
 
 class TestResolveSimulatorThreads:
@@ -151,21 +109,23 @@ class TestDispatchCounterHammer:
 
 
 class TestFactoryThreadTier:
-    def test_threads_mode_returns_in_process_simulator(self, syn298):
+    def test_threads_mode_returns_in_process_simulator(
+        self, syn298, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "4")
         compiled, _, _ = syn298
-        simulator = make_fault_simulator(
-            compiled, workers=4, parallel="threads", force_shard=True
-        )
+        simulator = make_fault_simulator(compiled, workers=4, parallel="threads")
         # The thread tier never mints the process-sharded class: lanes
         # live inside the kernel, the Python object stays the serial one.
         assert type(simulator) is FaultSimulator
         assert simulator.threads >= 1
         simulator.close()
 
-    def test_threads_mode_sequence_simulator(self, syn298):
+    def test_threads_mode_sequence_simulator(self, syn298, monkeypatch):
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "4")
         compiled, _, _ = syn298
         simulator = make_sequence_simulator(
-            compiled, workers=4, parallel="threads", force_shard=True
+            compiled, workers=4, parallel="threads"
         )
         assert type(simulator) is SequenceBatchSimulator
         assert simulator.threads >= 1
@@ -186,13 +146,7 @@ class TestFactoryThreadTier:
     @needs_native_threads
     def test_native_threads_simulator_carries_lanes(self, syn298):
         compiled, _, _ = syn298
-        simulator = make_fault_simulator(
-            compiled,
-            workers=4,
-            parallel="threads",
-            backend="native",
-            force_shard=True,
-        )
+        simulator = FaultSimulator(compiled, backend="native", threads=4)
         assert simulator.threads > 1
         simulator.close()
 

@@ -81,6 +81,11 @@ class TestFairScheduler:
 
 
 class TestPlanExecution:
+    @pytest.fixture(autouse=True)
+    def _four_cpus(self, monkeypatch):
+        # The one-core fallback is part of the policy; pin the machine.
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "4")
+
     def test_no_profile_passes_request_through(self):
         plan = plan_execution(S27_REQUEST, None)
         assert plan.request is S27_REQUEST
@@ -124,7 +129,7 @@ class TestPlanExecution:
 
     def test_plan_json_carries_the_tier(self):
         payload = plan_execution(S27_REQUEST, None).to_json()
-        assert payload["parallel"] == "auto"
+        assert payload["parallel"] == "serial"
 
     def test_single_lane_leaves_process_tier_alone(self):
         profile = replace(
@@ -270,6 +275,62 @@ class TestRunDispatches:
         dispatches = result.execution["dispatches"]
         assert dispatches["trace_calls"] >= 1
         assert dispatches["trace_steps"] >= dispatches["trace_calls"]
+
+
+class TestExecutionRecord:
+    def test_auto_workers_record_what_ran(self, monkeypatch):
+        """``workers=0`` is recorded as the tier and count that ran."""
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "2")
+        request = RunRequest(
+            kind="scheme",
+            circuit="s27",
+            selection=repro.SelectionConfig(workers=0),
+        )
+        with Session() as session:
+            execution = session.run(request).execution
+        assert execution["parallel_requested"] == "auto"
+        assert execution["workers_requested"] == 0
+        assert execution["parallel"] in ("serial", "threads", "processes")
+        assert isinstance(execution["workers"], int)
+        assert execution["workers"] >= 1
+        assert (execution["parallel"], execution["workers"]) == ("processes", 2)
+
+    @pytest.mark.parametrize("profile_kind", ["static", "calibrated"])
+    def test_two_lane_plans_match_what_ran(self, profile_kind, monkeypatch):
+        """The service plans each job once and the Session re-resolves
+        the planned request: both must name the same tier and count."""
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "2")
+        if profile_kind == "static":
+            profile = static_profile()
+        else:
+            profile = replace(calibrated_profile(workers=2), fault_thread_speedup=1.5)
+        selections = [
+            None,
+            repro.SelectionConfig(workers=0),
+            repro.SelectionConfig(workers=2, parallel="processes"),
+            repro.SelectionConfig(workers=2, parallel="threads"),
+            repro.SelectionConfig(workers=3, parallel="serial"),
+        ]
+
+        async def main():
+            async with JobService(profile=profile, lanes=2) as service:
+                ids = [
+                    await service.submit(
+                        "t",
+                        RunRequest(kind="scheme", circuit="s27", selection=sel),
+                    )
+                    for sel in selections
+                ]
+                return [await service.wait(job_id) for job_id in ids]
+
+        for job in asyncio.run(main()):
+            assert job.status == "done", job.error
+            execution = job.result.execution
+            assert (job.plan.parallel, job.plan.workers) == (
+                execution["parallel"],
+                execution["workers"],
+            )
+            assert job.plan.parallel != "processes"
 
 
 class TestJobService:

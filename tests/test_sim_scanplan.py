@@ -34,7 +34,7 @@ from repro.sim.scanplan import (
     plan_count_chunks,
     validate_chunking,
 )
-from repro.sim.seqshard import make_sequence_simulator
+from repro.sim.seqshard import ShardedSequenceBatchSimulator
 from repro.sim.seqsim import SequenceBatchSimulator
 from repro.util.rng import SplitMix64
 
@@ -196,17 +196,19 @@ class TestChunkingParity:
         return SequenceBatchSimulator(compiled, batch_width=16, backend=engine)
 
     def _simulators(self, compiled, backend, workers):
+        if workers == 1:
+            serial = SequenceBatchSimulator(compiled, batch_width=16, backend=backend)
+            return {chunking: serial for chunking in CHUNKING_MODES}
+        # Built directly: the multi-worker axis must exercise the sharded
+        # path even on a single-core runner.
         return {
-            chunking: make_sequence_simulator(
+            chunking: ShardedSequenceBatchSimulator(
                 compiled,
                 batch_width=16,
                 backend=backend,
                 workers=workers,
                 min_shard_candidates=1,
                 chunking=chunking,
-                # The multi-worker axis must exercise the sharded path
-                # even on a single-core runner.
-                force_shard=True,
             )
             for chunking in CHUNKING_MODES
         }

@@ -10,6 +10,8 @@ fallback) and start method.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.circuits.catalog import load_circuit
@@ -20,6 +22,7 @@ from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
 from repro.faults.universe import FaultUniverse
 from repro.sim.backend import available_backends, registry_backends
+from repro.sim.autotune import static_profile
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.seqshard import (
@@ -126,43 +129,34 @@ class TestFactory:
         assert type(simulator) is SequenceBatchSimulator
         simulator.close()  # no-op on the serial class
 
-    def test_workers_many_is_sharded(self, workload):
-        # force_shard: this test must exercise the sharded class even on
-        # a single-core runner, where the factory would fall back.
+    def test_workers_zero_shards_one_per_cpu(self, workload, monkeypatch):
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "3")
         compiled = workload[0]
-        with make_sequence_simulator(
-            compiled, workers=2, force_shard=True
-        ) as simulator:
+        with make_sequence_simulator(compiled, workers=0) as simulator:
             assert isinstance(simulator, ShardedSequenceBatchSimulator)
-            assert simulator.workers == 2
+            assert simulator.workers == 3
 
     def test_single_core_machine_falls_back_to_serial(self, workload, monkeypatch):
         compiled = workload[0]
-        monkeypatch.setattr(
-            "repro.sim.seqshard.single_core_machine", lambda: True
-        )
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "1")
         simulator = make_sequence_simulator(compiled, workers=4)
         assert type(simulator) is SequenceBatchSimulator
         simulator.close()
 
-    def test_force_shard_overrides_single_core_fallback(
+    def test_calibrated_win_overrides_single_core_fallback(
         self, workload, monkeypatch
     ):
+        """A measured multi-worker win outranks the one-core guess."""
         compiled = workload[0]
-        monkeypatch.setattr(
-            "repro.sim.seqshard.single_core_machine", lambda: True
-        )
-        with make_sequence_simulator(
-            compiled, workers=2, force_shard=True
-        ) as simulator:
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "1")
+        profile = replace(static_profile(), workers=2, source="calibrated")
+        with make_sequence_simulator(compiled, workers=2, profile=profile) as simulator:
             assert isinstance(simulator, ShardedSequenceBatchSimulator)
             assert simulator.workers == 2
 
     def test_multi_core_machine_keeps_sharding(self, workload, monkeypatch):
         compiled = workload[0]
-        monkeypatch.setattr(
-            "repro.sim.seqshard.single_core_machine", lambda: False
-        )
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "2")
         with make_sequence_simulator(compiled, workers=2) as simulator:
             assert isinstance(simulator, ShardedSequenceBatchSimulator)
 

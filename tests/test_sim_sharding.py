@@ -8,12 +8,15 @@ and every worker count, including universes smaller than the worker pool.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.circuits.catalog import load_circuit
 from repro.core.sequence import TestSequence
 from repro.faults.universe import FaultUniverse
 from repro.sim.backend import available_backends, registry_backends
+from repro.sim.autotune import static_profile
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimSession, FaultSimulator
 from repro.sim.sharding import (
@@ -103,42 +106,33 @@ class TestFactory:
         simulator = make_fault_simulator(compiled, workers=1)
         assert type(simulator) is FaultSimulator
 
-    def test_workers_many_is_sharded(self, syn298):
-        # force_shard: this test must exercise the sharded class even on
-        # a single-core runner, where the factory would fall back.
-        compiled, _, _ = syn298
-        with make_fault_simulator(
-            compiled, workers=2, force_shard=True
-        ) as simulator:
+    def test_workers_zero_shards_one_per_cpu(self, syn298, monkeypatch):
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "3")
+        compiled = syn298[0]
+        with make_fault_simulator(compiled, workers=0) as simulator:
             assert isinstance(simulator, ShardedFaultSimulator)
-            assert simulator.workers == 2
+            assert simulator.workers == 3
 
     def test_single_core_machine_falls_back_to_serial(self, syn298, monkeypatch):
         compiled, _, _ = syn298
-        monkeypatch.setattr(
-            "repro.sim.sharding.single_core_machine", lambda: True
-        )
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "1")
         simulator = make_fault_simulator(compiled, workers=4)
         assert type(simulator) is FaultSimulator
 
-    def test_force_shard_overrides_single_core_fallback(
+    def test_calibrated_win_overrides_single_core_fallback(
         self, syn298, monkeypatch
     ):
-        compiled, _, _ = syn298
-        monkeypatch.setattr(
-            "repro.sim.sharding.single_core_machine", lambda: True
-        )
-        with make_fault_simulator(
-            compiled, workers=2, force_shard=True
-        ) as simulator:
+        """A measured multi-worker win outranks the one-core guess."""
+        compiled = syn298[0]
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "1")
+        profile = replace(static_profile(), workers=2, source="calibrated")
+        with make_fault_simulator(compiled, workers=2, profile=profile) as simulator:
             assert isinstance(simulator, ShardedFaultSimulator)
             assert simulator.workers == 2
 
     def test_multi_core_machine_keeps_sharding(self, syn298, monkeypatch):
         compiled, _, _ = syn298
-        monkeypatch.setattr(
-            "repro.sim.sharding.single_core_machine", lambda: False
-        )
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "2")
         with make_fault_simulator(compiled, workers=2) as simulator:
             assert isinstance(simulator, ShardedFaultSimulator)
 
