@@ -21,11 +21,9 @@ kernel's in-process pthread lanes — as ``packed-w*-t*`` rows on the
 ``native`` backend only (the other engines execute thread requests
 serially); ``--min-thread-speedup`` gates on the largest sharding-scale
 workload's best thread speedup (opt-in, hardware-dependent).  On the
-sharding-scale workloads every sharded point is measured under both
-**chunk-boundary modes** of the :class:`~repro.sim.scanplan.ScanPlan`
-IR — cost-balanced (``packed-w*-p*``, the default) and count-based
-(``packed-w*-p*-count``) — and the workload entry records each plan's
-chunk statistics (``chunk_plans``: chunk count, cost imbalance) so the
+sharding-scale workloads the entry records the cost-balanced chunk
+statistics of the :class:`~repro.sim.scanplan.ScanPlan` behind the
+sharded points (``chunk_stats``: chunk count, cost imbalance), so the
 boundary shapes are visible next to the throughput they produced.
 On the small (32-vector omission) workloads every backend is
 additionally re-measured serially through the per-step base
@@ -35,7 +33,7 @@ whole-sequence ``run_scan`` kernels' win per backend; when the native
 kernel was measured, the standalone runner fails unless at least one
 workload shows the fused native scan at >= 1.5x the stepped
 throughput.  Detection outcomes are asserted identical across every
-measured combination — backends, widths, worker counts, chunking modes
+measured combination — backends, widths, worker counts, thread lanes
 *and* the base loop — so the bench doubles as a parity check.  Every
 measurement records its kernel-dispatch counts (``dispatches``: FFI
 crossings, scan calls and steps) across the repeats.
@@ -82,7 +80,7 @@ from repro.sim.backend import (
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.native_build import native_threads_available
-from repro.sim.scanplan import CHUNKING_MODES, WindowRampPlan
+from repro.sim.scanplan import WindowRampPlan
 from repro.sim.seqshard import ShardedSequenceBatchSimulator
 from repro.sim.seqsim import SequenceBatchSimulator
 from repro.sim.trace import SEQUENCE_CACHE_CAPACITY, get_trace_cache
@@ -107,14 +105,12 @@ except ImportError:  # pragma: no cover - numpy ships in CI
 #: bit-parallel pass costs ~one longest-candidate run regardless of slot
 #: count).  Shape "ramp" drops the omission rounds entirely: a pure
 #: window ramp is the workload whose per-candidate cost grows linearly,
-#: i.e. the shape cost-balanced chunking exists for — it is measured
-#: under both chunking modes side by side.  The ramp stage pins its
-#: batch width (last field) well below the span count: chunk boundaries
-#: are floored at one batch-width pass, so at the tuned widths a
-#: few-hundred-span smoke ramp would be floor-dominated and both
-#: planners would emit identical chunks — a narrower pass width is what
-#: lets the boundary shapes (and their imbalance) actually differ at
-#: smoke scale.
+#: i.e. the shape cost-balanced chunks exist for.  The ramp stage pins
+#: its batch width (last field) well below the span count: chunk
+#: boundaries are floored at one batch-width pass, so at the tuned widths
+#: a few-hundred-span smoke ramp would be floor-dominated — a narrower
+#: pass width is what lets the cost budgets shape the chunks at smoke
+#: scale.
 _SMOKE_WORKLOADS = [
     ("syn298", "syn298", 48, 2, 32, "mixed", None),
     ("syn641", "syn641", 48, 2, 32, "mixed", None),
@@ -123,9 +119,9 @@ _SMOKE_WORKLOADS = [
     # multi-pass regime where candidate sharding reaches ~linear scaling
     # (total-CPU overhead vs serial is ~1.0x here).
     ("syn1423", "syn1423", 384, 2, None, "mixed", None),
-    # Pure window ramps on the same circuit: the cost-vs-count chunking
-    # comparison stage (count-equal chunks put ~2x the mean simulated
-    # steps in the deep-end chunk; cost-balanced chunks stay near 1x).
+    # Pure window ramps on the same circuit: the linear-cost shape
+    # (count-equal chunks would put ~2x the mean simulated steps in the
+    # deep-end chunk; cost-balanced chunks stay near 1x).
     ("syn1423-ramp", "syn1423", 320, 2, None, "ramp", 32),
 ]
 _FULL_WORKLOADS = _SMOKE_WORKLOADS + [
@@ -170,7 +166,7 @@ def _workload_plan(compiled, t0, targets, omit_window, shape):
     ``omit_window`` bounds the omission base (``None`` = the full
     ``T0[0, udet]`` prefix, the sharding-scale shape).  Shape ``"ramp"``
     drops the omission rounds: pure window ramps, the linear-cost shape
-    the chunking comparison measures.
+    cost-balanced chunks exist for.
     """
     plan = []
     for fault, udet in targets:
@@ -207,7 +203,6 @@ def _measure(
     backend,
     width,
     workers,
-    chunking="cost",
     base_loop=False,
     parallel=None,
     repeats=3,
@@ -239,7 +234,6 @@ def _measure(
             backend=engine,
             workers=workers,
             min_shard_candidates=1,
-            chunking=chunking,
         )
     before = dispatch_counters()
     try:
@@ -258,7 +252,6 @@ def _measure(
         "batch_width": width,
         "workers": workers,
         "parallel": parallel or "auto",
-        "chunking": chunking,
         "base_loop": base_loop,
         "seconds": best,
         "candidates": candidates,
@@ -347,9 +340,9 @@ def run_profile(
             "results": {},
         }
         if entry["sharding_scale"]:
-            # The chunk shapes behind the sharded points: the first
-            # target's window ramp cut by both planners at the widest
-            # measured pool (imbalance ~1.0 = perfectly even budgets).
+            # The chunk shape behind the sharded points: the first
+            # target's window ramp cut at the widest measured pool
+            # (imbalance ~1.0 = perfectly even budgets).
             stats_width = (
                 width_override
                 if width_override
@@ -357,18 +350,10 @@ def run_profile(
             )
             stats_workers = max(workers_axis) if max(workers_axis) > 1 else 4
             ramp_plan = WindowRampPlan(t0, plan[0][1], expansion)
-            entry["chunk_plans"] = {
-                mode: ramp_plan.chunk_stats(
-                    stats_workers, stats_width, chunking=mode
-                )
-                for mode in CHUNKING_MODES
-            }
+            entry["chunk_stats"] = ramp_plan.chunk_stats(stats_workers, stats_width)
         reference_outcomes = None
 
-        def measure_point(
-            backend, width, workers, chunking="cost",
-            base_loop=False, parallel=None,
-        ):
+        def measure_point(backend, width, workers, base_loop=False, parallel=None):
             nonlocal reference_outcomes
             measured, outcomes = _measure(
                 compiled,
@@ -378,7 +363,6 @@ def run_profile(
                 backend,
                 width,
                 workers,
-                chunking,
                 base_loop,
                 parallel,
             )
@@ -388,7 +372,7 @@ def run_profile(
             elif outcomes != reference_outcomes:
                 raise AssertionError(
                     f"{label}: {backend}/w{width}/p{workers}"
-                    f"/{chunking}/{scan}/{parallel or 'auto'} outcomes "
+                    f"/{scan}/{parallel or 'auto'} outcomes "
                     "diverge — parity violated"
                 )
             axis = f"packed-w{width}"
@@ -397,15 +381,13 @@ def run_profile(
                 axis += f"-t{workers}"
             elif workers != 1:
                 axis += f"-p{workers}"
-            if chunking != "cost":
-                axis += f"-{chunking}"
             if base_loop:
                 axis += "-stepped"
             entry["results"][backend][axis] = measured
             lane_tag = "t" if parallel == "threads" else "p"
             progress(
                 f"[{label}] {backend:>6} width={width:<4}"
-                f"{lane_tag}{workers}/{chunking}/{scan} "
+                f"{lane_tag}{workers}/{scan} "
                 f"{measured['seconds']:.3f}s  "
                 f"{measured['candidates_per_second']:.0f} cand/s"
             )
@@ -420,11 +402,8 @@ def run_profile(
             )
             for width in widths:
                 measure_point(backend, width, 1)
-            # The sharding axis: the backend's first
-            # (tuned) width for each non-serial worker count — under
-            # both chunking modes on the sharding-scale workloads, so
-            # cost-balanced and count-based boundaries are reported side
-            # by side over identical work.
+            # The sharding axis: the backend's first (tuned) width for
+            # each non-serial worker count.
             for workers in workers_axis:
                 if workers == 1:
                     continue
@@ -434,20 +413,8 @@ def run_profile(
                 measured["speedup_vs_serial"] = speedup
                 progress(
                     f"[{label}] {backend} candidate sharding speedup at "
-                    f"{workers} workers: {speedup:.2f}x (cost chunks)"
+                    f"{workers} workers: {speedup:.2f}x"
                 )
-                if entry["sharding_scale"]:
-                    counted = measure_point(
-                        backend, widths[0], workers, chunking="count"
-                    )
-                    counted["speedup_vs_serial"] = (
-                        serial["seconds"] / counted["seconds"]
-                    )
-                    progress(
-                        f"[{label}] {backend} candidate sharding speedup at "
-                        f"{workers} workers: "
-                        f"{counted['speedup_vs_serial']:.2f}x (count chunks)"
-                    )
             # The thread tier: the same packed workload through the
             # native kernel's in-process pthread lanes (``-t*`` rows).
             # Only the native backend has kernel lanes — the others
@@ -500,7 +467,7 @@ def run_profile(
             "bits hits)"
         )
         # The once-per-(circuit, sequence) contract, enforced: across
-        # every backend/width/workers/chunking point and every
+        # every backend/width/workers/lanes point and every
         # repeat, the stimulus trace was simulated exactly once...
         if stats["trace_misses"] != 1:
             raise AssertionError(

@@ -16,19 +16,17 @@ Phases of :func:`generate_t0`:
 3. **genetic phase** — a per-fault genetic algorithm over whole sequences
    for the remaining hard faults, with a state-divergence fitness in the
    spirit of STRATEGATE's dynamic state traversal;
-4. **static compaction** — vector restoration by default (the role of
-   [12]), or omission-based compaction
-   (``compaction_method="omission"``).
+4. **static compaction** — vector restoration (the role of [12]): the
+   kept vectors grow one window per hardest uncovered fault, each window
+   found by a first-hit scan on the shared candidate-scan executor
+   (:mod:`repro.atpg.restoration`).
 """
 
 from repro.atpg.config import AtpgConfig
 from repro.atpg.engine import AtpgResult, generate_t0
-from repro.atpg.compaction import compact_sequence, CompactionStats
 
 __all__ = [
     "AtpgConfig",
     "AtpgResult",
     "generate_t0",
-    "compact_sequence",
-    "CompactionStats",
 ]

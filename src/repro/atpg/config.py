@@ -6,7 +6,6 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.sim.backend import DEFAULT_BACKEND, check_backend_name
-from repro.sim.scanplan import CHUNKING_MODES, DEFAULT_CHUNKING
 from repro.sim.workerpool import PARALLEL_MODES
 
 
@@ -31,11 +30,8 @@ class AtpgConfig:
         genetic_population: GA population size.
         genetic_generations: GA generations per target fault.
         genetic_sequence_length: GA candidate sequence length.
-        run_compaction: run static compaction at the end.
-        compaction_method: ``"restoration"`` (vector restoration, the
-            reference [12] approach — default), or ``"omission"``
-            (try-delete-resimulate; thorough but quadratic).
-        compaction_rounds: max full scan rounds of the omission compactor.
+        run_compaction: run vector-restoration static compaction (the
+            reference [12] approach) at the end.
         backend: simulation backend name (``"python"`` or ``"native"``,
             see :func:`repro.sim.backend.registry_backends`), or
             ``"auto"`` to pick per circuit size and axis (native when its
@@ -45,19 +41,13 @@ class AtpgConfig:
             ``parallel="threads"``) for distributed fault simulation
             (:mod:`repro.sim.sharding`), borrowing the session's
             persistent worker pool; ``1`` is serial, ``0`` means one per
-            CPU.  Never changes results, only throughput.  (The
-            restoration compactor's candidate scans stay serial: each
-            scan batch holds at most ``search_batch_width`` candidates,
-            below the candidate axis's one-pass sharding floor.)
+            CPU.  The restoration compactor's window searches run on the
+            same tier (:mod:`repro.sim.seqshard` under ``processes``).
+            Never changes results, only throughput.
         parallel: work-distribution tier for multi-worker simulation
             (see :data:`repro.sim.workerpool.PARALLEL_MODES`):
             ``"auto"`` / ``"serial"`` / ``"threads"`` /
             ``"processes"``.  Results are bit-identical across tiers.
-        chunking: worker-chunk boundary mode for any sharded candidate
-            scan (``"cost"`` / ``"count"``, see
-            :mod:`repro.sim.scanplan`); forwarded to the restoration
-            compactor's sequence simulator.  Pure throughput knob —
-            results are bit-identical either way.
     """
 
     seed: int = 20_1999
@@ -72,11 +62,8 @@ class AtpgConfig:
     genetic_generations: int = 12
     genetic_sequence_length: int = 24
     run_compaction: bool = True
-    compaction_method: str = "restoration"
-    compaction_rounds: int = 2
     backend: str = DEFAULT_BACKEND
     workers: int = 1
-    chunking: str = DEFAULT_CHUNKING
     parallel: str = "auto"
 
     def __post_init__(self) -> None:
@@ -88,21 +75,12 @@ class AtpgConfig:
                 f"parallel must be one of {PARALLEL_MODES}, got "
                 f"{self.parallel!r}"
             )
-        if self.chunking not in CHUNKING_MODES:
-            raise ValueError(
-                f"chunking must be one of {CHUNKING_MODES}, got "
-                f"{self.chunking!r}"
-            )
         if self.max_length < 1:
             raise ValueError("max_length must be positive")
         if self.random_chunk < 1 or self.greedy_chunk < 1:
             raise ValueError("extension chunks must be positive")
         if self.genetic_population < 2:
             raise ValueError("genetic_population must be at least 2")
-        if self.compaction_method not in ("restoration", "omission"):
-            raise ValueError(
-                f"unknown compaction method {self.compaction_method!r}"
-            )
 
     # ------------------------------------------------------------------
     # Round-trips: JSON (the service wire format) and CLI namespaces
@@ -124,6 +102,5 @@ class AtpgConfig:
             max_length=getattr(args, "max_length", 1200),
             backend=args.backend,
             workers=args.workers,
-            chunking=args.chunking,
             parallel=getattr(args, "parallel", "auto"),
         )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.atpg.compaction import CompactionStats, compact_sequence
 from repro.atpg.config import AtpgConfig
 from repro.atpg.genetic import attack_fault
 from repro.atpg.random_gen import random_sequence, weighted_sequence
@@ -40,7 +39,7 @@ class AtpgResult:
     detected_greedy: int = 0
     detected_genetic: int = 0
     genetic_attempts: int = 0
-    compaction: CompactionStats | RestorationStats | None = None
+    compaction: RestorationStats | None = None
     phase_log: list[str] = field(default_factory=list)
 
     @property
@@ -173,38 +172,20 @@ def generate_t0(
         # Phase 4: static compaction (reference [12] role).
         # ------------------------------------------------------------------
         if len(sequence) and config.run_compaction:
-            if config.compaction_method == "restoration":
-                sequence, stats = restoration_compact(
-                    compiled,
-                    sequence,
-                    all_faults,
-                    backend=config.backend,
-                    workers=config.workers,
-                    chunking=config.chunking,
-                    parallel=config.parallel,
-                    session=sess,
-                )
-                result.compaction = stats
-                result.phase_log.append(
-                    f"restoration: {stats.original_length} -> {stats.final_length} "
-                    f"({stats.restoration_events} events)"
-                )
-            elif config.compaction_method == "omission":
-                sequence, stats = compact_sequence(
-                    compiled,
-                    sequence,
-                    all_faults,
-                    seed=derive_seed(config.seed, 0xC0DE),
-                    max_rounds=config.compaction_rounds,
-                    backend=config.backend,
-                    workers=config.workers,
-                    parallel=config.parallel,
-                    session=sess,
-                )
-                result.compaction = stats
-                result.phase_log.append(
-                    f"omission: {stats.original_length} -> {stats.final_length}"
-                )
+            sequence, stats = restoration_compact(
+                compiled,
+                sequence,
+                all_faults,
+                backend=config.backend,
+                workers=config.workers,
+                parallel=config.parallel,
+                session=sess,
+            )
+            result.compaction = stats
+            result.phase_log.append(
+                f"restoration: {stats.original_length} -> {stats.final_length} "
+                f"({stats.restoration_events} events)"
+            )
 
         final = simulator.run(sequence, all_faults)
         result.sequence = sequence

@@ -8,8 +8,10 @@ paper uses it for ``T0``:
 3. Repeatedly take the undetected-by-kept fault ``f`` with the highest
    ``udet``; *restore* the contiguous window ``T0[j .. udet(f)]`` for the
    largest ``j`` such that the kept vectors (in original order) detect
-   ``f``.  The window search is batched through the parallel-sequence
-   simulator, exactly like Procedure 2's ``ustart`` search.
+   ``f``.  The window search is one first-hit scan over a
+   :class:`~repro.sim.scanplan.WindowRampPlan` that carries the kept
+   positions, run by the same executor as Procedure 2's ``ustart``
+   search (identity expansion; serial, threaded or sharded alike).
 4. Fault-simulate the kept vectors against all still-uncovered faults and
    drop everything detected; loop until all faults are covered.
 
@@ -21,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.ops import IDENTITY_EXPANSION
 from repro.core.sequence import TestSequence
 from repro.core.session import Session, use_session
 from repro.errors import AtpgError
 from repro.faults.model import Fault
 from repro.sim.compiled import CompiledCircuit
-from repro.sim.scanplan import DEFAULT_CHUNKING
+from repro.sim.scanplan import WindowRampPlan
 
 
 @dataclass(frozen=True)
@@ -45,14 +48,6 @@ class RestorationStats:
         return self.final_length / self.original_length
 
 
-def _candidate(
-    t0: TestSequence, kept: set[int], window_start: int, window_end: int
-) -> TestSequence:
-    """T0 restricted to kept positions plus the window, in original order."""
-    positions = sorted(kept | set(range(window_start, window_end + 1)))
-    return TestSequence([t0[p] for p in positions])
-
-
 def restoration_compact(
     compiled: CompiledCircuit,
     t0: TestSequence,
@@ -60,7 +55,6 @@ def restoration_compact(
     search_batch_width: int = 24,
     backend: str | None = None,
     workers: int = 1,
-    chunking: str = DEFAULT_CHUNKING,
     parallel: str | None = None,
     session: Session | None = None,
 ) -> tuple[TestSequence, RestorationStats]:
@@ -74,7 +68,6 @@ def restoration_compact(
             batch_width=search_batch_width,
             backend=backend,
             workers=workers,
-            chunking=chunking,
             parallel=parallel,
         )
         baseline = fault_simulator.run(t0, faults)
@@ -92,24 +85,22 @@ def restoration_compact(
             end = udet[target]
             # Window search: largest j in [0, end] such that kept + window
             # detects the target.  j = 0 always works (full prefix intact).
-            found_j: int | None = None
-            next_j = end
-            while next_j >= 0 and found_j is None:
-                batch_js = list(range(next_j, max(-1, next_j - search_batch_width), -1))
-                candidates = [_candidate(t0, kept, j, end) for j in batch_js]
-                outcomes = sequence_simulator.detects(target, candidates)
-                candidates_tried += len(candidates)
-                for j, detected in zip(batch_js, outcomes):
-                    if detected:
-                        found_j = j
-                        break
-                next_j = batch_js[-1] - 1
-            if found_j is None:
+            plan = WindowRampPlan(
+                t0,
+                [(j, end) for j in range(end, -1, -1)],
+                IDENTITY_EXPANSION,
+                kept=kept,
+            )
+            position, evaluated = sequence_simulator.first_hit(
+                target, plan, chunk=search_batch_width
+            )
+            candidates_tried += evaluated
+            if position is None:
                 raise AtpgError(
                     f"restoration could not re-detect {target} even with the "
                     "full prefix restored — simulator inconsistency"
                 )
-            kept |= set(range(found_j, end + 1))
+            kept |= set(range(end - position, end + 1))
             events += 1
 
             current = TestSequence([t0[p] for p in sorted(kept)])

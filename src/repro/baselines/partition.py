@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.ops import ExpansionConfig
+from repro.core.ops import IDENTITY_EXPANSION
 from repro.core.sequence import TestSequence
 from repro.core.session import Session, use_session
 from repro.errors import SelectionError
 from repro.faults.model import Fault
 from repro.sim.compiled import CompiledCircuit
-from repro.sim.scanplan import DEFAULT_CHUNKING, WindowRampPlan
+from repro.sim.scanplan import WindowRampPlan
 from repro.sim.seqsim import SequenceBatchSimulator
 
 
@@ -101,7 +101,6 @@ def partition_baseline(
     search_batch_width: int = 24,
     backend: str | None = None,
     workers: int = 1,
-    chunking: str = DEFAULT_CHUNKING,
     session: Session | None = None,
 ) -> PartitionResult:
     """Partition ``t0`` into chunks of ``chunk_length``, extend for coverage.
@@ -121,7 +120,6 @@ def partition_baseline(
             batch_width=search_batch_width,
             backend=backend,
             workers=workers,
-            chunking=chunking,
         )
         baseline = fault_simulator.run(t0, faults)
         udet = dict(baseline.detection_time)
@@ -189,13 +187,6 @@ def partition_baseline(
         return result
 
 
-#: The identity expansion: partitioning applies chunks verbatim, so its
-#: window search runs Procedure 2's derived-window pipeline unexpanded.
-_IDENTITY_EXPANSION = ExpansionConfig(
-    repetitions=1, use_complement=False, use_shift=False, use_reverse=False
-)
-
-
 def _extend_for_fault(
     sequence_simulator: SequenceBatchSimulator,
     t0: TestSequence,
@@ -207,7 +198,7 @@ def _extend_for_fault(
     """Largest start ``j <= chunk.start`` such that ``T0[j, chunk.end]``
     detects ``fault`` (guaranteed at ``j = 0``), plus the number of
     window candidates the scan evaluated (the serial chunked-scan
-    formula — worker- and chunking-independent, like Procedure 2's).
+    formula — worker-independent, like Procedure 2's).
 
     One first-hit scan over a :class:`WindowRampPlan`: candidates are
     described as ``(j, end)`` spans of ``T0`` (never materialized) and a
@@ -215,7 +206,7 @@ def _extend_for_fault(
     cancellation at cost-balanced boundaries.
     """
     spans = [(j, chunk.end) for j in range(chunk.start, -1, -1)]
-    plan = WindowRampPlan(t0, spans, _IDENTITY_EXPANSION)
+    plan = WindowRampPlan(t0, spans, IDENTITY_EXPANSION)
     position, evaluated = sequence_simulator.first_hit(
         fault, plan, chunk=batch_width
     )

@@ -38,7 +38,6 @@ from repro.sim.backend import (
     backend_unavailable_reason,
     registry_backends,
 )
-from repro.sim.scanplan import CHUNKING_MODES, DEFAULT_CHUNKING
 from repro.sim.workerpool import PARALLEL_MODES
 from repro.util.text import format_table
 
@@ -283,18 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "the tier a calibrated machine profile measured, else "
                 "'processes'; one usable core runs serially; results "
                 "are identical across tiers"
-            ),
-        )
-        command.add_argument(
-            "--chunking",
-            choices=list(CHUNKING_MODES),
-            default=DEFAULT_CHUNKING,
-            help=(
-                "worker-chunk boundaries for sharded candidate scans: "
-                "'cost' balances simulated-step budgets (the right shape "
-                "for Procedure 2's window ramps), 'count' is the "
-                "historical equal-candidate plan; results are identical "
-                "either way"
             ),
         )
         command.add_argument(

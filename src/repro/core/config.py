@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 from repro.core.ops import ExpansionConfig
 from repro.sim.backend import AUTO_BACKEND, DEFAULT_BACKEND, check_backend_name
-from repro.sim.scanplan import CHUNKING_MODES, DEFAULT_CHUNKING
 from repro.sim.workerpool import PARALLEL_MODES
 
 #: Batch widths (search, omission, fault).  The big-int kernel peaks near
@@ -67,13 +66,6 @@ class SelectionConfig:
             ``"serial"``, ``"threads"`` (in-kernel word-span lanes
             inside one process, native backend), or ``"processes"``
             (the shard pool).  Results are bit-identical across tiers.
-        chunking: how a sharded candidate scan is cut into worker
-            chunks — ``"cost"`` (default: equal simulated-step budgets
-            per chunk, balancing Procedure 2's linearly-growing window
-            ramps) or ``"count"`` (the historical equal-candidate plan).
-            See :mod:`repro.sim.scanplan`.  Pure throughput knob:
-            selected subsequences and ``candidates_simulated`` are
-            bit-identical either way, for any worker count.
     """
 
     expansion: ExpansionConfig = field(default_factory=ExpansionConfig)
@@ -84,7 +76,6 @@ class SelectionConfig:
     skip_omission: bool = False
     backend: str = DEFAULT_BACKEND
     workers: int = 1
-    chunking: str = DEFAULT_CHUNKING
     parallel: str = "auto"
 
     def __post_init__(self) -> None:
@@ -102,11 +93,6 @@ class SelectionConfig:
             raise ValueError("fault_batch_width must be >= 1")
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = one per CPU)")
-        if self.chunking not in CHUNKING_MODES:
-            raise ValueError(
-                f"chunking must be one of {CHUNKING_MODES}, got "
-                f"{self.chunking!r}"
-            )
 
     @classmethod
     def for_backend(
@@ -116,7 +102,6 @@ class SelectionConfig:
         seed: int = 1999,
         skip_omission: bool = False,
         workers: int = 1,
-        chunking: str = DEFAULT_CHUNKING,
         parallel: str = "auto",
     ) -> "SelectionConfig":
         """A config with batch widths tuned to ``backend``.
@@ -144,7 +129,6 @@ class SelectionConfig:
             skip_omission=skip_omission,
             backend=backend,
             workers=workers,
-            chunking=chunking,
             parallel=parallel,
         )
 
@@ -180,7 +164,7 @@ class SelectionConfig:
     def from_cli_args(cls, args) -> "SelectionConfig":
         """Build from an argparse namespace carrying the shared CLI flags.
 
-        Reads ``backend`` / ``workers`` / ``chunking`` / ``seed`` and the
+        Reads ``backend`` / ``workers`` / ``parallel`` / ``seed`` and the
         optional ``n`` (expansion repetitions); widths come from
         :meth:`for_backend`'s per-engine tuning.  This is the single
         flag-to-config path every CLI subcommand shares.
@@ -194,6 +178,5 @@ class SelectionConfig:
             expansion=expansion,
             seed=getattr(args, "seed", 1999),
             workers=args.workers,
-            chunking=args.chunking,
             parallel=getattr(args, "parallel", "auto"),
         )

@@ -142,6 +142,14 @@ class ExpansionConfig:
         return cls(**payload)
 
 
+#: The identity expansion: the loaded sequence is applied verbatim.  The
+#: partitioning baseline and the restoration compactor run their window
+#: searches on Procedure 2's derived-window pipeline under it.
+IDENTITY_EXPANSION = ExpansionConfig(
+    repetitions=1, use_complement=False, use_shift=False, use_reverse=False
+)
+
+
 def expand(sequence: TestSequence, config: ExpansionConfig) -> TestSequence:
     """Compute ``Sexp`` from ``S`` (paper Section 2, Table 1)."""
     if len(sequence) == 0:

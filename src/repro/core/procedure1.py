@@ -130,7 +130,6 @@ def select_subsequences(
             batch_width=config.omission_batch_width,
             backend=config.backend,
             workers=config.workers,
-            chunking=config.chunking,
             parallel=config.parallel,
         )
         if precomputed_udet is None:

@@ -26,11 +26,10 @@ only the longest one, which is what makes this pure-Python reproduction
 feasible), while a sharded simulator
 (:class:`~repro.sim.seqshard.ShardedSequenceBatchSimulator`) fans the
 same plan across worker processes with first-hit cancellation, cutting
-it at cost-balanced (or count-based) chunk boundaries.  Either way the
-winner is the first detecting candidate in scan order and the evaluated
-count follows the serial formula, so the selected subsequences and the
-reported statistics are identical for any ``workers=`` and ``chunking=``
-setting.
+it at cost-balanced chunk boundaries.  Either way the winner is the
+first detecting candidate in scan order and the evaluated count follows
+the serial formula, so the selected subsequences and the reported
+statistics are identical for any ``workers=`` / ``parallel=`` setting.
 
 Candidates are *described*, not materialized: windows are ``(start,
 end)`` spans and omission trials index lists into a shared base, so the

@@ -1,7 +1,7 @@
 """The unified request/result records every execution surface shares.
 
 Before this module, "run the scheme" meant something different at every
-layer: the CLI threaded ``--backend``/``--workers``/``--chunking`` flags
+layer: the CLI threaded ``--backend``/``--workers`` and tuning flags
 into ad-hoc config constructions, the harness took loose kwargs, the
 examples built configs by hand, and nothing could be serialized, queued
 or replayed.  :class:`RunRequest` and :class:`RunResult` are the one

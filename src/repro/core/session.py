@@ -4,8 +4,8 @@ Everything PRs 1–6 built — backend resolution, the persistent
 :class:`~repro.sim.workerpool.WorkerPool`, per-backend program LRUs, the
 :class:`~repro.sim.trace.GoodTraceCache` — is machinery that pays for
 itself when *amortized across requests*, but until this module the only
-way to reach it was a kwarg soup (``backend=``, ``workers=``,
-``chunking=`` threaded through configs and factories) and every consumer
+way to reach it was a kwarg soup (``backend=``, ``workers=`` and
+throughput knobs threaded through configs and factories) and every consumer
 hand-rolled its own ``try/finally close()``.  :class:`Session` is the
 single facade in front of all of it:
 
@@ -435,7 +435,6 @@ class Session:
         atpg_config = request.atpg or AtpgConfig(
             backend=selection.backend,
             workers=selection.workers,
-            chunking=selection.chunking,
             parallel=selection.parallel,
         )
         atpg_result = generate_t0(compiled, atpg_config, session=self)

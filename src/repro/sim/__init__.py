@@ -12,9 +12,10 @@
 * :mod:`repro.sim.faultsim` — bit-parallel parallel-fault simulation
   (one input sequence, many faults) with fault dropping.
 * :mod:`repro.sim.scanplan` — the :class:`ScanPlan` IR every candidate
-  scan is described as (window ramps, omission rounds, explicit lists),
-  with per-candidate cost and cost-balanced / count-based chunk
-  boundaries shared by the serial and sharded executors.
+  scan is described as (window ramps with optional kept vectors,
+  omission rounds, explicit lists), with per-candidate cost and
+  cost-balanced chunk boundaries shared by the serial and sharded
+  executors.
 * :mod:`repro.sim.trace` — the per-session good-machine trace cache:
   fault-free traces, observation plans and packed base bit columns
   computed once per (circuit, sequence) and published over shared
@@ -28,7 +29,7 @@
 * :mod:`repro.sim.seqsim` — bit-parallel parallel-sequence simulation
   (one fault, many candidate input sequences), the Procedure 2 engine.
 * :mod:`repro.sim.seqshard` — process-sharded candidate detection:
-  Procedure 2's window/omission scans chunked over the shared pool with
+  window/omission scans chunked over the shared pool with
   shared-memory base/result buffers (:func:`make_sequence_simulator` is
   the candidate-axis ``workers=`` seam).
 * :mod:`repro.sim.reference` — slow, obviously-correct per-fault scalar

@@ -298,7 +298,6 @@ def _measure_candidate_axis(
     backend: str,
     widths: tuple[int, ...],
     workers: int,
-    chunking: str,
     threads: int = 0,
 ) -> tuple[int, float, float, list[str]]:
     """Best search batch width and the sharded/threaded serial speedups."""
@@ -335,7 +334,6 @@ def _measure_candidate_axis(
             backend=backend,
             workers=workers,
             min_shard_candidates=1,
-            chunking=chunking,
         )
         try:
             sharded_seconds = _time(
@@ -390,7 +388,6 @@ def calibrate(
     from repro.circuits.catalog import load_circuit
     from repro.faults.universe import FaultUniverse
     from repro.sim.compiled import CompiledCircuit
-    from repro.sim.scanplan import DEFAULT_CHUNKING
     from repro.sim.workerpool import cpu_count
 
     cpus = cpu_count()
@@ -452,7 +449,6 @@ def calibrate(
         backend,
         family["search"],
         shard_workers,
-        DEFAULT_CHUNKING,
         threads=thread_workers,
     )
     notes.extend(search_notes)

@@ -9,9 +9,10 @@ re-derived chunk boundaries for its serial first-hit loop,
 and the partitioning baseline rebuilt the same window ramp with its own
 identity expansion.  A :class:`ScanPlan` now carries the whole scan —
 the candidate payload, the shared base, the expansion operator and a
-per-candidate **cost** — and both the serial and the sharded executors
-consume the same object, so results are bit-identical by construction
-for any worker count and either chunking mode.
+per-candidate **cost** — and owns its candidates: :meth:`index_lists`
+is the one rule that turns a derived plan into the packer's index
+lists, for the serial executor and for every shard worker alike, so
+results are bit-identical by construction for any worker count.
 
 Cost model
 ----------
@@ -23,118 +24,57 @@ therefore its **expanded length** — for a window ``[s, e]`` under
 expansion config ``x`` that is ``(e - s + 1) * x.length_multiplier``
 time steps.  Procedure 2's window ramps are extreme: the scan
 ``ustart = udet .. 0`` grows linearly, so the last count-equal chunk of
-a ramp holds ~2x the simulated steps of the first.  Count-based chunks
-(the fault axis's plan, where every fault costs the same) therefore
-skew worker load on ramps; :func:`plan_cost_chunks` instead cuts the
-candidate list at equal simulated-step budgets, still floored at
-``batch_width`` candidates so no chunk drops below one bit-parallel
-pass.
+a ramp holds ~2x the simulated steps of the first.  Worker chunks are
+therefore cut by :func:`plan_cost_chunks` at equal simulated-step
+budgets, floored at ``batch_width`` candidates so no chunk drops below
+one bit-parallel pass.  (The fault axis, where every fault costs the
+same, keeps the count plan :func:`repro.sim.sharding.plan_chunks`.)
 
-Chunk boundaries never influence *results* on either axis — outcomes
-merge by candidate index, first-hit winners are the global minimum
-detecting index, and first-hit evaluated counts are recomputed from the
-serial chunked-scan formula — so ``chunking="cost"`` vs ``"count"`` is a
-pure throughput knob, enforced by the parity suite
-(``tests/test_sim_scanplan.py``).
+Chunk boundaries never influence *results* — outcomes merge by
+candidate index, first-hit winners are the global minimum detecting
+index, and first-hit evaluated counts are recomputed from the serial
+chunked-scan formula — which the parity suite
+(``tests/test_sim_scanplan.py``) enforces on every executor tier.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import copy
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Sequence
 
 from repro.core.ops import ExpansionConfig
 from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
-
-#: Chunk-boundary modes understood by :meth:`ScanPlan.chunks`.
-CHUNKING_MODES = ("cost", "count")
-
-#: Default chunking mode: cost-balanced boundaries (equal simulated-step
-#: budgets).  For uniform-cost plans this degenerates to the count plan.
-DEFAULT_CHUNKING = "cost"
-
-#: Target chunks per worker (work stealing; see ``plan_count_chunks``).
-DEFAULT_OVERSPLIT = 4
-
-
-def validate_chunking(chunking: str) -> str:
-    """Reject unknown chunking modes early, at config/construction time."""
-    if chunking not in CHUNKING_MODES:
-        raise SimulationError(
-            f"unknown chunking mode {chunking!r}; expected one of "
-            f"{CHUNKING_MODES}"
-        )
-    return chunking
-
-
-# ----------------------------------------------------------------------
-# Chunk planners
-# ----------------------------------------------------------------------
-def plan_count_chunks(
-    num_items: int,
-    workers: int,
-    batch_width: int,
-    oversplit: int = DEFAULT_OVERSPLIT,
-) -> list[tuple[int, int]]:
-    """Partition ``range(num_items)`` into contiguous ``(start, end)`` chunks.
-
-    The historical count-based plan (previously
-    ``repro.sim.sharding.plan_chunks``): aims for ``workers * oversplit``
-    chunks with two floors that keep per-chunk backend passes efficient —
-
-    * a chunk is never narrower than one full backend pass
-      (``batch_width`` slots) unless even ``workers`` plain chunks would
-      be — oversplitting below a full pass trades vectorization for
-      stealing granularity, a bad deal for the wide-batch numpy engine;
-    * chunks wider than one pass are rounded up to whole multiples of
-      ``batch_width`` so only each chunk's final pass can be ragged.
-
-    Never returns empty chunks, so a work list smaller than the worker
-    count simply yields fewer chunks than workers.
-    """
-    if num_items <= 0:
-        return []
-    workers = max(1, workers)
-    target = workers * max(1, oversplit)
-    size = -(-num_items // target)  # ceil
-    per_worker = -(-num_items // workers)
-    size = max(size, min(batch_width, per_worker))
-    if size > batch_width:
-        size = -(-size // batch_width) * batch_width
-    return [
-        (start, min(start + size, num_items))
-        for start in range(0, num_items, size)
-    ]
+from repro.sim.workerpool import OVERSPLIT
 
 
 def plan_cost_chunks(
-    costs: Sequence[int],
-    workers: int,
-    batch_width: int,
-    oversplit: int = DEFAULT_OVERSPLIT,
+    costs: Sequence[int], workers: int, batch_width: int
 ) -> list[tuple[int, int]]:
     """Cost-balanced contiguous chunks: equal simulated-step budgets.
 
-    Greedily cuts the candidate list so every chunk carries about
+    Aims for ``workers * OVERSPLIT`` chunks (work stealing) and greedily
+    cuts the candidate list so every chunk carries about
     ``remaining_cost / remaining_chunks`` simulated steps (the budget is
     re-derived per cut, so one expensive candidate cannot starve the
-    tail into slivers).  The count plan's two floors are preserved: a
+    tail into slivers).  Two floors keep per-chunk passes efficient: a
     chunk never holds fewer than ``batch_width`` candidates (unless even
     ``workers`` plain chunks would — no chunk drops below one
     bit-parallel pass), and chunks wider than one pass snap up to whole
     ``batch_width`` multiples so only each chunk's final pass is ragged.
 
-    With uniform costs the boundaries coincide with
-    :func:`plan_count_chunks` up to rounding; on Procedure 2's window
-    ramps (cost linear in position) the expensive end of the ramp gets
-    proportionally fewer candidates per chunk, which is what balances
-    worker wall-clock.
+    With uniform costs the boundaries are equal-count chunks up to
+    rounding; on Procedure 2's window ramps (cost linear in position)
+    the expensive end of the ramp gets proportionally fewer candidates
+    per chunk, which is what balances worker wall-clock.  Never returns
+    empty chunks.
     """
     num_items = len(costs)
     if num_items <= 0:
         return []
     workers = max(1, workers)
-    target = workers * max(1, oversplit)
+    target = workers * OVERSPLIT
     floor = min(batch_width, -(-num_items // workers))
     chunks: list[tuple[int, int]] = []
     remaining_cost = sum(costs)
@@ -165,11 +105,14 @@ def plan_cost_chunks(
 class ScanPlan:
     """One candidate scan: payload, base, expansion and per-candidate cost.
 
-    Subclasses fix ``kind`` (the executor dispatch tag, also the tag the
-    sharded task tuples carry) and implement :meth:`costs` (simulated
-    steps per candidate) plus :meth:`slice` (a sub-plan over a contiguous
-    candidate range — what the serial chunked first-hit scan and the
-    sharded chunk tasks consume).
+    Subclasses fix ``kind`` (``"explicit"`` for materialized candidates,
+    anything else for candidates derived from the base) and implement
+    :meth:`costs` (simulated steps per candidate); derived plans also
+    implement :meth:`index_lists`.  :meth:`slice` (a sub-plan over a
+    contiguous candidate range) is what the serial chunked first-hit
+    scan and the sharded chunk tasks consume; :meth:`without_base` is
+    what a shard task carries when the base travels separately as
+    published bits.
 
     Plans validate their payload against the base at construction, so a
     malformed scan fails before any simulator work; the executor still
@@ -205,52 +148,45 @@ class ScanPlan:
     def total_cost(self) -> int:
         return sum(self.costs())
 
+    def index_lists(self, base_length: int) -> list:
+        """Each candidate as an index list into a base of ``base_length``.
+
+        The packer's input: candidate ``i`` is
+        ``expand(base[index_lists[i]], expansion)``.  The base length is
+        passed in because a shard task's plan travels without its base.
+        """
+        raise NotImplementedError
+
     def slice(self, start: int, end: int) -> "ScanPlan":
         """The sub-plan over candidates ``start:end`` (same base/expansion)."""
-        clone = type(self).__new__(type(self))
-        ScanPlan.__init__(clone, self.items[start:end], self.base, self.expansion)
+        clone = copy.copy(self)
+        clone.items = self.items[start:end]
         return clone
 
-    def chunks(
-        self,
-        workers: int,
-        batch_width: int,
-        oversplit: int = DEFAULT_OVERSPLIT,
-        chunking: str = DEFAULT_CHUNKING,
-    ) -> list[tuple[int, int]]:
-        """Contiguous ``(start, end)`` chunk boundaries for distribution.
+    def without_base(self) -> "ScanPlan":
+        """This plan minus its base (which a shard task ships as bits)."""
+        clone = copy.copy(self)
+        clone.base = None
+        return clone
 
-        ``chunking="cost"`` balances simulated-step budgets
-        (:func:`plan_cost_chunks`); ``"count"`` is the historical
-        candidate-count plan (:func:`plan_count_chunks`).  Boundaries are
-        a pure throughput choice — results are identical either way.
-        """
-        validate_chunking(chunking)
-        if chunking == "cost":
-            return plan_cost_chunks(self.costs(), workers, batch_width, oversplit)
-        return plan_count_chunks(len(self.items), workers, batch_width, oversplit)
+    def chunks(self, workers: int, batch_width: int) -> list[tuple[int, int]]:
+        """Cost-balanced ``(start, end)`` chunk boundaries for distribution."""
+        return plan_cost_chunks(self.costs(), workers, batch_width)
 
-    def chunk_stats(
-        self,
-        workers: int,
-        batch_width: int,
-        oversplit: int = DEFAULT_OVERSPLIT,
-        chunking: str = DEFAULT_CHUNKING,
-    ) -> dict:
+    def chunk_stats(self, workers: int, batch_width: int) -> dict:
         """Observability: chunk count and cost spread of a plan's chunks.
 
         ``cost_imbalance`` is ``max_chunk_cost / mean_chunk_cost`` — 1.0
-        is a perfectly balanced plan; count-based chunking of a window
-        ramp approaches ~2x.  Recorded per workload by
+        is a perfectly balanced plan; equal-count chunks of a window
+        ramp approach ~2x.  Recorded per workload by
         ``benchmarks/bench_seqsim.py``.
         """
-        boundaries = self.chunks(workers, batch_width, oversplit, chunking)
+        boundaries = self.chunks(workers, batch_width)
         costs = self.costs()
         chunk_costs = [sum(costs[start:end]) for start, end in boundaries]
         total = sum(chunk_costs)
         mean = total / len(chunk_costs) if chunk_costs else 0.0
         return {
-            "chunking": chunking,
             "num_chunks": len(boundaries),
             "total_cost": total,
             "max_chunk_cost": max(chunk_costs, default=0),
@@ -260,14 +196,18 @@ class ScanPlan:
 
 
 class WindowRampPlan(ScanPlan):
-    """Spans ``(start, end)`` of a base: ``expand(base[start..end], x)``.
+    """Spans ``(start, end)`` of a base, plus an optional kept set.
 
-    Procedure 2's phase-1 ``ustart`` ramp and the partitioning baseline's
-    extension search (identity expansion).  Cost grows linearly with the
-    window length — the shape cost-balanced chunking exists for.
+    Candidate ``(start, end)`` is ``expand(base[positions], x)`` where
+    ``positions`` is ``sorted(kept ∪ [start..end])`` — just the window
+    when ``kept`` is empty.  Procedure 2's phase-1 ``ustart`` ramp, the
+    partitioning baseline's extension search (identity expansion) and
+    the restoration compactor's window search (identity expansion, the
+    vectors restored so far as ``kept``).  Cost grows linearly with the
+    window length — the shape cost-balanced chunks exist for.
     """
 
-    __slots__ = ()
+    __slots__ = ("kept",)
 
     kind = "windows"
 
@@ -276,6 +216,7 @@ class WindowRampPlan(ScanPlan):
         base: TestSequence,
         spans: Sequence[tuple[int, int]],
         expansion: ExpansionConfig,
+        kept: Iterable[int] = (),
     ) -> None:
         spans = [tuple(span) for span in spans]
         length = len(base)
@@ -285,23 +226,44 @@ class WindowRampPlan(ScanPlan):
                     f"window [{start}, {end}] out of range for base of "
                     f"length {length}"
                 )
+        kept = tuple(sorted({int(position) for position in kept}))
+        if kept and (kept[0] < 0 or kept[-1] >= length):
+            raise SimulationError(
+                f"kept positions out of range for base of length {length}"
+            )
         super().__init__(spans, base, expansion)
+        self.kept = kept
+
+    def _kept_inside(self, start: int, end: int) -> tuple[int, int]:
+        """Bounds of the kept positions inside ``[start, end]``."""
+        return bisect_left(self.kept, start), bisect_right(self.kept, end)
 
     def costs(self) -> list[int]:
         multiplier = self.expansion.length_multiplier
-        return [(end - start + 1) * multiplier for start, end in self.items]
+        costs = []
+        for start, end in self.items:
+            low, high = self._kept_inside(start, end)
+            length = end - start + 1 + len(self.kept) - (high - low)
+            costs.append(length * multiplier)
+        return costs
 
-    def index_lists(self) -> list:
-        """Each span as an index list into the base (the packer's input)."""
-        return [range(start, end + 1) for start, end in self.items]
+    def index_lists(self, base_length: int) -> list:
+        kept = self.kept
+        if not kept:
+            return [range(start, end + 1) for start, end in self.items]
+        lists = []
+        for start, end in self.items:
+            low, high = self._kept_inside(start, end)
+            lists.append([*kept[:low], *range(start, end + 1), *kept[high:]])
+        return lists
 
 
 class OmissionPlan(ScanPlan):
     """Single-vector omissions: ``expand(base.omit(index), x)``.
 
     Procedure 2's phase-2 trials.  Uniform cost (every candidate is one
-    vector shorter than the base), so cost and count chunking coincide up
-    to rounding.
+    vector shorter than the base), so cost-balanced chunks are
+    equal-count chunks up to rounding.
     """
 
     __slots__ = ()
@@ -328,18 +290,16 @@ class OmissionPlan(ScanPlan):
         cost = max(0, len(self.base) - 1) * self.expansion.length_multiplier
         return [cost] * len(self.items)
 
-    def index_lists(self) -> list:
-        length = len(self.base)
+    def index_lists(self, base_length: int) -> list:
         return [
-            [j for j in range(length) if j != index] for index in self.items
+            [j for j in range(base_length) if j != index] for index in self.items
         ]
 
 
 class ExplicitPlan(ScanPlan):
     """Materialized candidate sequences (no shared base, no expansion).
 
-    The restoration compactor's kept-set candidates and the generic
-    ``detects`` API.  Cost is each candidate's own length.
+    The generic ``detects`` API.  Cost is each candidate's own length.
     """
 
     __slots__ = ()

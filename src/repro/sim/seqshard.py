@@ -1,10 +1,11 @@
 """Process-sharded parallel-sequence (candidate-axis) simulation.
 
 :mod:`repro.sim.sharding` shards the *fault* axis; this module shards the
-other hot axis: Procedure 2's candidate sets.  A
-:class:`ShardedSequenceBatchSimulator` splits the candidate lists behind
-``detects`` / ``detects_windows`` / ``detects_omissions`` into chunked,
-work-stealing tasks on the session's persistent
+other hot axis: the candidate sets of Procedure 2, the restoration
+compactor and the partitioning baseline.  A
+:class:`ShardedSequenceBatchSimulator` splits a
+:class:`~repro.sim.scanplan.ScanPlan` into chunked, work-stealing tasks
+on the session's persistent
 :class:`~repro.sim.workerpool.WorkerPool` — the same pool the fault axis
 borrows, so Procedure 1's fault universes and Procedure 2's candidate
 populations interleave on one warm set of processes.
@@ -22,18 +23,20 @@ Three mechanisms keep the IPC off the hot path:
   ``multiprocessing.shared_memory`` segment — one segment per (circuit,
   sequence) per session, shared with the serial pipeline's packers, so
   the sharder no longer rebuilds packed base columns per context.
-  Workers attach (LRU-cached by name) and derive every expanded
-  candidate from the mapped bits — window spans and omission indices
-  travel as tuples of ints.  Detection outcomes flow back through a
-  persistent shared result buffer (one byte per candidate) instead of
-  pickled lists.  Both buffers degrade gracefully: when shared memory or
-  numpy is unavailable — or ``REPRO_SEQSHARD_NO_SHM`` is set — bases
-  ship pickled and outcomes return pickled, with identical results.
-* **First-hit cancellation.**  Procedure 2's scans only need the *first*
-  detecting candidate.  :meth:`first_detecting_window` /
-  :meth:`first_detecting_omission` dispatch all chunks at once and share
-  the pool's ``first_hit`` value: a worker that finds a detection
-  publishes its global candidate index, and every worker abandons
+  Each task carries its slice of the plan *without* the base; the
+  worker attaches the bits (LRU-cached by name) and hands them with the
+  slice to the same serial derived entry point the parent uses, so the
+  plan alone decides what each candidate is.  Detection outcomes flow
+  back through a persistent shared result buffer (one byte per
+  candidate) instead of pickled lists.  Both buffers degrade
+  gracefully: when shared memory is unavailable — or
+  ``REPRO_SEQSHARD_NO_SHM`` is set — base bits and outcomes travel
+  pickled, and without numpy whole plans (base included) do, with
+  identical results.
+* **First-hit cancellation.**  Window searches only need the *first*
+  detecting candidate.  :meth:`first_hit` dispatches all chunks at
+  once and shares the pool's ``first_hit`` value: a worker that finds a
+  detection publishes its global candidate index, and every worker abandons
   sub-batches that can no longer beat the current minimum.  The merged
   answer is the minimum detecting index — exactly what the serial scan
   returns — and the reported evaluated-candidate count is recomputed
@@ -44,13 +47,12 @@ The cost model dictates the chunk shape: a candidate batch costs about as
 much as simulating its *longest* member (bit-parallel slots ride along),
 so a chunk narrower than one full backend pass multiplies total steps
 without shrinking the critical path.  Chunk boundaries come from the
-:class:`~repro.sim.scanplan.ScanPlan` the caller hands in — cost-balanced
-by default (equal simulated-step budgets, the right shape for Procedure
-2's linearly-growing window ramps) or candidate-count-based
-(``chunking="count"``, the historical fault-axis plan), both floored at
-one full ``batch_width`` pass.  Sharding wins appear once a scan spans
-several serial passes (candidates well past ``batch_width`` — exactly
-the s5378/s35932-class scans), and the serial-fallback floor scales with
+:class:`~repro.sim.scanplan.ScanPlan` the caller hands in — equal
+simulated-step budgets (the right shape for Procedure 2's
+linearly-growing window ramps), floored at one full ``batch_width``
+pass.  Sharding wins appear once a scan spans several serial passes
+(candidates well past ``batch_width`` — exactly the s5378/s35932-class
+scans), and the serial-fallback floor scales with
 the batch width (:data:`SERIAL_FALLBACK_CANDIDATES` or one full pass,
 whichever is larger, unless ``min_shard_candidates`` overrides it
 explicitly).  First-hit scans are the exception: their serial cost is
@@ -76,24 +78,13 @@ except ImportError:  # pragma: no cover - platform without shm
     shared_memory = None
 
 from repro.circuit.netlist import Circuit
-from repro.core.ops import ExpansionConfig
-from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
 from repro.faults.model import Fault
 from repro.sim.autotune import MachineProfile
 from repro.sim.backend import SimBackend
 from repro.sim.compiled import CompiledCircuit
-from repro.sim.scanplan import (
-    DEFAULT_CHUNKING,
-    ScanPlan,
-    plan_count_chunks,
-    validate_chunking,
-)
-from repro.sim.seqsim import (
-    DEFAULT_SEQ_BATCH_WIDTH,
-    SequenceBatchSimulator,
-    omission_index_lists,
-)
+from repro.sim.scanplan import ScanPlan
+from repro.sim.seqsim import DEFAULT_SEQ_BATCH_WIDTH, SequenceBatchSimulator
 
 # The shm escape hatch and teardown helpers live with the trace cache
 # (one definition for both publishers); re-exported here for the
@@ -119,28 +110,8 @@ from repro.sim.workerpool import (
 #: take off the critical path.
 SERIAL_FALLBACK_CANDIDATES = 64
 
-#: Target chunks per worker (work stealing, as on the fault axis).
-DEFAULT_OVERSPLIT = 4
-
 #: Minimum byte size of the persistent result buffer (grow-only).
 _RESULT_BUFFER_FLOOR = 1024
-
-
-def plan_candidate_chunks(
-    num_candidates: int,
-    workers: int,
-    batch_width: int,
-    oversplit: int = DEFAULT_OVERSPLIT,
-) -> list[tuple[int, int]]:
-    """Contiguous count-based candidate chunks (back-compat shim).
-
-    Chunk boundaries now come from :meth:`repro.sim.scanplan.ScanPlan.chunks`
-    (cost-balanced by default); this helper remains for callers that
-    want the historical candidate-count plan without building a plan
-    object.  It delegates to the shared
-    :func:`repro.sim.scanplan.plan_count_chunks` planner.
-    """
-    return plan_count_chunks(num_candidates, workers, batch_width, oversplit)
 
 
 # ----------------------------------------------------------------------
@@ -175,42 +146,26 @@ def _chunk_outcomes(
     simulator: SequenceBatchSimulator,
     fault: Fault,
     base_ref: tuple | None,
-    kind: str,
-    items: list,
-    expansion: ExpansionConfig | None,
+    plan: ScanPlan,
 ) -> list[bool]:
-    """Detection outcomes for one chunk of candidates, by workload kind."""
-    if kind == "explicit":
-        return simulator.detects(fault, items)
-    if base_ref is not None and base_ref[0] == "seq":
-        base = base_ref[1]
-        if kind == "windows":
-            return simulator.detects_windows(fault, base, items, expansion)
-        return simulator.detects_omissions(fault, base, items, expansion)
-    bits = _worker_base_bits(base_ref)
-    if kind == "windows":
-        index_lists = [range(start, end + 1) for start, end in items]
-    else:
-        index_lists = omission_index_lists(bits.shape[0], items)
-    return simulator._detects_derived_bits(fault, bits, index_lists, expansion)
+    """Detection outcomes for one plan slice.
+
+    A derived plan whose base was published as bits (``base_ref``) runs
+    the serial derived entry point over the attached bits; anything else
+    — an explicit plan, or a derived plan that carries its own base —
+    runs the serial executor as it is.
+    """
+    if base_ref is None:
+        return simulator.scan(fault, plan)
+    return simulator._scan_derived_bits(fault, plan, _worker_base_bits(base_ref))
 
 
 def _run_seq_chunk(task: tuple) -> tuple[int, list[bool] | None]:
     """Evaluate one candidate chunk; outcomes go to shm or come back pickled."""
-    (
-        context_id,
-        chunk_id,
-        fault,
-        base_ref,
-        kind,
-        items,
-        global_start,
-        expansion,
-        result_ref,
-    ) = task
+    context_id, chunk_id, fault, base_ref, plan, global_start, result_ref = task
     state = worker_state()
     simulator = state["contexts"][context_id]["simulator"]
-    outcomes = _chunk_outcomes(simulator, fault, base_ref, kind, items, expansion)
+    outcomes = _chunk_outcomes(simulator, fault, base_ref, plan)
     if result_ref is None:
         return chunk_id, outcomes
     _, name, _total = result_ref
@@ -230,29 +185,19 @@ def _run_seq_chunk_first_hit(task: tuple) -> tuple[int, int | None]:
     rest is abandoned — it cannot change the (deterministic) answer,
     which is the global minimum detecting index.
     """
-    (
-        context_id,
-        chunk_id,
-        fault,
-        base_ref,
-        kind,
-        items,
-        global_start,
-        expansion,
-        step,
-    ) = task
+    context_id, chunk_id, fault, base_ref, plan, global_start, step = task
     state = worker_state()
     simulator = state["contexts"][context_id]["simulator"]
     first_hit = state["first_hit"]
-    for start in range(0, len(items), step):
+    for start in range(0, len(plan), step):
         # Locked read: a torn 64-bit load (32-bit platforms) could
         # fabricate a small index and wrongly abandon the true minimum.
         with first_hit.get_lock():
             best_so_far = first_hit.value
         if best_so_far <= global_start + start:
             break
-        part = items[start : start + step]
-        outcomes = _chunk_outcomes(simulator, fault, base_ref, kind, part, expansion)
+        part = plan.slice(start, start + step)
+        outcomes = _chunk_outcomes(simulator, fault, base_ref, part)
         for offset, detected in enumerate(outcomes):
             if detected:
                 found = global_start + start + offset
@@ -292,8 +237,6 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
         backend: str | SimBackend | None = None,
         workers: int | None = None,
         min_shard_candidates: int | None = None,
-        oversplit: int = DEFAULT_OVERSPLIT,
-        chunking: str = DEFAULT_CHUNKING,
     ) -> None:
         super().__init__(circuit, batch_width=batch_width, backend=backend)
         if workers is None:
@@ -309,8 +252,6 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
                 SERIAL_FALLBACK_CANDIDATES, self._batch_width + 1
             )
         self._min_shard_candidates = max(1, min_shard_candidates)
-        self._oversplit = max(1, oversplit)
-        self._chunking = validate_chunking(chunking)
         self._context: PoolContext | None = None
         self._result_segment = None
         self._result_capacity = 0
@@ -321,10 +262,6 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
     @property
     def workers(self) -> int:
         return self._workers
-
-    @property
-    def chunking(self) -> str:
-        return self._chunking
 
     def should_shard(self, num_candidates: int) -> bool:
         """Whether a candidate list of this size goes to the pool."""
@@ -413,19 +350,20 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
         """
         return np is not None
 
-    def _base_ref(self, base: TestSequence) -> tuple:
-        """The cross-process reference for ``base``.
+    def _task_payload(self, plan: ScanPlan) -> tuple[tuple | None, ScanPlan]:
+        """``(base_ref, plan)`` as the chunk tasks carry them.
 
-        With numpy: the base's bit matrix from the session's
-        :class:`~repro.sim.trace.GoodTraceCache` — one shared-memory
-        segment per (circuit, sequence) per session, shared with the
-        serial packers and every other sharded simulator of this
-        circuit (raw bytes when shared memory is unavailable).
-        Without numpy: the pickled sequence itself.
+        A derived plan's base crosses as its bit matrix from the
+        session's :class:`~repro.sim.trace.GoodTraceCache` — one
+        shared-memory segment per (circuit, sequence) per session,
+        shared with the serial packers and every other sharded simulator
+        of this circuit (raw bytes when shared memory is unavailable) —
+        and the plan travels without it.  Explicit plans, and every plan
+        when bits are unavailable, travel whole with no reference.
         """
-        if not self._use_derived_bits():
-            return ("seq", base)
-        return self._trace_cache.bits_ref(base)
+        if plan.kind == "explicit" or not self._use_derived_bits():
+            return None, plan
+        return self._trace_cache.bits_ref(plan.base), plan.without_base()
 
     def _result_ref(self, total: int) -> tuple | None:
         """The shared result buffer reference (grow-only), or None."""
@@ -443,10 +381,8 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
     def _run_sharded(self, fault: Fault, plan: ScanPlan) -> list[bool]:
         """Fan a plan's chunks out; merge outcomes into candidate order."""
         context = self._ensure_context()
-        chunks = plan.chunks(
-            self._workers, self._batch_width, self._oversplit, self._chunking
-        )
-        base_ref = self._base_ref(plan.base) if plan.base is not None else None
+        chunks = plan.chunks(self._workers, self._batch_width)
+        base_ref, payload = self._task_payload(plan)
         result_ref = self._result_ref(len(plan))
         tasks = [
             (
@@ -454,10 +390,8 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
                 chunk_id,
                 fault,
                 base_ref,
-                plan.kind,
-                plan.items[start:end],
+                payload.slice(start, end),
                 start,
-                plan.expansion,
                 result_ref,
             )
             for chunk_id, (start, end) in enumerate(chunks)
@@ -485,8 +419,8 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
         minimum equals the serial scan's first hit; chunks wholly past
         the best abandon early.  The evaluated-candidate count is
         recomputed from the serial chunked-scan formula so Procedure 2's
-        statistics match ``workers=1`` exactly — for either chunking
-        mode, whose boundaries only shape the worker tasks.
+        statistics match ``workers=1`` exactly — chunk boundaries only
+        shape the worker tasks.
         """
         serial_chunk = self._first_hit_chunk(chunk)
         context = self._ensure_context()
@@ -495,11 +429,8 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
         # usually resolves long before its deepest chunks run, and
         # abandoning a narrow chunk wastes less than abandoning a
         # full-width one.
-        chunks = plan.chunks(
-            self._workers, serial_chunk, self._oversplit, self._chunking
-        )
-        base_ref = self._base_ref(plan.base) if plan.base is not None else None
-        step = serial_chunk
+        chunks = plan.chunks(self._workers, serial_chunk)
+        base_ref, payload = self._task_payload(plan)
         context.pool.reset_first_hit()
         tasks = [
             (
@@ -507,11 +438,9 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
                 chunk_id,
                 fault,
                 base_ref,
-                plan.kind,
-                plan.items[start:end],
+                payload.slice(start, end),
                 start,
-                plan.expansion,
-                step,
+                serial_chunk,
             )
             for chunk_id, (start, end) in enumerate(chunks)
         ]
@@ -532,8 +461,6 @@ def make_sequence_simulator(
     backend: str | SimBackend | None = None,
     workers: int | None = 1,
     min_shard_candidates: int | None = None,
-    oversplit: int = DEFAULT_OVERSPLIT,
-    chunking: str = DEFAULT_CHUNKING,
     parallel: str | None = None,
     profile: MachineProfile | None = None,
 ) -> SequenceBatchSimulator:
@@ -547,12 +474,7 @@ def make_sequence_simulator(
     (which still runs candidate sets that fit one bit-parallel pass
     serially — see :data:`SERIAL_FALLBACK_CANDIDATES`).  ``workers=0``
     / ``workers=None`` mean "one per CPU" without a profile and the
-    profile's recommendation with one.  ``chunking`` selects how a
-    sharded simulator cuts a scan into worker chunks — ``"cost"``
-    (equal simulated-step budgets, the default) or ``"count"`` (the
-    historical equal-candidate plan); results are bit-identical either
-    way, so like ``workers`` and ``parallel`` it is a pure throughput
-    knob.
+    profile's recommendation with one.
 
     One usable core resolves to serial unless a calibrated profile
     measured a parallel win; constructing
@@ -563,7 +485,6 @@ def make_sequence_simulator(
     tier, workers, _ = resolve_execution(parallel, workers, profile=profile)
     if tier != "processes":
         # Serial resolves to one lane, so ``threads=workers`` covers both.
-        validate_chunking(chunking)
         return SequenceBatchSimulator(
             circuit, batch_width=batch_width, backend=backend, threads=workers
         )
@@ -573,6 +494,4 @@ def make_sequence_simulator(
         backend=backend,
         workers=workers,
         min_shard_candidates=min_shard_candidates,
-        oversplit=oversplit,
-        chunking=chunking,
     )

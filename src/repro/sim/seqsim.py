@@ -328,11 +328,6 @@ def _expansion_time_map(indices, config: ExpansionConfig):
     return src, comp, shift
 
 
-def omission_index_lists(length: int, omit_indices: Sequence[int]) -> list:
-    """Index lists describing ``base.omit(index)`` for each omitted index."""
-    return [[j for j in range(length) if j != index] for index in omit_indices]
-
-
 def _derived_packer(
     base_bits,
     index_lists: list,
@@ -464,7 +459,7 @@ class SequenceBatchSimulator:
         reference serial chunked scan — whole chunks of ``chunk``
         candidates (default ``batch_width``) up to and including the
         winning chunk.  The sharded subclass returns the identical pair
-        for any worker count and chunking mode: the winner is the
+        for any worker count and chunk boundaries: the winner is the
         *minimum* detecting position (what a serial scan finds first)
         and ``evaluated`` is recomputed from this same formula, so
         Procedure 2's statistics never depend on ``workers``.
@@ -612,36 +607,31 @@ class SequenceBatchSimulator:
                 fault,
                 [
                     expand(TestSequence([base[j] for j in indices]), plan.expansion)
-                    for indices in plan.index_lists()
+                    for indices in plan.index_lists(len(base))
                 ],
             )
-        return self._detects_derived_bits(
-            fault,
-            self._trace_cache.base_bits(base),
-            plan.index_lists(),
-            plan.expansion,
+        return self._scan_derived_bits(
+            fault, plan, self._trace_cache.base_bits(base)
         )
 
-    def _detects_derived_bits(
-        self,
-        fault: Fault,
-        base_bits,
-        index_lists: list,
-        expansion: ExpansionConfig,
+    def _scan_derived_bits(
+        self, fault: Fault, plan: ScanPlan, base_bits
     ) -> list[bool]:
         """Packed derived detection over a base already converted to bits.
 
-        The entry point the candidate-axis shard workers use: they attach
-        the published base-bits buffer and call this directly, skipping
-        any per-task base reconstruction.  Requires numpy (the parent
-        falls back to pickled bases otherwise).
+        The derived-candidate entry point of the serial executor and of
+        the candidate-axis shard workers alike: a worker attaches the
+        published base-bits buffer and passes it with its plan slice (the
+        plan travels without its base).  Requires numpy (the parent ships
+        whole plans otherwise).
         """
         width = self._compiled.num_inputs
+        index_lists = plan.index_lists(base_bits.shape[0])
         outcomes: list[bool] = []
         for start in range(0, len(index_lists), self._batch_width):
             chunk = index_lists[start : start + self._batch_width]
             packer = _derived_packer(
-                base_bits, chunk, expansion, width, self._pad_width(len(chunk))
+                base_bits, chunk, plan.expansion, width, self._pad_width(len(chunk))
             )
             outcomes.extend(self._run_packed(fault, packer))
         return outcomes

@@ -22,7 +22,7 @@ The design follows three rules:
   :class:`~repro.sim.trace.GoodTraceCache` shared-memory reference where
   available — simulated once per (circuit, sequence) per session,
   published once, attached by every chunk task — rather than being
-  re-pickled into each of the ``workers x oversplit`` task tuples; so
+  re-pickled into each of the ``workers x OVERSPLIT`` task tuples; so
   the per-task payload is the input sequence, a trace reference and a
   tuple of ints.  (Session advances, whose good machine starts from an
   evolving state, still ship their per-extension plan inline.)
@@ -32,10 +32,11 @@ The design follows three rules:
   with its index whatever chunk it lands in).  Both are
   backend-independent Python integers, so merging is dictionary updates
   and results are bit-identical to a serial run by construction.
-* **Steal work.**  Chunks are oversplit (``oversplit`` chunks per worker,
-  fed through ``imap_unordered`` one at a time), so a skewed chunk — e.g.
-  a run of hard faults that never early-exit — does not leave the other
-  workers idle.
+* **Steal work.**  Chunks are oversplit
+  (:data:`~repro.sim.workerpool.OVERSPLIT` chunks per worker, fed through
+  ``imap_unordered`` one at a time), so a skewed chunk — e.g. a run of
+  hard faults that never early-exit — does not leave the other workers
+  idle.
 
 Sharding only pays off once the universe is large enough to amortize the
 inter-process traffic; below :data:`SERIAL_FALLBACK_FAULTS` (or whatever
@@ -69,9 +70,9 @@ from repro.sim.faultsim import (
     FaultSimulator,
     ObservationRow,
 )
-from repro.sim.scanplan import plan_count_chunks
 from repro.sim.trace import resolve_observation_plan
 from repro.sim.workerpool import (
+    OVERSPLIT,
     PoolContext,
     cpu_count,
     get_worker_pool,
@@ -84,14 +85,8 @@ from repro.sim.workerpool import (
 #: results exceeds the simulation itself on small universes.
 SERIAL_FALLBACK_FAULTS = 512
 
-#: Target chunks per worker.  Oversplitting is what makes the pool
-#: work-stealing: a worker that drew an easy chunk (early exits everywhere)
-#: pulls the next one from the shared queue instead of idling.
-DEFAULT_OVERSPLIT = 4
-
 __all__ = [
     "SERIAL_FALLBACK_FAULTS",
-    "DEFAULT_OVERSPLIT",
     "plan_chunks",
     "ShardedFaultSimulator",
     "ShardedFaultSimSession",
@@ -137,23 +132,40 @@ def pack_states(state: Sequence[tuple[int, int]], batch_size: int) -> list[int]:
 
 
 def plan_chunks(
-    num_faults: int,
-    workers: int,
-    batch_width: int,
-    oversplit: int = DEFAULT_OVERSPLIT,
+    num_faults: int, workers: int, batch_width: int
 ) -> list[tuple[int, int]]:
     """Partition ``range(num_faults)`` into contiguous ``(start, end)`` chunks.
 
-    The fault axis's plan is uniform-cost (every fault in a dispatch is
-    simulated over the same sequence), so it keeps the count-based
-    planner — now shared with the candidate axis as
-    :func:`repro.sim.scanplan.plan_count_chunks`, which documents the
-    batch-width floors.  Work stealing emerges exactly in the regime
-    sharding is for (universes well past ``workers * batch_width``
-    slots).  Never returns empty chunks, so a universe smaller than the
-    worker count simply yields fewer chunks than workers.
+    The fault axis is uniform-cost (every fault in a dispatch is
+    simulated over the same sequence), so its plan counts faults: it
+    aims for ``workers * OVERSPLIT`` chunks with two floors that keep
+    per-chunk backend passes efficient —
+
+    * a chunk is never narrower than one full backend pass
+      (``batch_width`` slots) unless even ``workers`` plain chunks would
+      be — oversplitting below a full pass trades vectorization for
+      stealing granularity;
+    * chunks wider than one pass are rounded up to whole multiples of
+      ``batch_width`` so only each chunk's final pass can be ragged.
+
+    Work stealing emerges exactly in the regime sharding is for
+    (universes well past ``workers * batch_width`` slots).  Never
+    returns empty chunks, so a universe smaller than the worker count
+    simply yields fewer chunks than workers.  (The candidate axis cuts
+    by cost instead: :func:`repro.sim.scanplan.plan_cost_chunks`.)
     """
-    return plan_count_chunks(num_faults, workers, batch_width, oversplit)
+    if num_faults <= 0:
+        return []
+    workers = max(1, workers)
+    size = -(-num_faults // (workers * OVERSPLIT))  # ceil
+    per_worker = -(-num_faults // workers)
+    size = max(size, min(batch_width, per_worker))
+    if size > batch_width:
+        size = -(-size // batch_width) * batch_width
+    return [
+        (start, min(start + size, num_faults))
+        for start in range(0, num_faults, size)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +277,6 @@ class ShardedFaultSimulator(FaultSimulator):
         backend: str | SimBackend | None = None,
         workers: int | None = None,
         min_shard_faults: int = SERIAL_FALLBACK_FAULTS,
-        oversplit: int = DEFAULT_OVERSPLIT,
     ) -> None:
         super().__init__(circuit, batch_width=batch_width, backend=backend)
         if workers is None:
@@ -274,7 +285,6 @@ class ShardedFaultSimulator(FaultSimulator):
             raise SimulationError(f"workers must be >= 1, got {workers}")
         self._workers = workers
         self._min_shard_faults = max(1, min_shard_faults)
-        self._oversplit = max(1, oversplit)
         self._context: _FaultContext | None = None
 
     # ------------------------------------------------------------------
@@ -379,9 +389,7 @@ class ShardedFaultSimulator(FaultSimulator):
         inline observation plan in every task tuple when present.
         """
         context = self._ensure_context(faults)
-        chunks = plan_chunks(
-            len(faults), self._workers, self._batch_width, self._oversplit
-        )
+        chunks = plan_chunks(len(faults), self._workers, self._batch_width)
         plan_payload = plan_ref if plan_ref is not None else observation_plan
         tasks = []
         for chunk_id, (start, end) in enumerate(chunks):
@@ -496,7 +504,6 @@ def make_fault_simulator(
     backend: str | SimBackend | None = None,
     workers: int | None = 1,
     min_shard_faults: int = SERIAL_FALLBACK_FAULTS,
-    oversplit: int = DEFAULT_OVERSPLIT,
     parallel: str | None = None,
     profile: MachineProfile | None = None,
 ) -> FaultSimulator:
@@ -528,5 +535,4 @@ def make_fault_simulator(
         backend=backend,
         workers=workers,
         min_shard_faults=min_shard_faults,
-        oversplit=oversplit,
     )

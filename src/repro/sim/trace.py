@@ -27,7 +27,7 @@ artifacts through the worker pool's shared-memory contract
 the bit matrix as a named segment (the candidate axis attaches instead
 of unpickling a base per task) and :meth:`GoodTraceCache.plan_ref`
 exposes the pickled observation plan the same way (fault-axis chunk
-tasks carry a segment name instead of ``workers x oversplit`` pickled
+tasks carry a segment name instead of ``workers x OVERSPLIT`` pickled
 copies of the plan).  Workers resolve either reference through
 :func:`resolve_observation_plan` / the sharder's bit-matrix helper,
 caching attachments by segment name.  Both paths degrade gracefully:

@@ -52,6 +52,12 @@ if TYPE_CHECKING:
 #: ``first_hit`` value meaning "no detecting candidate found yet".
 FIRST_HIT_SENTINEL = 1 << 62
 
+#: Target chunks per worker on both sharded axes.  Oversplitting is what
+#: makes the pool work-stealing: a worker that drew an easy chunk (early
+#: exits everywhere) pulls the next one from the shared queue instead of
+#: idling.
+OVERSPLIT = 4
+
 #: Ceiling on how long a context broadcast waits for every worker to
 #: rendezvous.  A worker that died would otherwise hang the barrier (and
 #: the parent) forever; a broken barrier surfaces as an error instead.

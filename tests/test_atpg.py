@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.atpg.compaction import compact_sequence
 from repro.atpg.config import AtpgConfig
 from repro.atpg.engine import generate_t0
 from repro.atpg.genetic import attack_fault
@@ -217,17 +216,6 @@ class TestGeneticBitIdentity:
 
 
 class TestCompaction:
-    def test_omission_compaction_preserves_coverage(self, s27, s27_universe, s27_t0):
-        compiled = CompiledCircuit(s27)
-        faults = list(s27_universe.faults())
-        padded = s27_t0.extend(s27_t0)  # redundant second half
-        compacted, stats = compact_sequence(compiled, padded, faults, seed=1)
-        before = set(FaultSimulator(s27).run(padded, faults).detection_time)
-        after = set(FaultSimulator(s27).run(compacted, faults).detection_time)
-        assert after >= before
-        assert stats.final_length <= stats.original_length
-        assert len(compacted) == stats.final_length
-
     def test_restoration_preserves_coverage(self, s27, s27_universe, s27_t0):
         compiled = CompiledCircuit(s27)
         faults = list(s27_universe.faults())
@@ -280,25 +268,14 @@ class TestEngine:
     def test_phase_log_populated(self, s27):
         result = generate_t0(s27, AtpgConfig(max_length=150))
         assert any(line.startswith("random:") for line in result.phase_log)
-        assert any(
-            line.startswith(("restoration:", "omission:")) for line in result.phase_log
-        )
+        assert any(line.startswith("restoration:") for line in result.phase_log)
 
     def test_no_compaction_option(self, s27):
         result = generate_t0(s27, AtpgConfig(max_length=150, run_compaction=False))
         assert result.compaction is None
-
-    def test_omission_method_option(self, s27):
-        result = generate_t0(
-            s27,
-            AtpgConfig(max_length=120, compaction_method="omission"),
-        )
-        assert result.detected == 32
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AtpgConfig(max_length=0)
         with pytest.raises(ValueError):
             AtpgConfig(genetic_population=1)
-        with pytest.raises(ValueError):
-            AtpgConfig(compaction_method="magic")

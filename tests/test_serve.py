@@ -590,3 +590,26 @@ class TestHttpFrontend:
                     assert service.stats()["jobs_submitted"] == 0
 
         asyncio.run(main())
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("selection", "chunking", "count"),
+            ("atpg", "compaction_method", "omission"),
+        ],
+    )
+    def test_retired_config_field_is_a_400_naming_it(self, section, field, value):
+        request = S27_REQUEST.to_json()
+        request[section] = {field: value}
+
+        async def main():
+            async with JobService(profile=static_profile()) as service:
+                async with HttpFrontend(service) as http:
+                    status, body = await _http_request(
+                        http.port, "POST", "/jobs", {"tenant": "t", "request": request}
+                    )
+                    assert status == 400
+                    assert field in body["error"]
+                    assert service.stats()["jobs_submitted"] == 0
+
+        asyncio.run(main())

@@ -1,16 +1,21 @@
-"""The ScanPlan IR: chunk-plan invariants and cost/count parity.
+"""The ScanPlan IR: chunk-plan invariants and executor parity.
 
-Two contracts are enforced here:
+Three contracts are enforced here:
 
-* **Planner invariants** — both chunk planners cover every candidate
-  exactly once with contiguous, non-empty chunks, respect the
-  batch-width floor (no chunk below one bit-parallel pass unless even
-  ``workers`` plain chunks would be), and the cost planner actually
-  balances simulated-step budgets on ramp-shaped scans.
-* **Chunking is a pure throughput knob** — cost-balanced and
-  count-based plans yield bit-identical detection outcomes, first-hit
-  winners *and* evaluated counts across workers 1/2/4 and both
-  backends, including the empty-ramp and single-candidate edges.
+* **Planner invariants** — the candidate axis's cost planner and the
+  fault axis's count planner cover every item exactly once with
+  contiguous, non-empty chunks and respect the batch-width floor (no
+  chunk below one bit-parallel pass unless even ``workers`` plain
+  chunks would be), and the cost planner balances simulated-step
+  budgets on ramp-shaped scans better than equal-count chunks.
+* **Plans own their candidates** — costs and index lists of window,
+  kept-window and omission plans, and slices that keep every field.
+* **The executor tier is a pure throughput knob** — the serial scan,
+  ``threads=2`` and process sharding (``workers=2``) yield bit-identical
+  detection outcomes, first-hit winners *and* evaluated counts on
+  window, kept-window and omission plans for both backends, including
+  the empty-ramp and single-candidate edges, each checked against the
+  engine's own scan and the base per-step loop.
 """
 
 from __future__ import annotations
@@ -26,28 +31,40 @@ from repro.sim.backend import registry_backends
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.scanplan import (
-    CHUNKING_MODES,
     ExplicitPlan,
     OmissionPlan,
     WindowRampPlan,
     plan_cost_chunks,
-    plan_count_chunks,
-    validate_chunking,
 )
 from repro.sim.seqshard import ShardedSequenceBatchSimulator
 from repro.sim.seqsim import SequenceBatchSimulator
+from repro.sim.sharding import plan_chunks
 from repro.util.rng import SplitMix64
 
 EXPANSION = ExpansionConfig(repetitions=2)
 
-#: Sharded-parity parameter axis: serial plus two pool sizes.  The
-#: multi-worker points spin real process pools, so they carry the
-#: ``slow`` marker and stay out of the quick CI lane.
-WORKER_AXIS = [
-    1,
-    pytest.param(2, marks=pytest.mark.slow),
-    pytest.param(4, marks=pytest.mark.slow),
+#: Executor-tier axis.  The process-pool points spin real worker pools,
+#: so they carry the ``slow`` marker and stay out of the quick CI lane.
+TIER_AXIS = [
+    "serial",
+    "threads2",
+    pytest.param("processes2", marks=pytest.mark.slow),
+    pytest.param("processes4", marks=pytest.mark.slow),
 ]
+
+
+def _kept_ramp(t0, udet):
+    """A restoration-shaped kept-window ramp as ``(spans, kept)``.
+
+    The windows end halfway to ``udet`` and the vectors from there to
+    ``udet`` are kept (plus the first and last vector of ``t0``), so the
+    kept set decides which candidates detect a fault detected at
+    ``udet``.
+    """
+    middle = udet // 2
+    spans = [(u, middle) for u in range(middle, -1, -1)]
+    kept = {0, *range(middle + 1, udet + 1), len(t0) - 1}
+    return spans, kept
 
 
 def _stimulus(circuit, length, seed=2026):
@@ -92,7 +109,7 @@ class TestPlanners:
     @pytest.mark.parametrize("num", [0, 1, 7, 96, 97, 385, 1000])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_count_plan_invariants(self, num, workers):
-        chunks = plan_count_chunks(num, workers, 96)
+        chunks = plan_chunks(num, workers, 96)
         _assert_chunk_invariants(chunks, num, workers, 96)
 
     @pytest.mark.parametrize("num", [0, 1, 7, 96, 97, 385, 1000])
@@ -116,21 +133,19 @@ class TestPlanners:
         base = TestSequence([[0] for _ in range(2048)])
         spans = [(0, end) for end in range(2048)]
         plan = WindowRampPlan(base, spans, EXPANSION)
-        cost_stats = plan.chunk_stats(4, 96, chunking="cost")
-        count_stats = plan.chunk_stats(4, 96, chunking="count")
-        assert cost_stats["total_cost"] == count_stats["total_cost"]
-        assert cost_stats["cost_imbalance"] < count_stats["cost_imbalance"]
+        cost_stats = plan.chunk_stats(4, 96)
+        costs = plan.costs()
+        count_costs = [
+            sum(costs[start:end]) for start, end in plan_chunks(len(plan), 4, 96)
+        ]
+        count_imbalance = max(count_costs) / (sum(count_costs) / len(count_costs))
+        assert cost_stats["total_cost"] == sum(count_costs)
         # Equal-step budgets keep the heaviest chunk near the mean (the
         # batch-width floor bounds what is achievable at the expensive
-        # end of the ramp); the count plan's tail chunk is ~2x the mean.
+        # end of the ramp); equal-count chunks put ~2x the mean in the
+        # tail chunk.
         assert cost_stats["cost_imbalance"] < 1.6
-        assert count_stats["cost_imbalance"] > 1.7
-
-    def test_validate_chunking(self):
-        for mode in CHUNKING_MODES:
-            assert validate_chunking(mode) == mode
-        with pytest.raises(SimulationError):
-            validate_chunking("random")
+        assert count_imbalance > 1.7
 
 
 class TestPlanIR:
@@ -166,6 +181,42 @@ class TestPlanIR:
         assert part.expansion is EXPANSION
         assert part.costs() == plan.costs()[2:5]
 
+    def test_kept_window_candidates_and_costs(self, workload):
+        _, t0, _, udet = workload
+        spans, kept = _kept_ramp(t0, udet)
+        plan = WindowRampPlan(t0, spans, EXPANSION, kept=kept)
+        expected = [
+            sorted(kept | set(range(start, end + 1))) for start, end in spans
+        ]
+        assert [list(indices) for indices in plan.index_lists(len(t0))] == expected
+        multiplier = EXPANSION.length_multiplier
+        assert plan.costs() == [len(indices) * multiplier for indices in expected]
+
+    def test_plain_windows_are_spans(self, workload):
+        _, t0, _, udet = workload
+        plan = WindowRampPlan(t0, [(2, udet), (0, 3)], EXPANSION)
+        assert [list(indices) for indices in plan.index_lists(len(t0))] == [
+            list(range(2, udet + 1)),
+            [0, 1, 2, 3],
+        ]
+
+    def test_omission_index_lists(self, workload):
+        _, t0, _, _ = workload
+        plan = OmissionPlan(t0.subsequence(0, 4), [0, 3, 4], EXPANSION)
+        assert plan.index_lists(5) == [[1, 2, 3, 4], [0, 1, 2, 4], [0, 1, 2, 3]]
+
+    def test_slice_and_without_base_keep_the_kept_set(self, workload):
+        _, t0, _, udet = workload
+        spans, kept = _kept_ramp(t0, udet)
+        plan = WindowRampPlan(t0, spans, EXPANSION, kept=kept)
+        part = plan.slice(1, 4)
+        assert part.kept == plan.kept
+        assert part.index_lists(len(t0)) == plan.index_lists(len(t0))[1:4]
+        stripped = part.without_base()
+        assert stripped.base is None and part.base is t0
+        assert stripped.items == part.items and stripped.kept == part.kept
+        assert stripped.index_lists(len(t0)) == part.index_lists(len(t0))
+
     def test_validation_rejects_bad_payloads(self, workload):
         _, t0, _, _ = workload
         with pytest.raises(SimulationError):
@@ -173,14 +224,18 @@ class TestPlanIR:
         with pytest.raises(SimulationError):
             WindowRampPlan(t0, [(3, 2)], EXPANSION)
         with pytest.raises(SimulationError):
+            WindowRampPlan(t0, [(0, 1)], EXPANSION, kept=[len(t0)])
+        with pytest.raises(SimulationError):
+            WindowRampPlan(t0, [(0, 1)], EXPANSION, kept=[-1])
+        with pytest.raises(SimulationError):
             OmissionPlan(t0, [len(t0)], EXPANSION)
 
 
 @pytest.mark.parametrize("backend", registry_backends())
-@pytest.mark.parametrize("workers", WORKER_AXIS)
+@pytest.mark.parametrize("tier", TIER_AXIS)
 @pytest.mark.parametrize("reference_scan", ["engine", "base-loop"])
-class TestChunkingParity:
-    """Cost and count plans are bit-identical for any worker count.
+class TestExecutorParity:
+    """Every executor tier is bit-identical to the serial reference.
 
     The serial reference is computed either with the engine's own scan
     or with the base per-step loop that specifies it, so the
@@ -195,29 +250,28 @@ class TestChunkingParity:
         )
         return SequenceBatchSimulator(compiled, batch_width=16, backend=engine)
 
-    def _simulators(self, compiled, backend, workers):
-        if workers == 1:
-            serial = SequenceBatchSimulator(compiled, batch_width=16, backend=backend)
-            return {chunking: serial for chunking in CHUNKING_MODES}
-        # Built directly: the multi-worker axis must exercise the sharded
-        # path even on a single-core runner.
-        return {
-            chunking: ShardedSequenceBatchSimulator(
-                compiled,
-                batch_width=16,
-                backend=backend,
-                workers=workers,
-                min_shard_candidates=1,
-                chunking=chunking,
+    def _simulator(self, compiled, backend, tier):
+        if tier == "serial":
+            return SequenceBatchSimulator(compiled, batch_width=16, backend=backend)
+        if tier == "threads2":
+            return SequenceBatchSimulator(
+                compiled, batch_width=16, backend=backend, threads=2
             )
-            for chunking in CHUNKING_MODES
-        }
+        # Built directly: the process axis must exercise the sharded path
+        # even on a single-core runner.
+        return ShardedSequenceBatchSimulator(
+            compiled,
+            batch_width=16,
+            backend=backend,
+            workers=int(tier.removeprefix("processes")),
+            min_shard_candidates=1,
+        )
 
     def test_first_hit_and_outcomes_identical(
         self,
         workload,
         backend,
-        workers,
+        tier,
         reference_scan,
         base_loop_backend,
         require_backend,
@@ -225,46 +279,38 @@ class TestChunkingParity:
         require_backend(backend)
         compiled, t0, fault, udet = workload
         spans = [(u, udet) for u in range(udet, -1, -1)]
-        window_plan = WindowRampPlan(t0, spans, EXPANSION)
-        omission_plan = OmissionPlan(
-            t0.subsequence(0, udet), range(udet + 1), EXPANSION
-        )
+        kept_spans, kept = _kept_ramp(t0, udet)
+        plans = {
+            "windows": WindowRampPlan(t0, spans, EXPANSION),
+            "kept-windows": WindowRampPlan(t0, kept_spans, EXPANSION, kept=kept),
+            "omissions": OmissionPlan(
+                t0.subsequence(0, udet), range(udet + 1), EXPANSION
+            ),
+        }
         reference = self._reference(
             compiled, backend, reference_scan, base_loop_backend
         )
         expected = {
-            "windows": reference.scan(fault, window_plan),
-            "omissions": reference.scan(fault, omission_plan),
-            "first_window": reference.first_hit(fault, window_plan, chunk=8),
-            "first_omission": reference.first_hit(fault, omission_plan, chunk=8),
+            name: (
+                reference.scan(fault, plan),
+                reference.first_hit(fault, plan, chunk=8),
+            )
+            for name, plan in plans.items()
         }
-        simulators = self._simulators(compiled, backend, workers)
-        try:
-            for chunking, simulator in simulators.items():
-                label = f"{chunking}/w{workers}/{backend}/{reference_scan}"
-                assert (
-                    simulator.scan(fault, window_plan) == expected["windows"]
-                ), label
-                assert (
-                    simulator.scan(fault, omission_plan) == expected["omissions"]
-                ), label
-                assert (
-                    simulator.first_hit(fault, window_plan, chunk=8)
-                    == expected["first_window"]
-                ), label
-                assert (
-                    simulator.first_hit(fault, omission_plan, chunk=8)
-                    == expected["first_omission"]
-                ), label
-        finally:
-            for simulator in simulators.values():
-                simulator.close()
+        with self._simulator(compiled, backend, tier) as simulator:
+            for name, plan in plans.items():
+                label = f"{name}/{tier}/{backend}/{reference_scan}"
+                observed = (
+                    simulator.scan(fault, plan),
+                    simulator.first_hit(fault, plan, chunk=8),
+                )
+                assert observed == expected[name], label
 
     def test_empty_ramp_and_single_candidate_edges(
         self,
         workload,
         backend,
-        workers,
+        tier,
         reference_scan,
         base_loop_backend,
         require_backend,
@@ -277,19 +323,14 @@ class TestChunkingParity:
             compiled, backend, reference_scan, base_loop_backend
         )
         expected_single = reference.first_hit(fault, single_plan, chunk=8)
-        simulators = self._simulators(compiled, backend, workers)
-        try:
-            for chunking, simulator in simulators.items():
-                label = f"{chunking}/w{workers}/{backend}/{reference_scan}"
-                assert simulator.scan(fault, empty_plan) == [], label
-                assert simulator.first_hit(fault, empty_plan, chunk=8) == (
-                    None,
-                    0,
-                ), label
-                assert (
-                    simulator.first_hit(fault, single_plan, chunk=8)
-                    == expected_single
-                ), label
-        finally:
-            for simulator in simulators.values():
-                simulator.close()
+        with self._simulator(compiled, backend, tier) as simulator:
+            label = f"{tier}/{backend}/{reference_scan}"
+            assert simulator.scan(fault, empty_plan) == [], label
+            assert simulator.first_hit(fault, empty_plan, chunk=8) == (
+                None,
+                0,
+            ), label
+            assert (
+                simulator.first_hit(fault, single_plan, chunk=8)
+                == expected_single
+            ), label

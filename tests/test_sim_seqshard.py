@@ -16,7 +16,7 @@ import pytest
 
 from repro.circuits.catalog import load_circuit
 from repro.core.config import SelectionConfig
-from repro.core.ops import ExpansionConfig
+from repro.core.ops import IDENTITY_EXPANSION, ExpansionConfig
 from repro.core.procedure2 import build_subsequence_for_fault
 from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
@@ -25,15 +25,15 @@ from repro.sim.backend import available_backends, registry_backends
 from repro.sim.autotune import static_profile
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
+from repro.sim.scanplan import WindowRampPlan
 from repro.sim.seqshard import (
     NO_SHM_ENV,
     SERIAL_FALLBACK_CANDIDATES,
     ShardedSequenceBatchSimulator,
     make_sequence_simulator,
-    plan_candidate_chunks,
 )
 from repro.sim.seqsim import SequenceBatchSimulator
-from repro.sim.sharding import ShardedFaultSimulator, plan_chunks
+from repro.sim.sharding import ShardedFaultSimulator
 from repro.sim.workerpool import get_worker_pool
 from repro.util.rng import SplitMix64
 
@@ -72,6 +72,14 @@ def workload():
     return compiled, t0, fault, udet, spans, base, omissions, undetected
 
 
+def _kept_plan(t0, udet, spans):
+    """The restoration compactor's shape: a window ramp plus kept vectors
+    on both sides of it, under the identity expansion."""
+    return WindowRampPlan(
+        t0, spans, IDENTITY_EXPANSION, kept={0, udet // 2, udet, len(t0) - 1}
+    )
+
+
 #: Which scan computes the serial reference: the engine's own
 #: ``run_scan`` or the base per-step loop that specifies it.  Sharded
 #: workers always run the engine's own scan, so the ``base-loop`` points
@@ -82,7 +90,8 @@ REFERENCE_SCANS = ["engine", "base-loop"]
 @pytest.fixture(scope="module")
 def serial_reference(workload, base_loop_backend):
     """Serial outcomes per backend and reference scan, computed once."""
-    compiled, t0, fault, _udet, spans, base, omissions, _ = workload
+    compiled, t0, fault, udet, spans, base, omissions, _ = workload
+    kept_plan = _kept_plan(t0, udet, spans)
     reference = {}
     for backend in available_backends():
         for scan in REFERENCE_SCANS:
@@ -101,25 +110,10 @@ def serial_reference(workload, base_loop_backend):
                 "first_omission": serial.first_detecting_omission(
                     fault, base, omissions, EXPANSION, chunk=8
                 ),
+                "kept_windows": serial.scan(fault, kept_plan),
+                "first_kept_window": serial.first_hit(fault, kept_plan, chunk=8),
             }
     return reference
-
-
-class TestPlanCandidateChunks:
-    def test_delegates_to_fault_axis_plan(self):
-        assert plan_candidate_chunks(500, 4, 96) == plan_chunks(500, 4, 96)
-
-    def test_covers_every_candidate_exactly_once(self):
-        for num, workers, width in [(7, 4, 96), (385, 4, 96), (1000, 3, 128)]:
-            chunks = plan_candidate_chunks(num, workers, width)
-            assert chunks[0][0] == 0
-            assert chunks[-1][1] == num
-            for (_, prev_end), (start, end) in zip(chunks, chunks[1:]):
-                assert start == prev_end
-                assert end > start
-
-    def test_empty(self):
-        assert plan_candidate_chunks(0, 4, 96) == []
 
 
 class TestFactory:
@@ -209,7 +203,7 @@ class TestShardedParity:
         require_backend,
     ):
         require_backend(backend)
-        compiled, t0, fault, _udet, spans, base, omissions, _ = workload
+        compiled, t0, fault, udet, spans, base, omissions, _ = workload
         reference = serial_reference[backend, reference_scan]
         with ShardedSequenceBatchSimulator(
             compiled,
@@ -238,6 +232,13 @@ class TestShardedParity:
                     fault, base, omissions, EXPANSION, chunk=8
                 )
                 == reference["first_omission"]
+            )
+            # Kept windows: the tasks carry the kept set with the plan.
+            kept_plan = _kept_plan(t0, udet, spans)
+            assert simulator.scan(fault, kept_plan) == reference["kept_windows"]
+            assert (
+                simulator.first_hit(fault, kept_plan, chunk=8)
+                == reference["first_kept_window"]
             )
 
     def test_explicit_candidates(
@@ -336,8 +337,8 @@ class TestTransports:
             )
 
     def test_pickled_base_transport(self, workload, monkeypatch):
-        """Without base bits (no numpy), bases ship as ``("seq", base)``."""
-        compiled, t0, fault, _udet, spans, base, omissions, _ = workload
+        """Without base bits (no numpy), plans ship whole, base included."""
+        compiled, t0, fault, udet, spans, base, omissions, _ = workload
         serial = SequenceBatchSimulator(compiled, batch_width=16)
         monkeypatch.setattr(
             ShardedSequenceBatchSimulator, "_use_derived_bits", lambda self: False
@@ -345,7 +346,9 @@ class TestTransports:
         with ShardedSequenceBatchSimulator(
             compiled, batch_width=16, workers=2, min_shard_candidates=1
         ) as simulator:
-            assert simulator._base_ref(t0) == ("seq", t0)
+            kept_plan = _kept_plan(t0, udet, spans)
+            assert simulator._task_payload(kept_plan) == (None, kept_plan)
+            assert simulator.scan(fault, kept_plan) == serial.scan(fault, kept_plan)
             assert simulator.detects_windows(
                 fault, t0, spans, EXPANSION
             ) == serial.detects_windows(fault, t0, spans, EXPANSION)
