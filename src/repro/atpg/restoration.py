@@ -48,6 +48,14 @@ class RestorationStats:
         return self.final_length / self.original_length
 
 
+def _kept_vectors(t0: TestSequence, kept: set[int]) -> TestSequence:
+    """``t0`` restricted to the ``kept`` positions, in original order."""
+    vectors = t0.vectors()
+    return TestSequence._trusted(
+        tuple(vectors[p] for p in sorted(kept)), t0.width
+    )
+
+
 def restoration_compact(
     compiled: CompiledCircuit,
     t0: TestSequence,
@@ -103,7 +111,7 @@ def restoration_compact(
             kept |= set(range(end - position, end + 1))
             events += 1
 
-            current = TestSequence([t0[p] for p in sorted(kept)])
+            current = _kept_vectors(t0, kept)
             sim = fault_simulator.run(current, uncovered)
             covered = set(sim.detection_time)
             if target not in covered:
@@ -112,7 +120,7 @@ def restoration_compact(
                 )
             uncovered = [f for f in uncovered if f not in covered]
 
-        final = TestSequence([t0[p] for p in sorted(kept)])
+        final = _kept_vectors(t0, kept)
         stats = RestorationStats(
             original_length=len(t0),
             final_length=len(final),

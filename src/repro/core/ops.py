@@ -34,7 +34,7 @@ def repeat(sequence: TestSequence, times: int) -> TestSequence:
     """``S^times``: the sequence repeated ``times`` times."""
     if times < 1:
         raise ValueError(f"repetition count must be >= 1, got {times}")
-    return TestSequence(sequence.vectors() * times)
+    return TestSequence._trusted(sequence.vectors() * times, sequence.width)
 
 
 def hold(sequence: TestSequence, times: int) -> TestSequence:
@@ -49,16 +49,15 @@ def hold(sequence: TestSequence, times: int) -> TestSequence:
         raise ValueError(f"hold count must be >= 1, got {times}")
     if times == 1:
         return sequence
-    held = []
-    for vector in sequence.vectors():
-        held.extend([vector] * times)
-    return TestSequence(held)
+    held = tuple(vector for vector in sequence.vectors() for _ in range(times))
+    return TestSequence._trusted(held, sequence.width)
 
 
 def complement(sequence: TestSequence) -> TestSequence:
     """Complement every bit of every vector."""
-    return TestSequence(
-        tuple(1 - bit for bit in vector) for vector in sequence.vectors()
+    return TestSequence._trusted(
+        tuple(tuple(1 - bit for bit in vector) for vector in sequence.vectors()),
+        sequence.width,
     )
 
 
@@ -72,23 +71,24 @@ def shift_left(sequence: TestSequence, positions: int = 1) -> TestSequence:
     if width == 0:
         return sequence
     offset = positions % width
-    return TestSequence(
-        tuple(vector[(i + offset) % width] for i in range(width))
-        for vector in sequence.vectors()
+    return TestSequence._trusted(
+        tuple(vector[offset:] + vector[:offset] for vector in sequence.vectors()),
+        width,
     )
 
 
 def reverse(sequence: TestSequence) -> TestSequence:
     """``rS``: the vectors in reverse order."""
-    return TestSequence(reversed(sequence.vectors()))
+    return TestSequence._trusted(sequence.vectors()[::-1], sequence.width)
 
 
 def concat(*sequences: TestSequence) -> TestSequence:
-    """Concatenate sequences left to right."""
-    vectors: tuple[tuple[int, ...], ...] = ()
-    for sequence in sequences:
-        vectors = vectors + sequence.vectors()
-    return TestSequence(vectors)
+    """Concatenate sequences left to right.
+
+    The non-empty sequences must share one width (:class:`ValueError`
+    otherwise); empty ones join any.
+    """
+    return TestSequence._concat(sequences)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,13 @@ expanded sequences ``Sexp`` are all instances.  Vectors are fully specified
 The class is immutable: every manipulation returns a new sequence.  This
 matches how the paper treats sequences (values, not buffers) and makes the
 expansion operators trivially safe to compose.
+
+Bits are validated once, where data enters: the public constructor,
+:meth:`TestSequence.from_strings` (the paper's published ``T0`` comes
+through it) and the vector :meth:`TestSequence.append` adds.  Producers
+whose bits are 0/1 by construction — slicing, the expansion operators,
+the ATPG's random and genetic draws — build through the private
+:meth:`TestSequence._trusted`, which checks nothing per bit.
 """
 
 from __future__ import annotations
@@ -45,6 +52,45 @@ class TestSequence:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
+    def _trusted(
+        cls, vectors: tuple[tuple[int, ...], ...], width: int
+    ) -> "TestSequence":
+        """Wrap ``vectors`` without checking a bit.
+
+        For internal producers only: ``vectors`` must already be a tuple
+        of 0/1 int tuples, each ``width`` long (``width`` is advisory
+        when ``vectors`` is empty).
+        """
+        seq = object.__new__(cls)
+        seq._vectors = vectors
+        seq._width = width
+        return seq
+
+    @classmethod
+    def _concat(cls, parts: Iterable["TestSequence"]) -> "TestSequence":
+        """The parts joined left to right, checked once per part.
+
+        Their bits are already valid, so only widths are checked: the
+        non-empty parts must agree (:class:`ValueError` otherwise) and
+        give the result its width; empty parts, whatever their advisory
+        width, are skipped.  No non-empty part gives an empty width-0
+        sequence.
+        """
+        width = 0
+        vectors: tuple[tuple[int, ...], ...] = ()
+        for part in parts:
+            if not part._vectors:
+                continue
+            if not vectors:
+                width = part._width
+            elif part._width != width:
+                raise ValueError(
+                    f"cannot concatenate width {width} with width {part._width}"
+                )
+            vectors += part._vectors
+        return cls._trusted(vectors, width)
+
+    @classmethod
     def from_strings(cls, rows: Iterable[str]) -> "TestSequence":
         """Build from strings like ``["0111", "1001"]``."""
         return cls([[int(ch) for ch in row] for row in rows])
@@ -52,9 +98,7 @@ class TestSequence:
     @classmethod
     def empty(cls, width: int = 0) -> "TestSequence":
         """An empty sequence (width is advisory; empty sequences match any)."""
-        seq = cls([])
-        seq._width = width
-        return seq
+        return cls._trusted((), width)
 
     # ------------------------------------------------------------------
     # Basic protocol
@@ -106,22 +150,20 @@ class TestSequence:
             raise IndexError(
                 f"subsequence [{start}, {end}] out of range for length {len(self)}"
             )
-        return TestSequence(self._vectors[start : end + 1])
+        return TestSequence._trusted(self._vectors[start : end + 1], self._width)
 
     def omit(self, index: int) -> "TestSequence":
         """A copy with the vector at ``index`` removed (Procedure 2 step 7)."""
         if not 0 <= index < len(self):
             raise IndexError(f"omit index {index} out of range")
-        return TestSequence(self._vectors[:index] + self._vectors[index + 1 :])
+        return TestSequence._trusted(
+            self._vectors[:index] + self._vectors[index + 1 :], self._width
+        )
 
     def append(self, vector: Sequence[int]) -> "TestSequence":
-        """A copy with ``vector`` appended (used by the ATPG)."""
-        return TestSequence(self._vectors + (tuple(int(b) for b in vector),))
+        """A copy with ``vector`` (validated) appended."""
+        return TestSequence._concat((self, TestSequence([vector])))
 
     def extend(self, other: "TestSequence") -> "TestSequence":
         """Concatenation (alias of :func:`repro.core.ops.concat`)."""
-        if len(self) and len(other) and self.width != other.width:
-            raise ValueError(
-                f"cannot concatenate width {self.width} with width {other.width}"
-            )
-        return TestSequence(self._vectors + other._vectors)
+        return TestSequence._concat((self, other))

@@ -44,7 +44,14 @@ class FaultSite:
 
 @dataclass(frozen=True, order=True)
 class Fault:
-    """A single stuck-at fault: a site stuck at 0 or 1."""
+    """A single stuck-at fault: a site stuck at 0 or 1.
+
+    Faults key every detection map, so the hash is computed once, in
+    ``__post_init__``.  String hashes differ between processes (hash
+    randomization), so the cached value must never travel: pickling
+    rebuilds the fault from its fields, and the receiving process hashes
+    it afresh.
+    """
 
     site: FaultSite
     stuck_value: int
@@ -52,6 +59,13 @@ class Fault:
     def __post_init__(self) -> None:
         if self.stuck_value not in (0, 1):
             raise ValueError(f"stuck value must be 0 or 1, got {self.stuck_value}")
+        object.__setattr__(self, "_hash", hash((self.site, self.stuck_value)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Fault, (self.site, self.stuck_value))
 
     def __str__(self) -> str:
         return f"{self.site} SA{self.stuck_value}"

@@ -299,11 +299,12 @@ class SimBatch(ABC):
         """The ``(H, L)`` Python-int masks of PO ``position`` (patched)."""
 
     @abstractmethod
-    def detect_mask(self, observations: Sequence[tuple[int, int]]) -> int:
+    def detect_mask(self, positions: Sequence[int], values: Sequence[int]) -> int:
         """Slots whose PO response contradicts the fault-free machine.
 
-        ``observations`` holds ``(po_position, good_value)`` pairs for the
-        POs that are binary in the fault-free machine this time step.
+        ``positions`` are the POs binary in the fault-free machine this
+        time step and ``values`` their 0/1 good values (one
+        :meth:`~repro.sim.trace.ObservationPlan.row`).
         """
 
     @abstractmethod
@@ -476,10 +477,10 @@ class SimBackend(ABC):
           times; the masks shrink monotonically, so a drained live mask
           ends the scan).
         * **fault axis** (``observation_plan`` is the fault-free
-          machine's per-step observation rows): ``good`` is ``None`` —
-          the good machine is the recorded plan — detection is
-          :meth:`SimBatch.detect_mask`, and ``alive_mask`` is one
-          constant int mask.
+          machine's :class:`~repro.sim.trace.ObservationPlan`): ``good``
+          is ``None`` — the good machine is the recorded plan —
+          detection is :meth:`SimBatch.detect_mask` on the plan's row
+          ``t``, and ``alive_mask`` is one constant int mask.
 
         ``packed_stimulus`` supplies ``num_steps``, ``num_slots`` and
         ``load_step(t, good, faulty)`` (a candidate column packer or a
@@ -524,7 +525,7 @@ class SimBackend(ABC):
             if observation_plan is None:
                 detected_now = self.detect_step(good, faulty, live)
             else:
-                detected_now = faulty.detect_mask(observation_plan[t]) & live
+                detected_now = faulty.detect_mask(*observation_plan.row(t)) & live
             if detected_now:
                 slot = 0
                 remaining = detected_now

@@ -179,19 +179,13 @@ class NativeBatch(NumpyBatch):
         record_dispatch("native_ffi_calls")
         self._lib.repro_eval(*self._eval_args, self.threads)
 
-    def detect_mask(self, observations: Sequence[tuple[int, int]]) -> int:
-        if not observations:
+    def detect_mask(self, positions: Sequence[int], values: Sequence[int]) -> int:
+        n = len(positions)
+        if not n:
             return 0
         record_dispatch("native_ffi_calls")
-        n = len(observations)
-        obs_pos = np.fromiter(
-            (position for position, _ in observations),
-            dtype=np.int32,
-            count=n,
-        )
-        good_vals = np.fromiter(
-            (value for _, value in observations), dtype=np.uint8, count=n
-        )
+        obs_pos = np.asarray(positions, dtype=np.int32)
+        good_vals = np.asarray(values, dtype=np.uint8)
         out = self._detect_out
         out[:] = 0
         self._lib.repro_detect_mask(
@@ -415,29 +409,11 @@ class NativeBackend(NumpyBackend):
             obs_off = obs_pos = obs_vals = None
         else:
             gv = g_sh = g_sl = g_po_sa1 = g_po_sa0 = None
-            plan = observation_plan
-            counts = np.fromiter(
-                (len(plan[t]) for t in range(num_steps)),
-                dtype=np.int64,
-                count=num_steps,
-            )
-            obs_off = np.zeros(num_steps + 1, dtype=np.int64)
-            np.cumsum(counts, out=obs_off[1:])
-            total = int(obs_off[-1])
-            obs_pos = np.fromiter(
-                (p for t in range(num_steps) for p, _ in plan[t]),
-                dtype=np.int32,
-                count=total,
-            )
-            obs_vals = np.fromiter(
-                (
-                    1 if v else 0
-                    for t in range(num_steps)
-                    for _, v in plan[t]
-                ),
-                dtype=np.uint8,
-                count=total,
-            )
+            # Zero-copy views of the plan's flat buffers (never NULL,
+            # even when no PO is ever binary).
+            obs_off = np.frombuffer(observation_plan.offsets, dtype=np.int64)
+            obs_pos = np.frombuffer(observation_plan.positions, dtype=np.int32)
+            obs_vals = np.frombuffer(observation_plan.values, dtype=np.uint8)
         # Invariant argument prefix/suffix, built once per scan; only the
         # stimulus pointers, chunk bounds and alive row pointer vary.
         head = (

@@ -114,9 +114,9 @@ class PythonBatch(SimBatch):
             l = (l | sa0) & ~sa1
         return h, l
 
-    def detect_mask(self, observations: Sequence[tuple[int, int]]) -> int:
+    def detect_mask(self, positions: Sequence[int], values: Sequence[int]) -> int:
         detected = 0
-        for po_position, good_value in observations:
+        for po_position, good_value in zip(positions, values):
             h, l = self.observe_po(po_position)
             if good_value:
                 detected |= l

@@ -55,7 +55,7 @@ from repro.sim.logicsim import LogicSimulator
 # The observation-plan machinery lives with the good-machine trace cache
 # (:mod:`repro.sim.trace`); re-exported here for its historical importers.
 from repro.sim.trace import (  # noqa: F401  (re-export)
-    ObservationRow,
+    ObservationPlan,
     build_observation_plan,
     get_trace_cache,
 )
@@ -180,7 +180,7 @@ class FaultSimulator:
         self,
         sequence: TestSequence,
         good_initial_state: list[Ternary] | None,
-    ) -> list[ObservationRow]:
+    ) -> ObservationPlan:
         if good_initial_state is None:
             # All-X start: the run-invariant trace, cached per session.
             return self._trace_cache.observation_plan(sequence)
@@ -191,7 +191,7 @@ class FaultSimulator:
         self,
         sequence: TestSequence,
         batch: list[Fault],
-        observation_plan: list[ObservationRow],
+        observation_plan: ObservationPlan,
     ) -> list[int | None]:
         """Per-slot first detection times of one all-X batch of faults."""
         program = self._backend.program(tuple(batch))
@@ -203,7 +203,7 @@ class FaultSimulator:
         program: SimProgram,
         size: int,
         sequence: TestSequence,
-        observation_plan: list[ObservationRow],
+        observation_plan: ObservationPlan,
         state: list[tuple[int, int]] | None = None,
         alive: int | None = None,
         collect_final_states: bool = False,
@@ -349,7 +349,7 @@ class FaultSimSession:
     def _advance(
         self,
         extension: TestSequence,
-        observation_plan: list[ObservationRow],
+        observation_plan: ObservationPlan,
         commit: bool,
     ) -> dict[Fault, int]:
         """Scan every live batch; with ``commit``, keep the results."""

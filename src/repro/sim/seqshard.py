@@ -34,14 +34,15 @@ Three mechanisms keep the IPC off the hot path:
   pickled, and without numpy whole plans (base included) do, with
   identical results.
 * **First-hit cancellation.**  Window searches only need the *first*
-  detecting candidate.  :meth:`first_hit` dispatches all chunks at
-  once and shares the pool's ``first_hit`` value: a worker that finds a
-  detection publishes its global candidate index, and every worker abandons
-  sub-batches that can no longer beat the current minimum.  The merged
-  answer is the minimum detecting index — exactly what the serial scan
-  returns — and the reported evaluated-candidate count is recomputed
-  from the serial formula, so results and statistics are bit-identical
-  for any worker count.
+  detecting candidate.  :meth:`first_hit` scans the first chunk in the
+  parent (window ramps nearly always hit there); when it misses, the
+  rest is dispatched at once and shares the pool's ``first_hit`` value:
+  a worker that finds a detection publishes its global candidate index,
+  and every worker abandons sub-batches that can no longer beat the
+  current minimum.  The merged answer is the minimum detecting index —
+  exactly what the serial scan returns — and the reported
+  evaluated-candidate count is recomputed from the serial formula, so
+  results and statistics are bit-identical for any worker count.
 
 The cost model dictates the chunk shape: a candidate batch costs about as
 much as simulating its *longest* member (bit-parallel slots ride along),
@@ -57,7 +58,8 @@ the batch width (:data:`SERIAL_FALLBACK_CANDIDATES` or one full pass,
 whichever is larger, unless ``min_shard_candidates`` overrides it
 explicitly).  First-hit scans are the exception: their serial cost is
 the ramp of whole chunks up to the winner, so fanning the scan out pays
-whenever the winner sits deep.
+only when the winner sits past the first chunk, and a scan that misses
+entirely pays one serial chunk before the pool starts.
 
 The consumer seam is :func:`make_sequence_simulator`, mirroring
 :func:`~repro.sim.sharding.make_fault_simulator`: Procedure 1/2,
@@ -306,7 +308,30 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
         if not self.should_shard(len(plan)):
             return super().first_hit(fault, plan, chunk)
         self._validate_plan(plan)
-        return self._first_hit_sharded(fault, plan, chunk)
+        # Window ramps (restoration, Procedure 2's window search,
+        # partition's extensions) nearly always hit in their first
+        # chunk, where a fan-out costs more than it saves, so that chunk
+        # runs here and only the rest goes to the pool.  A scan that
+        # misses entirely (Procedure 2's last omission round, once its
+        # subsequence reaches the shard floor) pays one serial chunk
+        # before the pool starts.
+        serial_chunk = self._first_hit_chunk(chunk)
+        outcomes = SequenceBatchSimulator.scan(
+            self, fault, plan.slice(0, serial_chunk)
+        )
+        position = next((i for i, hit in enumerate(outcomes) if hit), None)
+        if position is None:
+            rest = plan.slice(serial_chunk, len(plan))
+            if self.should_shard(len(rest)):
+                found = self._first_hit_sharded(fault, rest, serial_chunk)
+            else:
+                found, _ = super().first_hit(fault, rest, serial_chunk)
+            if found is None:
+                return None, len(plan)
+            position = serial_chunk + found
+        # The serial chunked scan's evaluated count, so statistics never
+        # depend on where the scan ran.
+        return position, min(len(plan), (position // serial_chunk + 1) * serial_chunk)
 
     # ------------------------------------------------------------------
     # Internals
@@ -410,19 +435,16 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
         self,
         fault: Fault,
         plan: ScanPlan,
-        chunk: int | None,
-    ) -> tuple[int | None, int]:
+        serial_chunk: int,
+    ) -> int | None:
         """Cancellable scan for the minimum detecting candidate index.
 
         Deterministic by construction: every chunk that could contain a
         smaller index than the current best keeps running, so the merged
         minimum equals the serial scan's first hit; chunks wholly past
-        the best abandon early.  The evaluated-candidate count is
-        recomputed from the serial chunked-scan formula so Procedure 2's
-        statistics match ``workers=1`` exactly — chunk boundaries only
-        shape the worker tasks.
+        the best abandon early.  Chunk boundaries only shape the worker
+        tasks.
         """
-        serial_chunk = self._first_hit_chunk(chunk)
         context = self._ensure_context()
         # First-hit chunks are floored at the caller's serial chunk width
         # (the cancellation granularity), not the batch width: a scan
@@ -445,14 +467,10 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
             for chunk_id, (start, end) in enumerate(chunks)
         ]
         results = context.pool.run_tasks(_run_seq_chunk_first_hit, tasks)
-        winner = min(
+        return min(
             (found for _, found in results if found is not None),
             default=None,
         )
-        if winner is None:
-            return None, len(plan)
-        evaluated = min(len(plan), (winner // serial_chunk + 1) * serial_chunk)
-        return winner, evaluated
 
 
 def make_sequence_simulator(

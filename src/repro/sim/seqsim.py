@@ -606,7 +606,12 @@ class SequenceBatchSimulator:
             return self._scan_explicit(
                 fault,
                 [
-                    expand(TestSequence([base[j] for j in indices]), plan.expansion)
+                    expand(
+                        TestSequence._trusted(
+                            tuple(base[j] for j in indices), base.width
+                        ),
+                        plan.expansion,
+                    )
                     for indices in plan.index_lists(len(base))
                 ],
             )

@@ -68,9 +68,8 @@ from repro.sim.faultsim import (
     DEFAULT_BATCH_WIDTH,
     FaultSimSession,
     FaultSimulator,
-    ObservationRow,
 )
-from repro.sim.trace import resolve_observation_plan
+from repro.sim.trace import ObservationPlan, resolve_observation_plan
 from repro.sim.workerpool import (
     OVERSPLIT,
     PoolContext,
@@ -378,7 +377,7 @@ class ShardedFaultSimulator(FaultSimulator):
         self,
         sequence: TestSequence,
         faults: list[Fault],
-        observation_plan: list[ObservationRow],
+        observation_plan: ObservationPlan,
         initial_states: list[int] | None = None,
         collect_final_states: bool = False,
         plan_ref: tuple | None = None,

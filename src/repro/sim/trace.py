@@ -14,9 +14,10 @@ copy:
   circuit's fault axis to the native engine, else by the big-int
   kernel's per-step loop;
 * the **observation plan** derived from it — the per-step binary PO
-  values the parallel-fault detection comparison needs
-  (:func:`build_observation_plan` moved here from ``faultsim`` so the
-  trace layer owns the whole good-machine story);
+  values the parallel-fault detection comparison needs, as one flat
+  :class:`ObservationPlan` (:func:`build_observation_plan`) that every
+  engine reads as is: the native kernel takes its three arrays by
+  address, the python engine and the base loop slice row ``t``;
 * the base sequence's packed **PI bit columns**
   (:func:`base_bits_of`) — the interchange format of the derived-candidate
   pipeline (:mod:`repro.sim.seqsim`) and the candidate-axis sharder.
@@ -48,7 +49,9 @@ import atexit
 import os
 import pickle
 import threading
+from array import array
 from collections import OrderedDict
+from dataclasses import dataclass
 
 try:  # Packed bit columns need numpy; the trace itself does not.
     import numpy as np
@@ -66,10 +69,6 @@ from repro.logic.values import ONE, ZERO
 from repro.sim.backend import AUTO_BACKEND
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.logicsim import GoodTrace, LogicSimulator
-
-#: One time step of an observation plan: ``(po_position, good_value)`` for
-#: every PO that is binary in the fault-free machine at that step.
-ObservationRow = list[tuple[int, int]]
 
 #: Sequences retained per circuit.  Procedure 2 alternates one window
 #: base (``T0``) and a shrinking omission base; the scheme's verification
@@ -94,18 +93,50 @@ def shm_available() -> bool:
     )
 
 
-def build_observation_plan(trace: GoodTrace) -> list[ObservationRow]:
-    """Per time step, the binary fault-free PO values to compare against."""
-    plan: list[ObservationRow] = []
+@dataclass(frozen=True)
+class ObservationPlan:
+    """Per time step, the binary fault-free PO values to compare against.
+
+    Flat, in the layout the native kernel reads: step ``t``'s rows are
+    indices ``offsets[t]:offsets[t + 1]`` of ``positions`` (the PO
+    positions binary in the fault-free machine, ascending) and
+    ``values`` (its 0/1 value there).  The arrays are ``int64``,
+    ``int32`` and ``uint8`` :class:`array.array` buffers, so the plan
+    needs no numpy, pickles compactly and crosses to a C call or a numpy
+    view without copying.  Built once per trace and never mutated.
+    """
+
+    offsets: array
+    positions: array
+    values: array
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def row(self, t: int) -> tuple[array, array]:
+        """Step ``t``'s ``(positions, values)``."""
+        start = self.offsets[t]
+        end = self.offsets[t + 1]
+        return self.positions[start:end], self.values[start:end]
+
+
+def build_observation_plan(trace: GoodTrace) -> ObservationPlan:
+    """The :class:`ObservationPlan` of a fault-free trace."""
+    offsets = [0]
+    positions: list[int] = []
+    values: list[int] = []
     for row in trace.po_values:
-        step: ObservationRow = []
         for position, value in enumerate(row):
             if value is ONE:
-                step.append((position, 1))
+                positions.append(position)
+                values.append(1)
             elif value is ZERO:
-                step.append((position, 0))
-        plan.append(step)
-    return plan
+                positions.append(position)
+                values.append(0)
+        offsets.append(len(positions))
+    return ObservationPlan(
+        array("q", offsets), array("i", positions), array("B", values)
+    )
 
 
 def base_bits_of(base: TestSequence, width: int):
@@ -148,7 +179,7 @@ class _TraceEntry:
     def __init__(self, sequence: TestSequence) -> None:
         self.sequence = sequence
         self.trace: GoodTrace | None = None
-        self.observation_plan: list[ObservationRow] | None = None
+        self.observation_plan: ObservationPlan | None = None
         self.bits = None
         self.bits_segment = None
         self.plan_segment = None
@@ -240,7 +271,7 @@ class GoodTraceCache:
                 self._counters["trace_hits"] += 1
             return entry.trace
 
-    def observation_plan(self, sequence: TestSequence) -> list[ObservationRow]:
+    def observation_plan(self, sequence: TestSequence) -> ObservationPlan:
         """The detection comparison rows derived from the cached trace."""
         with self._lock:
             entry = self._entry(sequence)
@@ -301,7 +332,7 @@ class GoodTraceCache:
             return ("bytes", bits.tobytes(), bits.shape[0], bits.shape[1])
 
     def plan_ref(self, sequence: TestSequence) -> tuple | None:
-        """Cross-process reference for the pickled observation plan.
+        """Cross-process reference for the pickled :class:`ObservationPlan`.
 
         ``("shmplan", name, size)`` when shared memory is usable, else
         ``None`` — the caller then ships the plan pickled per task, the
@@ -357,8 +388,8 @@ class GoodTraceCache:
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
-def resolve_observation_plan(plan_or_ref) -> list[ObservationRow]:
-    """Resolve a task's observation plan (inline list or shm reference).
+def resolve_observation_plan(plan_or_ref) -> ObservationPlan:
+    """Resolve a task's observation plan (inline plan or shm reference).
 
     Workers cache deserialized plans by segment name (the parent creates
     one segment per cached sequence, so names are stable across the

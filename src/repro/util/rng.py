@@ -7,12 +7,30 @@ explicitly seeded generator so that experiments are exactly reproducible.
 :class:`SplitMix64` is a tiny, well-known 64-bit mixing generator.  We use
 it instead of :mod:`random` in the inner loops both for speed and so the
 stream is stable across Python versions.
+
+Bulk draws (:meth:`SplitMix64.block_u64`, :meth:`SplitMix64.bits_below`)
+produce the next ``n`` outputs at once as numpy ``uint64`` arrays, equal
+output for output to ``n`` scalar :meth:`SplitMix64.next_u64` calls and
+leaving the generator in the same state.  SplitMix64's state after ``k``
+draws is ``seed + k*gamma`` (mod 2**64), so a block is one wrapping
+multiply-add plus the vectorized mixer.  ``bits_below(n, p)`` is exactly
+``[random() < p for _ in range(n)]``: ``random()`` is ``(z >> 11) *
+2**-53`` with no rounding, so ``random() < p`` holds iff the integer
+``z >> 11`` is below ``ceil(p * 2**53)``.
 """
 
 from __future__ import annotations
 
+import math
+
+try:  # Bulk draws need numpy; the scalar generator does not.
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy ships in CI
+    np = None
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MANTISSA = 1 << 53
 
 
 def derive_seed(base: int, *salts: int) -> int:
@@ -71,6 +89,30 @@ class SplitMix64:
     def sample_bits(self, width: int, ones_probability: float = 0.5) -> list[int]:
         """Return ``width`` independent bits, each 1 with the given probability."""
         return [1 if self.random() < ones_probability else 0 for _ in range(width)]
+
+    def block_u64(self, n: int):
+        """The next ``n`` outputs as a ``uint64`` array (requires numpy)."""
+        steps = np.arange(1, n + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    def bits_below(self, n: int, probability: float):
+        """``n`` draws as a boolean array: ``random() < probability`` each.
+
+        Requires numpy.  Exact for every ``probability`` (see the module
+        docstring); values at or below 0 (and NaN) give all ``False`` and
+        values of 1 or more all ``True``, as the scalar comparison does.
+        """
+        if not probability > 0:  # NaN included: no draw is below it
+            threshold = 0
+        elif probability >= 1:
+            threshold = _MANTISSA
+        else:
+            threshold = math.ceil(probability * _MANTISSA)
+        return (self.block_u64(n) >> np.uint64(11)) < np.uint64(threshold)
 
     def fork(self, *salts: int) -> "SplitMix64":
         """Return an independent child generator derived from this one."""

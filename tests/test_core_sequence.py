@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.atpg.random_gen import crossover
+from repro.core.ops import complement, concat, expand, ExpansionConfig
 from repro.core.sequence import TestSequence
+from repro.util.rng import SplitMix64
 
 bits = st.integers(min_value=0, max_value=1)
 
@@ -92,6 +95,89 @@ class TestSubsequenceSemantics:
             TestSequence.from_strings(["00"]).extend(
                 TestSequence.from_strings(["000"])
             )
+
+
+class TestValidationBoundary:
+    """Bits are checked where data enters; widths wherever inputs meet."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TestSequence([[0, 1], [1, 2]]),
+            lambda: TestSequence.from_strings(["01", "12"]),
+            lambda: TestSequence.from_strings(["01"]).append([0, 2]),
+        ],
+        ids=["constructor", "from_strings", "append"],
+    )
+    def test_entry_points_reject_a_bit_of_two(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_append_rejects_a_ragged_vector(self):
+        with pytest.raises(ValueError):
+            TestSequence.from_strings(["01"]).append([0, 1, 1])
+
+    @pytest.mark.parametrize(
+        "join",
+        [
+            lambda a, b: concat(a, b),
+            lambda a, b: concat(a, TestSequence.empty(7), b),
+            lambda a, b: a.extend(b),
+            lambda a, b: crossover(SplitMix64(1), a, b),
+        ],
+        ids=["concat", "concat-through-empty", "extend", "crossover"],
+    )
+    def test_mixed_non_empty_widths_raise(self, join):
+        narrow = TestSequence.from_strings(["01", "10"])
+        wide = TestSequence.from_strings(["011", "101"])
+        with pytest.raises(ValueError):
+            join(narrow, wide)
+        with pytest.raises(ValueError):
+            join(wide, narrow)
+
+    def test_crossover_width_check_draws_nothing(self):
+        rng = SplitMix64(9)
+        with pytest.raises(ValueError):
+            crossover(
+                rng,
+                TestSequence.from_strings(["01"]),
+                TestSequence.from_strings(["011"]),
+            )
+        assert rng.next_u64() == SplitMix64(9).next_u64()
+
+    @pytest.mark.parametrize(
+        "join",
+        [concat, lambda a, b: a.extend(b), lambda a, b: crossover(SplitMix64(1), a, b)],
+        ids=["concat", "extend", "crossover"],
+    )
+    def test_empty_side_takes_the_non_empty_width(self, join):
+        empty = TestSequence.empty(9)
+        filled = TestSequence.from_strings(["011", "101"])
+        for left, right in ((empty, filled), (filled, empty)):
+            joined = join(left, right)
+            assert joined == filled
+            assert joined.width == 3
+
+    def test_all_empty_join_is_width_zero(self):
+        assert concat(TestSequence.empty(4), TestSequence.empty(5)).width == 0
+        assert concat().width == 0
+
+    def test_trusted_producers_keep_width_and_int_bits(self):
+        seq = TestSequence.from_strings(["011", "100"])
+        for derived in (
+            seq.subsequence(0, 0),
+            seq.omit(1),
+            seq.omit(0).omit(0),
+            complement(seq),
+            expand(seq, ExpansionConfig(repetitions=2, hold_cycles=2)),
+        ):
+            assert derived.width == 3
+            assert all(
+                type(bit) is int and bit in (0, 1)
+                for vector in derived
+                for bit in vector
+            )
+            assert derived == TestSequence(derived.vectors())
 
 
 @given(

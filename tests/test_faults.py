@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.circuit.builder import CircuitBuilder
@@ -32,6 +38,69 @@ class TestModel:
         faults = enumerate_faults_for_simple()
         assert sorted(faults)
         assert len(set(faults)) == len(faults)
+
+
+    def test_hash_is_the_field_tuple_hash(self):
+        fault = Fault(FaultSite("G11", BRANCH, "G17", 1, "gate"), 0)
+        assert hash(fault) == hash((fault.site, fault.stuck_value))
+
+    def test_pickle_round_trip_equal_and_findable(self):
+        fault = Fault(FaultSite("G11", STEM), 1)
+        loaded = pickle.loads(pickle.dumps(fault))
+        assert loaded == fault
+        assert {fault: 1}[loaded] == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Pickles a fault under one hash seed and prints the payload as hex.
+_DUMP = """
+import pickle, sys
+from repro.faults.model import Fault, FaultSite
+fault = Fault(FaultSite("G11", "branch", "G17", 1, "gate"), 0)
+sys.stdout.write(pickle.dumps(fault).hex())
+"""
+
+#: Loads that payload under another seed and looks it up in a dict keyed
+#: by locally built faults.
+_LOAD = """
+import pickle, sys
+from repro.faults.model import Fault, FaultSite
+local = {
+    Fault(FaultSite("G11", "branch", "G17", 1, "gate"), value): value
+    for value in (0, 1)
+}
+loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+assert loaded in local.keys() and loaded == next(iter(local))
+sys.stdout.write(repr(local.get(loaded)))
+"""
+
+
+def _run_with_hash_seed(script: str, seed: str, stdin: str = "") -> str:
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = seed
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        input=stdin,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout
+
+
+def test_unpickled_fault_is_found_under_another_hash_seed():
+    """The cached hash never travels: a fault pickled under one hash seed
+    still keys a dict built under another (fault-axis shard tasks pickle
+    faults into worker processes)."""
+    payload = _run_with_hash_seed(_DUMP, "1")
+    assert _run_with_hash_seed(_LOAD, "2", stdin=payload) == "0"
 
 
 def enumerate_faults_for_simple():

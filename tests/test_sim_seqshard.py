@@ -25,7 +25,7 @@ from repro.sim.backend import available_backends, registry_backends
 from repro.sim.autotune import static_profile
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
-from repro.sim.scanplan import WindowRampPlan
+from repro.sim.scanplan import ExplicitPlan, WindowRampPlan
 from repro.sim.seqshard import (
     NO_SHM_ENV,
     SERIAL_FALLBACK_CANDIDATES,
@@ -312,6 +312,44 @@ class TestFirstHitEdgeCases:
                     fault, t0, spans, EXPANSION, chunk=chunk
                 )
                 assert observed == expected, f"chunk={chunk}"
+
+    @pytest.mark.parametrize("floor", [1, 20])
+    @pytest.mark.parametrize("winner", [0, 7, 8, 13, 23, None])
+    def test_first_chunk_runs_in_the_parent(
+        self, workload, winner, floor, monkeypatch
+    ):
+        """The first ``chunk`` candidates are scanned in the parent; the
+        pool sees only the rest, only when the first chunk misses and only
+        when the rest reaches the shard floor (16 candidates are below a
+        floor of 20 and finish serially).  ``(position, evaluated)``
+        equals the serial scan either way."""
+        compiled, t0, fault, udet, *_ = workload
+        miss = t0.subsequence(0, udet - 1)  # ends before the first detection
+        hit = t0.subsequence(0, udet)
+        candidates = [miss] * 24
+        if winner is not None:
+            candidates[winner] = hit
+        plan = ExplicitPlan(candidates)
+        expected = SequenceBatchSimulator(compiled, batch_width=16).first_hit(
+            fault, plan, chunk=8
+        )
+        assert expected == (
+            (None, 24) if winner is None else (winner, (winner // 8 + 1) * 8)
+        )
+        fanned_out = []
+        with ShardedSequenceBatchSimulator(
+            compiled, batch_width=16, workers=2, min_shard_candidates=floor
+        ) as simulator:
+            original = simulator._first_hit_sharded
+
+            def recording(fault, rest, chunk):
+                fanned_out.append(len(rest))
+                return original(fault, rest, chunk)
+
+            monkeypatch.setattr(simulator, "_first_hit_sharded", recording)
+            assert simulator.first_hit(fault, plan, chunk=8) == expected
+        first_chunk_hit = winner is not None and winner < 8
+        assert fanned_out == ([] if first_chunk_hit or floor > 16 else [16])
 
 
 class TestTransports:

@@ -9,18 +9,23 @@ artifacts in workers, and none of it changes any detection result.
 
 from __future__ import annotations
 
+import pickle
+from array import array
+
 import pytest
 
 from repro.circuits.catalog import load_circuit, paper_t0_s27
 from repro.core.sequence import TestSequence
 from repro.faults.universe import FaultUniverse
-from repro.sim.backend import dispatch_counters
+from repro.logic.values import ONE, ZERO
+from repro.sim.backend import dispatch_counters, registry_backends
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.logicsim import LogicSimulator
 from repro.sim.seqsim import SequenceBatchSimulator
 from repro.sim.trace import (
     GoodTraceCache,
+    ObservationPlan,
     base_bits_of,
     build_observation_plan,
     close_trace_caches,
@@ -144,6 +149,54 @@ class TestGoodTraceCache:
         close_trace_caches()
         # After a session-wide close a fresh cache is handed out.
         assert isinstance(get_trace_cache(compiled), GoodTraceCache)
+
+
+class TestObservationPlan:
+    def test_flat_rows_match_the_trace(self):
+        compiled = CompiledCircuit(load_circuit("syn298"))
+        trace = LogicSimulator(compiled).run(_stimulus(compiled.circuit, 30))
+        plan = build_observation_plan(trace)
+        assert len(plan) == trace.length
+        assert (plan.offsets.typecode, plan.positions.typecode) == ("q", "i")
+        assert plan.values.typecode == "B"
+        for t, row in enumerate(trace.po_values):
+            positions, values = plan.row(t)
+            assert list(zip(positions, values)) == [
+                (position, 1 if value is ONE else 0)
+                for position, value in enumerate(row)
+                if value is ONE or value is ZERO
+            ]
+        assert pickle.loads(pickle.dumps(plan)) == plan
+
+    @pytest.mark.parametrize("name", registry_backends())
+    @pytest.mark.parametrize("base_loop", [False, True], ids=["own", "base"])
+    def test_unobservable_plan_detects_nothing_and_still_latches(
+        self, name, base_loop, require_backend, base_loop_backend, compiled
+    ):
+        """A plan with no binary PO at any step (empty position buffer)
+        detects nothing on every engine, and states still advance."""
+        require_backend(name)
+        sequence = _stimulus(compiled.circuit, 6)
+        plan = ObservationPlan(array("q", [0] * 7), array("i"), array("B"))
+        faults = list(FaultUniverse(compiled.circuit).faults())
+        backend = base_loop_backend(compiled, name) if base_loop else name
+        reference = FaultSimulator(compiled, backend="python")
+        simulator = FaultSimulator(compiled, backend=backend)
+        outcomes = []
+        for sim in (reference, simulator):
+            outcomes.append(
+                sim._scan(
+                    sim.backend.program(tuple(faults)),
+                    len(faults),
+                    sequence,
+                    plan,
+                    collect_final_states=True,
+                )
+            )
+        (ref_times, ref_final), (times, final) = outcomes
+        assert times == ref_times == [None] * len(faults)
+        full = (1 << len(faults)) - 1
+        assert [(h & full, l & full) for h, l in final] == ref_final
 
 
 class TestPublication:

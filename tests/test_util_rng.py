@@ -3,9 +3,32 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.atpg import random_gen
+from repro.core.sequence import TestSequence
+from repro.util import rng as rng_module
 from repro.util.rng import SplitMix64, derive_seed
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy ships in CI
+    np = None
+
+needs_numpy = pytest.mark.skipif(np is None, reason="block draws require numpy")
+
+SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+
+#: Probabilities the block comparison must get exactly right: the ends,
+#: the GA's ``2 / width`` mutation rate, exact multiples of ``2**-53`` (the
+#: threshold then equals the scaled probability, no rounding) and values
+#: outside ``[0, 1]``.
+PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 1.0, -0.5, 1.5, -1e300, 1e300, 0.5]),
+    st.integers(min_value=1, max_value=64).map(lambda width: 2.0 / width),
+    st.integers(min_value=0, max_value=2**53).map(lambda k: k * 2.0**-53),
+    st.floats(min_value=-2.0, max_value=3.0, allow_nan=False),
+)
 
 
 class TestSplitMix64:
@@ -90,6 +113,80 @@ class TestSplitMix64:
         parent_b = SplitMix64(41)
         fork_b = parent_b.fork(1)
         assert fork_a.next_u64() == fork_b.next_u64()
+
+
+@needs_numpy
+class TestBlockDraws:
+    """The numpy block draws against the scalar stream they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS, st.integers(min_value=0, max_value=300))
+    def test_block_equals_scalar_draws_and_state(self, seed, n):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        drawn = block.block_u64(n)
+        assert drawn.dtype == np.uint64
+        assert drawn.tolist() == [scalar.next_u64() for _ in range(n)]
+        assert block.next_u64() == scalar.next_u64()
+
+    @settings(max_examples=150, deadline=None)
+    @given(SEEDS, st.integers(min_value=0, max_value=300), PROBABILITIES)
+    def test_bits_below_equals_random_comparison(self, seed, n, probability):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        mask = block.bits_below(n, probability)
+        assert mask.tolist() == [scalar.random() < probability for _ in range(n)]
+        assert block.next_u64() == scalar.next_u64()
+
+    def test_bits_below_threshold_edges(self):
+        """A draw sitting exactly on the threshold is not below it."""
+        rng = SplitMix64(5)
+        (z,) = SplitMix64(5).block_u64(1).tolist()
+        exact = (z >> 11) * 2.0**-53
+        assert rng.bits_below(1, exact).tolist() == [False]
+        rng = SplitMix64(5)
+        assert rng.bits_below(1, exact + 2.0**-53).tolist() == [True]
+
+
+def _producers(rng: SplitMix64, width: int, length: int, p: float):
+    """Every block-drawing producer, interleaved with scalar draws."""
+    seq = random_gen.random_sequence(rng, width, length)
+    marker = rng.randint(0, 1000)
+    weighted = random_gen.weighted_sequence(rng, width, length, p)
+    mutated = random_gen.mutate_sequence(rng, seq, p)
+    return seq, marker, weighted, mutated, rng.next_u64()
+
+
+@needs_numpy
+class TestProducersWithoutNumpy:
+    """The block path equals the scalar loops, stream position included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        SEEDS,
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=12),
+        PROBABILITIES,
+    )
+    def test_block_and_scalar_paths_agree(self, seed, width, length, p):
+        with_numpy = _producers(SplitMix64(seed), width, length, p)
+        saved = rng_module.np
+        rng_module.np = None
+        try:
+            scalar = _producers(SplitMix64(seed), width, length, p)
+        finally:
+            rng_module.np = saved
+        assert with_numpy == scalar
+        for sequence in (with_numpy[0], with_numpy[2], with_numpy[3]):
+            assert all(type(bit) is int for vector in sequence for bit in vector)
+            assert sequence.width == width
+
+    def test_hidden_numpy_is_honoured(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "np", None)
+        rng = SplitMix64(3)
+        seq = random_gen.random_sequence(rng, 4, 3)
+        reference = SplitMix64(3)
+        expected = [[reference.next_u64() & 1 for _ in range(4)] for _ in range(3)]
+        assert seq == TestSequence(expected)
+        assert rng.next_u64() == reference.next_u64()
 
 
 class TestDeriveSeed:
