@@ -109,6 +109,9 @@ class Session:
         self._profile = profile
         self._own_caches = own_caches
         self._compiled: dict[str, CompiledCircuit] = {}
+        # Catalog name -> its entry in ``_compiled``: a warm name skips
+        # regenerating the netlist and hashing its content.
+        self._by_name: dict[str, CompiledCircuit] = {}
         self._schemes: dict[str, object] = {}
         self._simulators: list = []
         # Concurrent ``run`` calls (the serving layer's executor lanes)
@@ -155,7 +158,8 @@ class Session:
         Accepts a catalog name, a netlist or an already-compiled
         circuit.  Equal netlist *content* maps to one
         :class:`CompiledCircuit` object, so program LRUs and the trace
-        cache are shared across every request that names it.
+        cache are shared across every request that names it.  A name is
+        loaded and hashed once per session.
         """
         self._check_open()
         if isinstance(circuit, CompiledCircuit):
@@ -163,9 +167,15 @@ class Session:
             # later name/netlist lookups resolve to the same instance.
             return self._adopt(circuit)
         if isinstance(circuit, str):
+            with self._lock:
+                compiled = self._by_name.get(circuit)
+            if compiled is not None:
+                return compiled
             from repro.circuits.catalog import load_circuit
 
-            circuit = load_circuit(circuit)
+            compiled = self.compile(load_circuit(circuit))
+            with self._lock:
+                return self._by_name.setdefault(circuit, compiled)
         key = circuit_content_hash(circuit)
         # Compiling under the lock keeps the one-object-per-content-hash
         # identity exact: two lanes racing on a cold circuit must not
@@ -345,6 +355,7 @@ class Session:
             simulator.close()
         self._schemes.clear()
         self._compiled.clear()
+        self._by_name.clear()
         if self._own_caches:
             from repro.sim.trace import close_trace_caches
             from repro.sim.workerpool import close_worker_pools

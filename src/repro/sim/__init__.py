@@ -18,8 +18,8 @@
   executors.
 * :mod:`repro.sim.trace` — the per-session good-machine trace cache:
   fault-free traces, observation plans and packed base bit columns
-  computed once per (circuit, sequence) and published over shared
-  memory for the sharded axes (:func:`get_trace_cache`).
+  computed once per (circuit, sequence) and pickled into the sharded
+  axes' tasks (:func:`get_trace_cache`).
 * :mod:`repro.sim.workerpool` — the persistent per-session worker pool
   both sharded axes borrow (one spawn + one circuit pickle per worker
   per context, shared first-hit cancellation slot).
@@ -29,9 +29,10 @@
 * :mod:`repro.sim.seqsim` — bit-parallel parallel-sequence simulation
   (one fault, many candidate input sequences), the Procedure 2 engine.
 * :mod:`repro.sim.seqshard` — process-sharded candidate detection:
-  window/omission scans chunked over the shared pool with
-  shared-memory base/result buffers (:func:`make_sequence_simulator` is
-  the candidate-axis ``workers=`` seam).
+  window/omission scans chunked over the shared pool, each task
+  carrying the base's bit matrix and a base-less plan slice
+  (:func:`make_sequence_simulator` is the candidate-axis ``workers=``
+  seam).
 * :mod:`repro.sim.reference` — slow, obviously-correct per-fault scalar
   simulator used to cross-check the fast engines in the tests.
 """

@@ -143,6 +143,22 @@ def reset_dispatch_counters() -> None:
         _DISPATCH_COUNTERS.clear()
 
 
+def base_bits_of(sequence, width: int):
+    """``sequence`` as a ``(len(sequence), width)`` uint8 bit matrix.
+
+    The one conversion of a test sequence to array form (requires
+    numpy): the native kernel's fault-axis scan and fault-free trace
+    read it, and the derived-candidate packers and the candidate-axis
+    sharder take it from the trace cache
+    (:meth:`~repro.sim.trace.GoodTraceCache.base_bits`).
+    """
+    import numpy as np
+
+    if len(sequence):
+        return np.asarray(sequence.vectors(), dtype=np.uint8)
+    return np.zeros((0, width), dtype=np.uint8)
+
+
 class BroadcastStimulus:
     """Whole-sequence fault-axis stimulus: one scalar vector per step.
 
@@ -150,25 +166,24 @@ class BroadcastStimulus:
     slot of the (single faulty) batch receives the same per-step primary
     input vector, broadcast across slots.  ``bits()`` exposes the whole
     sequence as a ``(num_steps, num_inputs)`` uint8 array for array
-    backends (built lazily; requires numpy).
+    backends: the ``bits`` the caller already holds (one matrix shared by
+    every batch of a call), else converted on first use (requires numpy).
     """
 
     __slots__ = ("sequence", "num_steps", "num_slots", "_bits")
 
-    def __init__(self, sequence, num_slots: int) -> None:
+    def __init__(self, sequence, num_slots: int, bits=None) -> None:
         self.sequence = sequence
         self.num_steps = len(sequence)
         self.num_slots = num_slots
-        self._bits = None
+        self._bits = bits
 
     def load_step(self, t: int, good, faulty) -> None:
         faulty.load_inputs_broadcast(self.sequence[t])
 
     def bits(self):
-        import numpy as np
-
         if self._bits is None:
-            self._bits = np.asarray(self.sequence.vectors(), dtype=np.uint8)
+            self._bits = base_bits_of(self.sequence, self.sequence.width)
         return self._bits
 
 
@@ -354,6 +369,11 @@ class SimBackend(ABC):
     #: big-int backend); the native backend uses 64 and rounds storage up
     #: to whole words.
     word_width: int | None = None
+    #: Whether the fault-axis :meth:`run_scan` reads the whole sequence
+    #: through :meth:`BroadcastStimulus.bits` (the native kernel) rather
+    #: than stepping :meth:`BroadcastStimulus.load_step`.  Callers that
+    #: scan one sequence over many batches convert it once when set.
+    scans_bits: bool = False
 
     def __init__(self, compiled: CompiledCircuit) -> None:
         self._compiled = compiled

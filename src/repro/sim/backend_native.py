@@ -206,6 +206,7 @@ class NativeBackend(NumpyBackend):
     """C-kernel backend over the ``uint64`` rail layout."""
 
     name = "native"
+    scans_bits = True
 
     def __init__(self, compiled) -> None:
         super().__init__(compiled)

@@ -43,6 +43,7 @@ from repro.sim.backend import (
     BroadcastStimulus,
     SimBackend,
     SimProgram,
+    base_bits_of,
     get_backend,
     record_dispatch,
     resolve_auto,
@@ -143,10 +144,11 @@ class FaultSimulator:
         if len(sequence) == 0 or not faults:
             return result
         observation_plan = self._observation_plan(sequence, None)
+        bits = self._stimulus_bits(sequence, one_shot=True)
         width = self._batch_width
         for start in range(0, len(faults), width):
             batch = faults[start : start + width]
-            times = self._run_batch(sequence, batch, observation_plan)
+            times = self._run_batch(sequence, batch, observation_plan, bits)
             for fault, time in zip(batch, times):
                 if time is not None:
                     result.detection_time[fault] = time
@@ -161,7 +163,8 @@ class FaultSimulator:
         if len(sequence) == 0:
             return False
         observation_plan = self._observation_plan(sequence, None)
-        times = self._run_batch(sequence, [fault], observation_plan)
+        bits = self._stimulus_bits(sequence, one_shot=True)
+        times = self._run_batch(sequence, [fault], observation_plan, bits)
         return times[0] is not None
 
     def session(self, faults: list[Fault]) -> "FaultSimSession":
@@ -187,15 +190,31 @@ class FaultSimulator:
         good = self._logic.run(sequence, initial_state=good_initial_state)
         return build_observation_plan(good)
 
+    def _stimulus_bits(self, sequence: TestSequence, one_shot: bool = False):
+        """``sequence`` as bits if the engine scans bits, else ``None``.
+
+        Converted once per call and shared by all of its batches;
+        one-shot (all-X) calls take the trace cache's matrix, the one
+        the candidate axis packs from.
+        """
+        if not self._backend.scans_bits:
+            return None
+        if one_shot:
+            return self._trace_cache.base_bits(sequence)
+        return base_bits_of(sequence, self._compiled.num_inputs)
+
     def _run_batch(
         self,
         sequence: TestSequence,
         batch: list[Fault],
         observation_plan: ObservationPlan,
+        bits=None,
     ) -> list[int | None]:
         """Per-slot first detection times of one all-X batch of faults."""
         program = self._backend.program(tuple(batch))
-        times, _ = self._scan(program, len(batch), sequence, observation_plan)
+        times, _ = self._scan(
+            program, len(batch), sequence, observation_plan, bits=bits
+        )
         return times
 
     def _scan(
@@ -207,11 +226,13 @@ class FaultSimulator:
         state: list[tuple[int, int]] | None = None,
         alive: int | None = None,
         collect_final_states: bool = False,
+        bits=None,
     ) -> tuple[list[int | None], list[tuple[int, int]] | None]:
         """Scan ``sequence`` over one fresh batch of ``program``'s machines.
 
         ``state``: per-flop ``(H, L)`` start words (``None`` = all-X);
-        ``alive``: the slots that may detect (``None`` = all ``size``).
+        ``alive``: the slots that may detect (``None`` = all ``size``);
+        ``bits``: ``sequence`` already converted (:meth:`_stimulus_bits`).
         Returns per-slot first detection times (``None`` for slots never
         detected or not alive) and, if requested, the final per-flop
         words.  The batch itself is dropped on return.
@@ -224,7 +245,7 @@ class FaultSimulator:
         times = self._backend.run_scan(
             None,
             machines,
-            BroadcastStimulus(sequence, size),
+            BroadcastStimulus(sequence, size, bits),
             observation_plan,
             (1 << size) - 1 if alive is None else alive,
             collect_final_states=collect_final_states,
@@ -332,15 +353,21 @@ class FaultSimSession:
         """How many remaining faults ``extension`` would newly detect."""
         if len(extension) == 0:
             return 0
-        good = self._simulator._logic.run(extension, initial_state=self._good_state)
-        return len(self._advance(extension, build_observation_plan(good), False))
+        bits = self._simulator._stimulus_bits(extension)
+        good = self._simulator._logic.run(
+            extension, initial_state=self._good_state, bits=bits
+        )
+        return len(self._advance(extension, build_observation_plan(good), False, bits))
 
     def commit(self, extension: TestSequence) -> dict[Fault, int]:
         """Advance all machines by ``extension``; return new detections."""
         if len(extension) == 0:
             return {}
-        good = self._simulator._logic.run(extension, initial_state=self._good_state)
-        detected = self._advance(extension, build_observation_plan(good), True)
+        bits = self._simulator._stimulus_bits(extension)
+        good = self._simulator._logic.run(
+            extension, initial_state=self._good_state, bits=bits
+        )
+        detected = self._advance(extension, build_observation_plan(good), True, bits)
         self._detection_time.update(detected)
         self._good_state = good.final_state
         self._elapsed += len(extension)
@@ -351,8 +378,13 @@ class FaultSimSession:
         extension: TestSequence,
         observation_plan: ObservationPlan,
         commit: bool,
+        bits=None,
     ) -> dict[Fault, int]:
-        """Scan every live batch; with ``commit``, keep the results."""
+        """Scan every live batch; with ``commit``, keep the results.
+
+        ``bits``: ``extension`` as :meth:`FaultSimulator._stimulus_bits`
+        converted it, once for every batch.
+        """
         simulator = self._simulator
         detected: dict[Fault, int] = {}
         for batch in self._batches:
@@ -366,6 +398,7 @@ class FaultSimSession:
                 state=batch.state,
                 alive=batch.alive,
                 collect_final_states=commit,
+                bits=bits,
             )
             for slot, time in enumerate(times):
                 if time is not None:

@@ -77,8 +77,13 @@ class LogicSimulator:
         sequence: TestSequence,
         record_signals: bool = False,
         initial_state: list[Ternary] | None = None,
+        bits=None,
     ) -> GoodTrace:
-        """Simulate ``sequence``; flops start at ``initial_state`` (default all-X)."""
+        """Simulate ``sequence``; flops start at ``initial_state`` (default all-X).
+
+        ``bits``: ``sequence`` already converted to its bit matrix, when
+        the caller holds it for its own scan.
+        """
         compiled = self._compiled
         if len(sequence) and sequence.width != compiled.num_inputs:
             raise SimulationError(
@@ -95,7 +100,7 @@ class LogicSimulator:
             machine.set_state_scalar(initial_state)
         po_trace, signal_trace = self._backend.run_good_trace(
             machine,
-            BroadcastStimulus(sequence, 1),
+            BroadcastStimulus(sequence, 1, bits),
             record_signals=record_signals,
         )
         return GoodTrace(

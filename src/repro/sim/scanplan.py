@@ -112,7 +112,7 @@ class ScanPlan:
     contiguous candidate range) is what the serial chunked first-hit
     scan and the sharded chunk tasks consume; :meth:`without_base` is
     what a shard task carries when the base travels separately as
-    published bits.
+    its bit matrix.
 
     Plans validate their payload against the base at construction, so a
     malformed scan fails before any simulator work; the executor still

@@ -16,23 +16,16 @@ Three mechanisms keep the IPC off the hot path:
   batch width are published once as a pool context; each worker
   builds its own serial :class:`~repro.sim.seqsim.SequenceBatchSimulator`
   from them.  Tasks then carry a context id plus per-call data.
-* **Shared-memory buffers.**  When numpy is importable the base
-  sequence crosses the boundary as its bit matrix
-  (:func:`~repro.sim.trace.base_bits_of`), published by the session's
-  :class:`~repro.sim.trace.GoodTraceCache` in a
-  ``multiprocessing.shared_memory`` segment — one segment per (circuit,
-  sequence) per session, shared with the serial pipeline's packers, so
-  the sharder no longer rebuilds packed base columns per context.
-  Each task carries its slice of the plan *without* the base; the
-  worker attaches the bits (LRU-cached by name) and hands them with the
-  slice to the same serial derived entry point the parent uses, so the
-  plan alone decides what each candidate is.  Detection outcomes flow
-  back through a persistent shared result buffer (one byte per
-  candidate) instead of pickled lists.  Both buffers degrade
-  gracefully: when shared memory is unavailable — or
-  ``REPRO_SEQSHARD_NO_SHM`` is set — base bits and outcomes travel
-  pickled, and without numpy whole plans (base included) do, with
-  identical results.
+* **Bases as bits.**  When numpy is importable a derived plan's base
+  crosses the boundary as its ``uint8`` bit matrix, the session
+  :class:`~repro.sim.trace.GoodTraceCache`'s
+  :meth:`~repro.sim.trace.GoodTraceCache.base_bits` (converted once per
+  (circuit, sequence), shared with the serial packers).  Each task
+  pickles that matrix and its slice of the plan *without* the base;
+  the worker hands both to the same serial derived entry point the
+  parent uses, so the plan alone decides what each candidate is.
+  Outcomes come back pickled.  Without numpy whole plans (base
+  included) travel, with identical results.
 * **First-hit cancellation.**  Window searches only need the *first*
   detecting candidate.  :meth:`first_hit` scans the first chunk in the
   parent (window ramps nearly always hit there); when it misses, the
@@ -69,15 +62,10 @@ restoration and the partitioning baseline opt in purely through the
 
 from __future__ import annotations
 
-try:  # numpy enables the shared-memory bit-matrix path.
+try:  # numpy enables the bit-matrix base transport.
     import numpy as np
 except ImportError:  # pragma: no cover - numpy ships in CI
     np = None
-
-try:
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover - platform without shm
-    shared_memory = None
 
 from repro.circuit.netlist import Circuit
 from repro.errors import SimulationError
@@ -87,21 +75,11 @@ from repro.sim.backend import SimBackend
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.scanplan import ScanPlan
 from repro.sim.seqsim import DEFAULT_SEQ_BATCH_WIDTH, SequenceBatchSimulator
-
-# The shm escape hatch and teardown helpers live with the trace cache
-# (one definition for both publishers); re-exported here for the
-# historical importers (NO_SHM_ENV is this module's documented knob).
-from repro.sim.trace import (  # noqa: F401  (re-export)
-    NO_SHM_ENV,
-    _unlink_segment,
-    shm_available,
-)
 from repro.sim.workerpool import (
     PoolContext,
     cpu_count,
     get_worker_pool,
     resolve_execution,
-    worker_attach_shm,
     worker_state,
 )
 
@@ -111,9 +89,6 @@ from repro.sim.workerpool import (
 #: simulation either way, so there is nothing for a second process to
 #: take off the critical path.
 SERIAL_FALLBACK_CANDIDATES = 64
-
-#: Minimum byte size of the persistent result buffer (grow-only).
-_RESULT_BUFFER_FLOOR = 1024
 
 
 # ----------------------------------------------------------------------
@@ -131,51 +106,29 @@ def build_seq_context(spec: tuple) -> dict:
     }
 
 
-def _worker_base_bits(base_ref: tuple):
-    """Resolve a base reference to its bit matrix (shm or raw bytes)."""
-    kind = base_ref[0]
-    if kind == "shm":
-        _, name, length, width = base_ref
-        segment = worker_attach_shm(name)
-        return np.ndarray((length, width), dtype=np.uint8, buffer=segment.buf)
-    if kind == "bytes":
-        _, payload, length, width = base_ref
-        return np.frombuffer(payload, dtype=np.uint8).reshape(length, width)
-    raise SimulationError(f"unknown base reference kind {kind!r}")
-
-
 def _chunk_outcomes(
     simulator: SequenceBatchSimulator,
     fault: Fault,
-    base_ref: tuple | None,
+    base_bits,
     plan: ScanPlan,
 ) -> list[bool]:
     """Detection outcomes for one plan slice.
 
-    A derived plan whose base was published as bits (``base_ref``) runs
-    the serial derived entry point over the attached bits; anything else
-    — an explicit plan, or a derived plan that carries its own base —
-    runs the serial executor as it is.
+    A derived plan that travelled without its base (``base_bits`` is its
+    bit matrix) runs the serial derived entry point over the bits;
+    anything else — an explicit plan, or a derived plan that carries its
+    own base — runs the serial executor as it is.
     """
-    if base_ref is None:
+    if base_bits is None:
         return simulator.scan(fault, plan)
-    return simulator._scan_derived_bits(fault, plan, _worker_base_bits(base_ref))
+    return simulator._scan_derived_bits(fault, plan, base_bits)
 
 
-def _run_seq_chunk(task: tuple) -> tuple[int, list[bool] | None]:
-    """Evaluate one candidate chunk; outcomes go to shm or come back pickled."""
-    context_id, chunk_id, fault, base_ref, plan, global_start, result_ref = task
-    state = worker_state()
-    simulator = state["contexts"][context_id]["simulator"]
-    outcomes = _chunk_outcomes(simulator, fault, base_ref, plan)
-    if result_ref is None:
-        return chunk_id, outcomes
-    _, name, _total = result_ref
-    segment = worker_attach_shm(name)
-    segment.buf[global_start : global_start + len(outcomes)] = bytes(
-        bytearray(outcomes)
-    )
-    return chunk_id, None
+def _run_seq_chunk(task: tuple) -> tuple[int, list[bool]]:
+    """Evaluate one candidate chunk; return its outcomes."""
+    context_id, chunk_id, fault, base_bits, plan = task
+    simulator = worker_state()["contexts"][context_id]["simulator"]
+    return chunk_id, _chunk_outcomes(simulator, fault, base_bits, plan)
 
 
 def _run_seq_chunk_first_hit(task: tuple) -> tuple[int, int | None]:
@@ -187,7 +140,7 @@ def _run_seq_chunk_first_hit(task: tuple) -> tuple[int, int | None]:
     rest is abandoned — it cannot change the (deterministic) answer,
     which is the global minimum detecting index.
     """
-    context_id, chunk_id, fault, base_ref, plan, global_start, step = task
+    context_id, chunk_id, fault, base_bits, plan, global_start, step = task
     state = worker_state()
     simulator = state["contexts"][context_id]["simulator"]
     first_hit = state["first_hit"]
@@ -199,7 +152,7 @@ def _run_seq_chunk_first_hit(task: tuple) -> tuple[int, int | None]:
         if best_so_far <= global_start + start:
             break
         part = plan.slice(start, start + step)
-        outcomes = _chunk_outcomes(simulator, fault, base_ref, part)
+        outcomes = _chunk_outcomes(simulator, fault, base_bits, part)
         for offset, detected in enumerate(outcomes):
             if detected:
                 found = global_start + start + offset
@@ -224,12 +177,9 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
     results; the parity suite enforces it.
 
     The simulator borrows the session's persistent worker pool; circuit
-    pickling happens once per worker when the context is first published,
-    and the packed base columns (published by the session's
-    :class:`~repro.sim.trace.GoodTraceCache`) / detection masks travel
-    through shared memory when available.  :meth:`close` retires the
-    context and unlinks the result buffer; the pool and the trace
-    cache's base segments stay warm for the next borrower.
+    pickling happens once per worker when the context is first published.
+    :meth:`close` retires the context; the pool stays warm for the next
+    borrower.
     """
 
     def __init__(
@@ -255,8 +205,6 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
             )
         self._min_shard_candidates = max(1, min_shard_candidates)
         self._context: PoolContext | None = None
-        self._result_segment = None
-        self._result_capacity = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -270,19 +218,14 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
         return self._workers > 1 and num_candidates >= self._min_shard_candidates
 
     def close(self, _deferred: bool = False) -> None:
-        """Retire the pool context and unlink the result buffer (idempotent).
+        """Retire this simulator's pool context (idempotent).
 
-        The worker pool is session-owned and stays warm; base-bit
-        segments are owned by the session's trace cache
-        (:func:`repro.sim.trace.close_trace_caches` is their final
-        teardown); see :func:`repro.sim.workerpool.close_worker_pools`.
+        The worker pool is session-owned and stays warm; see
+        :func:`repro.sim.workerpool.close_worker_pools`.
         """
         if self._context is not None:
             self._context.retire(deferred=_deferred)
             self._context = None
-        _unlink_segment(self._result_segment)
-        self._result_segment = None
-        self._result_capacity = 0
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         try:
@@ -375,56 +318,29 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
         """
         return np is not None
 
-    def _task_payload(self, plan: ScanPlan) -> tuple[tuple | None, ScanPlan]:
-        """``(base_ref, plan)`` as the chunk tasks carry them.
+    def _task_payload(self, plan: ScanPlan) -> tuple[object, ScanPlan]:
+        """``(base_bits, plan)`` as the chunk tasks carry them.
 
-        A derived plan's base crosses as its bit matrix from the
-        session's :class:`~repro.sim.trace.GoodTraceCache` — one
-        shared-memory segment per (circuit, sequence) per session,
-        shared with the serial packers and every other sharded simulator
-        of this circuit (raw bytes when shared memory is unavailable) —
+        A derived plan's base crosses as the session
+        :class:`~repro.sim.trace.GoodTraceCache`'s bit matrix — converted
+        once per (circuit, sequence), shared with the serial packers —
         and the plan travels without it.  Explicit plans, and every plan
-        when bits are unavailable, travel whole with no reference.
+        when bits are unavailable, travel whole with ``None`` bits.
         """
         if plan.kind == "explicit" or not self._use_derived_bits():
             return None, plan
-        return self._trace_cache.bits_ref(plan.base), plan.without_base()
-
-    def _result_ref(self, total: int) -> tuple | None:
-        """The shared result buffer reference (grow-only), or None."""
-        if not shm_available() or total <= 0:
-            return None
-        if self._result_segment is None or self._result_capacity < total:
-            _unlink_segment(self._result_segment)
-            capacity = max(total, _RESULT_BUFFER_FLOOR)
-            self._result_segment = shared_memory.SharedMemory(
-                create=True, size=capacity
-            )
-            self._result_capacity = capacity
-        return ("shm", self._result_segment.name, total)
+        return self._trace_cache.base_bits(plan.base), plan.without_base()
 
     def _run_sharded(self, fault: Fault, plan: ScanPlan) -> list[bool]:
         """Fan a plan's chunks out; merge outcomes into candidate order."""
         context = self._ensure_context()
         chunks = plan.chunks(self._workers, self._batch_width)
-        base_ref, payload = self._task_payload(plan)
-        result_ref = self._result_ref(len(plan))
+        base_bits, payload = self._task_payload(plan)
         tasks = [
-            (
-                context.context_id,
-                chunk_id,
-                fault,
-                base_ref,
-                payload.slice(start, end),
-                start,
-                result_ref,
-            )
+            (context.context_id, chunk_id, fault, base_bits, payload.slice(start, end))
             for chunk_id, (start, end) in enumerate(chunks)
         ]
         results = context.pool.run_tasks(_run_seq_chunk, tasks)
-        if result_ref is not None:
-            buffer = self._result_segment.buf
-            return [bool(buffer[position]) for position in range(len(plan))]
         outcomes: list[bool] = [False] * len(plan)
         for chunk_id, chunk_outcomes in results:
             start, end = chunks[chunk_id]
@@ -452,14 +368,14 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
         # abandoning a narrow chunk wastes less than abandoning a
         # full-width one.
         chunks = plan.chunks(self._workers, serial_chunk)
-        base_ref, payload = self._task_payload(plan)
+        base_bits, payload = self._task_payload(plan)
         context.pool.reset_first_hit()
         tasks = [
             (
                 context.context_id,
                 chunk_id,
                 fault,
-                base_ref,
+                base_bits,
                 payload.slice(start, end),
                 start,
                 serial_chunk,

@@ -338,7 +338,7 @@ def _derived_packer(
     """Packer whose candidates are ``expand(base[indices], expansion)``.
 
     ``base_bits`` is the base sequence as bits
-    (:func:`repro.sim.trace.base_bits_of`);
+    (:func:`repro.sim.backend.base_bits_of`);
     its four per-vector variants (identity, complement, shift,
     complement+shift) form a ``(4, len(base), width)`` table, and every
     candidate column is a gather ``table[transform[slot, t],
@@ -421,7 +421,7 @@ class SequenceBatchSimulator:
 
         A no-op here; the process-sharded subclass
         (:class:`repro.sim.seqshard.ShardedSequenceBatchSimulator`)
-        retires its worker-pool context and shared-memory buffers.
+        retires its worker-pool context.
         Present on the base class so consumers built against
         :func:`repro.sim.seqshard.make_sequence_simulator` can close
         unconditionally.
@@ -625,9 +625,9 @@ class SequenceBatchSimulator:
         """Packed derived detection over a base already converted to bits.
 
         The derived-candidate entry point of the serial executor and of
-        the candidate-axis shard workers alike: a worker attaches the
-        published base-bits buffer and passes it with its plan slice (the
-        plan travels without its base).  Requires numpy (the parent ships
+        the candidate-axis shard workers alike: a worker receives the
+        base's bit matrix and passes it with its plan slice (the plan
+        travels without its base).  Requires numpy (the parent ships
         whole plans otherwise).
         """
         width = self._compiled.num_inputs

@@ -18,14 +18,12 @@ The design follows three rules:
   cost is paid once per session and the circuit once per worker per
   fault list.  Tasks reference faults by index into the published list
   (the context is rebound if a caller switches to faults outside it),
-  and the good-machine observation plan crosses as a
-  :class:`~repro.sim.trace.GoodTraceCache` shared-memory reference where
-  available — simulated once per (circuit, sequence) per session,
-  published once, attached by every chunk task — rather than being
-  re-pickled into each of the ``workers x OVERSPLIT`` task tuples; so
-  the per-task payload is the input sequence, a trace reference and a
-  tuple of ints.  (Session advances, whose good machine starts from an
-  evolving state, still ship their per-extension plan inline.)
+  so a task pickles the input sequence, its good-machine
+  :class:`~repro.sim.trace.ObservationPlan` and a tuple of ints.  A
+  one-shot run's plan comes from the session's
+  :class:`~repro.sim.trace.GoodTraceCache` (simulated once per
+  (circuit, sequence)); a session advance ships its per-extension plan,
+  whose good machine starts from an evolving state.
 * **Merge plain ints.**  Workers return per-slot first-detection times
   and, for sessions, per-fault packed flop states (:func:`pack_states`,
   2 bits per flop: this tier's wire format, so a fault's state travels
@@ -69,7 +67,7 @@ from repro.sim.faultsim import (
     FaultSimSession,
     FaultSimulator,
 )
-from repro.sim.trace import ObservationPlan, resolve_observation_plan
+from repro.sim.trace import ObservationPlan
 from repro.sim.workerpool import (
     OVERSPLIT,
     PoolContext,
@@ -190,7 +188,8 @@ def _run_fault_chunk(
 
     ``indices`` reference the fault list published with the context (the
     parent rebinds the context whenever it is asked about faults outside
-    that list), so the per-task payload stays plain ints.
+    that list), so faults travel as plain ints.  The sequence is
+    converted to bits once for all of the chunk's batches.
     """
     (
         context_id,
@@ -204,11 +203,8 @@ def _run_fault_chunk(
     context = worker_state()["contexts"][context_id]
     simulator: FaultSimulator = context["simulator"]
     universe: list[Fault] = context["faults"]
-    # One-shot dispatches ship the plan as a trace-cache shm reference
-    # (attached and deserialized once per worker, not once per task);
-    # session advances ship their per-extension plan inline.
-    observation_plan = resolve_observation_plan(observation_plan)
     faults = [universe[index] for index in indices]
+    bits = simulator._stimulus_bits(sequence)
     width = simulator.batch_width
     num_flops = len(simulator.compiled.flop_pairs)
     times: list[int | None] = []
@@ -227,6 +223,7 @@ def _run_fault_chunk(
             observation_plan,
             state=state,
             collect_final_states=collect,
+            bits=bits,
         )
         times.extend(batch_times)
         if finals is not None and final is not None:
@@ -322,12 +319,7 @@ class ShardedFaultSimulator(FaultSimulator):
             sequence_length=len(sequence), total_faults=len(faults)
         )
         observation_plan = self._observation_plan(sequence, None)
-        # Publish the cached plan through shared memory where available:
-        # tasks then carry a segment name instead of the pickled plan.
-        plan_ref = self._trace_cache.plan_ref(sequence)
-        times = self._run_sharded(
-            sequence, faults, observation_plan, plan_ref=plan_ref
-        )
+        times = self._run_sharded(sequence, faults, observation_plan)
         for fault, time in zip(faults, times):
             if time is not None:
                 result.detection_time[fault] = time
@@ -380,16 +372,10 @@ class ShardedFaultSimulator(FaultSimulator):
         observation_plan: ObservationPlan,
         initial_states: list[int] | None = None,
         collect_final_states: bool = False,
-        plan_ref: tuple | None = None,
     ) -> list[int | None] | tuple[list[int | None], list[int]]:
-        """Fan ``faults`` out in chunks; merge into fault-list order.
-
-        ``plan_ref`` (a trace-cache shared-memory reference) replaces the
-        inline observation plan in every task tuple when present.
-        """
+        """Fan ``faults`` out in chunks; merge into fault-list order."""
         context = self._ensure_context(faults)
         chunks = plan_chunks(len(faults), self._workers, self._batch_width)
-        plan_payload = plan_ref if plan_ref is not None else observation_plan
         tasks = []
         for chunk_id, (start, end) in enumerate(chunks):
             indices = tuple(context.index_of[fault] for fault in faults[start:end])
@@ -402,7 +388,7 @@ class ShardedFaultSimulator(FaultSimulator):
                     chunk_id,
                     indices,
                     sequence,
-                    plan_payload,
+                    observation_plan,
                     initial,
                     collect_final_states,
                 )
@@ -454,13 +440,13 @@ class ShardedFaultSimSession(FaultSimSession):
             return super().num_remaining
         return len(self._packed)
 
-    def _advance(self, extension, observation_plan, commit):
+    def _advance(self, extension, observation_plan, commit, bits=None):
         packed = self._packed
         if packed is not None and not self._sharded.should_shard(len(packed)):
             self._hand_off(packed)
             packed = None
         if packed is None:
-            return super()._advance(extension, observation_plan, commit)
+            return super()._advance(extension, observation_plan, commit, bits)
         faults = list(packed)
         outcome = self._sharded._run_sharded(
             extension,

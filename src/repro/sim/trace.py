@@ -19,21 +19,15 @@ copy:
   engine reads as is: the native kernel takes its three arrays by
   address, the python engine and the base loop slice row ``t``;
 * the base sequence's packed **PI bit columns**
-  (:func:`base_bits_of`) — the interchange format of the derived-candidate
-  pipeline (:mod:`repro.sim.seqsim`) and the candidate-axis sharder.
+  (:meth:`GoodTraceCache.base_bits`, converted by
+  :func:`~repro.sim.backend.base_bits_of`) — the interchange format of
+  the derived-candidate pipeline (:mod:`repro.sim.seqsim`), the native
+  fault-axis scan and the candidate-axis sharder.
 
-For the process-sharded axes the cache also *publishes* the cached
-artifacts through the worker pool's shared-memory contract
-(:mod:`repro.sim.workerpool`): :meth:`GoodTraceCache.bits_ref` exposes
-the bit matrix as a named segment (the candidate axis attaches instead
-of unpickling a base per task) and :meth:`GoodTraceCache.plan_ref`
-exposes the pickled observation plan the same way (fault-axis chunk
-tasks carry a segment name instead of ``workers x OVERSPLIT`` pickled
-copies of the plan).  Workers resolve either reference through
-:func:`resolve_observation_plan` / the sharder's bit-matrix helper,
-caching attachments by segment name.  Both paths degrade gracefully:
-without numpy or ``shared_memory`` (or with ``REPRO_SEQSHARD_NO_SHM``
-set) the artifacts travel pickled, bit-identically.
+The process-sharded axes pickle what they take from here into their
+task tuples: a candidate task carries the bit matrix
+(:mod:`repro.sim.seqshard`), a one-shot fault task the observation
+plan (:mod:`repro.sim.sharding`).
 
 Caches are registered per :class:`~repro.sim.compiled.CompiledCircuit`
 (:func:`get_trace_cache`) and keep a small LRU of sequences — Procedure
@@ -45,9 +39,6 @@ them so CI can see the good machine really is simulated once.
 
 from __future__ import annotations
 
-import atexit
-import os
-import pickle
 import threading
 from array import array
 from collections import OrderedDict
@@ -58,15 +49,10 @@ try:  # Packed bit columns need numpy; the trace itself does not.
 except ImportError:  # pragma: no cover - numpy ships in CI
     np = None
 
-try:
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover - platform without shm
-    shared_memory = None
-
 from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
 from repro.logic.values import ONE, ZERO
-from repro.sim.backend import AUTO_BACKEND
+from repro.sim.backend import AUTO_BACKEND, base_bits_of
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.logicsim import GoodTrace, LogicSimulator
 
@@ -75,22 +61,9 @@ from repro.sim.logicsim import GoodTrace, LogicSimulator
 #: adds expanded selections.  Four entries keep the hot bases resident.
 SEQUENCE_CACHE_CAPACITY = 4
 
-#: Circuits with live caches per session.  Evicting a cache closes its
-#: shared-memory segments; consumers transparently recompute.
+#: Circuits with live caches per session.  Consumers of an evicted
+#: cache transparently recompute.
 CIRCUIT_CACHE_CAPACITY = 8
-
-#: Set (to any non-empty value) to disable the shared-memory publication
-#: paths — the same escape hatch the candidate-axis sharder honours.
-NO_SHM_ENV = "REPRO_SEQSHARD_NO_SHM"
-
-
-def shm_available() -> bool:
-    """Whether the shared-memory publication path is usable here."""
-    return (
-        shared_memory is not None
-        and np is not None
-        and not os.environ.get(NO_SHM_ENV)
-    )
 
 
 @dataclass(frozen=True)
@@ -139,59 +112,15 @@ def build_observation_plan(trace: GoodTrace) -> ObservationPlan:
     )
 
 
-def base_bits_of(base: TestSequence, width: int):
-    """``base`` as a ``(len(base), width)`` uint8 bit matrix.
-
-    The interchange format of the derived-candidate pipeline: the packer
-    consumes it directly, and the candidate-axis sharder publishes
-    exactly this matrix through a shared-memory buffer so workers attach
-    instead of unpickling the base per task.
-    """
-    if len(base):
-        return np.asarray(base.vectors(), dtype=np.uint8)
-    return np.zeros((0, width), dtype=np.uint8)
-
-
-def _unlink_segment(segment) -> None:
-    """Close and unlink a parent-owned shared-memory segment (tolerant)."""
-    if segment is None:
-        return
-    try:
-        segment.close()
-        segment.unlink()
-    except (FileNotFoundError, BufferError):  # pragma: no cover - teardown race
-        pass
-
-
 class _TraceEntry:
     """Lazily computed artifacts of one (circuit, sequence) pair."""
 
-    __slots__ = (
-        "sequence",
-        "trace",
-        "observation_plan",
-        "bits",
-        "bits_segment",
-        "plan_segment",
-        "plan_size",
-    )
+    __slots__ = ("trace", "observation_plan", "bits")
 
-    def __init__(self, sequence: TestSequence) -> None:
-        self.sequence = sequence
+    def __init__(self) -> None:
         self.trace: GoodTrace | None = None
         self.observation_plan: ObservationPlan | None = None
         self.bits = None
-        self.bits_segment = None
-        self.plan_segment = None
-        self.plan_size = 0
-
-    def close(self, unlink: bool) -> None:
-        if unlink:
-            _unlink_segment(self.bits_segment)
-            _unlink_segment(self.plan_segment)
-        self.bits_segment = None
-        self.plan_segment = None
-        self.plan_size = 0
 
 
 class GoodTraceCache:
@@ -200,8 +129,7 @@ class GoodTraceCache:
     All methods key on the *value* of the sequence (``TestSequence`` is
     immutable and hashable), so equal sequences share one entry no matter
     how many objects describe them.  The cache is an LRU of
-    :data:`SEQUENCE_CACHE_CAPACITY` sequences; eviction unlinks any
-    published shared-memory segments.
+    :data:`SEQUENCE_CACHE_CAPACITY` sequences.
     """
 
     def __init__(
@@ -211,11 +139,6 @@ class GoodTraceCache:
     ) -> None:
         self.compiled = compiled
         self._capacity = max(1, capacity)
-        # Only the process that created a cache may unlink its shm
-        # segments.  A fork-started pool worker inherits the parent's
-        # registry (and the cache objects in it); evicting one there
-        # must not destroy segment names the parent still publishes.
-        self._owner_pid = os.getpid()
         # "auto" traces on the native kernel (one call per sequence) at
         # the fault axis's native crossover, else on the big-int kernel.
         # Every engine runs the same op walk, so observation plans are
@@ -237,17 +160,13 @@ class GoodTraceCache:
     # ------------------------------------------------------------------
     # Entry management
     # ------------------------------------------------------------------
-    def _owns_segments(self) -> bool:
-        return os.getpid() == self._owner_pid
-
     def _entry(self, sequence: TestSequence) -> _TraceEntry:
         entry = self._entries.get(sequence)
         if entry is None:
-            entry = _TraceEntry(sequence)
+            entry = _TraceEntry()
             self._entries[sequence] = entry
             while len(self._entries) > self._capacity:
-                _, stale = self._entries.popitem(last=False)
-                stale.close(unlink=self._owns_segments())
+                self._entries.popitem(last=False)
         else:
             self._entries.move_to_end(sequence)
         return entry
@@ -300,62 +219,6 @@ class GoodTraceCache:
             return entry.bits
 
     # ------------------------------------------------------------------
-    # Shared-memory publication (the worker-pool broadcast contract)
-    # ------------------------------------------------------------------
-    def bits_ref(self, sequence: TestSequence) -> tuple:
-        """Cross-process reference for the base's bit matrix.
-
-        ``("shm", name, length, width)`` when shared memory is usable
-        (the segment is cache-owned: created once per sequence, unlinked
-        on eviction/:meth:`close`), else ``("bytes", payload, length,
-        width)`` — the pickle fallback with identical worker-side
-        semantics.
-        """
-        with self._lock:
-            bits = self.base_bits(sequence)
-            if shm_available() and bits.size:
-                entry = self._entry(sequence)
-                if entry.bits_segment is None:
-                    segment = shared_memory.SharedMemory(
-                        create=True, size=bits.nbytes
-                    )
-                    np.ndarray(bits.shape, dtype=np.uint8, buffer=segment.buf)[
-                        :
-                    ] = bits
-                    entry.bits_segment = segment
-                return (
-                    "shm",
-                    entry.bits_segment.name,
-                    bits.shape[0],
-                    bits.shape[1],
-                )
-            return ("bytes", bits.tobytes(), bits.shape[0], bits.shape[1])
-
-    def plan_ref(self, sequence: TestSequence) -> tuple | None:
-        """Cross-process reference for the pickled :class:`ObservationPlan`.
-
-        ``("shmplan", name, size)`` when shared memory is usable, else
-        ``None`` — the caller then ships the plan pickled per task, the
-        historical contract.
-        """
-        if not shm_available():
-            return None
-        with self._lock:
-            entry = self._entry(sequence)
-            if entry.plan_segment is None:
-                payload = pickle.dumps(
-                    self.observation_plan(sequence),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                segment = shared_memory.SharedMemory(
-                    create=True, size=max(1, len(payload))
-                )
-                segment.buf[: len(payload)] = payload
-                entry.plan_segment = segment
-                entry.plan_size = len(payload)
-            return ("shmplan", entry.plan_segment.name, entry.plan_size)
-
-    # ------------------------------------------------------------------
     # Observability and lifecycle
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
@@ -369,49 +232,14 @@ class GoodTraceCache:
                 self._counters[key] = 0
 
     def close(self) -> None:
-        """Drop all entries and unlink published segments (idempotent).
+        """Drop all entries (idempotent).
 
         The cache stays usable afterwards — consumers transparently
         recompute — so eviction from the per-session registry can never
-        break a live simulator, only cost it a re-simulation.  In a
-        process that merely *inherited* the cache across a fork, the
-        segments are left alone: only their creating process may unlink
-        names other processes still resolve.
+        break a live simulator, only cost it a re-simulation.
         """
-        unlink = self._owns_segments()
         with self._lock:
-            while self._entries:
-                _, entry = self._entries.popitem(last=False)
-                entry.close(unlink=unlink)
-
-
-# ----------------------------------------------------------------------
-# Worker-process side
-# ----------------------------------------------------------------------
-def resolve_observation_plan(plan_or_ref) -> ObservationPlan:
-    """Resolve a task's observation plan (inline plan or shm reference).
-
-    Workers cache deserialized plans by segment name (the parent creates
-    one segment per cached sequence, so names are stable across the
-    chunks of a dispatch and across dispatches over the same base).
-    """
-    if not (isinstance(plan_or_ref, tuple) and plan_or_ref[:1] == ("shmplan",)):
-        return plan_or_ref
-    from repro.sim.workerpool import worker_attach_shm, worker_state
-
-    _, name, size = plan_or_ref
-    state = worker_state()
-    cache: OrderedDict = state.setdefault("plans", OrderedDict())
-    plan = cache.get(name)
-    if plan is None:
-        segment = worker_attach_shm(name)
-        plan = pickle.loads(bytes(segment.buf[:size]))
-        cache[name] = plan
-        while len(cache) > SEQUENCE_CACHE_CAPACITY:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(name)
-    return plan
+            self._entries.clear()
 
 
 # ----------------------------------------------------------------------
@@ -426,10 +254,10 @@ def get_trace_cache(compiled: CompiledCircuit) -> GoodTraceCache:
 
     Keyed by circuit identity (every simulator of one
     :class:`CompiledCircuit` shares one cache), LRU-bounded at
-    :data:`CIRCUIT_CACHE_CAPACITY` circuits; eviction closes the evicted
-    cache's segments.  The identity check guards against ``id`` reuse
-    after garbage collection.  Thread-safe: concurrent serving lanes
-    resolving the same circuit get the same cache object.
+    :data:`CIRCUIT_CACHE_CAPACITY` circuits.  The identity check guards
+    against ``id`` reuse after garbage collection.  Thread-safe:
+    concurrent serving lanes resolving the same circuit get the same
+    cache object.
     """
     key = id(compiled)
     with _CACHES_LOCK:
@@ -448,12 +276,9 @@ def get_trace_cache(compiled: CompiledCircuit) -> GoodTraceCache:
 
 
 def close_trace_caches() -> None:
-    """Close every registered cache (registered ``atexit``)."""
+    """Close every registered cache and empty the registry."""
     with _CACHES_LOCK:
         caches = list(_CACHES.values())
         _CACHES.clear()
     for cache in caches:
         cache.close()
-
-
-atexit.register(close_trace_caches)

@@ -29,7 +29,11 @@ module hoists pool ownership out of the simulators:
   first-detection answer.  The parent resets it between dispatches
   (dispatches never overlap — the parent is single-threaded).
 
-Everything crossing the boundary is plain picklable data and every
+Pickling is the only transport: a context spec crosses once per worker,
+and each task tuple carries its own per-call data (a fault-index tuple,
+the input sequence and its observation plan on the fault axis; a fault,
+the base's ``uint8`` bit matrix and a base-less plan slice on the
+candidate axis).  Results come back pickled the same way.  Every
 worker-side function is module-level, so the design is spawn-safe;
 ``REPRO_SHARDING_START_METHOD`` overrides the default start method
 (``fork`` where available, else ``spawn``).
@@ -40,7 +44,6 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -205,20 +208,13 @@ def resolve_execution(
 
 # ----------------------------------------------------------------------
 # Worker-process side.  Module-level (spawn-picklable) state and
-# functions; each worker holds its built contexts and a small cache of
-# attached shared-memory segments.
+# functions; each worker holds its built contexts.
 # ----------------------------------------------------------------------
 _WORKER: dict = {}
 
-#: Attached shared-memory segments a worker keeps open (LRU by name).
-#: Small: at any moment the candidate axis references at most one result
-#: buffer and a couple of published base sequences, and the fault axis
-#: one published observation plan per hot sequence.
-_WORKER_SHM_CAP = 6
-
 
 def worker_state() -> dict:
-    """This worker process's state dict (contexts, first-hit, shm cache)."""
+    """This worker process's state dict (contexts, first-hit slot)."""
     return _WORKER
 
 
@@ -226,11 +222,6 @@ def _worker_init(barrier, first_hit) -> None:
     _WORKER["barrier"] = barrier
     _WORKER["first_hit"] = first_hit
     _WORKER["contexts"] = {}
-    _WORKER["shm"] = OrderedDict()
-    # Deserialized good-machine observation plans, keyed by the segment
-    # name the parent's trace cache published them under (see
-    # repro.sim.trace.resolve_observation_plan).
-    _WORKER["plans"] = OrderedDict()
 
 
 def _build_context(spec: tuple) -> object:
@@ -272,53 +263,6 @@ def _worker_retire(context_id: int) -> int:
     return context_id
 
 
-def worker_attach_shm(name: str):
-    """Attach (or reuse) a shared-memory segment by name, LRU-cached.
-
-    Attachments register with the parent's resource tracker (an
-    idempotent set-add); the parent's eventual ``unlink`` performs the
-    single matching unregister, so the tracker ends every name balanced
-    and never warns at shutdown.
-    """
-    from multiprocessing import shared_memory
-
-    # setdefault: callable outside a pool worker too (e.g. the parent
-    # resolving a trace-cache reference in tests or serial fallbacks).
-    cache: OrderedDict = _WORKER.setdefault("shm", OrderedDict())
-    segment = cache.get(name)
-    if segment is None:
-        segment = shared_memory.SharedMemory(name=name)
-        cache[name] = segment
-        while len(cache) > _WORKER_SHM_CAP:
-            _, stale = cache.popitem(last=False)
-            try:
-                stale.close()
-            except BufferError:  # pragma: no cover - view still exported
-                pass
-    else:
-        cache.move_to_end(name)
-    return segment
-
-
-def _ensure_resource_tracker() -> None:
-    """Start the shared-memory resource tracker before forking workers.
-
-    Workers attach shared-memory segments, which registers the names with
-    the resource tracker.  A ``fork``-context worker created *before* the
-    tracker exists would lazily spawn its own private tracker on first
-    attach — one that never sees the parent's balancing ``unlink`` and
-    therefore warns about "leaked" segments at shutdown.  Starting the
-    tracker before the fork makes every process share one tracker, whose
-    register/unregister stream balances exactly (worker registrations are
-    idempotent set-adds; the parent's unlink performs the single remove).
-    """
-    try:
-        from multiprocessing import resource_tracker
-    except ImportError:  # pragma: no cover - platform without the tracker
-        return
-    resource_tracker.ensure_running()
-
-
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
@@ -338,7 +282,6 @@ class WorkerPool:
             )
         self._workers = workers
         self._start_method = start_method
-        _ensure_resource_tracker()
         context = multiprocessing.get_context(start_method)
         self._barrier = context.Barrier(workers)
         self._first_hit = context.Value("q", FIRST_HIT_SENTINEL)

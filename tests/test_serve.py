@@ -248,6 +248,37 @@ class TestSessionLifecycle:
             by_name = session.compile("s27")
             assert by_object is by_name
 
+    def test_compile_loads_and_hashes_a_name_once(self, monkeypatch):
+        """A warm name skips the catalog load and the content hash; a
+        name and an equal netlist still resolve to one object, in either
+        order."""
+        import repro.circuits.catalog as catalog
+        import repro.core.session as session_module
+
+        load_circuit = catalog.load_circuit
+        hash_circuit = session_module.circuit_content_hash
+        calls = []
+
+        def loading(name):
+            calls.append(("load", name))
+            return load_circuit(name)
+
+        def hashing(circuit):
+            calls.append(("hash", circuit.name))
+            return hash_circuit(circuit)
+
+        monkeypatch.setattr(catalog, "load_circuit", loading)
+        monkeypatch.setattr(session_module, "circuit_content_hash", hashing)
+        with Session() as session:
+            by_name = session.compile("syn298")
+            assert session.compile("syn298") is by_name
+            assert calls == [("load", "syn298"), ("hash", "syn298")]
+            assert session.compile(load_circuit("syn298")) is by_name
+        with Session() as session:
+            by_netlist = session.compile(load_circuit("s27"))
+            assert session.compile("s27") is by_netlist
+            assert session.compile("s27") is by_netlist
+
     def test_profile_force_shard_overrides_static_single_core_fallback(
         self, s27, monkeypatch
     ):

@@ -4,8 +4,8 @@ The contract of :mod:`repro.sim.seqshard` mirrors the fault axis's: the
 worker count is a pure throughput knob.  Detection outcomes, first-hit
 winners *and* the evaluated-candidate statistics must be bit-identical
 to the serial :class:`~repro.sim.seqsim.SequenceBatchSimulator` for
-every backend, worker count, transport (shared memory vs pickle
-fallback) and start method.
+every backend, worker count, transport (base bits or whole plans) and
+start method.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.scanplan import ExplicitPlan, WindowRampPlan
 from repro.sim.seqshard import (
-    NO_SHM_ENV,
     SERIAL_FALLBACK_CANDIDATES,
     ShardedSequenceBatchSimulator,
     make_sequence_simulator,
@@ -353,27 +352,6 @@ class TestFirstHitEdgeCases:
 
 
 class TestTransports:
-    def test_pickle_fallback_matches_shm(self, workload, monkeypatch):
-        compiled, t0, fault, _udet, spans, base, omissions, _ = workload
-        with ShardedSequenceBatchSimulator(
-            compiled, batch_width=16, workers=2, min_shard_candidates=1
-        ) as simulator:
-            shm_windows = simulator.detects_windows(fault, t0, spans, EXPANSION)
-            shm_omissions = simulator.detects_omissions(
-                fault, base, omissions, EXPANSION
-            )
-        monkeypatch.setenv(NO_SHM_ENV, "1")
-        with ShardedSequenceBatchSimulator(
-            compiled, batch_width=16, workers=2, min_shard_candidates=1
-        ) as simulator:
-            assert (
-                simulator.detects_windows(fault, t0, spans, EXPANSION) == shm_windows
-            )
-            assert (
-                simulator.detects_omissions(fault, base, omissions, EXPANSION)
-                == shm_omissions
-            )
-
     def test_pickled_base_transport(self, workload, monkeypatch):
         """Without base bits (no numpy), plans ship whole, base included."""
         compiled, t0, fault, udet, spans, base, omissions, _ = workload

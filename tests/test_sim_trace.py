@@ -3,8 +3,8 @@
 The contract of :mod:`repro.sim.trace`: the fault-free trace, the
 observation plan and the packed base bit columns are computed exactly
 once per (circuit, sequence) per session no matter how many simulators
-or dispatches ask, the shared-memory publications resolve to identical
-artifacts in workers, and none of it changes any detection result.
+or dispatches ask, the artifacts pickled into worker tasks give the same
+answers there, and none of it changes any detection result.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.circuits.catalog import load_circuit, paper_t0_s27
 from repro.core.sequence import TestSequence
 from repro.faults.universe import FaultUniverse
 from repro.logic.values import ONE, ZERO
-from repro.sim.backend import dispatch_counters, registry_backends
+from repro.sim.backend import base_bits_of, dispatch_counters, registry_backends
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.logicsim import LogicSimulator
@@ -26,12 +26,9 @@ from repro.sim.seqsim import SequenceBatchSimulator
 from repro.sim.trace import (
     GoodTraceCache,
     ObservationPlan,
-    base_bits_of,
     build_observation_plan,
     close_trace_caches,
     get_trace_cache,
-    resolve_observation_plan,
-    shm_available,
 )
 from repro.util.rng import SplitMix64
 
@@ -199,73 +196,6 @@ class TestObservationPlan:
         assert [(h & full, l & full) for h, l in final] == ref_final
 
 
-class TestPublication:
-    @pytest.mark.skipif(np is None, reason="bit refs require numpy")
-    def test_bits_ref_shape_and_fallback(self, compiled, monkeypatch):
-        cache = GoodTraceCache(compiled)
-        t0 = paper_t0_s27()
-        try:
-            ref = cache.bits_ref(t0)
-            if shm_available():
-                kind, _name, length, width = ref
-                assert (kind, length, width) == ("shm", len(t0), t0.width)
-                # Stable: the same segment is reused on the next ask.
-                assert cache.bits_ref(t0) == ref
-            monkeypatch.setenv("REPRO_SEQSHARD_NO_SHM", "1")
-            kind, payload, length, width = cache.bits_ref(t0)
-            assert kind == "bytes"
-            assert np.array_equal(
-                np.frombuffer(payload, dtype=np.uint8).reshape(length, width),
-                base_bits_of(t0, compiled.num_inputs),
-            )
-        finally:
-            cache.close()
-
-    def test_plan_ref_roundtrip_or_inline(self, compiled, monkeypatch):
-        cache = GoodTraceCache(compiled)
-        t0 = paper_t0_s27()
-        try:
-            plan = cache.observation_plan(t0)
-            ref = cache.plan_ref(t0)
-            if ref is not None:
-                # Parent-side resolution exercises the same attach +
-                # unpickle path the workers run.
-                assert resolve_observation_plan(ref) == plan
-                assert cache.plan_ref(t0) == ref
-            monkeypatch.setenv("REPRO_SEQSHARD_NO_SHM", "1")
-            fresh = GoodTraceCache(compiled)
-            assert fresh.plan_ref(t0) is None
-            # Inline plans pass straight through the resolver.
-            assert resolve_observation_plan(plan) == plan
-        finally:
-            cache.close()
-
-
-class TestForkSafety:
-    @pytest.mark.skipif(np is None, reason="shm publication requires numpy")
-    def test_inherited_cache_never_unlinks_parent_segments(
-        self, compiled, monkeypatch
-    ):
-        """A process that merely inherited a cache (fork workers do) must
-        not destroy shm names the creating process still publishes."""
-        if not shm_available():
-            pytest.skip("shared memory unavailable")
-        cache = GoodTraceCache(compiled)
-        t0 = paper_t0_s27()
-        ref = cache.bits_ref(t0)
-        assert ref[0] == "shm"
-        # Simulate the fork: same object, different pid.
-        monkeypatch.setattr(cache, "_owner_pid", cache._owner_pid + 1)
-        cache.close()
-        # The segment name must still resolve (nothing was unlinked);
-        # the test then performs the owner's balancing unlink itself.
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=ref[1])
-        segment.close()
-        segment.unlink()
-
-
 class TestSimulatorIntegration:
     def test_fault_simulator_reuses_the_trace(self, compiled):
         close_trace_caches()
@@ -306,6 +236,42 @@ class TestSimulatorIntegration:
         assert stats["bits_misses"] == 1
         assert stats["bits_hits"] >= 3
 
+    def test_fault_axis_converts_each_sequence_once(self, monkeypatch, require_backend):
+        """One conversion per run/detects (the trace cache's, kept for
+        later calls) and one per peek/commit, however many batches scan
+        the sequence.  Native is the engine that scans bits."""
+        require_backend("native")
+        import repro.sim.backend as backend_module
+        import repro.sim.faultsim as faultsim_module
+        import repro.sim.trace as trace_module
+
+        conversions = []
+
+        def counting(sequence, width):
+            conversions.append(len(sequence))
+            return base_bits_of(sequence, width)
+
+        for module in (backend_module, faultsim_module, trace_module):
+            monkeypatch.setattr(module, "base_bits_of", counting)
+        circuit = load_circuit("syn298")
+        t0 = _stimulus(circuit, 16)
+        faults = list(FaultUniverse(circuit).faults())
+        simulator = FaultSimulator(
+            CompiledCircuit(circuit), batch_width=64, backend="native"
+        )
+        assert len(faults) > 3 * simulator.batch_width
+        simulator.trace_cache.trace(t0)
+        conversions.clear()
+        first = simulator.run(t0, faults)
+        assert simulator.detects(t0, faults[0]) == (faults[0] in first.detection_time)
+        assert simulator.run(t0, faults).detection_time == first.detection_time
+        assert conversions == [len(t0)]
+        session = simulator.session(faults)
+        extension = t0.subsequence(0, 4)
+        session.peek(extension)
+        session.commit(extension)
+        assert conversions == [len(t0), len(extension), len(extension)]
+
     def test_session_advances_bypass_the_cache(self, compiled):
         """Sessions start from evolving states — their plans are not the
         run-invariant trace and must not pollute (or hit) the cache."""
@@ -325,7 +291,7 @@ class TestSimulatorIntegration:
 
 @pytest.mark.slow
 class TestShardedPlanPublication:
-    """Fault-axis dispatches resolve the published plan bit-identically."""
+    """Fault-axis dispatches pickle the cached plan bit-identically."""
 
     @pytest.fixture(scope="class")
     def workload(self):
@@ -336,24 +302,12 @@ class TestShardedPlanPublication:
         serial = FaultSimulator(compiled).run(t0, faults)
         return compiled, t0, faults, serial
 
-    def test_shm_plan_matches_serial(self, workload):
+    def test_pickled_plan_matches_serial(self, workload):
         from repro.sim.sharding import ShardedFaultSimulator
 
         compiled, t0, faults, serial = workload
         with ShardedFaultSimulator(
             compiled, workers=2, min_shard_faults=1
         ) as simulator:
-            sharded = simulator.run(t0, faults)
-        assert sharded.detection_time == serial.detection_time
-
-    def test_pickle_fallback_matches_serial(self, workload, monkeypatch):
-        from repro.sim.sharding import ShardedFaultSimulator
-
-        compiled, t0, faults, serial = workload
-        monkeypatch.setenv("REPRO_SEQSHARD_NO_SHM", "1")
-        with ShardedFaultSimulator(
-            compiled, workers=2, min_shard_faults=1
-        ) as simulator:
-            assert simulator.trace_cache.plan_ref(t0) is None
             sharded = simulator.run(t0, faults)
         assert sharded.detection_time == serial.detection_time
