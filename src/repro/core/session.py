@@ -112,6 +112,10 @@ class Session:
         # Catalog name -> its entry in ``_compiled``: a warm name skips
         # regenerating the netlist and hashing its content.
         self._by_name: dict[str, CompiledCircuit] = {}
+        # id(compiled object) -> (that object, its entry in ``_compiled``):
+        # adopting a compiled circuit hashes its netlist once.  Holding
+        # the object keeps its id from being reused.
+        self._adopted: dict[int, tuple[CompiledCircuit, CompiledCircuit]] = {}
         self._schemes: dict[str, object] = {}
         self._simulators: list = []
         # Concurrent ``run`` calls (the serving layer's executor lanes)
@@ -185,6 +189,7 @@ class Session:
             if compiled is None:
                 compiled = CompiledCircuit(circuit)
                 self._compiled[key] = compiled
+                self._adopted[id(compiled)] = (compiled, compiled)
         return compiled
 
     def compile_bench(self, text: str, name: str = "uploaded") -> CompiledCircuit:
@@ -199,9 +204,15 @@ class Session:
         return circuit_content_hash(compiled.circuit)
 
     def _adopt(self, compiled: CompiledCircuit) -> CompiledCircuit:
+        with self._lock:
+            adopted = self._adopted.get(id(compiled))
+        if adopted is not None:
+            return adopted[1]
         key = circuit_content_hash(compiled.circuit)
         with self._lock:
-            return self._compiled.setdefault(key, compiled)
+            entry = self._compiled.setdefault(key, compiled)
+            self._adopted[id(compiled)] = (compiled, entry)
+            return entry
 
     # ------------------------------------------------------------------
     # Simulators and shared stores
@@ -356,6 +367,7 @@ class Session:
         self._schemes.clear()
         self._compiled.clear()
         self._by_name.clear()
+        self._adopted.clear()
         if self._own_caches:
             from repro.sim.trace import close_trace_caches
             from repro.sim.workerpool import close_worker_pools

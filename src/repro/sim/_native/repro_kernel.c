@@ -22,15 +22,14 @@
  * on its own bit column, so span workers never exchange data: each walks
  * the same read-only op/patch arrays over its own words and writes only
  * its own columns of V, scratch, det, pending and times (and its own
- * slots of the divergence outputs).  A scan span
- * early-exits exactly when its own live slots drain; the single-thread
- * return contract is reproduced by combining span results (executed =
- * max over spans, finished = every span finished, counted through an
- * atomic), so detect times and step accounting stay bit-identical to
- * serial execution by construction.  Dispatch uses a trylock: when the
- * pool is busy serving another caller (concurrent serving lanes), the
- * caller simply runs its request serially over the full word range —
- * same bits, just one thread.
+ * slots of the divergence outputs).  A scan span early-exits exactly
+ * when its own live slots drain; the single-thread return value is
+ * reproduced by combining span results (executed = max over spans), so
+ * detect times and step accounting stay bit-identical to serial
+ * execution by construction.  Dispatch uses a trylock: when the pool is
+ * busy serving another caller (concurrent serving lanes), the caller
+ * simply runs its request serially over the full word range — same
+ * bits, just one thread.
  *
  * Everything below is plain C11 with no dependencies beyond libc and
  * (outside Windows) pthreads, so a bare `cc -O3 -fPIC -shared -pthread`
@@ -44,7 +43,6 @@
 
 #if !defined(_WIN32)
 #include <pthread.h>
-#include <stdatomic.h>
 #define REPRO_HAVE_THREADS 1
 #else
 #define REPRO_HAVE_THREADS 0
@@ -56,8 +54,13 @@
  * the thread pool and the trailing n_threads argument on repro_eval,
  * repro_detect_step and repro_scan; v4 added repro_trace (the fault-free
  * good-machine trace in one call); v5 adds repro_scan's per-slot flop-
- * divergence outputs (div_max, div_final, div_area). */
-#define REPRO_NATIVE_ABI 5
+ * divergence outputs (div_max, div_final, div_area); v6 reorders
+ * repro_scan's arguments (program-fixed prefix first, then batch, then
+ * stimulus), replaces the packed per-slot stimulus and the alive rows
+ * with the derived-candidate stimulus (base bits, kept set, per-slot
+ * descriptors, expansion), drops t0 (every scan is one call) and the
+ * "finished" sign of the return value, and adds the first_hit mode. */
+#define REPRO_NATIVE_ABI 6
 
 #if defined(_WIN32)
 #define EXPORT __declspec(dllexport)
@@ -789,25 +792,42 @@ EXPORT void repro_detect_step(
 /* GIL-released kernel).  Two modes share the walk:                     */
 /*                                                                      */
 /*   paired (GV != NULL): good and faulty machines run side by side     */
-/*     over packed per-slot stimulus words; detection is the            */
-/*     repro_detect_step reduction over all POs.                        */
+/*     over derived candidates; detection is the repro_detect_step      */
+/*     reduction over all POs.                                          */
 /*   fault axis (GV == NULL): the single faulty batch runs over         */
-/*     broadcast stimulus bits; detection compares the recorded good-   */
-/*     machine observation rows (repro_detect_mask semantics).          */
+/*     broadcast stimulus bits (stim_bits); detection compares the      */
+/*     recorded good-machine observation rows (repro_detect_mask        */
+/*     semantics).                                                      */
 /*                                                                      */
-/* Stimulus/alive arrays are chunk-local (step s of this call); t0 is   */
-/* the global time of s == 0, used for recorded times and for indexing  */
-/* obs_off.  pending ((words), in/out), the flop state arrays           */
-/* ((num_flops, words) H and L per machine, in/out) and times           */
-/* ((words * 64), -1 = undetected, in/out) persist across chunked       */
-/* calls.  Early-exit contract matches the reference loop exactly: the  */
-/* scan stops when the live mask (alive & pending) drains or every      */
-/* slot detected, skipping the stopping step's state latch; with        */
-/* collect_finals it never stops early and latches every step.          */
-/* Returns the number of steps entered (== num_steps when the caller    */
-/* should continue with the next chunk) — negated minus one,            */
-/* -(executed + 1), when the scan finished (no later chunk can          */
-/* detect).                                                             */
+/* Derived candidates (ABI 6): slot s is expand(base[K[:low] +          */
+/* range(a, b) + K[high:]]) for (low, high, a, b) = desc[4s .. 4s+3],   */
+/* with base the (base_len, num_pis) bit matrix, K the sorted kept      */
+/* array of n_kept positions and the expansion given by hold, reps and  */
+/* x_ops (X_COMPLEMENT | X_SHIFT | X_REVERSE).  Explicit candidate      */
+/* lists are the special case of concatenated sequences with an empty   */
+/* K and the identity expansion.  Each step the kernel maps expanded    */
+/* time to (base index, complement, shift) exactly as                   */
+/* repro.core.ops.expand orders its stages and writes every live slot's */
+/* input bits itself (dead slots read X).  A slot is alive while t is   */
+/* below its expanded length: the kernel clears its pending bit when    */
+/* its candidate ends, so a slot is live exactly while it is pending.   */
+/*                                                                      */
+/* pending ((words), in/out: the slots still to be resolved), the flop  */
+/* state arrays ((num_flops, words) H and L per machine, in/out) and    */
+/* times ((words * 64), -1 = undetected, in/out) are caller-owned.  The */
+/* early-exit contract matches the reference loop exactly: the scan     */
+/* stops when no slot is live or every slot detected, skipping the      */
+/* stopping step's state latch; with collect_finals it never stops      */
+/* early and latches every step.  Returns the number of steps entered.  */
+/*                                                                      */
+/* first_hit (ABI 6, paired mode): once slot s detects, pending slots   */
+/* above s are dropped — only the lowest detecting slot matters to the  */
+/* caller, which reads times up to and including it and treats every    */
+/* later slot as undetected.                                            */
+/*                                                                      */
+/* Paired scans without collect_finals hand no state back, so each span */
+/* narrows its word range to the words that still hold a live slot (a  */
+/* drained word never turns live again).                                */
 /*                                                                      */
 /* Flop divergence (paired mode, ABI 5): div_max / div_final / div_area */
 /* ((words * 64) each, in/out; all three set, or all NULL = off)        */
@@ -821,15 +841,16 @@ EXPORT void repro_detect_step(
 /* Threaded scans run this same walk per word span.  A span's early     */
 /* exit depends only on its own live slots, so each span stops at       */
 /* exactly the step the serial scan would have stopped servicing those  */
-/* slots; combining spans as executed = max(span executed) and          */
-/* finished = all spans finished reproduces the serial return value     */
-/* bit-for-bit (the serial loop runs until its *last* span drains, and  */
-/* an already-drained span contributes no detections or state that any  */
-/* other slot can observe).  This leans on the `alive` contract the     */
-/* serial early exit already requires: a slot's alive bit is monotone   */
-/* non-increasing over steps (packer windows cover a prefix of the      */
-/* sequence), so a drained live mask can never turn back on.            */
+/* slots; combining spans as executed = max(span executed) reproduces   */
+/* the serial return value bit-for-bit (the serial loop runs until its  */
+/* *last* span drains, and an already-drained span contributes no       */
+/* detections or state that any other slot can observe).  Under         */
+/* first_hit a span prunes on its own lowest detecting slot: every slot */
+/* up to the global lowest one lies in a span that saw no lower         */
+/* detection, so its time is the serial one.                            */
 /* ------------------------------------------------------------------ */
+
+enum { X_COMPLEMENT = 1, X_SHIFT = 2, X_REVERSE = 4 };
 
 typedef struct {
     uint64_t *GV;
@@ -869,10 +890,16 @@ typedef struct {
     uint64_t *g_sl;
     uint64_t *f_sh;
     uint64_t *f_sl;
-    const uint64_t *stim_ones;
-    const uint64_t *stim_zeros;
     const uint8_t *stim_bits;
-    int64_t t0;
+    /* Derived-candidate stimulus (desc != NULL; see above). */
+    const uint8_t *base;
+    const int32_t *kept;
+    int64_t n_kept;
+    const int32_t *desc;
+    int64_t hold;
+    int64_t reps;
+    int64_t x_ops;
+    int64_t x_mult; /* expanded length per index-list entry */
     int64_t num_steps;
     const int32_t *po_sig;
     int64_t num_pos;
@@ -883,11 +910,11 @@ typedef struct {
     const int64_t *obs_off;
     const int32_t *obs_pos;
     const uint8_t *obs_vals;
-    const uint64_t *alive;
     uint64_t *pending;
     int64_t *times;
     uint64_t *det;
     int64_t collect_finals;
+    int64_t first_hit;
     /* Internal (set only by repro_trace): when non-NULL, every step      */
     /* writes slot 0's Ternary code per PO (0 = ZERO, 1 = ONE, 2 = X, as  */
     /* repro.logic.values.Ternary) to row s of this (num_steps, num_pos)  */
@@ -898,6 +925,106 @@ typedef struct {
     int64_t *div_final;
     int64_t *div_area;
 } ScanArgs;
+
+/* Index-list length of derived slot d: K[:low] + range(a, b) + K[high:]. */
+static int64_t derived_count(const ScanArgs *a, const int32_t *d)
+{
+    return (int64_t)d[0] + (d[3] - d[2]) + (a->n_kept - d[1]);
+}
+
+/* Clear the pending bit of every derived slot of [w0, w1) whose         */
+/* expanded candidate ends before step t.                                */
+static void expire_derived(const ScanArgs *a, int64_t t, int64_t w0,
+                           int64_t w1)
+{
+    int64_t w;
+    for (w = w0; w < w1; w++) {
+        uint64_t rest;
+        for (rest = a->pending[w]; rest; rest &= rest - 1) {
+            const int b = ctz64(rest);
+            const int32_t *d = a->desc + 4 * (w * 64 + b);
+            if (t >= derived_count(a, d) * a->x_mult)
+                a->pending[w] &= ~((uint64_t)1 << b);
+        }
+    }
+}
+
+/* Write step t's inputs of every pending derived slot of [w0, w1) into */
+/* the faulty machine's PI rails (other slots read X), then copy them   */
+/* into the good machine's.  The time map unwinds expand's stages from  */
+/* the outermost: reversal mirrors the second half, shift and           */
+/* complementation each toggle their transform in their second half,   */
+/* repetition tiles and hold repeats each index-list entry.             */
+static void load_derived(const ScanArgs *a, int64_t t, int64_t w0, int64_t w1)
+{
+    const int64_t words = a->words;
+    const int64_t num_pis = a->num_pis;
+    const size_t span_bytes = (size_t)(w1 - w0) * sizeof(uint64_t);
+    int64_t w, p;
+    for (p = 0; p < num_pis; p++) {
+        uint64_t *h = a->FV + (uint64_t)(2 * a->pi_sig[p]) * words;
+        memset(h + w0, 0, span_bytes);
+        memset(h + words + w0, 0, span_bytes);
+    }
+    for (w = w0; w < w1; w++) {
+        uint64_t rest;
+        for (rest = a->pending[w]; rest; rest &= rest - 1) {
+            const int b = ctz64(rest);
+            const uint64_t bit = (uint64_t)1 << b;
+            const int32_t *d = a->desc + 4 * (w * 64 + b);
+            const int64_t count = derived_count(a, d);
+            const int64_t run = (int64_t)d[3] - d[2];
+            int64_t len = count * a->x_mult;
+            int64_t u = t, pos, index;
+            uint8_t flip = 0;
+            int shift = 0;
+            const uint8_t *row;
+            if (a->x_ops & X_REVERSE) {
+                len /= 2;
+                if (u >= len)
+                    u = 2 * len - 1 - u;
+            }
+            if (a->x_ops & X_SHIFT) {
+                len /= 2;
+                if (u >= len) {
+                    u -= len;
+                    shift = 1;
+                }
+            }
+            if (a->x_ops & X_COMPLEMENT) {
+                len /= 2;
+                if (u >= len) {
+                    u -= len;
+                    flip = 1;
+                }
+            }
+            pos = (u % (count * a->hold)) / a->hold;
+            if (pos < d[0])
+                index = a->kept[pos];
+            else if (pos - d[0] < run)
+                index = d[2] + (pos - d[0]);
+            else
+                index = a->kept[d[1] + (pos - d[0] - run)];
+            row = a->base + index * num_pis;
+            for (p = 0; p < num_pis; p++) {
+                /* Circular left shift: PI p reads base column p + 1. */
+                const int64_t column =
+                    shift ? (p + 1 < num_pis ? p + 1 : 0) : p;
+                uint64_t *h = a->FV + (uint64_t)(2 * a->pi_sig[p]) * words;
+                if (row[column] ^ flip)
+                    h[w] |= bit;
+                else
+                    h[words + w] |= bit;
+            }
+        }
+    }
+    for (p = 0; p < num_pis; p++) {
+        const uint64_t *h = a->FV + (uint64_t)(2 * a->pi_sig[p]) * words;
+        uint64_t *gh = a->GV + (uint64_t)(2 * a->pi_sig[p]) * words;
+        memcpy(gh + w0, h + w0, span_bytes);
+        memcpy(gh + words + w0, h + words + w0, span_bytes);
+    }
+}
 
 /* Add one step's flop divergence to every live slot of [w0, w1); live  */
 /* is the step's per-word live mask.                                    */
@@ -937,45 +1064,40 @@ static void accumulate_divergence(const ScanArgs *a, const uint64_t *live,
 static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
 {
     const int64_t words = a->words;
-    const size_t span_bytes = (size_t)(w1 - w0) * sizeof(uint64_t);
     const int divergence = a->GV && a->div_area;
-    int64_t s, w, p, f, i;
+    const int narrow = a->GV && !a->collect_finals;
+    int64_t t, w, p, f, i;
     int64_t executed = 0;
-    for (s = 0; s < a->num_steps; s++) {
-        const int64_t t = a->t0 + s;
-        const uint64_t *alive_row = a->alive ? a->alive + s * words : 0;
+    for (t = 0; t < a->num_steps; t++) {
+        size_t span_bytes;
 
+        if (a->desc)
+            expire_derived(a, t, w0, w1);
         uint64_t any = 0;
         for (w = w0; w < w1; w++)
-            any |= (alive_row ? alive_row[w] : ~(uint64_t)0) & a->pending[w];
+            any |= a->pending[w];
         if (!any && !a->collect_finals)
-            return -(executed + 1); /* live drained: nothing detects later */
+            return executed; /* live drained: nothing detects later */
         executed++;
+        if (narrow) {
+            while (!a->pending[w0])
+                w0++;
+            while (!a->pending[w1 - 1])
+                w1--;
+        }
+        span_bytes = (size_t)(w1 - w0) * sizeof(uint64_t);
 
         /* Load this step's primary inputs. */
-        if (a->stim_bits) {
-            const uint8_t *bits = a->stim_bits + s * a->num_pis;
+        if (a->desc) {
+            load_derived(a, t, w0, w1);
+        } else {
+            const uint8_t *bits = a->stim_bits + t * a->num_pis;
             for (p = 0; p < a->num_pis; p++) {
                 uint64_t *h = a->FV + (uint64_t)(2 * a->pi_sig[p]) * words;
                 const uint64_t hv = bits[p] ? ~(uint64_t)0 : 0;
                 for (w = w0; w < w1; w++) {
                     h[w] = hv;
                     h[words + w] = ~hv;
-                }
-            }
-        } else {
-            const uint64_t *ones = a->stim_ones + s * a->num_pis * words;
-            const uint64_t *zeros = a->stim_zeros + s * a->num_pis * words;
-            for (p = 0; p < a->num_pis; p++) {
-                uint64_t *h = a->FV + (uint64_t)(2 * a->pi_sig[p]) * words;
-                memcpy(h + w0, ones + p * words + w0, span_bytes);
-                memcpy(h + words + w0, zeros + p * words + w0, span_bytes);
-                if (a->GV) {
-                    uint64_t *gh =
-                        a->GV + (uint64_t)(2 * a->pi_sig[p]) * words;
-                    memcpy(gh + w0, ones + p * words + w0, span_bytes);
-                    memcpy(gh + words + w0, zeros + p * words + w0,
-                           span_bytes);
                 }
             }
         }
@@ -1013,7 +1135,7 @@ static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
                  a->stem_sa0, a->n_stem, a->scratch);
 
         if (a->po_trace) {
-            uint8_t *row = a->po_trace + s * a->num_pos;
+            uint8_t *row = a->po_trace + t * a->num_pos;
             for (p = 0; p < a->num_pos; p++) {
                 const uint64_t *rail =
                     a->FV + (uint64_t)(2 * a->po_sig[p]) * words;
@@ -1035,24 +1157,32 @@ static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
                              a->obs_off[t + 1] - a->obs_off[t], a->po_sig,
                              a->f_po_sa1, a->f_po_sa0, a->det);
 
-        uint64_t pend_any = 0;
+        int64_t lowest = -1; /* lowest slot detecting at this step */
         for (w = w0; w < w1; w++) {
-            const uint64_t live =
-                (alive_row ? alive_row[w] : ~(uint64_t)0) & a->pending[w];
+            const uint64_t live = a->pending[w];
             uint64_t d = a->det[w] & live;
+            if (d && lowest < 0)
+                lowest = w * 64 + ctz64(d);
+            a->pending[w] &= ~d;
             while (d) {
                 const int b = ctz64(d);
                 a->times[w * 64 + b] = t;
                 d &= d - 1;
             }
-            a->pending[w] &=
-                ~(a->det[w] & (alive_row ? alive_row[w] : ~(uint64_t)0));
-            pend_any |= a->pending[w];
             a->det[w] = live; /* det is spent: park the step's live mask */
         }
+        if (a->first_hit && lowest >= 0) {
+            /* Keep only the slots below the lowest detecting one. */
+            a->pending[lowest / 64] &= ((uint64_t)1 << (lowest % 64)) - 1;
+            for (w = lowest / 64 + 1; w < w1; w++)
+                a->pending[w] = 0;
+        }
+        uint64_t pend_any = 0;
+        for (w = w0; w < w1; w++)
+            pend_any |= a->pending[w];
         const int stop = !pend_any && !a->collect_finals;
         if (stop && !divergence)
-            return -(executed + 1); /* all detected; skip the state latch */
+            return executed; /* all detected; skip the state latch */
 
         /* Latch the flop D values as next state (faulty flop patches). */
         for (f = 0; f < a->num_flops; f++) {
@@ -1085,7 +1215,7 @@ static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
         if (divergence) {
             accumulate_divergence(a, a->det, w0, w1);
             if (stop)
-                return -(executed + 1); /* all detected, now counted */
+                return executed; /* all detected, now counted */
         }
     }
     return executed;
@@ -1095,29 +1225,23 @@ static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
 typedef struct {
     const ScanArgs *args;
     int64_t bounds[REPRO_MAX_THREADS + 1];
-    int64_t rets[REPRO_MAX_THREADS];
-    /* First-hit early-exit state shared across spans: each span that
-     * drains (returns negative) counts itself here, so the combined
-     * "no later chunk can detect" verdict needs no locks. */
-    _Atomic int64_t finished_spans;
+    int64_t executed[REPRO_MAX_THREADS];
 } ScanJob;
 
 static void scan_job_span(void *ptr, int64_t span)
 {
     ScanJob *job = ptr;
-    const int64_t ret =
+    job->executed[span] =
         scan_span(job->args, job->bounds[span], job->bounds[span + 1]);
-    job->rets[span] = ret;
-    if (ret < 0)
-        atomic_fetch_add_explicit(&job->finished_spans, 1,
-                                  memory_order_relaxed);
 }
 #endif
 
+/* Arguments come in three groups (ABI 6): the program prefix, fixed per */
+/* compiled fault batch and circuit (the Python side builds it once per  */
+/* program); the batch's machines; then the per-call stimulus, outputs   */
+/* and modes.                                                            */
 EXPORT int64_t repro_scan(
-    uint64_t *GV,
-    uint64_t *FV,
-    int64_t words,
+    /* --- program prefix ------------------------------------------- */
     const int32_t *codes,
     const int32_t *outs,
     const int64_t *in_off,
@@ -1132,7 +1256,6 @@ EXPORT int64_t repro_scan(
     const uint64_t *stem_sa1,
     const uint64_t *stem_sa0,
     int64_t n_stem,
-    uint64_t *scratch,
     const int32_t *src_rows,   /* faulty source patches: rail rows ...  */
     const uint64_t *src_force, /* ... (n_src, words) force masks        */
     const uint64_t *src_keep,  /* ... (n_src, words) keep masks         */
@@ -1148,25 +1271,35 @@ EXPORT int64_t repro_scan(
     const uint64_t *dff_force_l, /* ... masks per rail                  */
     const uint64_t *dff_keep_l,
     int64_t n_dff,
+    const int32_t *po_sig,
+    int64_t num_pos,
+    const uint64_t *f_po_sa1, /* dense (num_pos, words) faulty PO masks */
+    const uint64_t *f_po_sa0,
+    /* --- batch ----------------------------------------------------- */
+    uint64_t *GV, /* good machine rails; NULL on the fault axis         */
+    uint64_t *FV,
+    int64_t words,
+    uint64_t *scratch,
     uint64_t *g_sh, /* good flop state (num_flops, words); NULL w/o GV  */
     uint64_t *g_sl,
     uint64_t *f_sh, /* faulty flop state (num_flops, words)             */
     uint64_t *f_sl,
-    const uint64_t *stim_ones,  /* (num_steps, num_pis, words) or NULL  */
-    const uint64_t *stim_zeros,
-    const uint8_t *stim_bits,   /* (num_steps, num_pis) or NULL         */
-    int64_t t0,
-    int64_t num_steps,
-    const int32_t *po_sig,
-    int64_t num_pos,
     const uint64_t *g_po_sa1, /* dense (num_pos, words); NULL w/o GV    */
     const uint64_t *g_po_sa0,
-    const uint64_t *f_po_sa1,
-    const uint64_t *f_po_sa0,
-    const int64_t *obs_off,   /* fault mode: per-global-step offsets    */
-    const int32_t *obs_pos,   /* ... into the flattened observation     */
-    const uint8_t *obs_vals,  /* ... position/value rows                */
-    const uint64_t *alive,    /* (num_steps, words) or NULL = all alive */
+    /* --- stimulus: bits (fault axis) or derived (paired) ------------ */
+    const uint8_t *stim_bits,   /* (num_steps, num_pis) or NULL         */
+    const uint8_t *base,        /* derived: (base_len, num_pis) bits    */
+    const int32_t *kept,        /* ... sorted kept positions, n_kept    */
+    int64_t n_kept,
+    const int32_t *desc,        /* ... (slots, 4) low, high, a, b; or   */
+    int64_t hold,               /* ... NULL; expansion: hold cycles,    */
+    int64_t reps,               /* ... repetitions and X_* operators    */
+    int64_t x_ops,
+    int64_t num_steps,
+    const int64_t *obs_off,   /* fault mode: per-step offsets into the  */
+    const int32_t *obs_pos,   /* ... flattened observation position/    */
+    const uint8_t *obs_vals,  /* ... value rows                         */
+    /* --- outputs and modes ----------------------------------------- */
     uint64_t *pending,        /* (words), in/out                        */
     int64_t *times,           /* (words * 64), -1 = undetected, in/out  */
     uint64_t *det,            /* (words) detection scratch              */
@@ -1174,39 +1307,40 @@ EXPORT int64_t repro_scan(
     int64_t *div_final,       /* ... divergence max / last / sum,       */
     int64_t *div_area,        /* ... in/out; all three NULL = off       */
     int64_t collect_finals,
+    int64_t first_hit,
     int64_t n_threads)
 {
+    int64_t x_mult = hold * reps;
+    if (x_ops & X_COMPLEMENT)
+        x_mult *= 2;
+    if (x_ops & X_SHIFT)
+        x_mult *= 2;
+    if (x_ops & X_REVERSE)
+        x_mult *= 2;
     ScanArgs args = {GV, FV, words, codes, outs, in_off, ins, num_ops,
                      pin_ops, pin_pins, pin_sa1, pin_sa0, n_pin,
                      stem_ops, stem_sa1, stem_sa0, n_stem, scratch,
                      src_rows, src_force, src_keep, n_src, pi_sig,
                      num_pis, q_sig, d_sig, num_flops, dff_pos,
                      dff_force_h, dff_keep_h, dff_force_l, dff_keep_l,
-                     n_dff, g_sh, g_sl, f_sh, f_sl, stim_ones,
-                     stim_zeros, stim_bits, t0, num_steps, po_sig,
-                     num_pos, g_po_sa1, g_po_sa0, f_po_sa1, f_po_sa0,
-                     obs_off, obs_pos, obs_vals, alive, pending, times,
-                     det, collect_finals, 0, div_max, div_final,
+                     n_dff, g_sh, g_sl, f_sh, f_sl, stim_bits, base, kept,
+                     n_kept, desc, hold, reps, x_ops, x_mult, num_steps,
+                     po_sig, num_pos, g_po_sa1, g_po_sa0, f_po_sa1,
+                     f_po_sa0, obs_off, obs_pos, obs_vals, pending, times,
+                     det, collect_finals, first_hit, 0, div_max, div_final,
                      div_area};
 #if REPRO_HAVE_THREADS
     const int64_t spans = clamp_spans(n_threads, words);
     if (spans > 1) {
         ScanJob job;
         job.args = &args;
-        atomic_init(&job.finished_spans, 0);
         span_bounds(words, spans, job.bounds);
         if (pool_run(scan_job_span, &job, spans)) {
             int64_t executed = 0, i;
-            const int64_t finished =
-                atomic_load_explicit(&job.finished_spans,
-                                     memory_order_relaxed) == spans;
-            for (i = 0; i < spans; i++) {
-                const int64_t ret = job.rets[i];
-                const int64_t span_executed = ret < 0 ? -ret - 1 : ret;
-                if (span_executed > executed)
-                    executed = span_executed;
-            }
-            return finished ? -(executed + 1) : executed;
+            for (i = 0; i < spans; i++)
+                if (job.executed[i] > executed)
+                    executed = job.executed[i];
+            return executed;
         }
     }
 #else

@@ -14,18 +14,22 @@
  *   4. repro_eval from 4 concurrent caller threads (the serving-lane
  *      shape: the pool trylock serves one, the rest run serially),
  *      each result compared against the serial reference;
- *   5. fault-axis repro_scan with per-slot alive windows that drain at
- *      different steps per span, serial vs threaded — detect times,
- *      pending mask and the early-exit return combined through the
- *      finished_spans atomic must match bit-for-bit;
+ *   5. fault-axis repro_scan, serial vs threaded — detect times,
+ *      pending mask and the step count combined over spans must match
+ *      bit-for-bit;
  *   6. repro_trace (the fault-free good-machine trace) from 4 concurrent
  *      caller threads, as serving lanes call it, each PO trace and final
  *      flop state compared against a serial reference run;
- *   7. paired (candidate-axis) repro_scan with the per-slot flop-
- *      divergence outputs on, serial vs threaded — 4 spans write their
- *      own slots of div_max / div_final / div_area concurrently, and
- *      detect times, pending mask, return value and all three outputs
- *      must match bit-for-bit.
+ *   7. paired (candidate-axis) repro_scan over derived candidates with
+ *      the per-slot flop-divergence outputs on, serial vs threaded — 4
+ *      spans write their own slots of div_max / div_final / div_area
+ *      concurrently, and detect times, pending mask, return value and
+ *      all three outputs must match bit-for-bit;
+ *   8. a derived first-hit repro_scan whose slots drain and detect at
+ *      different steps per span, serial vs 4 spans — each span prunes
+ *      on its own lowest detecting slot, so the times up to and
+ *      including the lowest detecting slot must match byte for byte,
+ *      and equal those of the full (non-first-hit) scan.
  *
  * Build and run (the CI TSan lane):
  *
@@ -272,12 +276,11 @@ static int check_scan_parity(void)
     static uint64_t sa_zero[8 * WORDS];
     uint64_t *FV = malloc(rails * sizeof(uint64_t));
     uint64_t *scratch = malloc((size_t)(2 * MAX_ARITY) * WORDS * 8);
-    uint64_t *alive = malloc((size_t)STEPS * WORDS * sizeof(uint64_t));
     uint64_t pending_s[WORDS], pending_t[WORDS], det[WORDS];
     int64_t *times_s = malloc((size_t)WORDS * 64 * sizeof(int64_t));
     int64_t *times_t = malloc((size_t)WORDS * 64 * sizeof(int64_t));
     uint64_t rng = 0x5000;
-    int64_t s, w, b, i;
+    int64_t s, w, i;
     int64_t ret_s, ret_t;
     int failures = 0;
 
@@ -296,19 +299,6 @@ static int check_scan_parity(void)
                 (int32_t)(splitmix(&rng) % num_pos);
             obs_vals[s * obs_per_step + i] = (uint8_t)(splitmix(&rng) & 1);
         }
-    /* Monotone per-slot alive windows: slot (w, b) lives for the first
-     * 4..STEPS steps, so spans drain at different steps — the
-     * early-exit path the finished_spans atomic combines. */
-    for (s = 0; s < STEPS; s++)
-        for (w = 0; w < WORDS; w++) {
-            uint64_t row = 0;
-            for (b = 0; b < 64; b++) {
-                const int64_t window = 4 + ((w * 64 + b) % (STEPS - 4));
-                if (s < window)
-                    row |= (uint64_t)1 << b;
-            }
-            alive[s * WORDS + w] = row;
-        }
 
     fill_rails(FV, 0x6000);
     for (w = 0; w < WORDS; w++)
@@ -316,23 +306,23 @@ static int check_scan_parity(void)
     for (i = 0; i < WORDS * 64; i++)
         times_s[i] = times_t[i] = -1;
 
-    ret_s = repro_scan(0, FV, WORDS, g_codes, g_outs, g_in_off, g_ins,
-                       GATES, g_pin_ops, g_pin_pins, g_pin_sa1, g_pin_sa0,
-                       1, g_stem_ops, g_stem_sa1, g_stem_sa0, 1, scratch,
-                       0, 0, 0, 0, pi_sig, PIS, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                       0, 0, 0, 0, 0, 0, stim_bits, 0, STEPS, po_sig,
-                       num_pos, 0, 0, sa_zero, sa_zero, obs_off, obs_pos,
-                       obs_vals, alive, pending_s, times_s, det, 0, 0, 0, 0,
-                       1);
+    ret_s = repro_scan(g_codes, g_outs, g_in_off, g_ins, GATES, g_pin_ops,
+                       g_pin_pins, g_pin_sa1, g_pin_sa0, 1, g_stem_ops,
+                       g_stem_sa1, g_stem_sa0, 1, 0, 0, 0, 0, pi_sig, PIS,
+                       0, 0, 0, 0, 0, 0, 0, 0, 0, po_sig, num_pos, sa_zero,
+                       sa_zero, 0, FV, WORDS, scratch, 0, 0, 0, 0, 0, 0,
+                       stim_bits, 0, 0, 0, 0, 0, 0, 0, STEPS, obs_off,
+                       obs_pos, obs_vals, pending_s, times_s, det, 0, 0, 0,
+                       0, 0, 1);
     fill_rails(FV, 0x6000);
-    ret_t = repro_scan(0, FV, WORDS, g_codes, g_outs, g_in_off, g_ins,
-                       GATES, g_pin_ops, g_pin_pins, g_pin_sa1, g_pin_sa0,
-                       1, g_stem_ops, g_stem_sa1, g_stem_sa0, 1, scratch,
-                       0, 0, 0, 0, pi_sig, PIS, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                       0, 0, 0, 0, 0, 0, stim_bits, 0, STEPS, po_sig,
-                       num_pos, 0, 0, sa_zero, sa_zero, obs_off, obs_pos,
-                       obs_vals, alive, pending_t, times_t, det, 0, 0, 0, 0,
-                       LANES);
+    ret_t = repro_scan(g_codes, g_outs, g_in_off, g_ins, GATES, g_pin_ops,
+                       g_pin_pins, g_pin_sa1, g_pin_sa0, 1, g_stem_ops,
+                       g_stem_sa1, g_stem_sa0, 1, 0, 0, 0, 0, pi_sig, PIS,
+                       0, 0, 0, 0, 0, 0, 0, 0, 0, po_sig, num_pos, sa_zero,
+                       sa_zero, 0, FV, WORDS, scratch, 0, 0, 0, 0, 0, 0,
+                       stim_bits, 0, 0, 0, 0, 0, 0, 0, STEPS, obs_off,
+                       obs_pos, obs_vals, pending_t, times_t, det, 0, 0, 0,
+                       0, 0, LANES);
 
     if (ret_s != ret_t) {
         fprintf(stderr, "FAIL scan return: serial %lld threaded %lld\n",
@@ -350,7 +340,6 @@ static int check_scan_parity(void)
     }
     free(FV);
     free(scratch);
-    free(alive);
     free(times_s);
     free(times_t);
     return failures;
@@ -442,7 +431,46 @@ static int check_concurrent_traces(void)
     return failures;
 }
 
-/* --- paired scan with flop-divergence outputs ---------------------- */
+/* --- derived candidate scans ---------------------------------------- */
+
+/* Derived stimulus shared by cases 7 and 8: a 12-vector base over the
+ * trace's 2 PIs, kept positions {0, 5, 11} and all three expansion
+ * operators (8x).  Slot k below DERIVED_EMPTY is an empty candidate
+ * (it drains at step 0); the rest are windows [a, b) of 1..4 vectors
+ * plus the kept positions outside them, 8..56 steps long. */
+#define BASE_LEN 12
+#define DERIVED_STEPS 56
+#define DERIVED_OPS (X_COMPLEMENT | X_SHIFT | X_REVERSE)
+
+static const int32_t g_kept[3] = {0, 5, 11};
+static uint8_t g_base[BASE_LEN * TRACE_PIS];
+static int32_t g_desc[WORDS * 64 * 4];
+
+static void build_derived(int64_t empty)
+{
+    uint64_t rng = 0xb000;
+    int64_t k, i;
+    for (i = 0; i < BASE_LEN * TRACE_PIS; i++)
+        g_base[i] = (uint8_t)(splitmix(&rng) & 1);
+    for (k = 0; k < WORDS * 64; k++) {
+        int32_t *d = g_desc + 4 * k;
+        const int32_t a = (int32_t)(k % 6);
+        const int32_t b = a + 1 + (int32_t)(k % 4);
+        if (k < empty) {
+            d[0] = 0;
+            d[1] = 3;
+            d[2] = d[3] = 0;
+            continue;
+        }
+        d[0] = d[1] = 0;
+        for (i = 0; i < 3; i++) {
+            d[0] += g_kept[i] < a;
+            d[1] += g_kept[i] < b;
+        }
+        d[2] = a;
+        d[3] = b;
+    }
+}
 
 typedef struct {
     int64_t ret;
@@ -451,10 +479,11 @@ typedef struct {
     int64_t div[3][WORDS * 64]; /* max, final, area */
 } PairedResult;
 
-static void run_paired(PairedResult *out, const uint64_t *ones,
-                       const uint64_t *zeros, const uint64_t *alive,
-                       const int32_t *po_sig, const uint64_t *dff_keep_h,
-                       const uint64_t *dff_force_l, int64_t n_threads)
+static void run_paired(PairedResult *out, const int32_t *po_sig,
+                       const uint64_t *dff_keep_h,
+                       const uint64_t *dff_force_l, int64_t gate_faults,
+                       int64_t divergence, int64_t first_hit,
+                       int64_t n_threads)
 {
     static uint64_t sa_zero[TRACE_POS * WORDS];
     static uint64_t keep_all[WORDS];
@@ -472,58 +501,58 @@ static void run_paired(PairedResult *out, const uint64_t *ones,
     }
     for (i = 0; i < WORDS * 64; i++)
         out->times[i] = -1;
+    /* Both machines start with every flop at binary 0 (L rails set), so
+     * fault effects reach the POs as binary values. */
+    for (i = 0; i < TRACE_FLOPS * WORDS; i++)
+        state[TRACE_FLOPS * WORDS + i] = state[3 * TRACE_FLOPS * WORDS + i] =
+            ~(uint64_t)0;
     memset(out->div, 0, sizeof(out->div));
     fill_rails(GV, 0x9100);
     fill_rails(FV, 0x9200);
-    /* Faulty flop 0's D pin stuck at 0 in the dff_force_l slots. */
+    /* Faulty flop 0's D pin stuck at 0 in the dff_force_l slots, plus
+     * (gate_faults) the shared pin and stem patches. */
     out->ret = repro_scan(
-        GV, FV, WORDS, g_codes, g_outs, g_in_off, g_ins, GATES, g_pin_ops,
-        g_pin_pins, g_pin_sa1, g_pin_sa0, 1, g_stem_ops, g_stem_sa1,
-        g_stem_sa0, 1, scratch, 0, 0, 0, 0, g_trace_pi, TRACE_PIS,
-        g_trace_q, g_trace_d, TRACE_FLOPS, dff_pos, sa_zero, dff_keep_h,
-        dff_force_l, keep_all, 1, state, state + TRACE_FLOPS * WORDS,
-        state + 2 * TRACE_FLOPS * WORDS, state + 3 * TRACE_FLOPS * WORDS,
-        ones, zeros, 0, 0, STEPS, po_sig, TRACE_POS, sa_zero, sa_zero,
-        sa_zero, sa_zero, 0, 0, 0, alive, out->pending, out->times, det,
-        out->div[0], out->div[1], out->div[2], 0, n_threads);
+        g_codes, g_outs, g_in_off, g_ins, GATES, g_pin_ops, g_pin_pins,
+        g_pin_sa1, g_pin_sa0, gate_faults, g_stem_ops, g_stem_sa1,
+        g_stem_sa0, gate_faults, 0,
+        0, 0, 0, g_trace_pi, TRACE_PIS, g_trace_q, g_trace_d, TRACE_FLOPS,
+        dff_pos, sa_zero, dff_keep_h, dff_force_l, keep_all, 1, po_sig,
+        TRACE_POS, sa_zero, sa_zero, GV, FV, WORDS, scratch, state,
+        state + TRACE_FLOPS * WORDS, state + 2 * TRACE_FLOPS * WORDS,
+        state + 3 * TRACE_FLOPS * WORDS, sa_zero, sa_zero, 0, g_base,
+        g_kept, 3, g_desc, 1, 1, DERIVED_OPS, DERIVED_STEPS, 0, 0, 0,
+        out->pending, out->times, det, divergence ? out->div[0] : 0,
+        divergence ? out->div[1] : 0, divergence ? out->div[2] : 0, 0,
+        first_hit, n_threads);
     free(GV);
     free(FV);
     free(scratch);
     free(state);
 }
 
-static int check_paired_divergence(void)
+static void paired_masks(int32_t *po_sig, uint64_t *keep_h, uint64_t *force_l)
 {
-    static uint64_t ones[STEPS * TRACE_PIS * WORDS];
-    static uint64_t zeros[STEPS * TRACE_PIS * WORDS];
-    static uint64_t alive[STEPS * WORDS];
-    static PairedResult serial, threaded;
-    int32_t po_sig[TRACE_POS];
-    uint64_t keep_h[WORDS], force_l[WORDS];
     uint64_t rng = 0xa000;
-    int64_t s, w, b, i, diverged = 0;
-    int failures = 0;
+    int64_t w, i;
     for (i = 0; i < TRACE_POS; i++)
         po_sig[i] = (int32_t)(SIGNALS - TRACE_POS + i);
-    for (i = 0; i < STEPS * TRACE_PIS * WORDS; i++) {
-        ones[i] = splitmix(&rng);
-        zeros[i] = ~ones[i];
-    }
     for (w = 0; w < WORDS; w++) {
         force_l[w] = splitmix(&rng);
         keep_h[w] = ~force_l[w];
     }
-    /* The same monotone per-slot alive windows as the fault-axis case. */
-    for (s = 0; s < STEPS; s++)
-        for (w = 0; w < WORDS; w++) {
-            uint64_t row = 0;
-            for (b = 0; b < 64; b++)
-                if (s < 4 + ((w * 64 + b) % (STEPS - 4)))
-                    row |= (uint64_t)1 << b;
-            alive[s * WORDS + w] = row;
-        }
-    run_paired(&serial, ones, zeros, alive, po_sig, keep_h, force_l, 1);
-    run_paired(&threaded, ones, zeros, alive, po_sig, keep_h, force_l, LANES);
+}
+
+static int check_paired_divergence(void)
+{
+    static PairedResult serial, threaded;
+    int32_t po_sig[TRACE_POS];
+    uint64_t keep_h[WORDS], force_l[WORDS];
+    int64_t i, diverged = 0;
+    int failures = 0;
+    paired_masks(po_sig, keep_h, force_l);
+    build_derived(0);
+    run_paired(&serial, po_sig, keep_h, force_l, 1, 1, 0, 1);
+    run_paired(&threaded, po_sig, keep_h, force_l, 1, 1, 0, LANES);
     for (i = 0; i < WORDS * 64; i++)
         diverged += serial.div[2][i] > 0;
     if (!diverged) {
@@ -544,6 +573,62 @@ static int check_paired_divergence(void)
         fprintf(stderr, "FAIL paired scan divergence parity\n");
         failures++;
     }
+    return failures;
+}
+
+/* The lowest slot with a recorded time, or -1. */
+static int64_t lowest_hit(const PairedResult *result)
+{
+    int64_t i;
+    for (i = 0; i < WORDS * 64; i++)
+        if (result->times[i] >= 0)
+            return i;
+    return -1;
+}
+
+static int check_derived_first_hit(void)
+{
+    static PairedResult full, serial, threaded;
+    int32_t po_sig[TRACE_POS];
+    uint64_t keep_h[WORDS], force_l[WORDS];
+    int64_t winner;
+    int failures = 0;
+    int64_t w;
+    paired_masks(po_sig, keep_h, force_l);
+    /* Span 0 (slots 0..1023 of 4096) and the start of span 1 hold empty
+     * candidates, and only the flop fault acts, in no slot below 1280:
+     * span 1 then runs until its unfaulted windows end (8..56 steps)
+     * while spans 2 and 3 prune on their first detection. */
+    for (w = 0; w < 20; w++) {
+        force_l[w] = 0;
+        keep_h[w] = ~(uint64_t)0;
+    }
+    build_derived(1100);
+    run_paired(&full, po_sig, keep_h, force_l, 0, 0, 0, 1);
+    run_paired(&serial, po_sig, keep_h, force_l, 0, 0, 1, 1);
+    run_paired(&threaded, po_sig, keep_h, force_l, 0, 0, 1, LANES);
+    winner = lowest_hit(&full);
+    if (winner < 1280) {
+        fprintf(stderr, "FAIL derived first-hit winner %lld (vacuous)\n",
+                (long long)winner);
+        return failures + 1;
+    }
+    if (lowest_hit(&serial) != winner || lowest_hit(&threaded) != winner) {
+        fprintf(stderr, "FAIL derived first-hit winner parity\n");
+        failures++;
+    }
+    if (memcmp(serial.times, full.times, (size_t)(winner + 1) * 8) ||
+        memcmp(threaded.times, full.times, (size_t)(winner + 1) * 8)) {
+        fprintf(stderr, "FAIL derived first-hit detect-time parity\n");
+        failures++;
+    }
+    if (serial.ret > full.ret) {
+        fprintf(stderr, "FAIL derived first-hit ran longer than the scan\n");
+        failures++;
+    }
+    printf("derived first hit: slot %lld at step %lld; %lld of %lld steps\n",
+           (long long)winner, (long long)full.times[winner],
+           (long long)serial.ret, (long long)full.ret);
     return failures;
 }
 
@@ -574,6 +659,7 @@ int main(void)
     failures += check_scan_parity();
     failures += check_concurrent_traces();
     failures += check_paired_divergence();
+    failures += check_derived_first_hit();
     repro_thread_pool_shutdown();
     if (failures) {
         fprintf(stderr, "%d parity failure(s)\n", failures);

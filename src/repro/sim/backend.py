@@ -369,10 +369,11 @@ class SimBackend(ABC):
     #: big-int backend); the native backend uses 64 and rounds storage up
     #: to whole words.
     word_width: int | None = None
-    #: Whether the fault-axis :meth:`run_scan` reads the whole sequence
-    #: through :meth:`BroadcastStimulus.bits` (the native kernel) rather
-    #: than stepping :meth:`BroadcastStimulus.load_step`.  Callers that
-    #: scan one sequence over many batches convert it once when set.
+    #: Whether the fault-axis :meth:`run_scan` and :meth:`run_good_trace`
+    #: read the whole sequence through :meth:`BroadcastStimulus.bits`
+    #: (the native kernel) rather than stepping
+    #: :meth:`BroadcastStimulus.load_step`.  Callers that trace and scan
+    #: one sequence over many batches convert it once when set.
     scans_bits: bool = False
 
     def __init__(self, compiled: CompiledCircuit) -> None:
@@ -478,6 +479,7 @@ class SimBackend(ABC):
         *,
         collect_final_states: bool = False,
         divergence: ScanDivergence | None = None,
+        first_hit: bool = False,
     ) -> "list[int | None]":
         """Execute a whole-sequence scan in one backend call.
 
@@ -518,6 +520,12 @@ class SimBackend(ABC):
         :meth:`SimBatch.export_state_words` after each latch.  With it
         on, the step on which the last pending slot detects still
         latches, so that step is counted too.
+
+        ``first_hit`` (paired axis): only the lowest detecting slot
+        matters.  Times are exact for every slot up to and including it;
+        every later slot reads ``None``.  This loop simply blanks them;
+        the native kernel stops simulating them, so it may also end the
+        scan earlier.
         """
         if divergence is not None and good is None:
             raise SimulationError("flop divergence needs the paired candidate axis")
@@ -566,6 +574,12 @@ class SimBackend(ABC):
                 )
                 if pending == 0 and not collect_final_states:
                     break
+        if first_hit:
+            winner = next(
+                (slot for slot, time in enumerate(times) if time is not None),
+                num_slots,
+            )
+            times[winner + 1 :] = [None] * (num_slots - winner - 1)
         record_dispatch("scan_calls")
         record_dispatch("scan_steps", executed)
         return times

@@ -15,7 +15,8 @@ encoding — and the hot loops run in a compiled shared object (see
   candidate-axis reduction, likewise one C pass over all POs.
 * :meth:`NativeBackend.run_scan` / :meth:`NativeBackend.run_good_trace`
   — whole-sequence fault/candidate scans and the fault-free trace, each
-  one GIL-released C call per sequence (chunk).
+  one GIL-released C call per batch; candidate scans expand derived
+  candidates from the base bits inside the kernel.
 
 Input loading, state capture/interchange and the source-stem patches
 come from :class:`~repro.sim.backend_numpy.NumpyBatch`; the stepped
@@ -66,6 +67,14 @@ def _addr(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
+def _c_args(*values) -> tuple:
+    """Arrays as raw addresses, ``None`` and integers as they are."""
+    return tuple(
+        value if value is None or isinstance(value, int) else _addr(value)
+        for value in values
+    )
+
+
 class NativeProgram(SimProgram):
     """Every patch array of one fault batch, C-ready.
 
@@ -93,6 +102,7 @@ class NativeProgram(SimProgram):
         "stem_sa1",
         "stem_sa0",
         "_dense_po",
+        "_scan_prefixes",
     )
 
     def __init__(
@@ -116,6 +126,8 @@ class NativeProgram(SimProgram):
         #: programs are bound to one batch width; the fault-free program
         #: serves every width, hence the per-words memo.
         self._dense_po: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: words -> the program-fixed head of repro_scan's arguments.
+        self._scan_prefixes: dict[int, tuple] = {}
 
     def dense_po_masks(
         self, num_pos: int, words: int
@@ -153,11 +165,26 @@ class NativeBatch(NumpyBatch):
         self._gather = np.empty(
             (2 * max(backend.max_arity, 1), words), dtype=np.uint64
         )
-        # The eval argument vector is invariant across time steps; the
-        # arrays it points into are kept alive by self/backend/program.
-        self._eval_args = (
+        self._eval_args: tuple | None = None
+
+    def eval(self) -> None:
+        record_dispatch("native_ffi_calls")
+        if self._eval_args is None:
+            self._eval_args = self._build_eval_args()
+        self._lib.repro_eval(*self._eval_args, self.threads)
+
+    def _build_eval_args(self) -> tuple:
+        """The eval argument vector, invariant across time steps.
+
+        Built on the first stepped :meth:`eval` (fused scans never need
+        it); the arrays it points into are kept alive by
+        self/backend/program.
+        """
+        backend = self._backend
+        program = self._program
+        return (
             _addr(self._V),
-            words,
+            self._words,
             _addr(backend.c_codes),
             _addr(backend.c_outs),
             _addr(backend.c_in_off),
@@ -174,10 +201,6 @@ class NativeBatch(NumpyBatch):
             len(program.stem_ops),
             _addr(self._gather),
         )
-
-    def eval(self) -> None:
-        record_dispatch("native_ffi_calls")
-        self._lib.repro_eval(*self._eval_args, self.threads)
 
     def detect_mask(self, positions: Sequence[int], values: Sequence[int]) -> int:
         n = len(positions)
@@ -322,6 +345,54 @@ class NativeBackend(NumpyBackend):
     # ------------------------------------------------------------------
     # Fused whole-sequence scan
     # ------------------------------------------------------------------
+    def _scan_prefix(self, program: NativeProgram, words: int) -> tuple:
+        """The program-fixed head of ``repro_scan``'s arguments.
+
+        Built once per program (and word count: the fault-free program
+        serves every width) and kept on it; the arrays it points into
+        are owned by the program and this backend.
+        """
+        prefix = program._scan_prefixes.get(words)
+        if prefix is None:
+            po_sa1, po_sa0 = program.dense_po_masks(len(self.po_sig), words)
+            prefix = _c_args(
+                self.c_codes,
+                self.c_outs,
+                self.c_in_off,
+                self.c_ins,
+                len(self.compiled.ops),
+                program.pin_ops,
+                program.pin_pins,
+                program.pin_sa1,
+                program.pin_sa0,
+                len(program.pin_ops),
+                program.stem_ops,
+                program.stem_sa1,
+                program.stem_sa0,
+                len(program.stem_ops),
+                program.src_rows,
+                program.src_force,
+                program.src_keep,
+                len(program.src_rows),
+                self.c_pi,
+                len(self.c_pi),
+                self.c_q,
+                self.c_d,
+                len(self.c_q),
+                program.dff_pos,
+                program.dff_force_h,
+                program.dff_keep_h,
+                program.dff_force_l,
+                program.dff_keep_l,
+                len(program.dff_pos),
+                self.po_sig,
+                len(self.po_sig),
+                po_sa1,
+                po_sa0,
+            )
+            program._scan_prefixes[words] = prefix
+        return prefix
+
     def run_scan(
         self,
         good: SimBatch | None,
@@ -332,43 +403,41 @@ class NativeBackend(NumpyBackend):
         *,
         collect_final_states: bool = False,
         divergence: ScanDivergence | None = None,
+        first_hit: bool = False,
     ) -> list[int | None]:
-        """All ``num_steps`` time steps in GIL-released C calls.
+        """All ``num_steps`` time steps in one GIL-released C call.
 
-        Candidate mode (``observation_plan is None``) issues one call per
-        packed stimulus chunk; fault mode issues a single call for the
-        whole sequence.  The C side owns the per-step loop — input load,
-        good/faulty eval, detection, first-hit bookkeeping and the flop
-        latch — so the Python cost is O(chunks), not O(steps).  Flop
-        divergence outputs accumulate in the same calls.  Stimuli
-        without a packed-array form fall back to the stepped base scan.
+        The candidate axis takes a derived stimulus (one with a
+        ``descriptor``: base bits, kept positions, per-slot
+        ``(low, high, a, b)`` rows and the expansion): the kernel
+        expands every slot's inputs from the base itself, ends each slot
+        with its candidate and, with ``first_hit``, drops the slots
+        above the lowest detecting one.  The fault axis takes the
+        sequence's bits.  The C side owns the per-step loop — input
+        load, good/faulty eval, detection, first-hit bookkeeping and the
+        flop latch — and accumulates the flop divergence outputs.
+        Stimuli without an array form fall back to the stepped base
+        scan.
         """
         paired = observation_plan is None
         if paired:
-            chunk_arrays = getattr(packed_stimulus, "chunk_arrays", None)
-            if chunk_arrays is None:
-                return super().run_scan(
-                    good,
-                    faulty,
-                    packed_stimulus,
-                    observation_plan,
-                    alive_mask,
-                    collect_final_states=collect_final_states,
-                    divergence=divergence,
-                )
+            descriptor = getattr(packed_stimulus, "descriptor", None)
+            stepped = descriptor is None
         else:
             bits_of = getattr(packed_stimulus, "bits", None)
             # The base loop owns the fault-axis divergence rejection.
-            if bits_of is None or divergence is not None:
-                return super().run_scan(
-                    good,
-                    faulty,
-                    packed_stimulus,
-                    observation_plan,
-                    alive_mask,
-                    collect_final_states=collect_final_states,
-                    divergence=divergence,
-                )
+            stepped = bits_of is None or divergence is not None
+        if stepped:
+            return super().run_scan(
+                good,
+                faulty,
+                packed_stimulus,
+                observation_plan,
+                alive_mask,
+                collect_final_states=collect_final_states,
+                divergence=divergence,
+                first_hit=first_hit,
+            )
         num_steps = packed_stimulus.num_steps
         num_slots = packed_stimulus.num_slots
         times_out: list[int | None] = [None] * num_slots
@@ -379,23 +448,16 @@ class NativeBackend(NumpyBackend):
         words = faulty._words
         program = faulty._program
         assert isinstance(program, NativeProgram)
+        # A derived stimulus carries its own alive windows; the fault
+        # axis's steady alive mask folds into the initial pending words.
         full_mask = (1 << num_slots) - 1
-        # A steady alive mask folds into the initial pending words (the
-        # kernel then treats a NULL alive pointer as all-live), which is
-        # equivalent to intersecting per step; per-step masks travel as
-        # packed (num_steps, words) rows.
-        alive_rows: np.ndarray | None = None
-        if isinstance(alive_mask, int):
-            pending = _mask_to_words(full_mask & alive_mask, words)
-        else:
-            pending = _mask_to_words(full_mask, words)
-            alive_rows = getattr(packed_stimulus, "alive_words", None)
-            if alive_rows is None:
-                alive_rows = _masks_to_matrix(list(alive_mask), words)
+        if not paired:
+            full_mask &= alive_mask
+        pending = _mask_to_words(full_mask, words)
         times = np.full(words * WORD_BITS, -1, dtype=np.int64)
         det = np.zeros(words, dtype=np.uint64)
-        # Per-slot divergence max / final / area rows (in/out across
-        # chunk calls); NULL pointers switch the outputs off.
+        # Per-slot divergence max / final / area rows; NULL pointers
+        # switch the outputs off.
         div = (
             None
             if divergence is None
@@ -404,129 +466,100 @@ class NativeBackend(NumpyBackend):
         div_ptrs = (None,) * 3 if div is None else tuple(_addr(row) for row in div)
         if paired:
             assert isinstance(good, NativeBatch) and good._words == words
-            gv = _addr(good._V)
-            g_sh, g_sl = _addr(good._SH), _addr(good._SL)
-            g_po_sa1, g_po_sa0 = _addr(good._po_sa1), _addr(good._po_sa0)
-            obs_off = obs_pos = obs_vals = None
+            base_bits, kept, rows, expansion = descriptor
+            # The kernel reads these as C arrays of exactly these types
+            # (no copy when they already are); the locals keep them alive.
+            base_bits = np.ascontiguousarray(base_bits, dtype=np.uint8)
+            kept = np.ascontiguousarray(kept, dtype=np.int32)
+            rows = np.ascontiguousarray(rows, dtype=np.int32)
+            width_fits = base_bits.shape[1:] == (len(self.c_pi),)
+            if not width_fits or rows.shape != (num_slots, 4):
+                raise SimulationError("derived stimulus does not fit this batch")
+            operators = (
+                int(expansion.use_complement)
+                | int(expansion.use_shift) << 1
+                | int(expansion.use_reverse) << 2
+            )
+            args = _c_args(
+                good._V,
+                faulty._V,
+                words,
+                faulty._gather,
+                good._SH,
+                good._SL,
+                faulty._SH,
+                faulty._SL,
+                good._po_sa1,
+                good._po_sa0,
+                None,
+                base_bits,
+                kept,
+                len(kept),
+                rows,
+                expansion.hold_cycles,
+                expansion.repetitions,
+                operators,
+                num_steps,
+                None,
+                None,
+                None,
+            )
         else:
-            gv = g_sh = g_sl = g_po_sa1 = g_po_sa0 = None
-            # Zero-copy views of the plan's flat buffers (never NULL,
-            # even when no PO is ever binary).
-            obs_off = np.frombuffer(observation_plan.offsets, dtype=np.int64)
-            obs_pos = np.frombuffer(observation_plan.positions, dtype=np.int32)
-            obs_vals = np.frombuffer(observation_plan.values, dtype=np.uint8)
-        # Invariant argument prefix/suffix, built once per scan; only the
-        # stimulus pointers, chunk bounds and alive row pointer vary.
-        head = (
-            gv,
-            _addr(faulty._V),
-            words,
-            _addr(self.c_codes),
-            _addr(self.c_outs),
-            _addr(self.c_in_off),
-            _addr(self.c_ins),
-            len(self.compiled.ops),
-            _addr(program.pin_ops),
-            _addr(program.pin_pins),
-            _addr(program.pin_sa1),
-            _addr(program.pin_sa0),
-            len(program.pin_ops),
-            _addr(program.stem_ops),
-            _addr(program.stem_sa1),
-            _addr(program.stem_sa0),
-            len(program.stem_ops),
-            _addr(faulty._gather),
-            _addr(program.src_rows),
-            _addr(program.src_force),
-            _addr(program.src_keep),
-            len(program.src_rows),
-            _addr(self.c_pi),
-            len(self.c_pi),
-            _addr(self.c_q),
-            _addr(self.c_d),
-            len(self.c_q),
-            _addr(program.dff_pos),
-            _addr(program.dff_force_h),
-            _addr(program.dff_keep_h),
-            _addr(program.dff_force_l),
-            _addr(program.dff_keep_l),
-            len(program.dff_pos),
-            g_sh,
-            g_sl,
-            _addr(faulty._SH),
-            _addr(faulty._SL),
-        )
-        tail = (
-            _addr(self.po_sig),
-            len(self.po_sig),
-            g_po_sa1,
-            g_po_sa0,
-            _addr(faulty._po_sa1),
-            _addr(faulty._po_sa0),
-            None if obs_off is None else _addr(obs_off),
-            None if obs_pos is None else _addr(obs_pos),
-            None if obs_vals is None else _addr(obs_vals),
-        )
+            # Held until the call returns; the observation views below
+            # point into the plan's own flat buffers (never NULL, even
+            # when no PO is ever binary).
+            bits = np.ascontiguousarray(bits_of(), dtype=np.uint8)
+            args = _c_args(
+                None,
+                faulty._V,
+                words,
+                faulty._gather,
+                None,
+                None,
+                faulty._SH,
+                faulty._SL,
+                None,
+                None,
+                bits,
+                None,
+                None,
+                0,
+                None,
+                0,
+                0,
+                0,
+                num_steps,
+                np.frombuffer(observation_plan.offsets, dtype=np.int64),
+                np.frombuffer(observation_plan.positions, dtype=np.int32),
+                np.frombuffer(observation_plan.values, dtype=np.uint8),
+            )
+        record_dispatch("native_ffi_calls")
         # Thread lanes for the kernel's word-span partition; bit-identical
         # at any count, so the stepped/fused parity contract is unchanged.
-        fixed = (
-            _addr(pending),
-            _addr(times),
-            _addr(det),
-            *div_ptrs,
-            int(collect_final_states),
-            faulty.threads,
-        )
-        executed = 0
-        if paired:
-            t = 0
-            while t < num_steps:
-                t0, t1, ones, zeros = chunk_arrays(t)
-                alive_ptr = (
-                    None
-                    if alive_rows is None
-                    else alive_rows[t0:t1].ctypes.data
-                )
-                record_dispatch("native_ffi_calls")
-                ret = int(
-                    self.lib.repro_scan(
-                        *head,
-                        _addr(ones),
-                        _addr(zeros),
-                        None,
-                        t0,
-                        t1 - t0,
-                        *tail,
-                        alive_ptr,
-                        *fixed,
-                    )
-                )
-                finished = ret < 0
-                executed += -ret - 1 if finished else ret
-                if finished:
-                    break
-                t = t1
-        else:
-            bits = np.ascontiguousarray(bits_of(), dtype=np.uint8)
-            record_dispatch("native_ffi_calls")
-            ret = int(
-                self.lib.repro_scan(
-                    *head,
-                    None,
-                    None,
-                    _addr(bits),
-                    0,
-                    num_steps,
-                    *tail,
-                    None,
-                    *fixed,
-                )
+        executed = int(
+            self.lib.repro_scan(
+                *self._scan_prefix(program, words),
+                *args,
+                _addr(pending),
+                _addr(times),
+                _addr(det),
+                *div_ptrs,
+                int(collect_final_states),
+                int(first_hit),
+                faulty.threads,
             )
-            executed = -ret - 1 if ret < 0 else ret
-        for slot in range(num_slots):
-            t_hit = int(times[slot])
-            if t_hit >= 0:
-                times_out[slot] = t_hit
+        )
+        found = times[:num_slots]
+        if first_hit:
+            # Only the lowest detecting slot's time is exact; the kernel
+            # may have recorded (or pruned) any slot above it.
+            hits = np.flatnonzero(found >= 0)
+            if hits.size:
+                times_out[int(hits[0])] = int(found[hits[0]])
+        else:
+            for slot, t_hit in enumerate(found.tolist()):
+                if t_hit >= 0:
+                    times_out[slot] = t_hit
         if divergence is not None:
             divergence.maximum[:] = div[0, :num_slots].tolist()
             divergence.final[:] = div[1, :num_slots].tolist()

@@ -48,8 +48,11 @@ CACHE_DIR_ENV = "REPRO_NATIVE_CACHE_DIR"
 #: with the wrong marshaling).  v2 added repro_scan; v3 added the
 #: persistent thread pool and the trailing n_threads argument on
 #: repro_eval/repro_detect_step/repro_scan; v4 added repro_trace; v5
-#: added repro_scan's per-slot flop-divergence outputs.
-NATIVE_ABI_VERSION = 5
+#: added repro_scan's per-slot flop-divergence outputs; v6 put
+#: repro_scan's program-fixed arguments first, replaced its packed
+#: per-slot stimulus with derived candidates and added the first-hit
+#: mode.
+NATIVE_ABI_VERSION = 6
 
 #: Compilers tried in order when $CC is unset.
 _COMPILER_CANDIDATES = ("cc", "gcc", "clang")
@@ -175,13 +178,19 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
         p, p, i64, p, i64, p, p, p, p, p, i64
     ]
     library.repro_detect_step.restype = None
-    # repro_scan: 60 arguments, pointers except the size/flag integers
-    # (see the C signature; ctypes releases the GIL for the whole call,
-    # which is what lets concurrent serving lanes scan in parallel).
-    scan_sig: list = [p] * 60
-    for index in (2, 7, 12, 16, 21, 23, 26, 32, 40, 41, 43, 58, 59):
-        scan_sig[index] = i64
-    library.repro_scan.argtypes = scan_sig
+    # repro_scan: 64 arguments in the C signature's groups, "p" a
+    # pointer and "i" a size/flag integer (ctypes releases the GIL for
+    # the whole call, which is what lets concurrent serving lanes scan
+    # in parallel).
+    scan_groups = (
+        "ppppippppipppipppipippipppppipipp",  # program prefix
+        "ppippppppp",  # batch
+        "pppipiiiippp",  # stimulus
+        "ppppppiii",  # outputs and modes
+    )
+    library.repro_scan.argtypes = [
+        p if kind == "p" else i64 for kind in "".join(scan_groups)
+    ]
     library.repro_scan.restype = i64
     # repro_trace: 18 arguments (the fault-free trace, one serial call).
     trace_sig: list = [p] * 18

@@ -9,10 +9,15 @@ re-derived chunk boundaries for its serial first-hit loop,
 and the partitioning baseline rebuilt the same window ramp with its own
 identity expansion.  A :class:`ScanPlan` now carries the whole scan —
 the candidate payload, the shared base, the expansion operator and a
-per-candidate **cost** — and owns its candidates: :meth:`index_lists`
-is the one rule that turns a derived plan into the packer's index
-lists, for the serial executor and for every shard worker alike, so
-results are bit-identical by construction for any worker count.
+per-candidate **cost** — and owns its candidates: :meth:`descriptor`
+is the one rule that turns a derived plan into the executors' compact
+form (a sorted kept array ``K`` plus one ``(low, high, a, b)`` row per
+candidate, the index list ``K[:low] + range(a, b) + K[high:]``, built
+with numpy and no per-candidate Python), for the serial executor and
+for every shard worker alike, so results are bit-identical by
+construction for any worker count.  :meth:`index_lists` spells the same
+candidates out as lists: the reference the tests hold descriptors to,
+and the no-numpy fallback's input.
 
 Cost model
 ----------
@@ -42,6 +47,11 @@ from __future__ import annotations
 import copy
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
+
+try:  # Descriptors are numpy arrays; index lists need no numpy.
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy ships in CI
+    np = None
 
 from repro.core.ops import ExpansionConfig
 from repro.core.sequence import TestSequence
@@ -108,11 +118,11 @@ class ScanPlan:
     Subclasses fix ``kind`` (``"explicit"`` for materialized candidates,
     anything else for candidates derived from the base) and implement
     :meth:`costs` (simulated steps per candidate); derived plans also
-    implement :meth:`index_lists`.  :meth:`slice` (a sub-plan over a
-    contiguous candidate range) is what the serial chunked first-hit
-    scan and the sharded chunk tasks consume; :meth:`without_base` is
-    what a shard task carries when the base travels separately as
-    its bit matrix.
+    implement :meth:`descriptor` and :meth:`index_lists`.  :meth:`slice`
+    (a sub-plan over a contiguous candidate range) is what the serial
+    chunked first-hit scan and the sharded chunk tasks consume;
+    :meth:`without_base` is what a shard task carries when the base
+    travels separately as its bit matrix.
 
     Plans validate their payload against the base at construction, so a
     malformed scan fails before any simulator work; the executor still
@@ -154,6 +164,18 @@ class ScanPlan:
         The packer's input: candidate ``i`` is
         ``expand(base[index_lists[i]], expansion)``.  The base length is
         passed in because a shard task's plan travels without its base.
+        """
+        raise NotImplementedError
+
+    def descriptor(self, base_length: int):
+        """Every candidate as one compact row (requires numpy).
+
+        Returns ``(kept, rows)``: a sorted ``int32`` array ``K`` and an
+        ``(num_candidates, 4)`` ``int32`` array whose row
+        ``(low, high, a, b)`` stands for the index list
+        ``K[:low] + range(a, b) + K[high:]`` — exactly
+        :meth:`index_lists`, built without per-candidate Python.  The
+        native kernel expands candidates straight from these rows.
         """
         raise NotImplementedError
 
@@ -257,6 +279,18 @@ class WindowRampPlan(ScanPlan):
             lists.append([*kept[:low], *range(start, end + 1), *kept[high:]])
         return lists
 
+    def descriptor(self, base_length: int):
+        """``K`` is the kept set; a span ``[s, e]`` is the run ``[s, e + 1)``
+        with the kept positions inside it (``low:high``) left out."""
+        kept = np.asarray(self.kept, dtype=np.int32)
+        spans = np.asarray(self.items, dtype=np.int32).reshape(-1, 2)
+        rows = np.empty((len(spans), 4), dtype=np.int32)
+        rows[:, 0] = np.searchsorted(kept, spans[:, 0], side="left")
+        rows[:, 1] = np.searchsorted(kept, spans[:, 1], side="right")
+        rows[:, 2] = spans[:, 0]
+        rows[:, 3] = spans[:, 1] + 1
+        return kept, rows
+
 
 class OmissionPlan(ScanPlan):
     """Single-vector omissions: ``expand(base.omit(index), x)``.
@@ -294,6 +328,15 @@ class OmissionPlan(ScanPlan):
         return [
             [j for j in range(base_length) if j != index] for index in self.items
         ]
+
+    def descriptor(self, base_length: int):
+        """``K`` is the whole base; omitting ``o`` skips ``K[o]`` with an
+        empty run."""
+        omitted = np.asarray(self.items, dtype=np.int32)
+        rows = np.zeros((len(omitted), 4), dtype=np.int32)
+        rows[:, 0] = omitted
+        rows[:, 1] = omitted + 1
+        return np.arange(base_length, dtype=np.int32), rows
 
 
 class ExplicitPlan(ScanPlan):

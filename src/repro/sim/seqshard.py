@@ -121,7 +121,7 @@ def _chunk_outcomes(
     """
     if base_bits is None:
         return simulator.scan(fault, plan)
-    return simulator._scan_derived_bits(fault, plan, base_bits)
+    return simulator._scan_derived(fault, plan, base_bits)
 
 
 def _run_seq_chunk(task: tuple) -> tuple[int, list[bool]]:
@@ -134,16 +134,20 @@ def _run_seq_chunk(task: tuple) -> tuple[int, list[bool]]:
 def _run_seq_chunk_first_hit(task: tuple) -> tuple[int, int | None]:
     """First-hit variant: stop early once no remaining candidate can win.
 
-    Scans the chunk in ``step``-sized sub-batches.  Between sub-batches
-    the worker consults the pool's shared ``first_hit`` value: if the
-    published minimum already precedes everything left in this chunk, the
-    rest is abandoned — it cannot change the (deterministic) answer,
-    which is the global minimum detecting index.
+    Scans the chunk in ``step``-sized sub-chunks through the serial
+    per-chunk first-hit primitive.  Between sub-chunks the worker
+    consults the pool's shared ``first_hit`` value: if the published
+    minimum already precedes everything left in this chunk, the rest is
+    abandoned — it cannot change the (deterministic) answer, which is
+    the global minimum detecting index.
     """
     context_id, chunk_id, fault, base_bits, plan, global_start, step = task
     state = worker_state()
     simulator = state["contexts"][context_id]["simulator"]
     first_hit = state["first_hit"]
+    # A plan that travelled without its base derives from the bits; a
+    # plan carrying its own base (no numpy) scans as it is.
+    derived = None if base_bits is None else simulator._derive(plan, base_bits)
     for start in range(0, len(plan), step):
         # Locked read: a torn 64-bit load (32-bit platforms) could
         # fabricate a small index and wrongly abandon the true minimum.
@@ -151,15 +155,14 @@ def _run_seq_chunk_first_hit(task: tuple) -> tuple[int, int | None]:
             best_so_far = first_hit.value
         if best_so_far <= global_start + start:
             break
-        part = plan.slice(start, start + step)
-        outcomes = _chunk_outcomes(simulator, fault, base_bits, part)
-        for offset, detected in enumerate(outcomes):
-            if detected:
-                found = global_start + start + offset
-                with first_hit.get_lock():
-                    if found < first_hit.value:
-                        first_hit.value = found
-                return chunk_id, found
+        end = min(start + step, len(plan))
+        hit = simulator._chunk_first_hit(fault, plan, derived, start, end)
+        if hit is not None:
+            found = global_start + start + hit
+            with first_hit.get_lock():
+                if found < first_hit.value:
+                    first_hit.value = found
+            return chunk_id, found
     return chunk_id, None
 
 
@@ -259,10 +262,9 @@ class ShardedSequenceBatchSimulator(SequenceBatchSimulator):
         # subsequence reaches the shard floor) pays one serial chunk
         # before the pool starts.
         serial_chunk = self._first_hit_chunk(chunk)
-        outcomes = SequenceBatchSimulator.scan(
-            self, fault, plan.slice(0, serial_chunk)
+        position = self._chunk_first_hit(
+            fault, plan, self._derive(plan), 0, min(serial_chunk, len(plan))
         )
-        position = next((i for i, hit in enumerate(outcomes) if hit), None)
         if position is None:
             rest = plan.slice(serial_chunk, len(plan))
             if self.should_shard(len(rest)):

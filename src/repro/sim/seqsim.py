@@ -12,24 +12,33 @@ sequence is exhausted keep simulating padding vectors, but detections in
 the padding region are masked off (causality makes the padding harmless
 for earlier times).
 
-The hot path is a **packed pipeline**:
+The hot path is a **described pipeline**:
 
-* Candidate input columns are packed with NumPy (when importable) in
-  chunks of :data:`PACK_CHUNK_STEPS` time steps — one ``packbits`` pass
-  per chunk instead of a per-time/per-PI/per-slot Python triple loop —
-  and flow into the batches through
-  :meth:`~repro.sim.backend.SimBatch.load_inputs_words` (a zero-copy
-  scatter on the numpy backend).
-* Procedure 2's candidates are never materialized at all: a
-  :class:`~repro.sim.scanplan.ScanPlan` (window spans or omission
-  indices into a shared base sequence) describes them, and the packer
-  derives every expanded candidate column from **one** packed copy of
-  the base plus its three per-vector transforms (complement, shift,
-  complement+shift) — the expansion operators only reorder time and
-  toggle those transforms.  The packed base columns come from the
-  session's :class:`~repro.sim.trace.GoodTraceCache`, so a base reused
-  across scans (Procedure 2 scans ``T0`` once per target fault) is
-  packed once per session, not once per call.
+* Candidates are described, never packed in Python on the native
+  engine.  A :class:`~repro.sim.scanplan.ScanPlan` (window spans or
+  omission indices into a shared base sequence) turns into a compact
+  descriptor — a sorted kept array ``K`` plus one ``(low, high, a, b)``
+  row per candidate, the index list ``K[:low] + range(a, b) +
+  K[high:]`` (:meth:`~repro.sim.scanplan.ScanPlan.descriptor`) — and an
+  explicit candidate list into the same form (the sequences laid end to
+  end as the base, ``K`` empty, the identity expansion).  The native
+  kernel expands every slot's inputs from the base bits itself, one call
+  per batch.  The base bits come from the session's
+  :class:`~repro.sim.trace.GoodTraceCache`, so a base reused across
+  scans (Procedure 2 scans ``T0`` once per target fault) is converted
+  once per session, not once per call.
+* The base per-step loop (the python engine's scan, and the spec) steps
+  the same descriptor through the reference packer: the base's three
+  per-vector transforms (complement, shift, complement+shift) form a
+  table — the expansion operators only reorder time and toggle those
+  transforms — every candidate column is a table gather, and one
+  ``packbits`` pass per :data:`PACK_CHUNK_STEPS` chunk feeds
+  :meth:`~repro.sim.backend.SimBatch.load_inputs_words`.
+* First-hit scans (:meth:`SequenceBatchSimulator.first_hit`) run each
+  chunk through one primitive, :meth:`SequenceBatchSimulator._chunk_first_hit`,
+  in the backend's first-hit mode: the native kernel stops simulating
+  the slots above the lowest detecting one.  Shard workers call the same
+  primitive.
 * Detection is one fused
   :meth:`~repro.sim.backend.SimBackend.detect_step` pass across all POs
   per time step (no per-PO ``observe_po`` round trips).
@@ -64,7 +73,7 @@ except ImportError:  # pragma: no cover - numpy ships in CI
     np = None
 
 from repro.circuit.netlist import Circuit
-from repro.core.ops import ExpansionConfig, expand
+from repro.core.ops import IDENTITY_EXPANSION, ExpansionConfig, expand
 from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
 from repro.faults.model import Fault
@@ -90,6 +99,9 @@ DEFAULT_SEQ_BATCH_WIDTH = 128
 #: (``chunk x num_inputs x batch_width`` bits) and keeps early exits from
 #: packing columns that are never simulated.
 PACK_CHUNK_STEPS = 128
+
+#: The kept set of explicit candidate batches (each slot is one run).
+_NO_KEPT = np.zeros(0, dtype=np.int32) if np is not None else None
 
 
 @dataclass(frozen=True)
@@ -174,22 +186,37 @@ class _PythonColumns:
         faulty.load_inputs_packed(ones_row, zeros_row)
 
 
+class _AliveMasks:
+    """Per-step alive slot masks of one batch, as ints computed on read.
+
+    Slot ``s`` is alive at step ``t`` while ``t < lengths[s]``.  The
+    base per-step loop reads one mask per simulated step; the native
+    kernel never reads these (it derives the windows itself), so a
+    batch converts nothing it does not use.
+    """
+
+    __slots__ = ("_lengths",)
+
+    def __init__(self, lengths) -> None:
+        self._lengths = np.asarray(lengths, dtype=np.int64)
+
+    def __getitem__(self, t: int) -> int:
+        packed = np.packbits(self._lengths > t, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
+
+
 class _NumpyColumns:
     """NumPy packer: per-chunk ``packbits`` of candidate bit planes.
 
     ``bits_for_chunk(t0, t1)`` supplies the raw candidate bits as a
     ``(num_candidates, t1 - t0, width)`` uint8 array; this class owns
-    slot-padding to the batch width, the 64-slot word packing, the
+    slot-padding to the batch width, the 64-slot word packing and the
     ``zeros = full & ~ones`` complement (padding slots are driven 0, as
-    the historical packer did), and per-time alive masks.
+    the historical packer did).
     """
 
     __slots__ = (
-        "lengths",
-        "max_len",
-        "alive_masks",
-        "alive_words",
-        "batch_width",
+        "_max_len",
         "_bits_for_chunk",
         "_width",
         "_padded_slots",
@@ -201,15 +228,9 @@ class _NumpyColumns:
     )
 
     def __init__(
-        self,
-        bits_for_chunk,
-        lengths: list[int],
-        width: int,
-        batch_width: int,
+        self, bits_for_chunk, max_len: int, width: int, batch_width: int
     ) -> None:
-        self.lengths = lengths
-        self.max_len = max(lengths, default=0)
-        self.batch_width = batch_width
+        self._max_len = max_len
         self._bits_for_chunk = bits_for_chunk
         self._width = width
         words = (batch_width + 63) // 64
@@ -218,22 +239,6 @@ class _NumpyColumns:
         self._full_words = np.frombuffer(
             full.to_bytes(words * 8, "little"), dtype=np.uint64
         )
-        if self.max_len:
-            alive = np.zeros((self.max_len, self._padded_slots), dtype=np.uint8)
-            alive[:, : len(lengths)] = (
-                np.arange(self.max_len)[:, None]
-                < np.asarray(lengths, dtype=np.intp)[None, :]
-            )
-            packed = np.packbits(alive, axis=-1, bitorder="little")
-            self.alive_masks = [
-                int.from_bytes(row.tobytes(), "little") for row in packed
-            ]
-            # The same masks as (max_len, words) uint64 rows, pointed at
-            # directly by the native fused-scan kernel.
-            self.alive_words = packed.view(np.uint64)
-        else:
-            self.alive_masks = []
-            self.alive_words = None
         self._chunk_start = 0
         self._chunk_end = 0
         self._chunk_ones = None
@@ -241,7 +246,7 @@ class _NumpyColumns:
 
     def _pack_chunk(self, t: int) -> None:
         t0 = t
-        t1 = min(t + PACK_CHUNK_STEPS, self.max_len)
+        t1 = min(t + PACK_CHUNK_STEPS, self._max_len)
         bits = self._bits_for_chunk(t0, t1)
         planes = np.zeros(
             (t1 - t0, self._width, self._padded_slots), dtype=np.uint8
@@ -253,29 +258,6 @@ class _NumpyColumns:
         self._chunk_start = t0
         self._chunk_end = t1
 
-    @property
-    def num_steps(self) -> int:
-        return self.max_len
-
-    @property
-    def num_slots(self) -> int:
-        return len(self.lengths)
-
-    def chunk_arrays(self, t: int):
-        """The packed chunk containing ``t`` as ``(t0, t1, ones, zeros)``.
-
-        ``ones``/``zeros`` are ``(t1 - t0, width, words)`` uint64 — the
-        fused native scan consumes whole chunks instead of per-step rows.
-        """
-        if not self._chunk_start <= t < self._chunk_end or self._chunk_ones is None:
-            self._pack_chunk(t)
-        return (
-            self._chunk_start,
-            self._chunk_end,
-            self._chunk_ones,
-            self._chunk_zeros,
-        )
-
     def load_step(self, t: int, good, faulty) -> None:
         if not self._chunk_start <= t < self._chunk_end or self._chunk_ones is None:
             self._pack_chunk(t)
@@ -284,17 +266,6 @@ class _NumpyColumns:
         zeros = self._chunk_zeros[offset]
         good.load_inputs_words(ones, zeros)
         faulty.load_inputs_words(ones, zeros)
-
-
-def _explicit_bits(batch: list[TestSequence], max_len: int, width: int):
-    """Chunk supplier over materialized candidate sequences."""
-    bits = np.zeros((len(batch), max_len, width), dtype=np.uint8)
-    for slot, sequence in enumerate(batch):
-        if len(sequence):
-            bits[slot, : len(sequence)] = np.asarray(
-                sequence.vectors(), dtype=np.uint8
-            )
-    return lambda t0, t1: bits[:, t0:t1]
 
 
 def _expansion_time_map(indices, config: ExpansionConfig):
@@ -347,15 +318,13 @@ def _derived_packer(
     shifted = np.roll(base_bits, -1, axis=1)
     table = np.stack([base_bits, 1 - base_bits, shifted, 1 - shifted])
 
-    lengths: list[int] = []
     maps = []
     for indices in index_lists:
         src, comp, shift = _expansion_time_map(
             np.asarray(indices, dtype=np.intp), expansion
         )
         maps.append((src, comp + 2 * shift))
-        lengths.append(len(src))
-    max_len = max(lengths, default=0)
+    max_len = max((len(src) for src, _ in maps), default=0)
     # Compact index dtypes: a wide batch over a long T0 keeps these
     # matrices at (batch_width x expanded_len) elements.
     src_matrix = np.zeros((len(index_lists), max_len), dtype=np.int32)
@@ -367,7 +336,67 @@ def _derived_packer(
     def bits_for_chunk(t0: int, t1: int):
         return table[tfm_matrix[:, t0:t1], src_matrix[:, t0:t1]]
 
-    return _NumpyColumns(bits_for_chunk, lengths, width, batch_width)
+    return _NumpyColumns(bits_for_chunk, max_len, width, batch_width)
+
+
+class _DerivedStimulus:
+    """One batch of derived candidates, described instead of packed.
+
+    Slot ``s`` is ``expand(base[K[:low] + range(a, b) + K[high:]])`` for
+    ``(low, high, a, b) = rows[s]``, a slice of the plan's
+    :meth:`~repro.sim.scanplan.ScanPlan.descriptor` — or, for explicit
+    candidates, the sequences laid end to end as the base with an empty
+    ``K`` and the identity expansion.  The native kernel takes
+    :attr:`descriptor` as it is and expands every slot's inputs itself,
+    one call per batch.  The base per-step loop (the python engine's
+    scan) steps :meth:`load_step` through the reference packer, built on
+    first use from :meth:`index_lists`.
+    """
+
+    __slots__ = (
+        "descriptor",
+        "num_slots",
+        "num_steps",
+        "batch_width",
+        "alive_masks",
+        "_width",
+        "_packer",
+    )
+
+    def __init__(
+        self,
+        base_bits,
+        kept,
+        rows,
+        expansion: ExpansionConfig,
+        width: int,
+        batch_width: int,
+    ) -> None:
+        self.descriptor = (base_bits, kept, rows, expansion)
+        counts = rows[:, 0] + (rows[:, 3] - rows[:, 2]) + (len(kept) - rows[:, 1])
+        lengths = counts.astype(np.int64) * expansion.length_multiplier
+        self.num_slots = len(rows)
+        self.num_steps = int(lengths.max()) if len(rows) else 0
+        self.batch_width = batch_width
+        self.alive_masks = _AliveMasks(lengths)
+        self._width = width
+        self._packer: _NumpyColumns | None = None
+
+    def index_lists(self) -> list:
+        """Each slot's base indices, expanded from its descriptor row."""
+        _, kept, rows, _ = self.descriptor
+        return [
+            np.concatenate((kept[:low], np.arange(a, b, dtype=np.int32), kept[high:]))
+            for low, high, a, b in rows.tolist()
+        ]
+
+    def load_step(self, t: int, good, faulty) -> None:
+        if self._packer is None:
+            base_bits, _, _, expansion = self.descriptor
+            self._packer = _derived_packer(
+                base_bits, self.index_lists(), expansion, self._width, self.batch_width
+            )
+        self._packer.load_step(t, good, faulty)
 
 
 class SequenceBatchSimulator:
@@ -465,12 +494,12 @@ class SequenceBatchSimulator:
         Procedure 2's statistics never depend on ``workers``.
         """
         chunk = self._first_hit_chunk(chunk)
+        derived = self._derive(plan)
         for start in range(0, len(plan), chunk):
-            part = plan.slice(start, start + chunk)
-            outcomes = self.scan(fault, part)
-            for offset, detected in enumerate(outcomes):
-                if detected:
-                    return start + offset, start + len(part)
+            end = min(start + chunk, len(plan))
+            hit = self._chunk_first_hit(fault, plan, derived, start, end)
+            if hit is not None:
+                return start + hit, end
         return None, len(plan)
 
     # ------------------------------------------------------------------
@@ -594,15 +623,80 @@ class SequenceBatchSimulator:
             outcomes.extend(self._run_packed(fault, self._pack_explicit(batch)))
         return outcomes
 
-    def _scan_derived(self, fault: Fault, plan: ScanPlan) -> list[bool]:
-        base = plan.base
+    def _check_base(self, base: TestSequence) -> None:
         width = self._compiled.num_inputs
         if len(base) and base.width != width:
             raise SimulationError(
                 f"base width {base.width} != circuit inputs {width}"
             )
-        if np is None:
-            # Fallback: materialize the expanded candidates.
+
+    def _derive(self, plan: ScanPlan, base_bits=None):
+        """``(base_bits, kept, rows, expansion)`` of a derived plan, else ``None``.
+
+        ``None`` means the plan's candidates are scanned as sequences
+        (explicit plans, or no numpy).  ``base_bits`` is the base's bit
+        matrix when the caller holds it (a shard task's plan travels
+        without its base); otherwise the session trace cache converts
+        the base once per (circuit, sequence).
+        """
+        if plan.kind == "explicit" or np is None:
+            return None
+        if base_bits is None:
+            self._check_base(plan.base)
+            base_bits = self._trace_cache.base_bits(plan.base)
+        kept, rows = plan.descriptor(base_bits.shape[0])
+        return base_bits, kept, rows, plan.expansion
+
+    def _derived_batch(self, derived, start: int, end: int) -> _DerivedStimulus:
+        """Candidates ``start:end`` of a :meth:`_derive` result as one batch."""
+        base_bits, kept, rows, expansion = derived
+        rows = rows[start:end]
+        return _DerivedStimulus(
+            base_bits,
+            kept,
+            rows,
+            expansion,
+            self._compiled.num_inputs,
+            self._pad_width(len(rows)),
+        )
+
+    def _chunk_first_hit(
+        self, fault: Fault, plan: ScanPlan, derived, start: int, end: int
+    ) -> int | None:
+        """The first detecting candidate of ``plan[start:end]``, from ``start``.
+
+        The per-chunk first-hit primitive of the serial scan and of the
+        shard workers alike.  Derived candidates (``derived`` from
+        :meth:`_derive`) run batch by batch in plan order in the
+        backend's first-hit mode, stopping at the first batch that
+        detects; other plans scan the chunk's outcomes.
+        """
+        if derived is None:
+            outcomes = SequenceBatchSimulator.scan(self, fault, plan.slice(start, end))
+            return next((i for i, hit in enumerate(outcomes) if hit), None)
+        for low in range(start, end, self._batch_width):
+            batch = self._derived_batch(
+                derived, low, min(low + self._batch_width, end)
+            )
+            times = self._scan_times(fault, batch, first_hit=True)
+            hit = next((i for i, time in enumerate(times) if time is not None), None)
+            if hit is not None:
+                return low - start + hit
+        return None
+
+    def _scan_derived(self, fault: Fault, plan: ScanPlan, base_bits=None) -> list[bool]:
+        """Detection outcomes of a derived plan.
+
+        The derived-candidate entry point of the serial executor and of
+        the candidate-axis shard workers alike: a worker receives the
+        base's bit matrix and passes it with its plan slice (the plan
+        travels without its base).
+        """
+        derived = self._derive(plan, base_bits)
+        if derived is None:
+            # No numpy: materialize the expanded candidates.
+            base = plan.base
+            self._check_base(base)
             return self._scan_explicit(
                 fault,
                 [
@@ -615,43 +709,32 @@ class SequenceBatchSimulator:
                     for indices in plan.index_lists(len(base))
                 ],
             )
-        return self._scan_derived_bits(
-            fault, plan, self._trace_cache.base_bits(base)
-        )
-
-    def _scan_derived_bits(
-        self, fault: Fault, plan: ScanPlan, base_bits
-    ) -> list[bool]:
-        """Packed derived detection over a base already converted to bits.
-
-        The derived-candidate entry point of the serial executor and of
-        the candidate-axis shard workers alike: a worker receives the
-        base's bit matrix and passes it with its plan slice (the plan
-        travels without its base).  Requires numpy (the parent ships
-        whole plans otherwise).
-        """
-        width = self._compiled.num_inputs
-        index_lists = plan.index_lists(base_bits.shape[0])
         outcomes: list[bool] = []
-        for start in range(0, len(index_lists), self._batch_width):
-            chunk = index_lists[start : start + self._batch_width]
-            packer = _derived_packer(
-                base_bits, chunk, plan.expansion, width, self._pad_width(len(chunk))
-            )
-            outcomes.extend(self._run_packed(fault, packer))
+        for start in range(0, len(plan), self._batch_width):
+            batch = self._derived_batch(derived, start, start + self._batch_width)
+            outcomes.extend(time is not None for time in self._scan_times(fault, batch))
         return outcomes
 
     def _pack_explicit(self, batch: list[TestSequence]):
+        """One batch of materialized candidates as a scan stimulus.
+
+        With numpy the sequences are laid end to end into one bit matrix
+        and slot ``s`` is the run ``[a, b)`` of its own vectors (an
+        empty kept set, the identity expansion): the derived stimulus
+        every engine scans.
+        """
         width = self._compiled.num_inputs
         pad_width = self._pad_width(len(batch))
         if np is None:
             return _PythonColumns(batch, width, pad_width)
-        max_len = max((len(sequence) for sequence in batch), default=0)
-        return _NumpyColumns(
-            _explicit_bits(batch, max_len, width),
-            [len(sequence) for sequence in batch],
-            width,
-            pad_width,
+        vectors = [vector for sequence in batch for vector in sequence.vectors()]
+        base_bits = np.asarray(vectors, dtype=np.uint8).reshape(len(vectors), width)
+        ends = np.cumsum([len(sequence) for sequence in batch], dtype=np.int32)
+        rows = np.zeros((len(batch), 4), dtype=np.int32)
+        rows[:, 3] = ends
+        rows[1:, 2] = ends[:-1]
+        return _DerivedStimulus(
+            base_bits, _NO_KEPT, rows, IDENTITY_EXPANSION, width, pad_width
         )
 
     def _pad_width(self, count: int) -> int:
@@ -674,21 +757,26 @@ class SequenceBatchSimulator:
         return [time is not None for time in self._scan_times(fault, packer)]
 
     def _scan_times(
-        self, fault: Fault, packer, divergence: ScanDivergence | None = None
+        self,
+        fault: Fault,
+        stimulus,
+        divergence: ScanDivergence | None = None,
+        first_hit: bool = False,
     ) -> list[int | None]:
-        """Drive one packed candidate batch; return per-slot detection times.
+        """Drive one candidate batch; return per-slot detection times.
 
-        The batch is opened at the packer's padded width (see
+        The batch is opened at the stimulus's padded width (see
         :meth:`_pad_width`) — dead slots beyond the real candidates are
-        driven with constant 0 and masked out of ``alive`` — so the
-        backend LRU serves a small set of cached programs per fault for
-        the whole search.  ``divergence`` collects the scan's per-slot
-        flop-divergence outputs.
+        masked out of ``alive`` — so the backend LRU serves a small set
+        of cached programs per fault for the whole search.
+        ``divergence`` collects the scan's per-slot flop-divergence
+        outputs; ``first_hit`` reads only the lowest detecting slot (see
+        :meth:`~repro.sim.backend.SimBackend.run_scan`).
         """
-        if not packer.lengths:
+        if not stimulus.num_slots:
             return []
         backend = self._backend
-        batch_width = packer.batch_width
+        batch_width = stimulus.batch_width
         good = backend.batch(backend.program(None), batch_width)
         faulty = backend.batch(
             backend.program((fault,) * batch_width), batch_width
@@ -698,5 +786,11 @@ class SequenceBatchSimulator:
         # The whole per-step loop — input load, paired eval, detection,
         # first-hit bookkeeping, state latch — lives in run_scan.
         return backend.run_scan(
-            good, faulty, packer, None, packer.alive_masks, divergence=divergence
+            good,
+            faulty,
+            stimulus,
+            None,
+            stimulus.alive_masks,
+            divergence=divergence,
+            first_hit=first_hit,
         )

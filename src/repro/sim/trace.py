@@ -185,7 +185,12 @@ class GoodTraceCache:
             entry = self._entry(sequence)
             if entry.trace is None:
                 self._counters["trace_misses"] += 1
-                entry.trace = self._logic.run(sequence)
+                # An engine that traces from bits shares the one
+                # conversion the fault scans of this sequence read.
+                bits = (
+                    self.base_bits(sequence) if self._logic.backend.scans_bits else None
+                )
+                entry.trace = self._logic.run(sequence, bits=bits)
             else:
                 self._counters["trace_hits"] += 1
             return entry.trace

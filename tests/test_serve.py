@@ -279,6 +279,42 @@ class TestSessionLifecycle:
             assert session.compile("s27") is by_netlist
             assert session.compile("s27") is by_netlist
 
+    def test_adopting_a_compiled_circuit_hashes_it_once(self, monkeypatch):
+        """Simulators handed a compiled circuit adopt it without
+        re-hashing its netlist, and one object still stands for each
+        content hash: a foreign object with the same content adopts the
+        session's entry (hashed once too), a session-made one hashes
+        nothing."""
+        import repro.core.session as session_module
+        from repro.circuits.catalog import load_circuit
+        from repro.sim.compiled import CompiledCircuit
+
+        hash_circuit = session_module.circuit_content_hash
+        hashes = []
+
+        def hashing(circuit):
+            hashes.append(circuit.name)
+            return hash_circuit(circuit)
+
+        monkeypatch.setattr(session_module, "circuit_content_hash", hashing)
+        with Session() as session:
+            entry = session.compile(load_circuit("s27"))
+            assert hashes == ["s27"]
+            for _ in range(3):
+                session.fault_simulator(entry)
+                session.sequence_simulator(entry)
+                assert session.compile(entry) is entry
+            assert hashes == ["s27"]
+            foreign = CompiledCircuit(load_circuit("s27"))
+            for _ in range(3):
+                assert session.compile(foreign) is entry
+                session.fault_simulator(foreign)
+            assert hashes == ["s27", "s27"]
+            other = CompiledCircuit(load_circuit("syn298"))
+            assert session.compile(other) is other
+            assert session.compile("syn298") is other
+            assert hashes == ["s27", "s27", "syn298", "syn298"]
+
     def test_profile_force_shard_overrides_static_single_core_fallback(
         self, s27, monkeypatch
     ):

@@ -237,9 +237,10 @@ class TestSimulatorIntegration:
         assert stats["bits_hits"] >= 3
 
     def test_fault_axis_converts_each_sequence_once(self, monkeypatch, require_backend):
-        """One conversion per run/detects (the trace cache's, kept for
-        later calls) and one per peek/commit, however many batches scan
-        the sequence.  Native is the engine that scans bits."""
+        """One conversion per sequence for its trace and every later
+        run/detects (the trace cache's), and one per peek/commit,
+        however many batches scan the sequence.  Native is the engine
+        that traces and scans bits."""
         require_backend("native")
         import repro.sim.backend as backend_module
         import repro.sim.faultsim as faultsim_module
@@ -260,8 +261,9 @@ class TestSimulatorIntegration:
             CompiledCircuit(circuit), batch_width=64, backend="native"
         )
         assert len(faults) > 3 * simulator.batch_width
+        assert simulator.trace_cache._logic.backend.scans_bits
         simulator.trace_cache.trace(t0)
-        conversions.clear()
+        assert conversions == [len(t0)]
         first = simulator.run(t0, faults)
         assert simulator.detects(t0, faults[0]) == (faults[0] in first.detection_time)
         assert simulator.run(t0, faults).detection_time == first.detection_time
