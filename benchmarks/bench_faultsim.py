@@ -17,17 +17,13 @@ Two entry points:
   ``machine`` block (CPU count, Python version, platform) records where
   a report was produced so baselines are comparable across runners.
 
-The ``--workers`` axis measures process sharding
-(:mod:`repro.sim.sharding`): each worker count is a separate measurement
-of the same workload, so the JSON records serial-vs-sharded scaling per
-backend.  The ``--threads`` axis measures the third distribution tier —
-the native kernel's in-process pthread lanes — as ``t<N>`` rows on the
-``native`` backend (the other engines execute thread requests serially,
-so only the native axis carries signal); thread detection times are
-asserted bit-identical to serial like every other point, and
-``--min-thread-speedup`` gates on the largest workload's best thread
-speedup (opt-in, hardware-dependent — meaningless on a runner with
-fewer cores than lanes).  A ``1-stepped`` axis re-measures each
+The ``--workers`` axis measures chunk threads
+(:mod:`repro.sim.workerpool`): each count ``N`` builds a
+``FaultSimulator(threads=N)`` and is a separate measurement of the same
+workload, so the JSON records serial-vs-threaded scaling per backend
+(the python engine holds the GIL and runs thread requests serially).
+Detection times are asserted bit-identical to serial at every point.
+A ``1-stepped`` axis re-measures each
 backend's serial point through the per-step base
 :meth:`~repro.sim.backend.SimBackend.run_scan` loop (a bench-local
 subclass of the engine), so the whole-sequence ``run_scan`` kernels'
@@ -72,8 +68,7 @@ from repro.sim.backend import (
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.logicsim import LogicSimulator
-from repro.sim.native_build import native_threads_available, toolchain_info
-from repro.sim.sharding import ShardedFaultSimulator
+from repro.sim.native_build import toolchain_info
 from repro.util.rng import SplitMix64
 
 #: (circuit, max faults, vectors, python batch width, wide batch width).
@@ -90,11 +85,8 @@ _FULL_WORKLOADS = _SMOKE_WORKLOADS + [
     ("syn35932", 2048, 12, 192, 2048),
 ]
 
-#: Worker counts measured by default: serial plus one sharded point.
+#: Thread counts measured by default: serial plus one threaded point.
 DEFAULT_WORKER_AXIS = (1, 4)
-
-#: Kernel thread-lane counts measured by default on the native backend.
-DEFAULT_THREAD_AXIS = (4,)
 
 #: The good-trace row simulates this many times each workload's vectors
 #: (a trace is one slot, far cheaper per vector than a fault batch).
@@ -141,36 +133,22 @@ def _measure(
     batch_width,
     workers,
     base_loop=False,
-    parallel=None,
     repeats=3,
 ):
     """Best-of-N wall time and throughput for one backend/workers point.
 
     ``base_loop=True`` runs the engine's per-step base scan loop (see
     :func:`_base_loop_backend`) instead of its own ``run_scan``.  The
-    sharded simulator's worker pool spins up lazily inside the first
-    repeat; best-of-N therefore reports warm-pool throughput, which is
-    what sustained workloads see.  ``parallel="threads"`` measures the
-    in-kernel pthread tier instead of process sharding — same ``workers``
-    count, but the lanes live inside the C scan calls.
+    chunk-thread pool starts inside the first repeat; best-of-N
+    therefore reports warm-pool throughput, which is what sustained
+    workloads see.  The simulator is built directly, so a single-core
+    machine still measures ``workers`` threads; dispatches below the
+    fan-out floor run serially, as they do in real runs.
     """
     engine = _base_loop_backend(compiled, backend) if base_loop else backend
-    # The bench exists to measure the distribution tiers, so each tier is
-    # built directly: no fallback for being "too small" — the smoke
-    # circuits are the small case — nor for running on a single-core
-    # machine.
-    if parallel == "threads" or workers <= 1:
-        simulator = FaultSimulator(
-            compiled, batch_width=batch_width, backend=engine, threads=workers
-        )
-    else:
-        simulator = ShardedFaultSimulator(
-            compiled,
-            batch_width=batch_width,
-            backend=engine,
-            workers=workers,
-            min_shard_faults=1,
-        )
+    simulator = FaultSimulator(
+        compiled, batch_width=batch_width, backend=engine, threads=workers
+    )
     before = dispatch_counters()
     try:
         result = None
@@ -187,14 +165,12 @@ def _measure(
         "backend": backend,
         "batch_width": batch_width,
         "workers": workers,
-        "parallel": parallel or "auto",
         "base_loop": base_loop,
         "seconds": best,
         "gate_evals_per_second": gate_evals / best if best else 0.0,
         "detected": result.num_detected,
-        # Kernel-dispatch deltas across all repeats (process-wide, so
-        # sharded points — whose scans run in worker processes — report
-        # only the parent's share, i.e. near zero).
+        # Kernel-dispatch deltas across all repeats (process-wide, chunk
+        # threads included).
         "dispatches": {
             kind: after[kind] - before.get(kind, 0)
             for kind in sorted(after)
@@ -241,24 +217,18 @@ def _measure_good_trace(compiled, sequence, backend, repeats=3):
 def run_profile(
     smoke: bool,
     workers_axis: tuple[int, ...] = DEFAULT_WORKER_AXIS,
-    threads_axis: tuple[int, ...] = DEFAULT_THREAD_AXIS,
     progress=print,
 ) -> dict:
     """Run every workload on every backend x workers; return the report."""
     workloads = _SMOKE_WORKLOADS if smoke else _FULL_WORKLOADS
     backends = available_backends()
     workers_axis = tuple(dict.fromkeys(workers_axis)) or (1,)
-    threads_axis = tuple(
-        count for count in dict.fromkeys(threads_axis) if count > 1
-    )
-    measure_threads = "native" in backends and native_threads_available()
     report = {
         "profile": "smoke" if smoke else "full",
         "python_version": platform.python_version(),
         "machine": machine_block(),
         "backends": backends,
         "workers_axis": list(workers_axis),
-        "threads_axis": list(threads_axis) if measure_threads else [],
         "workloads": [],
     }
     for name, max_faults, vectors, python_width, wide_width in workloads:
@@ -307,44 +277,13 @@ def run_profile(
                 for workers in workers_axis:
                     if workers == 1:
                         continue
-                    sharded = entry["results"][backend][str(workers)]
-                    speedup = serial["seconds"] / sharded["seconds"]
-                    sharded["speedup_vs_serial"] = speedup
+                    threaded = entry["results"][backend][str(workers)]
+                    speedup = serial["seconds"] / threaded["seconds"]
+                    threaded["speedup_vs_serial"] = speedup
                     progress(
-                        f"[{name}] {backend} sharding speedup at "
-                        f"{workers} workers: {speedup:.2f}x"
+                        f"[{name}] {backend} thread speedup at "
+                        f"{workers} threads: {speedup:.2f}x"
                     )
-            # The thread tier: same workload through the native kernel's
-            # in-process pthread lanes (``t<N>`` keys).  Only the native
-            # backend has kernel lanes — the others execute thread
-            # requests serially, so measuring them would duplicate the
-            # serial row.
-            if backend == "native" and measure_threads:
-                for threads in threads_axis:
-                    measured = _measure(
-                        compiled,
-                        faults,
-                        sequence,
-                        backend,
-                        width,
-                        threads,
-                        parallel="threads",
-                    )
-                    detection_times = measured.pop("detection_times")
-                    if detection_times != reference_times:
-                        raise AssertionError(
-                            f"{name}: native/threads={threads} detection "
-                            "times diverge from serial — thread-tier "
-                            "parity violated"
-                        )
-                    entry["results"][backend][f"t{threads}"] = measured
-                    if serial is not None:
-                        speedup = serial["seconds"] / measured["seconds"]
-                        measured["speedup_vs_serial"] = speedup
-                        progress(
-                            f"[{name}] native thread speedup at "
-                            f"{threads} lanes: {speedup:.2f}x"
-                        )
             # The fused-vs-stepped axis: the same serial workload driven
             # through the per-step base scan loop, so the whole-sequence
             # kernel's win is tracked — and its bit-identical detection
@@ -409,19 +348,8 @@ def main(argv: list[str] | None = None) -> int:
         nargs="+",
         default=list(DEFAULT_WORKER_AXIS),
         help=(
-            "worker counts to measure (default: %(default)s); 1 is the "
-            "serial engine, larger values measure process sharding"
-        ),
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_THREAD_AXIS),
-        help=(
-            "kernel thread-lane counts to measure on the native backend "
-            "(default: %(default)s); counts <= 1 are dropped — the serial "
-            "row already covers them"
+            "thread counts to measure (default: %(default)s); 1 is the "
+            "serial engine, larger values measure chunk threads"
         ),
     )
     parser.add_argument(
@@ -434,28 +362,14 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=None,
         help=(
-            "fail unless the largest workload's best sharding speedup "
-            "reaches this factor (opt-in: speedup is hardware-dependent, "
-            "so only gate on machines with enough cores for the measured "
-            "worker counts)"
-        ),
-    )
-    parser.add_argument(
-        "--min-thread-speedup",
-        type=float,
-        default=None,
-        help=(
-            "fail unless the largest workload's best native thread-tier "
-            "speedup reaches this factor (opt-in for the same reason as "
-            "--min-shard-speedup)"
+            "fail unless the largest workload's best speedup over serial "
+            "on the --workers axis reaches this factor (opt-in: speedup "
+            "is hardware-dependent, so only gate on machines with enough "
+            "cores for the measured thread counts)"
         ),
     )
     args = parser.parse_args(argv)
-    report = run_profile(
-        smoke=args.smoke,
-        workers_axis=tuple(args.workers),
-        threads_axis=tuple(args.threads),
-    )
+    report = run_profile(smoke=args.smoke, workers_axis=tuple(args.workers))
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
@@ -466,34 +380,15 @@ def main(argv: list[str] | None = None) -> int:
             (
                 measured.get("speedup_vs_serial", 0.0)
                 for by_workers in largest["results"].values()
-                for key, measured in by_workers.items()
-                # t-keys are the thread tier — gated separately below.
-                if not key.startswith("t")
+                for measured in by_workers.values()
             ),
             default=0.0,
         )
         print(
-            f"largest circuit ({largest['circuit']}): best sharding speedup "
+            f"largest circuit ({largest['circuit']}): best thread speedup "
             f"{best:.2f}x (target >= {args.min_shard_speedup}x)"
         )
         if best < args.min_shard_speedup:
-            return 1
-    if args.min_thread_speedup is not None:
-        best = max(
-            (
-                measured.get("speedup_vs_serial", 0.0)
-                for key, measured in largest["results"]
-                .get("native", {})
-                .items()
-                if key.startswith("t")
-            ),
-            default=0.0,
-        )
-        print(
-            f"largest circuit ({largest['circuit']}): best native thread "
-            f"speedup {best:.2f}x (target >= {args.min_thread_speedup}x)"
-        )
-        if best < args.min_thread_speedup:
             return 1
     failed = False
     if not args.smoke and "native_speedup" in largest:

@@ -12,8 +12,8 @@ Public API quick reference::
     print(result.fingerprint())
 
 :class:`Session` is the facade over everything underneath — backend
-resolution, the persistent worker pool, per-circuit program LRUs and
-good-machine trace caches, simulator lifecycles — and
+resolution, per-circuit program LRUs and good-machine trace caches,
+simulator lifecycles — and
 :class:`RunRequest` / :class:`RunResult` are the serializable request
 and result records every surface (CLI, harness, examples, the
 :mod:`repro.serve` HTTP service) shares.  Lower-level pieces remain
@@ -33,12 +33,11 @@ Every simulator accepts ``backend="python"`` (default, dependency-free
 big-int kernel), ``backend="native"`` (a lazily compiled C kernel over
 numpy word arrays) or ``backend="auto"`` (native by circuit size when it
 builds, else python); results are bit-identical.  Both hot axes additionally scale
-across kernel threads or processes with identical results, and a
-calibrated :class:`MachineProfile` (``repro-bist calibrate``) replaces
-the static work-distribution thresholds with measured crossovers.
-Sessions own simulator lifecycles, worker pools and trace caches
-(:meth:`Session.fault_simulator`, :meth:`Session.sequence_simulator`,
-:meth:`Session.worker_pool`, :meth:`Session.trace_cache`).
+across chunk threads with identical results, and a calibrated
+:class:`MachineProfile` (``repro-bist calibrate``) replaces the static
+work-distribution defaults with measured ones.  Sessions own simulator
+lifecycles and trace caches (:meth:`Session.fault_simulator`,
+:meth:`Session.sequence_simulator`, :meth:`Session.trace_cache`).
 """
 
 from repro.circuit import CircuitBuilder, Circuit, GateType, parse_bench, parse_bench_file
@@ -70,13 +69,10 @@ from repro.sim import (
     OmissionPlan,
     ScanPlan,
     SequenceBatchSimulator,
-    ShardedFaultSimulator,
-    ShardedSequenceBatchSimulator,
     SimBackend,
     WindowRampPlan,
     available_backends,
     close_trace_caches,
-    close_worker_pools,
     get_backend,
 )
 from repro.sim.autotune import (
@@ -130,15 +126,12 @@ __all__ = [
     "FaultSimulator",
     "LogicSimulator",
     "SequenceBatchSimulator",
-    "ShardedFaultSimulator",
-    "ShardedSequenceBatchSimulator",
     "ScanPlan",
     "WindowRampPlan",
     "OmissionPlan",
     "ExplicitPlan",
     "GoodTraceCache",
     "close_trace_caches",
-    "close_worker_pools",
     "SimBackend",
     "available_backends",
     "get_backend",

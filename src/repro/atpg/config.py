@@ -37,17 +37,14 @@ class AtpgConfig:
             ``"auto"`` to pick per circuit size and axis (native when its
             kernel builds, else the big-int python kernel; see
             :func:`repro.sim.backend.resolve_backend_name`).
-        workers: worker processes (or thread lanes, under
-            ``parallel="threads"``) for distributed fault simulation
-            (:mod:`repro.sim.sharding`), borrowing the session's
-            persistent worker pool; ``1`` is serial, ``0`` means one per
-            CPU.  The restoration compactor's window searches run on the
-            same tier (:mod:`repro.sim.seqshard` under ``processes``).
-            Never changes results, only throughput.
-        parallel: work-distribution tier for multi-worker simulation
+        workers: chunk threads for fault simulation and the
+            restoration compactor's window searches
+            (:mod:`repro.sim.workerpool`); ``1`` is serial, ``0`` means
+            one per CPU.  Never changes results, only throughput.
+        parallel: work-distribution tier for multi-thread simulation
             (see :data:`repro.sim.workerpool.PARALLEL_MODES`):
-            ``"auto"`` / ``"serial"`` / ``"threads"`` /
-            ``"processes"``.  Results are bit-identical across tiers.
+            ``"auto"`` / ``"serial"`` / ``"threads"``.  Results are
+            bit-identical across tiers.
     """
 
     seed: int = 20_1999

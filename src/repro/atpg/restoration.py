@@ -11,7 +11,7 @@ paper uses it for ``T0``:
    ``f``.  The window search is one first-hit scan over a
    :class:`~repro.sim.scanplan.WindowRampPlan` that carries the kept
    positions, run by the same executor as Procedure 2's ``ustart``
-   search (identity expansion; serial, threaded or sharded alike).
+   search (identity expansion; serial or on chunk threads alike).
 4. Fault-simulate the kept vectors against all still-uncovered faults and
    drop everything detected; loop until all faults are covered.
 

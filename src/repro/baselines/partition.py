@@ -201,9 +201,9 @@ def _extend_for_fault(
     formula — worker-independent, like Procedure 2's).
 
     One first-hit scan over a :class:`WindowRampPlan`: candidates are
-    described as ``(j, end)`` spans of ``T0`` (never materialized) and a
-    sharded simulator spreads the plan across workers with first-hit
-    cancellation at cost-balanced boundaries.
+    described as ``(j, end)`` spans of ``T0`` (never materialized), and
+    a simulator with chunk threads spreads the plan across them with
+    first-hit cancellation.
     """
     spans = [(j, chunk.end) for j in range(chunk.start, -1, -1)]
     plan = WindowRampPlan(t0, spans, IDENTITY_EXPANSION)

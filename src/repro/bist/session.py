@@ -36,7 +36,7 @@ from repro.logic.values import X
 from repro.sim.backend import AUTO_BACKEND
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.logicsim import LogicSimulator
-from repro.sim.sharding import make_fault_simulator
+from repro.sim.faultsim import make_fault_simulator
 from repro.sim.reference import ReferenceSimulator
 
 
@@ -117,7 +117,7 @@ class BistSession:
         self._prepare_golden()
 
     def close(self) -> None:
-        """Release the session's fault-simulation resources (worker pools)."""
+        """Release the session's fault simulator."""
         self._fault_simulator.close()
 
     def __enter__(self) -> "BistSession":

@@ -262,12 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             help=(
-                "worker processes for process-sharded simulation on both "
-                "hot axes: parallel-fault simulation and Procedure 2's "
-                "candidate detection (1 = serial, 0 = one per CPU; both "
-                "axes share one persistent pool, results are identical "
-                "for any worker count, and small fault universes or "
-                "candidate sets always run serially)"
+                "chunk threads for both hot axes: parallel-fault "
+                "simulation and Procedure 2's candidate detection "
+                "(1 = serial, 0 = one per CPU; both axes share one "
+                "process-global thread pool, results are identical for "
+                "any thread count, and small dispatches always run "
+                "serially)"
             ),
         )
         command.add_argument(
@@ -276,12 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
             default="auto",
             help=(
                 "work-distribution tier for --workers > 1: 'threads' "
-                "splits each native-kernel batch across in-process "
-                "thread lanes, 'processes' uses the shard worker pool, "
-                "'serial' forces one lane, and 'auto' (default) takes "
-                "the tier a calibrated machine profile measured, else "
-                "'processes'; one usable core runs serially; results "
-                "are identical across tiers"
+                "runs chunks of each large dispatch on chunk threads "
+                "(native engine), 'serial' forces one thread, and 'auto' "
+                "(default) takes the tier a calibrated machine profile "
+                "measured, else 'threads'; one usable core runs "
+                "serially; results are identical across tiers"
             ),
         )
         command.add_argument(
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     calibrate = sub.add_parser(
         "calibrate",
-        help="measure serial-vs-sharded crossovers and persist the profile",
+        help="measure serial vs chunk threads and persist the profile",
     )
     calibrate.add_argument(
         "--full",

@@ -50,22 +50,20 @@ class SelectionConfig:
             (see :func:`repro.sim.backend.resolve_backend_name`);
             detection results are bit-identical across backends, only
             speed differs.
-        workers: worker processes (or thread lanes, under
-            ``parallel="threads"``) for distributed simulation on *both*
-            hot axes — parallel-fault simulation
-            (:mod:`repro.sim.sharding`) and Procedure 2's candidate
-            detection (:mod:`repro.sim.seqshard`), which share one
-            persistent worker pool per session.  ``1`` is serial, ``0``
-            means one per CPU.  Like backends and batch widths, worker
-            counts never change results, only throughput (small fault
-            universes and candidate sets always run serially).
-        parallel: work-distribution tier for multi-worker simulation
+        workers: chunk threads for *both* hot axes — parallel-fault
+            simulation and Procedure 2's candidate detection — which
+            share one process-global thread pool
+            (:mod:`repro.sim.workerpool`).  ``1`` is serial, ``0`` means
+            one per CPU.  Like backends and batch widths, thread counts
+            never change results, only throughput (small dispatches
+            always run serially).
+        parallel: work-distribution tier for multi-thread simulation
             (see :data:`repro.sim.workerpool.PARALLEL_MODES`) —
             ``"auto"`` (default:
             :func:`repro.sim.workerpool.resolve_execution` decides),
-            ``"serial"``, ``"threads"`` (in-kernel word-span lanes
-            inside one process, native backend), or ``"processes"``
-            (the shard pool).  Results are bit-identical across tiers.
+            ``"serial"`` or ``"threads"`` (chunk threads over
+            GIL-released native kernel calls).  Results are
+            bit-identical across tiers.
     """
 
     expansion: ExpansionConfig = field(default_factory=ExpansionConfig)

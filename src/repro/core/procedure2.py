@@ -23,10 +23,9 @@ serial simulator runs the historical chunked scan (whole batches of
 ``search_batch_width`` / ``omission_batch_width`` candidates until the
 first hit — a batch of ``W`` candidates costs about as much as simulating
 only the longest one, which is what makes this pure-Python reproduction
-feasible), while a sharded simulator
-(:class:`~repro.sim.seqshard.ShardedSequenceBatchSimulator`) fans the
-same plan across worker processes with first-hit cancellation, cutting
-it at cost-balanced chunk boundaries.  Either way the winner is the
+feasible), while a simulator with chunk threads fans the rest of a
+large plan out after its first chunk, with first-hit cancellation
+(:mod:`repro.sim.workerpool`).  Either way the winner is the
 first detecting candidate in scan order and the evaluated count follows
 the serial formula, so the selected subsequences and the reported
 statistics are identical for any ``workers=`` / ``parallel=`` setting.
@@ -89,9 +88,9 @@ def build_subsequence_for_fault(
     # Phase 1: window search for ustart.
     # ------------------------------------------------------------------
     # The whole descending scan is one plan handed to the first-hit
-    # executor; the simulator chunks it by search_batch_width (serial)
-    # or shards it with cancellation at the plan's cost-balanced
-    # boundaries (workers > 1) — same winner, same evaluated count.
+    # executor; the simulator chunks it by search_batch_width, serially
+    # or on chunk threads with cancellation (workers > 1) — same
+    # winner, same evaluated count.
     spans = [(u, udet) for u in range(udet, -1, -1)]
     window_plan = WindowRampPlan(t0, spans, expansion)
     position, evaluated = simulator.first_hit(

@@ -1,8 +1,7 @@
 """The ``repro.Session`` facade: one object that owns execution state.
 
-Everything PRs 1–6 built — backend resolution, the persistent
-:class:`~repro.sim.workerpool.WorkerPool`, per-backend program LRUs, the
-:class:`~repro.sim.trace.GoodTraceCache` — is machinery that pays for
+Everything PRs 1–6 built — backend resolution, per-backend program
+LRUs, the :class:`~repro.sim.trace.GoodTraceCache` — is machinery that pays for
 itself when *amortized across requests*, but until this module the only
 way to reach it was a kwarg soup (``backend=``, ``workers=`` and
 throughput knobs threaded through configs and factories) and every consumer
@@ -16,9 +15,11 @@ single facade in front of all of it:
   (:func:`~repro.core.request.circuit_content_hash`), so two requests
   for the same circuit — from different tenants, in any order — share
   one compiled program, one program LRU and one good-machine trace
-  cache.  The second request's ``trace_stats`` show cache *hits* where
-  the first showed misses: that is the cross-request warmth the serving
-  layer exists for.
+  cache.  Each netlist is hashed once per session: the key is kept
+  with its memo entry, so a warm request hashes nothing.  The second
+  request's ``trace_stats`` show cache *hits* where the first showed
+  misses: that is the cross-request warmth the serving layer exists
+  for.
 * **Simulators come from the session, lifecycles too.**
   :meth:`fault_simulator` / :meth:`sequence_simulator` wrap the
   ``workers=`` factories; every simulator a session (or one of its
@@ -32,7 +33,7 @@ single facade in front of all of it:
   factories, and :func:`~repro.sim.workerpool.resolve_execution` — the
   one place that picks a tier and worker count — reads it: ``workers=0``
   ("auto") becomes the measured recommendation, a measured serial
-  verdict overrides an explicit shard request, and a measured parallel
+  verdict overrides an explicit thread request, and a measured parallel
   win survives the one-core fallback.  Sessions without a profile
   behave exactly like the bare factories, except that omitting
   ``workers`` stays serial.  :meth:`run` records the resolved tier and
@@ -59,7 +60,7 @@ from repro.errors import ReproError
 from repro.sim.autotune import MachineProfile
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.trace import GoodTraceCache, get_trace_cache
-from repro.sim.workerpool import WorkerPool, get_worker_pool, resolve_execution
+from repro.sim.workerpool import resolve_execution
 from repro.util.timing import Stopwatch
 
 
@@ -81,7 +82,7 @@ class RunOutcome:
 
 
 class Session:
-    """Owner of backends, pools, caches and simulator lifecycles.
+    """Owner of backends, caches and simulator lifecycles.
 
     Use as a context manager::
 
@@ -95,10 +96,9 @@ class Session:
     are lock-guarded and :meth:`scope` frames are per thread — which is
     what lets :class:`repro.serve.JobService` drive N executor lanes
     over one warm session.  ``own_caches=True`` makes
-    :meth:`close` also tear down the process-global worker pools and
-    trace caches — the serving layer uses this so service shutdown
-    releases everything; the default leaves them warm for other sessions
-    (they are reclaimed ``atexit`` regardless).
+    :meth:`close` also tear down the process-global trace caches — the
+    serving layer uses this so service shutdown releases everything; the
+    default leaves them warm for other sessions.
     """
 
     def __init__(
@@ -112,10 +112,14 @@ class Session:
         # Catalog name -> its entry in ``_compiled``: a warm name skips
         # regenerating the netlist and hashing its content.
         self._by_name: dict[str, CompiledCircuit] = {}
-        # id(compiled object) -> (that object, its entry in ``_compiled``):
-        # adopting a compiled circuit hashes its netlist once.  Holding
+        # id(compiled object) -> (that object, its entry in ``_compiled``,
+        # the entry's content hash): every entry is listed under its own
+        # id, so a compiled circuit is hashed once per session, and
+        # adopting a caller's object hashes its netlist once.  Holding
         # the object keeps its id from being reused.
-        self._adopted: dict[int, tuple[CompiledCircuit, CompiledCircuit]] = {}
+        self._adopted: dict[
+            int, tuple[CompiledCircuit, CompiledCircuit, str]
+        ] = {}
         self._schemes: dict[str, object] = {}
         self._simulators: list = []
         # Concurrent ``run`` calls (the serving layer's executor lanes)
@@ -189,7 +193,7 @@ class Session:
             if compiled is None:
                 compiled = CompiledCircuit(circuit)
                 self._compiled[key] = compiled
-                self._adopted[id(compiled)] = (compiled, compiled)
+                self._adopted[id(compiled)] = (compiled, compiled, key)
         return compiled
 
     def compile_bench(self, text: str, name: str = "uploaded") -> CompiledCircuit:
@@ -200,8 +204,12 @@ class Session:
 
     def circuit_hash(self, circuit: str | Circuit | CompiledCircuit) -> str:
         """The content hash a circuit is cached under."""
-        compiled = self.compile(circuit)
-        return circuit_content_hash(compiled.circuit)
+        return self._key(self.compile(circuit))
+
+    def _key(self, compiled: CompiledCircuit) -> str:
+        """The content hash of a circuit :meth:`compile` returned."""
+        with self._lock:
+            return self._adopted[id(compiled)][2]
 
     def _adopt(self, compiled: CompiledCircuit) -> CompiledCircuit:
         with self._lock:
@@ -211,7 +219,8 @@ class Session:
         key = circuit_content_hash(compiled.circuit)
         with self._lock:
             entry = self._compiled.setdefault(key, compiled)
-            self._adopted[id(compiled)] = (compiled, entry)
+            self._adopted[id(compiled)] = (compiled, entry, key)
+            self._adopted.setdefault(id(entry), (entry, entry, key))
             return entry
 
     # ------------------------------------------------------------------
@@ -232,10 +241,9 @@ class Session:
         against the session's profile, which also supplies the measured
         batch width when the caller leaves ``batch_width`` unset; extra
         kwargs pass through to
-        :func:`repro.sim.sharding.make_fault_simulator`.
+        :func:`repro.sim.faultsim.make_fault_simulator`.
         """
-        from repro.sim.faultsim import DEFAULT_BATCH_WIDTH
-        from repro.sim.sharding import make_fault_simulator
+        from repro.sim.faultsim import DEFAULT_BATCH_WIDTH, make_fault_simulator
 
         self._check_open()
         if batch_width is None:
@@ -264,10 +272,7 @@ class Session:
         **kwargs,
     ):
         """A candidate-scan simulator, lifecycle owned by this session."""
-        from repro.sim.seqshard import (
-            DEFAULT_SEQ_BATCH_WIDTH,
-            make_sequence_simulator,
-        )
+        from repro.sim.seqsim import DEFAULT_SEQ_BATCH_WIDTH, make_sequence_simulator
 
         self._check_open()
         if batch_width is None:
@@ -295,19 +300,6 @@ class Session:
             frames[-1].append(simulator)
         return simulator
 
-    def worker_pool(self, workers: int | None = None) -> WorkerPool:
-        """The shared worker pool a ``processes`` run of ``workers`` uses."""
-        self._check_open()
-        tier, count, _ = resolve_execution(
-            "processes", self._workers(workers), profile=self._profile
-        )
-        if tier != "processes":
-            raise ReproError(
-                f"workers={workers!r} resolves to serial execution here, "
-                "which does not use a pool"
-            )
-        return get_worker_pool(count)
-
     def trace_cache(self, circuit: str | Circuit | CompiledCircuit) -> GoodTraceCache:
         """The cross-request good-machine trace cache for ``circuit``."""
         self._check_open()
@@ -321,9 +313,9 @@ class Session:
         """Close simulators minted inside the ``with`` block at its end.
 
         Library code runs inside a scope even when handed a long-lived
-        session, so a service handling thousands of requests retires
-        each request's pool contexts promptly while the pools, compiled
-        circuits and trace caches stay warm.
+        session, so a service handling thousands of requests releases
+        each request's simulators promptly while the compiled circuits
+        and trace caches stay warm.
 
         Scope frames are *per thread*: each serving lane stacks and pops
         its own frames, so a lane closing its request's simulators never
@@ -354,8 +346,8 @@ class Session:
 
     def close(self) -> None:
         """Release everything this session owns (idempotent, never raises
-        on double close — closing an already-closed pool or cache is a
-        silent no-op).
+        on double close — closing an already-closed cache is a silent
+        no-op).
         """
         if self._closed:
             return
@@ -370,10 +362,8 @@ class Session:
         self._adopted.clear()
         if self._own_caches:
             from repro.sim.trace import close_trace_caches
-            from repro.sim.workerpool import close_worker_pools
 
             close_trace_caches()
-            close_worker_pools()
 
     def __enter__(self) -> "Session":
         self._check_open()
@@ -401,9 +391,9 @@ class Session:
         else:
             outcome = self._run_scheme(request, compiled)
         # Per-run backend-boundary dispatch deltas (FFI crossings, scan
-        # calls/steps) for this process.  Observability only: execution
-        # is excluded from the result fingerprint, and sharded workers
-        # count in their own processes.
+        # calls/steps) for this process, chunk threads included.
+        # Observability only: execution is excluded from the result
+        # fingerprint.
         after = dispatch_counters()
         outcome.result.execution["dispatches"] = {
             kind: after[kind] - before.get(kind, 0)
@@ -423,7 +413,7 @@ class Session:
         """One LoadAndExpandScheme (and fault universe) per circuit hash."""
         from repro.core.scheme import LoadAndExpandScheme
 
-        key = circuit_content_hash(compiled.circuit)
+        key = self._key(compiled)
         with self._lock:
             scheme = self._schemes.get(key)
             if scheme is None:
@@ -492,7 +482,7 @@ class Session:
         result = RunResult(
             kind="scheme",
             circuit_name=res.circuit_name,
-            circuit_hash=circuit_content_hash(compiled.circuit),
+            circuit_hash=self._key(compiled),
             data=data,
             execution=self._execution_record(selection_config),
             timings={
@@ -528,7 +518,7 @@ class Session:
         result = RunResult(
             kind="atpg",
             circuit_name=atpg_result.circuit_name,
-            circuit_hash=circuit_content_hash(compiled.circuit),
+            circuit_hash=self._key(compiled),
             data=data,
             execution=self._execution_record(config),
             timings={"atpg_seconds": seconds},

@@ -1,7 +1,7 @@
 """BIST-as-a-service: the asynchronous serving layer.
 
 The facade (:class:`repro.Session`) makes one process's caches — compiled
-circuits, program LRUs, good-machine traces, the persistent worker pool —
+circuits, program LRUs, good-machine traces —
 shareable across *calls*; this package makes them shareable across
 *clients*.  A :class:`~repro.serve.service.JobService` owns one warm
 session and executes :class:`~repro.core.request.RunRequest` jobs

@@ -11,13 +11,12 @@ trivially unit-testable:
 * :func:`plan_execution` — rewrite a :class:`~repro.core.request.RunRequest`
   to the tier and worker count
   :func:`~repro.sim.workerpool.resolve_execution` picks for it from the
-  *measured* :class:`~repro.sim.autotune.MachineProfile` and the
-  service's lane count.  A client asking for ``workers=4`` on a machine
-  whose profile measured sharding at 0.2x gets planned down to serial,
-  a client leaving ``workers=0`` ("auto") gets the measured
-  recommendation, and with ``lanes > 1`` jobs stay off the shared
-  process pool.  The :class:`~repro.core.session.Session` resolves the
-  rewritten request to the same plan, so the plan is what runs.
+  *measured* :class:`~repro.sim.autotune.MachineProfile`.  A client
+  asking for ``workers=4`` on a machine whose profile measured serial
+  winning gets planned down to serial, and a client leaving
+  ``workers=0`` ("auto") gets the measured recommendation.  The
+  :class:`~repro.core.session.Session` resolves the rewritten request
+  to the same plan, so the plan is what runs.
 """
 
 from __future__ import annotations
@@ -52,11 +51,9 @@ class ExecutionPlan:
 
 
 def plan_execution(
-    request: RunRequest,
-    profile: MachineProfile | None,
-    lanes: int = 1,
+    request: RunRequest, profile: MachineProfile | None
 ) -> ExecutionPlan:
-    """Resolve ``request``'s execution for a service with ``lanes`` lanes.
+    """Resolve ``request``'s execution against the service's profile.
 
     The request's own config (its defaults when it carries none) goes
     through :func:`~repro.sim.workerpool.resolve_execution`, and the
@@ -68,7 +65,7 @@ def plan_execution(
     else:
         config = request.selection or SelectionConfig()
     tier, count, notes = resolve_execution(
-        config.parallel, config.workers, profile=profile, lanes=lanes
+        config.parallel, config.workers, profile=profile
     )
     return ExecutionPlan(
         request=request.with_workers(count).with_parallel(tier),

@@ -2,7 +2,7 @@
 
 :class:`JobService` is the in-process heart of BIST-as-a-service.  It
 owns exactly one :class:`repro.Session` (``own_caches=True`` — service
-shutdown releases the worker pools and trace caches) and executes every
+shutdown releases the trace caches) and executes every
 submitted :class:`~repro.core.request.RunRequest` against it, so all
 tenants share compiled circuits, program LRUs and good-machine traces:
 the second request for a circuit — from *any* tenant — reuses the
@@ -13,11 +13,9 @@ Jobs run on ``lanes`` concurrent executor threads (default one).  The
 session is concurrency-safe — registries are lock-guarded and scope
 frames are per thread — and ctypes releases the GIL for the native
 kernels' whole C calls, so two lanes really do overlap on the hot
-loops.  What lanes may *not* share is the persistent process
-:class:`~repro.sim.workerpool.WorkerPool` (one parent dispatch at a
-time), so the planner pins every job of a multi-lane service to the
-in-kernel thread tier or to serial
-(:func:`~repro.serve.scheduler.plan_execution` with ``lanes=N``).
+loops.  Lanes running threaded jobs share the process-global chunk
+pool, whose callers drain their own chunks, so no lane ever waits on
+another's dispatch.
 Submission, status polling and completion waits are all
 ``asyncio``-friendly and the order of dispatch is the per-tenant
 round-robin of :class:`~repro.serve.scheduler.FairScheduler`, never raw
@@ -92,8 +90,7 @@ class JobService:
     skips measurement and uses the static profile, for callers that
     cannot afford a calibration pass).  ``lanes`` is the number of jobs
     that may execute concurrently (each on its own executor thread over
-    the one warm session); beyond one lane, jobs are planned away from
-    the shared process pool — see :mod:`repro.serve.scheduler`.
+    the one warm session).
     """
 
     def __init__(
@@ -218,9 +215,7 @@ class JobService:
             id=f"job-{self._counter:06d}",
             tenant=tenant,
             request=request,
-            plan=plan_execution(
-                request, self._session.profile, lanes=self._lanes
-            ),
+            plan=plan_execution(request, self._session.profile),
         )
         self._jobs[job.id] = job
         self._scheduler.push(tenant, job)

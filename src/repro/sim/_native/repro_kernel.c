@@ -16,51 +16,39 @@
  * evaluation order match the reference exactly, detection times are
  * bit-identical across backends by construction.
  *
- * Thread tier (ABI 3): a persistent pthread pool partitions the `words`
- * axis of repro_eval / repro_detect_step / repro_scan into disjoint word
- * spans, one per thread.  Every slot's value and detection depend only
- * on its own bit column, so span workers never exchange data: each walks
- * the same read-only op/patch arrays over its own words and writes only
- * its own columns of V, scratch, det, pending and times (and its own
- * slots of the divergence outputs).  A scan span early-exits exactly
- * when its own live slots drain; the single-thread return value is
- * reproduced by combining span results (executed = max over spans), so
- * detect times and step accounting stay bit-identical to serial
- * execution by construction.  Dispatch uses a trylock: when the pool is
- * busy serving another caller (concurrent serving lanes), the caller
- * simply runs its request serially over the full word range — same
- * bits, just one thread.
+ * Reentrancy: the kernel keeps no global mutable state.  Every entry
+ * point reads the program arrays (op codes, patches) without writing
+ * them and writes only the caller's batch arrays (V, scratch, flop
+ * state, pending, times, det and the divergence outputs), so callers on
+ * different threads may run repro_eval / repro_scan / repro_trace at
+ * once on distinct batches that share one program.  The Python side
+ * parallelises that way: independent chunks of faults or candidates,
+ * one GIL-released call each.
  *
- * Everything below is plain C11 with no dependencies beyond libc and
- * (outside Windows) pthreads, so a bare `cc -O3 -fPIC -shared -pthread`
- * anywhere is enough; absence of a compiler simply leaves the backend
- * unregistered (see native_build).  Without pthreads the n_threads
- * arguments are accepted and ignored: everything runs serially.
+ * Everything below is plain C11 with no dependencies beyond libc, so a
+ * bare `cc -O3 -fPIC -shared` anywhere is enough; absence of a compiler
+ * simply leaves the backend unregistered (see native_build).
  */
 
 #include <stdint.h>
 #include <string.h>
 
-#if !defined(_WIN32)
-#include <pthread.h>
-#define REPRO_HAVE_THREADS 1
-#else
-#define REPRO_HAVE_THREADS 0
-#endif
-
 /* Bumped whenever any exported signature or semantic changes; checked by
  * the loader so a stale cached .so can never be driven with the wrong
  * marshaling.  v2 added repro_scan (whole-sequence fused scans); v3 added
- * the thread pool and the trailing n_threads argument on repro_eval,
- * repro_detect_step and repro_scan; v4 added repro_trace (the fault-free
- * good-machine trace in one call); v5 adds repro_scan's per-slot flop-
- * divergence outputs (div_max, div_final, div_area); v6 reorders
- * repro_scan's arguments (program-fixed prefix first, then batch, then
- * stimulus), replaces the packed per-slot stimulus and the alive rows
- * with the derived-candidate stimulus (base bits, kept set, per-slot
- * descriptors, expansion), drops t0 (every scan is one call) and the
- * "finished" sign of the return value, and adds the first_hit mode. */
-#define REPRO_NATIVE_ABI 6
+ * an in-kernel thread pool and a trailing lane-count argument on
+ * repro_eval, repro_detect_step and repro_scan; v4 added repro_trace
+ * (the fault-free good-machine trace in one call); v5 adds repro_scan's
+ * per-slot flop-divergence outputs (div_max, div_final, div_area); v6
+ * reorders repro_scan's arguments (program-fixed prefix first, then
+ * batch, then stimulus), replaces the packed per-slot stimulus and the
+ * alive rows with the derived-candidate stimulus (base bits, kept set,
+ * per-slot descriptors, expansion), drops t0 (every scan is one call)
+ * and the "finished" sign of the return value, and adds the first_hit
+ * mode; v7 drops the thread pool and the lane-count arguments (callers
+ * run independent calls on their own threads instead) and keeps
+ * repro_thread_pool_size as a serial stub that returns 1. */
+#define REPRO_NATIVE_ABI 7
 
 #if defined(_WIN32)
 #define EXPORT __declspec(dllexport)
@@ -184,8 +172,6 @@ static void fold_gate(
 /*   stem_ops[n_stem]            ops whose output stem is faulted       */
 /*   stem_sa1/stem_sa0           (n_stem, words) masks                  */
 /* scratch: (2 * max_arity, words) gather buffer for patched gates.     */
-/* Concurrent spans share one scratch safely: each writes and reads     */
-/* only its own word columns of the gather buffer.                      */
 /* ------------------------------------------------------------------ */
 static void eval_ops(
     uint64_t *V,
@@ -472,225 +458,9 @@ static int ctz64(uint64_t x)
 #endif
 }
 
-/* ------------------------------------------------------------------ */
-/* Persistent thread pool.                                              */
-/*                                                                      */
-/* One process-global pool, created on first repro_thread_pool_init     */
-/* and kept warm for the process lifetime (or until an explicit         */
-/* shutdown).  A dispatch hands the same (fn, job) to every             */
-/* participating worker with its span index; the caller runs span 0     */
-/* itself and then waits for the workers to drain.  Dispatches are      */
-/* serialized by a trylock: a caller that finds the pool busy (another  */
-/* serving lane mid-scan) simply runs its own request serially over     */
-/* the full word range — identical bits, no queueing, no deadlock.     */
-/* ------------------------------------------------------------------ */
-#if REPRO_HAVE_THREADS
-
-#define REPRO_MAX_THREADS 64
-
-typedef void (*repro_span_fn)(void *job, int64_t span);
-
-static struct {
-    pthread_mutex_t lock;     /* guards every field below */
-    pthread_cond_t work_cv;
-    pthread_cond_t done_cv;
-    pthread_mutex_t dispatch; /* serializes whole dispatches (trylock) */
-    pthread_t workers[REPRO_MAX_THREADS];
-    int64_t spawned;          /* worker threads alive (pool size - 1) */
-    uint64_t generation;      /* bumped per dispatch */
-    int64_t participants;     /* workers used by the current dispatch */
-    int64_t remaining;        /* participants still running */
-    repro_span_fn fn;
-    void *job;
-    int shutdown;
-} g_pool = {
-    PTHREAD_MUTEX_INITIALIZER,
-    PTHREAD_COND_INITIALIZER,
-    PTHREAD_COND_INITIALIZER,
-    PTHREAD_MUTEX_INITIALIZER,
-};
-
-static int64_t g_worker_index[REPRO_MAX_THREADS];
-
-static void *pool_worker(void *arg)
-{
-    const int64_t index = *(const int64_t *)arg;
-    uint64_t seen = 0;
-    pthread_mutex_lock(&g_pool.lock);
-    for (;;) {
-        while (!g_pool.shutdown && g_pool.generation == seen)
-            pthread_cond_wait(&g_pool.work_cv, &g_pool.lock);
-        if (g_pool.shutdown)
-            break;
-        seen = g_pool.generation;
-        if (index < g_pool.participants) {
-            repro_span_fn fn = g_pool.fn;
-            void *job = g_pool.job;
-            pthread_mutex_unlock(&g_pool.lock);
-            /* Worker `index` owns span index + 1; span 0 is the caller. */
-            fn(job, index + 1);
-            pthread_mutex_lock(&g_pool.lock);
-            if (--g_pool.remaining == 0)
-                pthread_cond_signal(&g_pool.done_cv);
-        }
-    }
-    pthread_mutex_unlock(&g_pool.lock);
-    return 0;
-}
-
-EXPORT int64_t repro_threads_available(void) { return 1; }
-
-/* Grow the pool so it can serve `n`-way dispatches; returns the actual
- * pool size (1 == caller only).  Idempotent; never shrinks. */
-EXPORT int64_t repro_thread_pool_init(int64_t n)
-{
-    int64_t size;
-    if (n > REPRO_MAX_THREADS)
-        n = REPRO_MAX_THREADS;
-    pthread_mutex_lock(&g_pool.lock);
-    while (g_pool.spawned < n - 1 && !g_pool.shutdown) {
-        const int64_t index = g_pool.spawned;
-        g_worker_index[index] = index;
-        if (pthread_create(&g_pool.workers[index], 0, pool_worker,
-                           &g_worker_index[index]) != 0)
-            break;
-        g_pool.spawned++;
-    }
-    size = g_pool.spawned + 1;
-    pthread_mutex_unlock(&g_pool.lock);
-    return size;
-}
-
-EXPORT int64_t repro_thread_pool_size(void)
-{
-    int64_t size;
-    pthread_mutex_lock(&g_pool.lock);
-    size = g_pool.spawned + 1;
-    pthread_mutex_unlock(&g_pool.lock);
-    return size;
-}
-
-EXPORT void repro_thread_pool_shutdown(void)
-{
-    int64_t spawned, i;
-    pthread_mutex_lock(&g_pool.dispatch);
-    pthread_mutex_lock(&g_pool.lock);
-    g_pool.shutdown = 1;
-    pthread_cond_broadcast(&g_pool.work_cv);
-    spawned = g_pool.spawned;
-    g_pool.spawned = 0;
-    pthread_mutex_unlock(&g_pool.lock);
-    for (i = 0; i < spawned; i++)
-        pthread_join(g_pool.workers[i], 0);
-    pthread_mutex_lock(&g_pool.lock);
-    g_pool.shutdown = 0;
-    g_pool.generation = 0; /* fresh workers start with seen == 0 */
-    pthread_mutex_unlock(&g_pool.lock);
-    pthread_mutex_unlock(&g_pool.dispatch);
-}
-
-/* Run fn(job, span) for span 0..spans-1, span 0 on the calling thread.
- * Returns 1 when the pool ran it, 0 when the caller must fall back to a
- * serial full-range pass (pool busy or too small). */
-static int pool_run(repro_span_fn fn, void *job, int64_t spans)
-{
-    if (spans < 2)
-        return 0;
-    if (pthread_mutex_trylock(&g_pool.dispatch) != 0)
-        return 0; /* busy: another lane is mid-dispatch */
-    pthread_mutex_lock(&g_pool.lock);
-    if (g_pool.spawned < spans - 1 || g_pool.shutdown) {
-        pthread_mutex_unlock(&g_pool.lock);
-        pthread_mutex_unlock(&g_pool.dispatch);
-        return 0;
-    }
-    g_pool.fn = fn;
-    g_pool.job = job;
-    g_pool.participants = spans - 1;
-    g_pool.remaining = spans - 1;
-    g_pool.generation++;
-    pthread_cond_broadcast(&g_pool.work_cv);
-    pthread_mutex_unlock(&g_pool.lock);
-    fn(job, 0);
-    pthread_mutex_lock(&g_pool.lock);
-    while (g_pool.remaining)
-        pthread_cond_wait(&g_pool.done_cv, &g_pool.lock);
-    pthread_mutex_unlock(&g_pool.lock);
-    pthread_mutex_unlock(&g_pool.dispatch);
-    return 1;
-}
-
-/* Even partition of `words` into `spans` contiguous word spans. */
-static void span_bounds(int64_t words, int64_t spans, int64_t *bounds)
-{
-    const int64_t base = words / spans;
-    const int64_t rem = words % spans;
-    int64_t w = 0, i;
-    for (i = 0; i < spans; i++) {
-        bounds[i] = w;
-        w += base + (i < rem ? 1 : 0);
-    }
-    bounds[spans] = words;
-}
-
-/* Clamp a requested thread count to something the pool can serve. */
-static int64_t clamp_spans(int64_t n_threads, int64_t words)
-{
-    int64_t spans = n_threads;
-    if (spans > words)
-        spans = words;
-    if (spans > REPRO_MAX_THREADS)
-        spans = REPRO_MAX_THREADS;
-    if (spans < 1)
-        spans = 1;
-    return spans;
-}
-
-#else /* !REPRO_HAVE_THREADS */
-
-EXPORT int64_t repro_threads_available(void) { return 0; }
-EXPORT int64_t repro_thread_pool_init(int64_t n) { (void)n; return 1; }
+/* The kernel runs every call on the calling thread; kept for callers */
+/* that check no thread pool was started (always 1).                  */
 EXPORT int64_t repro_thread_pool_size(void) { return 1; }
-EXPORT void repro_thread_pool_shutdown(void) {}
-
-#endif /* REPRO_HAVE_THREADS */
-
-/* ------------------------------------------------------------------ */
-/* Threaded entry points.                                               */
-/* ------------------------------------------------------------------ */
-
-#if REPRO_HAVE_THREADS
-typedef struct {
-    uint64_t *V;
-    int64_t words;
-    const int32_t *codes;
-    const int32_t *outs;
-    const int64_t *in_off;
-    const int32_t *ins;
-    int64_t num_ops;
-    const int32_t *pin_ops;
-    const int32_t *pin_pins;
-    const uint64_t *pin_sa1;
-    const uint64_t *pin_sa0;
-    int64_t n_pin;
-    const int32_t *stem_ops;
-    const uint64_t *stem_sa1;
-    const uint64_t *stem_sa0;
-    int64_t n_stem;
-    uint64_t *scratch;
-    int64_t bounds[REPRO_MAX_THREADS + 1];
-} EvalJob;
-
-static void eval_job_span(void *ptr, int64_t span)
-{
-    EvalJob *job = ptr;
-    eval_ops(job->V, job->words, job->bounds[span], job->bounds[span + 1],
-             job->codes, job->outs, job->in_off, job->ins, job->num_ops,
-             job->pin_ops, job->pin_pins, job->pin_sa1, job->pin_sa0,
-             job->n_pin, job->stem_ops, job->stem_sa1, job->stem_sa0,
-             job->n_stem, job->scratch);
-}
-#endif
 
 EXPORT void repro_eval(
     uint64_t *V,
@@ -709,52 +479,12 @@ EXPORT void repro_eval(
     const uint64_t *stem_sa1,
     const uint64_t *stem_sa0,
     int64_t n_stem,
-    uint64_t *scratch,
-    int64_t n_threads)
+    uint64_t *scratch)
 {
-#if REPRO_HAVE_THREADS
-    const int64_t spans = clamp_spans(n_threads, words);
-    if (spans > 1) {
-        EvalJob job = {V, words, codes, outs, in_off, ins, num_ops,
-                       pin_ops, pin_pins, pin_sa1, pin_sa0, n_pin,
-                       stem_ops, stem_sa1, stem_sa0, n_stem, scratch,
-                       {0}};
-        span_bounds(words, spans, job.bounds);
-        if (pool_run(eval_job_span, &job, spans))
-            return;
-    }
-#else
-    (void)n_threads;
-#endif
     eval_ops(V, words, 0, words, codes, outs, in_off, ins, num_ops,
              pin_ops, pin_pins, pin_sa1, pin_sa0, n_pin, stem_ops,
              stem_sa1, stem_sa0, n_stem, scratch);
 }
-
-#if REPRO_HAVE_THREADS
-typedef struct {
-    const uint64_t *GV;
-    const uint64_t *FV;
-    int64_t words;
-    const int32_t *po_sig;
-    int64_t num_pos;
-    const uint64_t *g_sa1;
-    const uint64_t *g_sa0;
-    const uint64_t *f_sa1;
-    const uint64_t *f_sa0;
-    uint64_t *out;
-    int64_t bounds[REPRO_MAX_THREADS + 1];
-} DetectJob;
-
-static void detect_job_span(void *ptr, int64_t span)
-{
-    DetectJob *job = ptr;
-    detect_step_span(job->GV, job->FV, job->words, job->bounds[span],
-                     job->bounds[span + 1], job->po_sig, job->num_pos,
-                     job->g_sa1, job->g_sa0, job->f_sa1, job->f_sa0,
-                     job->out);
-}
-#endif
 
 EXPORT void repro_detect_step(
     const uint64_t *GV,
@@ -766,21 +496,8 @@ EXPORT void repro_detect_step(
     const uint64_t *g_sa0,
     const uint64_t *f_sa1,
     const uint64_t *f_sa0,
-    uint64_t *out,
-    int64_t n_threads)
+    uint64_t *out)
 {
-#if REPRO_HAVE_THREADS
-    const int64_t spans = clamp_spans(n_threads, words);
-    if (spans > 1) {
-        DetectJob job = {GV, FV, words, po_sig, num_pos, g_sa1, g_sa0,
-                         f_sa1, f_sa0, out, {0}};
-        span_bounds(words, spans, job.bounds);
-        if (pool_run(detect_job_span, &job, spans))
-            return;
-    }
-#else
-    (void)n_threads;
-#endif
     detect_step_span(GV, FV, words, 0, words, po_sig, num_pos, g_sa1,
                      g_sa0, f_sa1, f_sa0, out);
 }
@@ -825,7 +542,7 @@ EXPORT void repro_detect_step(
 /* caller, which reads times up to and including it and treats every    */
 /* later slot as undetected.                                            */
 /*                                                                      */
-/* Paired scans without collect_finals hand no state back, so each span */
+/* Paired scans without collect_finals hand no state back, so the scan */
 /* narrows its word range to the words that still hold a live slot (a  */
 /* drained word never turns live again).                                */
 /*                                                                      */
@@ -837,17 +554,6 @@ EXPORT void repro_detect_step(
 /* the running max, the last live step's count and the sum.  With them  */
 /* on, the all-detected exit moves after the latch so the detecting     */
 /* step is counted too.                                                 */
-/*                                                                      */
-/* Threaded scans run this same walk per word span.  A span's early     */
-/* exit depends only on its own live slots, so each span stops at       */
-/* exactly the step the serial scan would have stopped servicing those  */
-/* slots; combining spans as executed = max(span executed) reproduces   */
-/* the serial return value bit-for-bit (the serial loop runs until its  */
-/* *last* span drains, and an already-drained span contributes no       */
-/* detections or state that any other slot can observe).  Under         */
-/* first_hit a span prunes on its own lowest detecting slot: every slot */
-/* up to the global lowest one lies in a span that saw no lower         */
-/* detection, so its time is the serial one.                            */
 /* ------------------------------------------------------------------ */
 
 enum { X_COMPLEMENT = 1, X_SHIFT = 2, X_REVERSE = 4 };
@@ -1061,9 +767,10 @@ static void accumulate_divergence(const ScanArgs *a, const uint64_t *live,
     }
 }
 
-static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
+static int64_t scan_words(const ScanArgs *a)
 {
     const int64_t words = a->words;
+    int64_t w0 = 0, w1 = words;
     const int divergence = a->GV && a->div_area;
     const int narrow = a->GV && !a->collect_finals;
     int64_t t, w, p, f, i;
@@ -1221,21 +928,6 @@ static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
     return executed;
 }
 
-#if REPRO_HAVE_THREADS
-typedef struct {
-    const ScanArgs *args;
-    int64_t bounds[REPRO_MAX_THREADS + 1];
-    int64_t executed[REPRO_MAX_THREADS];
-} ScanJob;
-
-static void scan_job_span(void *ptr, int64_t span)
-{
-    ScanJob *job = ptr;
-    job->executed[span] =
-        scan_span(job->args, job->bounds[span], job->bounds[span + 1]);
-}
-#endif
-
 /* Arguments come in three groups (ABI 6): the program prefix, fixed per */
 /* compiled fault batch and circuit (the Python side builds it once per  */
 /* program); the batch's machines; then the per-call stimulus, outputs   */
@@ -1307,8 +999,7 @@ EXPORT int64_t repro_scan(
     int64_t *div_final,       /* ... divergence max / last / sum,       */
     int64_t *div_area,        /* ... in/out; all three NULL = off       */
     int64_t collect_finals,
-    int64_t first_hit,
-    int64_t n_threads)
+    int64_t first_hit)
 {
     int64_t x_mult = hold * reps;
     if (x_ops & X_COMPLEMENT)
@@ -1329,34 +1020,17 @@ EXPORT int64_t repro_scan(
                      f_po_sa0, obs_off, obs_pos, obs_vals, pending, times,
                      det, collect_finals, first_hit, 0, div_max, div_final,
                      div_area};
-#if REPRO_HAVE_THREADS
-    const int64_t spans = clamp_spans(n_threads, words);
-    if (spans > 1) {
-        ScanJob job;
-        job.args = &args;
-        span_bounds(words, spans, job.bounds);
-        if (pool_run(scan_job_span, &job, spans)) {
-            int64_t executed = 0, i;
-            for (i = 0; i < spans; i++)
-                if (job.executed[i] > executed)
-                    executed = job.executed[i];
-            return executed;
-        }
-    }
-#else
-    (void)n_threads;
-#endif
-    return scan_span(&args, 0, words);
+    return scan_words(&args);
 }
 
 /* ------------------------------------------------------------------ */
 /* Fault-free good-machine trace: one machine (slot 0 of a one-word     */
 /* batch) over broadcast stimulus bits for num_steps steps, in a single */
-/* GIL-released call.  This is scan_span over a fault-free ScanArgs     */
+/* GIL-released call.  This is scan_words over a fault-free ScanArgs    */
 /* (no paired good machine, no patches, no observation rows,            */
-/* collect_finals = 1) with po_trace set, run serially on the calling   */
-/* thread: the same op walk as every scan, so the trace is bit-         */
-/* identical to the per-step reference loop by construction.            */
+/* collect_finals = 1) with po_trace set: the same op walk as every    */
+/* scan, so the trace is bit-identical to the per-step reference loop   */
+/* by construction.                                                     */
 /*                                                                      */
 /*   V           (2 * num_signals, 1) rails, overwritten                */
 /*   s_h/s_l     (num_flops, 1) flop state, in/out (all-X == zeros)     */
@@ -1408,5 +1082,5 @@ EXPORT void repro_trace(
         .collect_finals = 1,
         .po_trace = po_trace,
     };
-    scan_span(&args, 0, 1);
+    scan_words(&args);
 }

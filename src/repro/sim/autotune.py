@@ -12,21 +12,19 @@ measure the actual machine instead of trusting defaults.
 This module provides:
 
 * :class:`MachineProfile` — a frozen record of what was measured: the
-  recommended worker count, per-axis serial-vs-sharded speedups and the
+  recommended thread count, per-axis serial-vs-threaded speedups and the
   fastest batch widths, with a JSON round-trip and ``save``/``load``
   helpers (default location: ``~/.cache/repro/machine_profile.json``,
   overridden by ``REPRO_PROFILE``).  It is plain data; the policy that
   reads it is :func:`~repro.sim.workerpool.resolve_execution`.
 * :func:`calibrate` — run the measurement pass: time parallel-fault
-  simulation and Procedure 2-shaped candidate scans serially, under the
-  native kernel's in-process thread lanes, and process-sharded (built
-  directly, so no fallback can mask the measurement), and sweep a few
-  batch widths per axis.  The best measured speedup picks the
-  work-distribution tier (serial/threads/processes) recorded as
-  ``parallel_mode``.  On a 1-core machine (per
+  simulation and Procedure 2-shaped candidate scans serially and on
+  chunk threads, and sweep a few batch widths per axis.  The best
+  measured speedup picks the work-distribution tier (serial/threads)
+  recorded as ``parallel_mode``.  On a 1-core machine (per
   :func:`~repro.sim.workerpool.cpu_count`, which honours
-  ``REPRO_ASSUME_CPUS``) the parallel measurements are skipped — neither
-  tier can win without a second core — and the profile records serial
+  ``REPRO_ASSUME_CPUS``) the threaded measurements are skipped — threads
+  cannot win without a second core — and the profile records serial
   execution directly.
 * :func:`static_profile` — the no-measurement fallback mirroring today's
   static defaults, so consumers can always hold *some* profile.
@@ -51,17 +49,20 @@ from repro.util.timing import Stopwatch
 #: Profile format version; bumped when fields change incompatibly.  v2
 #: added the work-distribution tier verdict (``parallel_mode``,
 #: ``threads`` and the per-axis thread speedups); v3 dropped the
-#: per-axis scan-mode fields.  Older profiles are rejected on load,
-#: which makes :func:`profile_for_startup` recalibrate rather than run
-#: with a stale verdict.
-PROFILE_VERSION = 3
+#: per-axis scan-mode fields; v4 dropped the process tier (its
+#: ``"processes"`` verdict, the shard speedups and the separate
+#: ``threads`` count).  Older profiles are rejected on load, which makes
+#: :func:`profile_for_startup` recalibrate rather than run with a stale
+#: verdict.
+PROFILE_VERSION = 4
 
 #: Environment override for the persisted profile location.
 PROFILE_ENV = "REPRO_PROFILE"
 
-#: Sharding must beat serial by this factor before a calibrated profile
-#: recommends it — a 1.02x "win" is measurement noise, not a policy.
-SHARD_SPEEDUP_THRESHOLD = 1.1
+#: Chunk threads must beat serial by this factor before a calibrated
+#: profile recommends them — a 1.02x "win" is measurement noise, not a
+#: policy.
+THREAD_SPEEDUP_THRESHOLD = 1.1
 
 #: Batch-width sweep candidates per engine, per axis.  The python triples
 #: are centred on the static defaults in ``repro.core.config``.
@@ -85,22 +86,16 @@ class MachineProfile:
 
     Attributes:
         cpu_count: usable cores at calibration time.
-        workers: the recommended worker count (``1`` = serial execution).
+        workers: the recommended thread count (``1`` = serial execution).
         backend: the fastest available engine (``"native"`` or
             ``"python"``).
         fault_batch_width: fastest measured parallel-fault batch width.
         search_batch_width: fastest measured window-search batch width.
         omission_batch_width: fastest measured omission batch width.
         parallel_mode: the measured work-distribution verdict —
-            ``"serial"``, ``"threads"`` (in-kernel word-span lanes) or
-            ``"processes"`` (the shard pool); ``"auto"`` when nothing
-            was measured (static profiles), which
+            ``"serial"`` or ``"threads"`` (chunk threads); ``"auto"``
+            when nothing was measured (static profiles), which
             :func:`~repro.sim.workerpool.resolve_execution` ignores.
-        threads: recommended in-kernel thread-lane count when
-            ``parallel_mode == "threads"`` (``1`` otherwise).
-        fault_shard_speedup: measured sharded/serial throughput ratio on
-            the fault axis (``0.0`` = not measured).
-        candidate_shard_speedup: same for Procedure 2's candidate axis.
         fault_thread_speedup: measured threaded/serial throughput ratio
             on the fault axis (``0.0`` = not measured).
         candidate_thread_speedup: same for the candidate axis.
@@ -116,9 +111,6 @@ class MachineProfile:
     search_batch_width: int
     omission_batch_width: int
     parallel_mode: str = "auto"
-    threads: int = 1
-    fault_shard_speedup: float = 0.0
-    candidate_shard_speedup: float = 0.0
     fault_thread_speedup: float = 0.0
     candidate_thread_speedup: float = 0.0
     source: str = "static"
@@ -228,144 +220,64 @@ def _calibration_stimulus(num_inputs: int, length: int, seed: int):
 
 
 def _measure_fault_axis(
-    compiled,
-    faults,
-    stimulus,
-    backend: str,
-    widths: tuple[int, ...],
-    workers: int,
-    threads: int = 0,
-) -> tuple[int, float, float, list[str]]:
-    """Best fault batch width and the sharded/threaded serial speedups."""
+    compiled, faults, stimulus, backend: str, widths: tuple[int, ...], threads: int
+) -> tuple[int, float, list[str]]:
+    """Best fault batch width and the threaded/serial speedup."""
     from repro.sim.faultsim import FaultSimulator
-    from repro.sim.sharding import ShardedFaultSimulator
 
-    notes: list[str] = []
     timings: dict[int, float] = {}
     for width in widths:
         simulator = FaultSimulator(compiled, batch_width=width, backend=backend)
-        try:
-            timings[width] = _time(lambda: simulator.run(stimulus, faults))
-        finally:
-            simulator.close()
+        timings[width] = _time(lambda: simulator.run(stimulus, faults))
     best_width = min(timings, key=timings.get)
-    notes.append(
+    notes = [
         "fault widths "
         + ", ".join(f"{w}:{timings[w] * 1e3:.0f}ms" for w in widths)
         + f" -> {best_width}"
-    )
-
+    ]
     speedup = 0.0
-    if workers > 1:
-        sharded = ShardedFaultSimulator(
-            compiled,
-            batch_width=best_width,
-            backend=backend,
-            workers=workers,
-            min_shard_faults=1,
-        )
-        try:
-            sharded_seconds = _time(lambda: sharded.run(stimulus, faults))
-        finally:
-            sharded.close()
-        speedup = timings[best_width] / sharded_seconds
-        notes.append(
-            f"fault axis sharded x{workers}: {speedup:.2f}x serial throughput"
-        )
-
-    thread_speedup = 0.0
     if threads > 1:
         threaded = FaultSimulator(
             compiled, batch_width=best_width, backend=backend, threads=threads
         )
-        try:
-            if threaded.threads > 1:
-                threaded_seconds = _time(lambda: threaded.run(stimulus, faults))
-                thread_speedup = timings[best_width] / threaded_seconds
-                notes.append(
-                    f"fault axis threads x{threaded.threads}: "
-                    f"{thread_speedup:.2f}x serial throughput"
-                )
-        finally:
-            threaded.close()
-    return best_width, speedup, thread_speedup, notes
+        speedup = timings[best_width] / _time(lambda: threaded.run(stimulus, faults))
+        notes.append(f"fault axis threads x{threads}: {speedup:.2f}x serial throughput")
+    return best_width, speedup, notes
 
 
 def _measure_candidate_axis(
-    compiled,
-    fault,
-    stimulus,
-    backend: str,
-    widths: tuple[int, ...],
-    workers: int,
-    threads: int = 0,
-) -> tuple[int, float, float, list[str]]:
-    """Best search batch width and the sharded/threaded serial speedups."""
+    compiled, fault, stimulus, backend: str, widths: tuple[int, ...], threads: int
+) -> tuple[int, float, list[str]]:
+    """Best search batch width and the threaded/serial speedup."""
     from repro.core.ops import ExpansionConfig
-    from repro.sim.seqshard import ShardedSequenceBatchSimulator
     from repro.sim.seqsim import SequenceBatchSimulator
 
     expansion = ExpansionConfig(repetitions=1)
     spans = [(0, end) for end in range(len(stimulus))]
-    notes: list[str] = []
     timings: dict[int, float] = {}
     for width in widths:
-        simulator = SequenceBatchSimulator(
-            compiled, batch_width=width, backend=backend
+        simulator = SequenceBatchSimulator(compiled, batch_width=width, backend=backend)
+        timings[width] = _time(
+            lambda: simulator.detects_windows(fault, stimulus, spans, expansion)
         )
-        try:
-            timings[width] = _time(
-                lambda: simulator.detects_windows(fault, stimulus, spans, expansion)
-            )
-        finally:
-            simulator.close()
     best_width = min(timings, key=timings.get)
-    notes.append(
+    notes = [
         "search widths "
         + ", ".join(f"{w}:{timings[w] * 1e3:.0f}ms" for w in widths)
         + f" -> {best_width}"
-    )
-
+    ]
     speedup = 0.0
-    if workers > 1:
-        sharded = ShardedSequenceBatchSimulator(
-            compiled,
-            batch_width=best_width,
-            backend=backend,
-            workers=workers,
-            min_shard_candidates=1,
-        )
-        try:
-            sharded_seconds = _time(
-                lambda: sharded.detects_windows(fault, stimulus, spans, expansion)
-            )
-        finally:
-            sharded.close()
-        speedup = timings[best_width] / sharded_seconds
-        notes.append(
-            f"candidate axis sharded x{workers}: {speedup:.2f}x serial throughput"
-        )
-
-    thread_speedup = 0.0
     if threads > 1:
         threaded = SequenceBatchSimulator(
             compiled, batch_width=best_width, backend=backend, threads=threads
         )
-        try:
-            if threaded.threads > 1:
-                threaded_seconds = _time(
-                    lambda: threaded.detects_windows(
-                        fault, stimulus, spans, expansion
-                    )
-                )
-                thread_speedup = timings[best_width] / threaded_seconds
-                notes.append(
-                    f"candidate axis threads x{threaded.threads}: "
-                    f"{thread_speedup:.2f}x serial throughput"
-                )
-        finally:
-            threaded.close()
-    return best_width, speedup, thread_speedup, notes
+        speedup = timings[best_width] / _time(
+            lambda: threaded.detects_windows(fault, stimulus, spans, expansion)
+        )
+        notes.append(
+            f"candidate axis threads x{threads}: {speedup:.2f}x serial throughput"
+        )
+    return best_width, speedup, notes
 
 
 def calibrate(
@@ -379,10 +291,10 @@ def calibrate(
     ``quick=True`` (the default, and what service startup uses) measures
     on a small catalog circuit with a short stimulus — a few hundred
     milliseconds; ``quick=False`` uses a larger circuit and stimulus for
-    stabler crossovers.  ``workers`` pins the sharded measurement's
-    worker count (default: one per CPU, capped at 4 — the committed
+    stabler crossovers.  ``workers`` pins the threaded measurement's
+    thread count (default: one per CPU, capped at 4 — the committed
     bench configurations).  Measurement is throughput-only: detection
-    results are backend-, width- and worker-independent by construction,
+    results are backend-, width- and thread-independent by construction,
     so calibration never changes any answer, only how fast it arrives.
     """
     from repro.circuits.catalog import load_circuit
@@ -399,18 +311,13 @@ def calibrate(
         circuit_name = "syn298" if quick else "syn1423"
     stimulus_length = 48 if quick else 192
 
-    shard_workers = 0
-    thread_workers = 0
-    if cpus > 1:
-        shard_workers = workers if workers and workers > 1 else min(cpus, 4)
-        from repro.sim.native_build import native_threads_available
-
-        if backend == "native" and native_threads_available():
-            thread_workers = shard_workers
-        elif backend == "native":
-            notes.append("native kernel is serial-only: thread tier skipped")
+    threads = 0
+    if cpus <= 1:
+        notes.append("1 core: threads cannot win, measuring serial only")
+    elif backend != "native":
+        notes.append("python engine holds the GIL: thread tier skipped")
     else:
-        notes.append("1 core: parallel tiers cannot win, measuring serial only")
+        threads = workers if workers and workers > 1 else min(cpus, 4)
 
     compiled = CompiledCircuit(load_circuit(circuit_name))
     universe = FaultUniverse(compiled.circuit)
@@ -423,64 +330,32 @@ def calibrate(
         f"{stimulus_length}-vector stimulus"
     )
 
-    fault_width, fault_speedup, fault_thread_speedup, fault_notes = (
-        _measure_fault_axis(
-            compiled,
-            faults,
-            stimulus,
-            backend,
-            family["fault"],
-            shard_workers,
-            threads=thread_workers,
-        )
+    fault_width, fault_speedup, fault_notes = _measure_fault_axis(
+        compiled, faults, stimulus, backend, family["fault"], threads
     )
     notes.extend(fault_notes)
 
     probe_fault = faults[len(faults) // 2]
-    (
-        search_width,
-        candidate_speedup,
-        candidate_thread_speedup,
-        search_notes,
-    ) = _measure_candidate_axis(
-        compiled,
-        probe_fault,
-        stimulus,
-        backend,
-        family["search"],
-        shard_workers,
-        threads=thread_workers,
+    search_width, candidate_speedup, search_notes = _measure_candidate_axis(
+        compiled, probe_fault, stimulus, backend, family["search"], threads
     )
     notes.extend(search_notes)
 
-    # Tier verdict: the best measured speedup picks serial vs threads vs
-    # processes, with the same noise threshold sharding always had.  On a
-    # tie threads win — same throughput without the process pool's
-    # memory and dispatch overheads.
-    best_shard = max(fault_speedup, candidate_speedup)
-    best_thread = max(fault_thread_speedup, candidate_thread_speedup)
+    # Tier verdict: threads must beat serial by the noise threshold.
+    best = max(fault_speedup, candidate_speedup)
     parallel_mode = "serial"
     recommended = 1
-    recommended_threads = 1
-    if best_thread >= SHARD_SPEEDUP_THRESHOLD and best_thread >= best_shard:
+    if threads > 1 and best >= THREAD_SPEEDUP_THRESHOLD:
         parallel_mode = "threads"
-        recommended = thread_workers
-        recommended_threads = thread_workers
+        recommended = threads
         notes.append(
-            f"threads win ({best_thread:.2f}x >= {SHARD_SPEEDUP_THRESHOLD}x, "
-            f">= sharded {best_shard:.2f}x): threads x{recommended}"
+            f"threads win ({best:.2f}x >= {THREAD_SPEEDUP_THRESHOLD}x): "
+            f"threads x{recommended}"
         )
-    elif shard_workers > 1 and best_shard >= SHARD_SPEEDUP_THRESHOLD:
-        parallel_mode = "processes"
-        recommended = shard_workers
+    elif threads > 1:
         notes.append(
-            f"sharding wins ({best_shard:.2f}x >= "
-            f"{SHARD_SPEEDUP_THRESHOLD}x): workers={recommended}"
-        )
-    elif shard_workers > 1:
-        notes.append(
-            f"parallel tiers lose (threads {best_thread:.2f}x, sharded "
-            f"{best_shard:.2f}x < {SHARD_SPEEDUP_THRESHOLD}x): serial execution"
+            f"threads lose ({best:.2f}x < {THREAD_SPEEDUP_THRESHOLD}x): "
+            "serial execution"
         )
 
     # The omission axis shares the candidate pipeline; scale its static
@@ -496,11 +371,8 @@ def calibrate(
         search_batch_width=search_width,
         omission_batch_width=max(1, omission_width),
         parallel_mode=parallel_mode,
-        threads=recommended_threads,
-        fault_shard_speedup=round(fault_speedup, 3),
-        candidate_shard_speedup=round(candidate_speedup, 3),
-        fault_thread_speedup=round(fault_thread_speedup, 3),
-        candidate_thread_speedup=round(candidate_thread_speedup, 3),
+        fault_thread_speedup=round(fault_speedup, 3),
+        candidate_thread_speedup=round(candidate_speedup, 3),
         source="calibrated",
         notes=tuple(notes),
     )

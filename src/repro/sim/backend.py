@@ -81,27 +81,6 @@ PROGRAM_CACHE_SIZE = 256
 #: one-shot wide batches cannot pin hundreds of megabyte-scale op lists.
 PROGRAM_CACHE_SIGNAL_BUDGET = 4_000_000
 
-def resolve_simulator_threads(backend: "SimBackend", threads: int) -> int:
-    """Clamp a simulator's requested kernel thread lanes to reality.
-
-    Only the native backend executes thread lanes (it splits each
-    batch's words axis across the kernel's persistent pthread pool);
-    for it, the pool is warmed here and the request clamped to the size
-    it granted.  Every other backend — and serial-only native builds —
-    resolves to ``1``.  Detection times are bit-identical at any count,
-    so clamping is purely a performance decision, never an error.
-    """
-    count = int(threads)
-    if count <= 1:
-        return 1
-    if getattr(backend, "name", None) != "native":
-        return 1
-    from repro.sim.native_build import ensure_thread_pool
-
-    # The pool never shrinks, so a smaller request than the current pool
-    # still runs on exactly `count` lanes (the extra workers idle).
-    return max(1, min(count, ensure_thread_pool(count)))
-
 
 # ----------------------------------------------------------------------
 # Dispatch accounting
@@ -116,11 +95,13 @@ def resolve_simulator_threads(backend: "SimBackend", threads: int) -> int:
 #: :class:`~repro.sim.faultsim.FaultSimSession` re-packed its live
 #: slots into dense batches.  ``fault_sim_runs`` counts one-shot
 #: :meth:`~repro.sim.faultsim.FaultSimulator.run` calls, once per call
-#: however many batches or shards it spans.  Sharded
-#: workers count in their own processes; the parent's counters cover
-#: work it ran locally.  Concurrent serving lanes all
-#: record into this one table, so updates take the lock below — a plain
-#: dict read-modify-write would silently drop counts under contention.
+#: however many batches or chunks it spans; ``chunk_fanouts`` counts
+#: dispatches that handed chunks to the chunk-thread pool
+#: (:mod:`repro.sim.workerpool`) and ``pool_chunks`` the chunks that ran
+#: on pool threads rather than on their calling thread.  Chunk threads
+#: and concurrent serving lanes all record into this one table, so
+#: updates take the lock below — a plain dict read-modify-write would
+#: silently drop counts under contention.
 _DISPATCH_COUNTERS: dict[str, int] = {}
 _DISPATCH_LOCK = threading.Lock()
 
@@ -148,8 +129,8 @@ def base_bits_of(sequence, width: int):
 
     The one conversion of a test sequence to array form (requires
     numpy): the native kernel's fault-axis scan and fault-free trace
-    read it, and the derived-candidate packers and the candidate-axis
-    sharder take it from the trace cache
+    read it, and the derived-candidate pipeline takes it from the trace
+    cache
     (:meth:`~repro.sim.trace.GoodTraceCache.base_bits`).
     """
     import numpy as np
@@ -265,14 +246,6 @@ class SimBatch(ABC):
     machines between batches (a fault session) stores these words.
     """
 
-    #: Thread lanes the backend may split this batch's ``words`` axis
-    #: across for kernel calls (:meth:`eval`, fused scans, paired
-    #: detection).  Simulators running with ``parallel="threads"`` set
-    #: it after opening the batch; ``1`` means serial.  Only the native
-    #: backend consumes it — results are bit-identical at any value, so
-    #: other engines simply ignore it.
-    threads: int = 1
-
     @abstractmethod
     def load_inputs_broadcast(self, bits: Sequence[int]) -> None:
         """Drive each PI with one scalar bit, replicated into every slot."""
@@ -375,6 +348,11 @@ class SimBackend(ABC):
     #: :meth:`BroadcastStimulus.load_step`.  Callers that trace and scan
     #: one sequence over many batches convert it once when set.
     scans_bits: bool = False
+    #: Whether :meth:`run_scan` releases the GIL for the whole scan (one
+    #: ctypes call on the native kernel), so chunk threads
+    #: (:mod:`repro.sim.workerpool`) can scan in parallel.  Engines that
+    #: hold it (the big-int kernel) run every dispatch serially.
+    releases_gil: bool = False
 
     def __init__(self, compiled: CompiledCircuit) -> None:
         self._compiled = compiled
@@ -753,8 +731,7 @@ def resolve_backend_name(
     native engine (numpy not importable, no C compiler,
     ``REPRO_NO_NATIVE``) is silently skipped.
     The choice is deterministic in ``(circuit, paired)`` on a given
-    machine, so sharded workers resolving independently agree with
-    their parent.  Results are bit-identical either way; only
+    machine.  Results are bit-identical either way; only
     throughput differs.
     """
     name = backend or DEFAULT_BACKEND

@@ -171,7 +171,7 @@ class NativeBatch(NumpyBatch):
         record_dispatch("native_ffi_calls")
         if self._eval_args is None:
             self._eval_args = self._build_eval_args()
-        self._lib.repro_eval(*self._eval_args, self.threads)
+        self._lib.repro_eval(*self._eval_args)
 
     def _build_eval_args(self) -> tuple:
         """The eval argument vector, invariant across time steps.
@@ -230,6 +230,7 @@ class NativeBackend(NumpyBackend):
 
     name = "native"
     scans_bits = True
+    releases_gil = True
 
     def __init__(self, compiled) -> None:
         super().__init__(compiled)
@@ -338,7 +339,6 @@ class NativeBackend(NumpyBackend):
             _addr(faulty._po_sa1),
             _addr(faulty._po_sa0),
             _addr(out),
-            max(good.threads, faulty.threads),
         )
         return _words_to_mask(out) & alive_mask
 
@@ -534,8 +534,6 @@ class NativeBackend(NumpyBackend):
                 np.frombuffer(observation_plan.values, dtype=np.uint8),
             )
         record_dispatch("native_ffi_calls")
-        # Thread lanes for the kernel's word-span partition; bit-identical
-        # at any count, so the stepped/fused parity contract is unchanged.
         executed = int(
             self.lib.repro_scan(
                 *self._scan_prefix(program, words),
@@ -546,7 +544,6 @@ class NativeBackend(NumpyBackend):
                 *div_ptrs,
                 int(collect_final_states),
                 int(first_hit),
-                faulty.threads,
             )
         )
         found = times[:num_slots]

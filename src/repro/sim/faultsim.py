@@ -30,9 +30,17 @@ Two usage modes:
   ``(H, L)`` words, and a detected fault only leaves the batch's alive
   mask.  Batches are re-packed (and their programs re-fetched) only when
   the live slots fill less than half of the occupied ones.
+
+``threads=N`` runs both modes on chunk threads
+(:mod:`repro.sim.workerpool`): a one-shot run cuts the fault list into
+contiguous chunks, a session advance its live batches, and each chunk's
+batches scan in GIL-released kernel calls on their own thread.  Results
+merge in chunk order, so they equal the serial ones bit for bit.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from repro.circuit.netlist import Circuit
 from repro.core.sequence import TestSequence
@@ -47,11 +55,11 @@ from repro.sim.backend import (
     get_backend,
     record_dispatch,
     resolve_auto,
-    resolve_simulator_threads,
 )
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.detection import FaultSimResult
 from repro.sim.logicsim import LogicSimulator
+from repro.sim.workerpool import map_chunks, resolve_execution
 
 # The observation-plan machinery lives with the good-machine trace cache
 # (:mod:`repro.sim.trace`); re-exported here for its historical importers.
@@ -60,6 +68,9 @@ from repro.sim.trace import (  # noqa: F401  (re-export)
     build_observation_plan,
     get_trace_cache,
 )
+
+if TYPE_CHECKING:
+    from repro.sim.autotune import MachineProfile
 
 DEFAULT_BATCH_WIDTH = 192
 
@@ -83,11 +94,9 @@ class FaultSimulator:
         backend, batch_width = resolve_auto(self._compiled, backend, batch_width)
         self._backend = get_backend(self._compiled, backend)
         self._batch_width = self._backend.validate_batch_width(batch_width)
-        # In-kernel thread lanes: the native backend splits every batch's
-        # words axis across the kernel's persistent pool.  Warm the pool
-        # here and clamp to what it actually granted; other engines run
-        # serial regardless (detection times are identical either way).
-        self._threads = resolve_simulator_threads(self._backend, threads)
+        # Chunk threads overlap only scans that release the GIL; other
+        # engines run serially (detection times are identical either way).
+        self._threads = max(1, int(threads)) if self._backend.releases_gil else 1
         # The fault-free machine is a single slot, traced independently
         # of the batch backend ("auto": one native kernel call per
         # sequence at the fault axis's native crossover, else the big-int
@@ -113,18 +122,12 @@ class FaultSimulator:
 
     @property
     def threads(self) -> int:
-        """Kernel thread lanes each batch dispatch may use (1 = serial)."""
+        """Chunk threads a large dispatch fans out to (1 = serial)."""
         return self._threads
 
     def close(self) -> None:
-        """Release simulator resources.
-
-        A no-op here; the process-sharded subclass
-        (:class:`repro.sim.sharding.ShardedFaultSimulator`) retires its
-        worker-pool context.  Present on the base class so consumers built
-        against :func:`repro.sim.sharding.make_fault_simulator` can close
-        unconditionally.
-        """
+        """Release simulator resources (none today; sessions close every
+        simulator they mint, so the hook stays)."""
 
     def __enter__(self) -> "FaultSimulator":
         return self
@@ -146,12 +149,28 @@ class FaultSimulator:
         observation_plan = self._observation_plan(sequence, None)
         bits = self._stimulus_bits(sequence, one_shot=True)
         width = self._batch_width
-        for start in range(0, len(faults), width):
-            batch = faults[start : start + width]
-            times = self._run_batch(sequence, batch, observation_plan, bits)
-            for fault, time in zip(batch, times):
-                if time is not None:
-                    result.detection_time[fault] = time
+
+        def run_chunk(bounds: tuple[int, int]) -> list[int | None]:
+            start, end = bounds
+            times: list[int | None] = []
+            for low in range(start, end, width):
+                batch = faults[low : min(low + width, end)]
+                times.extend(self._run_batch(sequence, batch, observation_plan, bits))
+            return times
+
+        # A fault's cost is the sequence, whatever its slot: chunks may
+        # split one pass, down to single 64-slot words.
+        parts = self._map_chunks(
+            run_chunk,
+            len(faults),
+            width,
+            min(64, width),
+            len(faults) * len(sequence),
+        )
+        times = [time for part in parts for time in part]
+        for fault, time in zip(faults, times):
+            if time is not None:
+                result.detection_time[fault] = time
         return result
 
     def detects(self, sequence: TestSequence, fault: Fault) -> bool:
@@ -174,6 +193,25 @@ class FaultSimulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _map_chunks(
+        self, function, num_items: int, width: int, unit: int, slot_steps: int
+    ):
+        """``function`` over chunks of ``range(num_items)``, merged in order.
+
+        ``slot_steps`` is the dispatch's slots times the steps each is
+        scanned over; times the op count, it is the work
+        :func:`~repro.sim.workerpool.map_chunks` weighs against the
+        fan-out floor.
+        """
+        return map_chunks(
+            function,
+            num_items,
+            self._threads,
+            width,
+            unit,
+            len(self._compiled.ops) * slot_steps,
+        )
+
     @property
     def trace_cache(self):
         """The session's :class:`~repro.sim.trace.GoodTraceCache`."""
@@ -238,7 +276,6 @@ class FaultSimulator:
         words.  The batch itself is dropped on return.
         """
         machines = self._backend.batch(program, size)
-        machines.threads = self._threads
         if state is not None:
             machines.set_state_words(state)
         # The whole per-step loop runs inside the backend's run_scan.
@@ -386,20 +423,32 @@ class FaultSimSession:
         converted it, once for every batch.
         """
         simulator = self._simulator
+        live = [batch for batch in self._batches if batch.alive]
+
+        def scan_chunk(bounds: tuple[int, int]) -> list:
+            return [
+                simulator._scan(
+                    batch.program,
+                    len(batch.faults),
+                    extension,
+                    observation_plan,
+                    state=batch.state,
+                    alive=batch.alive,
+                    collect_final_states=commit,
+                    bits=bits,
+                )
+                for batch in live[bounds[0] : bounds[1]]
+            ]
+
+        # Chunks are runs of whole batches (each keeps its program and
+        # resident state); the results merge below in batch order.
+        slots = sum(len(batch.faults) for batch in live)
+        parts = simulator._map_chunks(
+            scan_chunk, len(live), 1, 1, slots * len(extension)
+        )
         detected: dict[Fault, int] = {}
-        for batch in self._batches:
-            if not batch.alive:
-                continue
-            times, final = simulator._scan(
-                batch.program,
-                len(batch.faults),
-                extension,
-                observation_plan,
-                state=batch.state,
-                alive=batch.alive,
-                collect_final_states=commit,
-                bits=bits,
-            )
+        outcomes = (outcome for part in parts for outcome in part)
+        for batch, (times, final) in zip(live, outcomes):
             for slot, time in enumerate(times):
                 if time is not None:
                     detected[batch.faults[slot]] = self._elapsed + time
@@ -460,3 +509,27 @@ class FaultSimSession:
             batches.append(self._new_batch(faults, state))
         self._batches = batches
         record_dispatch("session_repacks")
+
+
+def make_fault_simulator(
+    circuit: Circuit | CompiledCircuit,
+    batch_width: int = DEFAULT_BATCH_WIDTH,
+    backend: str | SimBackend | None = None,
+    workers: int | None = 1,
+    parallel: str | None = None,
+    profile: MachineProfile | None = None,
+) -> FaultSimulator:
+    """The work-distribution seam used by every fault-simulation consumer.
+
+    :func:`~repro.sim.workerpool.resolve_execution` turns ``parallel``,
+    ``workers`` and the machine ``profile`` into a thread count:
+    ``serial`` is one thread, ``threads`` fans large dispatches out to
+    that many chunk threads.  ``workers=0`` / ``workers=None`` mean "one
+    per CPU" without a profile and the profile's recommendation with
+    one.  Detection times are bit-identical across every
+    ``(parallel, workers)`` setting.
+    """
+    _, threads, _ = resolve_execution(parallel, workers, profile=profile)
+    return FaultSimulator(
+        circuit, batch_width=batch_width, backend=backend, threads=threads
+    )

@@ -6,8 +6,7 @@ small dependency-free C file shipped inside the package
 the first process that asks for the backend compiles the kernel with
 whatever C compiler the machine has (``$CC``, then ``cc``/``gcc``/
 ``clang``) into a content-addressed cache directory, and every later
-process — including spawned shard workers — just ``dlopen``\\ s the cached
-shared object.
+process just ``dlopen``\\ s the cached shared object.
 
 Unavailability is a *condition*, not an error: no compiler, a failed
 build, or the ``REPRO_NO_NATIVE`` escape hatch all surface as
@@ -21,7 +20,7 @@ Cache layout: ``$REPRO_NATIVE_CACHE_DIR`` (default
 digest, so editing the C file or bumping the ABI rebuilds without
 clobbering concurrent users; builds land in a temp file and are
 published with an atomic :func:`os.replace`, so concurrent first calls
-(e.g. a spawning worker pool) race benignly.
+(e.g. several processes starting at once) race benignly.
 """
 
 from __future__ import annotations
@@ -45,14 +44,15 @@ CACHE_DIR_ENV = "REPRO_NATIVE_CACHE_DIR"
 
 #: Python-side ABI expectation; must equal REPRO_NATIVE_ABI in the C
 #: source (checked after every load, so a stale .so cannot be driven
-#: with the wrong marshaling).  v2 added repro_scan; v3 added the
-#: persistent thread pool and the trailing n_threads argument on
+#: with the wrong marshaling).  v2 added repro_scan; v3 added an
+#: in-kernel thread pool and a trailing lane-count argument on
 #: repro_eval/repro_detect_step/repro_scan; v4 added repro_trace; v5
 #: added repro_scan's per-slot flop-divergence outputs; v6 put
 #: repro_scan's program-fixed arguments first, replaced its packed
 #: per-slot stimulus with derived candidates and added the first-hit
-#: mode.
-NATIVE_ABI_VERSION = 6
+#: mode; v7 dropped the thread pool and the lane-count arguments (chunk
+#: threads run independent calls instead, see repro.sim.workerpool).
+NATIVE_ABI_VERSION = 7
 
 #: Compilers tried in order when $CC is unset.
 _COMPILER_CANDIDATES = ("cc", "gcc", "clang")
@@ -123,14 +123,10 @@ def _compile(compiler: str, source_path: Path, target: Path) -> None:
         "-fPIC",
         "-shared",
     ]
-    if os.name != "nt":
-        # The thread tier needs pthreads; Windows builds compile the
-        # serial-only kernel (REPRO_HAVE_THREADS off) without the flag.
-        command.append("-pthread")
     extra = os.environ.get("REPRO_NATIVE_CFLAGS")
     if extra:
-        # Escape hatch for instrumented builds (the CI ThreadSanitizer
-        # lane injects -fsanitize=thread -g -O1 here); folded into the
+        # Escape hatch for instrumented builds (the CI sanitizer lanes
+        # inject -fsanitize=... -g -O1 here); folded into the
         # cache key via the digest salt below.
         command.extend(extra.split())
     command.extend(["-o", temp_name, str(source_path)])
@@ -160,33 +156,27 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     i64 = ctypes.c_int64
     library.repro_abi_version.argtypes = []
     library.repro_abi_version.restype = i64
-    library.repro_threads_available.argtypes = []
-    library.repro_threads_available.restype = i64
-    library.repro_thread_pool_init.argtypes = [i64]
-    library.repro_thread_pool_init.restype = i64
+    # A serial stub (always 1), kept for callers that check no kernel
+    # thread pool was started.
     library.repro_thread_pool_size.argtypes = []
     library.repro_thread_pool_size.restype = i64
-    library.repro_thread_pool_shutdown.argtypes = []
-    library.repro_thread_pool_shutdown.restype = None
     library.repro_eval.argtypes = [
-        p, i64, p, p, p, p, i64, p, p, p, p, i64, p, p, p, i64, p, i64
+        p, i64, p, p, p, p, i64, p, p, p, p, i64, p, p, p, i64, p
     ]
     library.repro_eval.restype = None
     library.repro_detect_mask.argtypes = [p, i64, p, p, i64, p, p, p, p]
     library.repro_detect_mask.restype = None
-    library.repro_detect_step.argtypes = [
-        p, p, i64, p, i64, p, p, p, p, p, i64
-    ]
+    library.repro_detect_step.argtypes = [p, p, i64, p, i64, p, p, p, p, p]
     library.repro_detect_step.restype = None
-    # repro_scan: 64 arguments in the C signature's groups, "p" a
+    # repro_scan: 63 arguments in the C signature's groups, "p" a
     # pointer and "i" a size/flag integer (ctypes releases the GIL for
-    # the whole call, which is what lets concurrent serving lanes scan
-    # in parallel).
+    # the whole call, which is what lets chunk threads and concurrent
+    # serving lanes scan in parallel).
     scan_groups = (
         "ppppippppipppipppipippipppppipipp",  # program prefix
         "ppippppppp",  # batch
         "pppipiiiippp",  # stimulus
-        "ppppppiii",  # outputs and modes
+        "ppppppii",  # outputs and modes
     )
     library.repro_scan.argtypes = [
         p if kind == "p" else i64 for kind in "".join(scan_groups)
@@ -255,36 +245,3 @@ def load_native_library() -> ctypes.CDLL:
         raise SimulationError(_BUILD_FAILURE) from error
     _LIBRARY = library
     return library
-
-
-def native_threads_available() -> bool:
-    """Whether the loadable kernel was compiled with the thread pool.
-
-    ``False`` when the native backend itself is unavailable (no
-    compiler, disabled, build failure) or the platform build is
-    serial-only — callers then fall back to serial execution, never an
-    error.
-    """
-    try:
-        library = load_native_library()
-    except SimulationError:
-        return False
-    return bool(library.repro_threads_available())
-
-
-def ensure_thread_pool(n_threads: int) -> int:
-    """Grow the kernel's persistent thread pool to ``n_threads`` lanes.
-
-    Returns the pool size actually available (``1`` means caller-only,
-    i.e. every scan runs serially).  Idempotent and monotone: the pool
-    never shrinks, and repeated calls are cheap.  Callers clamp their
-    per-call ``threads`` request to the returned size so the kernel's
-    busy-pool fallback stays a rare event rather than the common path.
-    """
-    if n_threads <= 1:
-        return 1
-    try:
-        library = load_native_library()
-    except SimulationError:
-        return 1
-    return int(library.repro_thread_pool_init(int(n_threads)))

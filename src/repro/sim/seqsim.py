@@ -37,8 +37,11 @@ The hot path is a **described pipeline**:
 * First-hit scans (:meth:`SequenceBatchSimulator.first_hit`) run each
   chunk through one primitive, :meth:`SequenceBatchSimulator._chunk_first_hit`,
   in the backend's first-hit mode: the native kernel stops simulating
-  the slots above the lowest detecting one.  Shard workers call the same
-  primitive.
+  the slots above the lowest detecting one.  Chunk threads call the
+  same primitive.
+* ``threads=N`` cuts a plan into contiguous chunks
+  (:mod:`repro.sim.workerpool`) whose batches scan in GIL-released
+  kernel calls on their own thread; outcomes merge in chunk order.
 * Detection is one fused
   :meth:`~repro.sim.backend.SimBackend.detect_step` pass across all POs
   per time step (no per-PO ``observe_po`` round trips).
@@ -64,8 +67,10 @@ guidance.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 try:  # The packed pipeline vectorizes with numpy; a pure-Python
     import numpy as np  # fallback keeps the engine dependency-free.
@@ -82,7 +87,6 @@ from repro.sim.backend import (
     SimBackend,
     get_backend,
     resolve_auto,
-    resolve_simulator_threads,
 )
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.scanplan import (
@@ -92,6 +96,16 @@ from repro.sim.scanplan import (
     WindowRampPlan,
 )
 from repro.sim.trace import get_trace_cache
+from repro.sim.workerpool import (
+    chunk_bounds,
+    fans_out,
+    map_chunks,
+    resolve_execution,
+    run_chunks,
+)
+
+if TYPE_CHECKING:
+    from repro.sim.autotune import MachineProfile
 
 DEFAULT_SEQ_BATCH_WIDTH = 128
 
@@ -420,9 +434,9 @@ class SequenceBatchSimulator:
         )
         self._backend = get_backend(self._compiled, backend)
         self._batch_width = self._backend.validate_batch_width(batch_width)
-        # In-kernel thread lanes (native backend only): warm the pool and
-        # clamp to what it granted; outcomes are bit-identical either way.
-        self._threads = resolve_simulator_threads(self._backend, threads)
+        # Chunk threads overlap only scans that release the GIL; other
+        # engines run serially (outcomes are identical either way).
+        self._threads = max(1, int(threads)) if self._backend.releases_gil else 1
         # The session-wide good-machine cache: packed base columns for
         # the derived-candidate pipeline come from here, so a base
         # reused across scans is converted to bits once per session.
@@ -442,19 +456,12 @@ class SequenceBatchSimulator:
 
     @property
     def threads(self) -> int:
-        """Kernel thread lanes each batch dispatch may use (1 = serial)."""
+        """Chunk threads a large scan fans out to (1 = serial)."""
         return self._threads
 
     def close(self) -> None:
-        """Release simulator resources.
-
-        A no-op here; the process-sharded subclass
-        (:class:`repro.sim.seqshard.ShardedSequenceBatchSimulator`)
-        retires its worker-pool context.
-        Present on the base class so consumers built against
-        :func:`repro.sim.seqshard.make_sequence_simulator` can close
-        unconditionally.
-        """
+        """Release simulator resources (none today; sessions close every
+        simulator they mint, so the hook stays)."""
 
     def __enter__(self) -> "SequenceBatchSimulator":
         return self
@@ -469,13 +476,26 @@ class SequenceBatchSimulator:
         """Detection outcomes for every candidate a :class:`ScanPlan` holds.
 
         The single entry point every scan — explicit candidate lists,
-        window ramps, omission rounds — funnels through; the sharded
-        subclass overrides it to fan the same plan across workers with
+        window ramps, omission rounds — funnels through.  With chunk
+        threads a large plan is scanned in chunks on the pool, with
         bit-identical outcomes.
         """
-        if plan.kind == "explicit":
-            return self._scan_explicit(fault, plan.items)
-        return self._scan_derived(fault, plan)
+        derived = self._derive(plan)
+
+        def scan_chunk(bounds: tuple[int, int]) -> list[bool]:
+            return self._scan_range(fault, plan, derived, *bounds)
+
+        # A candidate pass costs about its longest member: a chunk
+        # never splits one.
+        parts = map_chunks(
+            scan_chunk,
+            len(plan),
+            self._threads,
+            self._batch_width,
+            self._batch_width,
+            self._gate_evals(plan, derived),
+        )
+        return [outcome for part in parts for outcome in part]
 
     def first_hit(
         self, fault: Fault, plan: ScanPlan, chunk: int | None = None
@@ -487,20 +507,34 @@ class SequenceBatchSimulator:
         ``evaluated`` is the number of candidates simulated under the
         reference serial chunked scan — whole chunks of ``chunk``
         candidates (default ``batch_width``) up to and including the
-        winning chunk.  The sharded subclass returns the identical pair
-        for any worker count and chunk boundaries: the winner is the
-        *minimum* detecting position (what a serial scan finds first)
-        and ``evaluated`` is recomputed from this same formula, so
-        Procedure 2's statistics never depend on ``workers``.
+        winning chunk.  Chunk threads return the identical pair for any
+        thread count: the winner is the *minimum* detecting position
+        (what a serial scan finds first) and ``evaluated`` is recomputed
+        from this same formula, so Procedure 2's statistics never depend
+        on ``workers``.
+
+        With chunk threads, a large plan's first ``chunk`` candidates
+        still run on the calling thread — window ramps nearly always hit
+        there — and only the rest fans out (:meth:`_first_hit_threaded`).
         """
         chunk = self._first_hit_chunk(chunk)
         derived = self._derive(plan)
-        for start in range(0, len(plan), chunk):
-            end = min(start + chunk, len(plan))
-            hit = self._chunk_first_hit(fault, plan, derived, start, end)
-            if hit is not None:
-                return start + hit, end
-        return None, len(plan)
+        evals = self._gate_evals(plan, derived)
+        if not fans_out(self._threads, len(plan), self._batch_width, evals):
+            for start in range(0, len(plan), chunk):
+                end = min(start + chunk, len(plan))
+                hit = self._chunk_first_hit(fault, plan, derived, start, end)
+                if hit is not None:
+                    return start + hit, end
+            return None, len(plan)
+        position = self._chunk_first_hit(
+            fault, plan, derived, 0, min(chunk, len(plan))
+        )
+        if position is None:
+            position = self._first_hit_threaded(fault, plan, derived, chunk)
+            if position is None:
+                return None, len(plan)
+        return position, min(len(plan), (position // chunk + 1) * chunk)
 
     # ------------------------------------------------------------------
     # Public detection APIs (thin wrappers that build the plans)
@@ -516,8 +550,7 @@ class SequenceBatchSimulator:
 
         One paired scan per ``batch_width`` candidates, each slot starting
         from the all-X state — a genetic population's whole fitness pass.
-        Always serial, on any subclass: the sharded simulator inherits
-        this method unchanged.
+        Always serial, also on a simulator with chunk threads.
         """
         self._check_widths(sequences)
         observations: list[FaultObservation] = []
@@ -613,15 +646,60 @@ class SequenceBatchSimulator:
                     f"candidate width {sequence.width} != circuit inputs {width}"
                 )
 
-    def _scan_explicit(
-        self, fault: Fault, sequences: list[TestSequence]
-    ) -> list[bool]:
-        self._check_widths(sequences)
-        outcomes: list[bool] = []
-        for start in range(0, len(sequences), self._batch_width):
-            batch = sequences[start : start + self._batch_width]
-            outcomes.extend(self._run_packed(fault, self._pack_explicit(batch)))
-        return outcomes
+    def _gate_evals(self, plan: ScanPlan, derived) -> int:
+        """Gate evaluations a scan of ``plan`` runs: ops x machines x
+        slot-steps, each candidate counted at its expanded length (only
+        weighed when chunk threads could fan the scan out)."""
+        if self._threads <= 1 or len(plan) <= self._batch_width:
+            return 0  # a single pass never fans out: skip the count
+        if derived is None:  # explicit (chunk threads imply numpy)
+            slot_steps = sum(len(sequence) for sequence in plan.items)
+        else:
+            _, kept, rows, expansion = derived
+            counts = rows[:, 0] + (rows[:, 3] - rows[:, 2]) + (len(kept) - rows[:, 1])
+            slot_steps = int(counts.sum()) * expansion.length_multiplier
+        # Paired scans run a good and a faulty machine per slot.
+        return 2 * len(self._compiled.ops) * slot_steps
+
+    def _first_hit_threaded(
+        self, fault: Fault, plan: ScanPlan, derived, chunk: int
+    ) -> int | None:
+        """The minimum detecting position of ``plan[chunk:]``, on the pool.
+
+        Each thread scans its chunk ``chunk`` candidates at a time and
+        consults this dispatch's lock-guarded best position between
+        steps: once the best precedes everything left in its chunk, the
+        rest cannot change the answer and is abandoned.  Every chunk
+        that could hold a smaller position keeps running, so the result
+        is the serial scan's first hit for any chunk boundaries.
+        """
+        best: list[int | None] = [None]
+        lock = threading.Lock()
+
+        def scan_chunk(bounds: tuple[int, int]) -> None:
+            start, end = bounds
+            for low in range(start, end, chunk):
+                with lock:
+                    if best[0] is not None and best[0] <= low:
+                        return
+                high = min(low + chunk, end)
+                hit = self._chunk_first_hit(fault, plan, derived, low, high)
+                if hit is not None:
+                    with lock:
+                        if best[0] is None or low + hit < best[0]:
+                            best[0] = low + hit
+                    return
+
+        # Chunks are floored at the caller's serial chunk width (the
+        # cancellation granularity), not the batch width: a scan usually
+        # resolves long before its deepest chunks run, and abandoning a
+        # narrow chunk wastes less than abandoning a full-width one.
+        chunks = [
+            (chunk + start, chunk + end)
+            for start, end in chunk_bounds(len(plan) - chunk, self._threads, chunk)
+        ]
+        run_chunks(scan_chunk, chunks, self._threads)
+        return best[0]
 
     def _check_base(self, base: TestSequence) -> None:
         width = self._compiled.num_inputs
@@ -630,20 +708,21 @@ class SequenceBatchSimulator:
                 f"base width {base.width} != circuit inputs {width}"
             )
 
-    def _derive(self, plan: ScanPlan, base_bits=None):
+    def _derive(self, plan: ScanPlan):
         """``(base_bits, kept, rows, expansion)`` of a derived plan, else ``None``.
 
         ``None`` means the plan's candidates are scanned as sequences
-        (explicit plans, or no numpy).  ``base_bits`` is the base's bit
-        matrix when the caller holds it (a shard task's plan travels
-        without its base); otherwise the session trace cache converts
-        the base once per (circuit, sequence).
+        (explicit plans, or no numpy).  Validates the candidates' or the
+        base's width either way; the session trace cache converts a
+        base to bits once per (circuit, sequence).
         """
-        if plan.kind == "explicit" or np is None:
+        if plan.kind == "explicit":
+            self._check_widths(plan.items)
             return None
-        if base_bits is None:
-            self._check_base(plan.base)
-            base_bits = self._trace_cache.base_bits(plan.base)
+        self._check_base(plan.base)
+        if np is None:
+            return None
+        base_bits = self._trace_cache.base_bits(plan.base)
         kept, rows = plan.descriptor(base_bits.shape[0])
         return base_bits, kept, rows, plan.expansion
 
@@ -666,13 +745,13 @@ class SequenceBatchSimulator:
         """The first detecting candidate of ``plan[start:end]``, from ``start``.
 
         The per-chunk first-hit primitive of the serial scan and of the
-        shard workers alike.  Derived candidates (``derived`` from
+        chunk threads alike.  Derived candidates (``derived`` from
         :meth:`_derive`) run batch by batch in plan order in the
         backend's first-hit mode, stopping at the first batch that
         detects; other plans scan the chunk's outcomes.
         """
         if derived is None:
-            outcomes = SequenceBatchSimulator.scan(self, fault, plan.slice(start, end))
+            outcomes = self._scan_range(fault, plan, None, start, end)
             return next((i for i, hit in enumerate(outcomes) if hit), None)
         for low in range(start, end, self._batch_width):
             batch = self._derived_batch(
@@ -684,35 +763,41 @@ class SequenceBatchSimulator:
                 return low - start + hit
         return None
 
-    def _scan_derived(self, fault: Fault, plan: ScanPlan, base_bits=None) -> list[bool]:
-        """Detection outcomes of a derived plan.
+    def _scan_range(
+        self, fault: Fault, plan: ScanPlan, derived, start: int, end: int
+    ) -> list[bool]:
+        """Detection outcomes of ``plan[start:end]``, batch by batch.
 
-        The derived-candidate entry point of the serial executor and of
-        the candidate-axis shard workers alike: a worker receives the
-        base's bit matrix and passes it with its plan slice (the plan
-        travels without its base).
+        The serial primitive :meth:`scan` runs whole or per chunk.
+        Derived candidates (``derived`` from :meth:`_derive`) scan from
+        their descriptor rows; explicit candidates, and derived ones
+        without numpy (materialized here), scan as packed sequences.
         """
-        derived = self._derive(plan, base_bits)
-        if derived is None:
-            # No numpy: materialize the expanded candidates.
-            base = plan.base
-            self._check_base(base)
-            return self._scan_explicit(
-                fault,
-                [
-                    expand(
-                        TestSequence._trusted(
-                            tuple(base[j] for j in indices), base.width
-                        ),
-                        plan.expansion,
-                    )
-                    for indices in plan.index_lists(len(base))
-                ],
-            )
+        width = self._batch_width
         outcomes: list[bool] = []
-        for start in range(0, len(plan), self._batch_width):
-            batch = self._derived_batch(derived, start, start + self._batch_width)
-            outcomes.extend(time is not None for time in self._scan_times(fault, batch))
+        if derived is not None:
+            for low in range(start, end, width):
+                batch = self._derived_batch(derived, low, min(low + width, end))
+                outcomes.extend(
+                    time is not None for time in self._scan_times(fault, batch)
+                )
+            return outcomes
+        if plan.kind == "explicit":
+            sequences = plan.items[start:end]
+        else:
+            base = plan.base
+            sequences = [
+                expand(
+                    TestSequence._trusted(
+                        tuple(base[j] for j in indices), base.width
+                    ),
+                    plan.expansion,
+                )
+                for indices in plan.slice(start, end).index_lists(len(base))
+            ]
+        for low in range(0, len(sequences), width):
+            batch = self._pack_explicit(sequences[low : low + width])
+            outcomes.extend(self._run_packed(fault, batch))
         return outcomes
 
     def _pack_explicit(self, batch: list[TestSequence]):
@@ -781,8 +866,6 @@ class SequenceBatchSimulator:
         faulty = backend.batch(
             backend.program((fault,) * batch_width), batch_width
         )
-        good.threads = self._threads
-        faulty.threads = self._threads
         # The whole per-step loop — input load, paired eval, detection,
         # first-hit bookkeeping, state latch — lives in run_scan.
         return backend.run_scan(
@@ -794,3 +877,24 @@ class SequenceBatchSimulator:
             divergence=divergence,
             first_hit=first_hit,
         )
+
+
+def make_sequence_simulator(
+    circuit: Circuit | CompiledCircuit,
+    batch_width: int = DEFAULT_SEQ_BATCH_WIDTH,
+    backend: str | SimBackend | None = None,
+    workers: int | None = 1,
+    parallel: str | None = None,
+    profile: MachineProfile | None = None,
+) -> SequenceBatchSimulator:
+    """The work-distribution seam for every candidate-simulation consumer.
+
+    :func:`~repro.sim.workerpool.resolve_execution` turns ``parallel``,
+    ``workers`` and the machine ``profile`` into a thread count, as for
+    :func:`~repro.sim.faultsim.make_fault_simulator`.  Outcomes, first-hit
+    winners and evaluated counts are bit-identical across every setting.
+    """
+    _, threads, _ = resolve_execution(parallel, workers, profile=profile)
+    return SequenceBatchSimulator(
+        circuit, batch_width=batch_width, backend=backend, threads=threads
+    )

@@ -2,7 +2,7 @@
 
 The fault-free response to a base sequence is an *invariant of the run*:
 Procedure 1 fault-simulates ``T0`` once, then the scheme's verification,
-the baselines and every sharded fault dispatch re-derive the same
+the baselines and every one-shot fault dispatch re-derive the same
 fault-free trace — and the candidate axis re-packs the same base input
 columns — over and over.  This module computes each piece **once per
 (circuit, sequence) per session** and hands every consumer the cached
@@ -21,13 +21,12 @@ copy:
 * the base sequence's packed **PI bit columns**
   (:meth:`GoodTraceCache.base_bits`, converted by
   :func:`~repro.sim.backend.base_bits_of`) — the interchange format of
-  the derived-candidate pipeline (:mod:`repro.sim.seqsim`), the native
-  fault-axis scan and the candidate-axis sharder.
+  the derived-candidate pipeline (:mod:`repro.sim.seqsim`) and the
+  native fault-axis scan.
 
-The process-sharded axes pickle what they take from here into their
-task tuples: a candidate task carries the bit matrix
-(:mod:`repro.sim.seqshard`), a one-shot fault task the observation
-plan (:mod:`repro.sim.sharding`).
+Chunk threads read what they take from here without copying: every
+chunk of a dispatch shares the caller's bit matrix and observation
+plan.
 
 Caches are registered per :class:`~repro.sim.compiled.CompiledCircuit`
 (:func:`get_trace_cache`) and keep a small LRU of sequences — Procedure

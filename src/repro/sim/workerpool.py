@@ -1,70 +1,66 @@
-"""The persistent worker pool shared by every process-sharded simulator.
+"""Chunk threads: the one parallel tier of both simulation axes.
 
-Before this module existed, each :class:`~repro.sim.sharding.ShardedFaultSimulator`
-owned its own ``multiprocessing.Pool``: every simulator construction paid
-the full spawn cost (process startup, module imports under ``spawn``) and
-re-pickled the circuit, even though Procedure 1, Procedure 2, compaction
-and restoration all run over the *same* circuit within one session.  This
-module hoists pool ownership out of the simulators:
+The work the paper parallelises is made of independent batches:
+Procedure 1's fault simulations (one batch of faults per slot word) and
+Procedure 2's candidate scans (one batch of candidates per fault).  On
+the native engine each batch is one GIL-released ``ctypes`` call, so
+plain Python threads running those calls overlap on the hot loops.  A
+simulator built with ``threads=N`` cuts its work into contiguous chunks
+(:func:`chunk_bounds`) and hands them to :func:`run_chunks`:
 
-* **One pool per (worker count, start method), per process.**
-  :func:`get_worker_pool` returns a process-global :class:`WorkerPool`
-  that is created lazily on first use and lives until
-  :func:`close_worker_pools` (registered ``atexit``).  Simulators *borrow*
-  the pool; their ``close()`` releases only their own state.
-* **Contexts instead of initializers.**  A simulator publishes its
-  payload (circuit, backend name, batch width, fault list, ...) as a
-  *context*: :meth:`WorkerPool.register_context` broadcasts the spec to
-  every worker exactly once (a barrier inside the install task guarantees
-  each worker takes exactly one copy), and each worker builds its
-  simulator from the spec and caches it by context id.  Tasks then carry
-  just the context id plus per-call data, so the heavy payload crosses
-  the process boundary once per worker per simulator — not once per
-  simulator construction, and never per task.
-* **A shared first-hit rendezvous.**  ``first_hit`` is one
-  ``multiprocessing.Value`` per pool holding the smallest detecting
-  candidate index found so far (:data:`FIRST_HIT_SENTINEL` = none yet).
-  The candidate-axis sharder (:mod:`repro.sim.seqshard`) uses it to
-  cancel chunks that can no longer influence a deterministic
-  first-detection answer.  The parent resets it between dispatches
-  (dispatches never overlap — the parent is single-threaded).
+* **One process-global pool.**  Helper threads are daemon threads
+  created on first use and kept for the process lifetime; the pool
+  grows to the largest helper count any dispatch asked for and never
+  shrinks.  Every simulator and every concurrent serving lane shares it.
+* **The caller drains too.**  A dispatch queues ``N - 1`` drain tasks
+  for the helpers and then claims chunks itself until none are left, so
+  no dispatch ever waits on a busy pool: a helper that arrives late
+  finds nothing to claim and returns.  The caller then waits only for
+  chunks already running on helpers.
+* **Results merge in chunk order.**  :func:`run_chunks` returns one
+  result per chunk in the order the chunks were given, whichever thread
+  ran them, so outcomes are bit-identical to a serial pass by
+  construction.
 
-Pickling is the only transport: a context spec crosses once per worker,
-and each task tuple carries its own per-call data (a fault-index tuple,
-the input sequence and its observation plan on the fault axis; a fault,
-the base's ``uint8`` bit matrix and a base-less plan slice on the
-candidate axis).  Results come back pickled the same way.  Every
-worker-side function is module-level, so the design is spawn-safe;
-``REPRO_SHARDING_START_METHOD`` overrides the default start method
-(``fork`` where available, else ``spawn``).
+Fanning out costs a few thread hand-offs per dispatch (~30 us), which
+small calls cannot amortize; :func:`fans_out` is the one rule both axes
+use, derived from the work the call already knows: its item count and
+the gate evaluations it is about to run.
+
+This module also holds the policy that picks a tier and a thread count,
+:func:`resolve_execution`.
 """
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
 import os
+import queue
+import threading
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.sim.autotune import SHARD_SPEEDUP_THRESHOLD
+from repro.sim.backend import record_dispatch
 
 if TYPE_CHECKING:
     from repro.sim.autotune import MachineProfile
 
-#: ``first_hit`` value meaning "no detecting candidate found yet".
-FIRST_HIT_SENTINEL = 1 << 62
-
-#: Target chunks per worker on both sharded axes.  Oversplitting is what
-#: makes the pool work-stealing: a worker that drew an easy chunk (early
-#: exits everywhere) pulls the next one from the shared queue instead of
-#: idling.
+#: Target chunks per thread on both axes.  Oversplitting is what makes
+#: the pool work-stealing: a thread that drew an easy chunk (early exits
+#: everywhere) claims the next one instead of idling.
 OVERSPLIT = 4
 
-#: Ceiling on how long a context broadcast waits for every worker to
-#: rendezvous.  A worker that died would otherwise hang the barrier (and
-#: the parent) forever; a broken barrier surfaces as an error instead.
-BROADCAST_TIMEOUT_S = 300.0
+#: Fewest gate evaluations (``ops x machines x slots x steps``) a
+#: dispatch must carry before it fans out.  Measured at 2 threads on a
+#: 2-core host (fault runs with cached programs, 7 alternating rounds):
+#: under ~11 million evaluations results were mixed, 0.67-0.93x serial
+#: on ``syn1423`` runs of 2.7-10.8 million; from ~19 million on they won
+#: 1.3-1.9x.  Early exits make the count an upper bound on the work.
+FAN_OUT_FLOOR = 16_000_000
+
+#: Most threads one dispatch runs on (the cap the kernel's lane pool
+#: had): a mistyped ``workers=`` must not start thousands of threads.
+MAX_THREADS = 64
 
 
 def cpu_count() -> int:
@@ -90,33 +86,10 @@ def cpu_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def resolve_start_method() -> str:
-    """The multiprocessing start method for shard pools.
-
-    Honors ``REPRO_SHARDING_START_METHOD`` (``fork`` / ``spawn`` /
-    ``forkserver``); otherwise prefers ``fork`` where available (cheap,
-    and the worker payload is inherited rather than pickled) and falls
-    back to ``spawn`` — for which this module is fully pickle-safe.
-    """
-    override = os.environ.get("REPRO_SHARDING_START_METHOD")
-    if override:
-        if override not in multiprocessing.get_all_start_methods():
-            raise SimulationError(
-                f"REPRO_SHARDING_START_METHOD={override!r} is not supported "
-                f"here; available: {multiprocessing.get_all_start_methods()}"
-            )
-        return override
-    if "fork" in multiprocessing.get_all_start_methods():
-        return "fork"
-    return "spawn"
-
-
-#: The three work-distribution tiers plus ``auto``, which asks
-#: :func:`resolve_execution` to choose.  ``serial`` — one simulator, one
-#: kernel thread; ``threads`` — one simulator whose native kernel splits
-#: each batch's words axis across the in-process pthread pool;
-#: ``processes`` — the shard pool (one simulator per worker process).
-PARALLEL_MODES = ("auto", "serial", "threads", "processes")
+#: The work-distribution tiers plus ``auto``, which asks
+#: :func:`resolve_execution` to choose.  ``serial`` — one thread;
+#: ``threads`` — chunks of each dispatch on the chunk-thread pool.
+PARALLEL_MODES = ("auto", "serial", "threads")
 
 
 def resolve_execution(
@@ -124,32 +97,24 @@ def resolve_execution(
     workers: int | None,
     *,
     profile: MachineProfile | None = None,
-    lanes: int = 1,
 ) -> tuple[str, int, tuple[str, ...]]:
     """The one place that picks a work-distribution tier and its count.
 
-    Returns ``(tier, count, notes)``: ``tier`` is ``"serial"``,
-    ``"threads"`` or ``"processes"`` (never ``"auto"``), ``count`` the
-    worker processes or thread lanes (``1`` exactly when serial), and
-    ``notes`` why a profile or the lane count changed the request.
-    ``C`` is :func:`cpu_count`; a *calibrated* profile is one whose
-    ``source`` is ``"calibrated"``.
+    Returns ``(tier, count, notes)``: ``tier`` is ``"serial"`` or
+    ``"threads"`` (never ``"auto"``), ``count`` the chunk threads
+    (``1`` exactly when serial), and ``notes`` why a profile changed the
+    request.  ``C`` is :func:`cpu_count`; a *calibrated* profile is one
+    whose ``source`` is ``"calibrated"``.
 
-    1. Worker count: without a profile ``None``/``0`` mean ``C``; with
+    1. Thread count: without a profile ``None``/``0`` mean ``C``; with
        one they mean ``profile.workers``.  A calibrated profile with
        ``workers == 1`` (it measured serial winning) turns an explicit
        count above 1 into 1; a static profile never overrides.
-    2. A count of 1 or ``parallel="serial"`` is ``("serial", 1)``.
-    3. Explicit ``threads``/``processes`` keep their tier; ``auto``
-       takes a calibrated profile's ``parallel_mode``, else
-       ``processes``.
-    4. One usable core (``C <= 1``) is ``("serial", 1)`` unless a
+    2. A count of 1 or ``parallel="serial"`` is ``("serial", 1)``; so is
+       ``auto`` when a calibrated profile's verdict is ``serial``.
+    3. One usable core (``C <= 1``) is ``("serial", 1)`` unless a
        calibrated profile measured ``workers > 1`` winning here.
-    5. ``lanes > 1`` (a concurrent service) pins an ``auto`` or
-       ``processes`` request away from the shared process pool, whose
-       parent serves one dispatch at a time: to ``threads`` unless a
-       calibrated profile measured threads below
-       ``SHARD_SPEEDUP_THRESHOLD``, else to ``("serial", 1)``.
+    4. Everything else is ``("threads", count)``.
 
     Results are bit-identical across tiers, so this only moves
     throughput.  Resolving an output again with the same profile
@@ -184,247 +149,170 @@ def resolve_execution(
     tier = requested
     if tier == "auto" and calibrated:
         tier = profile.parallel_mode
-    if tier == "auto":
-        tier = "processes"
     if count <= 1 or tier == "serial":
         return ("serial", 1, tuple(notes))
     if cpu_count() <= 1 and not (calibrated and profile.workers > 1):
         return ("serial", 1, tuple(notes))
-
-    if lanes > 1 and requested in ("auto", "processes"):
-        threads_win = not calibrated or SHARD_SPEEDUP_THRESHOLD <= max(
-            profile.fault_thread_speedup, profile.candidate_thread_speedup
-        )
-        pinned = "threads" if threads_win else "serial"
-        notes.append(
-            f"lanes={lanes}: tier {requested!r} pinned to {pinned!r} "
-            "(concurrent jobs must stay off the shared worker pool)"
-        )
-        if not threads_win:
-            return ("serial", 1, tuple(notes))
-        tier = "threads"
-    return (tier, int(count), tuple(notes))
+    return ("threads", int(count), tuple(notes))
 
 
 # ----------------------------------------------------------------------
-# Worker-process side.  Module-level (spawn-picklable) state and
-# functions; each worker holds its built contexts.
+# Chunk cut and fan-out floor
 # ----------------------------------------------------------------------
-_WORKER: dict = {}
+def chunk_bounds(
+    num_items: int, threads: int, batch_width: int
+) -> list[tuple[int, int]]:
+    """Partition ``range(num_items)`` into contiguous ``(start, end)`` chunks.
 
+    Aims for ``threads * OVERSPLIT`` equal-count chunks with two floors
+    that keep per-chunk backend passes efficient —
 
-def worker_state() -> dict:
-    """This worker process's state dict (contexts, first-hit slot)."""
-    return _WORKER
+    * a chunk is never narrower than one full backend pass
+      (``batch_width`` items) unless even ``threads`` plain chunks would
+      be — oversplitting below a full pass trades vectorization for
+      stealing granularity;
+    * chunks wider than one pass are rounded up to whole multiples of
+      ``batch_width`` so only each chunk's final pass can be ragged.
 
-
-def _worker_init(barrier, first_hit) -> None:
-    _WORKER["barrier"] = barrier
-    _WORKER["first_hit"] = first_hit
-    _WORKER["contexts"] = {}
-
-
-def _build_context(spec: tuple) -> object:
-    """Build a worker-side context from its published spec.
-
-    Specs are tagged tuples; the owning module supplies the builder.
-    Imported lazily so a spawn-started worker only loads the axis it
-    actually serves.
+    Both axes cut this way: faults (every fault of a dispatch costs the
+    same) and candidates (a window ramp's candidates grow linearly, but
+    at 2 threads equal-step budgets measured no better than equal
+    counts).
+    Never returns empty chunks.
     """
-    kind = spec[0]
-    if kind == "fault":
-        from repro.sim.sharding import build_fault_context
+    if num_items <= 0:
+        return []
+    threads = max(1, threads)
+    size = -(-num_items // (threads * OVERSPLIT))  # ceil
+    per_thread = -(-num_items // threads)
+    size = max(size, min(batch_width, per_thread))
+    if size > batch_width:
+        size = -(-size // batch_width) * batch_width
+    return [
+        (start, min(start + size, num_items))
+        for start in range(0, num_items, size)
+    ]
 
-        return build_fault_context(spec)
-    if kind == "seq":
-        from repro.sim.seqshard import build_seq_context
 
-        return build_seq_context(spec)
-    raise SimulationError(f"unknown worker context kind {kind!r}")
+def fans_out(threads: int, num_items: int, unit: int, gate_evals: int) -> bool:
+    """Whether a dispatch uses the pool.
 
-
-def _worker_install(payload: tuple) -> int:
-    """Install one context in this worker (broadcast task).
-
-    The barrier makes the broadcast exact: all ``workers`` install tasks
-    must be in flight simultaneously before any completes, so no worker
-    can take a second copy while another has none.
+    It must carry :data:`FAN_OUT_FLOOR` gate evaluations and more than
+    ``unit`` items, the most that splitting cannot speed up: one 64-slot
+    word of faults (a pass over one word costs the same split or whole),
+    one session batch, or one full pass of candidates (a candidate pass
+    costs about its longest member, so halving it leaves the critical
+    path as long: a single 192-candidate ramp pass ran at 0.73x serial
+    when split in two).
     """
-    context_id, spec = payload
-    _WORKER["barrier"].wait(BROADCAST_TIMEOUT_S)
-    _WORKER["contexts"][context_id] = _build_context(spec)
-    return context_id
-
-
-def _worker_retire(context_id: int) -> int:
-    """Drop one context in this worker (broadcast task)."""
-    _WORKER["barrier"].wait(BROADCAST_TIMEOUT_S)
-    _WORKER["contexts"].pop(context_id, None)
-    return context_id
+    return threads > 1 and num_items > unit and gate_evals >= FAN_OUT_FLOOR
 
 
 # ----------------------------------------------------------------------
-# Parent side
+# The chunk-thread pool
 # ----------------------------------------------------------------------
-class WorkerPool:
-    """A persistent process pool hosting contexts for many simulators.
+_TASKS: queue.SimpleQueue = queue.SimpleQueue()
+_HELPERS: list[threading.Thread] = []
+_HELPERS_LOCK = threading.Lock()
 
-    Simulators do not construct this directly — they call
-    :func:`get_worker_pool` and register a context.  ``run_tasks`` feeds
-    chunk tasks through ``imap_unordered(chunksize=1)``, which is what
-    makes the chunk plans work-stealing.
-    """
 
-    def __init__(self, workers: int, start_method: str) -> None:
-        if workers < 2:
-            raise SimulationError(
-                f"a worker pool needs at least 2 processes, got {workers}"
+def _helper_loop() -> None:
+    while True:
+        _TASKS.get()()
+
+
+def _ensure_helpers(count: int) -> None:
+    """Grow the process-global pool to at least ``count`` helper threads."""
+    with _HELPERS_LOCK:
+        while len(_HELPERS) < count:
+            helper = threading.Thread(
+                target=_helper_loop,
+                name=f"repro-chunk-{len(_HELPERS)}",
+                daemon=True,
             )
-        self._workers = workers
-        self._start_method = start_method
-        context = multiprocessing.get_context(start_method)
-        self._barrier = context.Barrier(workers)
-        self._first_hit = context.Value("q", FIRST_HIT_SENTINEL)
-        self._pool = context.Pool(
-            processes=workers,
-            initializer=_worker_init,
-            initargs=(self._barrier, self._first_hit),
-        )
-        self._next_context_id = 0
-        self._deferred_retires: list[int] = []
-        self._closed = False
-
-    @property
-    def workers(self) -> int:
-        return self._workers
-
-    @property
-    def start_method(self) -> str:
-        return self._start_method
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # ------------------------------------------------------------------
-    # Contexts
-    # ------------------------------------------------------------------
-    def register_context(self, spec: tuple) -> int:
-        """Broadcast ``spec`` to every worker; return its context id."""
-        if self._closed:
-            raise SimulationError("worker pool is closed")
-        self._flush_deferred_retires()
-        context_id = self._next_context_id
-        self._next_context_id += 1
-        self._pool.map(
-            _worker_install, [(context_id, spec)] * self._workers, chunksize=1
-        )
-        return context_id
-
-    def retire_context(self, context_id: int) -> None:
-        """Broadcast removal of a context (frees worker memory)."""
-        if self._closed:
-            return
-        self._pool.map(_worker_retire, [context_id] * self._workers, chunksize=1)
-
-    def defer_retire(self, context_id: int) -> None:
-        """Queue a retire without touching the pool (GC-safe).
-
-        ``__del__`` may fire on any thread at any allocation point —
-        including mid-dispatch on this very pool — where a barrier
-        broadcast would interleave with in-flight tasks and corrupt the
-        exactly-once-per-worker install guarantee.  Deferred retires are
-        flushed at the next owning-thread dispatch; until then the stale
-        worker-side context merely holds memory.
-        """
-        self._deferred_retires.append(context_id)
-
-    def _flush_deferred_retires(self) -> None:
-        while self._deferred_retires and not self._closed:
-            self.retire_context(self._deferred_retires.pop())
-
-    # ------------------------------------------------------------------
-    # Tasks
-    # ------------------------------------------------------------------
-    def run_tasks(self, function, tasks: list[tuple]) -> list:
-        """Run chunk tasks with work stealing; result order is arbitrary."""
-        self._flush_deferred_retires()
-        return list(self._pool.imap_unordered(function, tasks, chunksize=1))
-
-    # ------------------------------------------------------------------
-    # First-hit rendezvous
-    # ------------------------------------------------------------------
-    def reset_first_hit(self) -> None:
-        """Arm the shared first-hit slot before a cancellable dispatch."""
-        with self._first_hit.get_lock():
-            self._first_hit.value = FIRST_HIT_SENTINEL
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Terminate the worker processes (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._pool.terminate()
-        self._pool.join()
+            helper.start()
+            _HELPERS.append(helper)
 
 
-class PoolContext:
-    """Parent-side handle for one registered context (retire exactly once)."""
+class _Dispatch:
+    """One :func:`run_chunks` call: its chunks, claims and results."""
 
-    __slots__ = ("pool", "context_id", "_retired")
+    def __init__(self, function: Callable, chunks: Sequence) -> None:
+        self._function = function
+        self._chunks = chunks
+        self.results: list = [None] * len(chunks)
+        self.error: BaseException | None = None
+        self._claimed = 0
+        self._finished = 0
+        self._cond = threading.Condition()
 
-    def __init__(self, pool: WorkerPool, context_id: int) -> None:
-        self.pool = pool
-        self.context_id = context_id
-        self._retired = False
+    def _claim(self) -> int | None:
+        with self._cond:
+            if self._claimed == len(self._chunks) or self.error is not None:
+                return None
+            self._claimed += 1
+            return self._claimed - 1
 
-    def retire(self, deferred: bool = False) -> None:
-        """Release the context: broadcast now, or queue it (``deferred``).
+    def drain(self, on_pool: bool) -> None:
+        """Run chunks until none are left to claim."""
+        while (index := self._claim()) is not None:
+            try:
+                result = self._function(self._chunks[index])
+            except BaseException as error:  # re-raised by the caller
+                with self._cond:
+                    self.error = self.error or error
+                    self._finished += 1
+                    self._cond.notify_all()
+                return
+            if on_pool:
+                record_dispatch("pool_chunks")
+            with self._cond:
+                self.results[index] = result
+                self._finished += 1
+                self._cond.notify_all()
 
-        Pass ``deferred=True`` from finalizers — a broadcast from a GC
-        callback can interleave with an in-flight dispatch on the shared
-        pool (see :meth:`WorkerPool.defer_retire`).
-        """
-        if self._retired:
-            return
-        self._retired = True
-        try:
-            if deferred:
-                self.pool.defer_retire(self.context_id)
-            else:
-                self.pool.retire_context(self.context_id)
-        except Exception:  # pragma: no cover - pool torn down concurrently
-            pass
+    def wait(self) -> None:
+        """Block until every claimed chunk has finished."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._finished == self._claimed)
 
 
-_POOLS: dict[tuple[int, str], WorkerPool] = {}
+def run_chunks(function: Callable, chunks: Sequence, threads: int) -> list:
+    """``[function(chunk) for chunk in chunks]`` on up to ``threads`` threads
+    (at most :data:`MAX_THREADS`).
 
-
-def get_worker_pool(workers: int) -> WorkerPool:
-    """The session's shared pool for ``workers`` processes.
-
-    Keyed by (worker count, resolved start method), created lazily and
-    reused by every sharded simulator until :func:`close_worker_pools` —
-    so spawn cost and per-worker circuit pickling are paid once per
-    session, not once per simulator.
+    The calling thread is one of them (see the module docstring).  The
+    first exception a chunk raises stops further claims and is re-raised
+    here once the running chunks finish.
     """
-    method = resolve_start_method()
-    key = (workers, method)
-    pool = _POOLS.get(key)
-    if pool is None or pool.closed:
-        pool = WorkerPool(workers, method)
-        _POOLS[key] = pool
-    return pool
+    dispatch = _Dispatch(function, chunks)
+    helpers = min(threads, len(chunks), MAX_THREADS) - 1
+    if helpers > 0:
+        record_dispatch("chunk_fanouts")
+        _ensure_helpers(helpers)
+        for _ in range(helpers):
+            _TASKS.put(lambda: dispatch.drain(on_pool=True))
+    dispatch.drain(on_pool=False)
+    dispatch.wait()
+    if dispatch.error is not None:
+        raise dispatch.error
+    return dispatch.results
 
 
-def close_worker_pools() -> None:
-    """Terminate every session pool (registered ``atexit``)."""
-    for pool in list(_POOLS.values()):
-        pool.close()
-    _POOLS.clear()
+def map_chunks(
+    function: Callable[[tuple[int, int]], object],
+    num_items: int,
+    threads: int,
+    batch_width: int,
+    unit: int,
+    gate_evals: int,
+) -> list:
+    """``function`` over chunk bounds of ``range(num_items)``, in order.
 
-
-atexit.register(close_worker_pools)
+    One whole-range call on the calling thread unless the dispatch fans
+    out (:func:`fans_out` with ``unit``); then :func:`chunk_bounds`
+    chunks on the pool.
+    """
+    if not fans_out(threads, num_items, unit, gate_evals):
+        return [function((0, num_items))]
+    return run_chunks(function, chunk_bounds(num_items, threads, batch_width), threads)

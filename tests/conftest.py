@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.circuit.builder import CircuitBuilder
@@ -10,7 +12,13 @@ from repro.circuits.catalog import load_circuit, paper_t0_s27
 from repro.circuits.generator import SyntheticSpec, generate_circuit
 from repro.core.sequence import TestSequence
 from repro.faults.universe import FaultUniverse
-from repro.sim.backend import SimBackend, backend_unavailable_reason, get_backend
+from repro.sim import workerpool
+from repro.sim.backend import (
+    SimBackend,
+    backend_unavailable_reason,
+    dispatch_counters,
+    get_backend,
+)
 from repro.sim.compiled import CompiledCircuit
 
 
@@ -54,6 +62,36 @@ def base_loop_backend():
         return BaseLoop(compiled)
 
     return _make
+
+
+@pytest.fixture(scope="session")
+def fanned_out():
+    """Context-manager factory: every chunk-threaded dispatch fans out.
+
+    Test-sized fault lists and plans sit far below the chunk-thread
+    fan-out floor (:data:`repro.sim.workerpool.FAN_OUT_FLOOR`), so a
+    ``threads=N`` simulator would run them serially.  Inside
+    ``with fanned_out() as count:`` the floor is zero (the unit rule of
+    :func:`~repro.sim.workerpool.fans_out` still holds), and
+    ``count(kind)`` returns how much a dispatch counter grew since the
+    block began: ``count()`` the chunks that ran on pool threads — the
+    proof that the parity checked inside really crossed threads — and
+    ``count("chunk_fanouts")`` the dispatches that fanned out.
+    Session-scoped so hypothesis tests can use it.
+    """
+
+    @contextmanager
+    def _fanned_out():
+        before = dispatch_counters()
+
+        def count(kind: str = "pool_chunks") -> int:
+            return dispatch_counters().get(kind, 0) - before.get(kind, 0)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(workerpool, "FAN_OUT_FLOOR", 0)
+            yield count
+
+    return _fanned_out
 
 
 @pytest.fixture(scope="session")

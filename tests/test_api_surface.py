@@ -88,6 +88,22 @@ class TestSessionFacadeSurface:
         assert callable(repro.sim.make_fault_simulator)
         assert callable(repro.sim.make_sequence_simulator)
 
+    def test_process_tier_is_gone(self):
+        """Chunk threads are the one parallel tier: no process pool,
+        sharded simulators or pool lifecycle remain on the surface."""
+        for name in (
+            "ShardedFaultSimulator",
+            "ShardedSequenceBatchSimulator",
+            "ShardedFaultSimSession",
+            "WorkerPool",
+            "get_worker_pool",
+            "close_worker_pools",
+        ):
+            for module in (repro, repro.sim):
+                assert not hasattr(module, name), name
+                assert name not in module.__all__, name
+        assert not hasattr(repro.Session, "worker_pool")
+
 
 class TestConfigJsonRoundTrips:
     def test_selection_config_round_trip(self):

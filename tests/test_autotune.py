@@ -60,14 +60,12 @@ class TestProfilePersistence:
         profile = replace(
             profile_with(workers=4, source="calibrated"),
             parallel_mode="threads",
-            threads=4,
             fault_thread_speedup=2.1,
             candidate_thread_speedup=1.8,
         )
         restored = MachineProfile.from_json(profile.to_json())
         assert restored == profile
         assert restored.parallel_mode == "threads"
-        assert restored.threads == 4
 
     def test_version_guard(self):
         payload = static_profile().to_json()
@@ -89,6 +87,22 @@ class TestProfilePersistence:
         payload = static_profile().to_json()
         payload.update(
             version=2, fault_scan_mode="stepped", candidate_scan_mode="fused"
+        )
+        target = tmp_path / "profile.json"
+        target.write_text(json.dumps(payload), encoding="utf-8")
+        assert load_profile(target) is None
+
+    def test_v3_profiles_with_a_process_verdict_dropped(self, tmp_path):
+        """v3 profiles may carry the ``processes`` verdict and shard
+        speedups of the deleted process tier; loading one yields no
+        profile, forcing a recalibration."""
+        payload = static_profile().to_json()
+        payload.update(
+            version=3,
+            parallel_mode="processes",
+            threads=1,
+            fault_shard_speedup=1.4,
+            candidate_shard_speedup=1.2,
         )
         target = tmp_path / "profile.json"
         target.write_text(json.dumps(payload), encoding="utf-8")
@@ -122,6 +136,18 @@ class TestCalibration:
         # carries concrete, positive batch widths.
         assert profile.fault_batch_width > 0
         assert profile.search_batch_width > 0
+
+    def test_quick_calibration_on_two_cores_measures_threads(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "2")
+        profile = calibrate(quick=True)
+        assert profile.parallel_mode in ("serial", "threads")
+        assert (profile.parallel_mode == "threads") == (profile.workers == 2)
+        if profile.backend == "native":
+            assert any("threads x2" in note for note in profile.notes)
+            assert profile.fault_thread_speedup > 0
+        else:
+            assert profile.workers == 1
+            assert any("holds the GIL" in note for note in profile.notes)
 
     def test_profile_for_startup_calibrates_then_loads(
         self, tmp_path, monkeypatch

@@ -44,136 +44,109 @@ def make_profile(
 NONE = None
 STATIC_1 = ("static", 1)
 STATIC_2 = ("static", 2)
-STATIC_4_THREADS = ("static", 4, "threads")
+STATIC_4_SERIAL = ("static", 4, "serial")
 CALIBRATED_1 = ("calibrated", 1)
 CALIBRATED_2 = ("calibrated", 2)
 CALIBRATED_1_THREADS = ("calibrated", 1, "threads")
 CALIBRATED_1_SERIAL = ("calibrated", 1, "serial")
 CALIBRATED_4_THREADS = ("calibrated", 4, "threads")
-CALIBRATED_4_PROCESSES = ("calibrated", 4, "processes")
-CALIBRATED_4_THREADS_WIN = ("calibrated", 4, "auto", 1.5)
-CALIBRATED_4_PROCESSES_THREADS_WIN = ("calibrated", 4, "processes", 1.5)
-CALIBRATED_4_PROCESSES_THREADS_LOSE = ("calibrated", 4, "processes", 0.5, 0.6)
+CALIBRATED_4_SERIAL = ("calibrated", 4, "serial")
 
-#: (parallel, workers, profile, cpus, lanes) -> (tier, count).
+#: (parallel, workers, profile, cpus) -> (tier, count).
 POLICY_TABLE = [
     # No profile: 0/None size for the machine, one core collapses.
-    pytest.param(None, None, NONE, 1, 1, ("serial", 1), id="default-one-core"),
-    pytest.param("auto", 0, NONE, 1, 1, ("serial", 1), id="auto0-one-core"),
-    pytest.param("threads", 0, NONE, 8, 1, ("threads", 8), id="threads0-cpus"),
+    pytest.param(None, None, NONE, 1, ("serial", 1), id="default-one-core"),
+    pytest.param("auto", 0, NONE, 1, ("serial", 1), id="auto0-one-core"),
+    pytest.param("threads", 0, NONE, 8, ("threads", 8), id="threads0-cpus"),
+    pytest.param("threads", None, NONE, 8, ("threads", 8), id="threads-none-cpus"),
+    pytest.param("threads", 3, NONE, 8, ("threads", 3), id="threads3"),
+    pytest.param("auto", 4, NONE, 8, ("threads", 4), id="auto-threads"),
+    pytest.param("threads", 4, NONE, 1, ("serial", 1), id="threads-one-core"),
+    pytest.param("serial", 4, NONE, 8, ("serial", 1), id="serial-any-count"),
+    pytest.param("auto", None, NONE, 4, ("threads", 4), id="auto-none-cpus"),
+    pytest.param("auto", 1, NONE, 8, ("serial", 1), id="auto-one-is-serial"),
+    pytest.param("threads", 2, NONE, 2, ("threads", 2), id="threads-two-core"),
+    # Thread count through a profile.
     pytest.param(
-        "threads", None, NONE, 8, 1, ("threads", 8), id="threads-none-cpus"
-    ),
-    pytest.param("threads", 3, NONE, 8, 1, ("threads", 3), id="threads3"),
-    pytest.param("processes", 3, NONE, 8, 1, ("processes", 3), id="processes3"),
-    pytest.param("auto", 4, NONE, 8, 1, ("processes", 4), id="auto-processes"),
-    pytest.param("threads", 4, NONE, 1, 1, ("serial", 1), id="threads-one-core"),
-    pytest.param("serial", 4, NONE, 8, 1, ("serial", 1), id="serial-any-count"),
-    # Worker count through a profile.
-    pytest.param(
-        "processes", None, CALIBRATED_2, 8, 1, ("processes", 2),
+        "threads", None, CALIBRATED_2, 8, ("threads", 2),
         id="calibrated-none-recommendation",
     ),
     pytest.param(
-        "processes", 0, CALIBRATED_2, 8, 1, ("processes", 2),
+        "threads", 0, CALIBRATED_2, 8, ("threads", 2),
         id="calibrated-0-recommendation",
     ),
     pytest.param(
-        "processes", None, STATIC_1, 8, 1, ("serial", 1),
+        "threads", None, STATIC_1, 8, ("serial", 1),
         id="static-none-recommendation",
     ),
     pytest.param(
-        "processes", 4, CALIBRATED_1, 8, 1, ("serial", 1),
+        "threads", 4, CALIBRATED_1, 8, ("serial", 1),
         id="calibrated-serial-overrides-request",
     ),
     pytest.param(
-        "processes", 4, STATIC_1, 8, 1, ("processes", 4),
-        id="static-never-overrides",
+        "threads", 4, STATIC_1, 8, ("threads", 4), id="static-never-overrides"
     ),
-    # A calibrated multi-worker win survives one core; nothing else does.
+    # A calibrated multi-thread win survives one core; nothing else does.
     pytest.param(
-        "threads", 4, CALIBRATED_2, 1, 1, ("threads", 4),
+        "threads", 4, CALIBRATED_2, 1, ("threads", 4),
         id="calibrated-win-threads-one-core",
     ),
     pytest.param(
-        "processes", 2, CALIBRATED_2, 1, 1, ("processes", 2),
-        id="calibrated-win-processes-one-core",
+        "auto", 2, CALIBRATED_2, 1, ("threads", 2),
+        id="calibrated-win-auto-one-core",
     ),
     pytest.param(
-        "processes", 2, CALIBRATED_1, 1, 1, ("serial", 1),
+        "threads", 2, CALIBRATED_1, 1, ("serial", 1),
         id="calibrated-serial-one-core",
     ),
-    pytest.param(
-        "processes", 2, STATIC_2, 1, 1, ("serial", 1), id="static-one-core"
-    ),
+    pytest.param("threads", 2, STATIC_2, 1, ("serial", 1), id="static-one-core"),
     # ``auto`` takes a calibrated profile's measured tier.
     pytest.param(
-        "auto", None, CALIBRATED_1_THREADS, 8, 1, ("serial", 1),
-        id="calibrated-one-worker-serial",
+        "auto", None, CALIBRATED_1_THREADS, 8, ("serial", 1),
+        id="calibrated-one-thread-serial",
     ),
     pytest.param(
-        "auto", None, CALIBRATED_4_THREADS, 8, 1, ("threads", 4),
+        "auto", None, CALIBRATED_4_THREADS, 8, ("threads", 4),
         id="calibrated-threads-verdict",
     ),
     pytest.param(
-        "auto", 2, CALIBRATED_4_THREADS, 8, 1, ("threads", 2),
+        "auto", 2, CALIBRATED_4_THREADS, 8, ("threads", 2),
         id="calibrated-threads-verdict-count",
     ),
     pytest.param(
-        "auto", 0, CALIBRATED_4_PROCESSES, 8, 1, ("processes", 4),
-        id="calibrated-processes-verdict",
+        "auto", None, CALIBRATED_4_THREADS, 1, ("threads", 4),
+        id="calibrated-threads-verdict-one-core",
     ),
     pytest.param(
-        "auto", 4, CALIBRATED_1_SERIAL, 8, 1, ("serial", 1),
+        "serial", 4, CALIBRATED_4_THREADS, 8, ("serial", 1),
+        id="serial-beats-the-verdict",
+    ),
+    pytest.param(
+        "auto", 0, STATIC_2, 8, ("threads", 2), id="static-auto-recommendation"
+    ),
+    pytest.param(
+        "auto", 4, CALIBRATED_1_SERIAL, 8, ("serial", 1),
         id="calibrated-serial-verdict",
     ),
     pytest.param(
-        "auto", 4, STATIC_4_THREADS, 8, 1, ("processes", 4),
-        id="static-verdict-ignored",
-    ),
-    # Lanes keep concurrent jobs off the shared process pool.
-    pytest.param(
-        "processes", 4, CALIBRATED_4_PROCESSES_THREADS_WIN, 8, 1,
-        ("processes", 4), id="one-lane-keeps-processes",
+        "auto", 4, CALIBRATED_4_SERIAL, 8, ("serial", 1),
+        id="calibrated-serial-verdict-any-count",
     ),
     pytest.param(
-        "processes", 4, CALIBRATED_4_PROCESSES_THREADS_WIN, 8, 2,
-        ("threads", 4), id="lanes-pin-processes-to-threads",
+        "threads", 4, CALIBRATED_4_SERIAL, 8, ("threads", 4),
+        id="explicit-threads-beat-the-verdict",
     ),
     pytest.param(
-        "auto", 4, CALIBRATED_4_PROCESSES_THREADS_LOSE, 8, 2, ("serial", 1),
-        id="lanes-pin-to-serial-without-thread-win",
-    ),
-    pytest.param(
-        "auto", 0, CALIBRATED_4_THREADS_WIN, 8, 2, ("threads", 4),
-        id="lanes-pin-auto",
-    ),
-    pytest.param(
-        "serial", 4, CALIBRATED_4_THREADS_WIN, 8, 2, ("serial", 1),
-        id="lanes-leave-serial",
-    ),
-    pytest.param(
-        "threads", 4, CALIBRATED_4_THREADS_WIN, 8, 2, ("threads", 4),
-        id="lanes-leave-threads",
-    ),
-    pytest.param(
-        "auto", 0, NONE, 4, 2, ("threads", 4), id="lanes-pin-without-profile"
-    ),
-    pytest.param(
-        "auto", 4, NONE, 1, 2, ("serial", 1), id="lanes-one-core-serial"
+        "auto", 4, STATIC_4_SERIAL, 8, ("threads", 4), id="static-verdict-ignored"
     ),
 ]
 
 
-@pytest.mark.parametrize(
-    "parallel, workers, profile, cpus, lanes, expected", POLICY_TABLE
-)
-def test_policy_table(parallel, workers, profile, cpus, lanes, expected, monkeypatch):
+@pytest.mark.parametrize("parallel, workers, profile, cpus, expected", POLICY_TABLE)
+def test_policy_table(parallel, workers, profile, cpus, expected, monkeypatch):
     monkeypatch.setenv("REPRO_ASSUME_CPUS", str(cpus))
     machine = None if profile is None else make_profile(*profile)
-    tier, count, _ = resolve_execution(
-        parallel, workers, profile=machine, lanes=lanes
-    )
+    tier, count, _ = resolve_execution(parallel, workers, profile=machine)
     assert (tier, count) == expected
 
 
@@ -185,24 +158,18 @@ class TestNotes:
         )
         assert any("overrode" in note for note in notes)
 
-    def test_lanes_note(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSUME_CPUS", "8")
-        _, _, notes = resolve_execution(
-            "processes", 4, profile=make_profile(*CALIBRATED_4_THREADS_WIN), lanes=2
-        )
-        assert any("lanes=2" in note for note in notes)
-
     def test_plain_request_has_no_notes(self):
         assert resolve_execution("serial", 1) == ("serial", 1, ())
 
 
 class TestRejections:
     def test_modes_registry(self):
-        assert PARALLEL_MODES == ("auto", "serial", "threads", "processes")
+        assert PARALLEL_MODES == ("auto", "serial", "threads")
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(SimulationError, match="parallel"):
-            resolve_execution("fibers", 2)
+    @pytest.mark.parametrize("mode", ["fibers", "processes"])
+    def test_invalid_mode_rejected(self, mode):
+        with pytest.raises(SimulationError, match="unknown parallel mode"):
+            resolve_execution(mode, 2)
 
     def test_negative_workers_rejected(self):
         with pytest.raises(SimulationError):
@@ -243,27 +210,19 @@ def profiles(draw):
     parallel=st.sampled_from(PARALLEL_MODES),
     workers=st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
     profile=profiles(),
-    lanes=st.integers(min_value=1, max_value=3),
     cpus=st.integers(min_value=1, max_value=8),
 )
-def test_resolution_properties(parallel, workers, profile, lanes, cpus):
+def test_resolution_properties(parallel, workers, profile, cpus):
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_ASSUME_CPUS", str(cpus))
-        tier, count, _ = resolve_execution(
-            parallel, workers, profile=profile, lanes=lanes
-        )
-        assert tier in ("serial", "threads", "processes")
+        tier, count, _ = resolve_execution(parallel, workers, profile=profile)
+        assert tier in ("serial", "threads")
         assert (tier == "serial") == (count == 1)
-        if lanes > 1:
-            assert tier != "processes"
         calibrated_win = (
             profile is not None and profile.calibrated and profile.workers > 1
         )
         if cpus == 1 and not calibrated_win:
             assert tier == "serial"
-        # The service plans with its lanes; the Session re-resolves the
-        # planned request with none.  Both must land where the plan did.
-        for again in (lanes, 1):
-            assert resolve_execution(tier, count, profile=profile, lanes=again)[
-                :2
-            ] == (tier, count)
+        # The service plans a request; the Session re-resolves the
+        # planned request.  It must land where the plan did.
+        assert resolve_execution(tier, count, profile=profile)[:2] == (tier, count)

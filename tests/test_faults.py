@@ -97,8 +97,8 @@ def _run_with_hash_seed(script: str, seed: str, stdin: str = "") -> str:
 
 def test_unpickled_fault_is_found_under_another_hash_seed():
     """The cached hash never travels: a fault pickled under one hash seed
-    still keys a dict built under another (fault-axis shard tasks pickle
-    faults into worker processes)."""
+    still keys a dict built under another (run results and requests
+    cross process boundaries as pickles)."""
     payload = _run_with_hash_seed(_DUMP, "1")
     assert _run_with_hash_seed(_LOAD, "2", stdin=payload) == "0"
 

@@ -22,13 +22,12 @@ import pytest
 
 import repro
 from repro.atpg.config import AtpgConfig
+from repro.circuits.catalog import load_circuit as load_circuit_by_name
 from repro.core.request import RunRequest
 from repro.core.session import Session, use_session
 from repro.errors import ReproError
 from repro.serve import FairScheduler, HttpFrontend, JobService, plan_execution
 from repro.sim.autotune import MachineProfile, static_profile
-from repro.sim.faultsim import FaultSimulator
-from repro.sim.sharding import ShardedFaultSimulator
 
 S27_REQUEST = RunRequest(kind="scheme", circuit="s27")
 
@@ -43,8 +42,8 @@ def calibrated_profile(workers: int) -> MachineProfile:
         fault_batch_width=base.fault_batch_width,
         search_batch_width=base.search_batch_width,
         omission_batch_width=base.omission_batch_width,
-        fault_shard_speedup=2.0 if workers > 1 else 0.5,
-        candidate_shard_speedup=2.0 if workers > 1 else 0.5,
+        fault_thread_speedup=2.0 if workers > 1 else 0.5,
+        candidate_thread_speedup=2.0 if workers > 1 else 0.5,
         source="calibrated",
         notes=("synthetic test profile",),
     )
@@ -131,81 +130,46 @@ class TestPlanExecution:
         payload = plan_execution(S27_REQUEST, None).to_json()
         assert payload["parallel"] == "serial"
 
-    def test_single_lane_leaves_process_tier_alone(self):
-        profile = replace(
-            calibrated_profile(workers=4),
-            parallel_mode="processes",
-            fault_thread_speedup=1.5,
-        )
-        request = RunRequest(
-            kind="scheme",
-            circuit="s27",
-            selection=repro.SelectionConfig(workers=4, parallel="processes"),
-        )
-        plan = plan_execution(request, profile, lanes=1)
-        assert plan.parallel == "processes"
-        assert plan.request.selection.parallel == "processes"
+    def test_process_tier_is_rejected(self):
+        """The deleted process tier is an unknown parallel mode."""
+        with pytest.raises(ValueError, match="parallel"):
+            repro.SelectionConfig(workers=4, parallel="processes")
+        with pytest.raises(ValueError, match="parallel"):
+            AtpgConfig(workers=4, parallel="processes")
 
-    def test_lanes_pin_process_tier_to_threads(self):
-        """Concurrent lanes must never contend for the shared worker pool."""
-        profile = replace(
-            calibrated_profile(workers=4),
-            parallel_mode="processes",
-            fault_thread_speedup=1.5,
-        )
-        request = RunRequest(
-            kind="scheme",
-            circuit="s27",
-            selection=repro.SelectionConfig(workers=4, parallel="processes"),
-        )
-        plan = plan_execution(request, profile, lanes=2)
-        assert plan.parallel == "threads"
-        assert plan.request.selection.parallel == "threads"
-        assert plan.workers == 4
-        assert any("lanes=2" in note for note in plan.notes)
-
-    def test_lanes_pin_to_serial_without_a_measured_thread_win(self):
-        profile = replace(
-            calibrated_profile(workers=4),
-            parallel_mode="processes",
-            fault_thread_speedup=0.5,
-            candidate_thread_speedup=0.6,
-        )
-        request = RunRequest(
-            kind="scheme",
-            circuit="s27",
-            selection=repro.SelectionConfig(workers=4),
-        )
-        plan = plan_execution(request, profile, lanes=2)
-        assert plan.parallel == "serial"
-        assert plan.workers == 1
-        assert plan.request.selection.workers == 1
-
-    def test_lanes_pin_auto_tier_too(self):
-        """'auto' could resolve to processes downstream, so it is pinned."""
-        profile = replace(
-            calibrated_profile(workers=4), fault_thread_speedup=1.5
-        )
+    def test_auto_plans_chunk_threads(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "4")
         request = RunRequest(
             kind="scheme",
             circuit="s27",
             selection=repro.SelectionConfig(workers=0),
         )
-        plan = plan_execution(request, profile, lanes=2)
-        assert plan.parallel == "threads"
+        plan = plan_execution(request, calibrated_profile(workers=4))
+        assert (plan.parallel, plan.workers) == ("threads", 4)
+        assert plan.request.selection.parallel == "threads"
 
-    def test_lanes_leave_explicit_serial_and_threads_alone(self):
-        profile = replace(
-            calibrated_profile(workers=4), fault_thread_speedup=1.5
+    def test_calibrated_serial_verdict_plans_serial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "4")
+        profile = replace(calibrated_profile(workers=4), parallel_mode="serial")
+        request = RunRequest(
+            kind="scheme",
+            circuit="s27",
+            selection=repro.SelectionConfig(workers=4),
         )
+        plan = plan_execution(request, profile)
+        assert (plan.parallel, plan.workers) == ("serial", 1)
+        assert plan.request.selection.workers == 1
+
+    def test_explicit_serial_and_threads_stay(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "4")
+        profile = replace(calibrated_profile(workers=4), parallel_mode="serial")
         for tier in ("serial", "threads"):
             request = RunRequest(
                 kind="scheme",
                 circuit="s27",
                 selection=repro.SelectionConfig(workers=4, parallel=tier),
             )
-            plan = plan_execution(request, profile, lanes=2)
-            assert plan.parallel == tier
+            assert plan_execution(request, profile).parallel == tier
 
 
 class TestSessionLifecycle:
@@ -315,23 +279,53 @@ class TestSessionLifecycle:
             assert session.compile("syn298") is other
             assert hashes == ["s27", "s27", "syn298", "syn298"]
 
-    def test_profile_force_shard_overrides_static_single_core_fallback(
-        self, s27, monkeypatch
+    def test_warm_named_requests_hash_nothing(self, monkeypatch):
+        """The content hash is computed once per netlist and kept with
+        the memo entry: a warm named request — scheme or ATPG — and
+        ``circuit_hash`` make no ``circuit_content_hash`` call."""
+        import repro.core.request as request_module
+        import repro.core.session as session_module
+
+        hash_circuit = request_module.circuit_content_hash
+        hashes = []
+
+        def hashing(circuit):
+            hashes.append(circuit.name)
+            return hash_circuit(circuit)
+
+        monkeypatch.setattr(session_module, "circuit_content_hash", hashing)
+        monkeypatch.setattr(request_module, "circuit_content_hash", hashing)
+        atpg_request = RunRequest(
+            kind="atpg", circuit="s27", atpg=AtpgConfig(max_length=32)
+        )
+        with Session() as session:
+            cold = session.run(S27_REQUEST)
+            session.run(atpg_request)
+            assert hashes == ["s27"]
+            warm = session.run(S27_REQUEST)
+            session.run(atpg_request)
+            assert session.circuit_hash("s27") == cold.circuit_hash
+            assert hashes == ["s27"]
+        assert warm.fingerprint() == cold.fingerprint()
+        assert cold.circuit_hash == hash_circuit(load_circuit_by_name("s27"))
+
+    def test_profile_thread_win_overrides_static_single_core_fallback(
+        self, s27, monkeypatch, require_backend
     ):
         """Calibration demonstrably replaces the static threshold.
 
         On a 1-CPU machine the static policy always falls back to a
         serial simulator even for workers=2; a calibrated profile that
-        measured a sharding win forces the sharded path.
+        measured a thread win keeps the threads.
         """
+        require_backend("native")
         monkeypatch.setenv("REPRO_ASSUME_CPUS", "1")
         with Session() as session:
-            static_sim = session.fault_simulator(s27, workers=2)
-            assert isinstance(static_sim, FaultSimulator)
-            assert not isinstance(static_sim, ShardedFaultSimulator)
+            static_sim = session.fault_simulator(s27, workers=2, backend="native")
+            assert static_sim.threads == 1
         with Session(profile=calibrated_profile(workers=2)) as session:
-            forced = session.fault_simulator(s27, workers=2)
-            assert isinstance(forced, ShardedFaultSimulator)
+            forced = session.fault_simulator(s27, workers=2, backend="native")
+            assert forced.threads == 2
 
 
 class TestRunDispatches:
@@ -357,10 +351,7 @@ class TestExecutionRecord:
             execution = session.run(request).execution
         assert execution["parallel_requested"] == "auto"
         assert execution["workers_requested"] == 0
-        assert execution["parallel"] in ("serial", "threads", "processes")
-        assert isinstance(execution["workers"], int)
-        assert execution["workers"] >= 1
-        assert (execution["parallel"], execution["workers"]) == ("processes", 2)
+        assert (execution["parallel"], execution["workers"]) == ("threads", 2)
 
     @pytest.mark.parametrize("profile_kind", ["static", "calibrated"])
     def test_two_lane_plans_match_what_ran(self, profile_kind, monkeypatch):
@@ -374,7 +365,6 @@ class TestExecutionRecord:
         selections = [
             None,
             repro.SelectionConfig(workers=0),
-            repro.SelectionConfig(workers=2, parallel="processes"),
             repro.SelectionConfig(workers=2, parallel="threads"),
             repro.SelectionConfig(workers=3, parallel="serial"),
         ]
@@ -397,7 +387,6 @@ class TestExecutionRecord:
                 execution["parallel"],
                 execution["workers"],
             )
-            assert job.plan.parallel != "processes"
 
 
 class TestJobService:
@@ -486,6 +475,49 @@ class TestJobService:
         assert stats["lanes"] == 2
         assert stats["jobs_completed"] == 2
         assert stats["jobs_running"] == 0
+
+    def test_two_lanes_running_threaded_jobs_match_serial(
+        self, fanned_out, monkeypatch, require_backend
+    ):
+        """Two lanes fan their jobs' dispatches out on the one chunk-thread
+        pool at the same time; every fingerprint equals the serial run's."""
+        require_backend("native")
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "2")
+
+        def request(circuit, tier):
+            workers = 2 if tier == "threads" else 1
+            return RunRequest(
+                kind="scheme",
+                circuit=circuit,
+                atpg=AtpgConfig(
+                    backend="native", workers=workers, parallel=tier, max_length=64
+                ),
+                selection=repro.SelectionConfig(
+                    backend="native", workers=workers, parallel=tier
+                ),
+            )
+
+        circuits = ("syn298", "syn641")
+        with Session() as session:
+            serial = [session.run(request(c, "serial")).fingerprint() for c in circuits]
+
+        async def main():
+            async with JobService(profile=static_profile(), lanes=2) as service:
+                return await asyncio.gather(
+                    *(
+                        service.run(f"tenant-{c}", request(c, "threads"))
+                        for c in circuits
+                    )
+                )
+
+        with fanned_out() as pool_chunks:
+            results = asyncio.run(main())
+            assert pool_chunks() > 0
+        assert [result.execution["parallel"] for result in results] == [
+            "threads",
+            "threads",
+        ]
+        assert [result.fingerprint() for result in results] == serial
 
     def test_two_lanes_actually_overlap(self):
         """Both lanes must be in flight at once, not serialized.

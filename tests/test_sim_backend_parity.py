@@ -41,13 +41,11 @@ from repro.sim.backend import (
     resolve_backend_name,
 )
 from repro.sim.compiled import CompiledCircuit
-from repro.sim.faultsim import FaultSimulator
+from repro.sim.faultsim import FaultSimulator, make_fault_simulator
 from repro.sim.logicsim import LogicSimulator
 from repro.sim.native_build import NO_NATIVE_ENV
 from repro.sim.scanplan import WindowRampPlan
-from repro.sim.seqshard import ShardedSequenceBatchSimulator, make_sequence_simulator
-from repro.sim.seqsim import SequenceBatchSimulator
-from repro.sim.sharding import ShardedFaultSimulator, make_fault_simulator
+from repro.sim.seqsim import SequenceBatchSimulator, make_sequence_simulator
 from repro.util.rng import SplitMix64
 
 pytest.importorskip("numpy")
@@ -88,7 +86,7 @@ class EngineConfig:
     ``base_loop`` drives the engine's batches through the base per-step
     loops (:meth:`SimBackend.run_scan`/:meth:`SimBackend.run_good_trace`)
     instead of its own scan and trace; ``threads`` is the simulator's
-    kernel thread request.
+    chunk-thread count.
     """
 
     name: str
@@ -101,7 +99,7 @@ class EngineConfig:
 
 
 #: Scan configurations of each engine: its own scan serially and on
-#: two kernel threads, and its per-step batch API under the base loop.
+#: two chunk threads, and its per-step batch API under the base loop.
 SCAN_ENGINES = [
     config
     for name in NON_REFERENCE_BACKENDS
@@ -132,14 +130,19 @@ def _engine_factory(config: EngineConfig, base_loop_backend):
 
 
 @pytest.fixture(params=SCAN_ENGINES, ids=str)
-def scan_engine(request, base_loop_backend):
-    """``make(compiled)`` -> simulator keywords for one scan config."""
+def scan_engine(request, base_loop_backend, fanned_out):
+    """``make(compiled)`` -> simulator keywords for one scan config.
+
+    Runs the test with the fan-out floor dropped, so the two-thread
+    configs really scan their test-sized dispatches in chunks.
+    """
     backend = _engine_factory(request.param, base_loop_backend)
 
     def make(compiled: CompiledCircuit) -> dict:
         return {"backend": backend(compiled), "threads": request.param.threads}
 
-    return make
+    with fanned_out():
+        yield make
 
 
 @pytest.fixture(params=TRACE_ENGINES, ids=str)
@@ -528,20 +531,17 @@ class TestBaseLoopParity:
             ), engine
 
 
-#: Constructors that once took ``scan_mode=`` (all six) or
-#: ``pipeline=`` (the candidate axis's three).  Each engine now has one
+#: Constructors that once took ``scan_mode=`` (all four) or
+#: ``pipeline=`` (the candidate axis's two).  Each engine now has one
 #: scan path, so both keywords must be rejected rather than ignored.
 SCAN_MODE_SIGNATURES = [
     FaultSimulator,
-    ShardedFaultSimulator,
     make_fault_simulator,
     SequenceBatchSimulator,
-    ShardedSequenceBatchSimulator,
     make_sequence_simulator,
 ]
 PIPELINE_SIGNATURES = [
     SequenceBatchSimulator,
-    ShardedSequenceBatchSimulator,
     make_sequence_simulator,
 ]
 
@@ -842,10 +842,11 @@ class TestProgramCache:
 # ----------------------------------------------------------------------
 # Candidate-axis observation: detection times + flop divergence
 # ----------------------------------------------------------------------
-#: (backend, base loop, kernel threads) engines checked against the
+#: (backend, base loop, chunk threads) engines checked against the
 #: scalar FaultObserver oracle; unavailable backends skip.  The python
 #: engine and the base-loop native instance both run the per-step
-#: :meth:`SimBackend.run_scan`.
+#: :meth:`SimBackend.run_scan`; ``observe`` stays serial on a threaded
+#: simulator.
 OBSERVE_ENGINES = [
     ("python", False, 1),
     ("native", False, 1),

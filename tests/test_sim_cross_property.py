@@ -6,11 +6,13 @@ sequence simulator and requires identical detection verdicts.  This is
 the strongest correctness evidence in the suite: the engines share no
 evaluation code path with the reference.
 
-The default python engine runs at a narrow width; the native engine —
-serial and on two kernel thread lanes — is checked at slot widths around
-the 64-slot word boundary, with multi-fault batches on the fault axis and
-ragged candidate lists on the candidate axis.  Without a usable native
-kernel those cases skip with its unavailability reason.
+The default python engine runs at a narrow width; the native engine is
+checked serially at slot widths around the 64-slot word boundary, with
+multi-fault batches on the fault axis and ragged candidate lists on the
+candidate axis, and on two and three chunk threads at a narrow and a
+word-crossing width, with the fan-out floor dropped so every example's
+dispatches fan out (asserted through the dispatch counters).  Without a
+usable native kernel those cases skip with its unavailability reason.
 
 Fault sessions (:class:`~repro.sim.faultsim.FaultSimSession`) are checked
 differentially too: a sequence split into random commits, with peeks in
@@ -57,11 +59,24 @@ def circuit_and_stimulus(draw, min_flops=0):
     return circuit, sequence, fault_pick
 
 
-#: (backend, kernel thread lanes) of the engine users get.
-NATIVE_ENGINES = (("native", 1), ("native", 2))
-
 #: Slot widths straddling one and two 64-slot words.
 SLOT_WIDTHS = (63, 64, 65, 129)
+
+#: (chunk threads, slot widths) of the native engine users get.  The
+#: threaded points add a narrow width so that even small fault lists and
+#: candidate sets span several passes, which is what fans them out.
+NATIVE_ENGINES = ((1, SLOT_WIDTHS), (2, (8, 65)), (3, (8, 65)))
+
+
+def _across_examples(fanned_out, property_check) -> None:
+    """Run a ``@given`` check with the fan-out floor dropped, then assert
+    that, across its examples, the threaded engines' dispatches fanned
+    out and chunks ran on pool threads (tiny examples may finish every
+    chunk on the calling thread before a helper wakes)."""
+    with fanned_out() as count:
+        property_check()
+        assert count("chunk_fanouts") > 0
+        assert count() > 0
 
 
 def _require_native() -> None:
@@ -134,51 +149,57 @@ def test_fault_dropping_invariance(data, width):
     assert wide.detection_time == narrow.detection_time
 
 
-@settings(max_examples=25, deadline=None)
-@given(circuit_and_stimulus())
-def test_native_fault_batches_agree_with_reference(data):
+def test_native_fault_batches_agree_with_reference(fanned_out):
     """Every uncollapsed fault, batched at widths around a word boundary."""
     _require_native()
-    circuit, sequence, _ = data
-    faults = enumerate_faults(circuit)
-    reference = ReferenceSimulator(circuit)
-    expected = {fault: reference.detection_time(sequence, fault) for fault in faults}
-    compiled = CompiledCircuit(circuit)
-    for backend, threads in NATIVE_ENGINES:
-        for width in SLOT_WIDTHS:
-            result = FaultSimulator(
-                compiled, batch_width=width, backend=backend, threads=threads
-            ).run(sequence, faults)
-            got = {fault: result.detection_time.get(fault) for fault in faults}
-            assert got == expected, (backend, threads, width)
+
+    @settings(max_examples=25, deadline=None)
+    @given(circuit_and_stimulus())
+    def check(data):
+        circuit, sequence, _ = data
+        faults = enumerate_faults(circuit)
+        reference = ReferenceSimulator(circuit)
+        expected = {
+            fault: reference.detection_time(sequence, fault) for fault in faults
+        }
+        compiled = CompiledCircuit(circuit)
+        for threads, widths in NATIVE_ENGINES:
+            for width in widths:
+                result = FaultSimulator(
+                    compiled, batch_width=width, backend="native", threads=threads
+                ).run(sequence, faults)
+                got = {fault: result.detection_time.get(fault) for fault in faults}
+                assert got == expected, (threads, width)
+
+    _across_examples(fanned_out, check)
 
 
-@settings(max_examples=25, deadline=None)
-@given(circuit_and_candidates())
-def test_native_ragged_candidates_agree_with_reference(data):
+def test_native_ragged_candidates_agree_with_reference(fanned_out):
     """Ragged candidate lists (0-12 vectors each) over several batches."""
     _require_native()
-    circuit, candidates, fault_pick = data
-    faults = enumerate_faults(circuit)
-    picked = [faults[(fault_pick + k * 7) % len(faults)] for k in range(3)]
-    reference = ReferenceSimulator(circuit)
-    expected = {
-        fault: [reference.detects(candidate, fault) for candidate in candidates]
-        for fault in picked
-    }
-    compiled = CompiledCircuit(circuit)
-    for backend, threads in NATIVE_ENGINES:
-        for width in SLOT_WIDTHS:
-            simulator = SequenceBatchSimulator(
-                compiled, batch_width=width, backend=backend, threads=threads
-            )
-            for fault in picked:
-                assert simulator.detects(fault, candidates) == expected[fault], (
-                    backend,
-                    threads,
-                    width,
-                    str(fault),
+
+    @settings(max_examples=25, deadline=None)
+    @given(circuit_and_candidates())
+    def check(data):
+        circuit, candidates, fault_pick = data
+        faults = enumerate_faults(circuit)
+        picked = [faults[(fault_pick + k * 7) % len(faults)] for k in range(3)]
+        reference = ReferenceSimulator(circuit)
+        expected = {
+            fault: [reference.detects(candidate, fault) for candidate in candidates]
+            for fault in picked
+        }
+        compiled = CompiledCircuit(circuit)
+        for threads, widths in NATIVE_ENGINES:
+            for width in widths:
+                simulator = SequenceBatchSimulator(
+                    compiled, batch_width=width, backend="native", threads=threads
                 )
+                for fault in picked:
+                    got = simulator.detects(fault, candidates)
+                    assert got == expected[fault], (threads, width, str(fault))
+
+    _across_examples(fanned_out, check)
 
 
 def with_flop_pin_sites(circuit: Circuit, picks: list[int]) -> Circuit:
@@ -279,19 +300,23 @@ def test_session_commits_agree_with_reference(data, width):
     _check_session(simulator, faults + faults[::3], sequence, cuts, decoy, expected)
 
 
-@settings(max_examples=15, deadline=None)
-@given(session_case())
-def test_native_session_commits_agree_with_reference(data):
+def test_native_session_commits_agree_with_reference(fanned_out):
     """native sessions, serial and threaded, around the word boundary."""
     _require_native()
-    circuit, sequence, cuts, decoy = data
-    faults = enumerate_faults(circuit)
-    assert any(fault.site.load_kind == "dff" for fault in faults)
-    expected = _reference_times(circuit, sequence, faults)
-    compiled = CompiledCircuit(circuit)
-    for backend, threads in NATIVE_ENGINES:
-        for width in SLOT_WIDTHS:
-            simulator = FaultSimulator(
-                compiled, batch_width=width, backend=backend, threads=threads
-            )
-            _check_session(simulator, faults, sequence, cuts, decoy, expected)
+
+    @settings(max_examples=15, deadline=None)
+    @given(session_case())
+    def check(data):
+        circuit, sequence, cuts, decoy = data
+        faults = enumerate_faults(circuit)
+        assert any(fault.site.load_kind == "dff" for fault in faults)
+        expected = _reference_times(circuit, sequence, faults)
+        compiled = CompiledCircuit(circuit)
+        for threads, widths in NATIVE_ENGINES:
+            for width in widths:
+                simulator = FaultSimulator(
+                    compiled, batch_width=width, backend="native", threads=threads
+                )
+                _check_session(simulator, faults, sequence, cuts, decoy, expected)
+
+    _across_examples(fanned_out, check)

@@ -152,45 +152,66 @@ def _evaluated(position: int | None, total: int, chunk: int) -> int:
     return min(total, (position // chunk + 1) * chunk)
 
 
-@settings(max_examples=20, deadline=None)
-@given(derived_scans())
 def test_native_first_hit_matches_base_loop_and_scalar_oracle(
-    base_loop_backend, data
+    base_loop_backend, fanned_out
 ):
     """The first detecting candidate and the evaluated count agree with
     the base loop and the scalar reference, at every slot width, serial
-    and on two kernel thread lanes; all-outcome scans agree too."""
+    and on two and three chunk threads; all-outcome scans agree too.
+
+    The threaded engines run with the fan-out floor dropped, at the
+    batch width and at a narrow first-hit chunk, so winners land in the
+    first chunk, a later one or none across examples; across them,
+    dispatches fan out and chunks run on pool threads."""
     _require_native()
-    circuit, plan, fault_pick, lead = data
-    reference = ReferenceSimulator(circuit)
-    candidates = _materialized(plan)
-    compiled = CompiledCircuit(circuit)
-    for fault in _picked_faults(circuit, plan, fault_pick, reference):
-        deep, expected = _deep(plan, candidates, fault, reference, lead)
-        for width in SLOT_WIDTHS:
-            engines = {
-                "native": SequenceBatchSimulator(
-                    compiled, batch_width=width, backend="native"
-                ),
-                "native-threads": SequenceBatchSimulator(
-                    compiled, batch_width=width, backend="native", threads=2
-                ),
-                "base-loop": SequenceBatchSimulator(
-                    compiled,
-                    batch_width=width,
-                    backend=base_loop_backend(compiled, "native"),
-                ),
-            }
-            want = (expected, _evaluated(expected, len(deep), width))
-            outcomes = {}
-            for name, simulator in engines.items():
-                got = simulator.first_hit(fault, deep)
-                assert got == want, (name, width, str(fault))
-                outcomes[name] = simulator.scan(fault, deep)
-            assert outcomes["native"] == outcomes["base-loop"], (width, str(fault))
-            assert outcomes["native-threads"] == outcomes["base-loop"]
-            first = next((i for i, hit in enumerate(outcomes["native"]) if hit), None)
-            assert first == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(derived_scans())
+    def check(data):
+        circuit, plan, fault_pick, lead = data
+        reference = ReferenceSimulator(circuit)
+        candidates = _materialized(plan)
+        compiled = CompiledCircuit(circuit)
+        for fault in _picked_faults(circuit, plan, fault_pick, reference):
+            deep, expected = _deep(plan, candidates, fault, reference, lead)
+            for width in SLOT_WIDTHS:
+                engines = {
+                    "native": SequenceBatchSimulator(
+                        compiled, batch_width=width, backend="native"
+                    ),
+                    **{
+                        f"native-threads{threads}": SequenceBatchSimulator(
+                            compiled,
+                            batch_width=width,
+                            backend="native",
+                            threads=threads,
+                        )
+                        for threads in (2, 3)
+                    },
+                    "base-loop": SequenceBatchSimulator(
+                        compiled,
+                        batch_width=width,
+                        backend=base_loop_backend(compiled, "native"),
+                    ),
+                }
+                outcomes = {}
+                for chunk in (None, 8):
+                    want = (expected, _evaluated(expected, len(deep), chunk or width))
+                    for name, simulator in engines.items():
+                        got = simulator.first_hit(fault, deep, chunk=chunk)
+                        assert got == want, (name, width, chunk, str(fault))
+                        outcomes[name] = simulator.scan(fault, deep)
+                for name, outcome in outcomes.items():
+                    assert outcome == outcomes["base-loop"], (name, width)
+                first = next(
+                    (i for i, hit in enumerate(outcomes["native"]) if hit), None
+                )
+                assert first == expected
+
+    with fanned_out() as count:
+        check()
+        assert count("chunk_fanouts") > 0
+        assert count() > 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,7 +229,9 @@ def test_descriptors_reproduce_index_lists(data):
     )
     derived = [list(indices) for indices in stimulus.index_lists()]
     assert derived == [list(indices) for indices in plan.index_lists(len(plan.base))]
-    assert stimulus.num_steps == max(plan.costs(), default=0)
+    lengths = [len(indices) for indices in plan.index_lists(len(plan.base))]
+    multiplier = plan.expansion.length_multiplier
+    assert stimulus.num_steps == max(lengths, default=0) * multiplier
 
 
 def _run(simulator, fault, plan, first_hit):
@@ -223,7 +246,8 @@ def test_first_hit_times_are_the_scan_times_up_to_the_winner(
     base_loop_backend, data
 ):
     """``first_hit=True`` returns the full scan's times through the
-    lowest detecting slot and ``None`` after it, on every engine."""
+    lowest detecting slot and ``None`` after it, on every engine (one
+    batch: the threaded simulator's kernel call is the serial one)."""
     _require_native()
     circuit, plan, fault_pick, lead = data
     reference = ReferenceSimulator(circuit)

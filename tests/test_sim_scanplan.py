@@ -2,20 +2,18 @@
 
 Three contracts are enforced here:
 
-* **Planner invariants** — the candidate axis's cost planner and the
-  fault axis's count planner cover every item exactly once with
-  contiguous, non-empty chunks and respect the batch-width floor (no
-  chunk below one bit-parallel pass unless even ``workers`` plain
-  chunks would be), and the cost planner balances simulated-step
-  budgets on ramp-shaped scans better than equal-count chunks.
-* **Plans own their candidates** — costs and index lists of window,
-  kept-window and omission plans, and slices that keep every field.
-* **The executor tier is a pure throughput knob** — the serial scan,
-  ``threads=2`` and process sharding (``workers=2``) yield bit-identical
-  detection outcomes, first-hit winners *and* evaluated counts on
-  window, kept-window and omission plans for both backends, including
-  the empty-ramp and single-candidate edges, each checked against the
-  engine's own scan and the base per-step loop.
+* **Chunk invariants** — the one chunk cut both axes use covers every
+  item exactly once with contiguous, non-empty chunks and respects the
+  batch-width floor (no chunk below one bit-parallel pass unless even
+  ``threads`` plain chunks would be).
+* **Plans own their candidates** — index lists of window, kept-window
+  and omission plans, and slices that keep every field.
+* **The thread count is a pure throughput knob** — the serial scan and
+  chunk threads (``threads=2``, ``3`` and ``4``, fanned out past the floor)
+  yield bit-identical detection outcomes, first-hit winners *and*
+  evaluated counts on window, kept-window and omission plans for both
+  backends, including the empty-ramp and single-candidate edges, each
+  checked against the engine's own scan and the base per-step loop.
 """
 
 from __future__ import annotations
@@ -30,27 +28,15 @@ from repro.faults.universe import FaultUniverse
 from repro.sim.backend import registry_backends
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
-from repro.sim.scanplan import (
-    ExplicitPlan,
-    OmissionPlan,
-    WindowRampPlan,
-    plan_cost_chunks,
-)
-from repro.sim.seqshard import ShardedSequenceBatchSimulator
+from repro.sim.scanplan import OmissionPlan, WindowRampPlan
 from repro.sim.seqsim import SequenceBatchSimulator
-from repro.sim.sharding import plan_chunks
+from repro.sim.workerpool import chunk_bounds
 from repro.util.rng import SplitMix64
 
 EXPANSION = ExpansionConfig(repetitions=2)
 
-#: Executor-tier axis.  The process-pool points spin real worker pools,
-#: so they carry the ``slow`` marker and stay out of the quick CI lane.
-TIER_AXIS = [
-    "serial",
-    "threads2",
-    pytest.param("processes2", marks=pytest.mark.slow),
-    pytest.param("processes4", marks=pytest.mark.slow),
-]
+#: Chunk threads per executor point (1 = the serial scan).
+TIER_AXIS = {"serial": 1, "threads2": 2, "threads3": 3, "threads4": 4}
 
 
 def _kept_ramp(t0, udet):
@@ -105,71 +91,15 @@ def _assert_chunk_invariants(chunks, num_items, workers, batch_width):
             assert end - start >= floor, "no chunk below one pass"
 
 
-class TestPlanners:
+class TestChunkBounds:
     @pytest.mark.parametrize("num", [0, 1, 7, 96, 97, 385, 1000])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_count_plan_invariants(self, num, workers):
-        chunks = plan_chunks(num, workers, 96)
+        chunks = chunk_bounds(num, workers, 96)
         _assert_chunk_invariants(chunks, num, workers, 96)
-
-    @pytest.mark.parametrize("num", [0, 1, 7, 96, 97, 385, 1000])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_cost_plan_invariants_on_a_ramp(self, num, workers):
-        costs = [length + 1 for length in range(num)]  # window-ramp shape
-        chunks = plan_cost_chunks(costs, workers, 96)
-        _assert_chunk_invariants(chunks, num, workers, 96)
-
-    def test_cost_plan_uniform_costs_degenerates_to_count_shape(self):
-        costs = [17] * 1000
-        chunks = plan_cost_chunks(costs, 4, 96)
-        _assert_chunk_invariants(chunks, 1000, 4, 96)
-        # Chunks above one pass stay whole-pass aligned, like the count plan.
-        for start, end in chunks[:-1]:
-            size = end - start
-            assert size <= 96 or size % 96 == 0
-
-    def test_cost_plan_balances_a_ramp_better_than_count(self):
-        # A long ustart ramp: cost grows linearly with position.
-        base = TestSequence([[0] for _ in range(2048)])
-        spans = [(0, end) for end in range(2048)]
-        plan = WindowRampPlan(base, spans, EXPANSION)
-        cost_stats = plan.chunk_stats(4, 96)
-        costs = plan.costs()
-        count_costs = [
-            sum(costs[start:end]) for start, end in plan_chunks(len(plan), 4, 96)
-        ]
-        count_imbalance = max(count_costs) / (sum(count_costs) / len(count_costs))
-        assert cost_stats["total_cost"] == sum(count_costs)
-        # Equal-step budgets keep the heaviest chunk near the mean (the
-        # batch-width floor bounds what is achievable at the expensive
-        # end of the ramp); equal-count chunks put ~2x the mean in the
-        # tail chunk.
-        assert cost_stats["cost_imbalance"] < 1.6
-        assert count_imbalance > 1.7
 
 
 class TestPlanIR:
-    def test_window_costs_are_expanded_lengths(self, workload):
-        _, t0, _, udet = workload
-        spans = [(u, udet) for u in range(udet, -1, -1)]
-        plan = WindowRampPlan(t0, spans, EXPANSION)
-        multiplier = EXPANSION.length_multiplier
-        assert plan.costs() == [
-            (end - start + 1) * multiplier for start, end in spans
-        ]
-        assert plan.total_cost() == sum(plan.costs())
-
-    def test_omission_costs_are_uniform(self, workload):
-        _, t0, _, _ = workload
-        plan = OmissionPlan(t0, range(len(t0)), EXPANSION)
-        expected = (len(t0) - 1) * EXPANSION.length_multiplier
-        assert plan.costs() == [expected] * len(t0)
-
-    def test_explicit_costs_are_lengths(self, workload):
-        _, t0, _, _ = workload
-        plan = ExplicitPlan([t0.subsequence(0, end) for end in (0, 3, 7)])
-        assert plan.costs() == [1, 4, 8]
-
     def test_slice_preserves_base_and_expansion(self, workload):
         _, t0, _, udet = workload
         spans = [(u, udet) for u in range(udet, -1, -1)]
@@ -179,9 +109,8 @@ class TestPlanIR:
         assert part.items == spans[2:5]
         assert part.base is t0
         assert part.expansion is EXPANSION
-        assert part.costs() == plan.costs()[2:5]
 
-    def test_kept_window_candidates_and_costs(self, workload):
+    def test_kept_window_candidates(self, workload):
         _, t0, _, udet = workload
         spans, kept = _kept_ramp(t0, udet)
         plan = WindowRampPlan(t0, spans, EXPANSION, kept=kept)
@@ -189,8 +118,6 @@ class TestPlanIR:
             sorted(kept | set(range(start, end + 1))) for start, end in spans
         ]
         assert [list(indices) for indices in plan.index_lists(len(t0))] == expected
-        multiplier = EXPANSION.length_multiplier
-        assert plan.costs() == [len(indices) * multiplier for indices in expected]
 
     def test_plain_windows_are_spans(self, workload):
         _, t0, _, udet = workload
@@ -205,17 +132,13 @@ class TestPlanIR:
         plan = OmissionPlan(t0.subsequence(0, 4), [0, 3, 4], EXPANSION)
         assert plan.index_lists(5) == [[1, 2, 3, 4], [0, 1, 2, 4], [0, 1, 2, 3]]
 
-    def test_slice_and_without_base_keep_the_kept_set(self, workload):
+    def test_slice_keeps_the_kept_set(self, workload):
         _, t0, _, udet = workload
         spans, kept = _kept_ramp(t0, udet)
         plan = WindowRampPlan(t0, spans, EXPANSION, kept=kept)
         part = plan.slice(1, 4)
-        assert part.kept == plan.kept
+        assert part.kept == plan.kept and part.base is t0
         assert part.index_lists(len(t0)) == plan.index_lists(len(t0))[1:4]
-        stripped = part.without_base()
-        assert stripped.base is None and part.base is t0
-        assert stripped.items == part.items and stripped.kept == part.kept
-        assert stripped.index_lists(len(t0)) == part.index_lists(len(t0))
 
     def test_validation_rejects_bad_payloads(self, workload):
         _, t0, _, _ = workload
@@ -235,11 +158,12 @@ class TestPlanIR:
 @pytest.mark.parametrize("tier", TIER_AXIS)
 @pytest.mark.parametrize("reference_scan", ["engine", "base-loop"])
 class TestExecutorParity:
-    """Every executor tier is bit-identical to the serial reference.
+    """Every thread count is bit-identical to the serial reference.
 
     The serial reference is computed either with the engine's own scan
     or with the base per-step loop that specifies it, so the
     ``base-loop`` points also prove every chunked scan matches the spec.
+    Executors run with the fan-out floor dropped (``fanned_out``).
     """
 
     def _reference(self, compiled, backend, reference_scan, base_loop_backend):
@@ -251,20 +175,8 @@ class TestExecutorParity:
         return SequenceBatchSimulator(compiled, batch_width=16, backend=engine)
 
     def _simulator(self, compiled, backend, tier):
-        if tier == "serial":
-            return SequenceBatchSimulator(compiled, batch_width=16, backend=backend)
-        if tier == "threads2":
-            return SequenceBatchSimulator(
-                compiled, batch_width=16, backend=backend, threads=2
-            )
-        # Built directly: the process axis must exercise the sharded path
-        # even on a single-core runner.
-        return ShardedSequenceBatchSimulator(
-            compiled,
-            batch_width=16,
-            backend=backend,
-            workers=int(tier.removeprefix("processes")),
-            min_shard_candidates=1,
+        return SequenceBatchSimulator(
+            compiled, batch_width=16, backend=backend, threads=TIER_AXIS[tier]
         )
 
     def test_first_hit_and_outcomes_identical(
@@ -275,6 +187,7 @@ class TestExecutorParity:
         reference_scan,
         base_loop_backend,
         require_backend,
+        fanned_out,
     ):
         require_backend(backend)
         compiled, t0, fault, udet = workload
@@ -297,7 +210,7 @@ class TestExecutorParity:
             )
             for name, plan in plans.items()
         }
-        with self._simulator(compiled, backend, tier) as simulator:
+        with fanned_out(), self._simulator(compiled, backend, tier) as simulator:
             for name, plan in plans.items():
                 label = f"{name}/{tier}/{backend}/{reference_scan}"
                 observed = (
@@ -314,6 +227,7 @@ class TestExecutorParity:
         reference_scan,
         base_loop_backend,
         require_backend,
+        fanned_out,
     ):
         require_backend(backend)
         compiled, t0, fault, udet = workload
@@ -323,7 +237,7 @@ class TestExecutorParity:
             compiled, backend, reference_scan, base_loop_backend
         )
         expected_single = reference.first_hit(fault, single_plan, chunk=8)
-        with self._simulator(compiled, backend, tier) as simulator:
+        with fanned_out(), self._simulator(compiled, backend, tier) as simulator:
             label = f"{tier}/{backend}/{reference_scan}"
             assert simulator.scan(fault, empty_plan) == [], label
             assert simulator.first_hit(fault, empty_plan, chunk=8) == (

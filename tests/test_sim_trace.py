@@ -291,9 +291,8 @@ class TestSimulatorIntegration:
         assert misses <= 1
 
 
-@pytest.mark.slow
-class TestShardedPlanPublication:
-    """Fault-axis dispatches pickle the cached plan bit-identically."""
+class TestThreadedPlanSharing:
+    """Fault-axis chunk threads all read the caller's cached plan."""
 
     @pytest.fixture(scope="class")
     def workload(self):
@@ -304,12 +303,16 @@ class TestShardedPlanPublication:
         serial = FaultSimulator(compiled).run(t0, faults)
         return compiled, t0, faults, serial
 
-    def test_pickled_plan_matches_serial(self, workload):
-        from repro.sim.sharding import ShardedFaultSimulator
-
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_threaded_run_matches_serial(
+        self, workload, fanned_out, require_backend, threads
+    ):
+        require_backend("native")
         compiled, t0, faults, serial = workload
-        with ShardedFaultSimulator(
-            compiled, workers=2, min_shard_faults=1
-        ) as simulator:
-            sharded = simulator.run(t0, faults)
-        assert sharded.detection_time == serial.detection_time
+        simulator = FaultSimulator(
+            compiled, batch_width=64, backend="native", threads=threads
+        )
+        with fanned_out() as count:
+            threaded = simulator.run(t0, faults)
+            assert count("chunk_fanouts") == 1
+        assert threaded.detection_time == serial.detection_time
