@@ -150,15 +150,12 @@ def _measure(
         compiled, batch_width=batch_width, backend=engine, threads=workers
     )
     before = dispatch_counters()
-    try:
-        result = None
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = simulator.run(sequence, faults)
-            best = min(best, time.perf_counter() - start)
-    finally:
-        simulator.close()
+    result = None
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = simulator.run(sequence, faults)
+        best = min(best, time.perf_counter() - start)
     after = dispatch_counters()
     gate_evals = len(compiled.ops) * len(faults) * len(sequence)
     return {

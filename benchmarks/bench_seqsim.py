@@ -201,16 +201,13 @@ def _measure(
         compiled, batch_width=width, backend=engine, threads=workers
     )
     before = dispatch_counters()
-    try:
-        best = float("inf")
-        candidates = 0
-        outcomes = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            candidates, outcomes = _run_plan(simulator, plan, t0, expansion)
-            best = min(best, time.perf_counter() - start)
-    finally:
-        simulator.close()
+    best = float("inf")
+    candidates = 0
+    outcomes = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        candidates, outcomes = _run_plan(simulator, plan, t0, expansion)
+        best = min(best, time.perf_counter() - start)
     after = dispatch_counters()
     return {
         "backend": backend,

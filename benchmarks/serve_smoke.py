@@ -14,12 +14,11 @@ contract:
   traces the other computed (cross-tenant cache warmth; with
   concurrent lanes the two snapshots don't order, so the check is on
   aggregate hits, not a first-vs-second delta);
-* startup calibration on the pinned 1-core runner
-  (``REPRO_ASSUME_CPUS=1``) selects serial execution — the measured
-  profile, not the static threshold, is what the scheduler consults;
-* every job is planned ``serial`` with one worker there, and its
-  result's ``execution`` records that same tier and count (the plan is
-  what ran).  ``tenant-beta`` asks for ``workers=0`` to prove it.
+* on the pinned 1-core runner (``REPRO_ASSUME_CPUS=1``) every job is
+  planned ``serial`` with one worker — the one-core rule of
+  :func:`~repro.sim.workerpool.resolve_execution` — and its result's
+  ``execution`` records that same tier and count (the plan is what
+  ran).  ``tenant-beta`` asks for ``workers=4`` to prove it.
 
 Run:  REPRO_ASSUME_CPUS=1 python benchmarks/serve_smoke.py
 """
@@ -30,7 +29,6 @@ import asyncio
 import json
 import os
 import sys
-import tempfile
 
 from repro import RunRequest, SelectionConfig, Session
 from repro.serve import HttpFrontend, JobService
@@ -38,9 +36,9 @@ from repro.serve import HttpFrontend, JobService
 CIRCUITS = ("s27", "syn298")
 TENANTS = ("tenant-alpha", "tenant-beta")
 
-#: Each tenant's selection config: the default, and "one per CPU", which
+#: Each tenant's selection config: the default, and four threads, which
 #: the 1-core runner must still plan (and run) serially.
-SELECTIONS = {"tenant-alpha": None, "tenant-beta": SelectionConfig(workers=0)}
+SELECTIONS = {"tenant-alpha": None, "tenant-beta": SelectionConfig(workers=4)}
 
 
 async def http_json(port: int, method: str, path: str, payload=None):
@@ -57,31 +55,16 @@ async def http_json(port: int, method: str, path: str, payload=None):
     return int(head.split(None, 2)[1]), json.loads(data)
 
 
-async def smoke(profile_path: str) -> int:
+async def smoke() -> int:
     os.environ.setdefault("REPRO_ASSUME_CPUS", "1")
-    os.environ["REPRO_PROFILE"] = profile_path
 
     # Two lanes: one per tenant, so the submissions below are served
-    # concurrently over the shared warm session.  Startup still
-    # autotunes (quick calibration).
+    # concurrently over the shared warm session.
     service = JobService(lanes=2)
     async with service:
         async with HttpFrontend(service) as http:
             port = http.port
             print(f"service on {http.address} (lanes={service.lanes})")
-
-            status, prof = await http_json(port, "GET", "/profile")
-            assert status == 200, prof
-            profile = prof["profile"]
-            print(
-                f"startup profile: source={profile['source']} "
-                f"workers={profile['workers']} (cpus={profile['cpu_count']})"
-            )
-            assert profile["source"] == "calibrated", profile
-            assert profile["workers"] == 1, (
-                "calibration on the 1-core runner must select serial "
-                f"execution, got workers={profile['workers']}"
-            )
 
             # Submit every circuit from both tenants before waiting on
             # anything, so the fair scheduler actually interleaves.
@@ -159,8 +142,7 @@ async def smoke(profile_path: str) -> int:
 
 
 def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        failures = asyncio.run(smoke(os.path.join(tmp, "profile.json")))
+    failures = asyncio.run(smoke())
     if failures:
         print(f"{failures} serve-smoke failure(s)")
         return 1

@@ -103,16 +103,10 @@ def main(argv: list[str] | None = None) -> int:
         backend="native",
         threads=args.threads,
     )
-    try:
-        serial_s, serial_result = _best_seconds(
-            serial, sequence, faults, args.repeats
-        )
-        threaded_s, threaded_result = _best_seconds(
-            threaded, sequence, faults, args.repeats
-        )
-    finally:
-        serial.close()
-        threaded.close()
+    serial_s, serial_result = _best_seconds(serial, sequence, faults, args.repeats)
+    threaded_s, threaded_result = _best_seconds(
+        threaded, sequence, faults, args.repeats
+    )
 
     if threaded_result.detection_time != serial_result.detection_time:
         print(

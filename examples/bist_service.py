@@ -3,8 +3,8 @@
 Demonstrates the serving layer end to end, in-process (no sockets
 needed — see ``repro-bist serve`` for the HTTP front end):
 
-1. start a :class:`~repro.serve.JobService` (profile resolution, one
-   warm session, fair scheduler);
+1. start a :class:`~repro.serve.JobService` (one warm session, fair
+   scheduler);
 2. two tenants submit the same circuit; the per-tenant round-robin
    interleaves them;
 3. both results are bit-identical to a direct ``Session.run`` — and to
@@ -27,11 +27,7 @@ async def main() -> None:
     request = RunRequest(kind="scheme", circuit="s27", label="demo")
 
     async with JobService() as service:
-        profile = service.profile
-        print(
-            f"service up: profile={profile.source} "
-            f"workers={profile.workers} backend={profile.backend}"
-        )
+        print(f"service up: lanes={service.lanes}")
 
         # Two tenants, same circuit, queued before either runs: the
         # round-robin serves one job per tenant per rotation.

@@ -12,8 +12,7 @@ Public API quick reference::
     print(result.fingerprint())
 
 :class:`Session` is the facade over everything underneath — backend
-resolution, per-circuit program LRUs and good-machine trace caches,
-simulator lifecycles — and
+resolution, per-circuit program LRUs and good-machine trace caches — and
 :class:`RunRequest` / :class:`RunResult` are the serializable request
 and result records every surface (CLI, harness, examples, the
 :mod:`repro.serve` HTTP service) shares.  Lower-level pieces remain
@@ -26,18 +25,16 @@ importable::
         available_backends,                              # sim backends
         TestSequence, ExpansionConfig, expand,           # sequences
         SelectionConfig, LoadAndExpandScheme,            # the paper's scheme
-        MachineProfile, calibrate,                       # autotuning
     )
 
 Every simulator accepts ``backend="python"`` (default, dependency-free
 big-int kernel), ``backend="native"`` (a lazily compiled C kernel over
 numpy word arrays) or ``backend="auto"`` (native by circuit size when it
 builds, else python); results are bit-identical.  Both hot axes additionally scale
-across chunk threads with identical results, and a calibrated
-:class:`MachineProfile` (``repro-bist calibrate``) replaces the static
-work-distribution defaults with measured ones.  Sessions own simulator
-lifecycles and trace caches (:meth:`Session.fault_simulator`,
-:meth:`Session.sequence_simulator`, :meth:`Session.trace_cache`).
+across chunk threads with identical results (``workers=``).  Sessions
+hand out simulators and trace caches on their shared compiled circuits
+(:meth:`Session.fault_simulator`, :meth:`Session.sequence_simulator`,
+:meth:`Session.trace_cache`).
 """
 
 from repro.circuit import CircuitBuilder, Circuit, GateType, parse_bench, parse_bench_file
@@ -75,13 +72,6 @@ from repro.sim import (
     close_trace_caches,
     get_backend,
 )
-from repro.sim.autotune import (
-    MachineProfile,
-    calibrate,
-    load_profile,
-    profile_for_startup,
-    static_profile,
-)
 
 __version__ = "1.0.0"
 
@@ -92,11 +82,6 @@ __all__ = [
     "RunResult",
     "RunOutcome",
     "circuit_content_hash",
-    "MachineProfile",
-    "calibrate",
-    "load_profile",
-    "profile_for_startup",
-    "static_profile",
     "Circuit",
     "CircuitBuilder",
     "GateType",

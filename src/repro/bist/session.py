@@ -116,16 +116,6 @@ class BistSession:
         self._golden: list[tuple[TestSequence, list[bool], int]] = []
         self._prepare_golden()
 
-    def close(self) -> None:
-        """Release the session's fault simulator."""
-        self._fault_simulator.close()
-
-    def __enter__(self) -> "BistSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     # Construction-time golden run
     # ------------------------------------------------------------------

@@ -7,7 +7,6 @@ Subcommands:
 * ``run`` — run the load-and-expand scheme on one circuit.
 * ``tables`` — regenerate the paper's Tables 3-5 for a suite.
 * ``figure1`` — regenerate Figure 1 for one circuit.
-* ``calibrate`` — measure this machine and persist an autotuning profile.
 * ``serve`` — run the BIST-as-a-service HTTP front end.
 
 Execution subcommands (``atpg``, ``run``, ``figure1``) all build the
@@ -31,7 +30,6 @@ from repro.core.request import RunRequest
 from repro.core.session import Session
 from repro.harness.figures import render_figure1
 from repro.harness.runner import run_suite
-from repro.sim.autotune import load_profile
 from repro.sim.backend import (
     AUTO_BACKEND,
     DEFAULT_BACKEND,
@@ -40,22 +38,6 @@ from repro.sim.backend import (
 )
 from repro.sim.workerpool import PARALLEL_MODES
 from repro.util.text import format_table
-
-
-def _session_for(args: argparse.Namespace) -> Session:
-    """The session an execution subcommand runs under.
-
-    ``--profile`` attaches the persisted machine profile (optionally
-    from an explicit path) so calibration overrides the static worker
-    thresholds; without the flag the session is profile-free and
-    behaves exactly like the historical static code paths.
-    """
-    profile = None
-    if getattr(args, "profile", None) is not None:
-        profile = load_profile(args.profile or None)
-        if profile is None:
-            print("no machine profile found; run `repro-bist calibrate` first")
-    return Session(profile=profile)
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -88,7 +70,7 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
         circuit=args.circuit,
         atpg=AtpgConfig.from_cli_args(args),
     )
-    with _session_for(args) as session:
+    with Session() as session:
         outcome = session.run_detailed(request)
     if args.json:
         print(json.dumps(outcome.result.to_json(), indent=2, sort_keys=True))
@@ -120,7 +102,7 @@ def _scheme_request(args: argparse.Namespace) -> RunRequest:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    with _session_for(args) as session:
+    with Session() as session:
         outcome = session.run_detailed(_scheme_request(args))
     if args.json:
         print(json.dumps(outcome.result.to_json(), indent=2, sort_keys=True))
@@ -182,22 +164,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
-    with _session_for(args) as session:
+    with Session() as session:
         outcome = session.run_detailed(_scheme_request(args))
     print(render_figure1(outcome.scheme_run))
-    return 0
-
-
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.sim.autotune import calibrate
-
-    profile = calibrate(quick=not args.full)
-    print(json.dumps(profile.to_json(), indent=2, sort_keys=True))
-    for note in profile.notes:
-        print(f"  note: {note}")
-    if not args.no_save:
-        path = profile.save(args.output or None)
-        print(f"profile saved to {path}")
     return 0
 
 
@@ -207,18 +176,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import HttpFrontend, JobService
 
     async def main() -> None:
-        service = JobService(
-            autotune=not args.no_autotune,
-            quick_calibration=not args.full_calibration,
-            lanes=args.lanes,
-        )
-        async with service:
-            profile = service.profile
-            if profile is not None:
-                print(
-                    f"machine profile: {profile.source} "
-                    f"(workers={profile.workers}, backend={profile.backend})"
-                )
+        async with JobService(lanes=args.lanes) as service:
             async with HttpFrontend(service, args.host, args.port) as http:
                 print(f"serving on {http.address} (lanes={service.lanes})")
                 try:
@@ -276,23 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
             default="auto",
             help=(
                 "work-distribution tier for --workers > 1: 'threads' "
-                "runs chunks of each large dispatch on chunk threads "
-                "(native engine), 'serial' forces one thread, and 'auto' "
-                "(default) takes the tier a calibrated machine profile "
-                "measured, else 'threads'; one usable core runs "
-                "serially; results are identical across tiers"
-            ),
-        )
-        command.add_argument(
-            "--profile",
-            nargs="?",
-            const="",
-            default=None,
-            metavar="PATH",
-            help=(
-                "resolve worker counts through the persisted machine "
-                "profile (see `calibrate`); optional PATH overrides the "
-                "default profile location"
+                "and 'auto' (default) run chunks of each large dispatch "
+                "on chunk threads (native engine), 'serial' forces one "
+                "thread; one usable core runs serially; results are "
+                "identical across tiers"
             ),
         )
 
@@ -361,46 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_backend_flag(report)
     report.set_defaults(func=_cmd_report)
 
-    calibrate = sub.add_parser(
-        "calibrate",
-        help="measure serial vs chunk threads and persist the profile",
-    )
-    calibrate.add_argument(
-        "--full",
-        action="store_true",
-        help="calibrate on a larger circuit and stimulus (slower, finer)",
-    )
-    calibrate.add_argument(
-        "--output", help="profile path (default: REPRO_PROFILE or ~/.cache)"
-    )
-    calibrate.add_argument(
-        "--no-save", action="store_true", help="measure and print only"
-    )
-    calibrate.set_defaults(func=_cmd_calibrate)
-
     serve = sub.add_parser(
         "serve", help="run the BIST-as-a-service HTTP front end"
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8199)
     serve.add_argument(
-        "--no-autotune",
-        action="store_true",
-        help="skip profile load/calibration; use static defaults",
-    )
-    serve.add_argument(
-        "--full-calibration",
-        action="store_true",
-        help="use the full (slow) calibration when measuring at startup",
-    )
-    serve.add_argument(
         "--lanes",
         type=int,
         default=1,
         help=(
-            "concurrent executor lanes over the warm session; beyond 1, "
-            "jobs are planned onto the thread tier or serial (never the "
-            "shared process pool)"
+            "concurrent executor lanes over the warm session; each "
+            "job's own workers/parallel fields pick its chunk threads"
         ),
     )
     serve.set_defaults(func=_cmd_serve)

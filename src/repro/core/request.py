@@ -158,8 +158,8 @@ class RunResult:
     ``data`` holds everything that is a pure function of the request —
     detection counts, selected/compacted sequence sets (as vector
     strings), lengths, ratios.  ``execution`` records what actually ran
-    (backend, workers, batch widths, whether a machine profile overrode
-    the request), ``timings`` the wall-clock seconds per phase and
+    (backend, the resolved tier and worker count, the backend-boundary
+    dispatch counts), ``timings`` the wall-clock seconds per phase and
     ``trace_stats`` the good-machine trace-cache counters at completion —
     all machine-dependent, all excluded from :meth:`fingerprint`.
     """

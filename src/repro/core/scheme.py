@@ -140,9 +140,8 @@ class LoadAndExpandScheme:
         """Run selection + compaction + verification for ``t0``.
 
         ``session`` shares a caller's :class:`~repro.core.session.Session`
-        (warm caches, profile-resolved workers, scoped simulator
-        lifecycle); without one an ephemeral session is created for the
-        duration of the run.
+        (warm compiled circuits and trace caches); without one an
+        ephemeral session is created for the duration of the run.
         """
         config = config or SelectionConfig()
         with use_session(session) as sess:

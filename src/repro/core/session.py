@@ -20,23 +20,17 @@ single facade in front of all of it:
   request's ``trace_stats`` show cache *hits* where the first showed
   misses: that is the cross-request warmth the serving layer exists
   for.
-* **Simulators come from the session, lifecycles too.**
+* **Simulators come from the session.**
   :meth:`fault_simulator` / :meth:`sequence_simulator` wrap the
-  ``workers=`` factories; every simulator a session (or one of its
-  :meth:`scope` blocks) mints is closed exactly once when the session/scope
-  closes, and closing twice is a silent no-op.  No consumer wraps its
-  own ``try/finally`` anymore — :func:`use_session` hands library code
-  either the caller's session (scoped, so per-call simulators are still
-  reclaimed promptly) or a private one that closes on exit.
-* **The machine profile is input data.**  The session hands its
-  :class:`~repro.sim.autotune.MachineProfile` to the simulator
-  factories, and :func:`~repro.sim.workerpool.resolve_execution` — the
-  one place that picks a tier and worker count — reads it: ``workers=0``
-  ("auto") becomes the measured recommendation, a measured serial
-  verdict overrides an explicit thread request, and a measured parallel
-  win survives the one-core fallback.  Sessions without a profile
-  behave exactly like the bare factories, except that omitting
-  ``workers`` stays serial.  :meth:`run` records the resolved tier and
+  ``workers=`` factories on the session's shared compiled circuits;
+  simulators hold nothing to release.  :func:`use_session` hands
+  library code either the caller's session or a private one that
+  closes on exit.
+* **One execution policy.**  The factories and :meth:`run` resolve
+  ``workers`` and ``parallel`` through
+  :func:`~repro.sim.workerpool.resolve_execution`, the one place that
+  picks a tier and a thread count; omitting ``workers`` on a session
+  simulator stays serial.  :meth:`run` records the resolved tier and
   count in ``RunResult.execution``.
 * **Requests run to results.**  :meth:`Session.run` executes a
   :class:`~repro.core.request.RunRequest` (scheme or ATPG) and returns a
@@ -57,7 +51,6 @@ from repro.core.config import SelectionConfig
 from repro.core.request import RunRequest, RunResult, circuit_content_hash
 from repro.core.sequence import TestSequence
 from repro.errors import ReproError
-from repro.sim.autotune import MachineProfile
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.trace import GoodTraceCache, get_trace_cache
 from repro.sim.workerpool import resolve_execution
@@ -82,31 +75,23 @@ class RunOutcome:
 
 
 class Session:
-    """Owner of backends, caches and simulator lifecycles.
+    """Owner of compiled circuits, schemes and the caches behind them.
 
     Use as a context manager::
 
         with repro.Session() as session:
             result = session.run(repro.RunRequest(kind="scheme", circuit="s27"))
 
-    ``profile`` attaches a machine profile (see
-    :mod:`repro.sim.autotune`); without one the session reproduces the
-    historical static behaviour exactly.  Concurrent :meth:`run` calls
-    from multiple threads are supported — the circuit/scheme registries
-    are lock-guarded and :meth:`scope` frames are per thread — which is
-    what lets :class:`repro.serve.JobService` drive N executor lanes
-    over one warm session.  ``own_caches=True`` makes
+    Concurrent :meth:`run` calls from multiple threads are supported —
+    the circuit/scheme registries are lock-guarded — which is what lets
+    :class:`repro.serve.JobService` drive N executor lanes over one warm
+    session.  ``own_caches=True`` makes
     :meth:`close` also tear down the process-global trace caches — the
     serving layer uses this so service shutdown releases everything; the
     default leaves them warm for other sessions.
     """
 
-    def __init__(
-        self,
-        profile: MachineProfile | None = None,
-        own_caches: bool = False,
-    ) -> None:
-        self._profile = profile
+    def __init__(self, own_caches: bool = False) -> None:
         self._own_caches = own_caches
         self._compiled: dict[str, CompiledCircuit] = {}
         # Catalog name -> its entry in ``_compiled``: a warm name skips
@@ -121,41 +106,14 @@ class Session:
             int, tuple[CompiledCircuit, CompiledCircuit, str]
         ] = {}
         self._schemes: dict[str, object] = {}
-        self._simulators: list = []
         # Concurrent ``run`` calls (the serving layer's executor lanes)
-        # share this session: the registries are lock-guarded and each
-        # thread keeps its own stack of live ``scope`` frames, so one
-        # lane's scope exit only closes the simulators *it* minted.
+        # share this session, so the registries are lock-guarded.
         self._lock = threading.RLock()
-        self._local = threading.local()
         self._closed = False
-
-    # ------------------------------------------------------------------
-    # Profile
-    # ------------------------------------------------------------------
-    @property
-    def profile(self) -> MachineProfile | None:
-        return self._profile
 
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def calibrate(self, quick: bool = True, save: bool = False) -> MachineProfile:
-        """Measure this machine and adopt the resulting profile."""
-        from repro.sim.autotune import calibrate
-
-        profile = calibrate(quick=quick)
-        if save:
-            profile.save()
-        self._profile = profile
-        return profile
-
-    def _workers(self, workers: int | None) -> int | None:
-        """An omitted count is serial unless a profile recommends one."""
-        if workers is None and self._profile is None:
-            return 1
-        return workers
 
     # ------------------------------------------------------------------
     # Circuits (shared per content hash)
@@ -233,34 +191,22 @@ class Session:
         backend: str | None = None,
         workers: int | None = None,
         parallel: str | None = None,
-        **kwargs,
     ):
-        """A parallel-fault simulator, lifecycle owned by this session.
+        """A parallel-fault simulator on the session's compiled circuit.
 
-        The factory resolves ``workers`` and the ``parallel`` tier
-        against the session's profile, which also supplies the measured
-        batch width when the caller leaves ``batch_width`` unset; extra
-        kwargs pass through to
-        :func:`repro.sim.faultsim.make_fault_simulator`.
+        :func:`repro.sim.faultsim.make_fault_simulator` resolves
+        ``workers`` and ``parallel``; an omitted ``workers`` is serial.
         """
         from repro.sim.faultsim import DEFAULT_BATCH_WIDTH, make_fault_simulator
 
         self._check_open()
-        if batch_width is None:
-            if self._profile is not None and self._profile.calibrated:
-                batch_width = self._profile.fault_batch_width
-            else:
-                batch_width = DEFAULT_BATCH_WIDTH
-        simulator = make_fault_simulator(
+        return make_fault_simulator(
             self.compile(circuit),
-            batch_width=batch_width,
+            batch_width=DEFAULT_BATCH_WIDTH if batch_width is None else batch_width,
             backend=backend,
-            workers=self._workers(workers),
+            workers=1 if workers is None else workers,
             parallel=parallel,
-            profile=self._profile,
-            **kwargs,
         )
-        return self._register(simulator)
 
     def sequence_simulator(
         self,
@@ -269,36 +215,20 @@ class Session:
         backend: str | None = None,
         workers: int | None = None,
         parallel: str | None = None,
-        **kwargs,
     ):
-        """A candidate-scan simulator, lifecycle owned by this session."""
+        """A candidate-scan simulator, resolved as :meth:`fault_simulator`."""
         from repro.sim.seqsim import DEFAULT_SEQ_BATCH_WIDTH, make_sequence_simulator
 
         self._check_open()
-        if batch_width is None:
-            if self._profile is not None and self._profile.calibrated:
-                batch_width = self._profile.search_batch_width
-            else:
-                batch_width = DEFAULT_SEQ_BATCH_WIDTH
-        simulator = make_sequence_simulator(
+        return make_sequence_simulator(
             self.compile(circuit),
-            batch_width=batch_width,
+            batch_width=(
+                DEFAULT_SEQ_BATCH_WIDTH if batch_width is None else batch_width
+            ),
             backend=backend,
-            workers=self._workers(workers),
+            workers=1 if workers is None else workers,
             parallel=parallel,
-            profile=self._profile,
-            **kwargs,
         )
-        return self._register(simulator)
-
-    def _register(self, simulator):
-        """Track a minted simulator session-wide and in this thread's scope."""
-        with self._lock:
-            self._simulators.append(simulator)
-        frames = getattr(self._local, "frames", None)
-        if frames:
-            frames[-1].append(simulator)
-        return simulator
 
     def trace_cache(self, circuit: str | Circuit | CompiledCircuit) -> GoodTraceCache:
         """The cross-request good-machine trace cache for ``circuit``."""
@@ -306,40 +236,8 @@ class Session:
         return get_trace_cache(self.compile(circuit))
 
     # ------------------------------------------------------------------
-    # Scoped lifecycles
+    # Lifecycle
     # ------------------------------------------------------------------
-    @contextmanager
-    def scope(self):
-        """Close simulators minted inside the ``with`` block at its end.
-
-        Library code runs inside a scope even when handed a long-lived
-        session, so a service handling thousands of requests releases
-        each request's simulators promptly while the compiled circuits
-        and trace caches stay warm.
-
-        Scope frames are *per thread*: each serving lane stacks and pops
-        its own frames, so a lane closing its request's simulators never
-        touches the simulators another lane is still running on.
-        """
-        self._check_open()
-        frames = getattr(self._local, "frames", None)
-        if frames is None:
-            frames = self._local.frames = []
-        frame: list = []
-        frames.append(frame)
-        try:
-            yield self
-        finally:
-            frames.pop()
-            with self._lock:
-                for simulator in frame:
-                    try:
-                        self._simulators.remove(simulator)
-                    except ValueError:
-                        pass  # close() already swept the registry
-            for simulator in reversed(frame):
-                simulator.close()
-
     def _check_open(self) -> None:
         if self._closed:
             raise ReproError("this Session is closed")
@@ -352,10 +250,6 @@ class Session:
         if self._closed:
             return
         self._closed = True
-        with self._lock:
-            simulators, self._simulators = self._simulators, []
-        for simulator in reversed(simulators):
-            simulator.close()
         self._schemes.clear()
         self._compiled.clear()
         self._by_name.clear()
@@ -423,20 +317,14 @@ class Session:
 
     def _execution_record(self, config) -> dict:
         """What ran: the tier and count the factories resolved ``config`` to."""
-        tier, count, notes = resolve_execution(
-            config.parallel, config.workers, profile=self._profile
-        )
-        record = {
+        tier, count = resolve_execution(config.parallel, config.workers)
+        return {
             "backend": config.backend,
             "parallel_requested": config.parallel,
             "parallel": tier,
             "workers_requested": config.workers,
             "workers": count,
-            "profile": None if self._profile is None else self._profile.source,
         }
-        if notes:
-            record["notes"] = list(notes)
-        return record
 
     def _t0_for_scheme(self, request: RunRequest, compiled, selection):
         from repro.atpg.config import AtpgConfig
@@ -530,17 +418,14 @@ class Session:
 
 @contextmanager
 def use_session(session: Session | None = None):
-    """The lifecycle seam library code runs its simulators under.
+    """The session library code runs under.
 
-    With a caller-provided session, yields it inside a :meth:`Session.scope`
-    (the caller keeps ownership; this call's simulators are still
-    reclaimed at exit).  Without one, creates a private session that
-    closes — simulators and all — when the block ends.  Either way the
-    consumer writes no ``try/finally``.
+    Yields a caller-provided session as it is (the caller keeps
+    ownership).  Without one, creates a private session that closes when
+    the block ends, so the consumer writes no ``try/finally``.
     """
     if session is not None:
-        with session.scope():
-            yield session
+        yield session
         return
     private = Session()
     try:

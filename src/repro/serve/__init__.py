@@ -10,10 +10,9 @@ submitted by many tenants, with:
 * **fair scheduling** — a per-tenant round-robin
   (:class:`~repro.serve.scheduler.FairScheduler`) so one tenant's burst
   of submissions cannot starve another's single job;
-* **measured execution planning** — the scheduler consults the machine
-  profile from :mod:`repro.sim.autotune` (loaded or calibrated at
-  service startup) to pick worker counts, instead of the static
-  core-count thresholds;
+* **one execution policy** — each job's tier and thread count come from
+  :func:`~repro.sim.workerpool.resolve_execution`, the rule every
+  library call uses;
 * **bit-identical results** — a served job returns the same
   :class:`~repro.core.request.RunResult` fingerprint as running the
   request directly on a local session, which the serving tests and the

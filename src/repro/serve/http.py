@@ -8,7 +8,6 @@ deliberately tiny:
 method    path                meaning
 ========  ==================  =============================================
 GET       ``/healthz``        liveness: ``{"status": "ok"}``
-GET       ``/profile``        the active machine profile (or ``null``)
 GET       ``/stats``          service counters and per-tenant queues
 POST      ``/jobs``           submit ``{"tenant": ..., "request": {...}}``
 GET       ``/jobs/<id>``      job status; ``?wait=1`` blocks to completion
@@ -144,11 +143,6 @@ class HttpFrontend:
     ) -> tuple[int, dict]:
         if method == "GET" and path == "/healthz":
             return 200, {"status": "ok"}
-        if method == "GET" and path == "/profile":
-            profile = self._service.profile
-            return 200, {
-                "profile": None if profile is None else profile.to_json()
-            }
         if method == "GET" and path == "/stats":
             return 200, self._service.stats()
         if method == "POST" and path == "/jobs":

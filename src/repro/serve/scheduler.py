@@ -1,4 +1,4 @@
-"""Fair scheduling and profile-based execution planning.
+"""Fair scheduling and execution planning.
 
 Two concerns live here, both deliberately free of asyncio so they are
 trivially unit-testable:
@@ -10,11 +10,9 @@ trivially unit-testable:
   submitting one.
 * :func:`plan_execution` — rewrite a :class:`~repro.core.request.RunRequest`
   to the tier and worker count
-  :func:`~repro.sim.workerpool.resolve_execution` picks for it from the
-  *measured* :class:`~repro.sim.autotune.MachineProfile`.  A client
-  asking for ``workers=4`` on a machine whose profile measured serial
-  winning gets planned down to serial, and a client leaving
-  ``workers=0`` ("auto") gets the measured recommendation.  The
+  :func:`~repro.sim.workerpool.resolve_execution` picks for it: a
+  client leaving ``workers=0`` ("auto") gets one thread per usable
+  core, and any request on a one-core machine is planned serial.  The
   :class:`~repro.core.session.Session` resolves the rewritten request
   to the same plan, so the plan is what runs.
 """
@@ -27,7 +25,6 @@ from dataclasses import dataclass, field
 from repro.atpg.config import AtpgConfig
 from repro.core.config import SelectionConfig
 from repro.core.request import RunRequest
-from repro.sim.autotune import MachineProfile
 from repro.sim.workerpool import resolve_execution
 
 
@@ -37,23 +34,14 @@ class ExecutionPlan:
 
     request: RunRequest
     workers: int
-    source: str  # "static" | "calibrated" | "client"
-    notes: tuple[str, ...] = ()
     parallel: str = "serial"  # the resolved distribution tier
 
     def to_json(self) -> dict:
-        return {
-            "workers": self.workers,
-            "parallel": self.parallel,
-            "source": self.source,
-            "notes": list(self.notes),
-        }
+        return {"workers": self.workers, "parallel": self.parallel}
 
 
-def plan_execution(
-    request: RunRequest, profile: MachineProfile | None
-) -> ExecutionPlan:
-    """Resolve ``request``'s execution against the service's profile.
+def plan_execution(request: RunRequest) -> ExecutionPlan:
+    """Resolve ``request``'s execution.
 
     The request's own config (its defaults when it carries none) goes
     through :func:`~repro.sim.workerpool.resolve_execution`, and the
@@ -64,14 +52,10 @@ def plan_execution(
         config = request.atpg or AtpgConfig()
     else:
         config = request.selection or SelectionConfig()
-    tier, count, notes = resolve_execution(
-        config.parallel, config.workers, profile=profile
-    )
+    tier, count = resolve_execution(config.parallel, config.workers)
     return ExecutionPlan(
         request=request.with_workers(count).with_parallel(tier),
         workers=count,
-        source="client" if profile is None else profile.source,
-        notes=notes,
         parallel=tier,
     )
 

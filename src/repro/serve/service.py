@@ -10,8 +10,8 @@ fault-free trace the first one computed, visible as ``trace_stats``
 hits in its result.
 
 Jobs run on ``lanes`` concurrent executor threads (default one).  The
-session is concurrency-safe — registries are lock-guarded and scope
-frames are per thread — and ctypes releases the GIL for the native
+session is concurrency-safe — its registries are lock-guarded — and
+ctypes releases the GIL for the native
 kernels' whole C calls, so two lanes really do overlap on the hot
 loops.  Lanes running threaded jobs share the process-global chunk
 pool, whose callers drain their own chunks, so no lane ever waits on
@@ -19,13 +19,8 @@ another's dispatch.
 Submission, status polling and completion waits are all
 ``asyncio``-friendly and the order of dispatch is the per-tenant
 round-robin of :class:`~repro.serve.scheduler.FairScheduler`, never raw
-FIFO.
-
-At :meth:`start`, the service resolves its machine profile via
-:func:`repro.sim.autotune.profile_for_startup` — load the persisted
-calibration if present, else measure (quick mode), else fall back to
-the static defaults — and every job's tier and worker count are planned
-through it (:func:`~repro.serve.scheduler.plan_execution`).
+FIFO.  Every job's tier and worker count are planned once, at
+submission (:func:`~repro.serve.scheduler.plan_execution`).
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ from repro.core.request import RunRequest, RunResult
 from repro.core.session import Session
 from repro.errors import ReproError
 from repro.serve.scheduler import ExecutionPlan, FairScheduler, plan_execution
-from repro.sim.autotune import MachineProfile
 
 #: Job lifecycle states.
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -84,29 +78,16 @@ class JobService:
         job = await service.wait(job_id)
         await service.stop()
 
-    ``profile`` pins a pre-built machine profile (tests use this);
-    without one, :meth:`start` resolves it with
-    :func:`~repro.sim.autotune.profile_for_startup` (``autotune=False``
-    skips measurement and uses the static profile, for callers that
-    cannot afford a calibration pass).  ``lanes`` is the number of jobs
-    that may execute concurrently (each on its own executor thread over
-    the one warm session).
+    ``lanes`` is the number of jobs that may execute concurrently (each
+    on its own executor thread over the one warm session).
     """
 
-    def __init__(
-        self,
-        profile: MachineProfile | None = None,
-        autotune: bool = True,
-        quick_calibration: bool = True,
-        profile_path=None,
-        lanes: int = 1,
-    ) -> None:
+    def __init__(self, profile=None, lanes: int = 1) -> None:
+        # ``profile`` is accepted and ignored: the end-to-end benchmark's
+        # serve runner still passes ``profile=static_profile()`` (which
+        # is ``None``).  Remove it once the benchmark stops.
         if lanes < 1:
             raise ReproError(f"a JobService needs >= 1 lane (got {lanes})")
-        self._pinned_profile = profile
-        self._autotune = autotune
-        self._quick = quick_calibration
-        self._profile_path = profile_path
         self._lanes = int(lanes)
         self._session: Session | None = None
         self._scheduler = FairScheduler()
@@ -130,38 +111,17 @@ class JobService:
         return self._started
 
     @property
-    def profile(self) -> MachineProfile | None:
-        return None if self._session is None else self._session.profile
-
-    @property
     def lanes(self) -> int:
         return self._lanes
 
     async def start(self) -> None:
-        """Resolve the machine profile, warm the session, start dispatching."""
+        """Open the session and the lanes, start dispatching."""
         if self._started:
             return
-        loop = asyncio.get_running_loop()
         self._executor = ThreadPoolExecutor(
             max_workers=self._lanes, thread_name_prefix="repro-serve"
         )
-        profile = self._pinned_profile
-        if profile is None:
-            if self._autotune:
-                from repro.sim.autotune import profile_for_startup
-
-                # Calibration fault-simulates; keep it off the event loop.
-                profile = await loop.run_in_executor(
-                    self._executor,
-                    lambda: profile_for_startup(
-                        path=self._profile_path, quick=self._quick
-                    ),
-                )
-            else:
-                from repro.sim.autotune import static_profile
-
-                profile = static_profile()
-        self._session = Session(profile=profile, own_caches=True)
+        self._session = Session(own_caches=True)
         self._wakeup = asyncio.Event()
         self._dispatcher = asyncio.create_task(
             self._dispatch_loop(), name="repro-serve-dispatch"
@@ -215,7 +175,7 @@ class JobService:
             id=f"job-{self._counter:06d}",
             tenant=tenant,
             request=request,
-            plan=plan_execution(request, self._session.profile),
+            plan=plan_execution(request),
         )
         self._jobs[job.id] = job
         self._scheduler.push(tenant, job)
@@ -244,7 +204,6 @@ class JobService:
 
     def stats(self) -> dict:
         """Service counters for the ``/stats`` endpoint."""
-        profile = self.profile
         return {
             "started": self._started,
             "lanes": self._lanes,
@@ -255,7 +214,6 @@ class JobService:
             "jobs_queued": len(self._scheduler),
             "queued_by_tenant": self._scheduler.pending(),
             "completed_by_tenant": dict(sorted(self._per_tenant.items())),
-            "profile": None if profile is None else profile.to_json(),
         }
 
     # ------------------------------------------------------------------

@@ -40,8 +40,6 @@ merge in chunk order, so they equal the serial ones bit for bit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.circuit.netlist import Circuit
 from repro.core.sequence import TestSequence
 from repro.faults.model import Fault
@@ -68,9 +66,6 @@ from repro.sim.trace import (  # noqa: F401  (re-export)
     build_observation_plan,
     get_trace_cache,
 )
-
-if TYPE_CHECKING:
-    from repro.sim.autotune import MachineProfile
 
 DEFAULT_BATCH_WIDTH = 192
 
@@ -124,16 +119,6 @@ class FaultSimulator:
     def threads(self) -> int:
         """Chunk threads a large dispatch fans out to (1 = serial)."""
         return self._threads
-
-    def close(self) -> None:
-        """Release simulator resources (none today; sessions close every
-        simulator they mint, so the hook stays)."""
-
-    def __enter__(self) -> "FaultSimulator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # One-shot API (all-X initial state)
@@ -517,19 +502,17 @@ def make_fault_simulator(
     backend: str | SimBackend | None = None,
     workers: int | None = 1,
     parallel: str | None = None,
-    profile: MachineProfile | None = None,
 ) -> FaultSimulator:
     """The work-distribution seam used by every fault-simulation consumer.
 
-    :func:`~repro.sim.workerpool.resolve_execution` turns ``parallel``,
-    ``workers`` and the machine ``profile`` into a thread count:
-    ``serial`` is one thread, ``threads`` fans large dispatches out to
-    that many chunk threads.  ``workers=0`` / ``workers=None`` mean "one
-    per CPU" without a profile and the profile's recommendation with
-    one.  Detection times are bit-identical across every
-    ``(parallel, workers)`` setting.
+    :func:`~repro.sim.workerpool.resolve_execution` turns ``parallel``
+    and ``workers`` into a thread count: ``serial`` is one thread,
+    ``threads`` fans large dispatches out to that many chunk threads.
+    ``workers=0`` / ``workers=None`` mean "one per CPU".  Detection
+    times are bit-identical across every ``(parallel, workers)``
+    setting.
     """
-    _, threads, _ = resolve_execution(parallel, workers, profile=profile)
+    _, threads = resolve_execution(parallel, workers)
     return FaultSimulator(
         circuit, batch_width=batch_width, backend=backend, threads=threads
     )

@@ -70,7 +70,6 @@ from __future__ import annotations
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 try:  # The packed pipeline vectorizes with numpy; a pure-Python
     import numpy as np  # fallback keeps the engine dependency-free.
@@ -103,9 +102,6 @@ from repro.sim.workerpool import (
     resolve_execution,
     run_chunks,
 )
-
-if TYPE_CHECKING:
-    from repro.sim.autotune import MachineProfile
 
 DEFAULT_SEQ_BATCH_WIDTH = 128
 
@@ -458,16 +454,6 @@ class SequenceBatchSimulator:
     def threads(self) -> int:
         """Chunk threads a large scan fans out to (1 = serial)."""
         return self._threads
-
-    def close(self) -> None:
-        """Release simulator resources (none today; sessions close every
-        simulator they mint, so the hook stays)."""
-
-    def __enter__(self) -> "SequenceBatchSimulator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Plan-consuming APIs (the ScanPlan IR's serial executor)
@@ -885,16 +871,15 @@ def make_sequence_simulator(
     backend: str | SimBackend | None = None,
     workers: int | None = 1,
     parallel: str | None = None,
-    profile: MachineProfile | None = None,
 ) -> SequenceBatchSimulator:
     """The work-distribution seam for every candidate-simulation consumer.
 
-    :func:`~repro.sim.workerpool.resolve_execution` turns ``parallel``,
-    ``workers`` and the machine ``profile`` into a thread count, as for
+    :func:`~repro.sim.workerpool.resolve_execution` turns ``parallel``
+    and ``workers`` into a thread count, as for
     :func:`~repro.sim.faultsim.make_fault_simulator`.  Outcomes, first-hit
     winners and evaluated counts are bit-identical across every setting.
     """
-    _, threads, _ = resolve_execution(parallel, workers, profile=profile)
+    _, threads = resolve_execution(parallel, workers)
     return SequenceBatchSimulator(
         circuit, batch_width=batch_width, backend=backend, threads=threads
     )

@@ -37,13 +37,9 @@ import os
 import queue
 import threading
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sim.backend import record_dispatch
-
-if TYPE_CHECKING:
-    from repro.sim.autotune import MachineProfile
 
 #: Target chunks per thread on both axes.  Oversplitting is what makes
 #: the pool work-stealing: a thread that drew an easy chunk (early exits
@@ -60,6 +56,8 @@ FAN_OUT_FLOOR = 16_000_000
 
 #: Most threads one dispatch runs on (the cap the kernel's lane pool
 #: had): a mistyped ``workers=`` must not start thousands of threads.
+#: :func:`resolve_execution` clamps counts to it and :func:`run_chunks`
+#: enforces it.
 MAX_THREADS = 64
 
 
@@ -68,7 +66,7 @@ def cpu_count() -> int:
 
     Usable means this process's affinity set where the platform reports
     one (``taskset -c 0`` gives 1 on a many-core host), else
-    :func:`os.cpu_count`.  The override exists so calibration and
+    :func:`os.cpu_count`.  The override exists so
     :func:`resolve_execution` can be pinned to a known machine shape —
     CI's serve-smoke lane runs with ``REPRO_ASSUME_CPUS=1`` to exercise
     the 1-core policy on multi-core runners deterministically.
@@ -92,34 +90,25 @@ def cpu_count() -> int:
 PARALLEL_MODES = ("auto", "serial", "threads")
 
 
-def resolve_execution(
-    parallel: str | None,
-    workers: int | None,
-    *,
-    profile: MachineProfile | None = None,
-) -> tuple[str, int, tuple[str, ...]]:
+def resolve_execution(parallel: str | None, workers: int | None) -> tuple[str, int]:
     """The one place that picks a work-distribution tier and its count.
 
-    Returns ``(tier, count, notes)``: ``tier`` is ``"serial"`` or
-    ``"threads"`` (never ``"auto"``), ``count`` the chunk threads
-    (``1`` exactly when serial), and ``notes`` why a profile changed the
-    request.  ``C`` is :func:`cpu_count`; a *calibrated* profile is one
-    whose ``source`` is ``"calibrated"``.
+    Returns ``(tier, count)``: ``tier`` is ``"serial"`` or ``"threads"``
+    (never ``"auto"``) and ``count`` the chunk threads, ``1`` exactly
+    when serial.
 
-    1. Thread count: without a profile ``None``/``0`` mean ``C``; with
-       one they mean ``profile.workers``.  A calibrated profile with
-       ``workers == 1`` (it measured serial winning) turns an explicit
-       count above 1 into 1; a static profile never overrides.
-    2. A count of 1 or ``parallel="serial"`` is ``("serial", 1)``; so is
-       ``auto`` when a calibrated profile's verdict is ``serial``.
-    3. One usable core (``C <= 1``) is ``("serial", 1)`` unless a
-       calibrated profile measured ``workers > 1`` winning here.
-    4. Everything else is ``("threads", count)``.
+    1. ``None`` and ``0`` mean one thread per usable core
+       (:func:`cpu_count`).
+    2. A count of 1, ``parallel="serial"`` or one usable core is
+       ``("serial", 1)``.
+    3. Everything else is ``("threads", count)``, the count capped at
+       :data:`MAX_THREADS` so it names what :func:`run_chunks` runs.
+       Whether a given dispatch fans out is :func:`fans_out`'s call.
 
     Results are bit-identical across tiers, so this only moves
-    throughput.  Resolving an output again with the same profile
-    returns it unchanged, which is what lets the service plan a request
-    and the :class:`~repro.core.session.Session` re-resolve it.
+    throughput.  Resolving an output again returns it unchanged, which
+    is what lets the service plan a request and the
+    :class:`~repro.core.session.Session` re-resolve it.
     """
     requested = parallel or "auto"
     if requested not in PARALLEL_MODES:
@@ -129,31 +118,11 @@ def resolve_execution(
         )
     if workers is not None and workers < 0:
         raise SimulationError(f"workers must be >= 0, got {workers}")
-    calibrated = profile is not None and profile.calibrated
-    notes: list[str] = []
-
-    if profile is None:
-        count = workers or cpu_count()
-    elif not workers:
-        count = profile.workers
-        notes.append(f"auto workers -> {count} ({profile.source} profile)")
-    elif workers > 1 and calibrated and profile.workers == 1:
-        count = 1
-        notes.append(
-            f"profile overrode workers {workers} -> 1: "
-            + "; ".join(profile.notes or ("measured serial wins",))
-        )
-    else:
-        count = workers
-
-    tier = requested
-    if tier == "auto" and calibrated:
-        tier = profile.parallel_mode
-    if count <= 1 or tier == "serial":
-        return ("serial", 1, tuple(notes))
-    if cpu_count() <= 1 and not (calibrated and profile.workers > 1):
-        return ("serial", 1, tuple(notes))
-    return ("threads", int(count), tuple(notes))
+    cpus = cpu_count()
+    count = workers or cpus
+    if count <= 1 or requested == "serial" or cpus <= 1:
+        return ("serial", 1)
+    return ("threads", min(int(count), MAX_THREADS))
 
 
 # ----------------------------------------------------------------------

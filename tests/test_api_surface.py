@@ -48,43 +48,50 @@ class TestPublicApi:
 class TestSessionFacadeSurface:
     def test_facade_exports(self):
         from repro import (
-            MachineProfile,
             RunOutcome,
             RunRequest,
             RunResult,
             Session,
-            calibrate,
             use_session,
         )
 
         assert all(
             isinstance(obj, type)
-            for obj in (MachineProfile, RunOutcome, RunRequest, RunResult, Session)
+            for obj in (RunOutcome, RunRequest, RunResult, Session)
         )
-        assert callable(calibrate)
         assert callable(use_session)
         for name in (
             "Session",
             "RunRequest",
             "RunResult",
             "RunOutcome",
-            "MachineProfile",
             "use_session",
-            "calibrate",
         ):
             assert name in repro.__all__, name
 
     def test_retired_factory_shims_are_gone(self):
-        """Sessions own these concerns; ``repro.sim`` keeps the factories."""
+        """Sessions own these concerns; ``repro.sim`` keeps the factories.
+        The machine profile and its calibration are gone: one policy,
+        ``resolve_execution``, needs no measurement."""
         for name in (
             "make_fault_simulator",
             "make_sequence_simulator",
             "get_worker_pool",
             "get_trace_cache",
             "_deprecated_entry_point",
+            "MachineProfile",
+            "calibrate",
+            "profile_for_startup",
+            "load_profile",
+            "static_profile",
         ):
             assert not hasattr(repro, name), name
             assert name not in repro.__all__, name
+        from repro.sim import autotune
+
+        retired = ("MachineProfile", "calibrate", "profile_for_startup", "load_profile")
+        for name in retired:
+            assert not hasattr(autotune, name), name
         assert callable(repro.sim.make_fault_simulator)
         assert callable(repro.sim.make_sequence_simulator)
 
@@ -103,6 +110,17 @@ class TestSessionFacadeSurface:
                 assert not hasattr(module, name), name
                 assert name not in module.__all__, name
         assert not hasattr(repro.Session, "worker_pool")
+
+    def test_session_holds_no_simulator_registry(self):
+        """Simulators hold nothing to release: no scope, no registry and
+        no close hooks remain on them."""
+        for name in ("scope", "profile", "calibrate", "_register"):
+            assert not hasattr(repro.Session, name), name
+        from repro.bist import BistSession
+
+        for cls in (repro.FaultSimulator, repro.SequenceBatchSimulator, BistSession):
+            for name in ("close", "__enter__", "__exit__"):
+                assert not hasattr(cls, name), (cls.__name__, name)
 
 
 class TestConfigJsonRoundTrips:

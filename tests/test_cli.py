@@ -34,6 +34,36 @@ class TestParser:
         assert "'python', 'native', 'auto'" in err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["calibrate"], id="calibrate"),
+            pytest.param(["run", "--circuit", "s27", "--profile"], id="run-profile"),
+            pytest.param(
+                ["atpg", "--circuit", "s27", "--profile", "p.json"],
+                id="atpg-profile-path",
+            ),
+            pytest.param(["serve", "--no-autotune"], id="serve-no-autotune"),
+            pytest.param(["serve", "--full-calibration"], id="serve-full-calibration"),
+        ],
+    )
+    def test_calibration_options_are_gone(self, argv, capsys):
+        """The execution policy needs no measurement, so the CLI offers
+        no way to take or load one."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert argv[-1] in capsys.readouterr().err
+
+    def test_serve_help_names_the_chunk_threads(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "chunk threads" in out
+        assert "process" not in out
+        assert "calibrat" not in out and "profile" not in out
+
+
 class TestCommands:
     def test_info(self, capsys):
         assert main(["info"]) == 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from dataclasses import replace
+from contextlib import contextmanager
 
 import pytest
 
@@ -28,7 +28,6 @@ from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
 from repro.faults.universe import FaultUniverse
 from repro.sim import workerpool
-from repro.sim.autotune import static_profile
 from repro.sim.backend import (
     backend_unavailable_reason,
     dispatch_counters,
@@ -92,13 +91,44 @@ def _until_pooled(pool_chunks, check, attempts=20) -> None:
     """Repeat the parity ``check`` until a chunk has run on a pool thread.
 
     The caller drains chunks too, so a test-sized dispatch can finish
-    every chunk before a helper wakes; each attempt checks parity again.
+    every chunk before a helper wakes: on a busy 2-core host a two-chunk
+    dispatch did so up to 27 times in a row.  The first attempt runs the
+    pool as it is; later ones hold the calling thread back until a
+    helper has claimed a chunk (see :func:`_caller_waits_for_a_helper`).
+    Each attempt checks parity again.
     """
-    for _ in range(attempts):
-        check()
-        if pool_chunks():
-            return
+    check()
+    if pool_chunks():
+        return
+    with _caller_waits_for_a_helper():
+        for _ in range(attempts - 1):
+            check()
+            if pool_chunks():
+                return
     pytest.fail(f"no chunk ran on a pool thread in {attempts} attempts")
+
+
+@contextmanager
+def _caller_waits_for_a_helper(timeout=1.0):
+    """Multi-chunk dispatches start on a helper thread.
+
+    The calling thread drains only once a helper has claimed a chunk (or
+    ``timeout`` seconds have passed), a schedule the pool may always
+    take, so parity checked under it still crosses threads.  One-chunk
+    dispatches have no helper and are left alone.
+    """
+    drain = workerpool._Dispatch.drain
+
+    def held_back(dispatch, on_pool):
+        if not on_pool and len(dispatch._chunks) > 1:
+            deadline = time.monotonic() + timeout
+            while dispatch._claimed == 0 and time.monotonic() < deadline:
+                time.sleep(0.0005)
+        drain(dispatch, on_pool)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(workerpool._Dispatch, "drain", held_back)
+        yield
 
 
 def _kept_plan(t0, udet, spans):
@@ -335,6 +365,17 @@ class TestFactories:
         compiled = syn298[0]
         assert make_fault_simulator(compiled, backend="native", workers=0).threads == 3
 
+    @needs_native
+    @pytest.mark.parametrize(
+        "factory", [make_fault_simulator, make_sequence_simulator]
+    )
+    def test_explicit_count_runs_as_asked(self, syn298, factory, monkeypatch):
+        """Nothing measured overrides the client: on two cores
+        ``workers=2`` builds two chunk threads."""
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "2")
+        compiled = syn298[0]
+        assert factory(compiled, backend="native", workers=2).threads == 2
+
     def test_serial_tier_stays_serial(self, syn298):
         compiled, _, _ = syn298
         simulator = make_fault_simulator(compiled, workers=4, parallel="serial")
@@ -345,19 +386,6 @@ class TestFactories:
         monkeypatch.setenv("REPRO_ASSUME_CPUS", "1")
         compiled, _, _ = syn298
         assert make_fault_simulator(compiled, backend="native", workers=4).threads == 1
-
-    @needs_native
-    def test_calibrated_win_overrides_single_core_fallback(
-        self, syn298, monkeypatch
-    ):
-        """A measured multi-thread win outranks the one-core guess."""
-        compiled = syn298[0]
-        monkeypatch.setenv("REPRO_ASSUME_CPUS", "1")
-        profile = replace(static_profile(), workers=2, source="calibrated")
-        simulator = make_fault_simulator(
-            compiled, backend="native", workers=2, profile=profile
-        )
-        assert simulator.threads == 2
 
     @needs_native
     @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Serving layer: session lifecycle, fair scheduling, service parity.
 
-The contract under test is the ISSUE's acceptance criterion: a warm
+The contract under test: a warm
 service handling concurrent submissions from several tenants returns
 results *bit-identical* (equal :meth:`RunResult.fingerprint`) to running
 the same :class:`RunRequest` directly on a local :class:`repro.Session`,
@@ -16,7 +16,6 @@ from __future__ import annotations
 import asyncio
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import pytest
 
@@ -27,26 +26,9 @@ from repro.core.request import RunRequest
 from repro.core.session import Session, use_session
 from repro.errors import ReproError
 from repro.serve import FairScheduler, HttpFrontend, JobService, plan_execution
-from repro.sim.autotune import MachineProfile, static_profile
+from repro.sim.workerpool import cpu_count
 
 S27_REQUEST = RunRequest(kind="scheme", circuit="s27")
-
-
-def calibrated_profile(workers: int) -> MachineProfile:
-    """A hand-built calibrated profile (no measurement in unit tests)."""
-    base = static_profile()
-    return MachineProfile(
-        cpu_count=base.cpu_count,
-        workers=workers,
-        backend=base.backend,
-        fault_batch_width=base.fault_batch_width,
-        search_batch_width=base.search_batch_width,
-        omission_batch_width=base.omission_batch_width,
-        fault_thread_speedup=2.0 if workers > 1 else 0.5,
-        candidate_thread_speedup=2.0 if workers > 1 else 0.5,
-        source="calibrated",
-        notes=("synthetic test profile",),
-    )
 
 
 class TestFairScheduler:
@@ -85,50 +67,44 @@ class TestPlanExecution:
         # The one-core fallback is part of the policy; pin the machine.
         monkeypatch.setenv("REPRO_ASSUME_CPUS", "4")
 
-    def test_no_profile_passes_request_through(self):
-        plan = plan_execution(S27_REQUEST, None)
+    def test_default_request_passes_through(self):
+        plan = plan_execution(S27_REQUEST)
         assert plan.request is S27_REQUEST
-        assert plan.source == "client"
         assert plan.workers == 1
 
-    def test_calibrated_serial_overrides_explicit_shard_request(self):
-        """The measured verdict beats the client's workers=4 ask."""
-        profile = calibrated_profile(workers=1)
+    def test_explicit_count_is_planned_as_asked(self):
         request = RunRequest(
             kind="scheme",
             circuit="s27",
-            selection=repro.SelectionConfig(workers=4),
+            selection=repro.SelectionConfig(workers=2),
         )
-        plan = plan_execution(request, profile)
-        assert plan.workers == 1
-        assert plan.request.selection.workers == 1
-        assert any("overrode" in note for note in plan.notes)
+        plan = plan_execution(request)
+        assert (plan.parallel, plan.workers) == ("threads", 2)
+        assert plan.request.selection.workers == 2
 
-    def test_auto_workers_resolve_to_measured_recommendation(self):
-        profile = calibrated_profile(workers=2)
+    def test_auto_workers_resolve_to_one_per_core(self):
         request = RunRequest(
             kind="scheme",
             circuit="s27",
             selection=repro.SelectionConfig(workers=0),
         )
-        plan = plan_execution(request, profile)
-        assert plan.workers == 2
-        assert plan.request.selection.workers == 2
-        assert plan.source == "calibrated"
+        plan = plan_execution(request)
+        assert plan.workers == 4
+        assert plan.request.selection.workers == 4
 
-    def test_static_profile_leaves_explicit_request_alone(self):
+    def test_atpg_request_count_stays(self):
         request = RunRequest(
             kind="atpg",
             circuit="s27",
             atpg=AtpgConfig(workers=3),
         )
-        plan = plan_execution(request, static_profile())
+        plan = plan_execution(request)
         assert plan.workers == 3
         assert plan.request.atpg.workers == 3
 
     def test_plan_json_carries_the_tier(self):
-        payload = plan_execution(S27_REQUEST, None).to_json()
-        assert payload["parallel"] == "serial"
+        payload = plan_execution(S27_REQUEST).to_json()
+        assert payload == {"workers": 1, "parallel": "serial"}
 
     def test_process_tier_is_rejected(self):
         """The deleted process tier is an unknown parallel mode."""
@@ -137,42 +113,42 @@ class TestPlanExecution:
         with pytest.raises(ValueError, match="parallel"):
             AtpgConfig(workers=4, parallel="processes")
 
-    def test_auto_plans_chunk_threads(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSUME_CPUS", "4")
+    def test_auto_plans_chunk_threads(self):
         request = RunRequest(
             kind="scheme",
             circuit="s27",
             selection=repro.SelectionConfig(workers=0),
         )
-        plan = plan_execution(request, calibrated_profile(workers=4))
+        plan = plan_execution(request)
         assert (plan.parallel, plan.workers) == ("threads", 4)
         assert plan.request.selection.parallel == "threads"
 
-    def test_calibrated_serial_verdict_plans_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSUME_CPUS", "4")
-        profile = replace(calibrated_profile(workers=4), parallel_mode="serial")
+    def test_one_core_plans_serial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "1")
         request = RunRequest(
             kind="scheme",
             circuit="s27",
             selection=repro.SelectionConfig(workers=4),
         )
-        plan = plan_execution(request, profile)
+        plan = plan_execution(request)
         assert (plan.parallel, plan.workers) == ("serial", 1)
         assert plan.request.selection.workers == 1
 
-    def test_explicit_serial_and_threads_stay(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSUME_CPUS", "4")
-        profile = replace(calibrated_profile(workers=4), parallel_mode="serial")
+    def test_explicit_serial_and_threads_stay(self):
         for tier in ("serial", "threads"):
             request = RunRequest(
                 kind="scheme",
                 circuit="s27",
                 selection=repro.SelectionConfig(workers=4, parallel=tier),
             )
-            assert plan_execution(request, profile).parallel == tier
+            assert plan_execution(request).parallel == tier
 
 
 class TestSessionLifecycle:
+    def test_session_takes_no_profile(self):
+        with pytest.raises(TypeError, match="profile"):
+            Session(profile=None)
+
     def test_close_is_idempotent(self):
         session = Session()
         session.close()
@@ -184,15 +160,6 @@ class TestSessionLifecycle:
         session.close()
         with pytest.raises(ReproError, match="closed"):
             session.compile(s27)
-
-    def test_scope_closes_only_scoped_simulators(self, s27):
-        with Session() as session:
-            outer = session.fault_simulator(s27)
-            with session.scope():
-                inner = session.fault_simulator(s27)
-            # Closing inner twice (scope + session close) must stay silent.
-            inner.close()
-            outer.run(repro.paper_t0_s27(), [])
 
     def test_use_session_borrowed_keeps_caller_session_open(self):
         with Session() as session:
@@ -309,23 +276,24 @@ class TestSessionLifecycle:
         assert warm.fingerprint() == cold.fingerprint()
         assert cold.circuit_hash == hash_circuit(load_circuit_by_name("s27"))
 
-    def test_profile_thread_win_overrides_static_single_core_fallback(
+    def test_session_simulators_follow_the_policy(
         self, s27, monkeypatch, require_backend
     ):
-        """Calibration demonstrably replaces the static threshold.
-
-        On a 1-CPU machine the static policy always falls back to a
-        serial simulator even for workers=2; a calibrated profile that
-        measured a thread win keeps the threads.
-        """
+        """A session simulator is serial when ``workers`` is omitted or
+        one core is usable, and threaded as asked otherwise."""
         require_backend("native")
-        monkeypatch.setenv("REPRO_ASSUME_CPUS", "1")
         with Session() as session:
-            static_sim = session.fault_simulator(s27, workers=2, backend="native")
-            assert static_sim.threads == 1
-        with Session(profile=calibrated_profile(workers=2)) as session:
-            forced = session.fault_simulator(s27, workers=2, backend="native")
-            assert forced.threads == 2
+            monkeypatch.setenv("REPRO_ASSUME_CPUS", "2")
+            assert session.fault_simulator(s27, backend="native").threads == 1
+            assert (
+                session.fault_simulator(s27, workers=2, backend="native").threads
+                == 2
+            )
+            monkeypatch.setenv("REPRO_ASSUME_CPUS", "1")
+            assert (
+                session.sequence_simulator(s27, workers=2, backend="native").threads
+                == 1
+            )
 
 
 class TestRunDispatches:
@@ -353,15 +321,26 @@ class TestExecutionRecord:
         assert execution["workers_requested"] == 0
         assert (execution["parallel"], execution["workers"]) == ("threads", 2)
 
-    @pytest.mark.parametrize("profile_kind", ["static", "calibrated"])
-    def test_two_lane_plans_match_what_ran(self, profile_kind, monkeypatch):
+    def test_execution_record_keys(self):
+        """What ran, as asked and as resolved, plus the dispatch counts:
+        no profile and no planner notes."""
+        with Session() as session:
+            execution = session.run(S27_REQUEST).execution
+        assert set(execution) == {
+            "backend",
+            "parallel_requested",
+            "parallel",
+            "workers_requested",
+            "workers",
+            "dispatches",
+        }
+
+    @pytest.mark.parametrize("cpus", ["2", "1"])
+    def test_two_lane_plans_match_what_ran(self, cpus, monkeypatch):
         """The service plans each job once and the Session re-resolves
-        the planned request: both must name the same tier and count."""
-        monkeypatch.setenv("REPRO_ASSUME_CPUS", "2")
-        if profile_kind == "static":
-            profile = static_profile()
-        else:
-            profile = replace(calibrated_profile(workers=2), fault_thread_speedup=1.5)
+        the planned request: both must name the same tier and count, on
+        one core as on two."""
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", cpus)
         selections = [
             None,
             repro.SelectionConfig(workers=0),
@@ -370,7 +349,7 @@ class TestExecutionRecord:
         ]
 
         async def main():
-            async with JobService(profile=profile, lanes=2) as service:
+            async with JobService(lanes=2) as service:
                 ids = [
                     await service.submit(
                         "t",
@@ -380,19 +359,51 @@ class TestExecutionRecord:
                 ]
                 return [await service.wait(job_id) for job_id in ids]
 
-        for job in asyncio.run(main()):
+        jobs = asyncio.run(main())
+        for job in jobs:
             assert job.status == "done", job.error
             execution = job.result.execution
             assert (job.plan.parallel, job.plan.workers) == (
                 execution["parallel"],
                 execution["workers"],
             )
+        if cpus == "1":
+            assert {(job.plan.parallel, job.plan.workers) for job in jobs} == {
+                ("serial", 1)
+            }
+
+    def test_served_requests_run_the_client_count(self, monkeypatch):
+        """On two cores a served ``workers=2`` request is planned and run
+        as two chunk threads, and ``workers=0`` as one per core."""
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "2")
+        requests = [
+            RunRequest(
+                kind="scheme",
+                circuit="s27",
+                selection=repro.SelectionConfig(workers=workers),
+            )
+            for workers in (2, 0)
+        ]
+
+        async def main():
+            async with JobService() as service:
+                ids = [await service.submit("t", request) for request in requests]
+                return [await service.wait(job_id) for job_id in ids]
+
+        explicit, auto = asyncio.run(main())
+        for job, expected in ((explicit, ("threads", 2)), (auto, ("threads", 2))):
+            assert job.status == "done", job.error
+            assert (job.plan.parallel, job.plan.workers) == expected
+            execution = job.result.execution
+            assert (execution["parallel"], execution["workers"]) == expected
+            assert "profile" not in execution and "notes" not in execution
+        assert auto.plan.workers == cpu_count() == 2
 
 
 class TestJobService:
     def test_two_tenants_bit_identical_to_direct_session(self):
         async def main():
-            async with JobService(profile=static_profile()) as service:
+            async with JobService() as service:
                 job_a = await service.submit("tenant-a", S27_REQUEST)
                 job_b = await service.submit("tenant-b", S27_REQUEST)
                 return await service.wait(job_a), await service.wait(job_b)
@@ -408,7 +419,7 @@ class TestJobService:
 
     def test_second_request_reuses_first_requests_trace(self):
         async def main():
-            async with JobService(profile=static_profile()) as service:
+            async with JobService() as service:
                 first = await service.wait(
                     await service.submit("tenant-a", S27_REQUEST)
                 )
@@ -429,7 +440,7 @@ class TestJobService:
 
     def test_failed_job_reports_error_and_service_survives(self):
         async def main():
-            async with JobService(profile=static_profile()) as service:
+            async with JobService() as service:
                 bad = await service.wait(
                     await service.submit("t", RunRequest(kind="scheme", circuit="no-such"))
                 )
@@ -445,7 +456,7 @@ class TestJobService:
 
     def test_submit_before_start_rejected(self):
         async def main():
-            service = JobService(profile=static_profile())
+            service = JobService()
             with pytest.raises(ReproError, match="before start"):
                 await service.submit("t", S27_REQUEST)
 
@@ -455,12 +466,28 @@ class TestJobService:
         with pytest.raises(ReproError, match="lane"):
             JobService(lanes=0)
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("autotune", False),
+            ("quick_calibration", True),
+            ("profile_path", "machine_profile.json"),
+        ],
+    )
+    def test_calibration_options_are_gone(self, option, value):
+        """The service starts without measuring the machine."""
+        with pytest.raises(TypeError, match=option):
+            JobService(**{option: value})
+        service = JobService()
+        assert not hasattr(service, "profile")
+        assert "profile" not in service.stats()
+
     def test_two_lanes_serve_two_tenants_bit_identical(self):
         """The acceptance criterion: lanes=2, concurrent tenants, exact
         fingerprints against a direct Session.run of the same request."""
 
         async def main():
-            async with JobService(profile=static_profile(), lanes=2) as service:
+            async with JobService(lanes=2) as service:
                 results = await asyncio.gather(
                     service.run("tenant-a", S27_REQUEST),
                     service.run("tenant-b", S27_REQUEST),
@@ -502,7 +529,7 @@ class TestJobService:
             serial = [session.run(request(c, "serial")).fingerprint() for c in circuits]
 
         async def main():
-            async with JobService(profile=static_profile(), lanes=2) as service:
+            async with JobService(lanes=2) as service:
                 return await asyncio.gather(
                     *(
                         service.run(f"tenant-{c}", request(c, "threads"))
@@ -532,7 +559,7 @@ class TestJobService:
         barrier = threading.Barrier(2, timeout=30)
 
         async def main():
-            async with JobService(profile=static_profile(), lanes=2) as service:
+            async with JobService(lanes=2) as service:
                 real_run = service._session.run
 
                 def rendezvous_run(request):
@@ -548,10 +575,11 @@ class TestJobService:
         result_a, result_b = asyncio.run(main())
         assert result_a.fingerprint() == result_b.fingerprint()
 
-    def test_plan_recorded_on_job(self):
+    def test_plan_recorded_on_job(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "1")
+
         async def main():
-            profile = calibrated_profile(workers=1)
-            async with JobService(profile=profile) as service:
+            async with JobService() as service:
                 request = RunRequest(
                     kind="scheme",
                     circuit="s27",
@@ -561,8 +589,25 @@ class TestJobService:
 
         job = asyncio.run(main())
         assert job.status == "done", job.error
-        assert job.plan.workers == 1
-        assert job.plan.source == "calibrated"
+        assert (job.plan.parallel, job.plan.workers) == ("serial", 1)
+        assert job.to_json()["plan"] == {"workers": 1, "parallel": "serial"}
+
+    def test_benchmark_compat_seam(self):
+        """The end-to-end benchmark builds
+        ``JobService(profile=static_profile(), lanes=2)``; the stub keeps
+        that running.  Delete with the stub once the benchmark stops."""
+        from repro.sim.autotune import static_profile
+
+        async def main():
+            service = JobService(profile=static_profile(), lanes=2)
+            async with service:
+                return service.lanes, await service.run("t", S27_REQUEST)
+
+        lanes, result = asyncio.run(main())
+        assert static_profile() is None
+        assert lanes == 2
+        with Session() as session:
+            assert result.fingerprint() == session.run(S27_REQUEST).fingerprint()
 
 
 class TestConcurrentSession:
@@ -577,9 +622,8 @@ class TestConcurrentSession:
                 fingerprints = {f.result().fingerprint() for f in futures}
         assert fingerprints == {reference}
 
-    def test_concurrent_scopes_close_only_their_own_simulators(self, s27):
-        """Each thread's scope frame is private: a scope exiting on one
-        thread must not close the simulator another thread still runs."""
+    def test_concurrent_simulators_from_one_session(self, s27):
+        """Two threads mint and run simulators on one session at once."""
         import threading
 
         with Session() as session:
@@ -588,10 +632,9 @@ class TestConcurrentSession:
 
             def worker():
                 try:
-                    with session.scope():
-                        simulator = session.fault_simulator(s27)
-                        ready.wait()  # both scopes hold a live simulator
-                        simulator.run(repro.paper_t0_s27(), [])
+                    simulator = session.fault_simulator(s27)
+                    ready.wait()  # both threads hold a live simulator
+                    simulator.run(repro.paper_t0_s27(), [])
                 except Exception as exc:  # pragma: no cover - failure path
                     errors.append(exc)
 
@@ -621,15 +664,14 @@ async def _http_request(port: int, method: str, path: str, payload=None):
 class TestHttpFrontend:
     def test_full_round_trip_matches_direct_run(self):
         async def main():
-            async with JobService(profile=static_profile()) as service:
+            async with JobService() as service:
                 async with HttpFrontend(service) as http:
                     port = http.port
                     status, health = await _http_request(port, "GET", "/healthz")
                     assert (status, health) == (200, {"status": "ok"})
 
-                    status, prof = await _http_request(port, "GET", "/profile")
-                    assert status == 200
-                    assert prof["profile"]["source"] == "static"
+                    status, _ = await _http_request(port, "GET", "/profile")
+                    assert status == 404
 
                     status, submitted = await _http_request(
                         port,
@@ -649,6 +691,7 @@ class TestHttpFrontend:
                     status, stats = await _http_request(port, "GET", "/stats")
                     assert status == 200
                     assert stats["completed_by_tenant"] == {"http-tenant": 1}
+                    assert "profile" not in stats
                     return job
 
         job = asyncio.run(main())
@@ -658,7 +701,7 @@ class TestHttpFrontend:
 
     def test_error_paths(self):
         async def main():
-            async with JobService(profile=static_profile()) as service:
+            async with JobService() as service:
                 async with HttpFrontend(service) as http:
                     port = http.port
                     status, _ = await _http_request(port, "GET", "/jobs/nope")
@@ -679,7 +722,7 @@ class TestHttpFrontend:
         request["selection"] = {"backend": backend}
 
         async def main():
-            async with JobService(profile=static_profile()) as service:
+            async with JobService() as service:
                 async with HttpFrontend(service) as http:
                     status, body = await _http_request(
                         http.port, "POST", "/jobs", {"tenant": "t", "request": request}
@@ -702,7 +745,7 @@ class TestHttpFrontend:
         request[section] = {field: value}
 
         async def main():
-            async with JobService(profile=static_profile()) as service:
+            async with JobService() as service:
                 async with HttpFrontend(service) as http:
                     status, body = await _http_request(
                         http.port, "POST", "/jobs", {"tenant": "t", "request": request}

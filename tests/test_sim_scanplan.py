@@ -210,7 +210,8 @@ class TestExecutorParity:
             )
             for name, plan in plans.items()
         }
-        with fanned_out(), self._simulator(compiled, backend, tier) as simulator:
+        simulator = self._simulator(compiled, backend, tier)
+        with fanned_out():
             for name, plan in plans.items():
                 label = f"{name}/{tier}/{backend}/{reference_scan}"
                 observed = (
@@ -237,7 +238,8 @@ class TestExecutorParity:
             compiled, backend, reference_scan, base_loop_backend
         )
         expected_single = reference.first_hit(fault, single_plan, chunk=8)
-        with fanned_out(), self._simulator(compiled, backend, tier) as simulator:
+        simulator = self._simulator(compiled, backend, tier)
+        with fanned_out():
             label = f"{tier}/{backend}/{reference_scan}"
             assert simulator.scan(fault, empty_plan) == [], label
             assert simulator.first_hit(fault, empty_plan, chunk=8) == (
