@@ -11,8 +11,9 @@ session up with the benchmark's warm-up op and checks every op against
 ``e2ebench/expected.json`` and the declared execution (native kernel,
 serial).  Only the op itself is profiled; building its input and
 checking its output run with the profiler off.  It prints the total
-function calls and the top rows by self time, and fails if any op
-failed its check.
+function calls, the top rows by self time and, per op, the native
+scans' evaluated-op counters (the faulty machines' ops as a share of
+the good machine's, per axis), and fails if any op failed its check.
 """
 
 from __future__ import annotations
@@ -30,28 +31,55 @@ import worker  # noqa: E402
 import workloads  # noqa: E402
 
 
+#: The scan axes whose ``{axis}_faulty_ops`` / ``{axis}_good_ops``
+#: dispatch counters the native kernel reports.
+AXES = ("fault_axis", "candidate_axis")
+
+
 def profile_ops(
     workload: str, ops: int, seed: int
-) -> tuple[pstats.Stats, list[str]]:
-    """Profile ``ops`` warm ops; return the stats and any check failures."""
+) -> tuple[pstats.Stats, list[str], dict[str, int]]:
+    """Profile ``ops`` warm ops; return the stats, any check failures and
+    the dispatch counters the ops added."""
+    from repro.sim.backend import dispatch_counters
+
     runner = worker.RUNNERS[workload]()
     op_list = workloads.op_list(workload, seed, workloads.load_expected(), ops)
     profiler = cProfile.Profile()
     failures = []
+    counters: dict[str, int] = {}
     try:
         for op in op_list:
             inputs = runner.prepare(op)
+            before = dispatch_counters()
             profiler.enable()
             try:
                 output = runner.execute(inputs)
             finally:
                 profiler.disable()
+            after = dispatch_counters()
+            for kind, value in after.items():
+                counters[kind] = counters.get(kind, 0) + value - before.get(kind, 0)
             problem = runner.check(op, output)
             if problem is not None:
                 failures.append(f"op {op.index} ({op.key}): {problem}")
     finally:
         runner.close()
-    return pstats.Stats(profiler), failures
+    return pstats.Stats(profiler), failures, counters
+
+
+def scan_op_lines(counters: dict[str, int], ops: int) -> list[str]:
+    """Per-op evaluated-op counters of each scan axis."""
+    lines = []
+    for axis in AXES:
+        faulty = counters.get(f"{axis}_faulty_ops", 0)
+        good = counters.get(f"{axis}_good_ops", 0)
+        share = f"{faulty / good:.1%}" if good else "n/a"
+        lines.append(
+            f"{axis}: {faulty / ops:,.0f} faulty ops/op, {good / ops:,.0f} good "
+            f"ops/op (faulty ops evaluated per scan step: {share} of the op list)"
+        )
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -63,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.ops < 1:
         parser.error("--ops must be >= 1")
-    stats, failures = profile_ops(args.workload, args.ops, args.seed)
+    stats, failures, counters = profile_ops(args.workload, args.ops, args.seed)
     out = io.StringIO()
     stats.stream = out
     stats.sort_stats("tottime").print_stats(args.top)
@@ -71,6 +99,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{args.workload}: {args.ops} warm ops, {stats.total_calls} calls "
         f"({stats.prim_calls} primitive) in {stats.total_tt:.3f} s"
     )
+    for line in scan_op_lines(counters, args.ops):
+        print(line)
     print(out.getvalue())
     for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)

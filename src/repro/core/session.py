@@ -30,7 +30,8 @@ single facade in front of all of it:
   ``workers`` and ``parallel`` through
   :func:`~repro.sim.workerpool.resolve_execution`, the one place that
   picks a tier and a thread count; omitting ``workers`` on a session
-  simulator stays serial.  :meth:`run` records the resolved tier and
+  simulator stays serial, and a run whose engines all hold the GIL is
+  serial whatever it asks.  :meth:`run` records the resolved tier and
   count in ``RunResult.execution``.
 * **Requests run to results.**  :meth:`Session.run` executes a
   :class:`~repro.core.request.RunRequest` (scheme or ATPG) and returns a
@@ -51,6 +52,7 @@ from repro.core.config import SelectionConfig
 from repro.core.request import RunRequest, RunResult, circuit_content_hash
 from repro.core.sequence import TestSequence
 from repro.errors import ReproError
+from repro.sim.backend import engines_release_gil
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.trace import GoodTraceCache, get_trace_cache
 from repro.sim.workerpool import resolve_execution
@@ -189,13 +191,14 @@ class Session:
         circuit: str | Circuit | CompiledCircuit,
         batch_width: int | None = None,
         backend: str | None = None,
-        workers: int | None = None,
+        workers: int | None = 1,
         parallel: str | None = None,
     ):
         """A parallel-fault simulator on the session's compiled circuit.
 
         :func:`repro.sim.faultsim.make_fault_simulator` resolves
-        ``workers`` and ``parallel``; an omitted ``workers`` is serial.
+        ``workers`` and ``parallel`` (``None`` and ``0`` mean one per
+        core); an omitted ``workers`` is serial.
         """
         from repro.sim.faultsim import DEFAULT_BATCH_WIDTH, make_fault_simulator
 
@@ -204,7 +207,7 @@ class Session:
             self.compile(circuit),
             batch_width=DEFAULT_BATCH_WIDTH if batch_width is None else batch_width,
             backend=backend,
-            workers=1 if workers is None else workers,
+            workers=workers,
             parallel=parallel,
         )
 
@@ -213,7 +216,7 @@ class Session:
         circuit: str | Circuit | CompiledCircuit,
         batch_width: int | None = None,
         backend: str | None = None,
-        workers: int | None = None,
+        workers: int | None = 1,
         parallel: str | None = None,
     ):
         """A candidate-scan simulator, resolved as :meth:`fault_simulator`."""
@@ -226,7 +229,7 @@ class Session:
                 DEFAULT_SEQ_BATCH_WIDTH if batch_width is None else batch_width
             ),
             backend=backend,
-            workers=1 if workers is None else workers,
+            workers=workers,
             parallel=parallel,
         )
 
@@ -278,7 +281,7 @@ class Session:
         from repro.sim.backend import dispatch_counters
 
         self._check_open()
-        compiled = self._request_circuit(request)
+        compiled = self.request_circuit(request)
         before = dispatch_counters()
         if request.kind == "atpg":
             outcome = self._run_atpg(request, compiled)
@@ -296,7 +299,8 @@ class Session:
         }
         return outcome
 
-    def _request_circuit(self, request: RunRequest) -> CompiledCircuit:
+    def request_circuit(self, request: RunRequest) -> CompiledCircuit:
+        """The session's compiled circuit for ``request`` (catalog or bench)."""
         if request.bench is not None:
             return self.compile_bench(
                 request.bench, name=request.circuit or "uploaded"
@@ -315,9 +319,14 @@ class Session:
                 self._schemes[key] = scheme
         return scheme
 
-    def _execution_record(self, config) -> dict:
-        """What ran: the tier and count the factories resolved ``config`` to."""
-        tier, count = resolve_execution(config.parallel, config.workers)
+    def _execution_record(self, config, compiled: CompiledCircuit) -> dict:
+        """What ran: the tier and count the factories resolved ``config``
+        to, serial when no engine of the run releases the GIL."""
+        tier, count = resolve_execution(
+            config.parallel,
+            config.workers,
+            engines_release_gil(compiled, config.backend),
+        )
         return {
             "backend": config.backend,
             "parallel_requested": config.parallel,
@@ -372,7 +381,7 @@ class Session:
             circuit_name=res.circuit_name,
             circuit_hash=self._key(compiled),
             data=data,
-            execution=self._execution_record(selection_config),
+            execution=self._execution_record(selection_config, compiled),
             timings={
                 "t0_simulation_seconds": res.t0_simulation_seconds,
                 "procedure1_seconds": res.procedure1_seconds,
@@ -408,7 +417,7 @@ class Session:
             circuit_name=atpg_result.circuit_name,
             circuit_hash=self._key(compiled),
             data=data,
-            execution=self._execution_record(config),
+            execution=self._execution_record(config, compiled),
             timings={"atpg_seconds": seconds},
             trace_stats=self.trace_cache(compiled).stats(),
             label=request.label,

@@ -12,7 +12,8 @@ trivially unit-testable:
   to the tier and worker count
   :func:`~repro.sim.workerpool.resolve_execution` picks for it: a
   client leaving ``workers=0`` ("auto") gets one thread per usable
-  core, and any request on a one-core machine is planned serial.  The
+  core, and any request on a one-core machine, or whose engines all
+  hold the GIL on its circuit, is planned serial.  The
   :class:`~repro.core.session.Session` resolves the rewritten request
   to the same plan, so the plan is what runs.
 """
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 from repro.atpg.config import AtpgConfig
 from repro.core.config import SelectionConfig
 from repro.core.request import RunRequest
+from repro.sim.backend import engines_release_gil
 from repro.sim.workerpool import resolve_execution
 
 
@@ -40,19 +42,26 @@ class ExecutionPlan:
         return {"workers": self.workers, "parallel": self.parallel}
 
 
-def plan_execution(request: RunRequest) -> ExecutionPlan:
+def plan_execution(request: RunRequest, compiled=None) -> ExecutionPlan:
     """Resolve ``request``'s execution.
 
     The request's own config (its defaults when it carries none) goes
     through :func:`~repro.sim.workerpool.resolve_execution`, and the
     returned request carries the resolved tier and count so nothing
-    downstream re-decides differently.
+    downstream re-decides differently.  ``compiled`` is the request's
+    circuit, which decides whether its engines release the GIL
+    (:func:`~repro.sim.backend.engines_release_gil`); without it they
+    are assumed to.
     """
     if request.kind == "atpg":
         config = request.atpg or AtpgConfig()
     else:
         config = request.selection or SelectionConfig()
-    tier, count = resolve_execution(config.parallel, config.workers)
+    tier, count = resolve_execution(
+        config.parallel,
+        config.workers,
+        compiled is None or engines_release_gil(compiled, config.backend),
+    )
     return ExecutionPlan(
         request=request.with_workers(count).with_parallel(tier),
         workers=count,

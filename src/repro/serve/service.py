@@ -20,7 +20,8 @@ Submission, status polling and completion waits are all
 ``asyncio``-friendly and the order of dispatch is the per-tenant
 round-robin of :class:`~repro.serve.scheduler.FairScheduler`, never raw
 FIFO.  Every job's tier and worker count are planned once, at
-submission (:func:`~repro.serve.scheduler.plan_execution`).
+submission (:func:`~repro.serve.scheduler.plan_execution`, on the
+session's compiled circuit).
 """
 
 from __future__ import annotations
@@ -170,12 +171,16 @@ class JobService:
             raise ReproError("JobService.submit before start()")
         if not tenant:
             raise ReproError("a job needs a non-empty tenant name")
+        try:
+            compiled = self._session.request_circuit(request)
+        except ReproError:
+            compiled = None  # the job fails with this error when it runs
         self._counter += 1
         job = Job(
             id=f"job-{self._counter:06d}",
             tenant=tenant,
             request=request,
-            plan=plan_execution(request),
+            plan=plan_execution(request, compiled),
         )
         self._jobs[job.id] = job
         self._scheduler.push(tenant, job)

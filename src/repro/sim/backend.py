@@ -88,8 +88,13 @@ PROGRAM_CACHE_SIGNAL_BUDGET = 4_000_000
 #: Process-wide backend-boundary dispatch counters.  ``native_ffi_calls``
 #: counts actual ctypes crossings into the C kernel; ``scan_calls`` /
 #: ``scan_steps`` count whole-sequence scans and the time steps they
-#: simulated; ``trace_calls`` / ``trace_steps`` count fault-free traces
-#: (:meth:`SimBackend.run_good_trace`) and their vectors;
+#: simulated; ``fault_axis_faulty_ops`` / ``fault_axis_good_ops`` and
+#: ``candidate_axis_faulty_ops`` / ``candidate_axis_good_ops`` the ops
+#: the native kernel evaluated per axis for the faulty and the good
+#: machines, summed over scan steps (an op evaluated in several words of
+#: a step counts once); ``trace_calls`` / ``trace_steps`` count
+#: fault-free traces (:meth:`SimBackend.run_good_trace`) and their
+#: vectors;
 #: ``program_compiles`` counts program-cache misses
 #: (:meth:`SimBackend.program`) and ``session_repacks`` the times a
 #: :class:`~repro.sim.faultsim.FaultSimSession` re-packed its live
@@ -210,6 +215,49 @@ class ScanDivergence:
                 self.maximum[slot] = count
             self.final[slot] = count
             self.area[slot] += count
+
+
+class GoodMachine:
+    """The fault-free machine a fault-axis :meth:`SimBackend.run_scan` checks.
+
+    Every batch of one fault-axis dispatch compares against the same
+    good machine: ``state`` is its per-flop start state (``None`` =
+    all-X).  Engines that run it inside their scan (the native kernel)
+    read ``state`` and, after a scan that collects final states, set
+    ``final_state``.  The others read its observation plan row by row
+    (:meth:`row`, as an :class:`~repro.sim.trace.ObservationPlan`),
+    simulated on first use by ``simulate`` — a callable returning the
+    plan and the final state (``None`` when not needed).
+    """
+
+    __slots__ = ("state", "final_state", "_simulate", "_plan", "_lock")
+
+    def __init__(self, state: "list[Ternary] | None", simulate) -> None:
+        self.state = state
+        self.final_state: list[Ternary] | None = None
+        self._simulate = simulate
+        self._plan = None
+        self._lock = threading.Lock()
+
+    def plan(self):
+        """The observation plan, simulated once (chunk threads may ask)."""
+        with self._lock:
+            if self._plan is None:
+                self._plan, final_state = self._simulate()
+                if final_state is not None:
+                    self.final_state = final_state
+            return self._plan
+
+    def row(self, t: int):
+        """Step ``t``'s binary PO ``(positions, values)``."""
+        plan = self._plan
+        return (plan if plan is not None else self.plan()).row(t)
+
+    def end_state(self) -> "list[Ternary]":
+        """The final state: as a scan stored it, else simulated."""
+        if self.final_state is None:
+            self.plan()
+        return self.final_state
 
 
 class SimProgram:
@@ -477,10 +525,13 @@ class SimBackend(ABC):
           times; the masks shrink monotonically, so a drained live mask
           ends the scan).
         * **fault axis** (``observation_plan`` is the fault-free
-          machine's :class:`~repro.sim.trace.ObservationPlan`): ``good``
-          is ``None`` — the good machine is the recorded plan —
-          detection is :meth:`SimBatch.detect_mask` on the plan's row
-          ``t``, and ``alive_mask`` is one constant int mask.
+          machine: a :class:`GoodMachine`, or a bare
+          :class:`~repro.sim.trace.ObservationPlan`): ``good`` is
+          ``None``, detection is :meth:`SimBatch.detect_mask` on the
+          plan's row ``t``, and ``alive_mask`` is one constant int
+          mask.  Engines may instead run a :class:`GoodMachine`
+          themselves (the native kernel does); the plan is the
+          specification they match.
 
         ``packed_stimulus`` supplies ``num_steps``, ``num_slots`` and
         ``load_step(t, good, faulty)`` (a candidate column packer or a
@@ -743,6 +794,19 @@ def resolve_backend_name(
     if len(compiled.ops) >= threshold and _auto_usable("native"):
         return "native"
     return "python"
+
+
+def engines_release_gil(compiled: CompiledCircuit, backend: str | None) -> bool:
+    """Whether an engine ``backend`` resolves to on ``compiled`` releases the GIL.
+
+    Either axis counts (:func:`resolve_backend_name` per axis); an
+    engine that cannot run here does not.  When none does, chunk
+    threads could only take turns, so the run is serial.
+    """
+    names = {resolve_backend_name(compiled, backend, axis) for axis in (False, True)}
+    return any(
+        _auto_usable(name) and _REGISTRY[name]().releases_gil for name in names
+    )
 
 
 def resolve_auto(

@@ -15,8 +15,10 @@ encoding — and the hot loops run in a compiled shared object (see
   candidate-axis reduction, likewise one C pass over all POs.
 * :meth:`NativeBackend.run_scan` / :meth:`NativeBackend.run_good_trace`
   — whole-sequence fault/candidate scans and the fault-free trace, each
-  one GIL-released C call per batch; candidate scans expand derived
-  candidates from the base bits inside the kernel.
+  one GIL-released C call per batch; fault-axis scans run their good
+  machine inside the call, candidate scans expand derived candidates
+  from the base bits and evaluate each faulty machine only where it
+  differs from its good machine.
 
 Input loading, state capture/interchange and the source-stem patches
 come from :class:`~repro.sim.backend_numpy.NumpyBatch`; the stepped
@@ -39,14 +41,16 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.faults.model import Fault
-from repro.logic.values import Ternary
+from repro.logic.values import ONE, X, ZERO, Ternary
 from repro.sim.backend import (
+    GoodMachine,
     ScanDivergence,
     SimBatch,
     SimProgram,
     record_dispatch,
 )
 from repro.sim.backend_numpy import (
+    _FULL_WORD,
     WORD_BITS,
     NumpyBackend,
     NumpyBatch,
@@ -162,9 +166,6 @@ class NativeBatch(NumpyBatch):
         num_pos = len(backend.po_sig)
         self._po_sa1, self._po_sa0 = program.dense_po_masks(num_pos, words)
         self._detect_out = np.zeros(words, dtype=np.uint64)
-        self._gather = np.empty(
-            (2 * max(backend.max_arity, 1), words), dtype=np.uint64
-        )
         self._eval_args: tuple | None = None
 
     def eval(self) -> None:
@@ -177,11 +178,14 @@ class NativeBatch(NumpyBatch):
         """The eval argument vector, invariant across time steps.
 
         Built on the first stepped :meth:`eval` (fused scans never need
-        it); the arrays it points into are kept alive by
-        self/backend/program.
+        it, nor its patched-pin buffers); the arrays it points into are
+        kept alive by self/backend/program.
         """
         backend = self._backend
         program = self._program
+        arity = max(backend.max_arity, 1)
+        self._gather = np.empty((2 * arity, self._words), dtype=np.uint64)
+        self._fanins = np.empty(2 * arity, dtype=np.uintp)
         return (
             _addr(self._V),
             self._words,
@@ -200,6 +204,7 @@ class NativeBatch(NumpyBatch):
             _addr(program.stem_sa0),
             len(program.stem_ops),
             _addr(self._gather),
+            _addr(self._fanins),
         )
 
     def detect_mask(self, positions: Sequence[int], values: Sequence[int]) -> int:
@@ -361,6 +366,7 @@ class NativeBackend(NumpyBackend):
                 self.c_in_off,
                 self.c_ins,
                 len(self.compiled.ops),
+                self.compiled.num_signals,
                 program.pin_ops,
                 program.pin_pins,
                 program.pin_sa1,
@@ -413,11 +419,15 @@ class NativeBackend(NumpyBackend):
         expands every slot's inputs from the base itself, ends each slot
         with its candidate and, with ``first_hit``, drops the slots
         above the lowest detecting one.  The fault axis takes the
-        sequence's bits.  The C side owns the per-step loop — input
-        load, good/faulty eval, detection, first-hit bookkeeping and the
+        sequence's bits and a :class:`~repro.sim.backend.GoodMachine`:
+        the kernel runs that good machine as one broadcast word from its
+        start state, and with ``collect_final_states`` stores its final
+        state back.  The C side owns the per-step loop — input load,
+        good/faulty eval (each faulty machine only where it differs
+        from the good one), detection, first-hit bookkeeping and the
         flop latch — and accumulates the flop divergence outputs.
-        Stimuli without an array form fall back to the stepped base
-        scan.
+        Stimuli without an array form, and fault-axis scans against a
+        bare observation plan, fall back to the stepped base scan.
         """
         paired = observation_plan is None
         if paired:
@@ -426,7 +436,11 @@ class NativeBackend(NumpyBackend):
         else:
             bits_of = getattr(packed_stimulus, "bits", None)
             # The base loop owns the fault-axis divergence rejection.
-            stepped = bits_of is None or divergence is not None
+            stepped = (
+                bits_of is None
+                or divergence is not None
+                or not isinstance(observation_plan, GoodMachine)
+            )
         if stepped:
             return super().run_scan(
                 good,
@@ -455,7 +469,7 @@ class NativeBackend(NumpyBackend):
             full_mask &= alive_mask
         pending = _mask_to_words(full_mask, words)
         times = np.full(words * WORD_BITS, -1, dtype=np.int64)
-        det = np.zeros(words, dtype=np.uint64)
+        ops = np.zeros(2, dtype=np.int64)
         # Per-slot divergence max / final / area rows; NULL pointers
         # switch the outputs off.
         div = (
@@ -484,7 +498,6 @@ class NativeBackend(NumpyBackend):
                 good._V,
                 faulty._V,
                 words,
-                faulty._gather,
                 good._SH,
                 good._SL,
                 faulty._SH,
@@ -500,22 +513,18 @@ class NativeBackend(NumpyBackend):
                 expansion.repetitions,
                 operators,
                 num_steps,
-                None,
-                None,
-                None,
             )
         else:
-            # Held until the call returns; the observation views below
-            # point into the plan's own flat buffers (never NULL, even
-            # when no PO is ever binary).
+            # Held until the call returns: the bits, and the broadcast
+            # good machine's (H, L) flop words, in/out.
             bits = np.ascontiguousarray(bits_of(), dtype=np.uint8)
+            good_state = self._broadcast_state(observation_plan.state)
             args = _c_args(
                 None,
                 faulty._V,
                 words,
-                faulty._gather,
-                None,
-                None,
+                good_state[0],
+                good_state[1],
                 faulty._SH,
                 faulty._SL,
                 None,
@@ -529,9 +538,6 @@ class NativeBackend(NumpyBackend):
                 0,
                 0,
                 num_steps,
-                np.frombuffer(observation_plan.offsets, dtype=np.int64),
-                np.frombuffer(observation_plan.positions, dtype=np.int32),
-                np.frombuffer(observation_plan.values, dtype=np.uint8),
             )
         record_dispatch("native_ffi_calls")
         executed = int(
@@ -540,12 +546,19 @@ class NativeBackend(NumpyBackend):
                 *args,
                 _addr(pending),
                 _addr(times),
-                _addr(det),
                 *div_ptrs,
+                _addr(ops),
                 int(collect_final_states),
                 int(first_hit),
             )
         )
+        if executed < 0:
+            raise MemoryError("native scan could not allocate its working memory")
+        if not paired and collect_final_states:
+            observation_plan.final_state = [
+                ONE if h & 1 else ZERO if l & 1 else X
+                for h, l in zip(*good_state.tolist())
+            ]
         found = times[:num_slots]
         if first_hit:
             # Only the lowest detecting slot's time is exact; the kernel
@@ -561,9 +574,27 @@ class NativeBackend(NumpyBackend):
             divergence.maximum[:] = div[0, :num_slots].tolist()
             divergence.final[:] = div[1, :num_slots].tolist()
             divergence.area[:] = div[2, :num_slots].tolist()
+        axis = "candidate_axis" if paired else "fault_axis"
+        faulty_ops, good_ops = ops.tolist()
+        record_dispatch(f"{axis}_faulty_ops", faulty_ops)
+        record_dispatch(f"{axis}_good_ops", good_ops)
         record_dispatch("scan_calls")
         record_dispatch("scan_steps", executed)
         return times_out
+
+    def _broadcast_state(self, state) -> np.ndarray:
+        """A fault-axis good start state as ``(2, num_flops)`` (H, L) words.
+
+        Each word is all-zero or all-one (the broadcast machine's value
+        in every slot); ``state`` ``None`` is all-X.
+        """
+        words = np.zeros((2, len(self.c_q)), dtype=np.uint64)
+        if state is not None:
+            ones = [f for f, value in enumerate(state) if value is ONE]
+            zeros = [f for f, value in enumerate(state) if value is ZERO]
+            words[0, ones] = _FULL_WORD
+            words[1, zeros] = _FULL_WORD
+        return words
 
     # ------------------------------------------------------------------
     # Fault-free trace

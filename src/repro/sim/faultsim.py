@@ -1,12 +1,14 @@
 """Bit-parallel parallel-fault simulation.
 
 One input sequence, many faults: each bit slot of the ``(H, L)`` words is
-an independent faulty machine.  The fault-free machine is simulated once
-(one slot) and its primary output values drive the detection comparison:
-fault ``f`` is detected at time ``t`` if some PO is binary in the
-fault-free machine and takes the complementary binary value in ``f``'s
-machine — the paper's detection criterion with both machines starting from
-the all-unspecified state.
+an independent faulty machine, compared against one fault-free machine
+(:class:`~repro.sim.backend.GoodMachine`): fault ``f`` is detected at
+time ``t`` if some PO is binary in the fault-free machine and takes the
+complementary binary value in ``f``'s machine — the paper's detection
+criterion with both machines starting from the all-unspecified state.
+The native kernel runs the good machine inside each scan, as one
+broadcast word; the other engines compare against its observation plan,
+traced once per sequence.
 
 Faults are simulated in batches of ``batch_width`` slots; a batch stops as
 soon as every slot has been detected (sequences detect most faults early,
@@ -47,6 +49,7 @@ from repro.logic.values import X, Ternary
 from repro.sim.backend import (
     AUTO_BACKEND,
     BroadcastStimulus,
+    GoodMachine,
     SimBackend,
     SimProgram,
     base_bits_of,
@@ -92,14 +95,15 @@ class FaultSimulator:
         # Chunk threads overlap only scans that release the GIL; other
         # engines run serially (detection times are identical either way).
         self._threads = max(1, int(threads)) if self._backend.releases_gil else 1
-        # The fault-free machine is a single slot, traced independently
-        # of the batch backend ("auto": one native kernel call per
-        # sequence at the fault axis's native crossover, else the big-int
-        # kernel).  One-shot (all-X) traces come from the session-wide
-        # cache — simulated once per (circuit, sequence) no matter how
-        # many simulators or dispatches ask; the private LogicSimulator
-        # serves sessions, whose good machine starts from an evolving
-        # state.
+        # Engines that do not run the good machine inside their scans
+        # compare against its trace, simulated as a single slot
+        # independently of the batch backend ("auto": one native kernel
+        # call per sequence at the fault axis's native crossover, else
+        # the big-int kernel).  One-shot (all-X) traces come from the
+        # session-wide cache — simulated once per (circuit, sequence) no
+        # matter how many simulators or dispatches ask; the private
+        # LogicSimulator serves sessions, whose good machine starts from
+        # an evolving state.
         self._trace_cache = get_trace_cache(self._compiled)
         self._logic = LogicSimulator(self._compiled, backend=AUTO_BACKEND)
 
@@ -131,7 +135,7 @@ class FaultSimulator:
         )
         if len(sequence) == 0 or not faults:
             return result
-        observation_plan = self._observation_plan(sequence, None)
+        good = self._good_machine(sequence)
         bits = self._stimulus_bits(sequence, one_shot=True)
         width = self._batch_width
 
@@ -140,7 +144,7 @@ class FaultSimulator:
             times: list[int | None] = []
             for low in range(start, end, width):
                 batch = faults[low : min(low + width, end)]
-                times.extend(self._run_batch(sequence, batch, observation_plan, bits))
+                times.extend(self._run_batch(sequence, batch, good, bits))
             return times
 
         # A fault's cost is the sequence, whatever its slot: chunks may
@@ -166,9 +170,9 @@ class FaultSimulator:
         """
         if len(sequence) == 0:
             return False
-        observation_plan = self._observation_plan(sequence, None)
+        good = self._good_machine(sequence)
         bits = self._stimulus_bits(sequence, one_shot=True)
-        times = self._run_batch(sequence, [fault], observation_plan, bits)
+        times = self._run_batch(sequence, [fault], good, bits)
         return times[0] is not None
 
     def session(self, faults: list[Fault]) -> "FaultSimSession":
@@ -202,16 +206,29 @@ class FaultSimulator:
         """The session's :class:`~repro.sim.trace.GoodTraceCache`."""
         return self._trace_cache
 
-    def _observation_plan(
+    def _good_machine(
         self,
         sequence: TestSequence,
-        good_initial_state: list[Ternary] | None,
-    ) -> ObservationPlan:
-        if good_initial_state is None:
-            # All-X start: the run-invariant trace, cached per session.
-            return self._trace_cache.observation_plan(sequence)
-        good = self._logic.run(sequence, initial_state=good_initial_state)
-        return build_observation_plan(good)
+        state: list[Ternary] | None = None,
+        bits=None,
+    ) -> GoodMachine:
+        """The good machine of one dispatch over ``sequence``.
+
+        ``state`` is its start state (``None`` = all-X, whose plan is
+        the run-invariant trace, cached per session); ``bits`` is
+        ``sequence`` already converted.  Nothing is simulated unless an
+        engine asks for the observation plan.
+        """
+        if state is None:
+            return GoodMachine(
+                None, lambda: (self._trace_cache.observation_plan(sequence), None)
+            )
+
+        def simulate():
+            trace = self._logic.run(sequence, initial_state=state, bits=bits)
+            return build_observation_plan(trace), trace.final_state
+
+        return GoodMachine(state, simulate)
 
     def _stimulus_bits(self, sequence: TestSequence, one_shot: bool = False):
         """``sequence`` as bits if the engine scans bits, else ``None``.
@@ -230,14 +247,12 @@ class FaultSimulator:
         self,
         sequence: TestSequence,
         batch: list[Fault],
-        observation_plan: ObservationPlan,
+        good: GoodMachine,
         bits=None,
     ) -> list[int | None]:
         """Per-slot first detection times of one all-X batch of faults."""
         program = self._backend.program(tuple(batch))
-        times, _ = self._scan(
-            program, len(batch), sequence, observation_plan, bits=bits
-        )
+        times, _ = self._scan(program, len(batch), sequence, good, bits=bits)
         return times
 
     def _scan(
@@ -245,7 +260,7 @@ class FaultSimulator:
         program: SimProgram,
         size: int,
         sequence: TestSequence,
-        observation_plan: ObservationPlan,
+        good: GoodMachine | ObservationPlan,
         state: list[tuple[int, int]] | None = None,
         alive: int | None = None,
         collect_final_states: bool = False,
@@ -253,6 +268,7 @@ class FaultSimulator:
     ) -> tuple[list[int | None], list[tuple[int, int]] | None]:
         """Scan ``sequence`` over one fresh batch of ``program``'s machines.
 
+        ``good``: the fault-free machine the slots are compared with;
         ``state``: per-flop ``(H, L)`` start words (``None`` = all-X);
         ``alive``: the slots that may detect (``None`` = all ``size``);
         ``bits``: ``sequence`` already converted (:meth:`_stimulus_bits`).
@@ -268,7 +284,7 @@ class FaultSimulator:
             None,
             machines,
             BroadcastStimulus(sequence, size, bits),
-            observation_plan,
+            good,
             (1 << size) - 1 if alive is None else alive,
             collect_final_states=collect_final_states,
         )
@@ -376,29 +392,25 @@ class FaultSimSession:
         if len(extension) == 0:
             return 0
         bits = self._simulator._stimulus_bits(extension)
-        good = self._simulator._logic.run(
-            extension, initial_state=self._good_state, bits=bits
-        )
-        return len(self._advance(extension, build_observation_plan(good), False, bits))
+        good = self._simulator._good_machine(extension, self._good_state, bits)
+        return len(self._advance(extension, good, False, bits))
 
     def commit(self, extension: TestSequence) -> dict[Fault, int]:
         """Advance all machines by ``extension``; return new detections."""
         if len(extension) == 0:
             return {}
         bits = self._simulator._stimulus_bits(extension)
-        good = self._simulator._logic.run(
-            extension, initial_state=self._good_state, bits=bits
-        )
-        detected = self._advance(extension, build_observation_plan(good), True, bits)
+        good = self._simulator._good_machine(extension, self._good_state, bits)
+        detected = self._advance(extension, good, True, bits)
         self._detection_time.update(detected)
-        self._good_state = good.final_state
+        self._good_state = good.end_state()
         self._elapsed += len(extension)
         return detected
 
     def _advance(
         self,
         extension: TestSequence,
-        observation_plan: ObservationPlan,
+        good: GoodMachine,
         commit: bool,
         bits=None,
     ) -> dict[Fault, int]:
@@ -416,7 +428,7 @@ class FaultSimSession:
                     batch.program,
                     len(batch.faults),
                     extension,
-                    observation_plan,
+                    good,
                     state=batch.state,
                     alive=batch.alive,
                     collect_final_states=commit,

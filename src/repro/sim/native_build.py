@@ -51,8 +51,11 @@ CACHE_DIR_ENV = "REPRO_NATIVE_CACHE_DIR"
 #: repro_scan's program-fixed arguments first, replaced its packed
 #: per-slot stimulus with derived candidates and added the first-hit
 #: mode; v7 dropped the thread pool and the lane-count arguments (chunk
-#: threads run independent calls instead, see repro.sim.workerpool).
-NATIVE_ABI_VERSION = 7
+#: threads run independent calls instead, see repro.sim.workerpool); v8
+#: made repro_scan divergence-driven (the fault axis runs its own good
+#: machine; paired faulty machines evaluate only the ops that differ
+#: from theirs) and reports the ops it evaluated.
+NATIVE_ABI_VERSION = 8
 
 #: Compilers tried in order when $CC is unset.
 _COMPILER_CANDIDATES = ("cc", "gcc", "clang")
@@ -161,21 +164,21 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     library.repro_thread_pool_size.argtypes = []
     library.repro_thread_pool_size.restype = i64
     library.repro_eval.argtypes = [
-        p, i64, p, p, p, p, i64, p, p, p, p, i64, p, p, p, i64, p
+        p, i64, p, p, p, p, i64, p, p, p, p, i64, p, p, p, i64, p, p
     ]
     library.repro_eval.restype = None
     library.repro_detect_mask.argtypes = [p, i64, p, p, i64, p, p, p, p]
     library.repro_detect_mask.restype = None
     library.repro_detect_step.argtypes = [p, p, i64, p, i64, p, p, p, p, p]
     library.repro_detect_step.restype = None
-    # repro_scan: 63 arguments in the C signature's groups, "p" a
+    # repro_scan: 60 arguments in the C signature's groups, "p" a
     # pointer and "i" a size/flag integer (ctypes releases the GIL for
     # the whole call, which is what lets chunk threads and concurrent
     # serving lanes scan in parallel).
     scan_groups = (
-        "ppppippppipppipppipippipppppipipp",  # program prefix
-        "ppippppppp",  # batch
-        "pppipiiiippp",  # stimulus
+        "ppppiippppipppipppipippipppppipipp",  # program prefix
+        "ppipppppp",  # batch
+        "pppipiiii",  # stimulus
         "ppppppii",  # outputs and modes
     )
     library.repro_scan.argtypes = [

@@ -90,7 +90,9 @@ def cpu_count() -> int:
 PARALLEL_MODES = ("auto", "serial", "threads")
 
 
-def resolve_execution(parallel: str | None, workers: int | None) -> tuple[str, int]:
+def resolve_execution(
+    parallel: str | None, workers: int | None, releases_gil: bool = True
+) -> tuple[str, int]:
     """The one place that picks a work-distribution tier and its count.
 
     Returns ``(tier, count)``: ``tier`` is ``"serial"`` or ``"threads"``
@@ -99,7 +101,9 @@ def resolve_execution(parallel: str | None, workers: int | None) -> tuple[str, i
 
     1. ``None`` and ``0`` mean one thread per usable core
        (:func:`cpu_count`).
-    2. A count of 1, ``parallel="serial"`` or one usable core is
+    2. A count of 1, ``parallel="serial"``, one usable core or engines
+       that hold the GIL (``releases_gil=False``, see
+       :func:`~repro.sim.backend.engines_release_gil`) is
        ``("serial", 1)``.
     3. Everything else is ``("threads", count)``, the count capped at
        :data:`MAX_THREADS` so it names what :func:`run_chunks` runs.
@@ -120,7 +124,7 @@ def resolve_execution(parallel: str | None, workers: int | None) -> tuple[str, i
         raise SimulationError(f"workers must be >= 0, got {workers}")
     cpus = cpu_count()
     count = workers or cpus
-    if count <= 1 or requested == "serial" or cpus <= 1:
+    if count <= 1 or requested == "serial" or cpus <= 1 or not releases_gil:
         return ("serial", 1)
     return ("threads", min(int(count), MAX_THREADS))
 

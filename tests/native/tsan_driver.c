@@ -10,7 +10,9 @@
  * pin, stem and flop patches, computes serial references for
  *
  *   1. repro_eval over the patched program,
- *   2. a fault-axis repro_scan against recorded observation rows,
+ *   2. a fault-axis repro_scan, its broadcast good machine started from
+ *      a binary (non-X) flop state and its faulty machines from states
+ *      that differ from it in some slots, collecting the final states,
  *   3. a paired repro_scan over derived candidates with the per-slot
  *      flop-divergence outputs on, and its first-hit twin,
  *   4. repro_trace, the fault-free good-machine trace,
@@ -45,6 +47,7 @@
 #define MAX_ARITY 2
 #define RAILS ((size_t)(2 * SIGNALS) * WORDS)
 #define SCRATCH ((size_t)(2 * MAX_ARITY) * WORDS)
+#define FLOP_WORDS (2 * WORDS) /* TRACE_FLOPS (below) rows of WORDS */
 
 static uint64_t splitmix(uint64_t *state)
 {
@@ -112,29 +115,28 @@ static uint64_t g_stem_sa0[WORDS];
 static void run_eval(uint64_t *V)
 {
     uint64_t scratch[SCRATCH];
+    const uint64_t *fanins[2 * MAX_ARITY];
     fill_rails(V, 0x1000);
     repro_eval(V, WORDS, g_codes, g_outs, g_in_off, g_ins, GATES,
                g_pin_ops, g_pin_pins, g_pin_sa1, g_pin_sa0, 1,
-               g_stem_ops, g_stem_sa1, g_stem_sa0, 1, scratch);
+               g_stem_ops, g_stem_sa1, g_stem_sa0, 1, scratch, fanins);
 }
 
 /* --- 2. fault-axis scan ---------------------------------------------- */
 
 #define SCAN_POS 8
-#define OBS_PER_STEP 4
 
 static int32_t g_po_sig[SCAN_POS];
 static int32_t g_pi_sig[PIS];
 static uint8_t g_stim_bits[STEPS * PIS];
-static int64_t g_obs_off[STEPS + 1];
-static int32_t g_obs_pos[STEPS * OBS_PER_STEP];
-static uint8_t g_obs_vals[STEPS * OBS_PER_STEP];
 static uint64_t g_sa_zero[SCAN_POS * WORDS];
 
 typedef struct {
     int64_t ret;
     uint64_t pending[WORDS];
     int64_t times[WORDS * 64];
+    uint64_t f_state[2 * FLOP_WORDS]; /* final faulty H then L rows */
+    uint64_t g_state[4];              /* final good H[2] then L[2]    */
 } FaultResult;
 
 static void build_fault_scan(void)
@@ -147,34 +149,9 @@ static void build_fault_scan(void)
         g_pi_sig[i] = (int32_t)i;
     for (s = 0; s < STEPS * PIS; s++)
         g_stim_bits[s] = (uint8_t)(splitmix(&rng) & 1);
-    for (s = 0; s <= STEPS; s++)
-        g_obs_off[s] = s * OBS_PER_STEP;
-    for (s = 0; s < STEPS * OBS_PER_STEP; s++) {
-        g_obs_pos[s] = (int32_t)(splitmix(&rng) % SCAN_POS);
-        g_obs_vals[s] = (uint8_t)(splitmix(&rng) & 1);
-    }
 }
 
-static void run_fault_scan(FaultResult *out)
-{
-    uint64_t *FV = malloc(RAILS * sizeof(uint64_t));
-    uint64_t scratch[SCRATCH], det[WORDS];
-    int64_t i;
-    for (i = 0; i < WORDS; i++)
-        out->pending[i] = ~(uint64_t)0;
-    for (i = 0; i < WORDS * 64; i++)
-        out->times[i] = -1;
-    fill_rails(FV, 0x6000);
-    out->ret = repro_scan(
-        g_codes, g_outs, g_in_off, g_ins, GATES, g_pin_ops, g_pin_pins,
-        g_pin_sa1, g_pin_sa0, 1, g_stem_ops, g_stem_sa1, g_stem_sa0, 1, 0,
-        0, 0, 0, g_pi_sig, PIS, 0, 0, 0, 0, 0, 0, 0, 0, 0, g_po_sig,
-        SCAN_POS, g_sa_zero, g_sa_zero, 0, FV, WORDS, scratch, 0, 0, 0, 0,
-        0, 0, g_stim_bits, 0, 0, 0, 0, 0, 0, 0, STEPS, g_obs_off,
-        g_obs_pos, g_obs_vals, out->pending, out->times, det, 0, 0, 0, 0,
-        0);
-    free(FV);
-}
+static void run_fault_scan(FaultResult *out);
 
 /* --- 3. paired scans over derived candidates ------------------------- */
 
@@ -247,7 +224,6 @@ static void run_paired(PairedResult *out, int64_t first_hit)
     uint64_t *GV = malloc(RAILS * sizeof(uint64_t));
     uint64_t *FV = malloc(RAILS * sizeof(uint64_t));
     uint64_t *state = calloc((size_t)4 * TRACE_FLOPS * WORDS, 8);
-    uint64_t scratch[SCRATCH], det[WORDS];
     int64_t i;
     for (i = 0; i < WORDS; i++)
         out->pending[i] = ~(uint64_t)0;
@@ -260,20 +236,57 @@ static void run_paired(PairedResult *out, int64_t first_hit)
     fill_rails(GV, 0x9100);
     fill_rails(FV, 0x9200);
     out->ret = repro_scan(
-        g_codes, g_outs, g_in_off, g_ins, GATES, g_pin_ops, g_pin_pins,
-        g_pin_sa1, g_pin_sa0, 1, g_stem_ops, g_stem_sa1, g_stem_sa0, 1, 0,
-        0, 0, 0, g_trace_pi, TRACE_PIS, g_trace_q, g_trace_d, TRACE_FLOPS,
-        dff_pos, g_sa_zero, g_keep_h, g_force_l, g_keep_all, 1, g_trace_po,
-        TRACE_POS, g_sa_zero, g_sa_zero, GV, FV, WORDS, scratch, state,
-        state + TRACE_FLOPS * WORDS, state + 2 * TRACE_FLOPS * WORDS,
-        state + 3 * TRACE_FLOPS * WORDS, g_sa_zero, g_sa_zero, 0, g_base,
-        g_kept, 3, g_desc, 1, 1, DERIVED_OPS, DERIVED_STEPS, 0, 0, 0,
-        out->pending, out->times, det, first_hit ? 0 : out->div[0],
-        first_hit ? 0 : out->div[1], first_hit ? 0 : out->div[2], 0,
-        first_hit);
+        g_codes, g_outs, g_in_off, g_ins, GATES, SIGNALS, g_pin_ops,
+        g_pin_pins, g_pin_sa1, g_pin_sa0, 1, g_stem_ops, g_stem_sa1,
+        g_stem_sa0, 1, 0, 0, 0, 0, g_trace_pi, TRACE_PIS, g_trace_q,
+        g_trace_d, TRACE_FLOPS, dff_pos, g_sa_zero, g_keep_h, g_force_l,
+        g_keep_all, 1, g_trace_po, TRACE_POS, g_sa_zero, g_sa_zero, GV, FV,
+        WORDS, state, state + TRACE_FLOPS * WORDS,
+        state + 2 * TRACE_FLOPS * WORDS, state + 3 * TRACE_FLOPS * WORDS,
+        g_sa_zero, g_sa_zero, 0, g_base, g_kept, 3, g_desc, 1, 1,
+        DERIVED_OPS, DERIVED_STEPS, out->pending, out->times,
+        first_hit ? 0 : out->div[0], first_hit ? 0 : out->div[1],
+        first_hit ? 0 : out->div[2], 0, 0, first_hit);
     free(GV);
     free(FV);
     free(state);
+}
+
+/* The flop circuit of the paired scans on the fault axis: the program's
+ * pin and stem patches plus flop 0's D pin stuck at 0 in the g_force_l
+ * slots.  The good machine starts with flop 0 at 1 and flop 1 at 0; the
+ * faulty machines start there too, except that flop 1 is X outside the
+ * g_force_l slots.  Every step latches (collect_finals). */
+static void run_fault_scan(FaultResult *out)
+{
+    static const int32_t dff_pos[1] = {0};
+    uint64_t *FV = malloc(RAILS * sizeof(uint64_t));
+    uint64_t *f_sh = out->f_state, *f_sl = out->f_state + FLOP_WORDS;
+    uint64_t *g_sh = out->g_state, *g_sl = out->g_state + 2;
+    int64_t i;
+    for (i = 0; i < WORDS; i++) {
+        out->pending[i] = ~(uint64_t)0;
+        f_sh[i] = ~(uint64_t)0; /* flop 0 at 1 */
+        f_sl[i] = 0;
+        f_sh[WORDS + i] = 0; /* flop 1 at 0 in the g_force_l slots */
+        f_sl[WORDS + i] = g_force_l[i];
+    }
+    for (i = 0; i < WORDS * 64; i++)
+        out->times[i] = -1;
+    g_sh[0] = ~(uint64_t)0;
+    g_sl[0] = 0;
+    g_sh[1] = 0;
+    g_sl[1] = ~(uint64_t)0;
+    fill_rails(FV, 0x6000);
+    out->ret = repro_scan(
+        g_codes, g_outs, g_in_off, g_ins, GATES, SIGNALS, g_pin_ops,
+        g_pin_pins, g_pin_sa1, g_pin_sa0, 1, g_stem_ops, g_stem_sa1,
+        g_stem_sa0, 1, 0, 0, 0, 0, g_trace_pi, TRACE_PIS, g_trace_q,
+        g_trace_d, TRACE_FLOPS, dff_pos, g_sa_zero, g_keep_h, g_force_l,
+        g_keep_all, 1, g_trace_po, TRACE_POS, g_sa_zero, g_sa_zero, 0, FV,
+        WORDS, g_sh, g_sl, f_sh, f_sl, 0, 0, g_stim_bits, 0, 0, 0, 0, 0, 0,
+        0, STEPS, out->pending, out->times, 0, 0, 0, 0, 1, 0);
+    free(FV);
 }
 
 /* --- 4. fault-free trace --------------------------------------------- */
@@ -326,7 +339,11 @@ static int compare(const Results *got, const Results *want, const char *who)
         memcmp(got->fault.pending, want->fault.pending,
                sizeof(want->fault.pending)) ||
         memcmp(got->fault.times, want->fault.times,
-               sizeof(want->fault.times))) {
+               sizeof(want->fault.times)) ||
+        memcmp(got->fault.f_state, want->fault.f_state,
+               sizeof(want->fault.f_state)) ||
+        memcmp(got->fault.g_state, want->fault.g_state,
+               sizeof(want->fault.g_state))) {
         fprintf(stderr, "FAIL %s: fault-axis repro_scan\n", who);
         failures++;
     }

@@ -611,8 +611,9 @@ class TestThreadParity:
         assert threaded == serial
 
     def test_chunks_share_one_trace(self, syn298, fanned_out, threads):
-        """Every chunk reads the caller's cached trace and bits: a fresh
-        sequence is simulated fault-free and converted once per run."""
+        """Every chunk reads the caller's cached bits: a fresh sequence
+        is converted once per run, and never traced — each chunk's
+        kernel calls run the good machine themselves."""
         compiled, faults, sequence = syn298
         fresh = _stimulus(compiled.circuit, 20, seed=threads)
         simulator = FaultSimulator(
@@ -623,7 +624,7 @@ class TestThreadParity:
         with fanned_out():
             got = simulator.run(fresh, faults)
         after = cache.stats()
-        assert after["trace_misses"] - before["trace_misses"] == 1
+        assert after["trace_misses"] - before["trace_misses"] == 0
         assert after["bits_misses"] - before["bits_misses"] <= 1
         expected = FaultSimulator(compiled, backend="python").run(fresh, faults)
         assert got.detection_time == expected.detection_time

@@ -26,6 +26,9 @@ from repro.core.request import RunRequest
 from repro.core.session import Session, use_session
 from repro.errors import ReproError
 from repro.serve import FairScheduler, HttpFrontend, JobService, plan_execution
+from repro.sim.backend import backend_unavailable_reason
+from repro.sim.faultsim import make_fault_simulator
+from repro.sim.seqsim import make_sequence_simulator
 from repro.sim.workerpool import cpu_count
 
 S27_REQUEST = RunRequest(kind="scheme", circuit="s27")
@@ -295,6 +298,23 @@ class TestSessionLifecycle:
                 == 1
             )
 
+    def test_workers_none_means_what_the_factories_mean(
+        self, s27, monkeypatch, require_backend
+    ):
+        """``workers=None`` is one thread per core on a session simulator
+        as on the factories it wraps."""
+        require_backend("native")
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "2")
+        with Session() as session:
+            pairs = (
+                (session.fault_simulator, make_fault_simulator),
+                (session.sequence_simulator, make_sequence_simulator),
+            )
+            for method, factory in pairs:
+                threads = method(s27, backend="native", workers=None).threads
+                assert threads == 2
+                assert threads == factory(s27, backend="native", workers=None).threads
+
 
 class TestRunDispatches:
     def test_good_machine_traces_are_counted(self):
@@ -306,20 +326,52 @@ class TestRunDispatches:
         assert dispatches["trace_steps"] >= dispatches["trace_calls"]
 
 
+def _gil_free_engine() -> tuple[str, tuple[str, int]]:
+    """An engine whose scans release the GIL where one is usable, and
+    what a two-core ``workers=2`` run on it resolves to."""
+    if backend_unavailable_reason("native") is None:
+        return "native", ("threads", 2)
+    return "python", ("serial", 1)
+
+
 class TestExecutionRecord:
     def test_auto_workers_record_what_ran(self, monkeypatch):
         """``workers=0`` is recorded as the tier and count that ran."""
         monkeypatch.setenv("REPRO_ASSUME_CPUS", "2")
+        backend, expected = _gil_free_engine()
         request = RunRequest(
             kind="scheme",
             circuit="s27",
-            selection=repro.SelectionConfig(workers=0),
+            selection=repro.SelectionConfig(workers=0, backend=backend),
         )
         with Session() as session:
             execution = session.run(request).execution
         assert execution["parallel_requested"] == "auto"
         assert execution["workers_requested"] == 0
-        assert (execution["parallel"], execution["workers"]) == ("threads", 2)
+        assert (execution["parallel"], execution["workers"]) == expected
+
+    def test_gil_bound_engine_records_serial(self, monkeypatch):
+        """The python engine holds the GIL, so a ``workers=2`` run on it
+        is serial: the record and the served plan say so."""
+        monkeypatch.setenv("REPRO_ASSUME_CPUS", "2")
+        request = RunRequest(
+            kind="scheme",
+            circuit="s27",
+            selection=repro.SelectionConfig(workers=2),
+        )
+        with Session() as session:
+            execution = session.run(request).execution
+        assert (execution["parallel"], execution["workers"]) == ("serial", 1)
+        assert execution["workers_requested"] == 2
+
+        async def main():
+            async with JobService() as service:
+                return await service.wait(await service.submit("t", request))
+
+        job = asyncio.run(main())
+        assert job.status == "done", job.error
+        assert (job.plan.parallel, job.plan.workers) == ("serial", 1)
+        assert job.result.execution["parallel"] == "serial"
 
     def test_execution_record_keys(self):
         """What ran, as asked and as resolved, plus the dispatch counts:
@@ -374,13 +426,15 @@ class TestExecutionRecord:
 
     def test_served_requests_run_the_client_count(self, monkeypatch):
         """On two cores a served ``workers=2`` request is planned and run
-        as two chunk threads, and ``workers=0`` as one per core."""
+        as two chunk threads, and ``workers=0`` as one per core, on an
+        engine that releases the GIL."""
         monkeypatch.setenv("REPRO_ASSUME_CPUS", "2")
+        backend, expected = _gil_free_engine()
         requests = [
             RunRequest(
                 kind="scheme",
                 circuit="s27",
-                selection=repro.SelectionConfig(workers=workers),
+                selection=repro.SelectionConfig(workers=workers, backend=backend),
             )
             for workers in (2, 0)
         ]
@@ -391,13 +445,13 @@ class TestExecutionRecord:
                 return [await service.wait(job_id) for job_id in ids]
 
         explicit, auto = asyncio.run(main())
-        for job, expected in ((explicit, ("threads", 2)), (auto, ("threads", 2))):
+        for job in (explicit, auto):
             assert job.status == "done", job.error
             assert (job.plan.parallel, job.plan.workers) == expected
             execution = job.result.execution
             assert (execution["parallel"], execution["workers"]) == expected
             assert "profile" not in execution and "notes" not in execution
-        assert auto.plan.workers == cpu_count() == 2
+        assert cpu_count() == 2
 
 
 class TestJobService:
