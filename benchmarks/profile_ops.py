@@ -12,8 +12,11 @@ session up with the benchmark's warm-up op and checks every op against
 serial).  Only the op itself is profiled; building its input and
 checking its output run with the profiler off.  It prints the total
 function calls, the top rows by self time and, per op, the native
-scans' evaluated-op counters (the faulty machines' ops as a share of
-the good machine's, per axis), and fails if any op failed its check.
+kernel's call counters (scan calls, kernel calls, program compiles) and
+its scans' evaluated-op counters (the faulty machines' ops as a share
+of the good machine's, per axis), and fails if any op failed its check.
+Two checkouts that do the same kernel work print the same counters, so
+a change that only trims set-up shows up as time alone.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ import workloads  # noqa: E402
 #: The scan axes whose ``{axis}_faulty_ops`` / ``{axis}_good_ops``
 #: dispatch counters the native kernel reports.
 AXES = ("fault_axis", "candidate_axis")
+
+#: Dispatch counters of the work handed to the kernel, printed per op.
+CALL_COUNTERS = ("scan_calls", "scan_steps", "native_ffi_calls", "program_compiles")
 
 
 def profile_ops(
@@ -69,8 +75,12 @@ def profile_ops(
 
 
 def scan_op_lines(counters: dict[str, int], ops: int) -> list[str]:
-    """Per-op evaluated-op counters of each scan axis."""
-    lines = []
+    """Per-op kernel call counters, then the evaluated-op counters of
+    each scan axis."""
+    calls = ", ".join(
+        f"{counters.get(kind, 0) / ops:,.1f} {kind}" for kind in CALL_COUNTERS
+    )
+    lines = [f"per op: {calls}"]
     for axis in AXES:
         faulty = counters.get(f"{axis}_faulty_ops", 0)
         good = counters.get(f"{axis}_good_ops", 0)

@@ -347,7 +347,12 @@ class Session:
             workers=selection.workers,
             parallel=selection.parallel,
         )
-        atpg_result = generate_t0(compiled, atpg_config, session=self)
+        atpg_result = generate_t0(
+            compiled,
+            atpg_config,
+            universe=self._scheme(compiled).universe,
+            session=self,
+        )
         return atpg_result.sequence, atpg_result
 
     def _run_scheme(self, request: RunRequest, compiled) -> RunOutcome:
@@ -400,7 +405,10 @@ class Session:
 
         config = request.atpg or AtpgConfig()
         watch = Stopwatch().start()
-        atpg_result = generate_t0(compiled, config, session=self)
+        # The scheme's universe: the same circuit's faults in the same order.
+        atpg_result = generate_t0(
+            compiled, config, universe=self._scheme(compiled).universe, session=self
+        )
         seconds = watch.stop()
         data = {
             "total_faults": atpg_result.total_faults,

@@ -18,15 +18,17 @@
  * candidate axis it evaluates each faulty machine only where it differs
  * from the good machine it runs beside (see "Divergence walk" below).
  *
- * Reentrancy: the kernel keeps no global mutable state.  Every entry
- * point reads the program arrays (op codes, patches) without writing
- * them and writes only the caller's batch arrays (V, scratch, flop
- * state, pending, times and the divergence outputs) plus working memory
- * it allocates per call, so callers on different threads may run
- * repro_eval / repro_scan / repro_trace at once on distinct batches that
- * share one program.  The Python side parallelises that way:
- * independent chunks of faults or candidates, one GIL-released call
- * each.
+ * Reentrancy: the kernel keeps no global mutable state and allocates
+ * nothing.  Every entry point reads the program arrays (op codes,
+ * patches; repro_scan's ReproProgram and ReproCircuit) without writing
+ * them and writes only the caller's memory: the batch arrays (V,
+ * scratch, flop state) and, for repro_scan, one ReproScan context (its
+ * rails, outputs and working memory).  Callers on different threads may
+ * therefore run repro_eval / repro_scan / repro_trace at once on
+ * distinct batches and contexts that share one program.  The Python
+ * side parallelises that way: independent chunks of faults or
+ * candidates, one GIL-released call each, each call on a context it
+ * has checked out of a pool.
  *
  * Everything below is plain C11 with no dependencies beyond libc, so a
  * bare `cc -O3 -fPIC -shared` anywhere is enough; absence of a compiler
@@ -58,8 +60,16 @@
  * ones, every scan without collect_finals narrows to its live words,
  * repro_eval takes a fanin-pointer buffer, the scratch and detection
  * buffers become per-call working memory, num_signals joins the program
- * prefix and an ops out-argument reports the evaluated ops. */
-#define REPRO_NATIVE_ABI 8
+ * prefix and an ops out-argument reports the evaluated ops; v9 makes
+ * repro_scan take two structs, the read-only ReproProgram (one fault
+ * batch's patches and a pointer to the circuit's tables, the walk's
+ * fanout lists among them, built once) and a reusable ReproScan context
+ * that holds every buffer the call writes, including the former per-call
+ * working memory; the kernel resets its outputs on entry and draws
+ * stamps from the context's epoch, the fault axis's good state travels
+ * as Ternary codes, and the good machine's PO patches are gone (it is
+ * always fault-free). */
+#define REPRO_NATIVE_ABI 9
 
 #if defined(_WIN32)
 #define EXPORT __declspec(dllexport)
@@ -455,16 +465,6 @@ static void eval_ops(
     }
 }
 
-/* Largest fanin count of the compiled op list (at least 1). */
-static int64_t max_arity_of(const int64_t *in_off, int64_t num_ops)
-{
-    int64_t op, arity = 1;
-    for (op = 0; op < num_ops; op++)
-        if (in_off[op + 1] - in_off[op] > arity)
-            arity = in_off[op + 1] - in_off[op];
-    return arity;
-}
-
 /* ------------------------------------------------------------------ */
 /* Fault-axis detection: slots whose (patched) PO response contradicts  */
 /* the fault-free machine's recorded binary value.                      */
@@ -585,6 +585,129 @@ EXPORT void repro_eval(
 }
 
 /* ------------------------------------------------------------------ */
+/* The scan's call structs (ABI 9).  repro_scan takes two pointers:     */
+/*                                                                      */
+/*   ReproProgram  read-only: one compiled fault batch at one width —   */
+/*     its patch arrays — plus a pointer to the ReproCircuit, the       */
+/*     circuit's tables.  The caller fills both once (per backend, per  */
+/*     program) and shares them across calls and threads.              */
+/*   ReproScan     one scan context: every buffer the call writes,      */
+/*     fixed when the context is created and large enough for any call  */
+/*     up to the width it was made for, then the per-call fields.  A    */
+/*     context serves one call at a time.                               */
+/*                                                                      */
+/* Every field is a pointer or an int64_t, so the layout has no         */
+/* padding; repro.sim.native_build mirrors it field for field.  Array   */
+/* shapes are given in the comments; (2, n, w) flop states hold the H   */
+/* rows, then the L rows.                                               */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    const int32_t *codes;  /* (num_ops) op codes                          */
+    const int32_t *outs;   /* (num_ops) output signal of each op          */
+    const int64_t *in_off; /* (num_ops + 1) offsets into ins              */
+    const int32_t *ins;    /* flattened fanin signals                     */
+    int64_t num_ops;
+    const int32_t *iota;   /* 0, 1, 2, ... up to the largest fanin count: */
+                           /* indexes vals                                */
+    const int32_t *fo_off; /* (num_signals + 1) the ops reading each      */
+    const int32_t *fo_ops; /* ... signal: fo_ops[fo_off[s] .. fo_off[s+1]) */
+    const int32_t *pi_sig;
+    int64_t num_pis;
+    const int32_t *q_sig;  /* flop outputs                                */
+    const int32_t *d_sig;  /* flop data inputs                            */
+    int64_t num_flops;
+    const int32_t *po_sig;
+    int64_t num_pos;
+} ReproCircuit;
+
+typedef struct {
+    const ReproCircuit *circuit;
+    int64_t words;
+    const int32_t *pin_ops;      /* gate-pin patches, sorted by op:     */
+    const int32_t *pin_pins;     /* ... (op, pin) sites with            */
+    const uint64_t *pin_sa1;     /* ... (n_pin, words) force-1 and      */
+    const uint64_t *pin_sa0;     /* ... force-0 masks                   */
+    int64_t n_pin;
+    const int32_t *stem_ops;     /* gate-output stem patches, sorted    */
+    const uint64_t *stem_sa1;    /* ... (n_stem, words) masks           */
+    const uint64_t *stem_sa0;
+    int64_t n_stem;
+    const int32_t *src_rows;     /* source patches: rail rows with      */
+    const uint64_t *src_force;   /* ... (n_src, words) force and keep   */
+    const uint64_t *src_keep;    /* ... masks                           */
+    int64_t n_src;
+    const int32_t *dff_pos;      /* flop patches: positions into the    */
+    const uint64_t *dff_force_h; /* ... flop list, with (n_dff, words)  */
+    const uint64_t *dff_keep_h;  /* ... force/keep masks per rail       */
+    const uint64_t *dff_force_l;
+    const uint64_t *dff_keep_l;
+    int64_t n_dff;
+    const uint64_t *po_sa1;      /* dense (num_pos, words) PO pin masks */
+    const uint64_t *po_sa0;
+} ReproProgram;
+
+typedef struct {
+    /* Buffers, fixed when the context is created and sized for its      */
+    /* widest call; each is laid out by the call's `words`.              */
+    uint64_t *GV;           /* (2 * num_signals, words) good rails        */
+    uint64_t *FV;           /* (2 * num_signals, words) faulty rails      */
+    uint64_t *good_state;   /* (2, num_flops) fault axis: the broadcast   */
+                            /* good machine's flop words                  */
+    uint8_t *good_final;    /* (num_flops) fault axis, out: its final     */
+                            /* state as Ternary codes                     */
+    uint64_t *alive;        /* (words) fault axis: the slots that may     */
+                            /* detect, read when use_alive                */
+    uint64_t *pending;      /* (words) the slots still to be resolved     */
+    int64_t *times;         /* (words * 64) out: first detection, or -1   */
+    int64_t *div;           /* (3, words * 64) out: per-slot flop         */
+                            /* divergence max / final / area              */
+    int64_t *stamp;         /* (num_signals) the (step, word) of each     */
+                            /* signal's last divergence, as cur           */
+    int64_t *op_step;       /* (num_ops) the last step each op counted    */
+    int32_t *op_pin0;       /* (num_ops + 1) each op's pin-patch entries: */
+                            /* op_pin0[op] .. op_pin0[op + 1] - 1         */
+    int32_t *op_stem;       /* (num_ops) each op's stem-patch entry, -1   */
+    uint64_t *fdirty;       /* (num_flops, ceil(words / 64)) words where  */
+                            /* the flop's faulty state may differ from    */
+                            /* good in a live slot                        */
+    uint64_t *worklist;     /* (ceil(num_ops / 64)) ops to evaluate       */
+    uint64_t *live;         /* (words) the step's live slots              */
+    uint64_t *det;          /* (words) the step's detections              */
+    uint64_t *vals;         /* (2 * max_arity) one word's fanin values    */
+    uint64_t *scratch;      /* (2 * max_arity, words) patched pins        */
+    const uint64_t **ptrs;  /* (2 * max_arity) fanin rail pointers        */
+    int64_t epoch;          /* stamps issued so far: every call's stamps  */
+                            /* exceed the earlier calls'                  */
+    /* Per call, in. */
+    int64_t words;          /* the batch width in 64-slot words           */
+    int64_t num_steps;
+    int64_t num_slots;      /* slots 0 .. num_slots - 1 take part         */
+    uint64_t *f_state;      /* (2, num_flops, words) faulty flops, in/out */
+    uint64_t *g_state;      /* paired: the good batch's, in/out           */
+    const uint8_t *good_start; /* fault axis: (num_flops) start state as  */
+                            /* Ternary codes (0 = ZERO, 1 = ONE, 2 = X),  */
+                            /* or NULL for all-X                          */
+    const uint8_t *stim_bits; /* fault axis: (num_steps, num_pis) bits    */
+    const uint8_t *base;    /* paired: derived candidates, see below      */
+    const int32_t *kept;
+    int64_t n_kept;
+    const int32_t *desc;    /* (num_slots, 4); NULL on the fault axis     */
+    int64_t hold;
+    int64_t reps;
+    int64_t x_ops;
+    int64_t use_alive;
+    int64_t collect_finals;
+    int64_t first_hit;
+    int64_t divergence;     /* paired: fill div                           */
+    /* Per call, out. */
+    int64_t detected;       /* slots given a time                         */
+    int64_t ops_faulty;     /* faulty ops evaluated (an op evaluated in   */
+                            /* one or more words of a step counts once)   */
+    int64_t ops_good;       /* good ops evaluated                         */
+} ReproScan;
+
+/* ------------------------------------------------------------------ */
 /* Whole-sequence fused scan: input load, good/faulty eval, flop latch, */
 /* detect reduction and first-hit early exit for num_steps time steps   */
 /* in one call (the Python driver's per-step loop, moved inside the     */
@@ -593,30 +716,32 @@ EXPORT void repro_eval(
 /* faulty batch is evaluated:                                           */
 /*                                                                      */
 /*   paired (desc != NULL): good and faulty machines run side by side,  */
-/*     slot for slot, over derived candidates; GV is the caller's good  */
-/*     batch, as wide as the faulty one, and the faulty batch runs the  */
-/*     divergence walk below.                                           */
-/*   fault axis (GV == NULL): every faulty slot sees the same stimulus  */
-/*     bits (stim_bits), so the good machine is one broadcast word the  */
-/*     kernel allocates (its flop state g_sh/g_sl is (num_flops, 1),    */
-/*     each word 0 or ~0, in/out), and the faulty batch — one distinct  */
-/*     fault per slot, so most ops carry a patch or a difference in     */
-/*     some word — runs the whole op list over the live words, as       */
-/*     repro_eval does.                                                 */
+/*     slot for slot, over derived candidates; the good machine is as   */
+/*     wide as the faulty one (its flop state g_state), and the faulty  */
+/*     batch runs the divergence walk below.                            */
+/*   fault axis (desc == NULL): every faulty slot sees the same         */
+/*     stimulus bits (stim_bits), so the good machine is one broadcast  */
+/*     word (its flop words 0 or ~0, started from good_start, its final */
+/*     state written to good_final), and the faulty batch — one         */
+/*     distinct fault per slot, so most ops carry a patch or a          */
+/*     difference in some word — runs the whole op list over the live   */
+/*     words, as repro_eval does.                                       */
 /*                                                                      */
 /* Both detect with the paired rule: slot s detects when some PO is     */
 /* binary in both machines with opposite values, (Hg & Lf) | (Lg & Hf)  */
-/* after each side's PO patches.                                        */
+/* after the faulty side's PO patches (the good machine has none).      */
 /*                                                                      */
 /* Divergence walk (ABI 8, paired mode).  Every step evaluates the good */
 /* machine over the whole op list, then the faulty machine only where   */
 /* it differs, one live 64-slot word at a time, event-driven:           */
-/* stamp[i] == cur (a value unique to the step and word) marks signal i */
-/* as diverged, its FV word then holding the faulty value; an unstamped */
-/* signal equals the good machine in every live slot of the word.       */
+/* stamp[i] == cur (a value unique to the call, step and word) marks    */
+/* signal i as diverged, its FV word then holding the faulty value; an  */
+/* unstamped signal equals the good machine in every live slot of the   */
+/* word.                                                                */
 /*   - Seeds: flops whose faulty state differs from good in the word    */
 /*     (fdirty), source patches (stuck PI / flop-output stems) acting   */
-/*     in it, and ops with a pin or stem patch acting in it.            */
+/*     in it, and ops with a pin or stem patch acting in it (a paired   */
+/*     program repeats one fault, so it has one or two patches).        */
 /*   - A diverged signal queues the ops that read it; queued ops run in */
 /*     the compiled topological order (a bitmap over op positions), so  */
 /*     an op reads its fanins' final values.  An op reads each fanin's  */
@@ -650,16 +775,19 @@ EXPORT void repro_eval(
 /* below its expanded length: the kernel clears its pending bit when    */
 /* its candidate ends, so a slot is live exactly while it is pending.   */
 /*                                                                      */
-/* pending ((words), in/out: the slots still to be resolved), the flop  */
-/* state arrays (in/out) and times ((words * 64), -1 = undetected,      */
-/* in/out) are caller-owned.  The early-exit contract matches the       */
-/* reference loop exactly: the scan stops when no slot is live or every */
-/* slot detected, skipping the stopping step's state latch; with        */
+/* Every call starts from its own inputs alone (ABI 9): on entry the    */
+/* kernel sets pending to the first num_slots slots (and, with          */
+/* use_alive, the alive words), times to -1, div to 0 and the counters  */
+/* to 0, clears the walk's dirty and queued bits and rebuilds its       */
+/* per-op patch tables; stamps come from the context's epoch, so no     */
+/* value of an earlier call can match.                                  */
+/* Rails are written before they are read within a call.  The flop     */
+/* states are in/out.  The early-exit contract matches the reference    */
+/* loop exactly: the scan stops when no slot is live or every slot      */
+/* detected, skipping the stopping step's state latch; with             */
 /* collect_finals it never stops early and latches every step.  Returns */
-/* the number of steps entered, or -1 when working memory could not be  */
-/* allocated.  ops, when not NULL, receives the faulty ops evaluated    */
-/* (ops[0]: an op evaluated in one or more words of a step counts once) */
-/* and the good ops evaluated (ops[1]), summed over the steps.          */
+/* the number of steps entered, or -1 when the program and the context  */
+/* differ in width.                                                     */
 /*                                                                      */
 /* first_hit (ABI 6, paired mode): once slot s detects, pending slots   */
 /* above s are dropped — only the lowest detecting slot matters to the  */
@@ -671,135 +799,65 @@ EXPORT void repro_eval(
 /* drained word never turns live again); the broadcast good machine is  */
 /* one word whatever the range.                                         */
 /*                                                                      */
-/* Flop divergence (paired mode, ABI 5): div_max / div_final / div_area */
-/* ((words * 64) each, in/out; all three set, or all NULL = off)        */
-/* accumulate, after each step's flop latch (faulty flop patches        */
+/* Flop divergence (paired mode, ABI 5): with divergence set, div's     */
+/* rows accumulate, after each step's flop latch (faulty flop patches   */
 /* applied), the number of flops where (Hg & Lf) | (Lg & Hf) holds, for */
 /* every slot live at that step (alive and not detected before it):     */
-/* the running max, the last live step's count and the sum.  With them  */
+/* the running max, the last live step's count and the sum.  With it    */
 /* on, the all-detected exit moves after the latch so the detecting     */
 /* step is counted too.                                                 */
 /* ------------------------------------------------------------------ */
 
 enum { X_COMPLEMENT = 1, X_SHIFT = 2, X_REVERSE = 4 };
 
+/* One call's view: copies of the call structs (one indirection in the */
+/* walk) and what the call derives from them.                          */
 typedef struct {
-    /* Program. */
-    const int32_t *codes;
-    const int32_t *outs;
-    const int64_t *in_off;
-    const int32_t *ins;
-    int64_t num_ops;
-    int64_t num_signals;
-    const int32_t *pin_ops;
-    const int32_t *pin_pins;
-    const uint64_t *pin_sa1;
-    const uint64_t *pin_sa0;
-    int64_t n_pin;
-    const int32_t *stem_ops;
-    const uint64_t *stem_sa1;
-    const uint64_t *stem_sa0;
-    int64_t n_stem;
-    const int32_t *src_rows;
-    const uint64_t *src_force;
-    const uint64_t *src_keep;
-    int64_t n_src;
-    const int32_t *pi_sig;
-    int64_t num_pis;
-    const int32_t *q_sig;
-    const int32_t *d_sig;
-    int64_t num_flops;
-    const int32_t *dff_pos;
-    const uint64_t *dff_force_h;
-    const uint64_t *dff_keep_h;
-    const uint64_t *dff_force_l;
-    const uint64_t *dff_keep_l;
-    int64_t n_dff;
-    const int32_t *po_sig;
-    int64_t num_pos;
-    const uint64_t *f_po_sa1;
-    const uint64_t *f_po_sa0;
-    /* Machines: the good one's rows are gwords wide (words, or 1 for */
-    /* the broadcast word); FV is NULL for the fault-free trace.       */
+    ReproCircuit c;
+    ReproProgram p;
+    ReproScan s;
+    /* The good machine's rails, gwords wide (words, or 1 for the       */
+    /* broadcast word), and both machines' flop state rows.             */
     uint64_t *GV;
     int64_t gwords;
-    uint64_t *FV;
-    int64_t words;
     uint64_t *g_sh;
     uint64_t *g_sl;
     uint64_t *f_sh;
     uint64_t *f_sl;
-    const uint64_t *g_po_sa1; /* NULL: no good-side PO patches */
-    const uint64_t *g_po_sa0;
-    /* Stimulus: broadcast bits, or derived candidates (desc != NULL). */
-    const uint8_t *stim_bits;
-    const uint8_t *base;
-    const int32_t *kept;
-    int64_t n_kept;
-    const int32_t *desc;
-    int64_t hold;
-    int64_t x_ops;
-    int64_t x_mult; /* expanded length per index-list entry */
-    int64_t num_steps;
-    /* Outputs and modes. */
-    uint64_t *pending;
-    int64_t *times;
+    /* The divergence rows; NULL when off. */
     int64_t *div_max;
     int64_t *div_final;
     int64_t *div_area;
-    int64_t collect_finals;
-    int64_t first_hit;
     /* Internal (set only by repro_trace): when non-NULL, every step      */
     /* writes slot 0's Ternary code per PO (0 = ZERO, 1 = ONE, 2 = X, as  */
     /* repro.logic.values.Ternary) to row s of this (num_steps, num_pos)  */
     /* array, right after that step's eval.                               */
     uint8_t *po_trace;
-    /* Working memory (scan_alloc): the divergence walk's, then the     */
-    /* fault axis's.                                                     */
-    int64_t mw;           /* uint64s per word mask: ceil(words / 64)       */
-    int64_t *stamp;       /* (num_signals) the (step, word) of the last    */
-                          /* divergence, as cur                            */
-    uint64_t *fdirty;     /* (num_flops, mw) words where the flop's faulty */
-                          /* state may differ from good in a live slot     */
-    uint64_t *worklist;   /* (ceil(num_ops / 64)) ops to evaluate          */
-    int32_t *fo_off;      /* (num_signals + 1) fanout ops of each signal:  */
-    int32_t *fo_ops;      /* ... fo_ops[fo_off[s] .. fo_off[s + 1])        */
-    int32_t *op_pin0;     /* (num_ops + 1) each op's pin-patch entries     */
-    int32_t *op_stem;     /* (num_ops) its stem-patch entry, or -1         */
-    int32_t *pw_off;      /* (words + 1) the ops with a pin or stem patch  */
-    int32_t *pw_ops;      /* ... acting in each word                       */
-    int64_t *op_step;     /* (num_ops) the last step each op was counted   */
-    uint64_t *live;       /* (words) the step's live slots                 */
-    uint64_t *det;        /* (words) the step's detections                 */
-    uint64_t *vals;       /* (2 * max_arity) one word's fanin values       */
-    int32_t *iota;        /* (max_arity) 0, 1, 2, ...: indexes vals        */
-    int64_t cur;          /* this (step, word)'s stamp                     */
-    int64_t step;         /* this step, t + 1                              */
-    uint64_t *scratch;    /* (2 * max_arity, words) patched pins           */
-    const uint64_t **ptrs; /* (2 * max_arity) fanin rail pointers          */
-    int64_t ops_faulty;
-    int64_t ops_good;
+    int64_t x_mult; /* expanded length per index-list entry */
+    int64_t mw;     /* uint64s per word mask: ceil(words / 64) */
+    int64_t epoch;  /* the context's epoch on entry */
+    int64_t cur;    /* this (step, word)'s stamp */
+    int64_t step;   /* this step's stamp */
 } ScanArgs;
 
 /* Index-list length of derived slot d: K[:low] + range(a, b) + K[high:]. */
 static int64_t derived_count(const ScanArgs *a, const int32_t *d)
 {
-    return (int64_t)d[0] + (d[3] - d[2]) + (a->n_kept - d[1]);
+    return (int64_t)d[0] + (d[3] - d[2]) + (a->s.n_kept - d[1]);
 }
 
 /* Clear the pending bit of every derived slot of [w0, w1) whose         */
 /* expanded candidate ends before step t.                                */
-static void expire_derived(const ScanArgs *a, int64_t t, int64_t w0,
-                           int64_t w1)
+static void expire_derived(ScanArgs *a, int64_t t, int64_t w0, int64_t w1)
 {
     int64_t w;
     for (w = w0; w < w1; w++) {
         uint64_t rest;
-        for (rest = a->pending[w]; rest; rest &= rest - 1) {
+        for (rest = a->s.pending[w]; rest; rest &= rest - 1) {
             const int b = ctz64(rest);
-            const int32_t *d = a->desc + 4 * (w * 64 + b);
+            const int32_t *d = a->s.desc + 4 * (w * 64 + b);
             if (t >= derived_count(a, d) * a->x_mult)
-                a->pending[w] &= ~((uint64_t)1 << b);
+                a->s.pending[w] &= ~((uint64_t)1 << b);
         }
     }
 }
@@ -812,21 +870,21 @@ static void expire_derived(const ScanArgs *a, int64_t t, int64_t w0,
 /* repetition tiles and hold repeats each index-list entry.             */
 static void load_derived(const ScanArgs *a, int64_t t, int64_t w0, int64_t w1)
 {
-    const int64_t words = a->words;
-    const int64_t num_pis = a->num_pis;
+    const int64_t words = a->s.words;
+    const int64_t num_pis = a->c.num_pis;
     const size_t span_bytes = (size_t)(w1 - w0) * sizeof(uint64_t);
     int64_t w, p;
     for (p = 0; p < num_pis; p++) {
-        uint64_t *h = a->GV + (uint64_t)(2 * a->pi_sig[p]) * words;
+        uint64_t *h = a->GV + (uint64_t)(2 * a->c.pi_sig[p]) * words;
         memset(h + w0, 0, span_bytes);
         memset(h + words + w0, 0, span_bytes);
     }
     for (w = w0; w < w1; w++) {
         uint64_t rest;
-        for (rest = a->pending[w]; rest; rest &= rest - 1) {
+        for (rest = a->s.pending[w]; rest; rest &= rest - 1) {
             const int b = ctz64(rest);
             const uint64_t bit = (uint64_t)1 << b;
-            const int32_t *d = a->desc + 4 * (w * 64 + b);
+            const int32_t *d = a->s.desc + 4 * (w * 64 + b);
             const int64_t count = derived_count(a, d);
             const int64_t run = (int64_t)d[3] - d[2];
             int64_t len = count * a->x_mult;
@@ -834,38 +892,38 @@ static void load_derived(const ScanArgs *a, int64_t t, int64_t w0, int64_t w1)
             uint8_t flip = 0;
             int shift = 0;
             const uint8_t *row;
-            if (a->x_ops & X_REVERSE) {
+            if (a->s.x_ops & X_REVERSE) {
                 len /= 2;
                 if (u >= len)
                     u = 2 * len - 1 - u;
             }
-            if (a->x_ops & X_SHIFT) {
+            if (a->s.x_ops & X_SHIFT) {
                 len /= 2;
                 if (u >= len) {
                     u -= len;
                     shift = 1;
                 }
             }
-            if (a->x_ops & X_COMPLEMENT) {
+            if (a->s.x_ops & X_COMPLEMENT) {
                 len /= 2;
                 if (u >= len) {
                     u -= len;
                     flip = 1;
                 }
             }
-            pos = (u % (count * a->hold)) / a->hold;
+            pos = (u % (count * a->s.hold)) / a->s.hold;
             if (pos < d[0])
-                index = a->kept[pos];
+                index = a->s.kept[pos];
             else if (pos - d[0] < run)
                 index = d[2] + (pos - d[0]);
             else
-                index = a->kept[d[1] + (pos - d[0] - run)];
-            row = a->base + index * num_pis;
+                index = a->s.kept[d[1] + (pos - d[0] - run)];
+            row = a->s.base + index * num_pis;
             for (p = 0; p < num_pis; p++) {
                 /* Circular left shift: PI p reads base column p + 1. */
                 const int64_t column =
                     shift ? (p + 1 < num_pis ? p + 1 : 0) : p;
-                uint64_t *h = a->GV + (uint64_t)(2 * a->pi_sig[p]) * words;
+                uint64_t *h = a->GV + (uint64_t)(2 * a->c.pi_sig[p]) * words;
                 if (row[column] ^ flip)
                     h[w] |= bit;
                 else
@@ -883,12 +941,12 @@ static void load_good(const ScanArgs *a, int64_t t, int64_t w0, int64_t w1,
     const int64_t gw = a->gwords;
     const size_t span_bytes = (size_t)(g1 - g0) * sizeof(uint64_t);
     int64_t w, p, f;
-    if (a->desc) {
+    if (a->s.desc) {
         load_derived(a, t, w0, w1);
     } else {
-        const uint8_t *bits = a->stim_bits + t * a->num_pis;
-        for (p = 0; p < a->num_pis; p++) {
-            uint64_t *h = a->GV + (uint64_t)(2 * a->pi_sig[p]) * gw;
+        const uint8_t *bits = a->s.stim_bits + t * a->c.num_pis;
+        for (p = 0; p < a->c.num_pis; p++) {
+            uint64_t *h = a->GV + (uint64_t)(2 * a->c.pi_sig[p]) * gw;
             const uint64_t hv = bits[p] ? ~(uint64_t)0 : 0;
             for (w = g0; w < g1; w++) {
                 h[w] = hv;
@@ -896,8 +954,8 @@ static void load_good(const ScanArgs *a, int64_t t, int64_t w0, int64_t w1,
             }
         }
     }
-    for (f = 0; f < a->num_flops; f++) {
-        uint64_t *q = a->GV + (uint64_t)(2 * a->q_sig[f]) * gw;
+    for (f = 0; f < a->c.num_flops; f++) {
+        uint64_t *q = a->GV + (uint64_t)(2 * a->c.q_sig[f]) * gw;
         memcpy(q + g0, a->g_sh + f * gw + g0, span_bytes);
         memcpy(q + gw + g0, a->g_sl + f * gw + g0, span_bytes);
     }
@@ -908,7 +966,7 @@ static void load_good(const ScanArgs *a, int64_t t, int64_t w0, int64_t w1,
 static uint64_t good_word(const ScanArgs *a, const uint64_t *rows, int64_t row,
                           int64_t w)
 {
-    return a->gwords == a->words ? rows[row * a->words + w] : rows[row];
+    return a->gwords == a->s.words ? rows[row * a->s.words + w] : rows[row];
 }
 
 /* Signal sig's faulty rail at word w: its FV word when diverged at the */
@@ -917,9 +975,15 @@ static uint64_t faulty_word(const ScanArgs *a, int64_t sig, int rail,
                             int64_t w)
 {
     const int64_t row = 2 * sig + rail;
-    if (a->stamp[sig] == a->cur)
-        return a->FV[row * a->words + w];
+    if (a->s.stamp[sig] == a->cur)
+        return a->s.FV[row * a->s.words + w];
     return good_word(a, a->GV, row, w);
+}
+
+/* Queue op for evaluation at the current (step, word). */
+static void queue(ScanArgs *a, int64_t op)
+{
+    a->s.worklist[op / 64] |= (uint64_t)1 << (op % 64);
 }
 
 /* Stamp sig as diverged at the current (step, word) and queue every op */
@@ -927,9 +991,9 @@ static uint64_t faulty_word(const ScanArgs *a, int64_t sig, int rail,
 static void diverge(ScanArgs *a, int64_t sig)
 {
     int32_t e;
-    a->stamp[sig] = a->cur;
-    for (e = a->fo_off[sig]; e < a->fo_off[sig + 1]; e++)
-        a->worklist[a->fo_ops[e] / 64] |= (uint64_t)1 << (a->fo_ops[e] % 64);
+    a->s.stamp[sig] = a->cur;
+    for (e = a->c.fo_off[sig]; e < a->c.fo_off[sig + 1]; e++)
+        queue(a, a->c.fo_ops[e]);
 }
 
 static int word_dirty(const uint64_t *mask, int64_t w)
@@ -943,43 +1007,43 @@ static int word_dirty(const uint64_t *mask, int64_t w)
 /* output in a live slot, store it and diverge the output.              */
 static void eval_word(ScanArgs *a, int64_t op, int64_t w)
 {
-    const int64_t words = a->words;
-    const int64_t base = a->in_off[op];
-    const int64_t arity = a->in_off[op + 1] - base;
-    const int32_t *in = a->ins + base;
-    const int64_t out = a->outs[op];
-    uint64_t *vals = a->vals; /* fanin k's rails at 2k, 2k + 1 */
+    const int64_t words = a->s.words;
+    const int64_t base = a->c.in_off[op];
+    const int64_t arity = a->c.in_off[op + 1] - base;
+    const int32_t *in = a->c.ins + base;
+    const int64_t out = a->c.outs[op];
+    uint64_t *vals = a->s.vals; /* fanin k's rails at 2k, 2k + 1 */
     uint64_t folded[2], h, l;
     int64_t k, p;
-    if (a->op_step[op] != a->step) {
-        a->op_step[op] = a->step;
-        a->ops_faulty++;
+    if (a->s.op_step[op] != a->step) {
+        a->s.op_step[op] = a->step;
+        a->s.ops_faulty++;
     }
     for (k = 0; k < arity; k++) {
         vals[2 * k] = faulty_word(a, in[k], 0, w);
         vals[2 * k + 1] = faulty_word(a, in[k], 1, w);
     }
-    for (p = a->op_pin0[op]; p < a->op_pin0[op + 1]; p++) {
-        const uint64_t sa1 = a->pin_sa1[p * words + w];
-        const uint64_t sa0 = a->pin_sa0[p * words + w];
-        k = a->pin_pins[p];
+    for (p = a->s.op_pin0[op]; p < a->s.op_pin0[op + 1]; p++) {
+        const uint64_t sa1 = a->p.pin_sa1[p * words + w];
+        const uint64_t sa0 = a->p.pin_sa0[p * words + w];
+        k = a->p.pin_pins[p];
         vals[2 * k] = (vals[2 * k] | sa1) & ~sa0;
         vals[2 * k + 1] = (vals[2 * k + 1] | sa0) & ~sa1;
     }
-    fold_word(a->codes[op], arity, vals, a->iota, folded);
+    fold_word(a->c.codes[op], arity, vals, a->c.iota, folded);
     h = folded[0];
     l = folded[1];
-    if (a->op_stem[op] >= 0) {
-        const uint64_t sa1 = a->stem_sa1[a->op_stem[op] * words + w];
-        const uint64_t sa0 = a->stem_sa0[a->op_stem[op] * words + w];
+    if (a->s.op_stem[op] >= 0) {
+        const uint64_t sa1 = a->p.stem_sa1[a->s.op_stem[op] * words + w];
+        const uint64_t sa0 = a->p.stem_sa0[a->s.op_stem[op] * words + w];
         h = (h | sa1) & ~sa0;
         l = (l | sa0) & ~sa1;
     }
     if (((h ^ good_word(a, a->GV, 2 * out, w)) |
          (l ^ good_word(a, a->GV, 2 * out + 1, w))) &
-        a->live[w]) {
-        a->FV[2 * out * words + w] = h;
-        a->FV[(2 * out + 1) * words + w] = l;
+        a->s.live[w]) {
+        a->s.FV[2 * out * words + w] = h;
+        a->s.FV[(2 * out + 1) * words + w] = l;
         diverge(a, out);
     }
 }
@@ -989,82 +1053,80 @@ static void eval_word(ScanArgs *a, int64_t op, int64_t w)
 /* ops in order, detect into det[w] and latch the faulty flops.         */
 static void walk_word(ScanArgs *a, int64_t w)
 {
-    const int64_t words = a->words, mw = a->mw;
-    const uint64_t live = a->live[w];
-    const int64_t nbits = (a->num_ops + 63) / 64;
+    const int64_t words = a->s.words, mw = a->mw;
+    const uint64_t live = a->s.live[w];
+    const int64_t nbits = (a->c.num_ops + 63) / 64;
+    uint64_t *FV = a->s.FV;
     int64_t f, i, p, j;
     uint64_t det = 0;
 
     /* Seeds: flops whose state differs, source patches, patched ops. */
-    for (f = 0; f < a->num_flops; f++) {
-        if (!word_dirty(a->fdirty + f * mw, w))
+    for (f = 0; f < a->c.num_flops; f++) {
+        if (!word_dirty(a->s.fdirty + f * mw, w))
             continue;
-        const int64_t q = a->q_sig[f];
-        a->FV[2 * q * words + w] = a->f_sh[f * words + w];
-        a->FV[(2 * q + 1) * words + w] = a->f_sl[f * words + w];
+        const int64_t q = a->c.q_sig[f];
+        FV[2 * q * words + w] = a->f_sh[f * words + w];
+        FV[(2 * q + 1) * words + w] = a->f_sl[f * words + w];
         diverge(a, q);
     }
-    for (i = 0; i < a->n_src; i++) {
-        const uint64_t force = a->src_force[i * words + w];
-        const uint64_t keep = a->src_keep[i * words + w];
-        const int64_t sig = a->src_rows[i] / 2;
+    for (i = 0; i < a->p.n_src; i++) {
+        const uint64_t force = a->p.src_force[i * words + w];
+        const uint64_t keep = a->p.src_keep[i * words + w];
+        const int64_t sig = a->p.src_rows[i] / 2;
         if (!force && !~keep)
             continue;
-        if (a->stamp[sig] != a->cur) {
-            a->FV[2 * sig * words + w] = good_word(a, a->GV, 2 * sig, w);
-            a->FV[(2 * sig + 1) * words + w] =
-                good_word(a, a->GV, 2 * sig + 1, w);
+        if (a->s.stamp[sig] != a->cur) {
+            FV[2 * sig * words + w] = good_word(a, a->GV, 2 * sig, w);
+            FV[(2 * sig + 1) * words + w] = good_word(a, a->GV, 2 * sig + 1, w);
             diverge(a, sig);
         }
-        uint64_t *cell = a->FV + (int64_t)a->src_rows[i] * words + w;
+        uint64_t *cell = FV + (int64_t)a->p.src_rows[i] * words + w;
         *cell = (*cell | force) & keep;
     }
-    for (i = a->pw_off[w]; i < a->pw_off[w + 1]; i++)
-        a->worklist[a->pw_ops[i] / 64] |= (uint64_t)1 << (a->pw_ops[i] % 64);
+    for (i = 0; i < a->p.n_pin; i++)
+        if (a->p.pin_sa1[i * words + w] | a->p.pin_sa0[i * words + w])
+            queue(a, a->p.pin_ops[i]);
+    for (i = 0; i < a->p.n_stem; i++)
+        if (a->p.stem_sa1[i * words + w] | a->p.stem_sa0[i * words + w])
+            queue(a, a->p.stem_ops[i]);
 
     /* The queued ops in topological order; evaluating one may queue    */
     /* later ones, in this bitmap word or a later one.                  */
     for (j = 0; j < nbits; j++) {
         uint64_t m;
-        while ((m = a->worklist[j]) != 0) {
-            a->worklist[j] = m & (m - 1);
+        while ((m = a->s.worklist[j]) != 0) {
+            a->s.worklist[j] = m & (m - 1);
             eval_word(a, j * 64 + ctz64(m), w);
         }
     }
 
     /* Detect: only diverged or patched POs can differ. */
-    for (p = 0; p < a->num_pos; p++) {
-        const int64_t sig = a->po_sig[p];
+    for (p = 0; p < a->c.num_pos; p++) {
+        const int64_t sig = a->c.po_sig[p];
         const int64_t at = p * words + w;
-        const uint64_t fs1 = a->f_po_sa1[at], fs0 = a->f_po_sa0[at];
-        const uint64_t gs1 = a->g_po_sa1 ? a->g_po_sa1[at] : 0;
-        const uint64_t gs0 = a->g_po_sa0 ? a->g_po_sa0[at] : 0;
-        if (a->stamp[sig] != a->cur && !(fs1 | fs0 | gs1 | gs0))
+        const uint64_t fs1 = a->p.po_sa1[at], fs0 = a->p.po_sa0[at];
+        if (a->s.stamp[sig] != a->cur && !(fs1 | fs0))
             continue;
-        const uint64_t g_h = good_word(a, a->GV, 2 * sig, w);
-        const uint64_t g_l = good_word(a, a->GV, 2 * sig + 1, w);
-        const uint64_t f_h = faulty_word(a, sig, 0, w);
-        const uint64_t f_l = faulty_word(a, sig, 1, w);
-        const uint64_t gh = (g_h | gs1) & ~gs0;
-        const uint64_t gl = (g_l | gs0) & ~gs1;
-        const uint64_t fh = (f_h | fs1) & ~fs0;
-        const uint64_t fl = (f_l | fs0) & ~fs1;
+        const uint64_t gh = good_word(a, a->GV, 2 * sig, w);
+        const uint64_t gl = good_word(a, a->GV, 2 * sig + 1, w);
+        const uint64_t fh = (faulty_word(a, sig, 0, w) | fs1) & ~fs0;
+        const uint64_t fl = (faulty_word(a, sig, 1, w) | fs0) & ~fs1;
         det |= (gh & fl) | (gl & fh);
     }
-    a->det[w] = det;
+    a->s.det[w] = det;
 
     /* Latch: a flop takes a diverged D; one whose D matches good stays  */
     /* equal to good (its word goes clean, the state array stale there). */
     /* Then the flop patches, on the good next state where clean.       */
-    for (f = 0; f < a->num_flops; f++) {
-        const int64_t d = a->d_sig[f];
-        uint64_t *mask = a->fdirty + f * mw + w / 64;
+    for (f = 0; f < a->c.num_flops; f++) {
+        const int64_t d = a->c.d_sig[f];
+        uint64_t *mask = a->s.fdirty + f * mw + w / 64;
         const uint64_t bit = (uint64_t)1 << (w % 64);
         *mask &= ~bit;
-        if (a->stamp[d] != a->cur)
+        if (a->s.stamp[d] != a->cur)
             continue;
-        const uint64_t h = a->FV[2 * d * words + w];
-        const uint64_t l = a->FV[(2 * d + 1) * words + w];
+        const uint64_t h = FV[2 * d * words + w];
+        const uint64_t l = FV[(2 * d + 1) * words + w];
         a->f_sh[f * words + w] = h;
         a->f_sl[f * words + w] = l;
         if (((h ^ good_word(a, a->GV, 2 * d, w)) |
@@ -1072,13 +1134,13 @@ static void walk_word(ScanArgs *a, int64_t w)
             live)
             *mask |= bit;
     }
-    for (i = 0; i < a->n_dff; i++) {
+    for (i = 0; i < a->p.n_dff; i++) {
         const int64_t at = i * words + w;
-        const uint64_t fh = a->dff_force_h[at], kh = a->dff_keep_h[at];
-        const uint64_t fl = a->dff_force_l[at], kl = a->dff_keep_l[at];
-        const int64_t pos = a->dff_pos[i];
-        const int64_t d = a->d_sig[pos];
-        uint64_t *mask = a->fdirty + pos * mw + w / 64;
+        const uint64_t fh = a->p.dff_force_h[at], kh = a->p.dff_keep_h[at];
+        const uint64_t fl = a->p.dff_force_l[at], kl = a->p.dff_keep_l[at];
+        const int64_t pos = a->p.dff_pos[i];
+        const int64_t d = a->c.d_sig[pos];
+        uint64_t *mask = a->s.fdirty + pos * mw + w / 64;
         const uint64_t bit = (uint64_t)1 << (w % 64);
         if (!fh && !fl && !~kh && !~kl)
             continue;
@@ -1098,45 +1160,47 @@ static void walk_word(ScanArgs *a, int64_t w)
 /* compares every PO with the good word.                                */
 static void step_broadcast(ScanArgs *a, int64_t t, int64_t w0, int64_t w1)
 {
-    const int64_t words = a->words;
+    const int64_t words = a->s.words;
     const size_t span_bytes = (size_t)(w1 - w0) * sizeof(uint64_t);
-    const uint8_t *bits = a->stim_bits + t * a->num_pis;
+    const uint8_t *bits = a->s.stim_bits + t * a->c.num_pis;
+    uint64_t *FV = a->s.FV;
     int64_t p, f, i, w;
-    for (p = 0; p < a->num_pis; p++) {
-        uint64_t *h = a->FV + (uint64_t)(2 * a->pi_sig[p]) * words;
+    for (p = 0; p < a->c.num_pis; p++) {
+        uint64_t *h = FV + (uint64_t)(2 * a->c.pi_sig[p]) * words;
         const uint64_t hv = bits[p] ? ~(uint64_t)0 : 0;
         for (w = w0; w < w1; w++) {
             h[w] = hv;
             h[words + w] = ~hv;
         }
     }
-    for (f = 0; f < a->num_flops; f++) {
-        uint64_t *q = a->FV + (uint64_t)(2 * a->q_sig[f]) * words;
+    for (f = 0; f < a->c.num_flops; f++) {
+        uint64_t *q = FV + (uint64_t)(2 * a->c.q_sig[f]) * words;
         memcpy(q + w0, a->f_sh + f * words + w0, span_bytes);
         memcpy(q + words + w0, a->f_sl + f * words + w0, span_bytes);
     }
-    for (i = 0; i < a->n_src; i++) {
-        uint64_t *row = a->FV + (uint64_t)a->src_rows[i] * words;
-        const uint64_t *force = a->src_force + i * words;
-        const uint64_t *keep = a->src_keep + i * words;
+    for (i = 0; i < a->p.n_src; i++) {
+        uint64_t *row = FV + (uint64_t)a->p.src_rows[i] * words;
+        const uint64_t *force = a->p.src_force + i * words;
+        const uint64_t *keep = a->p.src_keep + i * words;
         for (w = w0; w < w1; w++)
             row[w] = (row[w] | force[w]) & keep[w];
     }
-    eval_ops(a->FV, words, w0, w1, a->codes, a->outs, a->in_off, a->ins,
-             a->num_ops, a->pin_ops, a->pin_pins, a->pin_sa1, a->pin_sa0,
-             a->n_pin, a->stem_ops, a->stem_sa1, a->stem_sa0, a->n_stem,
-             a->scratch, a->ptrs, a->GV);
-    a->ops_faulty += a->num_ops;
-    for (p = 0; p < a->num_pos; p++) {
-        const int64_t sig = a->po_sig[p];
+    eval_ops(FV, words, w0, w1, a->c.codes, a->c.outs, a->c.in_off,
+             a->c.ins, a->c.num_ops, a->p.pin_ops, a->p.pin_pins,
+             a->p.pin_sa1, a->p.pin_sa0, a->p.n_pin, a->p.stem_ops,
+             a->p.stem_sa1, a->p.stem_sa0, a->p.n_stem, a->s.scratch,
+             a->s.ptrs, a->GV);
+    a->s.ops_faulty += a->c.num_ops;
+    for (p = 0; p < a->c.num_pos; p++) {
+        const int64_t sig = a->c.po_sig[p];
         const uint64_t gh = a->GV[2 * sig], gl = a->GV[2 * sig + 1];
-        const uint64_t *fh = a->FV + (uint64_t)(2 * sig) * words;
-        const uint64_t *fs1 = a->f_po_sa1 + p * words;
-        const uint64_t *fs0 = a->f_po_sa0 + p * words;
+        const uint64_t *fh = FV + (uint64_t)(2 * sig) * words;
+        const uint64_t *fs1 = a->p.po_sa1 + p * words;
+        const uint64_t *fs0 = a->p.po_sa0 + p * words;
         for (w = w0; w < w1; w++) {
             const uint64_t h = (fh[w] | fs1[w]) & ~fs0[w];
             const uint64_t l = (fh[words + w] | fs0[w]) & ~fs1[w];
-            a->det[w] |= (gh & l) | (gl & h);
+            a->s.det[w] |= (gh & l) | (gl & h);
         }
     }
 }
@@ -1145,21 +1209,21 @@ static void step_broadcast(ScanArgs *a, int64_t t, int64_t w0, int64_t w1)
 /* patches.                                                              */
 static void latch_broadcast(ScanArgs *a, int64_t w0, int64_t w1)
 {
-    const int64_t words = a->words;
+    const int64_t words = a->s.words;
     const size_t span_bytes = (size_t)(w1 - w0) * sizeof(uint64_t);
     int64_t f, i, w;
-    for (f = 0; f < a->num_flops; f++) {
-        const uint64_t *d = a->FV + (uint64_t)(2 * a->d_sig[f]) * words;
+    for (f = 0; f < a->c.num_flops; f++) {
+        const uint64_t *d = a->s.FV + (uint64_t)(2 * a->c.d_sig[f]) * words;
         memcpy(a->f_sh + f * words + w0, d + w0, span_bytes);
         memcpy(a->f_sl + f * words + w0, d + words + w0, span_bytes);
     }
-    for (i = 0; i < a->n_dff; i++) {
-        uint64_t *h = a->f_sh + a->dff_pos[i] * words;
-        uint64_t *l = a->f_sl + a->dff_pos[i] * words;
-        const uint64_t *fh = a->dff_force_h + i * words;
-        const uint64_t *kh = a->dff_keep_h + i * words;
-        const uint64_t *fl = a->dff_force_l + i * words;
-        const uint64_t *kl = a->dff_keep_l + i * words;
+    for (i = 0; i < a->p.n_dff; i++) {
+        uint64_t *h = a->f_sh + a->p.dff_pos[i] * words;
+        uint64_t *l = a->f_sl + a->p.dff_pos[i] * words;
+        const uint64_t *fh = a->p.dff_force_h + i * words;
+        const uint64_t *kh = a->p.dff_keep_h + i * words;
+        const uint64_t *fl = a->p.dff_force_l + i * words;
+        const uint64_t *kl = a->p.dff_keep_l + i * words;
         for (w = w0; w < w1; w++) {
             h[w] = (h[w] | fh[w]) & kh[w];
             l[w] = (l[w] | fl[w]) & kl[w];
@@ -1171,17 +1235,17 @@ static void latch_broadcast(ScanArgs *a, int64_t w0, int64_t w1)
 /* a flop's dirty words can differ from good in a live slot.            */
 static void accumulate_divergence(const ScanArgs *a, int64_t w0, int64_t w1)
 {
-    const int64_t words = a->words, mw = a->mw;
+    const int64_t words = a->s.words, mw = a->mw;
     int64_t w, f;
     for (w = w0; w < w1; w++) {
-        const uint64_t live = a->live[w];
+        const uint64_t live = a->s.live[w];
         int64_t counts[64];
         uint64_t rest;
         if (!live)
             continue;
         memset(counts, 0, sizeof(counts));
-        for (f = 0; f < a->num_flops; f++) {
-            if (!word_dirty(a->fdirty + f * mw, w))
+        for (f = 0; f < a->c.num_flops; f++) {
+            if (!word_dirty(a->s.fdirty + f * mw, w))
                 continue;
             const uint64_t gh = good_word(a, a->g_sh, f, w);
             const uint64_t gl = good_word(a, a->g_sl, f, w);
@@ -1205,60 +1269,39 @@ static void accumulate_divergence(const ScanArgs *a, int64_t w0, int64_t w1)
     }
 }
 
-/* Before the first step: the fanout lists, each op's patch entries,    */
-/* the patched ops of each word, and the words where each flop's faulty */
-/* start state differs from the good one in a pending slot.             */
+/* Before the first paired step: each op's patch entries, and the      */
+/* words where each flop's faulty start state differs from the good one */
+/* in a pending slot.                                                   */
 static void start_faulty(ScanArgs *a)
 {
-    const int64_t words = a->words, mw = a->mw;
-    int64_t op, k, p, f, w, i;
-    for (op = 0; op < a->num_ops; op++)
-        for (k = a->in_off[op]; k < a->in_off[op + 1]; k++)
-            a->fo_off[a->ins[k] + 1]++;
-    for (i = 0; i < a->num_signals; i++)
-        a->fo_off[i + 1] += a->fo_off[i];
-    /* The stamps (all zero until the first step) count each list's fill. */
-    for (op = 0; op < a->num_ops; op++)
-        for (k = a->in_off[op]; k < a->in_off[op + 1]; k++)
-            a->fo_ops[a->fo_off[a->ins[k]] + a->stamp[a->ins[k]]++] =
-                (int32_t)op;
-    memset(a->stamp, 0, (size_t)a->num_signals * sizeof(int64_t));
-    for (op = 0, p = 0; op <= a->num_ops; op++) {
-        while (p < a->n_pin && a->pin_ops[p] < op)
+    const int64_t words = a->s.words, mw = a->mw;
+    int64_t op, p, i, f, w;
+    for (op = 0, p = 0; op <= a->c.num_ops; op++) {
+        while (p < a->p.n_pin && a->p.pin_ops[p] < op)
             p++;
-        a->op_pin0[op] = (int32_t)p;
+        a->s.op_pin0[op] = (int32_t)p;
     }
-    for (op = 0; op < a->num_ops; op++)
-        a->op_stem[op] = -1;
-    for (i = 0; i < a->n_stem; i++)
-        a->op_stem[a->stem_ops[i]] = (int32_t)i;
-    for (w = 0; w < words; w++) {
-        int32_t n = a->pw_off[w];
-        for (i = 0; i < a->n_pin; i++)
-            if (a->pin_sa1[i * words + w] | a->pin_sa0[i * words + w])
-                a->pw_ops[n++] = a->pin_ops[i];
-        for (i = 0; i < a->n_stem; i++)
-            if (a->stem_sa1[i * words + w] | a->stem_sa0[i * words + w])
-                a->pw_ops[n++] = a->stem_ops[i];
-        a->pw_off[w + 1] = n;
-    }
-    for (f = 0; f < a->num_flops; f++)
+    for (op = 0; op < a->c.num_ops; op++)
+        a->s.op_stem[op] = -1;
+    for (i = 0; i < a->p.n_stem; i++)
+        a->s.op_stem[a->p.stem_ops[i]] = (int32_t)i;
+    for (f = 0; f < a->c.num_flops; f++)
         for (w = 0; w < words; w++)
             if (((a->f_sh[f * words + w] ^ good_word(a, a->g_sh, f, w)) |
                  (a->f_sl[f * words + w] ^ good_word(a, a->g_sl, f, w))) &
-                a->pending[w])
-                a->fdirty[f * mw + w / 64] |= (uint64_t)1 << (w % 64);
+                a->s.pending[w])
+                a->s.fdirty[f * mw + w / 64] |= (uint64_t)1 << (w % 64);
 }
 
 /* After a collect_finals scan: every flop takes the good state in its  */
 /* clean words, so the caller reads every live slot's exact final state. */
 static void finish_faulty(ScanArgs *a)
 {
-    const int64_t words = a->words, mw = a->mw;
+    const int64_t words = a->s.words, mw = a->mw;
     int64_t f, w;
-    for (f = 0; f < a->num_flops; f++)
+    for (f = 0; f < a->c.num_flops; f++)
         for (w = 0; w < words; w++)
-            if (!word_dirty(a->fdirty + f * mw, w)) {
+            if (!word_dirty(a->s.fdirty + f * mw, w)) {
                 a->f_sh[f * words + w] = good_word(a, a->g_sh, f, w);
                 a->f_sl[f * words + w] = good_word(a, a->g_sl, f, w);
             }
@@ -1266,30 +1309,31 @@ static void finish_faulty(ScanArgs *a)
 
 static int64_t scan_words(ScanArgs *a)
 {
-    const int64_t words = a->words;
+    const int64_t words = a->s.words;
     const int64_t gw = a->gwords;
-    const int faulty = a->FV != NULL;
+    const int faulty = a->s.FV != NULL;
     const int divergence = a->div_area != NULL;
+    uint64_t *pending = a->s.pending;
     int64_t w0 = 0, w1 = words;
     int64_t t, w, f, p;
     int64_t executed = 0;
-    if (faulty && a->desc)
+    if (faulty && a->s.desc)
         start_faulty(a);
-    for (t = 0; t < a->num_steps; t++) {
+    for (t = 0; t < a->s.num_steps; t++) {
         int64_t g0, g1;
         uint64_t any = 0;
 
-        if (a->desc)
+        if (a->s.desc)
             expire_derived(a, t, w0, w1);
         for (w = w0; w < w1; w++)
-            any |= a->pending[w];
-        if (!any && !a->collect_finals)
+            any |= pending[w];
+        if (!any && !a->s.collect_finals)
             return executed; /* live drained: nothing detects later */
         executed++;
-        if (!a->collect_finals) {
-            while (!a->pending[w0])
+        if (!a->s.collect_finals) {
+            while (!pending[w0])
                 w0++;
-            while (!a->pending[w1 - 1])
+            while (!pending[w1 - 1])
                 w1--;
         }
         g0 = gw == words ? w0 : 0;
@@ -1299,24 +1343,25 @@ static int64_t scan_words(ScanArgs *a)
         /* fault axis, alongside the faulty batch).                     */
         load_good(a, t, w0, w1, g0, g1);
         if (faulty) {
-            a->step = t + 1;
+            a->step = a->epoch + t + 1;
             for (w = w0; w < w1; w++) {
-                a->live[w] = a->pending[w];
-                a->det[w] = 0;
+                a->s.live[w] = pending[w];
+                a->s.det[w] = 0;
             }
         }
-        if (faulty && !a->desc)
+        if (faulty && !a->s.desc)
             step_broadcast(a, t, w0, w1);
         else
-            eval_ops(a->GV, gw, g0, g1, a->codes, a->outs, a->in_off, a->ins,
-                     a->num_ops, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0);
-        a->ops_good += a->num_ops;
+            eval_ops(a->GV, gw, g0, g1, a->c.codes, a->c.outs, a->c.in_off,
+                     a->c.ins, a->c.num_ops, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                     0);
+        a->s.ops_good += a->c.num_ops;
 
         if (a->po_trace) {
-            uint8_t *row = a->po_trace + t * a->num_pos;
-            for (p = 0; p < a->num_pos; p++) {
+            uint8_t *row = a->po_trace + t * a->c.num_pos;
+            for (p = 0; p < a->c.num_pos; p++) {
                 const uint64_t *rail =
-                    a->GV + (uint64_t)(2 * a->po_sig[p]) * gw;
+                    a->GV + (uint64_t)(2 * a->c.po_sig[p]) * gw;
                 row[p] = (rail[0] & 1) ? 1 : (rail[gw] & 1) ? 0 : 2;
             }
         }
@@ -1324,43 +1369,44 @@ static int64_t scan_words(ScanArgs *a)
         uint64_t pend_any = 0;
         if (faulty) {
             int64_t lowest = -1; /* lowest slot detecting at this step */
-            for (w = w0; w < w1 && a->desc; w++) {
-                a->cur = t * words + w + 1;
-                if (a->live[w])
+            for (w = w0; w < w1 && a->s.desc; w++) {
+                a->cur = a->epoch + t * words + w + 1;
+                if (a->s.live[w])
                     walk_word(a, w);
             }
             for (w = w0; w < w1; w++) {
-                uint64_t d = a->det[w] & a->live[w];
+                uint64_t d = a->s.det[w] & a->s.live[w];
                 if (d && lowest < 0)
                     lowest = w * 64 + ctz64(d);
-                a->pending[w] &= ~d;
+                pending[w] &= ~d;
                 while (d) {
                     const int b = ctz64(d);
-                    a->times[w * 64 + b] = t;
+                    a->s.times[w * 64 + b] = t;
+                    a->s.detected++;
                     d &= d - 1;
                 }
             }
-            if (a->first_hit && lowest >= 0) {
+            if (a->s.first_hit && lowest >= 0) {
                 /* Keep only the slots below the lowest detecting one. */
-                a->pending[lowest / 64] &= ((uint64_t)1 << (lowest % 64)) - 1;
+                pending[lowest / 64] &= ((uint64_t)1 << (lowest % 64)) - 1;
                 for (w = lowest / 64 + 1; w < w1; w++)
-                    a->pending[w] = 0;
+                    pending[w] = 0;
             }
             for (w = w0; w < w1; w++)
-                pend_any |= a->pending[w];
+                pend_any |= pending[w];
         }
-        const int stop = !pend_any && !a->collect_finals;
+        const int stop = !pend_any && !a->s.collect_finals;
         if (stop && !divergence)
             return executed; /* all detected; skip the state latch */
 
         /* Latch the good flops (walk_word latched the faulty ones). */
-        for (f = 0; f < a->num_flops; f++) {
-            const uint64_t *gd = a->GV + (uint64_t)(2 * a->d_sig[f]) * gw;
+        for (f = 0; f < a->c.num_flops; f++) {
+            const uint64_t *gd = a->GV + (uint64_t)(2 * a->c.d_sig[f]) * gw;
             const size_t span_bytes = (size_t)(g1 - g0) * sizeof(uint64_t);
             memcpy(a->g_sh + f * gw + g0, gd + g0, span_bytes);
             memcpy(a->g_sl + f * gw + g0, gd + gw + g0, span_bytes);
         }
-        if (faulty && !a->desc)
+        if (faulty && !a->s.desc)
             latch_broadcast(a, w0, w1);
         if (divergence) {
             accumulate_divergence(a, w0, w1);
@@ -1368,220 +1414,88 @@ static int64_t scan_words(ScanArgs *a)
                 return executed; /* all detected, now counted */
         }
     }
-    if (faulty && a->desc && a->collect_finals)
+    if (faulty && a->s.desc && a->s.collect_finals)
         finish_faulty(a);
     return executed;
 }
 
-/* The divergence walk's per-call working memory (and the fault axis's */
-/* broadcast good machine when GV is NULL); scan_free releases it.     */
-static int scan_alloc(ScanArgs *a, uint64_t **own_gv)
+/* Set a call up from its structs: the derived view, then the outputs  */
+/* and the walk's bits reset, and the good machine's start state.      */
+static void scan_start(ScanArgs *a)
 {
-    const int64_t words = a->words;
-    const int64_t arity = max_arity_of(a->in_off, a->num_ops);
-    const int64_t edges = a->in_off[a->num_ops];
-    const size_t i32 = sizeof(int32_t), u64 = sizeof(uint64_t);
-    int64_t i;
-    *own_gv = 0;
-    if (!a->GV) {
-        *own_gv = calloc((size_t)(2 * a->num_signals + 1), u64);
-        a->GV = *own_gv;
-        a->gwords = 1;
-    }
+    ReproScan *s = &a->s;
+    const int64_t words = s->words, nf = a->c.num_flops;
+    int64_t w, f;
+    a->x_mult = s->hold * s->reps;
+    if (s->x_ops & X_COMPLEMENT)
+        a->x_mult *= 2;
+    if (s->x_ops & X_SHIFT)
+        a->x_mult *= 2;
+    if (s->x_ops & X_REVERSE)
+        a->x_mult *= 2;
     a->mw = (words + 63) / 64;
-    a->stamp = calloc((size_t)a->num_signals + 1, sizeof(int64_t));
-    a->fdirty = calloc((size_t)(a->num_flops * a->mw + 1), u64);
-    a->worklist = calloc((size_t)(a->num_ops / 64 + 1), u64);
-    a->fo_off = calloc((size_t)a->num_signals + 1, i32);
-    a->fo_ops = calloc((size_t)edges + 1, i32);
-    a->op_pin0 = calloc((size_t)a->num_ops + 1, i32);
-    a->op_stem = calloc((size_t)a->num_ops + 1, i32);
-    a->pw_off = calloc((size_t)words + 1, i32);
-    a->pw_ops = calloc((size_t)((a->n_pin + a->n_stem) * words + 1), i32);
-    a->op_step = calloc((size_t)a->num_ops + 1, sizeof(int64_t));
-    a->live = calloc((size_t)words, u64);
-    a->det = calloc((size_t)words, u64);
-    a->vals = calloc((size_t)(2 * arity), u64);
-    a->iota = calloc((size_t)arity, i32);
-    for (i = 0; a->iota && i < arity; i++)
-        a->iota[i] = (int32_t)i;
-    a->scratch = calloc((size_t)(2 * arity * words), u64);
-    a->ptrs = calloc((size_t)(2 * arity), sizeof(uint64_t *));
-    return a->GV && a->stamp && a->fdirty && a->worklist && a->fo_off &&
-           a->fo_ops && a->op_pin0 && a->op_stem && a->pw_off && a->pw_ops &&
-           a->op_step && a->live && a->det && a->vals && a->iota && a->scratch &&
-           a->ptrs;
-}
-
-static void scan_free(ScanArgs *a, uint64_t *own_gv)
-{
-    free(own_gv);
-    free(a->stamp);
-    free(a->fdirty);
-    free(a->worklist);
-    free(a->fo_off);
-    free(a->fo_ops);
-    free(a->op_pin0);
-    free(a->op_stem);
-    free(a->pw_off);
-    free(a->pw_ops);
-    free(a->op_step);
-    free(a->live);
-    free(a->det);
-    free(a->vals);
-    free(a->iota);
-    free(a->scratch);
-    free((void *)a->ptrs);
-}
-
-/* Arguments come in three groups (ABI 6): the program prefix, fixed per */
-/* compiled fault batch and circuit (the Python side builds it once per  */
-/* program); the batch's machines; then the per-call stimulus, outputs   */
-/* and modes.                                                            */
-EXPORT int64_t repro_scan(
-    /* --- program prefix ------------------------------------------- */
-    const int32_t *codes,
-    const int32_t *outs,
-    const int64_t *in_off,
-    const int32_t *ins,
-    int64_t num_ops,
-    int64_t num_signals,
-    const int32_t *pin_ops,
-    const int32_t *pin_pins,
-    const uint64_t *pin_sa1,
-    const uint64_t *pin_sa0,
-    int64_t n_pin,
-    const int32_t *stem_ops,
-    const uint64_t *stem_sa1,
-    const uint64_t *stem_sa0,
-    int64_t n_stem,
-    const int32_t *src_rows,   /* faulty source patches: rail rows ...  */
-    const uint64_t *src_force, /* ... (n_src, words) force masks        */
-    const uint64_t *src_keep,  /* ... (n_src, words) keep masks         */
-    int64_t n_src,
-    const int32_t *pi_sig,
-    int64_t num_pis,
-    const int32_t *q_sig,
-    const int32_t *d_sig,
-    int64_t num_flops,
-    const int32_t *dff_pos,      /* faulty flop patches: positions ...  */
-    const uint64_t *dff_force_h, /* ... into the flop list, with        */
-    const uint64_t *dff_keep_h,  /* ... (n_dff, words) force/keep       */
-    const uint64_t *dff_force_l, /* ... masks per rail                  */
-    const uint64_t *dff_keep_l,
-    int64_t n_dff,
-    const int32_t *po_sig,
-    int64_t num_pos,
-    const uint64_t *f_po_sa1, /* dense (num_pos, words) faulty PO masks */
-    const uint64_t *f_po_sa0,
-    /* --- batch ----------------------------------------------------- */
-    uint64_t *GV, /* good machine rails; NULL on the fault axis         */
-    uint64_t *FV,
-    int64_t words,
-    uint64_t *g_sh, /* good flop state: (num_flops, words), or          */
-    uint64_t *g_sl, /* ... (num_flops, 1) broadcast words w/o GV        */
-    uint64_t *f_sh, /* faulty flop state (num_flops, words)             */
-    uint64_t *f_sl,
-    const uint64_t *g_po_sa1, /* dense (num_pos, words); NULL w/o GV    */
-    const uint64_t *g_po_sa0,
-    /* --- stimulus: bits (fault axis) or derived (paired) ------------ */
-    const uint8_t *stim_bits,   /* (num_steps, num_pis) or NULL         */
-    const uint8_t *base,        /* derived: (base_len, num_pis) bits    */
-    const int32_t *kept,        /* ... sorted kept positions, n_kept    */
-    int64_t n_kept,
-    const int32_t *desc,        /* ... (slots, 4) low, high, a, b; or   */
-    int64_t hold,               /* ... NULL; expansion: hold cycles,    */
-    int64_t reps,               /* ... repetitions and X_* operators    */
-    int64_t x_ops,
-    int64_t num_steps,
-    /* --- outputs and modes ----------------------------------------- */
-    uint64_t *pending,        /* (words), in/out                        */
-    int64_t *times,           /* (words * 64), -1 = undetected, in/out  */
-    int64_t *div_max,         /* paired: (words * 64) per-slot flop     */
-    int64_t *div_final,       /* ... divergence max / last / sum,       */
-    int64_t *div_area,        /* ... in/out; all three NULL = off       */
-    int64_t *ops,             /* (2) faulty, good ops evaluated; or NULL */
-    int64_t collect_finals,
-    int64_t first_hit)
-{
-    int64_t x_mult = hold * reps, executed = -1;
-    uint64_t *own_gv;
-    if (x_ops & X_COMPLEMENT)
-        x_mult *= 2;
-    if (x_ops & X_SHIFT)
-        x_mult *= 2;
-    if (x_ops & X_REVERSE)
-        x_mult *= 2;
-    ScanArgs args = {
-        .codes = codes,
-        .outs = outs,
-        .in_off = in_off,
-        .ins = ins,
-        .num_ops = num_ops,
-        .num_signals = num_signals,
-        .pin_ops = pin_ops,
-        .pin_pins = pin_pins,
-        .pin_sa1 = pin_sa1,
-        .pin_sa0 = pin_sa0,
-        .n_pin = n_pin,
-        .stem_ops = stem_ops,
-        .stem_sa1 = stem_sa1,
-        .stem_sa0 = stem_sa0,
-        .n_stem = n_stem,
-        .src_rows = src_rows,
-        .src_force = src_force,
-        .src_keep = src_keep,
-        .n_src = n_src,
-        .pi_sig = pi_sig,
-        .num_pis = num_pis,
-        .q_sig = q_sig,
-        .d_sig = d_sig,
-        .num_flops = num_flops,
-        .dff_pos = dff_pos,
-        .dff_force_h = dff_force_h,
-        .dff_keep_h = dff_keep_h,
-        .dff_force_l = dff_force_l,
-        .dff_keep_l = dff_keep_l,
-        .n_dff = n_dff,
-        .po_sig = po_sig,
-        .num_pos = num_pos,
-        .f_po_sa1 = f_po_sa1,
-        .f_po_sa0 = f_po_sa0,
-        .GV = GV,
-        .gwords = words,
-        .FV = FV,
-        .words = words,
-        .g_sh = g_sh,
-        .g_sl = g_sl,
-        .f_sh = f_sh,
-        .f_sl = f_sl,
-        .g_po_sa1 = g_po_sa1,
-        .g_po_sa0 = g_po_sa0,
-        .stim_bits = stim_bits,
-        .base = base,
-        .kept = kept,
-        .n_kept = n_kept,
-        .desc = desc,
-        .hold = hold,
-        .x_ops = x_ops,
-        .x_mult = x_mult,
-        .num_steps = num_steps,
-        .pending = pending,
-        .times = times,
-        .div_max = div_max,
-        .div_final = div_final,
-        .div_area = div_area,
-        .collect_finals = collect_finals,
-        .first_hit = first_hit,
-    };
-    if (scan_alloc(&args, &own_gv)) {
-        executed = scan_words(&args);
-        if (ops) {
-            ops[0] = args.ops_faulty;
-            ops[1] = args.ops_good;
+    a->epoch = s->epoch;
+    a->GV = s->GV;
+    a->f_sh = s->f_state;
+    a->f_sl = s->f_state + nf * words;
+    if (s->desc) {
+        a->gwords = words;
+        a->g_sh = s->g_state;
+        a->g_sl = s->g_state + nf * words;
+    } else {
+        a->gwords = 1;
+        a->g_sh = s->good_state;
+        a->g_sl = s->good_state + nf;
+        for (f = 0; f < nf; f++) {
+            const uint8_t code = s->good_start ? s->good_start[f] : 2;
+            a->g_sh[f] = code == 1 ? ~(uint64_t)0 : 0;
+            a->g_sl[f] = code == 0 ? ~(uint64_t)0 : 0;
         }
     }
-    scan_free(&args, own_gv);
+    if (s->divergence) {
+        memset(s->div, 0, (size_t)(3 * words * 64) * sizeof(int64_t));
+        a->div_max = s->div;
+        a->div_final = s->div + words * 64;
+        a->div_area = s->div + 2 * words * 64;
+    }
+    for (w = 0; w < words; w++) {
+        const int64_t left = s->num_slots - w * 64;
+        uint64_t slots = left >= 64 ? ~(uint64_t)0
+                         : left > 0 ? ((uint64_t)1 << left) - 1
+                                    : 0;
+        s->pending[w] = s->use_alive ? slots & s->alive[w] : slots;
+    }
+    for (w = 0; w < s->num_slots; w++)
+        s->times[w] = -1;
+    memset(s->fdirty, 0, (size_t)(nf * a->mw) * sizeof(uint64_t));
+    memset(s->worklist, 0,
+           (size_t)((a->c.num_ops + 63) / 64) * sizeof(uint64_t));
+    s->detected = s->ops_faulty = s->ops_good = 0;
+}
+
+EXPORT int64_t repro_scan(const ReproProgram *program, ReproScan *scan)
+{
+    ScanArgs a;
+    int64_t executed;
+    if (program->words != scan->words)
+        return -1;
+    memset(&a, 0, sizeof(a));
+    a.c = *program->circuit;
+    a.p = *program;
+    a.s = *scan;
+    scan_start(&a);
+    /* This call's stamps lie in (epoch, epoch + num_steps * words]. */
+    scan->epoch += a.s.num_steps * a.s.words + 1;
+    executed = scan_words(&a);
+    if (!a.s.desc) {
+        const int64_t nf = a.c.num_flops;
+        int64_t f;
+        for (f = 0; f < nf; f++)
+            scan->good_final[f] = a.g_sh[f] & 1 ? 1 : a.g_sl[f] & 1 ? 0 : 2;
+    }
+    scan->detected = a.s.detected;
+    scan->ops_faulty = a.s.ops_faulty;
+    scan->ops_good = a.s.ops_good;
     return executed;
 }
 
@@ -1619,29 +1533,29 @@ EXPORT void repro_trace(
     uint8_t *po_trace)
 {
     uint64_t pending = 0;
-    ScanArgs args = {
-        .codes = codes,
-        .outs = outs,
-        .in_off = in_off,
-        .ins = ins,
-        .num_ops = num_ops,
-        .pi_sig = pi_sig,
-        .num_pis = num_pis,
-        .q_sig = q_sig,
-        .d_sig = d_sig,
-        .num_flops = num_flops,
-        .po_sig = po_sig,
-        .num_pos = num_pos,
-        .GV = V,
-        .gwords = 1,
-        .words = 1,
-        .g_sh = s_h,
-        .g_sl = s_l,
-        .stim_bits = stim_bits,
-        .num_steps = num_steps,
-        .pending = &pending,
-        .collect_finals = 1,
-        .po_trace = po_trace,
-    };
-    scan_words(&args);
+    ScanArgs a;
+    memset(&a, 0, sizeof(a));
+    a.c.codes = codes;
+    a.c.outs = outs;
+    a.c.in_off = in_off;
+    a.c.ins = ins;
+    a.c.num_ops = num_ops;
+    a.c.pi_sig = pi_sig;
+    a.c.num_pis = num_pis;
+    a.c.q_sig = q_sig;
+    a.c.d_sig = d_sig;
+    a.c.num_flops = num_flops;
+    a.c.po_sig = po_sig;
+    a.c.num_pos = num_pos;
+    a.s.words = 1;
+    a.s.stim_bits = stim_bits;
+    a.s.num_steps = num_steps;
+    a.s.pending = &pending;
+    a.s.collect_finals = 1;
+    a.GV = V;
+    a.gwords = 1;
+    a.g_sh = s_h;
+    a.g_sl = s_l;
+    a.po_trace = po_trace;
+    scan_words(&a);
 }

@@ -117,6 +117,13 @@ def record_dispatch(kind: str, count: int = 1) -> None:
         _DISPATCH_COUNTERS[kind] = _DISPATCH_COUNTERS.get(kind, 0) + count
 
 
+def record_dispatches(counts: dict[str, int]) -> None:
+    """Add several dispatch counts under one lock acquisition."""
+    with _DISPATCH_LOCK:
+        for kind, count in counts.items():
+            _DISPATCH_COUNTERS[kind] = _DISPATCH_COUNTERS.get(kind, 0) + count
+
+
 def dispatch_counters() -> dict[str, int]:
     """A snapshot of the process dispatch counters."""
     with _DISPATCH_LOCK:
@@ -223,18 +230,21 @@ class GoodMachine:
     Every batch of one fault-axis dispatch compares against the same
     good machine: ``state`` is its per-flop start state (``None`` =
     all-X).  Engines that run it inside their scan (the native kernel)
-    read ``state`` and, after a scan that collects final states, set
-    ``final_state``.  The others read its observation plan row by row
-    (:meth:`row`, as an :class:`~repro.sim.trace.ObservationPlan`),
-    simulated on first use by ``simulate`` — a callable returning the
-    plan and the final state (``None`` when not needed).
+    read ``state`` — converted once to their own form and kept in
+    ``engine_state`` for every batch — and, after a scan that collects
+    final states, set ``final_state``.  The others read its observation
+    plan row by row (:meth:`row`, as an
+    :class:`~repro.sim.trace.ObservationPlan`), simulated on first use by
+    ``simulate`` — a callable returning the plan and the final state
+    (``None`` when not needed).
     """
 
-    __slots__ = ("state", "final_state", "_simulate", "_plan", "_lock")
+    __slots__ = ("state", "final_state", "engine_state", "_simulate", "_plan", "_lock")
 
     def __init__(self, state: "list[Ternary] | None", simulate) -> None:
         self.state = state
         self.final_state: list[Ternary] | None = None
+        self.engine_state = None
         self._simulate = simulate
         self._plan = None
         self._lock = threading.Lock()

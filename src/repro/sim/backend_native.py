@@ -31,39 +31,81 @@ its injection plan: the source, flop and PO patch arrays
 plus two sorted, dense-by-entry arrays for the eval walk (gate-pin
 patches and gate-output stem patches), which merges them cursor-style
 so the unfaulted common case costs one integer compare per op.
+
+A fused scan is one ``repro_scan(program, context)`` call over memory
+set up once (kernel ABI 9).  The backend fills a ``ReproCircuit`` with
+the circuit's tables when it is created, and each program fills a
+``ReproProgram`` (its patches) once per width: a faulted program when it
+compiles, the fault-free one on its first scan at each width.  Every
+buffer a scan writes — both machines' rails, the outputs and the walk's
+working memory — lives in a ``ReproScan`` context from the backend's
+pool: a call checks one at least as wide as itself out, writes only the
+fields that change (width, stimulus, step and slot counts, the batches'
+flop state addresses, the modes), and returns it when done, so
+concurrent calls never share one and a serial run holds one.  A batch
+only holds its flop state, which the kernel reads and writes in place.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import ctypes
+import threading
+from collections.abc import Iterable, Sequence
+from functools import cached_property
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.faults.model import Fault
-from repro.logic.values import ONE, X, ZERO, Ternary
+from repro.logic.values import Ternary
 from repro.sim.backend import (
     GoodMachine,
     ScanDivergence,
     SimBatch,
     SimProgram,
     record_dispatch,
+    record_dispatches,
 )
 from repro.sim.backend_numpy import (
-    _FULL_WORD,
     WORD_BITS,
     NumpyBackend,
     NumpyBatch,
-    _mask_to_words,
     _masks_to_matrix,
     _words_to_mask,
 )
 from repro.sim.kernel import merge_stem_patches
-from repro.sim.native_build import load_native_library
+from repro.sim.native_build import (
+    ReproCircuit,
+    ReproProgram,
+    ReproScan,
+    load_native_library,
+)
 
 
-#: ``repro_trace`` PO code -> scalar value (codes are Ternary's values).
+#: A Ternary code of the kernel (``repro_trace``'s POs, the fault
+#: axis's good state) -> scalar value.
 _TERNARY = tuple(Ternary(code) for code in range(3))
+
+
+#: A program's patch arrays, as named in ``NativeProgram`` and
+#: ``ReproProgram`` (which adds the dense PO masks).
+_PATCHES = (
+    "pin_ops",
+    "pin_pins",
+    "pin_sa1",
+    "pin_sa0",
+    "stem_ops",
+    "stem_sa1",
+    "stem_sa0",
+    "src_rows",
+    "src_force",
+    "src_keep",
+    "dff_pos",
+    "dff_force_h",
+    "dff_keep_h",
+    "dff_force_l",
+    "dff_keep_l",
+)
 
 
 def _addr(array: np.ndarray) -> int:
@@ -71,12 +113,30 @@ def _addr(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
-def _c_args(*values) -> tuple:
-    """Arrays as raw addresses, ``None`` and integers as they are."""
-    return tuple(
-        value if value is None or isinstance(value, int) else _addr(value)
-        for value in values
-    )
+def _packed(
+    arrays: Iterable[np.ndarray],
+) -> tuple[ctypes.Array, list[np.ndarray], list[int]]:
+    """Copies of ``arrays`` in one buffer, each 8-byte aligned.
+
+    Returns the buffer (the owner of the memory), the copies (views of
+    it) and their addresses.
+    """
+    arrays = list(arrays)
+    offsets = []
+    size = 0
+    for array in arrays:
+        offsets.append(size)
+        size += -(-array.nbytes // 8) * 8
+    buffer = (ctypes.c_uint64 * max(size // 8, 1))()
+    base = ctypes.addressof(buffer)
+    copies = []
+    for array, offset in zip(arrays, offsets):
+        copy = np.frombuffer(
+            buffer, dtype=array.dtype, count=array.size, offset=offset
+        ).reshape(array.shape)
+        copy[...] = array
+        copies.append(copy)
+    return buffer, copies, [base + offset for offset in offsets]
 
 
 class NativeProgram(SimProgram):
@@ -106,7 +166,7 @@ class NativeProgram(SimProgram):
         "stem_sa1",
         "stem_sa0",
         "_dense_po",
-        "_scan_prefixes",
+        "_scan_programs",
     )
 
     def __init__(
@@ -130,8 +190,8 @@ class NativeProgram(SimProgram):
         #: programs are bound to one batch width; the fault-free program
         #: serves every width, hence the per-words memo.
         self._dense_po: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        #: words -> the program-fixed head of repro_scan's arguments.
-        self._scan_prefixes: dict[int, tuple] = {}
+        #: words -> (ReproProgram address, the memory it points into).
+        self._scan_programs: dict[int, tuple] = {}
 
     def dense_po_masks(
         self, num_pos: int, words: int
@@ -154,46 +214,40 @@ class NativeProgram(SimProgram):
 
 
 class NativeBatch(NumpyBatch):
-    """A rail-storage batch whose hot loops run in the compiled kernel."""
+    """A rail-storage batch whose hot loops run in the compiled kernel.
 
-    def __init__(
-        self, backend: "NativeBackend", program: NativeProgram, batch_size: int
-    ) -> None:
-        super().__init__(backend, program, batch_size)
-        words = self._words
-        lib = backend.lib
-        self._lib = lib
-        num_pos = len(backend.po_sig)
-        self._po_sa1, self._po_sa0 = program.dense_po_masks(num_pos, words)
-        self._detect_out = np.zeros(words, dtype=np.uint64)
-        self._eval_args: tuple | None = None
+    Fused scans read and write only its flop state; the rails and the
+    buffers of the stepped calls are allocated on first use.
+    """
 
-    def eval(self) -> None:
-        record_dispatch("native_ffi_calls")
-        if self._eval_args is None:
-            self._eval_args = self._build_eval_args()
-        self._lib.repro_eval(*self._eval_args)
+    @cached_property
+    def _po_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._program.dense_po_masks(len(self._backend.po_sig), self._words)
 
-    def _build_eval_args(self) -> tuple:
-        """The eval argument vector, invariant across time steps.
+    @cached_property
+    def _detect_out(self) -> np.ndarray:
+        return np.zeros(self._words, dtype=np.uint64)
 
-        Built on the first stepped :meth:`eval` (fused scans never need
-        it, nor its patched-pin buffers); the arrays it points into are
-        kept alive by self/backend/program.
+    @cached_property
+    def _eval_args(self) -> tuple:
+        """The stepped :meth:`eval`'s argument vector, fixed across steps.
+
+        The arrays it points into are kept alive by self/backend/program.
         """
         backend = self._backend
         program = self._program
-        arity = max(backend.max_arity, 1)
+        circuit = backend.circuit
+        arity = backend.max_arity
         self._gather = np.empty((2 * arity, self._words), dtype=np.uint64)
         self._fanins = np.empty(2 * arity, dtype=np.uintp)
         return (
             _addr(self._V),
             self._words,
-            _addr(backend.c_codes),
-            _addr(backend.c_outs),
-            _addr(backend.c_in_off),
-            _addr(backend.c_ins),
-            len(backend.compiled.ops),
+            circuit.codes,
+            circuit.outs,
+            circuit.in_off,
+            circuit.ins,
+            circuit.num_ops,
             _addr(program.pin_ops),
             _addr(program.pin_pins),
             _addr(program.pin_sa1),
@@ -207,6 +261,10 @@ class NativeBatch(NumpyBatch):
             _addr(self._fanins),
         )
 
+    def eval(self) -> None:
+        record_dispatch("native_ffi_calls")
+        self._backend.lib.repro_eval(*self._eval_args)
+
     def detect_mask(self, positions: Sequence[int], values: Sequence[int]) -> int:
         n = len(positions)
         if not n:
@@ -216,18 +274,82 @@ class NativeBatch(NumpyBatch):
         good_vals = np.asarray(values, dtype=np.uint8)
         out = self._detect_out
         out[:] = 0
-        self._lib.repro_detect_mask(
+        po_sa1, po_sa0 = self._po_masks
+        self._backend.lib.repro_detect_mask(
             _addr(self._V),
             self._words,
             _addr(obs_pos),
             _addr(good_vals),
             n,
-            _addr(self._backend.po_sig),
-            _addr(self._po_sa1),
-            _addr(self._po_sa0),
+            self._backend.circuit.po_sig,
+            _addr(po_sa1),
+            _addr(po_sa0),
             _addr(out),
         )
         return _words_to_mask(out) & self._full_mask
+
+
+class _ScanContext:
+    """One ``ReproScan`` and every buffer it points into.
+
+    The buffers are sized for ``capacity`` words, allocated when the
+    context is created and keep their addresses for its life; a call of
+    any width up to the capacity fills in the per-call fields of
+    :attr:`call`, ``words`` among them (the kernel lays its buffers out
+    by the call's width).  ``times``, ``div`` (flat) and ``good_final``
+    view the kernel's outputs.
+    """
+
+    __slots__ = (
+        "call",
+        "address",
+        "capacity",
+        "times",
+        "div",
+        "good_final",
+        "_buffers",
+    )
+
+    def __init__(self, backend: "NativeBackend", capacity: int) -> None:
+        compiled = backend.compiled
+        signals = compiled.num_signals
+        flops = len(compiled.flop_pairs)
+        ops = len(compiled.ops)
+        arity = backend.max_arity
+        words = self.capacity = capacity
+        slots = words * WORD_BITS
+        # Sizes in 8-byte words (the int32 and byte tables rounded up),
+        # one zeroed array each, so a sanitizer sees every buffer's bounds.
+        sizes = {
+            "GV": 2 * signals * words,
+            "FV": 2 * signals * words,
+            "good_state": 2 * flops,
+            "good_final": -(-flops // 8),
+            "alive": words,
+            "pending": words,
+            "times": slots,
+            "div": 3 * slots,
+            "stamp": signals,
+            "op_step": ops,
+            "op_pin0": ops // 2 + 1,
+            "op_stem": -(-ops // 2),
+            "fdirty": flops * -(-words // WORD_BITS),
+            "worklist": ops // WORD_BITS + 1,
+            "live": words,
+            "det": words,
+            "vals": 2 * arity,
+            "scratch": 2 * arity * words,
+            "ptrs": 2 * arity,
+        }
+        self._buffers = {
+            name: np.zeros(size, dtype=np.uint64) for name, size in sizes.items()
+        }
+        addresses = {name: _addr(array) for name, array in self._buffers.items()}
+        self.call = ReproScan(**addresses)
+        self.address = ctypes.addressof(self.call)
+        self.times = self._buffers["times"].view(np.int64)
+        self.div = self._buffers["div"].view(np.int64)
+        self.good_final = self._buffers["good_final"].view(np.uint8)[:flops]
 
 
 class NativeBackend(NumpyBackend):
@@ -242,32 +364,61 @@ class NativeBackend(NumpyBackend):
         self.lib = load_native_library()
         ops = compiled.ops
         num_ops = len(ops)
+        num_signals = compiled.num_signals
         self.c_codes = np.fromiter(
             (code for code, _, _ in ops), dtype=np.int32, count=num_ops
         )
-        self.c_outs = np.fromiter(
-            (out for _, out, _ in ops), dtype=np.int32, count=num_ops
+        outs = np.fromiter((out for _, out, _ in ops), dtype=np.int32, count=num_ops)
+        arities = np.fromiter(
+            (len(ins) for _, _, ins in ops), dtype=np.int64, count=num_ops
         )
-        offsets = np.zeros(num_ops + 1, dtype=np.int64)
-        for position, (_, _, ins) in enumerate(ops):
-            offsets[position + 1] = offsets[position] + len(ins)
-        self.c_in_off = offsets
-        self.c_ins = np.fromiter(
+        self.c_in_off = np.zeros(num_ops + 1, dtype=np.int64)
+        np.cumsum(arities, out=self.c_in_off[1:])
+        ins = np.fromiter(
             (k for _, _, ins in ops for k in ins),
             dtype=np.int32,
-            count=int(offsets[-1]),
+            count=int(self.c_in_off[-1]),
         )
-        self.max_arity = max((len(ins) for _, _, ins in ops), default=1)
+        self.max_arity = max_arity = int(arities.max(initial=1))
+        # The ops reading each signal, for the divergence walk.
+        fo_off = np.zeros(num_signals + 1, dtype=np.int32)
+        np.cumsum(np.bincount(ins, minlength=num_signals), out=fo_off[1:])
+        reader = np.repeat(np.arange(num_ops, dtype=np.int32), arities)
+        fo_ops = reader[np.argsort(ins, kind="stable")]
         self.po_sig = np.asarray(compiled.po_indices, dtype=np.int32)
         self.c_pi = np.asarray(compiled.pi_indices, dtype=np.int32)
-        self.c_q = np.asarray(
-            [q for q, _ in compiled.flop_pairs], dtype=np.int32
+        q_sig = np.asarray([q for q, _ in compiled.flop_pairs], dtype=np.int32)
+        d_sig = np.asarray([d for _, d in compiled.flop_pairs], dtype=np.int32)
+        tables = {
+            "codes": self.c_codes,
+            "outs": outs,
+            "in_off": self.c_in_off,
+            "ins": ins,
+            "iota": np.arange(max_arity, dtype=np.int32),
+            "fo_off": fo_off,
+            "fo_ops": fo_ops,
+            "pi_sig": self.c_pi,
+            "q_sig": q_sig,
+            "d_sig": d_sig,
+            "po_sig": self.po_sig,
+        }
+        self._circuit_memory, _, addresses = _packed(tables.values())
+        #: The kernel's ReproCircuit; its addresses serve every entry point.
+        self.circuit = ReproCircuit(
+            num_ops=num_ops,
+            num_pis=len(self.c_pi),
+            num_flops=len(q_sig),
+            num_pos=len(self.po_sig),
+            **dict(zip(tables, addresses)),
         )
-        self.c_d = np.asarray(
-            [d for _, d in compiled.flop_pairs], dtype=np.int32
-        )
+        self._circuit_address = ctypes.addressof(self.circuit)
         #: op position of every gate-output signal, for stem patches.
         self._pos_of_out = {out: position for position, (_, out, _) in enumerate(ops)}
+        #: Idle scan contexts (see _ScanContext).
+        self._contexts: list[_ScanContext] = []
+        self._contexts_lock = threading.Lock()
+        #: role -> the (array, address) a scan last pointed that role at.
+        self._pointers: dict[str, tuple[np.ndarray, int]] = {}
 
     # ------------------------------------------------------------------
     # Program compilation
@@ -311,6 +462,7 @@ class NativeBackend(NumpyBackend):
             program.stem_sa0 = _masks_to_matrix(
                 [sa0 for _, _, sa0 in by_position], words
             )
+        self._scan_program(program, words)
         return program
 
     def batch(self, program: SimProgram, batch_size: int) -> NativeBatch:
@@ -333,16 +485,18 @@ class NativeBackend(NumpyBackend):
         record_dispatch("native_ffi_calls")
         out = good._detect_out
         out[:] = 0
+        good_sa1, good_sa0 = good._po_masks
+        faulty_sa1, faulty_sa0 = faulty._po_masks
         self.lib.repro_detect_step(
             _addr(good._V),
             _addr(faulty._V),
             good._words,
-            _addr(self.po_sig),
+            self.circuit.po_sig,
             len(self.po_sig),
-            _addr(good._po_sa1),
-            _addr(good._po_sa0),
-            _addr(faulty._po_sa1),
-            _addr(faulty._po_sa0),
+            _addr(good_sa1),
+            _addr(good_sa0),
+            _addr(faulty_sa1),
+            _addr(faulty_sa0),
             _addr(out),
         )
         return _words_to_mask(out) & alive_mask
@@ -350,54 +504,76 @@ class NativeBackend(NumpyBackend):
     # ------------------------------------------------------------------
     # Fused whole-sequence scan
     # ------------------------------------------------------------------
-    def _scan_prefix(self, program: NativeProgram, words: int) -> tuple:
-        """The program-fixed head of ``repro_scan``'s arguments.
+    def _scan_program(self, program: NativeProgram, words: int) -> tuple:
+        """``program``'s ``ReproProgram`` at ``words``: ``(address, owner)``.
 
-        Built once per program (and word count: the fault-free program
-        serves every width) and kept on it; the arrays it points into
-        are owned by the program and this backend.
+        Filled once and kept on the program: a faulted program's when it
+        is compiled, the fault-free one's on its first scan at each
+        width (it serves every width).  Its patch arrays (and dense PO
+        masks) move into one buffer and its non-empty patch attributes
+        become views of it, so each patch is held once (an empty one
+        keeps its shared zero-row array).  The owner keeps that
+        buffer and this backend's ``ReproCircuit`` alive; a caller holds
+        it until its call returns.
         """
-        prefix = program._scan_prefixes.get(words)
-        if prefix is None:
-            po_sa1, po_sa0 = program.dense_po_masks(len(self.po_sig), words)
-            prefix = _c_args(
-                self.c_codes,
-                self.c_outs,
-                self.c_in_off,
-                self.c_ins,
-                len(self.compiled.ops),
-                self.compiled.num_signals,
-                program.pin_ops,
-                program.pin_pins,
-                program.pin_sa1,
-                program.pin_sa0,
-                len(program.pin_ops),
-                program.stem_ops,
-                program.stem_sa1,
-                program.stem_sa0,
-                len(program.stem_ops),
-                program.src_rows,
-                program.src_force,
-                program.src_keep,
-                len(program.src_rows),
-                self.c_pi,
-                len(self.c_pi),
-                self.c_q,
-                self.c_d,
-                len(self.c_q),
-                program.dff_pos,
-                program.dff_force_h,
-                program.dff_keep_h,
-                program.dff_force_l,
-                program.dff_keep_l,
-                len(program.dff_pos),
-                self.po_sig,
-                len(self.po_sig),
-                po_sa1,
-                po_sa0,
-            )
-            program._scan_prefixes[words] = prefix
-        return prefix
+        held = program._scan_programs.get(words)
+        if held is not None:
+            return held
+        po_sa1, po_sa0 = program.dense_po_masks(len(self.po_sig), words)
+        arrays = {name: getattr(program, name) for name in _PATCHES}
+        arrays.update(po_sa1=po_sa1, po_sa0=po_sa0)
+        memory, copies, addresses = _packed(arrays.values())
+        copied = dict(zip(arrays, copies))
+        for name in _PATCHES:
+            if copied[name].size:
+                setattr(program, name, copied[name])
+        program._dense_po[words] = (copied["po_sa1"], copied["po_sa0"])
+        struct = ReproProgram(
+            circuit=self._circuit_address,
+            words=words,
+            n_pin=len(program.pin_ops),
+            n_stem=len(program.stem_ops),
+            n_src=len(program.src_rows),
+            n_dff=len(program.dff_pos),
+            **dict(zip(arrays, addresses)),
+        )
+        owner = (struct, memory, self.circuit, self._circuit_memory)
+        # Threads racing on a new width keep the first one stored.
+        return program._scan_programs.setdefault(
+            words, (ctypes.addressof(struct), owner)
+        )
+
+    def _pointer(self, role: str, array: np.ndarray) -> int:
+        """``array``'s address, looked up again only when the array a scan
+        passes as ``role`` (its bits, base or kept positions) changes.
+
+        Every batch and width of one dispatch shares its stimulus arrays,
+        so they are looked up once per dispatch.  The caller keeps
+        ``array`` alive for its call; the memo holds it only so that an
+        identity match is never a recycled object.
+        """
+        held = self._pointers.get(role)
+        if held is None or held[0] is not array:
+            held = self._pointers[role] = (array, _addr(array))
+        return held[1]
+
+    def _checkout(self, words: int) -> _ScanContext:
+        """An idle scan context set up for a ``words``-word call.
+
+        One too narrow for the call is dropped for a new one as wide as
+        the call, so a serial run holds one context, as wide as its
+        widest scan, and each concurrent caller adds at most one more.
+        """
+        with self._contexts_lock:
+            context = self._contexts.pop() if self._contexts else None
+        if context is None or context.capacity < words:
+            context = _ScanContext(self, words)
+        context.call.words = words
+        return context
+
+    def _checkin(self, context: _ScanContext) -> None:
+        with self._contexts_lock:
+            self._contexts.append(context)
 
     def run_scan(
         self,
@@ -426,13 +602,14 @@ class NativeBackend(NumpyBackend):
         good/faulty eval (each faulty machine only where it differs
         from the good one), detection, first-hit bookkeeping and the
         flop latch — and accumulates the flop divergence outputs.
-        Stimuli without an array form, and fault-axis scans against a
-        bare observation plan, fall back to the stepped base scan.
+        Stimuli without an array form, paired scans against a faulted
+        good program and fault-axis scans against a bare observation
+        plan fall back to the stepped base scan.
         """
         paired = observation_plan is None
         if paired:
             descriptor = getattr(packed_stimulus, "descriptor", None)
-            stepped = descriptor is None
+            stepped = descriptor is None or good._program.key is not None
         else:
             bits_of = getattr(packed_stimulus, "bits", None)
             # The base loop owns the fault-axis divergence rejection.
@@ -460,141 +637,125 @@ class NativeBackend(NumpyBackend):
             return times_out
         assert isinstance(faulty, NativeBatch)
         words = faulty._words
-        program = faulty._program
-        assert isinstance(program, NativeProgram)
-        # A derived stimulus carries its own alive windows; the fault
-        # axis's steady alive mask folds into the initial pending words.
-        full_mask = (1 << num_slots) - 1
-        if not paired:
-            full_mask &= alive_mask
-        pending = _mask_to_words(full_mask, words)
-        times = np.full(words * WORD_BITS, -1, dtype=np.int64)
-        ops = np.zeros(2, dtype=np.int64)
-        # Per-slot divergence max / final / area rows; NULL pointers
-        # switch the outputs off.
-        div = (
-            None
-            if divergence is None
-            else np.zeros((3, words * WORD_BITS), dtype=np.int64)
-        )
-        div_ptrs = (None,) * 3 if div is None else tuple(_addr(row) for row in div)
-        if paired:
-            assert isinstance(good, NativeBatch) and good._words == words
-            base_bits, kept, rows, expansion = descriptor
-            # The kernel reads these as C arrays of exactly these types
-            # (no copy when they already are); the locals keep them alive.
-            base_bits = np.ascontiguousarray(base_bits, dtype=np.uint8)
-            kept = np.ascontiguousarray(kept, dtype=np.int32)
-            rows = np.ascontiguousarray(rows, dtype=np.int32)
-            width_fits = base_bits.shape[1:] == (len(self.c_pi),)
-            if not width_fits or rows.shape != (num_slots, 4):
-                raise SimulationError("derived stimulus does not fit this batch")
-            operators = (
-                int(expansion.use_complement)
-                | int(expansion.use_shift) << 1
-                | int(expansion.use_reverse) << 2
-            )
-            args = _c_args(
-                good._V,
-                faulty._V,
-                words,
-                good._SH,
-                good._SL,
-                faulty._SH,
-                faulty._SL,
-                good._po_sa1,
-                good._po_sa0,
-                None,
-                base_bits,
-                kept,
-                len(kept),
-                rows,
-                expansion.hold_cycles,
-                expansion.repetitions,
-                operators,
-                num_steps,
-            )
-        else:
-            # Held until the call returns: the bits, and the broadcast
-            # good machine's (H, L) flop words, in/out.
-            bits = np.ascontiguousarray(bits_of(), dtype=np.uint8)
-            good_state = self._broadcast_state(observation_plan.state)
-            args = _c_args(
-                None,
-                faulty._V,
-                words,
-                good_state[0],
-                good_state[1],
-                faulty._SH,
-                faulty._SL,
-                None,
-                None,
-                bits,
-                None,
-                None,
-                0,
-                None,
-                0,
-                0,
-                0,
-                num_steps,
-            )
-        record_dispatch("native_ffi_calls")
-        executed = int(
-            self.lib.repro_scan(
-                *self._scan_prefix(program, words),
-                *args,
-                _addr(pending),
-                _addr(times),
-                *div_ptrs,
-                _addr(ops),
-                int(collect_final_states),
-                int(first_hit),
-            )
-        )
-        if executed < 0:
-            raise MemoryError("native scan could not allocate its working memory")
-        if not paired and collect_final_states:
-            observation_plan.final_state = [
-                ONE if h & 1 else ZERO if l & 1 else X
-                for h, l in zip(*good_state.tolist())
-            ]
-        found = times[:num_slots]
-        if first_hit:
-            # Only the lowest detecting slot's time is exact; the kernel
-            # may have recorded (or pruned) any slot above it.
-            hits = np.flatnonzero(found >= 0)
-            if hits.size:
-                times_out[int(hits[0])] = int(found[hits[0]])
-        else:
-            for slot, t_hit in enumerate(found.tolist()):
-                if t_hit >= 0:
-                    times_out[slot] = t_hit
-        if divergence is not None:
-            divergence.maximum[:] = div[0, :num_slots].tolist()
-            divergence.final[:] = div[1, :num_slots].tolist()
-            divergence.area[:] = div[2, :num_slots].tolist()
-        axis = "candidate_axis" if paired else "fault_axis"
-        faulty_ops, good_ops = ops.tolist()
-        record_dispatch(f"{axis}_faulty_ops", faulty_ops)
-        record_dispatch(f"{axis}_good_ops", good_ops)
-        record_dispatch("scan_calls")
-        record_dispatch("scan_steps", executed)
+        # Held, like everything else the call points at, until it returns.
+        program = self._scan_program(faulty._program, words)
+        context = self._checkout(words)
+        try:
+            call = context.call
+            call.num_steps = num_steps
+            call.num_slots = num_slots
+            call.f_state = faulty._state_address
+            call.collect_finals = collect_final_states
+            call.first_hit = first_hit
+            call.divergence = divergence is not None
+            if paired:
+                assert isinstance(good, NativeBatch) and good._words == words
+                pinned = self._set_derived(call, good, descriptor, num_slots)
+            else:
+                pinned = self._set_broadcast(
+                    call, bits_of(), observation_plan, alive_mask, num_slots
+                )
+            executed = self.lib.repro_scan(program[0], context.address)
+            del pinned  # what the call pointed at lived until it returned
+            if executed < 0:
+                raise SimulationError("scan context and program differ in width")
+            if call.detected:
+                found = context.times[:num_slots]
+                hits = np.flatnonzero(found >= 0)
+                if first_hit:
+                    # Only the lowest detecting slot's time is exact; the
+                    # kernel may have recorded (or pruned) any slot above it.
+                    hits = hits[:1]
+                for slot, time in zip(hits.tolist(), found[hits].tolist()):
+                    times_out[slot] = time
+            if divergence is not None:
+                slots = words * WORD_BITS
+                rows = context.div[: 3 * slots].reshape(3, slots)
+                div = rows[:, :num_slots].tolist()
+                divergence.maximum[:], divergence.final[:], divergence.area[:] = div
+            if not paired and collect_final_states:
+                codes = context.good_final.tobytes()
+                observation_plan.final_state = list(map(_TERNARY.__getitem__, codes))
+            axis = "candidate_axis" if paired else "fault_axis"
+            counts = {
+                "native_ffi_calls": 1,
+                "scan_calls": 1,
+                "scan_steps": executed,
+                f"{axis}_faulty_ops": call.ops_faulty,
+                f"{axis}_good_ops": call.ops_good,
+            }
+        finally:
+            self._checkin(context)
+        record_dispatches(counts)
         return times_out
 
-    def _broadcast_state(self, state) -> np.ndarray:
-        """A fault-axis good start state as ``(2, num_flops)`` (H, L) words.
+    def _set_derived(
+        self, call: ReproScan, good: NativeBatch, descriptor, num_slots: int
+    ) -> tuple:
+        """Point a paired call at its derived candidates; return the arrays
+        it points at."""
+        base_bits, kept, rows, expansion = descriptor
+        # The kernel reads these as C arrays of exactly these types (no
+        # copy when they already are).
+        base_bits = np.ascontiguousarray(base_bits, dtype=np.uint8)
+        kept = np.ascontiguousarray(kept, dtype=np.int32)
+        rows = np.ascontiguousarray(rows, dtype=np.int32)
+        width_fits = base_bits.shape[1:] == (len(self.c_pi),)
+        if not width_fits or rows.shape != (num_slots, 4):
+            raise SimulationError("derived stimulus does not fit this batch")
+        call.g_state = good._state_address
+        call.base = self._pointer("base", base_bits)
+        # The kernel reads no kept position when there are none.
+        call.kept = self._pointer("kept", kept) if len(kept) else None
+        call.n_kept = len(kept)
+        call.desc = _addr(rows)
+        call.hold = expansion.hold_cycles
+        call.reps = expansion.repetitions
+        call.x_ops = (
+            int(expansion.use_complement)
+            | int(expansion.use_shift) << 1
+            | int(expansion.use_reverse) << 2
+        )
+        call.use_alive = 0
+        return base_bits, kept, rows
 
-        Each word is all-zero or all-one (the broadcast machine's value
-        in every slot); ``state`` ``None`` is all-X.
+    def _set_broadcast(
+        self,
+        call: ReproScan,
+        bits,
+        good: GoodMachine,
+        alive_mask: int,
+        num_slots: int,
+    ) -> tuple:
+        """Point a fault-axis call at its bits, good start state and slots;
+        return what it points at."""
+        bits = np.ascontiguousarray(bits, dtype=np.uint8)
+        call.stim_bits = self._pointer("bits", bits)
+        call.desc = None
+        start = self._good_start(good)
+        call.good_start = None if start is None else start[0]
+        full = (1 << num_slots) - 1
+        alive = alive_mask & full
+        call.use_alive = alive != full
+        if alive != full:
+            nbytes = 8 * call.words
+            ctypes.memmove(call.alive, alive.to_bytes(nbytes, "little"), nbytes)
+        return bits, start
+
+    def _good_start(self, good: GoodMachine) -> tuple | None:
+        """``good``'s start state as Ternary codes: ``(address, owner)``.
+
+        ``None`` for all-X; converted once per good machine (every batch
+        of its dispatch reads the same codes).
         """
-        words = np.zeros((2, len(self.c_q)), dtype=np.uint64)
-        if state is not None:
-            ones = [f for f, value in enumerate(state) if value is ONE]
-            zeros = [f for f, value in enumerate(state) if value is ZERO]
-            words[0, ones] = _FULL_WORD
-            words[1, zeros] = _FULL_WORD
-        return words
+        if good.state is None:
+            return None
+        held = good.engine_state
+        if held is None:
+            codes = bytes(good.state)
+            buffer = (ctypes.c_uint8 * len(codes)).from_buffer_copy(codes)
+            held = good.engine_state = (ctypes.addressof(buffer), buffer)
+        return held
 
     # ------------------------------------------------------------------
     # Fault-free trace
@@ -614,25 +775,26 @@ class NativeBackend(NumpyBackend):
         codes = np.empty((num_steps, len(self.po_sig)), dtype=np.uint8)
         if num_steps:
             bits = np.ascontiguousarray(stimulus.bits(), dtype=np.uint8)
+            circuit = self.circuit
             record_dispatch("native_ffi_calls")
             self.lib.repro_trace(
                 _addr(batch._V),
-                _addr(self.c_codes),
-                _addr(self.c_outs),
-                _addr(self.c_in_off),
-                _addr(self.c_ins),
-                len(self.compiled.ops),
-                _addr(self.c_pi),
-                len(self.c_pi),
-                _addr(self.c_q),
-                _addr(self.c_d),
-                len(self.c_q),
-                _addr(batch._SH),
-                _addr(batch._SL),
+                circuit.codes,
+                circuit.outs,
+                circuit.in_off,
+                circuit.ins,
+                circuit.num_ops,
+                circuit.pi_sig,
+                circuit.num_pis,
+                circuit.q_sig,
+                circuit.d_sig,
+                circuit.num_flops,
+                batch._state_address,
+                batch._state_address + 8 * circuit.num_flops,
                 _addr(bits),
                 num_steps,
-                _addr(self.po_sig),
-                len(self.po_sig),
+                circuit.po_sig,
+                circuit.num_pos,
                 _addr(codes),
             )
         record_dispatch("trace_calls")

@@ -4,8 +4,12 @@ All signal values of a batch live in one C-contiguous
 ``(2 * num_signals, words)`` ``uint64`` array ``V``,
 ``words = ceil(batch_size / 64)``; signal ``i``'s ``H`` rail is row ``2i``
 and its ``L`` rail is row ``2i + 1``, and slot ``s`` is bit ``s % 64`` of
-word ``s // 64``.  Flop state lives beside it in two ``(num_flops, words)``
-arrays.
+word ``s // 64``.  Flop state lives in one ``(2, num_flops, words)``
+buffer (the ``H`` rows, then the ``L`` rows) at an address fixed for the
+batch's life, so the native kernel reads and writes it in place.  ``V``
+is allocated on the first stepped operation: a batch that only feeds the
+native fused scan (which evaluates in its own scan context) holds just
+its flop state.
 
 :class:`NumpyBatch` owns that storage and the per-step operations that
 touch it without evaluating gates: input and state loading, the source
@@ -18,10 +22,13 @@ evaluation and detection belong to the subclass that runs them.
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 
+from repro.errors import SimulationError
 from repro.logic.values import ONE, ZERO, Ternary
 from repro.sim.backend import SimBackend, SimBatch
 from repro.sim.compiled import InjectionPlan
@@ -65,13 +72,28 @@ class NumpyBatch(SimBatch):
         words = (batch_size + WORD_BITS - 1) // WORD_BITS
         self._words = words
         self._num_flops = len(compiled.flop_pairs)
-        self._V = np.zeros((2 * compiled.num_signals, words), dtype=np.uint64)
-        self._SH = np.zeros((self._num_flops, words), dtype=np.uint64)
-        self._SL = np.zeros((self._num_flops, words), dtype=np.uint64)
+        self._state = (ctypes.c_uint64 * (2 * self._num_flops * words))()
+        self._state_address = ctypes.addressof(self._state)
         self._po_indices = compiled.po_indices
-        npi = len(backend.pi_h_rows)
-        self._pi_rows_h = np.zeros((npi, words), dtype=np.uint64)
-        self._pi_rows_l = np.zeros((npi, words), dtype=np.uint64)
+
+    @cached_property
+    def _V(self) -> np.ndarray:
+        return np.zeros(
+            (2 * self._backend.compiled.num_signals, self._words), dtype=np.uint64
+        )
+
+    @cached_property
+    def _state_rows(self) -> np.ndarray:
+        """The flop state buffer as a ``(2, num_flops, words)`` view."""
+        return np.frombuffer(self._state, dtype=np.uint64).reshape(
+            2, self._num_flops, self._words
+        )
+
+    @cached_property
+    def _pi_rows(self) -> np.ndarray:
+        """Scratch ``(2, num_pis, words)`` rows for broadcast input loads."""
+        npi = len(self._backend.pi_h_rows)
+        return np.zeros((2, npi, self._words), dtype=np.uint64)
 
     # ------------------------------------------------------------------
     # Input / state loading
@@ -82,8 +104,7 @@ class NumpyBatch(SimBatch):
         ones = np.fromiter(
             (1 if bit else 0 for bit in bits), dtype=bool, count=npi
         )
-        rows_h = self._pi_rows_h
-        rows_l = self._pi_rows_l
+        rows_h, rows_l = self._pi_rows
         rows_h[ones] = _FULL_WORD
         rows_h[~ones] = 0
         rows_l[~ones] = _FULL_WORD
@@ -107,8 +128,9 @@ class NumpyBatch(SimBatch):
 
     def load_state(self) -> None:
         backend = self._backend
-        self._V[backend.q_h_rows] = self._SH
-        self._V[backend.q_l_rows] = self._SL
+        state_h, state_l = self._state_rows
+        self._V[backend.q_h_rows] = state_h
+        self._V[backend.q_l_rows] = state_l
 
     def apply_source_patches(self) -> None:
         program = self._program
@@ -144,26 +166,31 @@ class NumpyBatch(SimBatch):
             next_l[positions] = (
                 next_l[positions] | program.dff_force_l
             ) & program.dff_keep_l
-        self._SH = next_h
-        self._SL = next_l
+        self._state_rows[0] = next_h
+        self._state_rows[1] = next_l
 
     # ------------------------------------------------------------------
     # State interchange
     # ------------------------------------------------------------------
     def set_state_words(self, state: Sequence[tuple[int, int]]) -> None:
-        # Copies: the frombuffer views are read-only, and the kernel
-        # latches into these arrays in place.
-        self._SH = _masks_to_matrix([h for h, _ in state], self._words).copy()
-        self._SL = _masks_to_matrix([l for _, l in state], self._words).copy()
+        # In place: the buffer's address is the batch's for its life.
+        nbytes = self._words * 8
+        data = b"".join(h.to_bytes(nbytes, "little") for h, _ in state)
+        data += b"".join(l.to_bytes(nbytes, "little") for _, l in state)
+        if len(data) != ctypes.sizeof(self._state):
+            raise SimulationError(
+                f"state has {len(state)} flops, the batch {self._num_flops}"
+            )
+        ctypes.memmove(self._state, data, len(data))
 
     def set_state_scalar(self, values: Sequence[Ternary]) -> None:
-        self._SH = np.zeros((self._num_flops, self._words), dtype=np.uint64)
-        self._SL = np.zeros((self._num_flops, self._words), dtype=np.uint64)
+        rows = self._state_rows
+        rows[...] = 0
         for position, value in enumerate(values):
             if value is ONE:
-                self._SH[position] = _FULL_WORD
+                rows[0, position] = _FULL_WORD
             elif value is ZERO:
-                self._SL[position] = _FULL_WORD
+                rows[1, position] = _FULL_WORD
 
     def read_signal(self, index: int) -> tuple[int, int]:
         return (
@@ -172,9 +199,15 @@ class NumpyBatch(SimBatch):
         )
 
     def export_state_words(self) -> list[tuple[int, int]]:
+        raw = bytes(self._state)
+        nbytes = self._words * 8
+        low = len(raw) // 2
         return [
-            (_words_to_mask(self._SH[f]), _words_to_mask(self._SL[f]))
-            for f in range(self._num_flops)
+            (
+                int.from_bytes(raw[at : at + nbytes], "little"),
+                int.from_bytes(raw[low + at : low + at + nbytes], "little"),
+            )
+            for at in range(0, low, nbytes)
         ]
 
 

@@ -54,8 +54,10 @@ CACHE_DIR_ENV = "REPRO_NATIVE_CACHE_DIR"
 #: threads run independent calls instead, see repro.sim.workerpool); v8
 #: made repro_scan divergence-driven (the fault axis runs its own good
 #: machine; paired faulty machines evaluate only the ops that differ
-#: from theirs) and reports the ops it evaluated.
-NATIVE_ABI_VERSION = 8
+#: from theirs) and reports the ops it evaluated; v9 passes repro_scan
+#: two structs (:class:`ReproProgram`, built once per program, and a
+#: pooled :class:`ReproScan` context) instead of 60 arguments.
+NATIVE_ABI_VERSION = 9
 
 #: Compilers tried in order when $CC is unset.
 _COMPILER_CANDIDATES = ("cc", "gcc", "clang")
@@ -153,6 +155,49 @@ def _compile(compiler: str, source_path: Path, target: Path) -> None:
             os.unlink(temp_name)
 
 
+def _layout(spec: str) -> list:
+    """ctypes fields from ``"name:p name:i ..."`` (pointer / int64)."""
+    kinds = {"p": ctypes.c_void_p, "i": ctypes.c_int64}
+    return [
+        (name, kinds[kind])
+        for name, kind in (field.split(":") for field in spec.split())
+    ]
+
+
+class ReproCircuit(ctypes.Structure):
+    """The kernel's ``ReproCircuit``: a circuit's tables, once per backend."""
+
+    _fields_ = _layout(
+        "codes:p outs:p in_off:p ins:p num_ops:i iota:p fo_off:p fo_ops:p "
+        "pi_sig:p num_pis:i q_sig:p d_sig:p num_flops:i po_sig:p num_pos:i"
+    )
+
+
+class ReproProgram(ctypes.Structure):
+    """The kernel's ``ReproProgram``: one fault batch at one width."""
+
+    _fields_ = _layout(
+        "circuit:p words:i pin_ops:p pin_pins:p pin_sa1:p pin_sa0:p n_pin:i "
+        "stem_ops:p stem_sa1:p stem_sa0:p n_stem:i src_rows:p src_force:p "
+        "src_keep:p n_src:i dff_pos:p dff_force_h:p dff_keep_h:p "
+        "dff_force_l:p dff_keep_l:p n_dff:i po_sa1:p po_sa0:p"
+    )
+
+
+class ReproScan(ctypes.Structure):
+    """The kernel's ``ReproScan``: one scan context and its call fields."""
+
+    _fields_ = _layout(
+        "GV:p FV:p good_state:p good_final:p alive:p pending:p times:p div:p "
+        "stamp:p op_step:p op_pin0:p op_stem:p fdirty:p worklist:p live:p "
+        "det:p vals:p scratch:p ptrs:p epoch:i "
+        "words:i num_steps:i num_slots:i f_state:p g_state:p good_start:p "
+        "stim_bits:p base:p kept:p n_kept:i desc:p hold:i reps:i x_ops:i "
+        "use_alive:i collect_finals:i first_hit:i divergence:i "
+        "detected:i ops_faulty:i ops_good:i"
+    )
+
+
 def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     """Declare the exported signatures (pointers travel as raw addresses)."""
     p = ctypes.c_void_p
@@ -171,19 +216,10 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     library.repro_detect_mask.restype = None
     library.repro_detect_step.argtypes = [p, p, i64, p, i64, p, p, p, p, p]
     library.repro_detect_step.restype = None
-    # repro_scan: 60 arguments in the C signature's groups, "p" a
-    # pointer and "i" a size/flag integer (ctypes releases the GIL for
-    # the whole call, which is what lets chunk threads and concurrent
-    # serving lanes scan in parallel).
-    scan_groups = (
-        "ppppiippppipppipppipippipppppipipp",  # program prefix
-        "ppipppppp",  # batch
-        "pppipiiii",  # stimulus
-        "ppppppii",  # outputs and modes
-    )
-    library.repro_scan.argtypes = [
-        p if kind == "p" else i64 for kind in "".join(scan_groups)
-    ]
+    # repro_scan(const ReproProgram *, ReproScan *): ctypes releases the
+    # GIL for the whole call, which is what lets chunk threads and
+    # concurrent serving lanes scan in parallel.
+    library.repro_scan.argtypes = [p, p]
     library.repro_scan.restype = i64
     # repro_trace: 18 arguments (the fault-free trace, one serial call).
     trace_sig: list = [p] * 18

@@ -437,6 +437,10 @@ class SequenceBatchSimulator:
         # the derived-candidate pipeline come from here, so a base
         # reused across scans is converted to bits once per session.
         self._trace_cache = get_trace_cache(self._compiled)
+        #: The last (fault, width) scanned and its (good, faulty)
+        #: programs: consecutive scans of one fault skip the program
+        #: cache, whose key hashes ``width`` copies of the fault.
+        self._last_programs: tuple | None = None
 
     @property
     def compiled(self) -> CompiledCircuit:
@@ -848,10 +852,15 @@ class SequenceBatchSimulator:
             return []
         backend = self._backend
         batch_width = stimulus.batch_width
-        good = backend.batch(backend.program(None), batch_width)
-        faulty = backend.batch(
-            backend.program((fault,) * batch_width), batch_width
-        )
+        last = self._last_programs
+        if last is not None and last[0] is fault and last[1] == batch_width:
+            good_program, faulty_program = last[2:]
+        else:
+            good_program = backend.program(None)
+            faulty_program = backend.program((fault,) * batch_width)
+            self._last_programs = (fault, batch_width, good_program, faulty_program)
+        good = backend.batch(good_program, batch_width)
+        faulty = backend.batch(faulty_program, batch_width)
         # The whole per-step loop — input load, paired eval, detection,
         # first-hit bookkeeping, state latch — lives in run_scan.
         return backend.run_scan(

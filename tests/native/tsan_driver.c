@@ -2,12 +2,13 @@
  *
  * Kept under tests/ (not shipped with the package).  Chunk threads
  * (repro.sim.workerpool) and concurrent serving lanes call
- * the kernel from several threads at once, each on its own batch, all
- * sharing one compiled program.  This driver compiles the kernel source
- * into one fully-instrumented executable (no Python in the loop — TSan
- * cannot be preloaded into an arbitrary interpreter build, but an
- * instrumented binary needs nothing), builds a synthetic program with
- * pin, stem and flop patches, computes serial references for
+ * the kernel from several threads at once, each on its own batch and
+ * scan context, all sharing one compiled program.  This driver compiles
+ * the kernel source into one fully-instrumented executable (no Python in
+ * the loop — TSan cannot be preloaded into an arbitrary interpreter
+ * build, but an instrumented binary needs nothing), builds a synthetic
+ * circuit and one ReproProgram with pin, stem and flop patches, computes
+ * serial references for
  *
  *   1. repro_eval over the patched program,
  *   2. a fault-axis repro_scan, its broadcast good machine started from
@@ -17,9 +18,10 @@
  *      flop-divergence outputs on, and its first-hit twin,
  *   4. repro_trace, the fault-free good-machine trace,
  *
- * and then runs all of them from LANES threads at once, repeatedly, on
- * per-thread batches over the shared program arrays; every result must
- * match its reference byte for byte.
+ * each scan on a fresh ReproScan context whose rails hold junk, and then
+ * runs all of them from LANES threads at once, repeatedly, every lane
+ * reusing one context of its own for all its scans over the shared
+ * ReproProgram; every result must match its reference byte for byte.
  *
  * Build and run (the CI TSan lane):
  *
@@ -38,6 +40,7 @@
 #include <stdlib.h>
 
 #define WORDS 16 /* 1024 slots per batch */
+#define SLOTS (WORDS * 64)
 #define PIS 4
 #define GATES 40
 #define SIGNALS (PIS + GATES)
@@ -122,38 +125,7 @@ static void run_eval(uint64_t *V)
                g_stem_ops, g_stem_sa1, g_stem_sa0, 1, scratch, fanins);
 }
 
-/* --- 2. fault-axis scan ---------------------------------------------- */
-
-#define SCAN_POS 8
-
-static int32_t g_po_sig[SCAN_POS];
-static int32_t g_pi_sig[PIS];
-static uint8_t g_stim_bits[STEPS * PIS];
-static uint64_t g_sa_zero[SCAN_POS * WORDS];
-
-typedef struct {
-    int64_t ret;
-    uint64_t pending[WORDS];
-    int64_t times[WORDS * 64];
-    uint64_t f_state[2 * FLOP_WORDS]; /* final faulty H then L rows */
-    uint64_t g_state[4];              /* final good H[2] then L[2]    */
-} FaultResult;
-
-static void build_fault_scan(void)
-{
-    uint64_t rng = 0x5000;
-    int64_t s, i;
-    for (i = 0; i < SCAN_POS; i++)
-        g_po_sig[i] = (int32_t)(SIGNALS - SCAN_POS + i);
-    for (i = 0; i < PIS; i++)
-        g_pi_sig[i] = (int32_t)i;
-    for (s = 0; s < STEPS * PIS; s++)
-        g_stim_bits[s] = (uint8_t)(splitmix(&rng) & 1);
-}
-
-static void run_fault_scan(FaultResult *out);
-
-/* --- 3. paired scans over derived candidates ------------------------- */
+/* --- the scans' circuit and program ---------------------------------- */
 
 /* Signals 0..1 are the PIs; 2..3 are flop outputs latched from the
  * last two gate outputs, so the state feeds back across steps. */
@@ -165,9 +137,178 @@ static const int32_t g_trace_pi[TRACE_PIS] = {0, 1};
 static const int32_t g_trace_q[TRACE_FLOPS] = {2, 3};
 static const int32_t g_trace_d[TRACE_FLOPS] = {SIGNALS - 1, SIGNALS - 2};
 static int32_t g_trace_po[TRACE_POS];
+static uint8_t g_stim_bits[STEPS * PIS];
+static uint64_t g_sa_zero[TRACE_POS * WORDS];
 static uint64_t g_keep_all[WORDS];
 static uint64_t g_keep_h[WORDS];
 static uint64_t g_force_l[WORDS];
+
+static int32_t g_iota[MAX_ARITY] = {0, 1};
+static int32_t g_fo_off[SIGNALS + 1];
+static int32_t g_fo_ops[2 * GATES];
+static ReproCircuit g_circuit;
+static ReproProgram g_program;
+
+/* The shared ReproCircuit (fanout lists as the Python side builds them)
+ * and ReproProgram: the scans' pin and stem patches plus flop 0's D pin
+ * stuck at 0 in the g_force_l slots. */
+static void build_scan_program(void)
+{
+    static const int32_t dff_pos[1] = {0};
+    int32_t fill[SIGNALS];
+    int64_t op, k, s;
+    memset(fill, 0, sizeof(fill));
+    for (k = 0; k < g_in_off[GATES]; k++)
+        g_fo_off[g_ins[k] + 1]++;
+    for (s = 0; s < SIGNALS; s++)
+        g_fo_off[s + 1] += g_fo_off[s];
+    for (op = 0; op < GATES; op++)
+        for (k = g_in_off[op]; k < g_in_off[op + 1]; k++)
+            g_fo_ops[g_fo_off[g_ins[k]] + fill[g_ins[k]]++] = (int32_t)op;
+    g_circuit = (ReproCircuit){
+        .codes = g_codes,
+        .outs = g_outs,
+        .in_off = g_in_off,
+        .ins = g_ins,
+        .num_ops = GATES,
+        .iota = g_iota,
+        .fo_off = g_fo_off,
+        .fo_ops = g_fo_ops,
+        .pi_sig = g_trace_pi,
+        .num_pis = TRACE_PIS,
+        .q_sig = g_trace_q,
+        .d_sig = g_trace_d,
+        .num_flops = TRACE_FLOPS,
+        .po_sig = g_trace_po,
+        .num_pos = TRACE_POS,
+    };
+    g_program = (ReproProgram){
+        .circuit = &g_circuit,
+        .words = WORDS,
+        .pin_ops = g_pin_ops,
+        .pin_pins = g_pin_pins,
+        .pin_sa1 = g_pin_sa1,
+        .pin_sa0 = g_pin_sa0,
+        .n_pin = 1,
+        .stem_ops = g_stem_ops,
+        .stem_sa1 = g_stem_sa1,
+        .stem_sa0 = g_stem_sa0,
+        .n_stem = 1,
+        .dff_pos = dff_pos,
+        .dff_force_h = g_sa_zero,
+        .dff_keep_h = g_keep_h,
+        .dff_force_l = g_force_l,
+        .dff_keep_l = g_keep_all,
+        .n_dff = 1,
+        .po_sa1 = g_sa_zero,
+        .po_sa0 = g_sa_zero,
+    };
+}
+
+/* A zeroed WORDS-wide scan context (as the Python pool creates them),
+ * its rails then filled with junk from `seed`. */
+static ReproScan new_context(uint64_t seed)
+{
+    ReproScan s;
+    memset(&s, 0, sizeof(s));
+    s.words = WORDS;
+    s.GV = calloc(RAILS, 8);
+    s.FV = calloc(RAILS, 8);
+    s.good_state = calloc(2 * TRACE_FLOPS, 8);
+    s.good_final = calloc(TRACE_FLOPS, 1);
+    s.alive = calloc(WORDS, 8);
+    s.pending = calloc(WORDS, 8);
+    s.times = calloc(SLOTS, 8);
+    s.div = calloc(3 * SLOTS, 8);
+    s.stamp = calloc(SIGNALS, 8);
+    s.op_step = calloc(GATES, 8);
+    s.op_pin0 = calloc(GATES + 1, 4);
+    s.op_stem = calloc(GATES, 4);
+    s.fdirty = calloc(TRACE_FLOPS * ((WORDS + 63) / 64), 8);
+    s.worklist = calloc(GATES / 64 + 1, 8);
+    s.live = calloc(WORDS, 8);
+    s.det = calloc(WORDS, 8);
+    s.vals = calloc(2 * MAX_ARITY, 8);
+    s.scratch = calloc(SCRATCH, 8);
+    s.ptrs = calloc(2 * MAX_ARITY, sizeof(uint64_t *));
+    fill_rails(s.GV, seed);
+    fill_rails(s.FV, seed + 1);
+    return s;
+}
+
+static void free_context(ReproScan *s)
+{
+    free(s->GV);
+    free(s->FV);
+    free(s->good_state);
+    free(s->good_final);
+    free(s->alive);
+    free(s->pending);
+    free(s->times);
+    free(s->div);
+    free(s->stamp);
+    free(s->op_step);
+    free(s->op_pin0);
+    free(s->op_stem);
+    free(s->fdirty);
+    free(s->worklist);
+    free(s->live);
+    free(s->det);
+    free(s->vals);
+    free(s->scratch);
+    free((void *)s->ptrs);
+}
+
+/* --- 2. fault-axis scan ---------------------------------------------- */
+
+typedef struct {
+    int64_t ret;
+    uint64_t pending[WORDS];
+    int64_t times[SLOTS];
+    uint64_t f_state[2 * FLOP_WORDS]; /* final faulty H then L rows */
+    uint8_t g_state[TRACE_FLOPS];     /* final good Ternary codes     */
+} FaultResult;
+
+static void build_fault_scan(void)
+{
+    uint64_t rng = 0x5000;
+    int64_t s;
+    for (s = 0; s < STEPS * PIS; s++)
+        g_stim_bits[s] = (uint8_t)(splitmix(&rng) & 1);
+}
+
+/* The good machine starts with flop 0 at 1 and flop 1 at 0; the faulty
+ * machines start there too, except that flop 1 is X outside the
+ * g_force_l slots.  Every step latches (collect_finals). */
+static void run_fault_scan(ReproScan *ctx, FaultResult *out)
+{
+    static const uint8_t good_start[TRACE_FLOPS] = {1, 0}; /* ONE, ZERO */
+    uint64_t *f_sh = out->f_state, *f_sl = out->f_state + FLOP_WORDS;
+    int64_t i;
+    for (i = 0; i < WORDS; i++) {
+        f_sh[i] = ~(uint64_t)0; /* flop 0 at 1 */
+        f_sl[i] = 0;
+        f_sh[WORDS + i] = 0; /* flop 1 at 0 in the g_force_l slots */
+        f_sl[WORDS + i] = g_force_l[i];
+    }
+    ctx->num_steps = STEPS;
+    ctx->num_slots = SLOTS;
+    ctx->f_state = out->f_state;
+    ctx->g_state = 0;
+    ctx->good_start = good_start;
+    ctx->stim_bits = g_stim_bits;
+    ctx->desc = 0;
+    ctx->use_alive = 0;
+    ctx->collect_finals = 1;
+    ctx->first_hit = 0;
+    ctx->divergence = 0;
+    out->ret = repro_scan(&g_program, ctx);
+    memcpy(out->pending, ctx->pending, sizeof(out->pending));
+    memcpy(out->times, ctx->times, sizeof(out->times));
+    memcpy(out->g_state, ctx->good_final, sizeof(out->g_state));
+}
+
+/* --- 3. paired scans over derived candidates ------------------------- */
 
 /* Derived stimulus: a 12-vector base over the 2 PIs, kept positions
  * {0, 5, 11} and all three expansion operators (8x).  Slots below the
@@ -180,7 +321,7 @@ static uint64_t g_force_l[WORDS];
 
 static const int32_t g_kept[3] = {0, 5, 11};
 static uint8_t g_base[BASE_LEN * TRACE_PIS];
-static int32_t g_desc[WORDS * 64 * 4];
+static int32_t g_desc[SLOTS * 4];
 
 static void build_derived(int64_t empty)
 {
@@ -188,7 +329,7 @@ static void build_derived(int64_t empty)
     int64_t k, i;
     for (i = 0; i < BASE_LEN * TRACE_PIS; i++)
         g_base[i] = (uint8_t)(splitmix(&rng) & 1);
-    for (k = 0; k < WORDS * 64; k++) {
+    for (k = 0; k < SLOTS; k++) {
         int32_t *d = g_desc + 4 * k;
         const int32_t a = (int32_t)(k % 6);
         const int32_t b = a + 1 + (int32_t)(k % 4);
@@ -210,83 +351,43 @@ static void build_derived(int64_t empty)
 
 typedef struct {
     int64_t ret;
-    uint64_t pending[WORDS];
-    int64_t times[WORDS * 64];
-    int64_t div[3][WORDS * 64]; /* max, final, area */
+    int64_t times[SLOTS];
+    int64_t div[3][SLOTS]; /* max, final, area */
 } PairedResult;
 
-/* Faulty flop 0's D pin stuck at 0 in the g_force_l slots, plus the
- * shared pin and stem patches.  Both machines start with every flop at
- * binary 0, so fault effects reach the POs as binary values. */
-static void run_paired(PairedResult *out, int64_t first_hit)
+/* Both machines start with every flop at binary 0, so fault effects
+ * reach the POs as binary values. */
+static void run_paired(ReproScan *ctx, PairedResult *out, int64_t first_hit)
 {
-    static const int32_t dff_pos[1] = {0};
-    uint64_t *GV = malloc(RAILS * sizeof(uint64_t));
-    uint64_t *FV = malloc(RAILS * sizeof(uint64_t));
     uint64_t *state = calloc((size_t)4 * TRACE_FLOPS * WORDS, 8);
     int64_t i;
-    for (i = 0; i < WORDS; i++)
-        out->pending[i] = ~(uint64_t)0;
-    for (i = 0; i < WORDS * 64; i++)
-        out->times[i] = -1;
     for (i = 0; i < TRACE_FLOPS * WORDS; i++)
         state[TRACE_FLOPS * WORDS + i] = state[3 * TRACE_FLOPS * WORDS + i] =
             ~(uint64_t)0;
-    memset(out->div, 0, sizeof(out->div));
-    fill_rails(GV, 0x9100);
-    fill_rails(FV, 0x9200);
-    out->ret = repro_scan(
-        g_codes, g_outs, g_in_off, g_ins, GATES, SIGNALS, g_pin_ops,
-        g_pin_pins, g_pin_sa1, g_pin_sa0, 1, g_stem_ops, g_stem_sa1,
-        g_stem_sa0, 1, 0, 0, 0, 0, g_trace_pi, TRACE_PIS, g_trace_q,
-        g_trace_d, TRACE_FLOPS, dff_pos, g_sa_zero, g_keep_h, g_force_l,
-        g_keep_all, 1, g_trace_po, TRACE_POS, g_sa_zero, g_sa_zero, GV, FV,
-        WORDS, state, state + TRACE_FLOPS * WORDS,
-        state + 2 * TRACE_FLOPS * WORDS, state + 3 * TRACE_FLOPS * WORDS,
-        g_sa_zero, g_sa_zero, 0, g_base, g_kept, 3, g_desc, 1, 1,
-        DERIVED_OPS, DERIVED_STEPS, out->pending, out->times,
-        first_hit ? 0 : out->div[0], first_hit ? 0 : out->div[1],
-        first_hit ? 0 : out->div[2], 0, 0, first_hit);
-    free(GV);
-    free(FV);
+    ctx->num_steps = DERIVED_STEPS;
+    ctx->num_slots = SLOTS;
+    ctx->g_state = state;
+    ctx->f_state = state + 2 * TRACE_FLOPS * WORDS;
+    ctx->good_start = 0;
+    ctx->stim_bits = 0;
+    ctx->base = g_base;
+    ctx->kept = g_kept;
+    ctx->n_kept = 3;
+    ctx->desc = g_desc;
+    ctx->hold = 1;
+    ctx->reps = 1;
+    ctx->x_ops = DERIVED_OPS;
+    ctx->use_alive = 0;
+    ctx->collect_finals = 0;
+    ctx->first_hit = first_hit;
+    ctx->divergence = !first_hit;
+    out->ret = repro_scan(&g_program, ctx);
+    memcpy(out->times, ctx->times, sizeof(out->times));
+    if (first_hit)
+        memset(out->div, 0, sizeof(out->div));
+    else
+        memcpy(out->div, ctx->div, sizeof(out->div));
     free(state);
-}
-
-/* The flop circuit of the paired scans on the fault axis: the program's
- * pin and stem patches plus flop 0's D pin stuck at 0 in the g_force_l
- * slots.  The good machine starts with flop 0 at 1 and flop 1 at 0; the
- * faulty machines start there too, except that flop 1 is X outside the
- * g_force_l slots.  Every step latches (collect_finals). */
-static void run_fault_scan(FaultResult *out)
-{
-    static const int32_t dff_pos[1] = {0};
-    uint64_t *FV = malloc(RAILS * sizeof(uint64_t));
-    uint64_t *f_sh = out->f_state, *f_sl = out->f_state + FLOP_WORDS;
-    uint64_t *g_sh = out->g_state, *g_sl = out->g_state + 2;
-    int64_t i;
-    for (i = 0; i < WORDS; i++) {
-        out->pending[i] = ~(uint64_t)0;
-        f_sh[i] = ~(uint64_t)0; /* flop 0 at 1 */
-        f_sl[i] = 0;
-        f_sh[WORDS + i] = 0; /* flop 1 at 0 in the g_force_l slots */
-        f_sl[WORDS + i] = g_force_l[i];
-    }
-    for (i = 0; i < WORDS * 64; i++)
-        out->times[i] = -1;
-    g_sh[0] = ~(uint64_t)0;
-    g_sl[0] = 0;
-    g_sh[1] = 0;
-    g_sl[1] = ~(uint64_t)0;
-    fill_rails(FV, 0x6000);
-    out->ret = repro_scan(
-        g_codes, g_outs, g_in_off, g_ins, GATES, SIGNALS, g_pin_ops,
-        g_pin_pins, g_pin_sa1, g_pin_sa0, 1, g_stem_ops, g_stem_sa1,
-        g_stem_sa0, 1, 0, 0, 0, 0, g_trace_pi, TRACE_PIS, g_trace_q,
-        g_trace_d, TRACE_FLOPS, dff_pos, g_sa_zero, g_keep_h, g_force_l,
-        g_keep_all, 1, g_trace_po, TRACE_POS, g_sa_zero, g_sa_zero, 0, FV,
-        WORDS, g_sh, g_sl, f_sh, f_sl, 0, 0, g_stim_bits, 0, 0, 0, 0, 0, 0,
-        0, STEPS, out->pending, out->times, 0, 0, 0, 0, 1, 0);
-    free(FV);
 }
 
 /* --- 4. fault-free trace --------------------------------------------- */
@@ -318,13 +419,20 @@ typedef struct {
     TraceResult trace;
 } Results;
 
-static void run_all(Results *out)
+/* Every scan on `ctx`, or on a fresh junk-filled context when NULL. */
+static void run_all(Results *out, ReproScan *ctx)
 {
+    ReproScan fresh[3];
+    int i;
+    for (i = 0; i < 3; i++)
+        fresh[i] = new_context(0x8000 + 16 * (uint64_t)i);
     run_eval(out->eval);
-    run_fault_scan(&out->fault);
-    run_paired(&out->paired, 0);
-    run_paired(&out->first, 1);
+    run_fault_scan(ctx ? ctx : &fresh[0], &out->fault);
+    run_paired(ctx ? ctx : &fresh[1], &out->paired, 0);
+    run_paired(ctx ? ctx : &fresh[2], &out->first, 1);
     run_trace(&out->trace);
+    for (i = 0; i < 3; i++)
+        free_context(&fresh[i]);
 }
 
 /* Field-by-field: the structs' padding bytes are never written. */
@@ -378,11 +486,13 @@ static void *lane_main(void *ptr)
 {
     LaneArg *arg = ptr;
     Results *mine = malloc(sizeof(Results));
+    ReproScan ctx = new_context(0x9000);
     int round;
     for (round = 0; round < ROUNDS && !arg->failures; round++) {
-        run_all(mine);
+        run_all(mine, &ctx);
         arg->failures += compare(mine, arg->reference, "concurrent lane");
     }
+    free_context(&ctx);
     free(mine);
     return 0;
 }
@@ -392,7 +502,7 @@ static int check_not_vacuous(const Results *reference)
 {
     int64_t i, fault_hits = 0, diverged = 0, known = 0, first = -1;
     int failures = 0;
-    for (i = 0; i < WORDS * 64; i++) {
+    for (i = 0; i < SLOTS; i++) {
         fault_hits += reference->fault.times[i] >= 0;
         diverged += reference->paired.div[2][i] > 0;
         if (first < 0 && reference->first.times[i] >= 0)
@@ -438,9 +548,10 @@ int main(void)
     }
     for (i = 0; i < TRACE_POS; i++)
         g_trace_po[i] = (int32_t)(SIGNALS - TRACE_POS + i);
+    build_scan_program();
     build_fault_scan();
     build_derived(64);
-    run_all(&reference);
+    run_all(&reference, 0);
     failures += check_not_vacuous(&reference);
     for (i = 0; i < LANES; i++) {
         args[i].reference = &reference;
@@ -460,6 +571,7 @@ int main(void)
         return 1;
     }
     printf("tsan driver: %d lanes x %d rounds of eval/scan/trace matched the "
-           "serial references\n", LANES, ROUNDS);
+           "serial references, each lane reusing one scan context\n",
+           LANES, ROUNDS);
     return 0;
 }

@@ -630,6 +630,77 @@ class TestThreadParity:
         assert got.detection_time == expected.detection_time
 
 
+@needs_native
+def test_threads_never_share_a_scan_context(syn298, workload, fanned_out):
+    """With two chunk threads every native scan checks out a scan context
+    no other call holds, and afterwards the pool holds at most two
+    contexts (one per concurrent caller)."""
+    from repro.sim.backend_native import NativeBackend
+
+    checkout, checkin = NativeBackend._checkout, NativeBackend._checkin
+    lock = threading.Lock()
+    held: set = set()
+    shared: list = []
+    peak = [0]
+
+    def instrumented_checkout(self, words):
+        context = checkout(self, words)
+        with lock:
+            if context in held:
+                shared.append(context)
+            held.add(context)
+            peak[0] = max(peak[0], len(held))
+        return context
+
+    def instrumented_checkin(self, context):
+        with lock:
+            held.discard(context)
+        checkin(self, context)
+
+    compiled, faults, sequence = syn298
+    fault_backend = NativeBackend(compiled)
+    runs = FaultSimulator(compiled, batch_width=64, backend=fault_backend, threads=2)
+    serial_runs = FaultSimulator(compiled, batch_width=64, backend="native")
+    scan_compiled, t0, fault, _, spans, base, omissions, _ = workload
+    scan_backend = NativeBackend(scan_compiled)
+    scans = SequenceBatchSimulator(
+        scan_compiled, batch_width=16, backend=scan_backend, threads=2
+    )
+    serial_scans = SequenceBatchSimulator(
+        scan_compiled, batch_width=16, backend="native"
+    )
+
+    def check():
+        for length in (24, 9):
+            part = sequence.subsequence(0, length - 1)
+            assert (
+                runs.run(part, faults).detection_time
+                == serial_runs.run(part, faults).detection_time
+            )
+        session = runs.session(faults)
+        serial_session = serial_runs.session(faults)
+        for start in range(0, 24, 8):
+            extension = sequence.subsequence(start, start + 7)
+            assert session.commit(extension) == serial_session.commit(extension)
+        assert scans.detects_windows(
+            fault, t0, spans, EXPANSION
+        ) == serial_scans.detects_windows(fault, t0, spans, EXPANSION)
+        assert scans.detects_omissions(
+            fault, base, omissions, EXPANSION
+        ) == serial_scans.detects_omissions(fault, base, omissions, EXPANSION)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NativeBackend, "_checkout", instrumented_checkout)
+        patch.setattr(NativeBackend, "_checkin", instrumented_checkin)
+        with fanned_out() as pool_chunks:
+            _until_pooled(pool_chunks, check)
+    assert not shared
+    assert not held
+    assert 1 <= peak[0] <= 2
+    for backend in (fault_backend, scan_backend):
+        assert 1 <= len(backend._contexts) <= 2
+
+
 @pytest.mark.parametrize("backend", registry_backends())
 @pytest.mark.parametrize("threads", [2, 4])
 class TestBackendParity:

@@ -279,6 +279,42 @@ class TestSessionLifecycle:
         assert warm.fingerprint() == cold.fingerprint()
         assert cold.circuit_hash == hash_circuit(load_circuit_by_name("s27"))
 
+    def test_requests_reuse_the_session_fault_universe(self, monkeypatch):
+        """A scheme request's ATPG and an atpg request take the session
+        scheme's fault universe: a warm session collapses no fault list
+        again, and every fingerprint equals a fresh session's."""
+        import repro.atpg.engine as engine_module
+        import repro.core.scheme as scheme_module
+        from repro.faults.universe import FaultUniverse
+
+        built = []
+
+        class CountingUniverse(FaultUniverse):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0].name)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scheme_module, "FaultUniverse", CountingUniverse)
+        monkeypatch.setattr(engine_module, "FaultUniverse", CountingUniverse)
+        atpg = AtpgConfig(max_length=32)
+        scheme_request = RunRequest(
+            kind="scheme", circuit="s27", atpg=atpg, use_paper_t0=False
+        )
+        atpg_request = RunRequest(kind="atpg", circuit="s27", atpg=atpg)
+        with Session() as session:
+            first = session.run(scheme_request)
+            assert built == ["s27"]
+            second = session.run(scheme_request)
+            generated = session.run(atpg_request)
+            assert built == ["s27"]
+        for request, result in (
+            (scheme_request, first),
+            (scheme_request, second),
+            (atpg_request, generated),
+        ):
+            with Session() as fresh:
+                assert fresh.run(request).fingerprint() == result.fingerprint()
+
     def test_session_simulators_follow_the_policy(
         self, s27, monkeypatch, require_backend
     ):
