@@ -12,11 +12,12 @@ session up with the benchmark's warm-up op and checks every op against
 serial).  Only the op itself is profiled; building its input and
 checking its output run with the profiler off.  It prints the total
 function calls, the top rows by self time and, per op, the native
-kernel's call counters (scan calls, kernel calls, program compiles) and
-its scans' evaluated-op counters (the faulty machines' ops as a share
+kernel's call counters (scan calls, kernel calls, program compiles),
+the genetic phase's counters (populations and candidates scored) and
+the scans' evaluated-op counters (the faulty machines' ops as a share
 of the good machine's, per axis), and fails if any op failed its check.
-Two checkouts that do the same kernel work print the same counters, so
-a change that only trims set-up shows up as time alone.
+Two checkouts that do the same kernel and GA work print the same
+counters, so a change that only trims set-up shows up as time alone.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ AXES = ("fault_axis", "candidate_axis")
 
 #: Dispatch counters of the work handed to the kernel, printed per op.
 CALL_COUNTERS = ("scan_calls", "scan_steps", "native_ffi_calls", "program_compiles")
+
+#: Dispatch counters of the genetic phase's work, printed per op.
+GA_COUNTERS = ("ga_generations", "ga_candidates")
 
 
 def profile_ops(
@@ -75,12 +79,13 @@ def profile_ops(
 
 
 def scan_op_lines(counters: dict[str, int], ops: int) -> list[str]:
-    """Per-op kernel call counters, then the evaluated-op counters of
-    each scan axis."""
-    calls = ", ".join(
-        f"{counters.get(kind, 0) / ops:,.1f} {kind}" for kind in CALL_COUNTERS
-    )
-    lines = [f"per op: {calls}"]
+    """Per-op kernel call and GA counters, then the evaluated-op
+    counters of each scan axis."""
+    lines = [
+        "per op: "
+        + ", ".join(f"{counters.get(kind, 0) / ops:,.1f} {kind}" for kind in kinds)
+        for kinds in (CALL_COUNTERS, GA_COUNTERS)
+    ]
     for axis in AXES:
         faulty = counters.get(f"{axis}_faulty_ops", 0)
         good = counters.get(f"{axis}_good_ops", 0)

@@ -29,7 +29,8 @@ class AtpgConfig:
         genetic_targets: max number of hard faults the GA attacks.
         genetic_population: GA population size.
         genetic_generations: GA generations per target fault.
-        genetic_sequence_length: GA candidate sequence length.
+        genetic_sequence_length: GA candidate sequence length (children
+            grow to at most twice it).
         run_compaction: run vector-restoration static compaction (the
             reference [12] approach) at the end.
         backend: simulation backend name (``"python"`` or ``"native"``,
@@ -78,6 +79,11 @@ class AtpgConfig:
             raise ValueError("extension chunks must be positive")
         if self.genetic_population < 2:
             raise ValueError("genetic_population must be at least 2")
+        if self.genetic_sequence_length < 1:
+            raise ValueError("genetic_sequence_length must be positive")
+        for name in ("genetic_generations", "genetic_targets"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     # ------------------------------------------------------------------
     # Round-trips: JSON (the service wire format) and CLI namespaces

@@ -1,12 +1,17 @@
 """Random-vector helpers shared by the ATPG phases.
 
-With numpy, each producer draws its bits as one SplitMix64 block
-(:meth:`~repro.util.rng.SplitMix64.block_u64`), vector-major, and leaves
-the generator where the per-bit loop would: the scalar loops below run
-without numpy and are the specification the block path equals bit for
-bit (``tests/test_util_rng.py``).  numpy is looked up on
-:mod:`repro.util.rng` at call time, so that module's ``np`` is the one
-switch between the two paths.
+With numpy, the random and greedy phases' producers draw their bits as
+one SplitMix64 block (:meth:`~repro.util.rng.SplitMix64.block_u64`),
+vector-major, and leave the generator where the per-bit loop would: the
+scalar loops below run without numpy and are the specification the
+block path equals bit for bit (``tests/test_util_rng.py``).  numpy is
+looked up on :mod:`repro.util.rng` at call time, so that module's ``np``
+is the one switch between the two paths.
+
+:func:`crossover` and :func:`mutate_sequence` are the tuple GA's
+operators (:mod:`repro.atpg.genetic`), which runs only without numpy;
+with numpy the GA splices and mutates rows of its population matrix,
+drawing what these draw in the same order, so they stay scalar.
 """
 
 from __future__ import annotations
@@ -59,21 +64,14 @@ def mutate_sequence(
     rng: SplitMix64, sequence: TestSequence, bit_flip_probability: float
 ) -> TestSequence:
     """Flip each bit independently with the given probability (GA mutation)."""
-    width = sequence.width
-    if _rng.np is None:
-        vectors = tuple(
-            tuple(
-                bit ^ 1 if rng.random() < bit_flip_probability else bit
-                for bit in vector
-            )
-            for vector in sequence
+    vectors = tuple(
+        tuple(
+            bit ^ 1 if rng.random() < bit_flip_probability else bit
+            for bit in vector
         )
-    else:
-        length = len(sequence)
-        flips = rng.bits_below(length * width, bit_flip_probability)
-        bits = _rng.np.asarray(sequence.vectors(), dtype=_rng.np.uint8)
-        vectors = _rows(bits.reshape(-1) ^ flips, length, width)
-    return TestSequence._trusted(vectors, width)
+        for vector in sequence
+    )
+    return TestSequence._trusted(vectors, sequence.width)
 
 
 def crossover(

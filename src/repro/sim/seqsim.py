@@ -60,9 +60,12 @@ This turns Procedure 2's ``ustart`` search and its vector-omission trials
 from per-candidate simulations into one batched pass per
 ``batch_width`` candidates — the optimization that makes the pure-Python
 reproduction tractable (and the vectorized backends fast).  The genetic
-phase's fitness rides the same scan: :meth:`SequenceBatchSimulator.observe`
-returns each candidate's detection time plus its flop-divergence
-guidance.
+phase's fitness rides the same scan:
+:meth:`SequenceBatchSimulator.observe_population` takes the population
+bit matrix as the explicit-candidate base and returns each candidate's
+detection time plus its flop-divergence guidance
+(:meth:`SequenceBatchSimulator.observe` does the same for a list of
+sequences).
 """
 
 from __future__ import annotations
@@ -539,25 +542,65 @@ class SequenceBatchSimulator:
         """Detection time and flop divergence of each candidate sequence.
 
         One paired scan per ``batch_width`` candidates, each slot starting
-        from the all-X state — a genetic population's whole fitness pass.
-        Always serial, also on a simulator with chunk threads.
+        from the all-X state.  Always serial, also on a simulator with
+        chunk threads.
         """
         self._check_widths(sequences)
-        observations: list[FaultObservation] = []
-        for start in range(0, len(sequences), self._batch_width):
-            batch = sequences[start : start + self._batch_width]
-            divergence = ScanDivergence(len(batch))
-            times = self._scan_times(fault, self._pack_explicit(batch), divergence)
-            observations.extend(
-                FaultObservation(
-                    times[slot],
-                    divergence.maximum[slot],
-                    divergence.final[slot],
-                    divergence.area[slot],
-                )
-                for slot in range(len(batch))
+        width = self._batch_width
+        times, divergence = self._observe(
+            fault,
+            (
+                self._pack_explicit(sequences[low : low + width])
+                for low in range(0, len(sequences), width)
+            ),
+        )
+        return list(
+            map(
+                FaultObservation,
+                times,
+                divergence.maximum,
+                divergence.final,
+                divergence.area,
             )
-        return observations
+        )
+
+    def observe_population(
+        self, fault: Fault, bits, lengths
+    ) -> tuple[list[int | None], ScanDivergence]:
+        """:meth:`observe` of a population bit matrix — a genetic
+        population's whole fitness pass, with no sequence per candidate.
+
+        ``bits`` is a ``(P, T, W)`` uint8 array over the circuit's ``W``
+        inputs and candidate ``p`` is the first ``lengths[p]`` rows of
+        ``bits[p]``.  Flattened to ``(P * T, W)`` the matrix is the
+        explicit-candidate base as it stands, and slot ``p`` is its run
+        ``[p * T, p * T + lengths[p])``.  Returns each candidate's
+        detection time and the scan's divergence outputs, in population
+        order.  Requires numpy.
+        """
+        count, steps, width = bits.shape
+        if width != self._compiled.num_inputs:
+            raise SimulationError(
+                f"candidate width {width} != circuit inputs "
+                f"{self._compiled.num_inputs}"
+            )
+        rows = np.zeros((count, 4), dtype=np.int32)
+        rows[:, 2] = np.arange(0, count * steps, steps)
+        rows[:, 3] = rows[:, 2] + lengths
+        derived = (
+            bits.reshape(count * steps, width),
+            _NO_KEPT,
+            rows,
+            IDENTITY_EXPANSION,
+        )
+        batch = self._batch_width
+        return self._observe(
+            fault,
+            (
+                self._derived_batch(derived, low, min(low + batch, count))
+                for low in range(0, count, batch)
+            ),
+        )
 
     def detects_windows(
         self,
@@ -811,6 +854,19 @@ class SequenceBatchSimulator:
         return _DerivedStimulus(
             base_bits, _NO_KEPT, rows, IDENTITY_EXPANSION, width, pad_width
         )
+
+    def _observe(self, fault: Fault, stimuli) -> tuple[list, ScanDivergence]:
+        """Detection times and divergence outputs of candidate batches,
+        scanned one after another and joined in order."""
+        times: list[int | None] = []
+        joined = ScanDivergence(0)
+        for stimulus in stimuli:
+            divergence = ScanDivergence(stimulus.num_slots)
+            times += self._scan_times(fault, stimulus, divergence)
+            joined.maximum += divergence.maximum
+            joined.final += divergence.final
+            joined.area += divergence.area
+        return times, joined
 
     def _pad_width(self, count: int) -> int:
         """Slot width a ``count``-candidate batch is padded to.

@@ -16,7 +16,11 @@ draws is ``seed + k*gamma`` (mod 2**64), so a block is one wrapping
 multiply-add plus the vectorized mixer.  ``bits_below(n, p)`` is exactly
 ``[random() < p for _ in range(n)]``: ``random()`` is ``(z >> 11) *
 2**-53`` with no rounding, so ``random() < p`` holds iff the integer
-``z >> 11`` is below ``ceil(p * 2**53)``.
+``z >> 11`` is below ``ceil(p * 2**53)``.  The same arithmetic makes
+:meth:`SplitMix64.skip` one multiply-add, either way: a consumer that
+interleaves scalar draws with bit runs (the genetic phase's parent
+picks, cuts and mutation masks) can skip each run, step back over the
+whole stretch and draw it as one block.
 """
 
 from __future__ import annotations
@@ -90,11 +94,18 @@ class SplitMix64:
         """Return ``width`` independent bits, each 1 with the given probability."""
         return [1 if self.random() < ones_probability else 0 for _ in range(width)]
 
+    def skip(self, n: int) -> None:
+        """Advance past the next ``n`` outputs without computing them.
+
+        A negative ``n`` steps back over the last ``-n`` outputs.
+        """
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+
     def block_u64(self, n: int):
         """The next ``n`` outputs as a ``uint64`` array (requires numpy)."""
         steps = np.arange(1, n + 1, dtype=np.uint64)
         z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)
-        self._state = (self._state + n * _GOLDEN) & _MASK64
+        self.skip(n)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))

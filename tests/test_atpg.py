@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
+import copy
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.atpg import genetic
 from repro.atpg.config import AtpgConfig
 from repro.atpg.engine import generate_t0
 from repro.atpg.genetic import attack_fault
@@ -17,11 +21,15 @@ from repro.atpg.random_gen import (
 )
 from repro.atpg.restoration import restoration_compact
 from repro.circuits.catalog import load_circuit
+from repro.circuits.generator import SyntheticSpec, generate_circuit
 from repro.core.sequence import TestSequence
+from repro.faults.sites import enumerate_faults
 from repro.faults.universe import FaultUniverse
+from repro.sim.backend import backend_unavailable_reason, dispatch_counters
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.seqsim import SequenceBatchSimulator
+from repro.util import rng as rng_module
 from repro.util.rng import SplitMix64, derive_seed
 
 
@@ -106,6 +114,18 @@ class TestGenetic:
         outcome = attack_fault(CompiledCircuit(s27), s27_universe.fault(0), config, salt=0)
         assert outcome.succeeded
         assert FaultSimulator(s27).detects(outcome.sequence, s27_universe.fault(0))
+
+    def test_ga_counts_scored_populations(self, s27, s27_universe):
+        config = AtpgConfig(genetic_population=6, genetic_generations=4)
+        before = dispatch_counters()
+        outcome = attack_fault(CompiledCircuit(s27), s27_universe.fault(3), config, 1)
+        after = dispatch_counters()
+
+        def grew(kind: str) -> int:
+            return after.get(kind, 0) - before.get(kind, 0)
+
+        assert grew("ga_generations") == outcome.generations_used + 1
+        assert grew("ga_candidates") == 6 * grew("ga_generations")
 
     def test_ga_is_deterministic(self, s27, s27_universe):
         config = AtpgConfig(genetic_population=6, genetic_generations=4)
@@ -213,6 +233,123 @@ class TestGeneticBitIdentity:
         assert len(outcomes) >= 10
         assert any(o.succeeded and o.generations_used for o in outcomes)
         assert any(not o.succeeded for o in outcomes)
+
+
+@st.composite
+def ga_cases(draw, engines: tuple[str, ...]):
+    """A generated circuit, one of its faults, a small GA config and one
+    of ``engines``."""
+    inputs = draw(st.integers(min_value=1, max_value=4))
+    flops = draw(st.integers(min_value=1, max_value=4))
+    circuit = generate_circuit(
+        SyntheticSpec(
+            "ga",
+            inputs,
+            draw(st.integers(min_value=1, max_value=3)),
+            flops,
+            draw(st.integers(min_value=flops + 3, max_value=20)),
+            seed=draw(st.integers(min_value=0, max_value=2**32)),
+        )
+    )
+    faults = enumerate_faults(circuit)
+    fault = faults[draw(st.integers(min_value=0, max_value=len(faults) - 1))]
+    config = AtpgConfig(
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        genetic_population=draw(st.integers(min_value=2, max_value=12)),
+        genetic_generations=draw(st.integers(min_value=0, max_value=6)),
+        genetic_sequence_length=draw(st.integers(min_value=1, max_value=6)),
+    )
+    return circuit, fault, config, draw(st.sampled_from(engines))
+
+
+def _edge_case():
+    """A case whose crossovers both cap a child and splice nothing
+    (a one-vector GA that runs all its generations)."""
+    circuit = generate_circuit(SyntheticSpec("ga", 2, 1, 3, 12, seed=1))
+    config = AtpgConfig(
+        seed=1,
+        genetic_population=12,
+        genetic_generations=6,
+        genetic_sequence_length=1,
+    )
+    return circuit, enumerate_faults(circuit)[0], config, "python"
+
+
+class _RecordingSimulator(SequenceBatchSimulator):
+    """Notes every population it scores, as vector tuples per candidate."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.populations: list[list[tuple]] = []
+
+    def observe(self, fault, sequences):
+        self.populations.append([sequence.vectors() for sequence in sequences])
+        return super().observe(fault, sequences)
+
+    def observe_population(self, fault, bits, lengths):
+        self.populations.append(
+            [
+                tuple(map(tuple, rows[:length].tolist()))
+                for rows, length in zip(bits, lengths.tolist())
+            ]
+        )
+        return super().observe_population(fault, bits, lengths)
+
+
+def _tuple_attack(compiled, fault, config, simulator, monkeypatch, seen):
+    """``attack_fault`` with numpy hidden from the GA (the tuple GA),
+    noting the crossovers that were capped or spliced nothing."""
+    cap = 2 * config.genetic_sequence_length
+
+    def noting_crossover(rng, left, right):
+        cuts = copy.copy(rng)
+        head = cuts.randint(0, len(left))
+        tail = len(right) - cuts.randint(0, len(right))
+        if not head + tail:
+            seen.add("empty splice")
+        elif head + tail > cap:
+            seen.add("capped")
+        return crossover(rng, left, right)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rng_module, "np", None)
+        patch.setattr(genetic, "crossover", noting_crossover)
+        return attack_fault(compiled, fault, config, salt=3, simulator=simulator)
+
+
+def test_matrix_ga_equals_tuple_ga(monkeypatch):
+    """The population-matrix GA draws, breeds and scores exactly as the
+    tuple GA does, population by population; the cases include both
+    crossover edge rules."""
+    seen: set[str] = set()
+    native = backend_unavailable_reason("native") is None
+    engines = ("python", "native") if native else ("python",)
+
+    @settings(max_examples=80, deadline=None)
+    @given(ga_cases(engines))
+    @example(_edge_case())
+    def check(case):
+        circuit, fault, config, engine = case
+        compiled = CompiledCircuit(circuit)
+        simulator = _RecordingSimulator(compiled, backend=engine)
+        matrix = attack_fault(compiled, fault, config, salt=3, simulator=simulator)
+        scored = simulator.populations
+        simulator.populations = []
+        tuple_ga = _tuple_attack(
+            compiled, fault, config, simulator, monkeypatch, seen
+        )
+        assert scored == simulator.populations
+        got = (matrix.sequence, matrix.generations_used, matrix.evaluations)
+        assert got == (
+            tuple_ga.sequence,
+            tuple_ga.generations_used,
+            tuple_ga.evaluations,
+        )
+        if matrix.sequence is not None:
+            assert all(type(bit) is int for vector in matrix.sequence for bit in vector)
+
+    check()
+    assert seen == {"empty splice", "capped"}
 
 
 class TestCompaction:

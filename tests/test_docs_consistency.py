@@ -13,18 +13,24 @@ not define:
   ``--flag`` in a code span must be an option of the CLI or of some
   script;
 * every HTTP route (``GET /path``, or a bare ``/path`` span in a
-  sentence that names one) must be routed by ``serve/http.py``.
+  sentence that names one) must be routed by ``serve/http.py``;
+* every keyword argument of a ``RunRequest(``, ``SelectionConfig(`` or
+  ``AtpgConfig(`` call in a code snippet must be a field of that class.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
+from repro.atpg.config import AtpgConfig
 from repro.cli import build_parser
+from repro.core.config import SelectionConfig
+from repro.core.request import RunRequest
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ("README.md", "ARCHITECTURE.md")
@@ -34,6 +40,11 @@ SCRIPT_DIRS = ("benchmarks", "e2ebench")
 FOREIGN = {"ruff", "pip", "pytest", "git", "cc", "gcc", "clang", "setarch"}
 
 HTTP_METHODS = ("GET", "POST", "PUT", "DELETE")
+
+#: Configuration records a snippet may construct, by name.
+CONFIG_CLASSES = {
+    cls.__name__: cls for cls in (RunRequest, SelectionConfig, AtpgConfig)
+}
 
 
 def _doc(name: str) -> str:
@@ -229,3 +240,67 @@ def test_route_extraction_reads_the_docs():
         documented = _documented_routes(_doc(name))
         assert ("POST", "/jobs") in documented, name
         assert ("GET", "/jobs/<id>") in documented, name
+
+
+def _config_calls(text: str):
+    """``(class name, keyword)`` for each keyword argument of a config
+    record call in a code snippet (fenced calls may span lines)."""
+    prose, block_lines = _split_fences(text)
+    snippets = re.findall(r"`([^`]+)`", prose) + ["\n".join(block_lines)]
+    call = re.compile(r"\b(" + "|".join(CONFIG_CLASSES) + r")\(")
+    for snippet in snippets:
+        for match in call.finditer(snippet):
+            depth, start = 1, match.end()
+            pieces, piece = [], []
+            for char in snippet[start:]:
+                depth += (char in "([{") - (char in ")]}")
+                if depth == 0 or (depth == 1 and char == ","):
+                    pieces.append("".join(piece))
+                    piece = []
+                    if depth == 0:
+                        break
+                else:
+                    piece.append(char)
+            for piece in pieces:
+                keyword = re.match(r"\s*([A-Za-z_]\w*)\s*=(?!=)", piece)
+                if keyword:
+                    yield match.group(1), keyword.group(1)
+
+
+def _unknown_config_fields(text: str) -> list[str]:
+    fields = {
+        name: {field.name for field in dataclasses.fields(cls)}
+        for name, cls in CONFIG_CLASSES.items()
+    }
+    return sorted(
+        f"{name}({keyword}=...)"
+        for name, keyword in _config_calls(text)
+        if keyword not in fields[name]
+    )
+
+
+@pytest.mark.parametrize("name", DOCS)
+def test_config_keywords_are_fields(name):
+    unknown = _unknown_config_fields(_doc(name))
+    assert not unknown, f"{name} names unknown config fields: {unknown}"
+
+
+def test_config_keyword_check_reads_the_docs(tmp_path):
+    """The docs' config calls are found, and a misnamed field fails."""
+    found = {call for name in DOCS for call in _config_calls(_doc(name))}
+    assert ("RunRequest", "kind") in found
+    assert ("AtpgConfig", "genetic_population") in found
+    scratch = tmp_path / "scratch.md"
+    scratch.write_text(
+        "Run `AtpgConfig(genetic_size=4)`, or:\n\n"
+        "```python\n"
+        "RunRequest(\n"
+        '    kind="atpg",\n'
+        "    atpg=AtpgConfig(seed=1, genetic_size=4),\n"
+        ")\n"
+        "```\n"
+    )
+    assert _unknown_config_fields(scratch.read_text()) == [
+        "AtpgConfig(genetic_size=...)",
+        "AtpgConfig(genetic_size=...)",
+    ]

@@ -92,6 +92,29 @@ class TestSelectionConfig:
                     {"kind": "scheme", "circuit": "s27", field: {"backend": backend}}
                 )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("genetic_sequence_length", 0),
+            ("genetic_sequence_length", -3),
+            ("genetic_generations", -1),
+            ("genetic_targets", -1),
+        ],
+    )
+    def test_genetic_fields_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AtpgConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            RunRequest.from_json(
+                {"kind": "scheme", "circuit": "s27", "atpg": {field: value}}
+            )
+
+    def test_genetic_field_floors_accepted(self):
+        config = AtpgConfig(
+            genetic_sequence_length=1, genetic_generations=0, genetic_targets=0
+        )
+        assert config.genetic_sequence_length == 1
+
     def test_for_backend_batch_widths(self):
         """(search, omission, fault) widths each selector resolves to."""
 

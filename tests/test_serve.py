@@ -14,6 +14,7 @@ loop with ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 from concurrent.futures import ThreadPoolExecutor
 
@@ -360,6 +361,20 @@ class TestRunDispatches:
         dispatches = result.execution["dispatches"]
         assert dispatches["trace_calls"] >= 1
         assert dispatches["trace_steps"] >= dispatches["trace_calls"]
+
+    def test_genetic_work_is_counted_outside_the_fingerprint(self):
+        """The GA's populations and candidates show up in the dispatch
+        deltas, which the fingerprint never reads."""
+        request = RunRequest(
+            kind="atpg", circuit="syn298", atpg=AtpgConfig(genetic_targets=2)
+        )
+        with Session() as session:
+            result = session.run(request)
+        dispatches = result.execution["dispatches"]
+        assert dispatches["ga_generations"] >= 1
+        assert dispatches["ga_candidates"] >= 2 * dispatches["ga_generations"]
+        bare = dataclasses.replace(result, execution={})
+        assert bare.fingerprint() == result.fingerprint()
 
 
 def _gil_free_engine() -> tuple[str, tuple[str, int]]:
@@ -819,6 +834,30 @@ class TestHttpFrontend:
                     )
                     assert status == 400
                     assert "['python', 'native', 'auto']" in body["error"]
+                    assert service.stats()["jobs_submitted"] == 0
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("genetic_sequence_length", -3),
+            ("genetic_generations", -1),
+            ("genetic_targets", -1),
+        ],
+    )
+    def test_invalid_genetic_field_is_a_400_before_any_lane(self, field, value):
+        request = S27_REQUEST.to_json()
+        request["atpg"] = {field: value}
+
+        async def main():
+            async with JobService() as service:
+                async with HttpFrontend(service) as http:
+                    status, body = await _http_request(
+                        http.port, "POST", "/jobs", {"tenant": "t", "request": request}
+                    )
+                    assert status == 400
+                    assert field in body["error"]
                     assert service.stats()["jobs_submitted"] == 0
 
         asyncio.run(main())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from repro.circuits.catalog import load_circuit, paper_t0_s27
@@ -45,7 +46,11 @@ from repro.sim.faultsim import FaultSimulator, make_fault_simulator
 from repro.sim.logicsim import LogicSimulator
 from repro.sim.native_build import NO_NATIVE_ENV
 from repro.sim.scanplan import WindowRampPlan
-from repro.sim.seqsim import SequenceBatchSimulator, make_sequence_simulator
+from repro.sim.seqsim import (
+    FaultObservation,
+    SequenceBatchSimulator,
+    make_sequence_simulator,
+)
 from repro.util.rng import SplitMix64
 
 pytest.importorskip("numpy")
@@ -900,8 +905,20 @@ def _assert_matches_oracle(got, want, fault) -> None:
             assert g == w, (str(fault), slot)
 
 
+def _population(candidates: list[TestSequence], width: int):
+    """The candidates as ``observe_population``'s bit matrix and lengths."""
+    bits = np.zeros(
+        (len(candidates), max(map(len, candidates)), width), dtype=np.uint8
+    )
+    for row, candidate in zip(bits, candidates):
+        if len(candidate):
+            row[: len(candidate)] = candidate.vectors()
+    return bits, np.array([len(candidate) for candidate in candidates])
+
+
 class TestObserveParity:
-    """``SequenceBatchSimulator.observe`` vs the scalar ``FaultObserver``."""
+    """``SequenceBatchSimulator.observe`` and ``observe_population`` vs
+    the scalar ``FaultObserver``."""
 
     @pytest.mark.parametrize("slots", [63, 64, 65, 129])
     @pytest.mark.parametrize(
@@ -921,8 +938,20 @@ class TestObserveParity:
             backend=base_loop_backend(compiled, name) if base_loop else name,
             threads=threads,
         )
+        bits, lengths = _population(candidates, compiled.num_inputs)
         for fault, want in expected.items():
             _assert_matches_oracle(simulator.observe(fault, candidates), want, fault)
+            times, divergence = simulator.observe_population(fault, bits, lengths)
+            population = list(
+                map(
+                    FaultObservation,
+                    times,
+                    divergence.maximum,
+                    divergence.final,
+                    divergence.area,
+                )
+            )
+            _assert_matches_oracle(population, want, fault)
 
     def test_oracle_workload_is_not_vacuous(self, observe_case):
         _, candidates, expected = observe_case

@@ -80,9 +80,13 @@ class TestBatchMechanics:
         assert simulator.detects(s27_universe.fault(0), [TestSequence([])]) == [False]
 
     def test_width_mismatch_rejected(self, s27, s27_universe):
+        simulator = SequenceBatchSimulator(s27)
         with pytest.raises(SimulationError):
-            SequenceBatchSimulator(s27).detects(
-                s27_universe.fault(0), [TestSequence([[0, 1]])]
+            simulator.detects(s27_universe.fault(0), [TestSequence([[0, 1]])])
+        np = pytest.importorskip("numpy")
+        with pytest.raises(SimulationError, match="circuit inputs"):
+            simulator.observe_population(
+                s27_universe.fault(0), np.zeros((1, 1, 2), np.uint8), np.ones(1)
             )
 
     def test_invalid_batch_width(self, s27):

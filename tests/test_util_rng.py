@@ -136,6 +136,50 @@ class TestBlockDraws:
         assert mask.tolist() == [scalar.random() < probability for _ in range(n)]
         assert block.next_u64() == scalar.next_u64()
 
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS, st.integers(min_value=0, max_value=400), st.integers(0, 20))
+    def test_skip_equals_discarded_draws(self, seed, n, after):
+        """``skip(n)`` is ``n`` unread draws; ``skip(-k)`` rereads ``k``."""
+        skipped, drawn = SplitMix64(seed), SplitMix64(seed)
+        skipped.skip(n)
+        for _ in range(n):
+            drawn.next_u64()
+        tail = [drawn.next_u64() for _ in range(after)]
+        assert [skipped.next_u64() for _ in range(after)] == tail
+        skipped.skip(-after)
+        assert [skipped.next_u64() for _ in range(after)] == tail
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        SEEDS,
+        st.integers(min_value=0, max_value=6),
+        st.lists(st.integers(min_value=0, max_value=12), max_size=12),
+        PROBABILITIES,
+    )
+    def test_generation_block_equals_per_child_runs(self, seed, width, sizes, p):
+        """Four scalar draws, then ``size * width`` bits, per child: drawn
+        child by child, or with each run skipped and then the whole
+        stretch drawn as one block and sliced at each run's offset."""
+        per_child, block = SplitMix64(seed), SplitMix64(seed)
+        want = []
+        for size in sizes:
+            picks = [per_child.randint(0, 2 * size + 1) for _ in range(4)]
+            want.append((picks, per_child.bits_below(size * width, p).tolist()))
+        got, offsets, drawn = [], [], 0
+        for size in sizes:
+            got.append([block.randint(0, 2 * size + 1) for _ in range(4)])
+            offsets.append(drawn + 4)
+            drawn += 4 + size * width
+            block.skip(size * width)
+        block.skip(-drawn)
+        flips = block.bits_below(drawn, p)
+        got = [
+            (picks, flips[offset : offset + size * width].tolist())
+            for picks, offset, size in zip(got, offsets, sizes)
+        ]
+        assert got == want
+        assert block.next_u64() == per_child.next_u64()
+
     def test_bits_below_threshold_edges(self):
         """A draw sitting exactly on the threshold is not below it."""
         rng = SplitMix64(5)
