@@ -77,13 +77,6 @@ from repro.util.rng import SplitMix64
 
 from bench_faultsim import machine_block
 
-try:
-    import numpy  # noqa: F401  (the packed pipeline's bit-column cache)
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy ships in CI
-    _HAVE_NUMPY = False
-
 #: (label, circuit, T0 length, expansion repetitions n, omission window,
 #: shape, batch-width override).  T0 lengths grow with the circuit so
 #: window searches produce realistically full batches.  The small
@@ -392,11 +385,10 @@ def run_profile(
                 f"{label}: expected exactly 1 good-machine simulation, "
                 f"recorded {stats['trace_misses']}"
             )
-        # ...and (with numpy available, while the distinct bases fit the
-        # cache) every base was packed exactly once.
+        # ...and (while the distinct bases fit the cache) every base was
+        # packed exactly once.
         if (
-            _HAVE_NUMPY
-            and len(distinct_bases) < SEQUENCE_CACHE_CAPACITY
+            len(distinct_bases) < SEQUENCE_CACHE_CAPACITY
             and stats["bits_misses"] != len(distinct_bases)
         ):
             raise AssertionError(

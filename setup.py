@@ -19,10 +19,9 @@ setup(
     },
     include_package_data=True,
     python_requires=">=3.11",
-    extras_require={
-        # Optional vectorized simulation backend; the pure-Python backend
-        # has no dependencies at all.
-        "numpy": ["numpy>=1.24"],
-    },
+    # numpy holds every engine's candidate descriptors, base bit matrices
+    # and random-bit blocks; the native engine additionally needs a C
+    # compiler at first use (it falls back to python without one).
+    install_requires=["numpy>=1.24"],
     entry_points={"console_scripts": ["repro-bist=repro.cli:main"]},
 )

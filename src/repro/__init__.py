@@ -27,12 +27,13 @@ importable::
         SelectionConfig, LoadAndExpandScheme,            # the paper's scheme
     )
 
-Every simulator accepts ``backend="python"`` (default, dependency-free
-big-int kernel), ``backend="native"`` (a lazily compiled C kernel over
-numpy word arrays) or ``backend="auto"`` (native by circuit size when it
-builds, else python); results are bit-identical.  Both hot axes additionally scale
-across chunk threads with identical results (``workers=``).  Sessions
-hand out simulators and trace caches on their shared compiled circuits
+Every simulator accepts ``backend="python"`` (default, the big-int
+kernel; needs no C compiler), ``backend="native"`` (a lazily compiled C
+kernel over numpy word arrays) or ``backend="auto"`` (native by circuit
+size when it builds, else python); results are bit-identical.  Both
+hot axes additionally scale across chunk threads with identical results
+(``workers=``).  Sessions hand out simulators and trace caches on their
+shared compiled circuits
 (:meth:`Session.fault_simulator`, :meth:`Session.sequence_simulator`,
 :meth:`Session.trace_cache`).
 """

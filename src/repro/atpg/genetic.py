@@ -8,10 +8,10 @@ parallel fault simulation: each generation is scored by one paired
 candidate-axis scan, one slot per candidate, instead of one scalar
 simulation per candidate.
 
-With numpy the population lives in the simulator's layout: one
-``(P, 2L, W)`` uint8 bit matrix (``L`` the configured sequence length,
-``W`` the circuit's inputs) plus a length per row, scored as it stands
-by :meth:`~repro.sim.seqsim.SequenceBatchSimulator.observe_population`.
+The population lives in the simulator's layout: one ``(P, 2L, W)``
+uint8 bit matrix (``L`` the configured sequence length, ``W`` the
+circuit's inputs) plus a length per row, scored as it stands by
+:meth:`~repro.sim.seqsim.SequenceBatchSimulator.observe_population`.
 Crossover copies row slices, and a generation's mutation bits are one
 :meth:`~repro.util.rng.SplitMix64.bits_below` block over the stretch of
 the stream the generation consumes: parent picks and cuts are drawn one
@@ -20,16 +20,19 @@ by one, each child's mutation run is skipped
 out of the block at the offset its own draw would have had.  Only the
 winner becomes a :class:`~repro.core.sequence.TestSequence`.
 
-Without numpy the tuple GA (:func:`_tuple_search`, over
+The tuple GA (:func:`_tuple_search`, one
+:class:`~repro.core.sequence.TestSequence` per candidate, over
 :func:`~repro.atpg.random_gen.crossover` and
-:func:`~repro.atpg.random_gen.mutate_sequence`) runs instead.  It is the
-specification: the matrix GA draws the same stream in the same order
-and returns the same winner, generation and evaluation count.
+:func:`~repro.atpg.random_gen.mutate_sequence`) is the specification,
+run only by the tests: the matrix GA draws the same stream in the same
+order and returns the same winner, generation and evaluation count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.atpg.config import AtpgConfig
 from repro.atpg.random_gen import crossover, mutate_sequence, random_sequence
@@ -38,7 +41,6 @@ from repro.faults.model import Fault
 from repro.sim.backend import record_dispatches
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.seqsim import SequenceBatchSimulator
-from repro.util import rng as _rng
 from repro.util.rng import SplitMix64, derive_seed
 
 #: Scalar draws per child before its mutation bits: two parent picks
@@ -91,8 +93,7 @@ def attack_fault(
     if simulator is None:
         simulator = SequenceBatchSimulator(compiled, backend=config.backend)
     rng = SplitMix64(derive_seed(config.seed, 0x6E6, salt))
-    search = _tuple_search if _rng.np is None else _matrix_search
-    sequence, generation, evaluations = search(
+    sequence, generation, evaluations = _matrix_search(
         simulator, fault, config, rng, compiled.num_inputs
     )
     scored = generation + 1  # every generation up to it scored a population
@@ -112,7 +113,10 @@ def _tuple_search(
     rng: SplitMix64,
     width: int,
 ) -> tuple[TestSequence | None, int, int]:
-    """The GA over sequences: ``(winner, generation, evaluations)``."""
+    """The GA over sequences: ``(winner, generation, evaluations)``.
+
+    The specification :func:`_matrix_search` equals, draw for draw.
+    """
     length = config.genetic_sequence_length
     population = [
         random_sequence(rng, width, length) for _ in range(config.genetic_population)
@@ -156,8 +160,7 @@ def _matrix_search(
     rng: SplitMix64,
     width: int,
 ) -> tuple[TestSequence | None, int, int]:
-    """:func:`_tuple_search` on a population bit matrix (requires numpy)."""
-    np = _rng.np
+    """:func:`_tuple_search` on a population bit matrix."""
     count = config.genetic_population
     length = config.genetic_sequence_length
     # The first population is ``count`` consecutive random_sequence blocks.
@@ -194,7 +197,7 @@ def _breed(rng: SplitMix64, bits, lengths, elite: list[int]):
     """
     count, cap, width = bits.shape
     kept = len(elite)
-    children = _rng.np.zeros_like(bits)
+    children = np.zeros_like(bits)
     children[:kept] = bits[elite]
     sizes = lengths.tolist()
     child_sizes = [sizes[i] for i in elite]
@@ -220,4 +223,4 @@ def _breed(rng: SplitMix64, bits, lengths, elite: list[int]):
     for child, offset, size in runs:
         run = flips[offset : offset + size * width]
         children[child, :size] ^= run.reshape(size, width)
-    return children, _rng.np.array(child_sizes, dtype=lengths.dtype)
+    return children, np.array(child_sizes, dtype=lengths.dtype)

@@ -1,29 +1,29 @@
 """Random-vector helpers shared by the ATPG phases.
 
-With numpy, the random and greedy phases' producers draw their bits as
-one SplitMix64 block (:meth:`~repro.util.rng.SplitMix64.block_u64`),
-vector-major, and leave the generator where the per-bit loop would: the
-scalar loops below run without numpy and are the specification the
-block path equals bit for bit (``tests/test_util_rng.py``).  numpy is
-looked up on :mod:`repro.util.rng` at call time, so that module's ``np``
-is the one switch between the two paths.
+The random and greedy phases' producers draw their bits as one
+SplitMix64 block (:meth:`~repro.util.rng.SplitMix64.block_u64`),
+vector-major, and leave the generator where a per-bit loop over
+:func:`random_vector` or :meth:`~repro.util.rng.SplitMix64.sample_bits`
+would: those scalar draws are the specification the blocks equal bit
+for bit (``tests/test_util_rng.py``).
 
-:func:`crossover` and :func:`mutate_sequence` are the tuple GA's
-operators (:mod:`repro.atpg.genetic`), which runs only without numpy;
-with numpy the GA splices and mutates rows of its population matrix,
-drawing what these draw in the same order, so they stay scalar.
+:func:`crossover` and :func:`mutate_sequence` are the operators of the
+GA's specification (:func:`repro.atpg.genetic._tuple_search`); the GA
+itself splices and mutates rows of its population matrix, drawing what
+these draw in the same order, so they stay scalar.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.sequence import TestSequence
-from repro.util import rng as _rng
 from repro.util.rng import SplitMix64
 
 
 def _rows(bits, length: int, width: int) -> tuple[tuple[int, ...], ...]:
     """A flat 0/1 array of ``length * width`` draws as vector tuples."""
-    flat = bits.astype(_rng.np.uint8).tolist()
+    flat = bits.astype(np.uint8).tolist()
     return tuple(tuple(flat[t * width : (t + 1) * width]) for t in range(length))
 
 
@@ -34,12 +34,8 @@ def random_vector(rng: SplitMix64, width: int) -> list[int]:
 
 def random_sequence(rng: SplitMix64, width: int, length: int) -> TestSequence:
     """A sequence of ``length`` uniformly random vectors."""
-    if _rng.np is None:
-        vectors = tuple(tuple(random_vector(rng, width)) for _ in range(length))
-    else:
-        bits = rng.block_u64(length * width) & _rng.np.uint64(1)
-        vectors = _rows(bits, length, width)
-    return TestSequence._trusted(vectors, width)
+    bits = rng.block_u64(length * width) & np.uint64(1)
+    return TestSequence._trusted(_rows(bits, length, width), width)
 
 
 def weighted_sequence(
@@ -50,14 +46,8 @@ def weighted_sequence(
     Biased vectors help activate faults deep in AND/OR trees, a standard
     weighted-random-pattern trick; the greedy phase mixes several weights.
     """
-    if _rng.np is None:
-        vectors = tuple(
-            tuple(rng.sample_bits(width, ones_probability)) for _ in range(length)
-        )
-    else:
-        bits = rng.bits_below(length * width, ones_probability)
-        vectors = _rows(bits, length, width)
-    return TestSequence._trusted(vectors, width)
+    bits = rng.bits_below(length * width, ones_probability)
+    return TestSequence._trusted(_rows(bits, length, width), width)
 
 
 def mutate_sequence(

@@ -11,20 +11,11 @@ from repro.sim.workerpool import PARALLEL_MODES
 
 #: Batch widths (search, omission, fault).  The big-int kernel peaks near
 #: a couple hundred slots, and explicit backend names get its widths.
-#: ``"auto"`` gets the wide ones whenever numpy (the word engine's
-#: storage) is importable; they act as caps that each simulator clamps
-#: back down when it resolves python.  Widths never change results
-#: (batching is order-preserving), only speed.
+#: ``"auto"`` gets the wide ones; they act as caps that each simulator
+#: clamps back down when it resolves python.  Widths never change
+#: results (batching is order-preserving), only speed.
 _PYTHON_BATCH_WIDTHS = (32, 96, 192)
 _AUTO_BATCH_WIDTHS = (128, 256, 1024)
-
-
-def _numpy_importable() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy ships in CI
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -107,16 +98,14 @@ class SelectionConfig:
         Detection results are identical for any widths; this only picks
         the throughput sweet spot.  Explicit backends (``python`` and
         ``native``) get the big-int kernel's widths.  For
-        ``backend="auto"`` the widths are 128/256/1024 when numpy is
-        importable and act as *caps*: each simulator resolves python or
-        native from its circuit and axis, and clamps the width back to
-        the big-int sweet spot whenever python wins (see
+        ``backend="auto"`` the widths are 128/256/1024 and act as
+        *caps*: each simulator resolves python or native from its
+        circuit and axis, and clamps the width back to the big-int sweet
+        spot whenever python wins (see
         :func:`repro.sim.backend.resolve_auto`).
         """
         search, omission, fault = (
-            _AUTO_BATCH_WIDTHS
-            if backend == AUTO_BACKEND and _numpy_importable()
-            else _PYTHON_BATCH_WIDTHS
+            _AUTO_BATCH_WIDTHS if backend == AUTO_BACKEND else _PYTHON_BATCH_WIDTHS
         )
         return cls(
             expansion=expansion or ExpansionConfig(),

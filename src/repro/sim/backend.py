@@ -42,6 +42,8 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.faults.model import Fault
 from repro.logic.values import ONE, X, ZERO, Ternary
@@ -139,14 +141,11 @@ def reset_dispatch_counters() -> None:
 def base_bits_of(sequence, width: int):
     """``sequence`` as a ``(len(sequence), width)`` uint8 bit matrix.
 
-    The one conversion of a test sequence to array form (requires
-    numpy): the native kernel's fault-axis scan and fault-free trace
-    read it, and the derived-candidate pipeline takes it from the trace
-    cache
+    The one conversion of a test sequence to array form: the native
+    kernel's fault-axis scan and fault-free trace read it, and the
+    derived-candidate pipeline takes it from the trace cache
     (:meth:`~repro.sim.trace.GoodTraceCache.base_bits`).
     """
-    import numpy as np
-
     if len(sequence):
         return np.asarray(sequence.vectors(), dtype=np.uint8)
     return np.zeros((0, width), dtype=np.uint8)
@@ -160,7 +159,7 @@ class BroadcastStimulus:
     input vector, broadcast across slots.  ``bits()`` exposes the whole
     sequence as a ``(num_steps, num_inputs)`` uint8 array for array
     backends: the ``bits`` the caller already holds (one matrix shared by
-    every batch of a call), else converted on first use (requires numpy).
+    every batch of a call), else converted on first use.
     """
 
     __slots__ = ("sequence", "num_steps", "num_slots", "_bits")
@@ -544,8 +543,10 @@ class SimBackend(ABC):
           specification they match.
 
         ``packed_stimulus`` supplies ``num_steps``, ``num_slots`` and
-        ``load_step(t, good, faulty)`` (a candidate column packer or a
-        :class:`BroadcastStimulus`).  State ownership: the batches'
+        ``load_step(t, good, faulty)``: a candidate batch on the paired
+        axis, which also carries its candidates' ``descriptor`` for
+        engines that expand them themselves, or a
+        :class:`BroadcastStimulus`.  State ownership: the batches'
         flop state advances exactly as the stepped calling sequence
         would — ``capture_state`` is skipped after the early-exiting
         step — and with ``collect_final_states`` the scan never exits
@@ -694,13 +695,6 @@ def _load_python_backend() -> type[SimBackend]:
 
 
 def _load_native_backend() -> type[SimBackend]:
-    try:
-        import numpy  # noqa: F401
-    except ImportError as error:  # pragma: no cover - numpy ships in CI
-        raise SimulationError(
-            "the 'native' simulation backend requires numpy; install it or "
-            "select backend='python'"
-        ) from error
     # Compiles the C kernel on first use; raises SimulationError with the
     # unavailability reason (no compiler, failed build, REPRO_NO_NATIVE).
     from repro.sim.native_build import load_native_library
@@ -789,8 +783,8 @@ def resolve_backend_name(
     crossover (:data:`AUTO_NATIVE_GATE_THRESHOLD` /
     :data:`AUTO_NATIVE_PAIRED_GATE_THRESHOLD`, fault / paired candidate
     axis) when it is usable here, else ``python``.  An unavailable
-    native engine (numpy not importable, no C compiler,
-    ``REPRO_NO_NATIVE``) is silently skipped.
+    native engine (no C compiler, ``REPRO_NO_NATIVE``) is silently
+    skipped.
     The choice is deterministic in ``(circuit, paired)`` on a given
     machine.  Results are bit-identical either way; only
     throughput differs.

@@ -602,14 +602,14 @@ class NativeBackend(NumpyBackend):
         good/faulty eval (each faulty machine only where it differs
         from the good one), detection, first-hit bookkeeping and the
         flop latch — and accumulates the flop divergence outputs.
-        Stimuli without an array form, paired scans against a faulted
-        good program and fault-axis scans against a bare observation
-        plan fall back to the stepped base scan.
+        Paired scans against a faulted good program, fault-axis stimuli
+        without an array form and fault-axis scans against a bare
+        observation plan fall back to the stepped base scan.
         """
         paired = observation_plan is None
         if paired:
-            descriptor = getattr(packed_stimulus, "descriptor", None)
-            stepped = descriptor is None or good._program.key is not None
+            descriptor = packed_stimulus.descriptor
+            stepped = good._program.key is not None
         else:
             bits_of = getattr(packed_stimulus, "bits", None)
             # The base loop owns the fault-axis divergence rejection.

@@ -11,8 +11,10 @@ executors' compact form (a sorted kept array ``K`` plus one
 per-candidate Python), for the serial executor and for every chunk
 thread alike, so results are bit-identical by construction for any
 thread count.  :meth:`index_lists` spells the same candidates out as
-lists: the reference the tests hold descriptors to, and the no-numpy
-fallback's input.  :meth:`slice` is the sub-plan a chunk scans.
+lists: the reference the tests hold descriptors to.  An
+:class:`ExplicitPlan` has no base to describe; the executor lays its
+sequences end to end and scans them through the same descriptor form.
+:meth:`slice` is the sub-plan a chunk scans.
 
 Chunk boundaries never influence *results* — outcomes merge by
 candidate index, first-hit winners are the global minimum detecting
@@ -27,10 +29,7 @@ import copy
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 
-try:  # Descriptors are numpy arrays; index lists need no numpy.
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships in CI
-    np = None
+import numpy as np
 
 from repro.core.ops import ExpansionConfig
 from repro.core.sequence import TestSequence
@@ -85,7 +84,7 @@ class ScanPlan:
         raise NotImplementedError
 
     def descriptor(self, base_length: int):
-        """Every candidate as one compact row (requires numpy).
+        """Every candidate as one compact row.
 
         Returns ``(kept, rows)``: a sorted ``int32`` array ``K`` and an
         ``(num_candidates, 4)`` ``int32`` array whose row
@@ -212,7 +211,7 @@ class OmissionPlan(ScanPlan):
 class ExplicitPlan(ScanPlan):
     """Materialized candidate sequences (no shared base, no expansion).
 
-    The generic ``detects`` API.
+    The generic ``detects`` and ``observe`` APIs.
     """
 
     __slots__ = ()

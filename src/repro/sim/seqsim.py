@@ -28,11 +28,12 @@ The hot path is a **described pipeline**:
   scans (Procedure 2 scans ``T0`` once per target fault) is converted
   once per session, not once per call.
 * The base per-step loop (the python engine's scan, and the spec) steps
-  the same descriptor through the reference packer: the base's three
-  per-vector transforms (complement, shift, complement+shift) form a
-  table — the expansion operators only reorder time and toggle those
-  transforms — every candidate column is a table gather, and one
-  ``packbits`` pass per :data:`PACK_CHUNK_STEPS` chunk feeds
+  the same descriptor through the reference packer: the three
+  per-vector transforms (complement, shift, complement+shift) of the
+  base rows a batch reads form a table — the expansion operators only
+  reorder time and toggle those transforms — every candidate column is
+  a table gather, and one ``packbits`` pass per
+  :data:`PACK_CHUNK_STEPS` chunk feeds
   :meth:`~repro.sim.backend.SimBatch.load_inputs_words`.
 * First-hit scans (:meth:`SequenceBatchSimulator.first_hit`) run each
   chunk through one primitive, :meth:`SequenceBatchSimulator._chunk_first_hit`,
@@ -74,13 +75,10 @@ import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-try:  # The packed pipeline vectorizes with numpy; a pure-Python
-    import numpy as np  # fallback keeps the engine dependency-free.
-except ImportError:  # pragma: no cover - numpy ships in CI
-    np = None
+import numpy as np
 
 from repro.circuit.netlist import Circuit
-from repro.core.ops import IDENTITY_EXPANSION, ExpansionConfig, expand
+from repro.core.ops import IDENTITY_EXPANSION, ExpansionConfig
 from repro.core.sequence import TestSequence
 from repro.errors import SimulationError
 from repro.faults.model import Fault
@@ -113,8 +111,8 @@ DEFAULT_SEQ_BATCH_WIDTH = 128
 #: packing columns that are never simulated.
 PACK_CHUNK_STEPS = 128
 
-#: The kept set of explicit candidate batches (each slot is one run).
-_NO_KEPT = np.zeros(0, dtype=np.int32) if np is not None else None
+#: The kept set of explicit candidates (each slot is one run).
+_NO_KEPT = np.zeros(0, dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -139,66 +137,6 @@ class FaultObservation:
 # ----------------------------------------------------------------------
 # Candidate column packers
 # ----------------------------------------------------------------------
-class _PythonColumns:
-    """Reference packer: Python-int columns, one mask per (time, PI).
-
-    Used when numpy is unavailable; semantically identical to the NumPy
-    packer (the packed words are the same integers).  Columns are packed
-    lazily per step, so the simulation loop's early exits never pay for
-    time steps that are never simulated.
-    """
-
-    __slots__ = (
-        "lengths",
-        "max_len",
-        "alive_masks",
-        "batch_width",
-        "_batch",
-        "_width",
-        "_full",
-    )
-
-    def __init__(
-        self, batch: list[TestSequence], width: int, batch_width: int
-    ) -> None:
-        self.lengths = [len(sequence) for sequence in batch]
-        self.max_len = max(self.lengths, default=0)
-        self.batch_width = batch_width
-        self._batch = batch
-        self._width = width
-        self._full = (1 << batch_width) - 1
-        self.alive_masks = []
-        for t in range(self.max_len):
-            mask = 0
-            for slot, length in enumerate(self.lengths):
-                if t < length:
-                    mask |= 1 << slot
-            self.alive_masks.append(mask)
-
-    @property
-    def num_steps(self) -> int:
-        return self.max_len
-
-    @property
-    def num_slots(self) -> int:
-        return len(self.lengths)
-
-    def load_step(self, t: int, good, faulty) -> None:
-        full = self._full
-        lengths = self.lengths
-        ones_row: list[int] = []
-        zeros_row: list[int] = []
-        for position in range(self._width):
-            ones = 0
-            for slot, sequence in enumerate(self._batch):
-                if t < lengths[slot] and sequence[t][position]:
-                    ones |= 1 << slot
-            ones_row.append(ones)
-            zeros_row.append(full & ~ones)
-        good.load_inputs_packed(ones_row, zeros_row)
-        faulty.load_inputs_packed(ones_row, zeros_row)
-
-
 class _AliveMasks:
     """Per-step alive slot masks of one batch, as ints computed on read.
 
@@ -219,13 +157,12 @@ class _AliveMasks:
 
 
 class _NumpyColumns:
-    """NumPy packer: per-chunk ``packbits`` of candidate bit planes.
+    """The reference packer: per-chunk ``packbits`` of candidate bit planes.
 
     ``bits_for_chunk(t0, t1)`` supplies the raw candidate bits as a
     ``(num_candidates, t1 - t0, width)`` uint8 array; this class owns
     slot-padding to the batch width, the 64-slot word packing and the
-    ``zeros = full & ~ones`` complement (padding slots are driven 0, as
-    the historical packer did).
+    ``zeros = full & ~ones`` complement (padding slots are driven 0).
     """
 
     __slots__ = (
@@ -323,19 +260,25 @@ def _derived_packer(
 
     ``base_bits`` is the base sequence as bits
     (:func:`repro.sim.backend.base_bits_of`);
-    its four per-vector variants (identity, complement, shift,
-    complement+shift) form a ``(4, len(base), width)`` table, and every
-    candidate column is a gather ``table[transform[slot, t],
-    src[slot, t]]`` — no expanded sequence is ever materialized.
+    the four per-vector variants (identity, complement, shift,
+    complement+shift) of the base rows ``[low, high)`` the batch reads
+    form a ``(4, high - low, width)`` table, and every candidate column
+    is a gather ``table[transform[slot, t], src[slot, t] - low]`` — no
+    expanded sequence is ever materialized.  Bounding the table by the
+    rows read keeps a batch of an explicit plan (whose base is every
+    candidate of the plan) at the cost of its own vectors.
     """
-    shifted = np.roll(base_bits, -1, axis=1)
-    table = np.stack([base_bits, 1 - base_bits, shifted, 1 - shifted])
+    index_arrays = [np.asarray(indices, dtype=np.intp) for indices in index_lists]
+    used = [indices for indices in index_arrays if len(indices)]
+    low = min((int(indices.min()) for indices in used), default=0)
+    high = max((int(indices.max()) + 1 for indices in used), default=low)
+    rows = base_bits[low:high]
+    shifted = np.roll(rows, -1, axis=1)
+    table = np.stack([rows, 1 - rows, shifted, 1 - shifted])
 
     maps = []
-    for indices in index_lists:
-        src, comp, shift = _expansion_time_map(
-            np.asarray(indices, dtype=np.intp), expansion
-        )
+    for indices in index_arrays:
+        src, comp, shift = _expansion_time_map(indices - low, expansion)
         maps.append((src, comp + 2 * shift))
     max_len = max((len(src) for src, _ in maps), default=0)
     # Compact index dtypes: a wide batch over a long T0 keeps these
@@ -350,6 +293,25 @@ def _derived_packer(
         return table[tfm_matrix[:, t0:t1], src_matrix[:, t0:t1]]
 
     return _NumpyColumns(bits_for_chunk, max_len, width, batch_width)
+
+
+def _candidate_lengths(kept, rows, expansion: ExpansionConfig):
+    """Each descriptor row's expanded candidate length, as ``int64``."""
+    counts = rows[:, 0] + (rows[:, 3] - rows[:, 2]) + (len(kept) - rows[:, 1])
+    return counts.astype(np.int64) * expansion.length_multiplier
+
+
+def _laid_end_to_end(sequences: list[TestSequence], width: int):
+    """The descriptor of explicit candidates: the sequences laid end to
+    end as the base, an empty kept set, slot ``s`` the run ``[a, b)`` of
+    its own vectors and the identity expansion."""
+    vectors = [vector for sequence in sequences for vector in sequence.vectors()]
+    base_bits = np.asarray(vectors, dtype=np.uint8).reshape(len(vectors), width)
+    ends = np.cumsum([len(sequence) for sequence in sequences], dtype=np.int32)
+    rows = np.zeros((len(sequences), 4), dtype=np.int32)
+    rows[:, 3] = ends
+    rows[1:, 2] = ends[:-1]
+    return base_bits, _NO_KEPT, rows, IDENTITY_EXPANSION
 
 
 class _DerivedStimulus:
@@ -386,8 +348,7 @@ class _DerivedStimulus:
         batch_width: int,
     ) -> None:
         self.descriptor = (base_bits, kept, rows, expansion)
-        counts = rows[:, 0] + (rows[:, 3] - rows[:, 2]) + (len(kept) - rows[:, 1])
-        lengths = counts.astype(np.int64) * expansion.length_multiplier
+        lengths = _candidate_lengths(kept, rows, expansion)
         self.num_slots = len(rows)
         self.num_steps = int(lengths.max()) if len(rows) else 0
         self.batch_width = batch_width
@@ -476,7 +437,7 @@ class SequenceBatchSimulator:
         derived = self._derive(plan)
 
         def scan_chunk(bounds: tuple[int, int]) -> list[bool]:
-            return self._scan_range(fault, plan, derived, *bounds)
+            return self._scan_range(fault, derived, *bounds)
 
         # A candidate pass costs about its longest member: a chunk
         # never splits one.
@@ -486,7 +447,7 @@ class SequenceBatchSimulator:
             self._threads,
             self._batch_width,
             self._batch_width,
-            self._gate_evals(plan, derived),
+            self._gate_evals(derived),
         )
         return [outcome for part in parts for outcome in part]
 
@@ -512,19 +473,17 @@ class SequenceBatchSimulator:
         """
         chunk = self._first_hit_chunk(chunk)
         derived = self._derive(plan)
-        evals = self._gate_evals(plan, derived)
+        evals = self._gate_evals(derived)
         if not fans_out(self._threads, len(plan), self._batch_width, evals):
             for start in range(0, len(plan), chunk):
                 end = min(start + chunk, len(plan))
-                hit = self._chunk_first_hit(fault, plan, derived, start, end)
+                hit = self._chunk_first_hit(fault, derived, start, end)
                 if hit is not None:
                     return start + hit, end
             return None, len(plan)
-        position = self._chunk_first_hit(
-            fault, plan, derived, 0, min(chunk, len(plan))
-        )
+        position = self._chunk_first_hit(fault, derived, 0, min(chunk, len(plan)))
         if position is None:
-            position = self._first_hit_threaded(fault, plan, derived, chunk)
+            position = self._first_hit_threaded(fault, derived, len(plan), chunk)
             if position is None:
                 return None, len(plan)
         return position, min(len(plan), (position // chunk + 1) * chunk)
@@ -545,14 +504,8 @@ class SequenceBatchSimulator:
         from the all-X state.  Always serial, also on a simulator with
         chunk threads.
         """
-        self._check_widths(sequences)
-        width = self._batch_width
         times, divergence = self._observe(
-            fault,
-            (
-                self._pack_explicit(sequences[low : low + width])
-                for low in range(0, len(sequences), width)
-            ),
+            fault, self._derive(ExplicitPlan(sequences))
         )
         return list(
             map(
@@ -576,7 +529,7 @@ class SequenceBatchSimulator:
         explicit-candidate base as it stands, and slot ``p`` is its run
         ``[p * T, p * T + lengths[p])``.  Returns each candidate's
         detection time and the scan's divergence outputs, in population
-        order.  Requires numpy.
+        order.
         """
         count, steps, width = bits.shape
         if width != self._compiled.num_inputs:
@@ -585,7 +538,7 @@ class SequenceBatchSimulator:
                 f"{self._compiled.num_inputs}"
             )
         rows = np.zeros((count, 4), dtype=np.int32)
-        rows[:, 2] = np.arange(0, count * steps, steps)
+        rows[:, 2] = np.arange(count) * steps
         rows[:, 3] = rows[:, 2] + lengths
         derived = (
             bits.reshape(count * steps, width),
@@ -593,14 +546,7 @@ class SequenceBatchSimulator:
             rows,
             IDENTITY_EXPANSION,
         )
-        batch = self._batch_width
-        return self._observe(
-            fault,
-            (
-                self._derived_batch(derived, low, min(low + batch, count))
-                for low in range(0, count, batch)
-            ),
-        )
+        return self._observe(fault, derived)
 
     def detects_windows(
         self,
@@ -679,25 +625,22 @@ class SequenceBatchSimulator:
                     f"candidate width {sequence.width} != circuit inputs {width}"
                 )
 
-    def _gate_evals(self, plan: ScanPlan, derived) -> int:
-        """Gate evaluations a scan of ``plan`` runs: ops x machines x
+    def _gate_evals(self, derived) -> int:
+        """Gate evaluations a scan of ``derived`` runs: ops x machines x
         slot-steps, each candidate counted at its expanded length (only
         weighed when chunk threads could fan the scan out)."""
-        if self._threads <= 1 or len(plan) <= self._batch_width:
+        _, kept, rows, expansion = derived
+        if self._threads <= 1 or len(rows) <= self._batch_width:
             return 0  # a single pass never fans out: skip the count
-        if derived is None:  # explicit (chunk threads imply numpy)
-            slot_steps = sum(len(sequence) for sequence in plan.items)
-        else:
-            _, kept, rows, expansion = derived
-            counts = rows[:, 0] + (rows[:, 3] - rows[:, 2]) + (len(kept) - rows[:, 1])
-            slot_steps = int(counts.sum()) * expansion.length_multiplier
+        slot_steps = int(_candidate_lengths(kept, rows, expansion).sum())
         # Paired scans run a good and a faulty machine per slot.
         return 2 * len(self._compiled.ops) * slot_steps
 
     def _first_hit_threaded(
-        self, fault: Fault, plan: ScanPlan, derived, chunk: int
+        self, fault: Fault, derived, count: int, chunk: int
     ) -> int | None:
-        """The minimum detecting position of ``plan[chunk:]``, on the pool.
+        """The minimum detecting position of candidates ``chunk:count``,
+        on the pool.
 
         Each thread scans its chunk ``chunk`` candidates at a time and
         consults this dispatch's lock-guarded best position between
@@ -716,7 +659,7 @@ class SequenceBatchSimulator:
                     if best[0] is not None and best[0] <= low:
                         return
                 high = min(low + chunk, end)
-                hit = self._chunk_first_hit(fault, plan, derived, low, high)
+                hit = self._chunk_first_hit(fault, derived, low, high)
                 if hit is not None:
                     with lock:
                         if best[0] is None or low + hit < best[0]:
@@ -729,7 +672,7 @@ class SequenceBatchSimulator:
         # narrow chunk wastes less than abandoning a full-width one.
         chunks = [
             (chunk + start, chunk + end)
-            for start, end in chunk_bounds(len(plan) - chunk, self._threads, chunk)
+            for start, end in chunk_bounds(count - chunk, self._threads, chunk)
         ]
         run_chunks(scan_chunk, chunks, self._threads)
         return best[0]
@@ -742,19 +685,19 @@ class SequenceBatchSimulator:
             )
 
     def _derive(self, plan: ScanPlan):
-        """``(base_bits, kept, rows, expansion)`` of a derived plan, else ``None``.
+        """``(base_bits, kept, rows, expansion)``: every candidate of
+        ``plan`` as one descriptor row.
 
-        ``None`` means the plan's candidates are scanned as sequences
-        (explicit plans, or no numpy).  Validates the candidates' or the
-        base's width either way; the session trace cache converts a
-        base to bits once per (circuit, sequence).
+        Derived plans describe their candidates over their base, whose
+        bits the session trace cache converts once per (circuit,
+        sequence); an explicit plan's sequences are laid end to end as
+        the base (:func:`_laid_end_to_end`).  Validates the base's or
+        the candidates' width.
         """
         if plan.kind == "explicit":
             self._check_widths(plan.items)
-            return None
+            return _laid_end_to_end(plan.items, self._compiled.num_inputs)
         self._check_base(plan.base)
-        if np is None:
-            return None
         base_bits = self._trace_cache.base_bits(plan.base)
         kept, rows = plan.descriptor(base_bits.shape[0])
         return base_bits, kept, rows, plan.expansion
@@ -772,97 +715,47 @@ class SequenceBatchSimulator:
             self._pad_width(len(rows)),
         )
 
-    def _chunk_first_hit(
-        self, fault: Fault, plan: ScanPlan, derived, start: int, end: int
-    ) -> int | None:
-        """The first detecting candidate of ``plan[start:end]``, from ``start``.
-
-        The per-chunk first-hit primitive of the serial scan and of the
-        chunk threads alike.  Derived candidates (``derived`` from
-        :meth:`_derive`) run batch by batch in plan order in the
-        backend's first-hit mode, stopping at the first batch that
-        detects; other plans scan the chunk's outcomes.
-        """
-        if derived is None:
-            outcomes = self._scan_range(fault, plan, None, start, end)
-            return next((i for i, hit in enumerate(outcomes) if hit), None)
+    def _batches(self, derived, start: int, end: int):
+        """``(low, batch)`` for candidates ``start:end`` of a
+        :meth:`_derive` result, ``batch_width`` at a time, in order."""
         for low in range(start, end, self._batch_width):
-            batch = self._derived_batch(
+            yield low, self._derived_batch(
                 derived, low, min(low + self._batch_width, end)
             )
+
+    def _chunk_first_hit(
+        self, fault: Fault, derived, start: int, end: int
+    ) -> int | None:
+        """The first detecting candidate of ``start:end``, from ``start``.
+
+        The per-chunk first-hit primitive of the serial scan and of the
+        chunk threads alike: batches run in plan order in the backend's
+        first-hit mode, stopping at the first batch that detects.
+        """
+        for low, batch in self._batches(derived, start, end):
             times = self._scan_times(fault, batch, first_hit=True)
             hit = next((i for i, time in enumerate(times) if time is not None), None)
             if hit is not None:
                 return low - start + hit
         return None
 
-    def _scan_range(
-        self, fault: Fault, plan: ScanPlan, derived, start: int, end: int
-    ) -> list[bool]:
-        """Detection outcomes of ``plan[start:end]``, batch by batch.
+    def _scan_range(self, fault: Fault, derived, start: int, end: int) -> list[bool]:
+        """Detection outcomes of candidates ``start:end``, batch by batch:
+        the serial primitive :meth:`scan` runs whole or per chunk."""
+        return [
+            time is not None
+            for _, batch in self._batches(derived, start, end)
+            for time in self._scan_times(fault, batch)
+        ]
 
-        The serial primitive :meth:`scan` runs whole or per chunk.
-        Derived candidates (``derived`` from :meth:`_derive`) scan from
-        their descriptor rows; explicit candidates, and derived ones
-        without numpy (materialized here), scan as packed sequences.
-        """
-        width = self._batch_width
-        outcomes: list[bool] = []
-        if derived is not None:
-            for low in range(start, end, width):
-                batch = self._derived_batch(derived, low, min(low + width, end))
-                outcomes.extend(
-                    time is not None for time in self._scan_times(fault, batch)
-                )
-            return outcomes
-        if plan.kind == "explicit":
-            sequences = plan.items[start:end]
-        else:
-            base = plan.base
-            sequences = [
-                expand(
-                    TestSequence._trusted(
-                        tuple(base[j] for j in indices), base.width
-                    ),
-                    plan.expansion,
-                )
-                for indices in plan.slice(start, end).index_lists(len(base))
-            ]
-        for low in range(0, len(sequences), width):
-            batch = self._pack_explicit(sequences[low : low + width])
-            outcomes.extend(self._run_packed(fault, batch))
-        return outcomes
-
-    def _pack_explicit(self, batch: list[TestSequence]):
-        """One batch of materialized candidates as a scan stimulus.
-
-        With numpy the sequences are laid end to end into one bit matrix
-        and slot ``s`` is the run ``[a, b)`` of its own vectors (an
-        empty kept set, the identity expansion): the derived stimulus
-        every engine scans.
-        """
-        width = self._compiled.num_inputs
-        pad_width = self._pad_width(len(batch))
-        if np is None:
-            return _PythonColumns(batch, width, pad_width)
-        vectors = [vector for sequence in batch for vector in sequence.vectors()]
-        base_bits = np.asarray(vectors, dtype=np.uint8).reshape(len(vectors), width)
-        ends = np.cumsum([len(sequence) for sequence in batch], dtype=np.int32)
-        rows = np.zeros((len(batch), 4), dtype=np.int32)
-        rows[:, 3] = ends
-        rows[1:, 2] = ends[:-1]
-        return _DerivedStimulus(
-            base_bits, _NO_KEPT, rows, IDENTITY_EXPANSION, width, pad_width
-        )
-
-    def _observe(self, fault: Fault, stimuli) -> tuple[list, ScanDivergence]:
-        """Detection times and divergence outputs of candidate batches,
-        scanned one after another and joined in order."""
+    def _observe(self, fault: Fault, derived) -> tuple[list, ScanDivergence]:
+        """Detection times and divergence outputs of every candidate of
+        a :meth:`_derive` result, batch after batch, joined in order."""
         times: list[int | None] = []
         joined = ScanDivergence(0)
-        for stimulus in stimuli:
-            divergence = ScanDivergence(stimulus.num_slots)
-            times += self._scan_times(fault, stimulus, divergence)
+        for _, batch in self._batches(derived, 0, len(derived[2])):
+            divergence = ScanDivergence(batch.num_slots)
+            times += self._scan_times(fault, batch, divergence)
             joined.maximum += divergence.maximum
             joined.final += divergence.final
             joined.area += divergence.area
@@ -882,10 +775,6 @@ class SequenceBatchSimulator:
         while width // 2 >= count:
             width //= 2
         return width
-
-    def _run_packed(self, fault: Fault, packer) -> list[bool]:
-        """Drive one packed candidate batch; return per-slot outcomes."""
-        return [time is not None for time in self._scan_times(fault, packer)]
 
     def _scan_times(
         self,

@@ -43,13 +43,9 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 
-try:  # Packed bit columns need numpy; the trace itself does not.
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships in CI
-    np = None
+import numpy as np
 
 from repro.core.sequence import TestSequence
-from repro.errors import SimulationError
 from repro.logic.values import ONE, ZERO
 from repro.sim.backend import AUTO_BACKEND, base_bits_of
 from repro.sim.compiled import CompiledCircuit
@@ -208,9 +204,7 @@ class GoodTraceCache:
             return entry.observation_plan
 
     def base_bits(self, sequence: TestSequence):
-        """The packed PI bit columns (requires numpy), computed once."""
-        if np is None:
-            raise SimulationError("base_bits requires numpy")
+        """The packed PI bit columns, computed once."""
         with self._lock:
             entry = self._entry(sequence)
             if entry.bits is None:

@@ -27,10 +27,7 @@ from __future__ import annotations
 
 import math
 
-try:  # Bulk draws need numpy; the scalar generator does not.
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships in CI
-    np = None
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -102,7 +99,7 @@ class SplitMix64:
         self._state = (self._state + n * _GOLDEN) & _MASK64
 
     def block_u64(self, n: int):
-        """The next ``n`` outputs as a ``uint64`` array (requires numpy)."""
+        """The next ``n`` outputs as a ``uint64`` array."""
         steps = np.arange(1, n + 1, dtype=np.uint64)
         z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)
         self.skip(n)
@@ -113,9 +110,9 @@ class SplitMix64:
     def bits_below(self, n: int, probability: float):
         """``n`` draws as a boolean array: ``random() < probability`` each.
 
-        Requires numpy.  Exact for every ``probability`` (see the module
-        docstring); values at or below 0 (and NaN) give all ``False`` and
-        values of 1 or more all ``True``, as the scalar comparison does.
+        Exact for every ``probability`` (see the module docstring);
+        values at or below 0 (and NaN) give all ``False`` and values of
+        1 or more all ``True``, as the scalar comparison does.
         """
         if not probability > 0:  # NaN included: no draw is below it
             threshold = 0

@@ -28,8 +28,8 @@ def require_backend():
 
     Suites parametrize over :func:`repro.sim.backend.registry_backends`
     (every registered engine, so new backends are auto-covered) and call
-    this on the parameter: an engine unusable on this machine — numpy
-    missing, no C compiler, ``REPRO_NO_NATIVE=1`` — becomes an explicit
+    this on the parameter: an engine unusable on this machine — no C
+    compiler, ``REPRO_NO_NATIVE=1`` — becomes an explicit
     skip carrying its unavailability reason instead of a failure.
     """
 

@@ -29,7 +29,6 @@ from repro.sim.backend import backend_unavailable_reason, dispatch_counters
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.seqsim import SequenceBatchSimulator
-from repro.util import rng as rng_module
 from repro.util.rng import SplitMix64, derive_seed
 
 
@@ -297,8 +296,9 @@ class _RecordingSimulator(SequenceBatchSimulator):
 
 
 def _tuple_attack(compiled, fault, config, simulator, monkeypatch, seen):
-    """``attack_fault`` with numpy hidden from the GA (the tuple GA),
-    noting the crossovers that were capped or spliced nothing."""
+    """The tuple GA (``genetic._tuple_search``) on ``attack_fault``'s
+    stream, as ``(sequence, generations_used, evaluations)``, noting the
+    crossovers that were capped or spliced nothing."""
     cap = 2 * config.genetic_sequence_length
 
     def noting_crossover(rng, left, right):
@@ -311,10 +311,12 @@ def _tuple_attack(compiled, fault, config, simulator, monkeypatch, seen):
             seen.add("capped")
         return crossover(rng, left, right)
 
+    rng = SplitMix64(derive_seed(config.seed, 0x6E6, 3))
     with monkeypatch.context() as patch:
-        patch.setattr(rng_module, "np", None)
         patch.setattr(genetic, "crossover", noting_crossover)
-        return attack_fault(compiled, fault, config, salt=3, simulator=simulator)
+        return genetic._tuple_search(
+            simulator, fault, config, rng, compiled.num_inputs
+        )
 
 
 def test_matrix_ga_equals_tuple_ga(monkeypatch):
@@ -340,11 +342,7 @@ def test_matrix_ga_equals_tuple_ga(monkeypatch):
         )
         assert scored == simulator.populations
         got = (matrix.sequence, matrix.generations_used, matrix.evaluations)
-        assert got == (
-            tuple_ga.sequence,
-            tuple_ga.generations_used,
-            tuple_ga.evaluations,
-        )
+        assert got == tuple_ga
         if matrix.sequence is not None:
             assert all(type(bit) is int for vector in matrix.sequence for bit in vector)
 

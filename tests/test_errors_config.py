@@ -128,7 +128,7 @@ class TestSelectionConfig:
 
         assert widths("python") == (32, 96, 192)
         assert widths("native") == (32, 96, 192)
-        assert widths("auto") == (128, 256, 1024)  # numpy ships in CI
+        assert widths("auto") == (128, 256, 1024)
 
 
 class TestExpansionConfig:

@@ -32,8 +32,6 @@ from repro.sim.native_build import (
     toolchain_info,
 )
 
-pytest.importorskip("numpy")
-
 
 @pytest.fixture
 def no_native(monkeypatch):

@@ -8,9 +8,8 @@ outcomes on the same workloads — not merely equivalent coverage.
 The suite parametrizes over the backend registry
 (:func:`repro.sim.backend.registry_backends`), not a hardcoded list, so
 a new engine is auto-covered the moment it registers; an engine that
-cannot run on this machine (numpy missing, no C compiler,
-``REPRO_NO_NATIVE=1``) skips with its unavailability reason instead of
-failing.
+cannot run on this machine (no C compiler, ``REPRO_NO_NATIVE=1``) skips
+with its unavailability reason instead of failing.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ from repro.sim.seqsim import (
     make_sequence_simulator,
 )
 from repro.util.rng import SplitMix64
-
-pytest.importorskip("numpy")
 
 #: Generated circuits beside the catalog ones: flop-heavy and PI-heavy.
 GENERATED_SPECS = {

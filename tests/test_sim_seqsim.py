@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.ops import ExpansionConfig, expand
@@ -83,7 +84,6 @@ class TestBatchMechanics:
         simulator = SequenceBatchSimulator(s27)
         with pytest.raises(SimulationError):
             simulator.detects(s27_universe.fault(0), [TestSequence([[0, 1]])])
-        np = pytest.importorskip("numpy")
         with pytest.raises(SimulationError, match="circuit inputs"):
             simulator.observe_population(
                 s27_universe.fault(0), np.zeros((1, 1, 2), np.uint8), np.ones(1)

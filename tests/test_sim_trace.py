@@ -12,6 +12,7 @@ from __future__ import annotations
 import pickle
 from array import array
 
+import numpy as np
 import pytest
 
 from repro.circuits.catalog import load_circuit, paper_t0_s27
@@ -31,11 +32,6 @@ from repro.sim.trace import (
     get_trace_cache,
 )
 from repro.util.rng import SplitMix64
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships in CI
-    np = None
 
 
 def _stimulus(circuit, length, seed=2026):
@@ -84,7 +80,6 @@ class TestGoodTraceCache:
         assert cache.trace(t0).final_state == direct.final_state
         assert cache.observation_plan(t0) == build_observation_plan(direct)
 
-    @pytest.mark.skipif(np is None, reason="packed bits require numpy")
     def test_base_bits_match_and_are_cached(self, compiled):
         cache = GoodTraceCache(compiled)
         t0 = paper_t0_s27()
@@ -220,7 +215,6 @@ class TestSimulatorIntegration:
         assert other.trace_cache is fault_sim.trace_cache
         assert other.trace_cache.stats()["trace_misses"] == 1
 
-    @pytest.mark.skipif(np is None, reason="packed pipeline requires numpy")
     def test_seqsim_packs_the_window_base_once(self, compiled):
         close_trace_caches()
         t0 = paper_t0_s27()

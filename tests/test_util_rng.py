@@ -2,20 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.atpg import random_gen
 from repro.core.sequence import TestSequence
-from repro.util import rng as rng_module
 from repro.util.rng import SplitMix64, derive_seed
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships in CI
-    np = None
-
-needs_numpy = pytest.mark.skipif(np is None, reason="block draws require numpy")
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -115,7 +108,6 @@ class TestSplitMix64:
         assert fork_a.next_u64() == fork_b.next_u64()
 
 
-@needs_numpy
 class TestBlockDraws:
     """The numpy block draws against the scalar stream they replace."""
 
@@ -199,9 +191,23 @@ def _producers(rng: SplitMix64, width: int, length: int, p: float):
     return seq, marker, weighted, mutated, rng.next_u64()
 
 
-@needs_numpy
-class TestProducersWithoutNumpy:
-    """The block path equals the scalar loops, stream position included."""
+def _scalar_producers(rng: SplitMix64, width: int, length: int, p: float):
+    """:func:`_producers` drawn one bit at a time: the scalar oracle."""
+    seq = TestSequence._trusted(
+        tuple(tuple(random_gen.random_vector(rng, width)) for _ in range(length)),
+        width,
+    )
+    marker = rng.randint(0, 1000)
+    weighted = TestSequence._trusted(
+        tuple(tuple(rng.sample_bits(width, p)) for _ in range(length)), width
+    )
+    mutated = random_gen.mutate_sequence(rng, seq, p)
+    return seq, marker, weighted, mutated, rng.next_u64()
+
+
+class TestProducersAgainstScalarDraws:
+    """The block producers equal per-bit scalar draws, stream position
+    included."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -210,21 +216,15 @@ class TestProducersWithoutNumpy:
         st.integers(min_value=0, max_value=12),
         PROBABILITIES,
     )
-    def test_block_and_scalar_paths_agree(self, seed, width, length, p):
-        with_numpy = _producers(SplitMix64(seed), width, length, p)
-        saved = rng_module.np
-        rng_module.np = None
-        try:
-            scalar = _producers(SplitMix64(seed), width, length, p)
-        finally:
-            rng_module.np = saved
-        assert with_numpy == scalar
-        for sequence in (with_numpy[0], with_numpy[2], with_numpy[3]):
+    def test_block_and_scalar_draws_agree(self, seed, width, length, p):
+        block = _producers(SplitMix64(seed), width, length, p)
+        scalar = _scalar_producers(SplitMix64(seed), width, length, p)
+        assert block == scalar
+        for sequence in (block[0], block[2], block[3]):
             assert all(type(bit) is int for vector in sequence for bit in vector)
             assert sequence.width == width
 
-    def test_hidden_numpy_is_honoured(self, monkeypatch):
-        monkeypatch.setattr(rng_module, "np", None)
+    def test_random_sequence_is_the_low_bit_stream(self):
         rng = SplitMix64(3)
         seq = random_gen.random_sequence(rng, 4, 3)
         reference = SplitMix64(3)
